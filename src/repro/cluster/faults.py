@@ -55,6 +55,7 @@ import random
 from dataclasses import dataclass
 
 from repro.sim.faults import FaultPlan
+from repro.utils.backoff import capped_backoff
 
 
 @dataclass(frozen=True)
@@ -448,18 +449,14 @@ class ClusterFaultPlan:
     def backoff(self, attempt: int) -> float:
         """Cluster-time delay before retry ``attempt`` (1-based):
         capped exponential ``min(retry_base * 2**(attempt-1), retry_cap)``."""
-        if attempt < 1:
-            raise ValueError("attempt is 1-based")
-        return min(self.retry_base * (2.0 ** (attempt - 1)), self.retry_cap)
+        return capped_backoff(self.retry_base, attempt, self.retry_cap)
 
     def rejoin_backoff(self, flap: int) -> float:
         """Cluster-time delay between a node's ``flap``-th repair
         announcement (1-based) and the start of its probation window:
         capped exponential ``min(rejoin_base * 2**(flap-1), rejoin_cap)``
         — repeat offenders wait longer (flap damping)."""
-        if flap < 1:
-            raise ValueError("flap is 1-based")
-        return min(self.rejoin_base * (2.0 ** (flap - 1)), self.rejoin_cap)
+        return capped_backoff(self.rejoin_base, flap, self.rejoin_cap, "flap")
 
     # -- checkpoint policy ----------------------------------------------------
     def replicas_for(self, live_nodes: int) -> int:

@@ -20,6 +20,7 @@ histories, simulated times and (bit-identical) results.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from typing import Optional
 
@@ -46,6 +47,10 @@ from repro.server.jobs import (
 )
 from repro.server.workloads import Workload
 from repro.sim.node import SimNode
+from repro.utils.backoff import capped_backoff
+
+#: States a job can be scheduled from.
+QUEUED = (PENDING, PREEMPTED)
 
 
 def solo_run(
@@ -104,6 +109,8 @@ class JobServer:
         requeue_cap: float = 1e-2,
         max_requeues: int = 4,
     ):
+        if not float(aging_rate) >= 0.0:
+            raise ValueError(f"aging_rate must be >= 0, got {aging_rate!r}")
         self.node = SimNode(spec, num_gpus, functional=functional)
         self.time_slice = time_slice
         self.quotas = dict(quotas or {})
@@ -117,6 +124,16 @@ class JobServer:
         self._ids = itertools.count(1)
         #: tenant -> simulated execution seconds delivered (fair share).
         self.tenant_usage: dict[str, float] = {}
+        # Queue indexes (DESIGN.md §13 "Policy"). Every entry carries the
+        # job's enqueue version; see _live.
+        self._version: dict[str, int] = {}
+        #: heap of (max(arrival, not_before), order, version, job).
+        self._due: list[tuple] = []
+        #: heap of (deadline, order, version, job).
+        self._deadlines: list[tuple] = []
+        #: (tenant, priority) -> (heap of distinct aging keys,
+        #: key -> heap of (order, version, job)): the eligible jobs.
+        self._ready: dict[tuple, tuple[list, dict]] = {}
 
     # -- quota helpers ---------------------------------------------------------
     def quota(self, tenant: str) -> TenantQuota:
@@ -172,6 +189,7 @@ class JobServer:
         self.jobs[job.id] = job
         self._order[job.id] = len(self._order)
         self.tenant_usage.setdefault(spec.tenant, 0.0)
+        self._enqueue(job)
         return job
 
     def status(self, job_id: str) -> Job:
@@ -185,7 +203,7 @@ class JobServer:
         untouched; the serial scheduler never exposes a RUNNING job to
         callers, so there is nothing to kill mid-flight."""
         job = self.status(job_id)
-        if job.state in (PENDING, PREEMPTED):
+        if job.state in QUEUED:
             job.state = CANCELLED
             # A job cancelled before its open-loop arrival has
             # submit_time in the future; clamp so end_time - submit_time
@@ -211,30 +229,99 @@ class JobServer:
         q = self.quota(job.spec.tenant)
         usage = self.tenant_usage.get(job.spec.tenant, 0.0)
         share = max(q.share, 1e-9)
+        # The clamp never applies to an eligible job: submit_time =
+        # max(node.time at submit, arrival) <= now, because the node
+        # clock only moves forward and eligibility needs arrival <= now.
+        # queue() still ranks jobs that have not arrived yet.
         wait = max(0.0, now - job.submit_time)
         score = usage / share - self.aging_rate * wait - job.spec.priority
         return (score, self._order[job.id])
 
-    def _eligible(self, job: Job, now: float) -> bool:
-        return (
-            job.state in (PENDING, PREEMPTED)
-            and job.spec.arrival <= now
-            and job.not_before <= now
-        )
+    # -- queue indexes ---------------------------------------------------------
+    def _enqueue(self, job: Job) -> None:
+        """Index a job that (re-)entered the queue: at submit, preemption
+        and fault requeue. The fresh version makes every older entry of
+        the job stale, so entries are never removed eagerly — cancel,
+        _fail and the lease's error path need no index upkeep."""
+        order = self._order[job.id]
+        version = self._version[job.id] = self._version.get(job.id, -1) + 1
+        due = max(job.spec.arrival, job.not_before)
+        heapq.heappush(self._due, (due, order, version, job))
+        # Pushed on every enqueue, not once: a fault requeue may re-enqueue
+        # a job that is already past its deadline.
+        if job.spec.deadline is not None:
+            heapq.heappush(
+                self._deadlines, (job.spec.deadline, order, version, job)
+            )
+
+    def _live(self, job: Job, version: int) -> bool:
+        return job.state in QUEUED and self._version[job.id] == version
+
+    def _promote(self, now: float) -> None:
+        """Move every job eligible by ``now`` into its (tenant, priority)
+        ready group. The key is submit_time, in whose order the group's
+        scores rise; with aging off all of them tie, so every job gets
+        key 0.0 and its bucket's submission order decides."""
+        due = self._due
+        while due and due[0][0] <= now:
+            _, order, version, job = heapq.heappop(due)
+            if not self._live(job, version):
+                continue
+            keys, buckets = self._ready.setdefault(
+                (job.spec.tenant, job.spec.priority), ([], {})
+            )
+            key = job.submit_time if self.aging_rate else 0.0
+            bucket = buckets.get(key)
+            if bucket is None:
+                bucket = buckets[key] = []
+                heapq.heappush(keys, key)
+            heapq.heappush(bucket, (order, version, job))
+
+    def _head(self, group: tuple[list, dict]) -> Optional[list]:
+        """Drop stale entries off ``group``'s front; return the bucket
+        holding its earliest-key live job (that bucket's first entry),
+        or None when the group has no live job."""
+        keys, buckets = group
+        while keys:
+            bucket = buckets[keys[0]]
+            while bucket and not self._live(bucket[0][2], bucket[0][1]):
+                heapq.heappop(bucket)
+            if bucket:
+                return bucket
+            del buckets[heapq.heappop(keys)]
+        return None
+
+    def _tied_head(
+        self, group: tuple[list, dict], best: float, now: float
+    ) -> list:
+        """The lowest-order bucket among ``group``'s keys that score
+        exactly ``best``. Rounding can give later keys the head's score;
+        they form a prefix of the key order, because the score is
+        monotone in the key."""
+        keys = group[0]
+        winner = self._head(group)
+        popped = [heapq.heappop(keys)]
+        while (bucket := self._head(group)) is not None and (
+            self._score(bucket[0][2], now)[0] == best
+        ):
+            if bucket[0][0] < winner[0][0]:
+                winner = bucket
+            popped.append(heapq.heappop(keys))
+        for key in popped:
+            heapq.heappush(keys, key)
+        return winner
 
     def _expire_dead_jobs(self) -> None:
         """Fail queued jobs whose deadline already passed, *before* they
         are leased: a dead-on-arrival job would otherwise burn a full
         lease (at least one chunk — the progress guarantee) on work whose
         result is contractually worthless, stealing node time from live
-        tenants."""
+        tenants. Not-yet-arrived jobs expire too."""
         now = self.node.time
-        for job in self.jobs.values():
-            if (
-                job.state in (PENDING, PREEMPTED)
-                and job.spec.deadline is not None
-                and now > job.spec.deadline
-            ):
+        deadlines = self._deadlines
+        while deadlines and deadlines[0][0] < now:
+            _, _, version, job = heapq.heappop(deadlines)
+            if self._live(job, version):
                 e = DeadlineExceededError(
                     f"job {job.id} deadline t={job.spec.deadline:.6g} "
                     f"expired before it could start (now t={now:.6g})",
@@ -250,21 +337,36 @@ class JobServer:
                 )
 
     def _pick(self) -> Optional[Job]:
+        """The eligible job with the lowest ``_score``. Each ready group's
+        first job has the group's lowest score, so only group heads (and
+        exact-score ties) are scored, never the whole queue."""
         now = self.node.time
-        candidates = [j for j in self.jobs.values() if self._eligible(j, now)]
-        if not candidates:
+        self._promote(now)
+        heads = []
+        for gkey, group in list(self._ready.items()):
+            bucket = self._head(group)
+            if bucket is None:
+                del self._ready[gkey]
+            else:
+                heads.append((self._score(bucket[0][2], now)[0], group))
+        if not heads:
             return None
-        return min(candidates, key=lambda j: self._score(j, now))
+        best = min(score for score, _ in heads)
+        bucket = min(
+            (self._tied_head(group, best, now) for s, group in heads
+             if s == best),
+            key=lambda b: b[0][0],
+        )
+        return heapq.heappop(bucket)[2]
 
     def _next_eligibility(self) -> Optional[float]:
         """Earliest future time a queued job becomes eligible (arrival or
-        fault backoff), or None if the queue is truly empty."""
-        times = [
-            max(j.spec.arrival, j.not_before)
-            for j in self.jobs.values()
-            if j.state in (PENDING, PREEMPTED)
-        ]
-        return min(times) if times else None
+        fault backoff), or None if the queue is truly empty. Called only
+        after _pick found nothing eligible, so no queued job is ready."""
+        due = self._due
+        while due and not self._live(due[0][3], due[0][2]):
+            heapq.heappop(due)
+        return due[0][0] if due else None
 
     # -- scheduling loop -------------------------------------------------------
     def _idle_advance(self, to: float) -> None:
@@ -331,10 +433,10 @@ class JobServer:
 
     # -- one lease -------------------------------------------------------------
     def _others_waiting(self, job: Job) -> bool:
-        now = self.node.time
-        return any(
-            self._eligible(j, now) for j in self.jobs.values() if j is not job
-        )
+        """Whether any job is eligible now; ``job`` is RUNNING, so it is
+        in no index."""
+        self._promote(self.node.time)
+        return any(self._head(g) is not None for g in self._ready.values())
 
     def _run_lease(self, job: Job) -> None:
         node = self.node
@@ -452,6 +554,7 @@ class JobServer:
         job.preemptions += 1
         job.last_preemption = err
         job.log(now, f"preempted at iteration {wl.completed}")
+        self._enqueue(job)
 
     def _requeue_after_fault(self, job: Job, err: UnrecoverableError) -> None:
         now = self.node.time
@@ -461,8 +564,8 @@ class JobServer:
                 job, err, f"failed for good after {self.max_requeues} requeues"
             )
             return
-        backoff = min(
-            self.requeue_base * (2.0 ** (job.requeues - 1)), self.requeue_cap
+        backoff = capped_backoff(
+            self.requeue_base, job.requeues, self.requeue_cap
         )
         job.not_before = now + backoff
         job.state = PENDING
@@ -471,6 +574,7 @@ class JobServer:
             f"unrecoverable fault; requeued with backoff {backoff:.6g}s "
             f"(attempt {job.requeues})",
         )
+        self._enqueue(job)
 
     def _fail(self, job: Job, err: BaseException, note: str) -> None:
         job.state = FAILED

@@ -39,6 +39,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.errors import AllocationError
+from repro.utils.backoff import capped_backoff
 
 
 @dataclass(frozen=True)
@@ -310,6 +311,4 @@ class FaultPlan:
     def backoff(self, attempt: int) -> float:
         """Simulated-time delay before retry ``attempt`` (1-based):
         capped exponential ``min(retry_base * 2**(attempt-1), retry_cap)``."""
-        if attempt < 1:
-            raise ValueError("attempt is 1-based")
-        return min(self.retry_base * (2.0 ** (attempt - 1)), self.retry_cap)
+        return capped_backoff(self.retry_base, attempt, self.retry_cap)
