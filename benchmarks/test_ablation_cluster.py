@@ -7,14 +7,14 @@ within a multi-GPU node").
 import pytest
 
 from conftest import fmt_table, record_result
-from repro.cluster import ClusterStencil, NetworkCalibration
+from repro.cluster import ClusterMaster, NetworkCalibration
 from repro.hardware import GTX_780
 from repro.kernels.game_of_life import make_gol_kernel
 
 KERNEL = lambda: make_gol_kernel("maps_ilp")  # noqa: E731
 
 
-def tick_time(cs: ClusterStencil, ticks: int = 5) -> float:
+def tick_time(cs: ClusterMaster, ticks: int = 5) -> float:
     cs.run(2)  # warm-up
     t0 = cs.time
     cs.run(ticks)
@@ -28,13 +28,13 @@ def test_ablation_cluster_scaling(benchmark):
         strong = {}
         for nodes in (1, 2, 4):
             weak[nodes] = tick_time(
-                ClusterStencil(
+                ClusterMaster(
                     GTX_780, nodes, 4, (4096 * nodes, 4096), KERNEL(),
                     functional=False,
                 )
             )
             strong[nodes] = tick_time(
-                ClusterStencil(
+                ClusterMaster(
                     GTX_780, nodes, 4, (8192, 8192), KERNEL(),
                     functional=False,
                 )
@@ -46,7 +46,7 @@ def test_ablation_cluster_scaling(benchmark):
             ("100x latency", NetworkCalibration(latency=2e-3)),
         ):
             lat[label] = tick_time(
-                ClusterStencil(
+                ClusterMaster(
                     GTX_780, 4, 4, (8192, 8192), KERNEL(),
                     functional=False, network=calib,
                 )

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.cluster import (
     ClusterFaultPlan,
-    ClusterStencil,
+    ClusterMaster,
     NodeCrash,
     NodeRepair,
     Partition,
@@ -28,7 +28,7 @@ KERNEL = make_gol_kernel("maps")
 
 
 def run(board, ticks, plan=None):
-    cs = ClusterStencil(GTX_780, 4, 2, board, KERNEL, faults=plan)
+    cs = ClusterMaster(GTX_780, 4, 2, board, KERNEL, faults=plan)
     cs.run(ticks)
     return cs
 

@@ -13,7 +13,7 @@ Run: ``python examples/cluster_scaling.py``
 
 import numpy as np
 
-from repro.cluster import ClusterStencil, NetworkCalibration
+from repro.cluster import ClusterMaster, NetworkCalibration
 from repro.hardware import GTX_780
 from repro.kernels.game_of_life import gol_reference_step, make_gol_kernel
 
@@ -23,7 +23,7 @@ def correctness_demo() -> None:
     board = (rng.random((96, 48)) < 0.35).astype(np.int32)
     outs = {}
     for nodes in (1, 2, 4):
-        cs = ClusterStencil(
+        cs = ClusterMaster(
             GTX_780, nodes, 2, board, make_gol_kernel("maps"), radius=1
         )
         cs.run(8)
@@ -50,7 +50,7 @@ def scaling_demo() -> None:
     print("\nweak scaling (4K^2 rows per node, 4 GPUs/node):")
     for nodes in (1, 2, 4):
         t = tick(
-            ClusterStencil(
+            ClusterMaster(
                 GTX_780, nodes, 4, (4096 * nodes, 4096), kernel,
                 functional=False,
             )
@@ -61,7 +61,7 @@ def scaling_demo() -> None:
     base = None
     for nodes in (1, 2, 4):
         t = tick(
-            ClusterStencil(
+            ClusterMaster(
                 GTX_780, nodes, 4, (8192, 8192), kernel, functional=False
             )
         )
@@ -75,7 +75,7 @@ def scaling_demo() -> None:
         ("WAN-ish, 2 ms", NetworkCalibration(latency=2e-3)),
     ):
         t = tick(
-            ClusterStencil(
+            ClusterMaster(
                 GTX_780, 4, 4, (8192, 8192), kernel,
                 functional=False, network=calib,
             )

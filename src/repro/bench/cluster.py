@@ -38,7 +38,7 @@ import numpy as np
 from repro.bench.reporting import fmt_table
 from repro.cluster import (
     ClusterFaultPlan,
-    ClusterStencil,
+    ClusterMaster,
     NodeCrash,
     NodeRepair,
     Partition,
@@ -59,7 +59,7 @@ def _scaling(spec: GPUSpec, rows: int, cols: int, ticks: int) -> dict:
     kernel = make_gol_kernel("maps")
     out = {}
     for n in NODE_COUNTS:
-        cs = ClusterStencil(
+        cs = ClusterMaster(
             spec, n, GPUS_PER_NODE, (rows, cols), kernel, functional=False
         )
         cs.run(ticks)
@@ -126,9 +126,9 @@ def _elastic_scenarios() -> dict:
 
 def _run_recovery(
     spec: GPUSpec, board: np.ndarray, ticks: int, plan
-) -> tuple[np.ndarray, dict, ClusterStencil]:
+) -> tuple[np.ndarray, dict, ClusterMaster]:
     kernel = make_gol_kernel("maps")
-    cs = ClusterStencil(spec, 4, GPUS_PER_NODE, board, kernel, faults=plan)
+    cs = ClusterMaster(spec, 4, GPUS_PER_NODE, board, kernel, faults=plan)
     cs.run(ticks)
     stats = {
         "sim_time": cs.time,

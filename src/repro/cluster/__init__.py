@@ -13,12 +13,10 @@ from repro.cluster.faults import (
 from repro.cluster.master import ClusterMaster, MembershipEvent
 from repro.cluster.monitor import CheckpointRecord, ClusterMonitor, GhostRecord
 from repro.cluster.network import ClusterNetwork, NetworkCalibration
-from repro.cluster.stencil import ClusterStencil
 
 __all__ = [
     "ClusterNetwork",
     "NetworkCalibration",
-    "ClusterStencil",
     "ClusterMaster",
     "MembershipEvent",
     "NodeAgent",

@@ -224,22 +224,13 @@ class NodeAgent:
             return None
         return self.slabs[which].host[rect.slices()].copy()
 
-    def ghost_rows(self, which: int, g_lo: int, g_hi: int) -> np.ndarray | None:
-        """Host copy of global rows ``[g_lo, g_hi)`` held in this node's
-        ghost regions (they lie outside ``[lo, hi)``)."""
-        if not self.functional:
-            return None
-        r = self.radius
-        off = g_lo - self.lo + r  # global -> extended slab coordinates
-        return self.slabs[which].host[off : off + (g_hi - g_lo)].copy()
-
     def read_rows(self, which: int, g_lo: int, g_hi: int) -> np.ndarray | None:
-        """Host copy of interior global rows ``[g_lo, g_hi)`` (the caller
-        gathers first if device copies are fresher)."""
+        """Host copy of global rows ``[g_lo, g_hi)`` of the extended slab:
+        interior rows (the caller gathers first if device copies are
+        fresher) or ghost rows, which lie outside ``[lo, hi)``."""
         if not self.functional:
             return None
-        r = self.radius
-        off = g_lo - self.lo + r
+        off = g_lo - self.lo + self.radius  # global -> extended slab rows
         return self.slabs[which].host[off : off + (g_hi - g_lo)].copy()
 
     def gather_rows(self, which: int, g_lo: int, g_hi: int) -> float:
@@ -258,22 +249,16 @@ class NodeAgent:
         local host snapshot of the interior. Returns node time after the
         gather (the snapshot copy itself is host-side and free)."""
         t = self.sched.gather(self.slabs[which])
-        data = None
-        if self.functional:
-            r = self.radius
-            data = self.slabs[which].host[r : r + self.slab_rows].copy()
-        self.local_ckpts[cid] = (self.lo, self.hi, data)
+        self.snapshot_from_host(cid, which)
         return t
 
     def snapshot_from_host(self, cid: int, which: int) -> None:
         """Record a local checkpoint straight from the host image —
         used right after a rebuild, when the host *is* the freshest copy
         and no device gather is needed."""
-        data = None
-        if self.functional:
-            r = self.radius
-            data = self.slabs[which].host[r : r + self.slab_rows].copy()
-        self.local_ckpts[cid] = (self.lo, self.hi, data)
+        self.local_ckpts[cid] = (
+            self.lo, self.hi, self.read_rows(which, self.lo, self.hi)
+        )
 
     def store_peer_ckpt(
         self,

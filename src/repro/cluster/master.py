@@ -1,5 +1,13 @@
-"""The cluster master: fault-tolerant bulk-synchronous drive loop
-(DESIGN.md §15).
+"""The cluster master: a 2-D stencil across multi-GPU nodes, driven by a
+fault-tolerant bulk-synchronous loop (paper §8, DESIGN.md §15).
+
+The global board is split into row **slabs**, one per node, each stored
+with ``radius`` ghost rows on either side. Within a node the unmodified
+MAPS-Multi scheduler partitions the slab across the node's GPUs. Between
+ticks each node gathers only its edge rows (``Scheduler.gather_region``),
+ships them over the simulated fabric into its neighbours' ghost rows, and
+invalidates the device copies of those rows (``mark_host_region_dirty``)
+so the framework re-uploads them.
 
 :class:`ClusterMaster` runs on the head node and owns everything *between*
 the nodes: the slab decomposition (via the hierarchical
@@ -113,30 +121,36 @@ class MembershipEvent:
 class _Unreachable(Exception):
     """Internal control flow: one or more nodes were declared lost during
     a tick attempt. Carries the typed public errors; never escapes
-    :meth:`ClusterMaster.step`."""
+    :meth:`ClusterMaster.step`.
+
+    ``nodes`` defaults to the failed nodes of the errors (``NodeFailure``
+    only); ``at``, when recovery may start, is the latest of ``after`` and
+    the errors' detection times."""
 
     def __init__(
         self,
         errors: list[NodeFailure | LinkError],
-        nodes: list[int],
-        at: float,
+        nodes: list[int] | None = None,
+        after: float = 0.0,
     ):
         super().__init__("; ".join(str(e) for e in errors))
         self.errors = errors
-        self.nodes = nodes
-        self.at = at
+        self.nodes = [e.node for e in errors] if nodes is None else nodes
+        self.at = max(after, *(e.time for e in errors))
 
 
 class ClusterMaster:
-    """Master/agent execution of a 2-D stencil across multi-GPU nodes.
+    """Master/agent execution of a 2-D stencil (Window2D →
+    StructuredInjective) across multi-GPU nodes.
 
     Args:
         spec: GPU model of every node (``node_specs`` overrides per node).
         num_nodes: Number of multi-GPU nodes.
         gpus_per_node: GPUs per node.
-        board: Initial global board array, or ``(rows, cols)`` for
-            timing-only runs.
-        kernel: The per-tick stencil kernel.
+        board: Initial global board array (rows divisible by
+            ``num_nodes``), or ``(rows, cols)`` for timing-only runs.
+        kernel: The per-tick stencil kernel (the same object the
+            single-node framework runs).
         radius: Stencil radius (ghost depth).
         functional: Functional vs timing-only per-node simulation.
         network: Fabric calibration.
@@ -147,6 +161,9 @@ class ClusterMaster:
         node_specs: Optional per-node GPU spec overrides, e.g. a
             capacity-clamped spec to compose cluster faults with the
             memory-pressure ladder on one node.
+
+    The global boundary condition is ZERO; ``wrap=True`` makes the row
+    boundary cyclic through a ring exchange.
     """
 
     #: Recoveries within one ``step()`` before the master gives up.
@@ -251,7 +268,7 @@ class ClusterMaster:
             # Tick-0 coordinated checkpoint: the initial board is known to
             # the master, so local snapshots are free (no device gather);
             # replica shipping occupies the fabric like any checkpoint.
-            self._drive(self._checkpoint_now)
+            self._drive(lambda: self._checkpoint(0, from_host=True))
 
     # -- initial data ---------------------------------------------------------
     def _board_region(
@@ -301,31 +318,8 @@ class ClusterMaster:
                 break
             fp.messages_retried += 1
             t_try += fp.ack_timeout + fp.backoff(attempt)
-        t_c = self._crash_since(node, t_try)
-        if t_c is not None:
-            declared = self._declared_dead(node, t_c)
-            err = NodeFailure(
-                f"node {node} stopped answering heartbeats "
-                f"(crashed at t={t_c:.6f}s, declared dead "
-                f"at t={declared:.6f}s)",
-                node=node,
-                time=declared,
-                cause="crash",
-            )
-            raise _Unreachable([err], [node], max(t_try, declared))
-        isolated = tuple(
-            n for n in live if n not in fp.master_group(live, t_try)
-        )
-        err = PartitionError(
-            f"nodes {list(isolated)} unreachable past the retry budget: "
-            f"fabric partition (fencing the minority at t={t_try:.6f}s)",
-            isolated=isolated,
-            src=-1,
-            dst=node,
-            time=t_try,
-            attempts=fp.max_retries + 1,
-        )
-        raise _Unreachable([err], list(isolated), t_try)
+        self._raise_if_crashed(node, t_try)
+        raise self._partition_loss(-1, node, t_try, "tick command")
 
     def _send(
         self, src: int, dst: int, nbytes: int, ready: float, what: str
@@ -337,16 +331,9 @@ class ClusterMaster:
             return self.network.transfer(src, dst, nbytes, ready)
         t_try = ready
         for attempt in range(1, fp.max_retries + 2):
-            t_c = self._crash_since(src, t_try)
-            if t_c is not None:
-                declared = self._declared_dead(src, t_c)
-                err = NodeFailure(
-                    f"node {src} crashed before sending {what} to {dst}",
-                    node=src,
-                    time=declared,
-                    cause="crash",
-                )
-                raise _Unreachable([err], [src], max(t_try, declared))
+            self._raise_if_crashed(
+                src, t_try, f" before sending {what} to {dst}"
+            )
             lost = (
                 self._crash_since(dst, t_try) is not None
                 or not fp.reachable(src, dst, t_try)
@@ -366,33 +353,11 @@ class ClusterMaster:
             fp.messages_retried += 1
             t_try += fp.ack_timeout + fp.backoff(attempt)
         # Retry budget exhausted: classify.
-        t_c = self._crash_since(dst, t_try)
-        if t_c is not None:
-            declared = self._declared_dead(dst, t_c)
-            err = NodeFailure(
-                f"node {dst} crashed; {what} from {src} undeliverable",
-                node=dst,
-                time=declared,
-                cause="crash",
-            )
-            raise _Unreachable([err], [dst], max(t_try, declared))
-        live = self.monitor.order()
+        self._raise_if_crashed(
+            dst, t_try, f"; {what} from {src} undeliverable"
+        )
         if not fp.reachable(src, dst, t_try):
-            isolated = tuple(
-                n for n in live if n not in fp.master_group(live, t_try)
-            )
-            err = PartitionError(
-                f"{what} {src}->{dst} undeliverable: fabric partition "
-                f"(fencing nodes {list(isolated)})",
-                isolated=isolated,
-                src=src,
-                dst=dst,
-                time=t_try,
-                attempts=fp.max_retries + 1,
-            )
-            raise _Unreachable(
-                [err], list(isolated) or [dst], t_try
-            )
+            raise self._partition_loss(src, dst, t_try, what)
         # Persistently lossy link with both endpoints alive: fail-stop
         # semantics for the receiver — a link that stays bad past the
         # retry budget is indistinguishable from a dead NIC.
@@ -404,7 +369,63 @@ class ClusterMaster:
             time=t_try,
             attempts=fp.max_retries + 1,
         )
-        raise _Unreachable([err], [dst], t_try)
+        raise _Unreachable([err], [dst])
+
+    def _raise_if_crashed(
+        self, node: int, t: float, where: str = ""
+    ) -> None:
+        """Raise the loss of ``node`` if it crashed since its last
+        (re-)admission and by ``t``; recovery starts no earlier than
+        ``t``."""
+        t_c = self._crash_since(node, t)
+        if t_c is not None:
+            raise _Unreachable(
+                [self._crash_failure(node, t_c, where)], after=t
+            )
+
+    def _crash_failure(
+        self, node: int, t_crash: float, where: str = ""
+    ) -> NodeFailure:
+        """The typed loss of a node that fail-stopped at ``t_crash``,
+        stamped with its heartbeat-detection time; ``where`` says what it
+        was doing."""
+        declared = self._declared_dead(node, t_crash)
+        return NodeFailure(
+            f"node {node} crashed at t={t_crash:.6f}s{where} "
+            f"(declared dead at t={declared:.6f}s)",
+            node=node,
+            time=declared,
+            cause="crash",
+        )
+
+    def _partition_loss(
+        self, src: int, dst: int, t: float, what: str
+    ) -> _Unreachable:
+        """A message the fabric partition kept from arriving past the retry
+        budget: fence every ring node outside the master's group."""
+        fp = self.faults
+        live = self.monitor.order()
+        isolated = tuple(
+            n for n in live if n not in fp.master_group(live, t)
+        )
+        err = PartitionError(
+            f"{what} {src}->{dst} undeliverable: fabric partition "
+            f"(fencing nodes {list(isolated)})",
+            isolated=isolated,
+            src=src,
+            dst=dst,
+            time=t,
+            attempts=fp.max_retries + 1,
+        )
+        return _Unreachable([err], list(isolated) or [dst])
+
+    def _barrier(self, nodes: list[int], t: float) -> None:
+        """Synchronize ``nodes`` and the master clock at cluster time
+        ``t``."""
+        for n in nodes:
+            node = self.agents[n].node
+            node.host_advance(max(0.0, t - node.time))
+        self._clock = max(self._clock, t)
 
     def _declared_dead(self, node: int, t_crash: float) -> float:
         """Heartbeat-detection time for a node that fail-stopped at
@@ -504,25 +525,14 @@ class ClusterMaster:
                     time=ag.node.time,
                     cause="agent-error",
                 )
-                raise _Unreachable([err], [n], ag.node.time) from e
+                raise _Unreachable([err]) from e
             t_c = self._crash_since(n, t_f) if fp is not None else None
             if t_c is not None:
-                declared = self._declared_dead(n, t_c)
-                lost.append(
-                    NodeFailure(
-                        f"node {n} crashed mid-compute at t={t_c:.6f}s "
-                        f"(declared dead at t={declared:.6f}s)",
-                        node=n,
-                        time=declared,
-                        cause="crash",
-                    )
-                )
+                lost.append(self._crash_failure(n, t_c, " mid-compute"))
             else:
                 finish[n] = t_f
         if lost:
-            raise _Unreachable(
-                lost, [e.node for e in lost], max(e.time for e in lost)
-            )
+            raise _Unreachable(lost)
 
         # Phase C: ghost exchange over the fabric.
         ghost_records: list[GhostRecord] = []
@@ -569,26 +579,11 @@ class ClusterMaster:
         barrier = max(done.values()) if done else self._clock
         if fp is not None:
             for n in ring:
-                t_c = (
-                    self._crash_since(n, barrier) if n in finish else None
+                self._raise_if_crashed(
+                    n, barrier, " during the exchange window"
                 )
-                if t_c is not None:
-                    declared = self._declared_dead(n, t_c)
-                    err = NodeFailure(
-                        f"node {n} crashed during the exchange window at "
-                        f"t={t_c:.6f}s (declared dead at t={declared:.6f}s)",
-                        node=n,
-                        time=declared,
-                        cause="crash",
-                    )
-                    raise _Unreachable(
-                        [err], [n], max(declared, barrier)
-                    )
             fp.heartbeats_sent += len(ring)
-        for n in ring:
-            node = self.agents[n].node
-            node.host_advance(max(0.0, barrier - node.time))
-        self._clock = max(self._clock, barrier)
+        self._barrier(ring, barrier)
         self.tick = tick + 1
         self.monitor.record_ghosts(ghost_records)
         self._run_ghost_checks()
@@ -608,9 +603,6 @@ class ClusterMaster:
         return max([self._clock, *times])
 
     # -- checkpoints ----------------------------------------------------------
-    def _checkpoint_now(self) -> None:
-        self._checkpoint(self.tick, from_host=True)
-
     def _checkpoint(self, tick: int, from_host: bool) -> None:
         """Coordinated slab checkpoint at ``tick``: every slab owner
         snapshots its interior (device gather unless the host image is
@@ -693,11 +685,9 @@ class ClusterMaster:
         for n in self.monitor.live_nodes():
             self.agents[n].prune_ckpts(cid)
         fp.checkpoints_taken += 1
+        # The checkpoint is itself a barrier.
         sync = self.monitor.live_nodes() if fp.has_repairs else ring
-        for n in sync:  # the checkpoint is itself a barrier
-            node = self.agents[n].node
-            node.host_advance(max(0.0, t_done - node.time))
-        self._clock = max(self._clock, t_done)
+        self._barrier(sync, t_done)
 
     # -- elastic membership ---------------------------------------------------
     def _log_member(self, time: float, node: int, action: str, detail: str = "") -> None:
@@ -707,9 +697,7 @@ class ClusterMaster:
 
     def membership_stats(self) -> dict:
         """Per-action counts over the membership audit log, plus the
-        current status map — the observability surface mirrored on
-        :class:`~repro.cluster.stencil.ClusterStencil` and reported by
-        ``repro.bench --cluster``."""
+        current status map (reported by ``repro.bench --cluster``)."""
         counts: dict[str, int] = {}
         for ev in self.membership_log:
             counts[ev.action] = counts.get(ev.action, 0) + 1
@@ -748,21 +736,14 @@ class ClusterMaster:
             t_c = self._crash_since(n, now)
             if t_c is None:
                 continue
-            declared = self._declared_dead(n, t_c)
-            if declared > now:
+            err = self._crash_failure(n, t_c, " as an idle spare")
+            if err.time > now:
                 continue  # silence not yet long enough to declare
             self.monitor.mark_dead(n)
             self.agents[n].crash(t_c)
             fp.nodes_lost += 1
-            err = NodeFailure(
-                f"spare node {n} crashed at t={t_c:.6f}s (declared dead "
-                f"at t={declared:.6f}s)",
-                node=n,
-                time=declared,
-                cause="crash",
-            )
             self.events.append(err)
-            self._log_member(declared, n, "dead", "idle spare lost")
+            self._log_member(err.time, n, "dead", "idle spare lost")
 
     def _check_repairs(self, now: float) -> bool:
         """Process repair announcements due by ``now``; returns whether
@@ -949,10 +930,7 @@ class ClusterMaster:
             fp.replicas_shipped += 1
             shipped += 1
             t_done = max(t_done, arrival)
-        for m in self.monitor.live_nodes():
-            sim = self.agents[m].node
-            sim.host_advance(max(0.0, t_done - sim.time))
-        self._clock = max(self._clock, t_done)
+        self._barrier(self.monitor.live_nodes(), t_done)
         if shipped:
             self._log_member(
                 t_done, node, "re-replicate",
@@ -1017,9 +995,8 @@ class ClusterMaster:
                 reason="no-survivors",
                 time=now,
             ) from u.errors[0]
-        C = self.monitor.checkpoint_tick
-        cid = self.monitor.checkpoint_id
-        if C < 0:  # a node died before its slab's first replica shipped
+        if self.monitor.checkpoint_tick < 0:
+            # A node died before its slab's first replica shipped.
             raise ClusterRecoveryError(
                 "node lost before the first coordinated checkpoint",
                 reason="checkpoint-lost",
@@ -1046,7 +1023,7 @@ class ClusterMaster:
             for g in self.monitor.ghost_replicas_of(*rng):
                 if g.tick != T:
                     continue
-                data = self.agents[g.holder].ghost_rows(
+                data = self.agents[g.holder].read_rows(
                     which_T, g.lo, g.hi
                 )
                 self._ghost_checks.append((T, g.lo, g.hi, data))
@@ -1094,13 +1071,10 @@ class ClusterMaster:
                     time=t_done,
                     cause="agent-error",
                 )
-                raise _Unreachable([err], [n], t_done) from e
+                raise _Unreachable([err]) from e
             self.monitor.node_monitors[n] = self.agents[n].sched.monitor
 
-        for n in live:
-            node = self.agents[n].node
-            node.host_advance(max(0.0, t_done - node.time))
-        self._clock = max(self._clock, t_done)
+        self._barrier(live, t_done)
         # Roll back to the checkpoint; the drive loop replays from here.
         self.tick = C
         # Fresh coordinated checkpoint over the new decomposition, so a

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterNetwork, ClusterStencil, NetworkCalibration
+from repro.cluster import ClusterNetwork, ClusterMaster, NetworkCalibration
 from repro.errors import SchedulingError
 from repro.hardware import GTX_780
 from repro.kernels.game_of_life import gol_reference_step, make_gol_kernel
@@ -62,7 +62,7 @@ class TestClusterStencil:
     def test_zero_boundary_matches_reference(self, num_nodes, gpus):
         rng = np.random.default_rng(1)
         board = (rng.random((32, 16)) < 0.4).astype(np.int32)
-        cs = ClusterStencil(
+        cs = ClusterMaster(
             GTX_780, num_nodes, gpus, board, make_gol_kernel("maps")
         )
         cs.run(4)
@@ -75,7 +75,7 @@ class TestClusterStencil:
     def test_row_wrap_matches_reference(self, num_nodes):
         rng = np.random.default_rng(2)
         board = (rng.random((32, 16)) < 0.4).astype(np.int32)
-        cs = ClusterStencil(
+        cs = ClusterMaster(
             GTX_780, num_nodes, 2, board, make_gol_kernel("maps"), wrap=True
         )
         cs.run(5)
@@ -89,7 +89,7 @@ class TestClusterStencil:
         board = (rng.random((48, 12)) < 0.35).astype(np.int32)
         outs = []
         for nodes in (1, 2, 4):
-            cs = ClusterStencil(
+            cs = ClusterMaster(
                 GTX_780, nodes, 2, board, make_gol_kernel("maps")
             )
             cs.run(6)
@@ -99,20 +99,20 @@ class TestClusterStencil:
 
     def test_rejects_indivisible_board(self):
         with pytest.raises(SchedulingError):
-            ClusterStencil(
+            ClusterMaster(
                 GTX_780, 3, 1, np.zeros((32, 8), np.int32),
                 make_gol_kernel("maps"),
             )
 
     def test_rejects_thin_slabs(self):
         with pytest.raises(SchedulingError):
-            ClusterStencil(
+            ClusterMaster(
                 GTX_780, 8, 1, np.zeros((8, 8), np.int32),
                 make_gol_kernel("maps"),
             )
 
     def test_timing_mode_needs_no_board(self):
-        cs = ClusterStencil(
+        cs = ClusterMaster(
             GTX_780, 2, 2, (512, 256), make_gol_kernel("maps"),
             functional=False,
         )
@@ -123,7 +123,7 @@ class TestClusterStencil:
 
     def test_functional_mode_needs_board(self):
         with pytest.raises(SchedulingError):
-            ClusterStencil(
+            ClusterMaster(
                 GTX_780, 2, 2, (512, 256), make_gol_kernel("maps"),
                 functional=True,
             )
@@ -133,7 +133,7 @@ class TestClusterStencil:
         fast = NetworkCalibration(bandwidth=10e9, latency=1e-6)
         times = {}
         for name, cal in (("slow", slow), ("fast", fast)):
-            cs = ClusterStencil(
+            cs = ClusterMaster(
                 GTX_780, 4, 2, (1024, 512), make_gol_kernel("maps"),
                 functional=False, network=cal,
             )
@@ -208,7 +208,7 @@ class TestNonUniformTicks:
     def test_odd_ticks_match_reference(self, ticks, wrap):
         rng = np.random.default_rng(7)
         board = (rng.random((32, 16)) < 0.4).astype(np.int32)
-        cs = ClusterStencil(
+        cs = ClusterMaster(
             GTX_780, 2, 2, board, make_gol_kernel("maps"), wrap=wrap
         )
         cs.run(ticks)
@@ -225,7 +225,7 @@ class TestNonUniformTicks:
         """One node with wrap: both edges self-exchange locally."""
         rng = np.random.default_rng(8)
         board = (rng.random((16, 12)) < 0.4).astype(np.int32)
-        cs = ClusterStencil(
+        cs = ClusterMaster(
             GTX_780, 1, 2, board, make_gol_kernel("maps"), wrap=True
         )
         cs.run(3)
@@ -243,8 +243,8 @@ class TestTimingFunctionalParity:
     def test_simulated_time_parity(self, ticks):
         rng = np.random.default_rng(9)
         board = (rng.random((64, 32)) < 0.4).astype(np.int32)
-        f = ClusterStencil(GTX_780, 4, 2, board, make_gol_kernel("maps"))
-        t = ClusterStencil(
+        f = ClusterMaster(GTX_780, 4, 2, board, make_gol_kernel("maps"))
+        t = ClusterMaster(
             GTX_780, 4, 2, (64, 32), make_gol_kernel("maps"),
             functional=False,
         )

@@ -23,7 +23,7 @@ from repro import (
 )
 from repro.cluster import (
     ClusterFaultPlan,
-    ClusterStencil,
+    ClusterMaster,
     LinkFault,
     NodeCrash,
     Partition,
@@ -42,7 +42,7 @@ def make_board(rows=64, cols=32, seed=1):
 
 
 def fault_free(board, ticks, num_nodes=4, gpus=2, **kw):
-    cs = ClusterStencil(GTX_780, num_nodes, gpus, board, KERNEL, **kw)
+    cs = ClusterMaster(GTX_780, num_nodes, gpus, board, KERNEL, **kw)
     cs.run(ticks)
     return cs.board(), cs.time
 
@@ -55,7 +55,7 @@ class TestCrashRecovery:
         plan = ClusterFaultPlan(
             node_crashes=[NodeCrash(victim, 0.0009)]
         )
-        cs = ClusterStencil(GTX_780, 4, 2, board, KERNEL, faults=plan)
+        cs = ClusterMaster(GTX_780, 4, 2, board, KERNEL, faults=plan)
         cs.run(10)
         assert np.array_equal(cs.board(), clean)
         assert victim not in cs.monitor.slabs
@@ -68,7 +68,7 @@ class TestCrashRecovery:
     def test_crash_also_matches_reference_automaton(self):
         board = make_board(rows=32, cols=16)
         plan = ClusterFaultPlan(node_crashes=[NodeCrash(2, 0.0006)])
-        cs = ClusterStencil(GTX_780, 4, 1, board, KERNEL, faults=plan)
+        cs = ClusterMaster(GTX_780, 4, 1, board, KERNEL, faults=plan)
         cs.run(8)
         ref = board.copy()
         for _ in range(8):
@@ -83,7 +83,7 @@ class TestCrashRecovery:
         plan = ClusterFaultPlan(
             node_crashes=[NodeCrash(2, 0.0009), NodeCrash(5, 0.0009)]
         )
-        cs = ClusterStencil(GTX_780, 8, 1, board, KERNEL, faults=plan)
+        cs = ClusterMaster(GTX_780, 8, 1, board, KERNEL, faults=plan)
         cs.run(12)
         assert np.array_equal(cs.board(), clean)
         assert len(cs.monitor.slabs) == 6
@@ -103,7 +103,7 @@ class TestCrashRecovery:
                 NodeCrash(3, 0.009),
             ],
         )
-        cs = ClusterStencil(GTX_780, 4, 2, board, KERNEL, faults=plan)
+        cs = ClusterMaster(GTX_780, 4, 2, board, KERNEL, faults=plan)
         cs.run(40)
         assert np.array_equal(cs.board(), clean)
         assert cs.monitor.slabs == {1: (0, 64)}
@@ -114,7 +114,7 @@ class TestCrashRecovery:
         board = make_board()
         clean, _ = fault_free(board, 10, wrap=True)
         plan = ClusterFaultPlan(node_crashes=[NodeCrash(1, 0.0009)])
-        cs = ClusterStencil(
+        cs = ClusterMaster(
             GTX_780, 4, 2, board, KERNEL, wrap=True, faults=plan
         )
         cs.run(10)
@@ -126,7 +126,7 @@ class TestCrashRecovery:
         (and the bit-identity asserts would catch it)."""
         board = make_board()
         plan = ClusterFaultPlan(node_crashes=[NodeCrash(1, 0.0009)])
-        cs = ClusterStencil(GTX_780, 4, 2, board, KERNEL, faults=plan)
+        cs = ClusterMaster(GTX_780, 4, 2, board, KERNEL, faults=plan)
         cs.run(10)
         dead = cs.agents[1]
         assert dead.dead and dead.node.crashed
@@ -137,12 +137,12 @@ class TestCrashRecovery:
         """Acceptance gate (also enforced by `repro.bench --cluster`):
         losing one node costs <= 2x the fault-free simulated time."""
         board = make_board()
-        base = ClusterStencil(
+        base = ClusterMaster(
             GTX_780, 4, 2, board, KERNEL, faults=ClusterFaultPlan()
         )
         base.run(20)
         plan = ClusterFaultPlan(node_crashes=[NodeCrash(2, 0.0015)])
-        cs = ClusterStencil(GTX_780, 4, 2, board, KERNEL, faults=plan)
+        cs = ClusterMaster(GTX_780, 4, 2, board, KERNEL, faults=plan)
         cs.run(20)
         assert cs.time <= 2.0 * base.time
 
@@ -156,7 +156,7 @@ class TestPartitions:
                 Partition(groups=((0, 1, 2), (3,)), start=0.0008, end=1.0)
             ]
         )
-        cs = ClusterStencil(GTX_780, 4, 2, board, KERNEL, faults=plan)
+        cs = ClusterMaster(GTX_780, 4, 2, board, KERNEL, faults=plan)
         cs.run(10)
         assert np.array_equal(cs.board(), clean)
         assert cs.monitor.status[3] == "fenced"
@@ -176,7 +176,7 @@ class TestPartitions:
                 )
             ]
         )
-        cs = ClusterStencil(GTX_780, 4, 2, board, KERNEL, faults=plan)
+        cs = ClusterMaster(GTX_780, 4, 2, board, KERNEL, faults=plan)
         cs.run(30)
         assert cs.time > 0.008  # ran well past the heal
         assert cs.monitor.status[3] == "fenced"
@@ -195,7 +195,7 @@ class TestPartitions:
                 )
             ]
         )
-        cs = ClusterStencil(GTX_780, 4, 2, board, KERNEL, faults=plan)
+        cs = ClusterMaster(GTX_780, 4, 2, board, KERNEL, faults=plan)
         cs.run(10)
         assert np.array_equal(cs.board(), clean)
         assert cs.events == []
@@ -211,7 +211,7 @@ class TestPartitions:
                 Partition(groups=((0, 1), (2, 3)), start=0.0008, end=1.0)
             ]
         )
-        cs = ClusterStencil(GTX_780, 4, 2, board, KERNEL, faults=plan)
+        cs = ClusterMaster(GTX_780, 4, 2, board, KERNEL, faults=plan)
         with pytest.raises(ClusterRecoveryError) as ei:
             cs.run(10)
         assert ei.value.reason == "no-quorum"
@@ -224,7 +224,7 @@ class TestLinkFaults:
         plan = ClusterFaultPlan(
             link_faults=[LinkFault(src=0, dst=1, nth=3, count=2)]
         )
-        cs = ClusterStencil(GTX_780, 4, 2, board, KERNEL, faults=plan)
+        cs = ClusterMaster(GTX_780, 4, 2, board, KERNEL, faults=plan)
         cs.run(12)
         assert np.array_equal(cs.board(), clean)
         assert plan.link_faults_fired == 2
@@ -237,7 +237,7 @@ class TestLinkFaults:
         runs = []
         for _ in range(2):
             plan = ClusterFaultPlan(seed=11, link_fault_rate=0.05)
-            cs = ClusterStencil(
+            cs = ClusterMaster(
                 GTX_780, 4, 2, board, KERNEL, faults=plan
             )
             cs.run(12)
@@ -258,7 +258,7 @@ class TestLinkFaults:
         plan = ClusterFaultPlan(
             link_faults=[LinkFault(src=0, dst=1, nth=5, count=1000)]
         )
-        cs = ClusterStencil(GTX_780, 4, 2, board, KERNEL, faults=plan)
+        cs = ClusterMaster(GTX_780, 4, 2, board, KERNEL, faults=plan)
         cs.run(10)
         assert np.array_equal(cs.board(), clean)
         assert cs.monitor.status[1] == "fenced"
@@ -270,14 +270,14 @@ class TestLinkFaults:
     def test_slow_link_changes_nothing_but_time(self):
         board = make_board()
         clean, _ = fault_free(board, 12)
-        base = ClusterStencil(
+        base = ClusterMaster(
             GTX_780, 4, 2, board, KERNEL, faults=ClusterFaultPlan()
         )
         base.run(12)
         plan = ClusterFaultPlan(
             slow_links=[SlowLink(src=1, dst=2, factor=50.0)]
         )
-        cs = ClusterStencil(GTX_780, 4, 2, board, KERNEL, faults=plan)
+        cs = ClusterMaster(GTX_780, 4, 2, board, KERNEL, faults=plan)
         cs.run(12)
         assert np.array_equal(cs.board(), clean)
         assert cs.time > base.time
@@ -290,7 +290,7 @@ class TestUnrecoverable:
         plan = ClusterFaultPlan(  # deg 0: any loss is fatal on 2 nodes
             node_crashes=[NodeCrash(1, 0.0009)]
         )
-        cs = ClusterStencil(GTX_780, 2, 2, board, KERNEL, faults=plan)
+        cs = ClusterMaster(GTX_780, 2, 2, board, KERNEL, faults=plan)
         with pytest.raises(ClusterRecoveryError) as ei:
             cs.run(10)
         assert ei.value.reason == "checkpoint-lost"
@@ -302,7 +302,7 @@ class TestUnrecoverable:
             checkpoint_replicas=1,
             node_crashes=[NodeCrash(0, 0.0009), NodeCrash(1, 0.0009)],
         )
-        cs = ClusterStencil(GTX_780, 2, 2, board, KERNEL, faults=plan)
+        cs = ClusterMaster(GTX_780, 2, 2, board, KERNEL, faults=plan)
         with pytest.raises(ClusterRecoveryError) as ei:
             cs.run(10)
         assert ei.value.reason == "no-survivors"
@@ -320,7 +320,7 @@ class TestUnrecoverable:
                 NodeCrash(3, 0.0030),
             ],
         )
-        cs = ClusterStencil(GTX_780, 4, 2, board, KERNEL, faults=plan)
+        cs = ClusterMaster(GTX_780, 4, 2, board, KERNEL, faults=plan)
         with pytest.raises(ClusterRecoveryError) as ei:
             cs.run(40)
         assert ei.value.reason == "checkpoint-lost"
@@ -337,7 +337,7 @@ class TestHierarchicalFaultDomains:
         clean, _ = fault_free(board, 10)
         inner = FaultPlan(device_failures=[DeviceFailure(0, 0.0005)])
         plan = ClusterFaultPlan(node_plans={1: inner}, checkpoint_interval=1)
-        cs = ClusterStencil(GTX_780, 4, 2, board, KERNEL, faults=plan)
+        cs = ClusterMaster(GTX_780, 4, 2, board, KERNEL, faults=plan)
         cs.run(10)
         assert np.array_equal(cs.board(), clean)
         assert cs.events == [] and plan.recoveries == 0
@@ -355,7 +355,7 @@ class TestHierarchicalFaultDomains:
             ]
         )
         plan = ClusterFaultPlan(node_plans={2: inner})
-        cs = ClusterStencil(GTX_780, 4, 2, board, KERNEL, faults=plan)
+        cs = ClusterMaster(GTX_780, 4, 2, board, KERNEL, faults=plan)
         cs.run(10)
         assert np.array_equal(cs.board(), clean)
         (event,) = cs.events
@@ -380,7 +380,7 @@ class TestHierarchicalFaultDomains:
                 ),
             },
         )
-        cs = ClusterStencil(
+        cs = ClusterMaster(
             GTX_780,
             4,
             2,
@@ -405,12 +405,12 @@ class TestHierarchicalFaultDomains:
                 )
             },
         )
-        slow = ClusterStencil(GTX_780, 4, 2, board, KERNEL, faults=mk())
+        slow = ClusterMaster(GTX_780, 4, 2, board, KERNEL, faults=mk())
         slow.run(12)
         fast_plan = ClusterFaultPlan(
             node_crashes=[NodeCrash(0, 0.0009)]
         )
-        fast = ClusterStencil(
+        fast = ClusterMaster(
             GTX_780, 4, 2, board, KERNEL, faults=fast_plan
         )
         fast.run(12)
@@ -436,7 +436,7 @@ class TestDeterminism:
         runs = []
         for _ in range(2):
             plan = self._plan()
-            cs = ClusterStencil(
+            cs = ClusterMaster(
                 GTX_780, 4, 2, board, KERNEL, faults=plan
             )
             cs.run(14)
@@ -461,11 +461,11 @@ class TestDeterminism:
         the functional run (the satellite parity requirement, under
         faults)."""
         board = make_board()
-        f = ClusterStencil(
+        f = ClusterMaster(
             GTX_780, 4, 2, board, KERNEL, faults=self._plan()
         )
         f.run(14)
-        t = ClusterStencil(
+        t = ClusterMaster(
             GTX_780,
             4,
             2,
@@ -483,7 +483,7 @@ class TestObservability:
     def test_recovery_log_structure(self):
         board = make_board()
         plan = ClusterFaultPlan(node_crashes=[NodeCrash(1, 0.0009)])
-        cs = ClusterStencil(GTX_780, 4, 2, board, KERNEL, faults=plan)
+        cs = ClusterMaster(GTX_780, 4, 2, board, KERNEL, faults=plan)
         cs.run(10)
         (entry,) = cs.recovery_log
         assert entry["lost"] == [1]
@@ -495,7 +495,7 @@ class TestObservability:
     def test_counters_stay_zero_without_faults(self):
         board = make_board()
         plan = ClusterFaultPlan()
-        cs = ClusterStencil(GTX_780, 4, 2, board, KERNEL, faults=plan)
+        cs = ClusterMaster(GTX_780, 4, 2, board, KERNEL, faults=plan)
         cs.run(8)
         assert plan.link_faults_fired == 0
         assert plan.heartbeats_missed == 0

@@ -8,7 +8,7 @@ import pytest
 from repro.cluster import (
     ClusterFaultPlan,
     ClusterMonitor,
-    ClusterStencil,
+    ClusterMaster,
     LinkFault,
     NodeCrash,
     Partition,
@@ -106,7 +106,7 @@ class TestClusterMonitor:
     def test_hierarchy_descends_to_node_monitors(self):
         rng = np.random.default_rng(0)
         board = (rng.random((32, 16)) < 0.4).astype(np.int32)
-        cs = ClusterStencil(GTX_780, 2, 2, board, make_gol_kernel("maps"))
+        cs = ClusterMaster(GTX_780, 2, 2, board, make_gol_kernel("maps"))
         mon = cs.monitor
         for n in mon.order():
             node_mon = mon.node_monitor(n)
@@ -236,10 +236,10 @@ class TestFailureDetector:
         rng = np.random.default_rng(0)
         board = (rng.random((32, 16)) < 0.4).astype(np.int32)
         plan = ClusterFaultPlan(**kw)
-        cs = ClusterStencil(
+        master = ClusterMaster(
             GTX_780, 2, 2, board, make_gol_kernel("maps"), faults=plan
         )
-        return cs.master, plan
+        return master, plan
 
     def test_declared_dead_counts_consecutive_misses(self):
         master, plan = self.mk(
@@ -282,7 +282,7 @@ class TestFailureDetector:
             # for full replication explicitly to survive a 1-node loss.
             checkpoint_replicas=1,
         )
-        cs = ClusterStencil(
+        cs = ClusterMaster(
             GTX_780, 2, 2, board, make_gol_kernel("maps"), faults=plan
         )
         cs.run(10)

@@ -16,7 +16,7 @@ import pytest
 from repro import FaultPlan, NodeBannedError, NodeFailure, Straggler
 from repro.cluster import (
     ClusterFaultPlan,
-    ClusterStencil,
+    ClusterMaster,
     MembershipEvent,
     NodeCrash,
     NodeRepair,
@@ -34,7 +34,7 @@ def make_board(rows=64, cols=32, seed=1):
 
 
 def run_cluster(board, ticks, plan=None, **kw):
-    cs = ClusterStencil(GTX_780, 4, 2, board, KERNEL, faults=plan, **kw)
+    cs = ClusterMaster(GTX_780, 4, 2, board, KERNEL, faults=plan, **kw)
     cs.run(ticks)
     return cs
 
