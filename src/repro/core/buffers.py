@@ -31,19 +31,40 @@ def locate_virtual_all(
     aliases: it lives at its identity position *and* as a halo image.
     Writers must update every alias; readers use the identity position,
     which kernel writes keep current.
+
+    A candidate is ``actual`` shifted by one of ``(-s, 0, +s)`` per
+    dimension, and containment in the buffer is decided one dimension at
+    a time, so the admissible offsets are found per dimension (``3*ndim``
+    interval checks) and only their product is built. An empty region
+    fits at every shift.
     """
-    candidates = []
-    offsets_per_dim = [(-s, 0, s) for s in datum_shape]
-    for offs in itertools.product(*offsets_per_dim):
-        cand = actual.shift(offs)
-        if buffer.rect.contains(cand):
-            candidates.append(cand)
-    if not candidates:
-        raise DeviceError(
-            f"actual region {actual} maps to no virtual position in "
-            f"buffer extent {buffer.rect} (datum shape "
-            f"{tuple(datum_shape)})"
+    ivals = actual.intervals
+    bounds = buffer.rect.intervals
+    if len(datum_shape) != len(ivals):
+        raise ValueError("offset dimensionality mismatch")
+    if len(bounds) != len(ivals):
+        raise ValueError(
+            f"dimensionality mismatch: {len(bounds)} vs {len(ivals)}"
         )
+    empty = actual.empty
+    fits_per_dim = []
+    for iv, b, s in zip(ivals, bounds, datum_shape):
+        fits = [
+            o for o in (-s, 0, s)
+            if empty or (b.begin <= iv.begin + o and iv.end + o <= b.end)
+        ]
+        if not fits:
+            raise DeviceError(
+                f"actual region {actual} maps to no virtual position in "
+                f"buffer extent {buffer.rect} (datum shape "
+                f"{tuple(datum_shape)})"
+            )
+        fits_per_dim.append(fits)
+    if all(fits == [0] for fits in fits_per_dim):
+        return [actual]
+    candidates = [
+        actual.shift(offs) for offs in itertools.product(*fits_per_dim)
+    ]
     candidates.sort(key=lambda r: r != actual)
     return candidates
 
@@ -54,14 +75,3 @@ def locate_virtual(
     """The canonical virtual rect inside ``buffer`` holding actual region
     ``actual`` (the identity position when the region aliases)."""
     return locate_virtual_all(buffer, actual, datum_shape)[0]
-
-
-def holds_actual(
-    buffer: DeviceBuffer, actual: Rect, datum_shape: Sequence[int]
-) -> bool:
-    """Whether the buffer extent has space for actual region ``actual``."""
-    offsets_per_dim = [(-s, 0, s) for s in datum_shape]
-    return any(
-        buffer.rect.contains(actual.shift(offs))
-        for offs in itertools.product(*offsets_per_dim)
-    )

@@ -658,9 +658,22 @@ class LocationMonitor:
             HOST: [_Instance(Rect.from_shape(datum.shape), event)]
         }
 
-    def mark_host_dirty(self, datum: "Datum") -> None:
-        """The user modified the bound host buffer: invalidate devices."""
+    def mark_host_dirty(self, datum: "Datum", host_time: float) -> None:
+        """The user modified the bound host buffer at ``host_time``:
+        invalidate devices.
+
+        Host reads that completed by ``host_time`` are dropped: a later
+        host-side writer is submitted no earlier than that, so waiting on
+        them could never delay it, and a datum re-uploaded on every call
+        would otherwise grow its host read list without bound.
+        """
         st = self._st(datum)
+        reads = st.pending_reads.get(HOST)
+        if reads:
+            reads[:] = [
+                e for e in reads
+                if e.recorded_at is None or e.recorded_at > host_time
+            ]
         st.sid = -1
         st.agg_mode = Aggregation.NONE
         st.agg_sources.clear()

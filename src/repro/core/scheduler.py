@@ -509,7 +509,7 @@ class Scheduler:
         """Tell the framework the bound host buffer was modified by the
         application, invalidating device-resident instances."""
         self._no_capture("mark_host_dirty")
-        self.monitor.mark_host_dirty(datum)
+        self.monitor.mark_host_dirty(datum, self.node.host_time)
 
     # -- iteration graphs (DESIGN.md §12) ---------------------------------------
     def _no_capture(self, what: str) -> None:

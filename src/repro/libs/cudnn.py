@@ -47,13 +47,29 @@ def conv2d_backward_filter(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
 
 
 def maxpool2x2_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """2x2/stride-2 max pooling. Returns (pooled, argmax-index array)."""
+    """2x2/stride-2 max pooling. Returns (pooled, argmax-index array).
+
+    The window element ``(i, j)`` has index ``2*i + j``; the max is folded
+    over the four stride-2 views in that order, and the index is the first
+    one equal to the max, or the first NaN if the window holds one (NaN
+    propagates through the max), exactly as ``argmax`` over the window.
+    """
     b, c, h, w = x.shape
     assert h % 2 == 0 and w % 2 == 0, "LeNet pools even extents"
-    tiles = x.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    flat = tiles.reshape(b, c, h // 2, w // 2, 4)
-    arg = flat.argmax(axis=-1)
-    return flat.max(axis=-1), arg.astype(np.int8)
+    views = (x[..., 0::2, 0::2], x[..., 0::2, 1::2],
+             x[..., 1::2, 0::2], x[..., 1::2, 1::2])
+    pooled = np.maximum(views[0], views[1])
+    np.maximum(pooled, views[2], out=pooled)
+    np.maximum(pooled, views[3], out=pooled)
+    # Per view: "not the argmax yet" (neither equal to the max nor NaN).
+    # The index is the number of leading views that miss.
+    miss = [(v != pooled) & (v == v) for v in views[:3]]
+    arg = miss[2].view(np.int8).copy()
+    arg += 1
+    arg *= miss[1]
+    arg += 1
+    arg *= miss[0]
+    return pooled, arg
 
 
 def maxpool2x2_backward(

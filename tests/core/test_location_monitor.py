@@ -115,10 +115,22 @@ class TestWriteInvalidation:
 
     def test_host_dirty_invalidates_devices(self, mon, datum):
         mon.mark_written(datum, 0, rect(0, 64), None)
-        mon.mark_host_dirty(datum)
+        mon.mark_host_dirty(datum, 0.0)
         assert mon.instances(datum, 0) == []
         ops = mon.compute_copies(datum, [rect(0, 8)], target=0)
         assert ops[0].src == HOST
+
+    def test_host_dirty_drops_finished_host_reads(self, mon, datum):
+        """Host reads done by the modification time can never delay a
+        later host writer; unfinished or later ones still can."""
+        done, at, late, pending = (Event(n) for n in "datp")
+        done.recorded_at, at.recorded_at, late.recorded_at = 1.0, 2.0, 3.0
+        for ev in (done, at, late, pending):
+            mon.mark_read(datum, HOST, ev)
+        mon.mark_read(datum, 0, done)
+        mon.mark_host_dirty(datum, 2.0)
+        assert mon.take_war_events(datum, HOST) == [late, pending]
+        assert mon.take_war_events(datum, 0) == [done]
 
 
 class TestAggregationState:

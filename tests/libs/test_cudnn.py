@@ -91,7 +91,43 @@ class TestConvGradients:
         assert num == pytest.approx(dw[idx], rel=1e-4, abs=1e-6)
 
 
+def reshape_argmax_pool(x):
+    """The window-copy pool the strided one replaced: the oracle."""
+    b, c, h, w = x.shape
+    tiles = x.reshape(b, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    flat = tiles.reshape(b, c, h // 2, w // 2, 4)
+    arg = flat.argmax(axis=-1)
+    return flat.max(axis=-1), arg.astype(np.int8)
+
+
+def pool_inputs(shape, seed):
+    """Generic, tie-heavy, mixed-signed-zero and NaN-bearing inputs."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(shape).astype(np.float32)
+    ties = np.round(x)
+    zeros = np.where(rng.random(shape) < 0.5, 0.0, -0.0).astype(np.float32)
+    one_nan = x.copy()
+    one_nan[..., 1::2, 0::2] = np.nan
+    many_nan = np.where(rng.random(shape) < 0.4, np.float32(np.nan), ties)
+    zero_nan = np.where(rng.random(shape) < 0.3, np.float32(np.nan), zeros)
+    return {"random": x, "ties": ties, "zeros": zeros,
+            "one_nan": one_nan, "many_nan": many_nan, "zero_nan": zero_nan}
+
+
 class TestPooling:
+    @pytest.mark.parametrize("shape", [(8, 20, 24, 24), (8, 50, 8, 8),
+                                       (3, 2, 6, 10)])
+    def test_forward_matches_reshape_argmax_oracle(self, shape):
+        """Pooled values and the int8 mask are bit-identical to the
+        oracle, including tie order, signed zeros and NaN precedence."""
+        for name, x in pool_inputs(shape, seed=sum(shape)).items():
+            y, arg = maxpool2x2_forward(x)
+            y0, arg0 = reshape_argmax_pool(x)
+            assert y.dtype == y0.dtype and y.shape == y0.shape, name
+            assert y.tobytes() == y0.tobytes(), name
+            assert arg.dtype == np.int8 and arg.shape == arg0.shape, name
+            assert arg.tobytes() == arg0.tobytes(), name
+
     def test_forward_values(self):
         x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
         y, arg = maxpool2x2_forward(x)

@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.hardware import HOST
 from repro.serving import (
     ServingConfig,
     ServingNode,
@@ -13,6 +14,9 @@ from repro.serving import (
     poisson_trace,
     serve_trace,
 )
+from repro.serving.service import _Replica
+from repro.serving.trace import Request
+from repro.sim import SimNode
 from repro.sim.faults import FaultPlan, Straggler
 
 CFG = ServingConfig()
@@ -123,6 +127,22 @@ class TestComposition:
         slow = serve_trace(tr, dataclasses.replace(CFG, faults=fp))
         assert slow.results_hash() == plain.results_hash()
         assert slow.makespan > plain.makespan  # the slowdown is real
+
+
+class TestBoundedState:
+    def test_host_read_list_stays_bounded(self):
+        """Every serve re-uploads its input datum; the host reads of one
+        serve are finished by the next upload and must not pile up."""
+        node = SimNode(CFG.spec, CFG.num_gpus, functional=True)
+        rep = _Replica(node, 0, CFG)
+        lenet, sgemm = rep.engines["lenet"], rep.engines["sgemm"]
+        for eng, x in ((lenet, lenet._engine.x0), (sgemm, sgemm._x)):
+            for i in range(200):
+                eng.serve(
+                    [Request(rid=i, kind=eng.kind, arrival=0.0, seed=i)]
+                )
+            reads = rep.sched.monitor._st(x).pending_reads.get(HOST, [])
+            assert len(reads) <= 1
 
 
 class TestConfigValidation:
