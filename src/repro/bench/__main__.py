@@ -19,47 +19,15 @@ from repro.bench.experiments import (
     table4_single_gpu,
     xt_gemm_scaling,
 )
-from repro.bench.cluster import (
-    cluster_report,
-    measure_cluster,
-    write_cluster_json,
-)
-from repro.bench.faults import (
-    faults_report,
-    measure_faults,
-    write_faults_json,
-)
-from repro.bench.overhead import (
-    measure_overhead,
-    overhead_report,
-    write_overhead_json,
-)
-from repro.bench.pressure import (
-    measure_pressure,
-    pressure_report,
-    write_pressure_json,
-)
-from repro.bench.reporting import fmt_table
-from repro.bench.sanitize import (
-    measure_sanitize,
-    sanitize_report,
-    write_sanitize_json,
-)
-from repro.bench.server import (
-    measure_server,
-    server_report,
-    write_server_json,
-)
-from repro.bench.serving import (
-    measure_serving,
-    serving_report,
-    write_serving_json,
-)
-from repro.bench.stragglers import (
-    measure_stragglers,
-    stragglers_report,
-    write_stragglers_json,
-)
+from repro.bench.cluster import cluster_report, measure_cluster
+from repro.bench.faults import faults_report, measure_faults
+from repro.bench.overhead import measure_overhead, overhead_report
+from repro.bench.pressure import measure_pressure, pressure_report
+from repro.bench.reporting import fmt_table, write_json
+from repro.bench.sanitize import measure_sanitize, sanitize_report
+from repro.bench.server import measure_server, server_report
+from repro.bench.serving import measure_serving, serving_report
+from repro.bench.stragglers import measure_stragglers, stragglers_report
 from repro.hardware import GTX_780, PAPER_GPUS
 
 
@@ -351,60 +319,33 @@ def main(argv: list[str] | None = None) -> int:
         for flag, desc in MODES.items():
             print(f"  {flag:14s}{desc}")
         return 0
-    if args.overhead:
-        results = measure_overhead(graph_floor=args.graph_floor)
-        print(overhead_report(results))
-        write_overhead_json(results, args.overhead_json)
-        print(f"wrote {args.overhead_json}")
-        return 0
-    if args.faults:
-        results = measure_faults()
-        print(faults_report(results))
-        write_faults_json(results, args.faults_json)
-        print(f"wrote {args.faults_json}")
-        return 0
-    if args.pressure:
-        results = measure_pressure()
-        print(pressure_report(results))
-        write_pressure_json(results, args.pressure_json)
-        print(f"wrote {args.pressure_json}")
-        return 0
-    if args.stragglers:
-        results = measure_stragglers()
-        print(stragglers_report(results))
-        write_stragglers_json(results, args.stragglers_json)
-        print(f"wrote {args.stragglers_json}")
-        return 0
-    if args.sanitize:
-        results = measure_sanitize()
-        print(sanitize_report(results))
-        write_sanitize_json(results, args.sanitize_json)
-        print(f"wrote {args.sanitize_json}")
-        return 0
-    if args.server:
-        results = measure_server()
-        print(server_report(results))
-        write_server_json(results, args.server_json)
-        print(f"wrote {args.server_json}")
-        return 0
-    if args.serving:
-        kw = {"p99_gate": args.serving_p99_gate}
-        if args.serving_requests is not None:
-            kw["n"] = args.serving_requests
-        results = measure_serving(**kw)
-        print(serving_report(results))
-        write_serving_json(results, args.serving_json)
-        print(f"wrote {args.serving_json}")
-        return 0
-    if args.cluster:
-        kw = {}
-        if args.cluster_max_overhead is not None:
-            kw["max_overhead"] = args.cluster_max_overhead
-        results = measure_cluster(**kw)
-        print(cluster_report(results))
-        write_cluster_json(results, args.cluster_json)
-        print(f"wrote {args.cluster_json}")
-        return 0
+    serving_kw = {"p99_gate": args.serving_p99_gate}
+    if args.serving_requests is not None:
+        serving_kw["n"] = args.serving_requests
+    cluster_kw = {}
+    if args.cluster_max_overhead is not None:
+        cluster_kw["max_overhead"] = args.cluster_max_overhead
+    runs = {
+        "overhead": (
+            lambda: measure_overhead(graph_floor=args.graph_floor),
+            overhead_report,
+        ),
+        "faults": (measure_faults, faults_report),
+        "pressure": (measure_pressure, pressure_report),
+        "stragglers": (measure_stragglers, stragglers_report),
+        "sanitize": (measure_sanitize, sanitize_report),
+        "server": (measure_server, server_report),
+        "serving": (lambda: measure_serving(**serving_kw), serving_report),
+        "cluster": (lambda: measure_cluster(**cluster_kw), cluster_report),
+    }
+    for mode, (measure, report) in runs.items():
+        if getattr(args, mode):
+            results = measure()
+            print(report(results))
+            path = getattr(args, f"{mode}_json")
+            write_json(results, path)
+            print(f"wrote {path}")
+            return 0
     names = args.experiments or sorted(EXPERIMENTS)
     unknown = [n for n in names if n not in EXPERIMENTS]
     if unknown:

@@ -30,9 +30,6 @@
 
 from __future__ import annotations
 
-import json
-import pathlib
-
 import numpy as np
 
 from repro.bench.reporting import fmt_table
@@ -358,7 +355,3 @@ def cluster_report(results: dict) -> str:
         rows,
     )
     return scaling + "\n\n" + recovery + "\n\n" + elastic
-
-
-def write_cluster_json(results: dict, path: str | pathlib.Path) -> None:
-    pathlib.Path(path).write_text(json.dumps(results, indent=2) + "\n")

@@ -19,8 +19,6 @@ handling must be deterministic under a fixed plan.
 
 from __future__ import annotations
 
-import json
-import pathlib
 from typing import Callable
 
 import numpy as np
@@ -182,7 +180,3 @@ def faults_report(results: dict) -> str:
         ["workload", "scenario", "sim time", "overhead", "alive", "faults"],
         rows,
     )
-
-
-def write_faults_json(results: dict, path: str | pathlib.Path) -> None:
-    pathlib.Path(path).write_text(json.dumps(results, indent=2) + "\n")

@@ -30,14 +30,12 @@ points — rather than against the plain cached run.
 
 from __future__ import annotations
 
-import json
-import pathlib
 import time
 from typing import Callable
 
 import numpy as np
 
-from repro.bench.reporting import fmt_table
+from repro.bench.reporting import best_of, fmt_table
 from repro.core import Grid, Matrix, Scheduler, Vector
 from repro.hardware.specs import GPUSpec, GTX_780
 from repro.kernels.game_of_life import gol_containers, make_gol_kernel
@@ -232,20 +230,12 @@ WORKLOADS: dict[str, Callable[[str, GPUSpec, int, int], dict]] = {
 }
 
 
+def _submit(r: dict) -> float:
+    return r["submit_s"]
+
+
 def _total(r: dict) -> float:
     return r["submit_s"] + r["drain_s"]
-
-
-def _best_of(fn, mode, spec, size, iters, repeats, key=None):
-    """Repeat a workload run, keeping the lowest wall-clock under ``key``
-    (default: submission time)."""
-    key = key or (lambda r: r["submit_s"])
-    best = None
-    for _ in range(repeats):
-        r = fn(mode, spec, size, iters)
-        if best is None or key(r) < key(best):
-            best = r
-    return best
 
 
 def measure_overhead(
@@ -277,14 +267,18 @@ def measure_overhead(
         "workloads": {},
     }
     for name, fn in WORKLOADS.items():
-        uncached = _best_of(fn, "uncached", spec, size, iters, repeats)
-        cached = _best_of(fn, "cached", spec, size, iters, repeats)
+        uncached = best_of(
+            lambda: fn("uncached", spec, size, iters), repeats, _submit
+        )
+        cached = best_of(
+            lambda: fn("cached", spec, size, iters), repeats, _submit
+        )
         # The twin is only the graph's bit-identity reference; one run.
         twin = fn("twin", spec, size, iters)
         # Graph submission and drain interleave inside launch(); rank
         # repeats by total wall-clock.
-        graph = _best_of(
-            fn, "graph", spec, size, iters, repeats, key=_total
+        graph = best_of(
+            lambda: fn("graph", spec, size, iters), repeats, _total
         )
         assert cached["sim_time"] == uncached["sim_time"], (
             f"{name}: plan cache changed simulated time "
@@ -364,7 +358,3 @@ def overhead_report(results: dict) -> str:
         ],
         rows,
     )
-
-
-def write_overhead_json(results: dict, path: str | pathlib.Path) -> None:
-    pathlib.Path(path).write_text(json.dumps(results, indent=2) + "\n")

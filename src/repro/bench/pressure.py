@@ -18,8 +18,6 @@ Results are written to ``BENCH_pressure.json``.
 
 from __future__ import annotations
 
-import json
-import pathlib
 from typing import Callable, Optional
 
 import dataclasses
@@ -177,7 +175,3 @@ def pressure_report(results: dict) -> str:
         ["workload", "capacity", "sim time", "slowdown", "evicts", "chunks"],
         rows,
     )
-
-
-def write_pressure_json(results: dict, path: str | pathlib.Path) -> None:
-    pathlib.Path(path).write_text(json.dumps(results, indent=2) + "\n")

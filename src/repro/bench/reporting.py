@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import pathlib
-from typing import Sequence
+from typing import Callable, Sequence
 
 
 def fmt_table(
@@ -29,3 +30,16 @@ def record_result(results_dir: pathlib.Path, name: str, text: str) -> None:
     results_dir.mkdir(exist_ok=True)
     (results_dir / f"{name}.txt").write_text(text)
     print(f"\n{text}")
+
+
+def write_json(results: dict, path: str | pathlib.Path) -> None:
+    """Persist a ``BENCH_*.json`` result tree (2-space indent, newline)."""
+    pathlib.Path(path).write_text(json.dumps(results, indent=2) + "\n")
+
+
+def best_of(
+    run: Callable[[], dict], repeats: int, key: Callable[[dict], float]
+) -> dict:
+    """Call ``run`` ``repeats`` times; keep the result with the lowest
+    ``key`` (the earliest on ties)."""
+    return min((run() for _ in range(repeats)), key=key)

@@ -16,13 +16,11 @@ numerically identical to the unsanitized one.
 
 from __future__ import annotations
 
-import json
-import pathlib
 import time
 
 import numpy as np
 
-from repro.bench.reporting import fmt_table
+from repro.bench.reporting import best_of, fmt_table
 from repro.core import Scheduler, Vector
 from repro.core.datum import from_array
 from repro.hardware.specs import GPUSpec, GTX_780
@@ -92,13 +90,8 @@ WORKLOADS = {
 }
 
 
-def _best_of(fn, sanitize, spec, size, iters, repeats) -> dict:
-    best = None
-    for _ in range(repeats):
-        r = fn(sanitize, spec, size, iters)
-        if best is None or r["wall_s"] < best["wall_s"]:
-            best = r
-    return best
+def _wall(r: dict) -> float:
+    return r["wall_s"]
 
 
 def measure_sanitize(
@@ -121,8 +114,10 @@ def measure_sanitize(
         "workloads": {},
     }
     for name, fn in WORKLOADS.items():
-        plain = _best_of(fn, False, spec, size, iters, repeats)
-        sanitized = _best_of(fn, True, spec, size, iters, repeats)
+        plain = best_of(lambda: fn(False, spec, size, iters), repeats, _wall)
+        sanitized = best_of(
+            lambda: fn(True, spec, size, iters), repeats, _wall
+        )
         assert sanitized["checksum"] == plain["checksum"], (
             f"{name}: sanitize mode changed the functional result "
             f"({sanitized['checksum']} != {plain['checksum']})"
@@ -152,7 +147,3 @@ def sanitize_report(results: dict) -> str:
         f"{results['size']}^2, {results['num_gpus']} GPUs ({results['spec']})"
     )
     return fmt_table(title, ["workload", "plain", "sanitized", "slowdown"], rows)
-
-
-def write_sanitize_json(results: dict, path: str | pathlib.Path) -> None:
-    pathlib.Path(path).write_text(json.dumps(results, indent=2) + "\n")

@@ -24,9 +24,6 @@ Results are written to ``BENCH_server.json``.
 
 from __future__ import annotations
 
-import json
-import pathlib
-
 import numpy as np
 
 from repro.bench.reporting import fmt_table
@@ -213,7 +210,3 @@ def server_report(results: dict) -> str:
         rows,
     )
     return t1 + "\n\n" + t2
-
-
-def write_server_json(results: dict, path: str | pathlib.Path) -> None:
-    pathlib.Path(path).write_text(json.dumps(results, indent=2) + "\n")

@@ -28,8 +28,6 @@ p99 latency exceeds ``X`` times the calibrated full-batch service time.
 from __future__ import annotations
 
 import dataclasses
-import json
-import pathlib
 
 import numpy as np
 
@@ -274,7 +272,3 @@ def serving_report(results: dict) -> str:
         + ("identical" if det["results_identical"] else "DIVERGED")
     )
     return "\n".join([t1, "", t2, "", t3])
-
-
-def write_serving_json(results: dict, path: str | pathlib.Path) -> None:
-    pathlib.Path(path).write_text(json.dumps(results, indent=2) + "\n")

@@ -26,8 +26,6 @@ Results are written to ``BENCH_stragglers.json``.
 
 from __future__ import annotations
 
-import json
-import pathlib
 from typing import Callable
 
 import numpy as np
@@ -259,7 +257,3 @@ def stragglers_report(results: dict) -> str:
         ["workload", "scenario", "unmitigated", "off", "on", "spec", "hedge"],
         rows,
     )
-
-
-def write_stragglers_json(results: dict, path: str | pathlib.Path) -> None:
-    pathlib.Path(path).write_text(json.dumps(results, indent=2) + "\n")

@@ -308,17 +308,16 @@ class IterationGraph:
                         devices.add(cmd.src)
                     if cmd.dst != HOST:
                         devices.add(cmd.dst)
-                    if faults is not None:
-                        # Per-link dispatch counters the eager path would
-                        # advance in transfer_faults_now; replayed as a
-                        # per-lap delta at launch.
-                        for spec in faults.transfer_faults:
-                            if spec.src is not None and spec.src != cmd.src:
-                                continue
-                            if spec.dst is not None and spec.dst != cmd.dst:
-                                continue
-                            key = (spec.src, spec.dst)
-                            link_inc[key] = link_inc.get(key, 0) + 1
+                    # Per-link dispatch counters the eager path would
+                    # advance in transfer_faults_now; replayed as a
+                    # per-lap delta at launch.
+                    for spec in faults.transfer_faults:
+                        if spec.src is not None and spec.src != cmd.src:
+                            continue
+                        if spec.dst is not None and spec.dst != cmd.dst:
+                            continue
+                        key = (spec.src, spec.dst)
+                        link_inc[key] = link_inc.get(key, 0) + 1
                     ops.append(
                         (
                             3,
@@ -578,8 +577,6 @@ class IterationGraph:
                 if ft > now or d in self._devices:
                     return False
         fp = node.faults
-        if fp is None:
-            return True
         if fp.transfer_fault_rate > 0.0:
             return False
         for spec in fp.transfer_faults:
@@ -632,9 +629,8 @@ class IterationGraph:
         node.host_time = max(h, engine.now)
         self._boundary_times = ev_time[(n - 1) * E:]
         self._refresh_monitor(ev_time, n)
-        fp = node.faults
-        if fp is not None and self._link_inc:
-            counts = fp._link_counts
+        if self._link_inc:
+            counts = node.faults._link_counts
             for key, c in self._link_inc.items():
                 counts[key] = counts.get(key, 0) + n * c
         sched.plans.graph_hits += n * max(1, len(self.calls))

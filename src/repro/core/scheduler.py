@@ -245,11 +245,11 @@ class Scheduler:
         self._live_chunk_pools: dict[int, tuple[int, list[DeviceBuffer]]] = {}
         self._pool_tokens = 0
         # Straggler mitigation (DESIGN.md §11) — strictly opt-in via
-        # FaultPlan.mitigate_stragglers; with it off, no observer is
-        # installed, no origin provenance is attached, and the scheduler's
-        # command stream is byte-identical to a build without this feature.
-        fp = node.faults
-        self._mitigation = fp is not None and fp.mitigate_stragglers
+        # FaultPlan.mitigate_stragglers alone (off on the node's empty
+        # plan); with it off, no observer is installed, no origin
+        # provenance is attached, and the scheduler's command stream is
+        # byte-identical to a build without this feature.
+        self._mitigation = node.faults.mitigate_stragglers
         #: device -> EWMA of observed/calibrated kernel duration ratio.
         self._ewma_c: dict[int, float] = {}
         #: (src, dst) -> EWMA of observed/calibrated transfer ratio
@@ -2153,7 +2153,7 @@ class Scheduler:
         if ctx is None:
             ctx = cmd.origin = _TransferContext(None, None, None)
         ctx.attempt += 1
-        if plan is None or ctx.attempt > plan.max_retries:
+        if ctx.attempt > plan.max_retries:
             raise UnrecoverableError(
                 f"transfer {cmd.label!r} still failing after "
                 f"{ctx.attempt - 1} retries"

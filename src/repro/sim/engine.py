@@ -22,9 +22,9 @@ blocked streams are parked per event and re-inserted when the matching
 ``EventRecord`` executes — so heap entries are never stale and each
 dispatch costs O(log streams) instead of O(streams × heads).
 
-Fault injection (DESIGN.md §8): when the node carries a
-:class:`~repro.sim.faults.FaultPlan`, every kernel/memcpy dispatch is
-checked against it *before* resources are occupied or the functional
+Fault injection (DESIGN.md §8): every kernel/memcpy dispatch is checked
+against the node's :class:`~repro.sim.faults.FaultPlan` (an empty plan
+when nothing is armed) *before* resources are occupied or the functional
 payload runs. A command touching a permanently-failed device raises
 :class:`~repro.errors.DeviceFault`; a transiently-faulted transfer raises
 :class:`~repro.errors.TransientTransferError`. Either way the engine's
@@ -70,7 +70,7 @@ class Engine:
         devices: list[Device],
         topology: NodeTopology,
         trace: Trace,
-        faults: "FaultPlan | None" = None,
+        faults: "FaultPlan",
     ):
         self.devices = devices
         self.topology = topology
@@ -79,9 +79,7 @@ class Engine:
         #: device -> simulated time of permanent failure. Seeded from the
         #: fault plan; the scheduler may add entries (e.g. when it retires
         #: a device after an injected allocation failure).
-        self.dead: dict[int, float] = (
-            faults.failure_times() if faults is not None else {}
-        )
+        self.dead: dict[int, float] = faults.failure_times()
         self.host_engine = EngineState("host.compute")
         self._channel_busy: dict[tuple[int, int], float] = {}
         #: (src, dst, pageable) -> (engines, path, channels): the per-route
@@ -102,7 +100,7 @@ class Engine:
 
     def set_fault_plan(
         self,
-        faults: "FaultPlan | None",
+        faults: "FaultPlan",
         dead: dict[int, float] | None = None,
     ) -> None:
         """Swap the active fault plan (job-server context switch,
@@ -118,7 +116,7 @@ class Engine:
         """
         self.faults = faults
         if dead is None:
-            dead = faults.failure_times() if faults is not None else {}
+            dead = faults.failure_times()
         self.dead = dict(dead)
 
     def _check_dead(
@@ -294,7 +292,6 @@ class Engine:
         add_row = rows.append
         busy = self._channel_busy
         observer = self.observer
-        have_faults = self.faults is not None
         host_engine = self.host_engine
         lat = self.topology.calib.transfer_latency
 
@@ -386,7 +383,7 @@ class Engine:
                         if t > start:
                             start = t
                     dur = op[4]
-                    if have_faults and observer is not None:
+                    if observer is not None:
                         observer("memcpy", (op[7], op[8]), dur, dur)
                     end = start + dur
                     for e in op[2]:
@@ -473,34 +470,34 @@ class Engine:
             if self.dead:
                 self._check_dead(stream.device, start, cmd, stream)
             duration = cmd.duration
-            if self.faults is not None:
-                factor = self.faults.compute_factor(stream.device, start)
-                if (
-                    factor >= self.faults.watchdog_patience
-                    and self.faults.mitigate_stragglers
-                    and not getattr(cmd.origin, "alarmed", True)
-                ):
-                    # Progress watchdog (DESIGN.md §11): the kernel's
-                    # projected completion blows the deadline. Like other
-                    # injected faults, the alarm fires before resources
-                    # are occupied or the payload runs — the command is
-                    # popped, nothing else moved — and each command alarms
-                    # at most once (a re-queued loser runs to completion).
-                    cmd.origin.alarmed = True
-                    self.commands_executed -= 1
-                    raise StragglerAlarm(
-                        f"kernel {cmd.label!r} projected {factor:.3g}x over "
-                        f"its calibrated duration at t={start:.6g}",
-                        device=stream.device,
-                        time=start + self.faults.watchdog_patience * duration,
-                        start=start,
-                        nominal=duration,
-                        projected_end=start + factor * duration,
-                        command=cmd,
-                        stream=stream,
-                        kind="kernel",
-                    )
-                duration *= factor
+            fp = self.faults
+            factor = fp.compute_factor(stream.device, start)
+            if (
+                factor >= fp.watchdog_patience
+                and fp.mitigate_stragglers
+                and not getattr(cmd.origin, "alarmed", True)
+            ):
+                # Progress watchdog (DESIGN.md §11): the kernel's
+                # projected completion blows the deadline. Like other
+                # injected faults, the alarm fires before resources
+                # are occupied or the payload runs — the command is
+                # popped, nothing else moved — and each command alarms
+                # at most once (a re-queued loser runs to completion).
+                cmd.origin.alarmed = True
+                self.commands_executed -= 1
+                raise StragglerAlarm(
+                    f"kernel {cmd.label!r} projected {factor:.3g}x over "
+                    f"its calibrated duration at t={start:.6g}",
+                    device=stream.device,
+                    time=start + fp.watchdog_patience * duration,
+                    start=start,
+                    nominal=duration,
+                    projected_end=start + factor * duration,
+                    command=cmd,
+                    stream=stream,
+                    kind="kernel",
+                )
+            duration *= factor
             end = start + duration
             dev.compute.occupy(start, end)
             if self.observer is not None:
@@ -530,56 +527,54 @@ class Engine:
                 self.topology.transfer_time(cmd.nbytes, path)
                 + cmd.extra_latency
             )
-            if self.faults is not None:
-                factor = self.faults.transfer_factor(cmd.src, cmd.dst, start)
-                if (
-                    factor >= self.faults.hedge_patience
-                    and self.faults.mitigate_stragglers
-                    and not getattr(cmd.origin, "alarmed", True)
-                ):
-                    # Hedged-transfer watchdog (DESIGN.md §11). Raised
-                    # *before* the stateful transfer_faults_now draw — an
-                    # alarmed attempt never dispatched, so the per-link
-                    # fault counters advance only on the re-dispatch.
-                    cmd.origin.alarmed = True
-                    self.commands_executed -= 1
-                    slow = cmd.src
-                    if self.faults.transfer_factor(
-                        cmd.dst, cmd.dst, start
-                    ) > self.faults.transfer_factor(cmd.src, cmd.src, start):
-                        slow = cmd.dst
-                    raise StragglerAlarm(
-                        f"transfer {cmd.label!r} ({cmd.src}->{cmd.dst}) "
-                        f"projected {factor:.3g}x over its calibrated "
-                        f"duration at t={start:.6g}",
-                        device=slow,
-                        time=start + self.faults.hedge_patience * duration,
-                        start=start,
-                        nominal=duration,
-                        projected_end=start + factor * duration,
-                        command=cmd,
-                        stream=stream,
-                        kind="transfer",
-                    )
-                if self.faults.transfer_faults_now(cmd.src, cmd.dst):
-                    # The failed attempt occupies nothing: the error is
-                    # detected at start; the retry backoff (simulated
-                    # time) is the modelled cost of the fault.
-                    self.commands_executed -= 1
-                    raise TransientTransferError(
-                        f"transfer {cmd.label!r} ({cmd.src}->{cmd.dst}) "
-                        f"faulted at t={start:.6g}",
-                        device=cmd.dst if cmd.dst != HOST else cmd.src,
-                        time=start,
-                        command=cmd,
-                        stream=stream,
-                    )
-                nominal = duration
-                duration *= factor
-                if self.observer is not None:
-                    self.observer(
-                        "memcpy", (cmd.src, cmd.dst), nominal, duration
-                    )
+            fp = self.faults
+            factor = fp.transfer_factor(cmd.src, cmd.dst, start)
+            if (
+                factor >= fp.hedge_patience
+                and fp.mitigate_stragglers
+                and not getattr(cmd.origin, "alarmed", True)
+            ):
+                # Hedged-transfer watchdog (DESIGN.md §11). Raised
+                # *before* the stateful transfer_faults_now draw — an
+                # alarmed attempt never dispatched, so the per-link
+                # fault counters advance only on the re-dispatch.
+                cmd.origin.alarmed = True
+                self.commands_executed -= 1
+                slow = cmd.src
+                if fp.transfer_factor(
+                    cmd.dst, cmd.dst, start
+                ) > fp.transfer_factor(cmd.src, cmd.src, start):
+                    slow = cmd.dst
+                raise StragglerAlarm(
+                    f"transfer {cmd.label!r} ({cmd.src}->{cmd.dst}) "
+                    f"projected {factor:.3g}x over its calibrated "
+                    f"duration at t={start:.6g}",
+                    device=slow,
+                    time=start + fp.hedge_patience * duration,
+                    start=start,
+                    nominal=duration,
+                    projected_end=start + factor * duration,
+                    command=cmd,
+                    stream=stream,
+                    kind="transfer",
+                )
+            if fp.transfer_faults_now(cmd.src, cmd.dst):
+                # The failed attempt occupies nothing: the error is
+                # detected at start; the retry backoff (simulated
+                # time) is the modelled cost of the fault.
+                self.commands_executed -= 1
+                raise TransientTransferError(
+                    f"transfer {cmd.label!r} ({cmd.src}->{cmd.dst}) "
+                    f"faulted at t={start:.6g}",
+                    device=cmd.dst if cmd.dst != HOST else cmd.src,
+                    time=start,
+                    command=cmd,
+                    stream=stream,
+                )
+            nominal = duration
+            duration *= factor
+            if self.observer is not None:
+                self.observer("memcpy", (cmd.src, cmd.dst), nominal, duration)
             end = start + duration
             for e in engines:
                 e.occupy(start, end)

@@ -36,7 +36,7 @@ simulated times.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import AllocationError
 from repro.utils.backoff import capped_backoff
@@ -175,6 +175,18 @@ class FaultPlan:
             raise ValueError("straggler patience factors must be >= 1")
         if not 0.0 < self.ewma_alpha <= 1.0:
             raise ValueError("ewma_alpha must be in (0, 1]")
+        if not 0.0 <= self.transfer_fault_rate < 1.0:
+            raise ValueError("transfer_fault_rate must be in [0, 1)")
+        if self.retry_base < 0.0 or self.retry_cap < 0.0:
+            raise ValueError("retry backoff base/cap must be >= 0")
+        if self.max_retries < 0 or self.max_speculations < 0:
+            raise ValueError("max_retries/max_speculations must be >= 0")
+        for t in self.transfer_faults:
+            # Link counts start at 1, so nth/count below 1 never fire.
+            if t.nth < 1 or t.count < 1:
+                raise ValueError(
+                    f"transfer fault nth/count must be >= 1, got {t}"
+                )
         #: device -> onset-windowed degradation entries
         #: ``(start, end, compute_factor, bandwidth_factor)``.
         self._stragglers: dict[
@@ -257,13 +269,20 @@ class FaultPlan:
             worst = max(worst, factors[idx])
         return worst
 
+    # Both queries run on every kernel/memcpy dispatch, armed or not; the
+    # membership tests keep them constant-time for undegraded devices.
     def compute_factor(self, device: int, now: float | None = None) -> float:
+        if device not in self._stragglers:
+            return 1.0
         return self._factor(device, now, 0)
 
     def transfer_factor(
         self, src: int, dst: int, now: float | None = None
     ) -> float:
         """Slowdown of a transfer: the worse of the two endpoints."""
+        s = self._stragglers
+        if src not in s and dst not in s:
+            return 1.0
         return max(
             self._factor(src, now, 1),
             self._factor(dst, now, 1),

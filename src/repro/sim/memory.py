@@ -75,9 +75,10 @@ class DeviceBuffer:
 class DeviceMemory:
     """Global-memory accounting for one device.
 
-    When a :class:`~repro.sim.faults.FaultPlan` is installed on the node,
-    ``fault_check`` is wired to :meth:`FaultPlan.check_alloc` so the Nth
-    allocation call can raise an *injected* AllocationError (DESIGN.md §8).
+    A :class:`~repro.sim.node.SimNode` wires ``fault_check`` to its
+    :meth:`FaultPlan.check_alloc <repro.sim.faults.FaultPlan.check_alloc>`
+    so the Nth allocation call can raise an *injected* AllocationError
+    (DESIGN.md §8).
 
     ``alloc_calls`` counts allocation *attempts* — including zero-size
     allocations and attempts that fail with a genuine out-of-memory error —

@@ -60,11 +60,16 @@ class SimNode:
         )
         self.devices = [Device(i, spec, functional) for i in range(num_gpus)]
         self.trace = Trace()
+        #: The unarmed state (DESIGN.md §8): built once and shared by the
+        #: node and every lease without a plan of its own. Its queries are
+        #: no-ops, and nothing reads its epoch with no faults to shift.
+        self.empty_plan = FaultPlan()
+        if faults is None:
+            faults = self.empty_plan
         self.faults = faults
         self.engine = Engine(self.devices, self.topology, self.trace, faults)
-        if faults is not None:
-            for d in self.devices:
-                d.memory.fault_check = faults.check_alloc
+        for d in self.devices:
+            d.memory.fault_check = faults.check_alloc
         self.streams: list[Stream] = []
         #: Host thread clock — the scheduler advances it to model host-side
         #: overhead; commands submitted after time t carry earliest_start=t.
@@ -115,10 +120,11 @@ class SimNode:
         machine for the duration of one slice:
 
         * the tenant's :class:`FaultPlan` (rebased to ``epoch`` so its
-          plan-relative times track the job's life, not the server's),
-          installed on the node, the engine, and every leased device's
-          allocation fault hook — with allocation numbering restarted at
-          the lease so ``AllocFailure.nth_alloc`` is lease-relative;
+          plan-relative times track the job's life, not the server's;
+          ``None`` installs the node's :attr:`empty_plan`), installed on
+          the node, the engine, and every leased device's allocation
+          fault hook — with allocation numbering restarted at the lease
+          so ``AllocFailure.nth_alloc`` is lease-relative;
         * a per-device ``capacity`` clamp enforcing the tenant's memory
           quota (the §10 pressure ladder engages below the clamp, so an
           over-quota tenant degrades to eviction/chunking rather than
@@ -143,25 +149,23 @@ class SimNode:
             "caps": {d.index: d.memory.capacity for d in targets},
             "checks": {d.index: d.memory.fault_check for d in targets},
         }
-        if faults is not None:
-            faults.rebase(epoch)
+        if faults is None:
+            faults = self.empty_plan
+        faults.rebase(epoch)
         self.faults = faults
         self.engine.set_fault_plan(faults)
         for d in targets:
             mem = d.memory
             if capacity is not None:
                 mem.capacity = min(mem.capacity, int(capacity))
-            if faults is None:
-                mem.fault_check = None
-            else:
-                # Lease-relative allocation numbering: the hook receives
-                # the device's lifetime alloc_calls counter; subtract the
-                # count at lease begin so the tenant's plan addresses its
-                # own Nth allocation, not the machine's.
-                def check(dev, nth, _base=mem.alloc_calls, _fp=faults):
-                    _fp.check_alloc(dev, nth - _base)
+            # Lease-relative allocation numbering: the hook receives the
+            # device's lifetime alloc_calls counter; subtract the count at
+            # lease begin so the tenant's plan addresses its own Nth
+            # allocation, not the machine's.
+            def check(dev, nth, _base=mem.alloc_calls, _fp=faults):
+                _fp.check_alloc(dev, nth - _base)
 
-                mem.fault_check = check
+            mem.fault_check = check
 
     def end_lease(self) -> None:
         """Tear down the active lease: restore capacities and allocation
@@ -171,14 +175,12 @@ class SimNode:
         lease = self._lease
         if lease is None:
             raise ValueError("no active lease")
-        fp = self.faults
-        if fp is not None:
-            for dev, at in self.engine.dead.items():
-                # Anything dead by now actually fired (scheduler-retired
-                # devices carry past times; plan-seeded future times may
-                # never have been reached).
-                if at <= self.time:
-                    fp.consumed_failures.add(dev)
+        for dev, at in self.engine.dead.items():
+            # Anything dead by now actually fired (scheduler-retired
+            # devices carry past times; plan-seeded future times may
+            # never have been reached).
+            if at <= self.time:
+                self.faults.consumed_failures.add(dev)
         for d in self.devices:
             if d.index in lease["caps"]:
                 d.memory.capacity = lease["caps"][d.index]

@@ -9,8 +9,8 @@ from repro.bench.cluster import (
     NODE_COUNTS,
     cluster_report,
     measure_cluster,
-    write_cluster_json,
 )
+from repro.bench.reporting import write_json
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +95,7 @@ class TestMeasureCluster:
         assert "crash_repair_rejoin" in text
         assert "armed_idle" in text
         out = tmp_path / "BENCH_cluster.json"
-        write_cluster_json(results, out)
+        write_json(results, out)
         data = json.loads(out.read_text())
         assert set(data["scaling"]["nodes"]) == {
             str(n) for n in NODE_COUNTS

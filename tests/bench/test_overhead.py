@@ -6,8 +6,8 @@ from repro.bench.overhead import (
     WORKLOADS,
     measure_overhead,
     overhead_report,
-    write_overhead_json,
 )
+from repro.bench.reporting import write_json
 
 
 def small_results():
@@ -70,5 +70,5 @@ class TestMeasureOverhead:
         for name in WORKLOADS:
             assert name in text
         out = tmp_path / "BENCH_overhead.json"
-        write_overhead_json(results, out)
+        write_json(results, out)
         assert json.loads(out.read_text())["workloads"].keys() == set(WORKLOADS)

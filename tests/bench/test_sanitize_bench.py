@@ -2,11 +2,11 @@
 
 import json
 
+from repro.bench.reporting import write_json
 from repro.bench.sanitize import (
     WORKLOADS,
     measure_sanitize,
     sanitize_report,
-    write_sanitize_json,
 )
 
 
@@ -35,5 +35,5 @@ class TestMeasureSanitize:
         for name in WORKLOADS:
             assert name in text
         out = tmp_path / "BENCH_sanitize.json"
-        write_sanitize_json(results, out)
+        write_json(results, out)
         assert json.loads(out.read_text())["workloads"].keys() == set(WORKLOADS)

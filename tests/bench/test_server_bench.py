@@ -6,13 +6,13 @@ import json
 
 import pytest
 
+from repro.bench.reporting import write_json
 from repro.bench.server import (
     DEMO,
     LOADS,
     OVERHEAD_GATE,
     measure_server,
     server_report,
-    write_server_json,
 )
 
 
@@ -61,7 +61,7 @@ class TestMeasureServer:
             assert name in text
         assert "fairness" in text
         out = tmp_path / "BENCH_server.json"
-        write_server_json(results, out)
+        write_json(results, out)
         data = json.loads(out.read_text())
         assert data["contended"]["max_overhead"] <= OVERHEAD_GATE
         assert len(data["loads"]) == len(LOADS)

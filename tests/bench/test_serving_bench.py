@@ -6,12 +6,12 @@ import json
 
 import pytest
 
+from repro.bench.reporting import write_json
 from repro.bench.serving import (
     LOAD_POINTS,
     calibrate_capacity,
     measure_serving,
     serving_report,
-    write_serving_json,
 )
 from repro.serving import ServingConfig
 
@@ -80,7 +80,7 @@ class TestReporting:
 
     def test_json_round_trip(self, results, tmp_path):
         path = tmp_path / "BENCH_serving.json"
-        write_serving_json(results, path)
+        write_json(results, path)
         again = json.loads(path.read_text())
         assert again["load_points"] == results["load_points"]
         assert again["spec"] == results["spec"]

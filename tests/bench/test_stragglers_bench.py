@@ -4,13 +4,13 @@ import json
 
 import pytest
 
+from repro.bench.reporting import write_json
 from repro.bench.stragglers import (
     FACTORS,
     TARGET,
     WORKLOADS,
     measure_stragglers,
     stragglers_report,
-    write_stragglers_json,
 )
 
 
@@ -63,7 +63,7 @@ class TestMeasureStragglers:
             assert name in text
         assert "compute_4x" in text
         out = tmp_path / "BENCH_stragglers.json"
-        write_stragglers_json(results, out)
+        write_json(results, out)
         data = json.loads(out.read_text())
         assert data["workloads"].keys() == set(WORKLOADS)
         assert data["target"] == TARGET

@@ -4,11 +4,21 @@ Scheduler-level recovery is covered by tests/core/test_recovery.py; here
 we test the plan's own semantics and the engine surfacing typed faults.
 """
 
+import re
+
 import numpy as np
 import pytest
 
+from repro.core import Matrix, Scheduler, Vector
 from repro.errors import AllocationError, DeviceFault, TransientTransferError
 from repro.hardware import GTX_780, HOST
+from repro.kernels.game_of_life import gol_containers, make_gol_kernel
+from repro.kernels.histogram import (
+    histogram_containers,
+    histogram_grid,
+    make_histogram_kernel,
+)
+from repro.libs.cublas import make_sgemm_routine, sgemm_containers
 from repro.sim import (
     AllocFailure,
     DeviceFailure,
@@ -67,6 +77,21 @@ class TestFaultPlan:
             fp.check_alloc(1, 3)
         assert ei.value.injected and ei.value.device == 1
         assert fp.alloc_faults_fired == 1
+
+    @pytest.mark.parametrize("kwargs", [
+        {"transfer_faults": [TransferFault(nth=0)]},
+        {"transfer_faults": [TransferFault(count=0)]},
+        {"transfer_fault_rate": -0.1},
+        {"transfer_fault_rate": 1.0},
+        {"retry_base": -1e-5},
+        {"retry_cap": -1e-3},
+        {"max_retries": -1},
+        {"max_speculations": -1},
+    ], ids=["nth0", "count0", "rate-neg", "rate-one", "base-neg",
+            "cap-neg", "retries-neg", "specs-neg"])
+    def test_rejects_inputs_it_would_mishandle(self, kwargs):
+        with pytest.raises(ValueError):
+            FaultPlan(**kwargs)
 
     def test_backoff_is_capped_exponential(self):
         fp = FaultPlan(retry_base=1e-5, retry_cap=4e-5)
@@ -154,3 +179,115 @@ class TestEngineFaults:
         node.retire_device(1, 2.0)
         node.retire_device(1, 5.0)
         assert node.engine.dead[1] == 2.0
+
+
+def run_mixed(faults, graph, periods=4, n=64, gemm_n=32):
+    """GoL ping-pong, a histogram and a chained SGEMM per period on one
+    functional 4-GPU node: one warm-up period, then ``periods`` more,
+    eager or as a captured graph (capture one, launch the rest)."""
+    node = SimNode(GTX_780, 4, functional=True, faults=faults)
+    sched = Scheduler(node)
+    rng = np.random.default_rng(11)
+    board = rng.integers(0, 2, (n, n), dtype=np.uint8)
+    boards = [Matrix(n, n, np.uint8, "gol.a").bind(board.copy()),
+              Matrix(n, n, np.uint8, "gol.b").bind(np.zeros_like(board))]
+    image = Matrix(n, n, np.uint8, "hist.image").bind(
+        rng.integers(0, 256, (n, n), dtype=np.uint8)
+    )
+    hist = Vector(256, np.int32, "hist.out").bind(np.zeros(256, np.int32))
+    b = Matrix(gemm_n, gemm_n, np.float32, "gemm.B").bind(
+        (rng.standard_normal((gemm_n, gemm_n)) * 0.1).astype(np.float32)
+    )
+    xs = [Matrix(gemm_n, gemm_n, np.float32, "gemm.X").bind(
+              rng.standard_normal((gemm_n, gemm_n)).astype(np.float32)),
+          Matrix(gemm_n, gemm_n, np.float32, "gemm.Y").bind(
+              np.zeros((gemm_n, gemm_n), np.float32))]
+    gol, hk, gemm = (make_gol_kernel(), make_histogram_kernel("maps"),
+                     make_sgemm_routine())
+    grid = histogram_grid(image)
+    hargs = histogram_containers(image, hist)
+    for i in range(2):
+        sched.analyze_call(gol, *gol_containers(boards[i], boards[1 - i]))
+        sched.analyze_call(gemm, *sgemm_containers(xs[i], b, xs[1 - i]))
+    sched.analyze_call(hk, *hargs, grid=grid)
+
+    def period():
+        for i in range(2):
+            sched.invoke(gol, *gol_containers(boards[i], boards[1 - i]))
+            sched.invoke(hk, *hargs, grid=grid)
+            sched.invoke_unmodified(
+                gemm, *sgemm_containers(xs[i], b, xs[1 - i])
+            )
+
+    period()
+    sched.wait_all()
+    g = None
+    if graph:
+        with sched.capture() as g:
+            period()
+        g.launch(periods - 1)
+    else:
+        for _ in range(periods):
+            period()
+    for d in (boards[0], hist, xs[0]):
+        sched.gather_async(d)
+    sched.wait_all()
+    rows = [
+        (r.kind, re.sub(r"#\d+", "", r.label), r.device, r.start, r.end,
+         r.nbytes, r.src)
+        for r in node.trace
+    ]
+    outs = [boards[0].host.copy(), hist.host.copy(), xs[0].host.copy()]
+    return node, rows, outs, g
+
+
+class TestUnarmedPlan:
+    """An empty FaultPlan is the unarmed state: a node built with one runs
+    float-for-float like a node built with ``faults=None``."""
+
+    @pytest.mark.parametrize("graph", [False, True], ids=["eager", "graph"])
+    def test_empty_plan_matches_no_plan(self, graph):
+        runs = [run_mixed(f, graph) for f in (None, FaultPlan())]
+        (na, rows_a, outs_a, ga), (nb, rows_b, outs_b, gb) = runs
+        assert rows_a == rows_b
+        assert na.engine.commands_executed == nb.engine.commands_executed
+        assert na.time == nb.time
+        for x, y in zip(outs_a, outs_b):
+            assert x.tobytes() == y.tobytes()
+        if graph:
+            for g in (ga, gb):
+                assert g.replayable, g.reason
+                assert g.launches == g.fast_launches == 1
+
+
+class TestLeaseRoundTrip:
+    def test_unfaulted_lease_uses_empty_plan_and_restores(self, monkeypatch):
+        from repro.utils.rect import Rect
+
+        fp = FaultPlan(alloc_failures=[AllocFailure(0, 1)],
+                       device_failures=[DeviceFailure(1, 5.0)])
+        node = SimNode(GTX_780, 2, functional=True, faults=fp)
+        checks = [d.memory.fault_check for d in node.devices]
+        dead = dict(node.engine.dead)
+        empty = node.empty_plan
+
+        node.begin_lease(None)
+        assert node.faults is empty and node.engine.faults is empty
+        assert node.engine.dead == {}
+        # Allocation #1 on device 0 would fault under the node's own plan.
+        node.devices[0].memory.allocate(0, Rect((0, 8)), np.float32)
+        assert fp.alloc_faults_fired == 0
+        # The leased hooks consult the empty plan, lease-relative.
+        seen = []
+        monkeypatch.setattr(empty, "check_alloc",
+                            lambda dev, nth: seen.append((dev, nth)))
+        for d in node.devices:
+            d.memory.allocate(d.index, Rect((0, 8)), np.float32)
+        assert seen == [(0, 2), (1, 1)]
+
+        node.end_lease()
+        assert node.faults is fp and node.engine.faults is fp
+        assert node.engine.dead == dead == {1: 5.0}
+        assert [d.memory.fault_check for d in node.devices] == checks
+        with pytest.raises(AllocationError):
+            node.devices[0].memory.fault_check(0, 1)
