@@ -127,18 +127,19 @@ def _run_recovery(
     kernel = make_gol_kernel("maps")
     cs = ClusterMaster(spec, 4, GPUS_PER_NODE, board, kernel, faults=plan)
     cs.run(ticks)
+    fp = cs.faults
     stats = {
         "sim_time": cs.time,
         "nodes_left": len(cs.monitor.slabs),
-        "recoveries": plan.recoveries if plan else 0,
-        "nodes_lost": plan.nodes_lost if plan else 0,
-        "checkpoints": plan.checkpoints_taken if plan else 0,
+        "recoveries": fp.recoveries,
+        "nodes_lost": fp.nodes_lost,
+        "checkpoints": fp.checkpoints_taken,
         "events": [type(e).__name__ for e in cs.events],
     }
-    if plan is not None and plan.has_repairs:
+    if fp.node_repairs:
         stats["membership"] = [e.action for e in cs.membership_log]
-        stats["nodes_readmitted"] = plan.nodes_readmitted
-        stats["replicas_shipped"] = plan.replicas_shipped
+        stats["nodes_readmitted"] = fp.nodes_readmitted
+        stats["replicas_shipped"] = fp.replicas_shipped
     return cs.board(), stats, cs
 
 
@@ -175,10 +176,10 @@ def measure_cluster(
     board = (
         rng.random((recovery_rows, recovery_cols)) < 0.4
     ).astype(np.int32)
-    # The reference answer (no fault plan at all) and the cost baseline
-    # (checkpointing on, nothing fails) are different runs: the baseline
-    # pays for heartbeats and periodic checkpoints, the reference pays
-    # for nothing.
+    # The reference answer (faults=None: an empty plan, checkpoints off)
+    # and the cost baseline (checkpointing on, nothing fails) are
+    # different runs: the baseline pays for checkpoints, the reference
+    # pays for nothing.
     clean, no_plan, _ = _run_recovery(spec, board, recovery_ticks, None)
     base_board, baseline, _ = _run_recovery(
         spec, board, recovery_ticks, ClusterFaultPlan()

@@ -89,8 +89,6 @@ class NodeAgent:
         self.local_ckpts: dict[int, tuple[int, int, np.ndarray | None]] = {}
         #: owner -> {checkpoint id -> (lo, hi, interior snapshot)}.
         self.peer_ckpts: dict[int, dict[int, tuple[int, int, np.ndarray | None]]] = {}
-        #: Set once the master fences or declares this node dead.
-        self.dead = False
 
     # -- geometry -------------------------------------------------------------
     @property
@@ -106,10 +104,6 @@ class NodeAgent:
         top_ghost = Rect((0, r), (0, self.cols))
         bottom_ghost = Rect((s + r, s + 2 * r), (0, self.cols))
         return top_edge, bottom_edge, top_ghost, bottom_ghost
-
-    def interior_rect(self) -> Rect:
-        r = self.radius
-        return Rect((r, r + self.slab_rows), (0, self.cols))
 
     # -- build / rebuild ------------------------------------------------------
     def build(
@@ -309,7 +303,6 @@ class NodeAgent:
         byte this agent holds — slabs, its own snapshots, peers' replicas
         — poisoned, so any recovery path that consulted a dead node would
         visibly corrupt the board instead of silently passing."""
-        self.dead = True
         self.node.crash(at_time)
         if self.functional:
             if self.slabs is not None:
@@ -320,14 +313,6 @@ class NodeAgent:
                 for _, (_, _, data) in store.items():
                     if data is not None:
                         data.fill(POISON)
-
-    def fence(self) -> None:
-        """Exclude a partitioned (but physically intact) node: the master
-        stops driving it and never consults its now-stale data. The node
-        stays out until a :class:`~repro.cluster.faults.NodeRepair` event
-        brings it back through :meth:`revive` (elastic membership); with
-        no repair scheduled, fencing is permanent."""
-        self.dead = True
 
     def revive(self, now: float) -> None:
         """Reboot a repaired node at cluster time ``now``: a fresh
@@ -350,5 +335,4 @@ class NodeAgent:
         self.slabs = None
         self.local_ckpts = {}
         self.peer_ckpts = {}
-        self.dead = False
         self.node.host_advance(now)

@@ -158,7 +158,11 @@ class ClusterFaultPlan:
             declared dead. A miss is only counted when the node's uplink
             is idle (``ClusterNetwork.busy_until``) — a node draining a
             checkpoint is busy, not dead.
-        checkpoint_interval: Coordinated slab checkpoint period in ticks.
+        checkpoint_interval: Coordinated slab checkpoint period in ticks,
+            or ``None`` for no coordinated checkpoints at all (not even
+            the tick-0 one): nothing is insured, so any node loss is
+            ``ClusterRecoveryError(reason="checkpoint-lost")``. An empty
+            plan with checkpoints off is the master's unarmed state.
         checkpoint_replicas: Peer copies of each slab checkpoint (shipped
             to the ``r`` successor nodes in the ring). Default ``None``
             auto-sizes to ``(live_nodes - 1) // 2``, which keeps every
@@ -202,7 +206,7 @@ class ClusterFaultPlan:
         heartbeat_interval: float = 5e-4,
         heartbeat_timeout: float = 2e-4,
         miss_threshold: int = 3,
-        checkpoint_interval: int = 4,
+        checkpoint_interval: int | None = 4,
         checkpoint_replicas: int | None = None,
         probation_interval: float = 2e-3,
         rejoin_base: float = 5e-4,
@@ -225,7 +229,9 @@ class ClusterFaultPlan:
         self.heartbeat_interval = float(heartbeat_interval)
         self.heartbeat_timeout = float(heartbeat_timeout)
         self.miss_threshold = int(miss_threshold)
-        self.checkpoint_interval = int(checkpoint_interval)
+        self.checkpoint_interval = (
+            None if checkpoint_interval is None else int(checkpoint_interval)
+        )
         self.checkpoint_replicas = checkpoint_replicas
         self.probation_interval = float(probation_interval)
         self.rejoin_base = float(rejoin_base)
@@ -237,8 +243,8 @@ class ClusterFaultPlan:
             raise ValueError("heartbeat interval/timeout must be positive")
         if self.miss_threshold < 1:
             raise ValueError("miss_threshold must be >= 1")
-        if self.checkpoint_interval < 1:
-            raise ValueError("checkpoint_interval must be >= 1")
+        if self.checkpoint_interval is not None and self.checkpoint_interval < 1:
+            raise ValueError("checkpoint_interval must be >= 1 or None")
         if self.probation_interval <= 0:
             raise ValueError("probation_interval must be positive")
         if self.rejoin_base <= 0 or self.rejoin_cap <= 0:
@@ -304,9 +310,6 @@ class ClusterFaultPlan:
             self._repairs.setdefault(rep.node, []).append(rep.at_time)
         for times in self._repairs.values():
             times.sort()
-        #: Whether any repair event exists — the gate for all
-        #: elastic-membership machinery (zero overhead when False).
-        self.has_repairs = bool(self.node_repairs)
         #: Diagnostics, also used by `repro.bench --cluster` reports.
         self.link_faults_fired = 0
         self.heartbeats_sent = 0

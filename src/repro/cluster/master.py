@@ -23,11 +23,12 @@ deliberately simple::
 
 Everything runs in **simulated cluster time**: retries back off in
 simulated seconds, heartbeat misses are counted against the simulated
-send schedule, recovery transfers occupy the simulated fabric. With no
-:class:`~repro.cluster.faults.ClusterFaultPlan` installed the master adds
-*zero* overhead — no heartbeats, no checkpoints, no extra messages — and
-the schedule is identical to the pre-fault-tolerance cluster layer
-(asserted by the timing benchmarks).
+send schedule, recovery transfers occupy the simulated fabric. The master
+always carries a :class:`~repro.cluster.faults.ClusterFaultPlan` and runs
+one tick path; the unarmed state (``faults=None``) is an empty plan with
+checkpoints off. On it every message is delivered on the first attempt at
+the nominal link speed and no checkpoint is taken, so the schedule is the
+plain fault-intolerant one, message for message.
 
 Recovery (the tentpole protocol):
 
@@ -69,8 +70,9 @@ rewind+replay ladder as recovery. A node exceeding ``max_flaps``
 crash→repair cycles is permanently banned
 (:class:`~repro.errors.NodeBannedError`). Every transition is recorded
 as a :class:`MembershipEvent` in :attr:`ClusterMaster.membership_log`.
-With no repair events planned, none of this machinery runs — the
-schedule is identical, message for message, to the repair-free protocol.
+With no repair events planned the membership pass finds nothing to do:
+no node leaves the ring without a rollback, so there are no idle spares
+to sweep or top up, and the schedule is the repair-free protocol.
 """
 
 from __future__ import annotations
@@ -155,9 +157,10 @@ class ClusterMaster:
         functional: Functional vs timing-only per-node simulation.
         network: Fabric calibration.
         wrap: Cyclic (toroidal) row boundary via ring exchange.
-        faults: Optional :class:`ClusterFaultPlan`. When None the master
-            runs the plain fault-intolerant schedule (no heartbeats, no
-            checkpoints — zero overhead).
+        faults: Optional :class:`ClusterFaultPlan`. None stands for
+            ``ClusterFaultPlan(checkpoint_interval=None)``: nothing fails
+            and nothing is checkpointed, the plain fault-intolerant
+            schedule.
         node_specs: Optional per-node GPU spec overrides, e.g. a
             capacity-clamped spec to compose cluster faults with the
             memory-pressure ladder on one node.
@@ -205,7 +208,9 @@ class ClusterMaster:
         self.num_nodes = num_nodes
         self.kernel = kernel
         self.functional = functional
-        self.faults = faults
+        if faults is None:
+            faults = ClusterFaultPlan(checkpoint_interval=None)
+        self.faults: ClusterFaultPlan = faults
         self.network = ClusterNetwork(num_nodes, network)
         self.monitor = ClusterMonitor(rows, cols, radius, 4)
         #: Typed failure errors in detection order (observability).
@@ -231,7 +236,6 @@ class ClusterMaster:
         specs = node_specs or {}
         self.agents: dict[int, NodeAgent] = {}
         for i in range(num_nodes):
-            plan = faults.node_plans.get(i) if faults is not None else None
             self.agents[i] = NodeAgent(
                 i,
                 specs.get(i, spec),
@@ -240,7 +244,7 @@ class ClusterMaster:
                 kernel,
                 radius,
                 functional,
-                faults=plan,
+                faults=faults.node_plans.get(i),
             )
         self.monitor.node_monitors = {
             i: ag.sched.monitor for i, ag in self.agents.items()
@@ -264,7 +268,7 @@ class ClusterMaster:
         self._ckpt_seq = 0
         #: Pending ghost-replica integrity probes: (tick, lo, hi, data).
         self._ghost_checks: list[tuple[int, int, int, np.ndarray | None]] = []
-        if faults is not None:
+        if faults.checkpoint_interval is not None:
             # Tick-0 coordinated checkpoint: the initial board is known to
             # the master, so local snapshots are free (no device gather);
             # replica shipping occupies the fabric like any checkpoint.
@@ -305,8 +309,6 @@ class ClusterMaster:
         is free in simulated time, but *failed* delivery costs the ack
         timeout plus backoff per attempt. Returns the delivery time."""
         fp = self.faults
-        if fp is None:
-            return t
         t_try = t
         live = self.monitor.order()
         for attempt in range(1, fp.max_retries + 2):
@@ -327,8 +329,6 @@ class ClusterMaster:
         """One inter-node data message (ghost rows, checkpoint replica,
         recovery fetch) with loss retry. Returns the arrival time."""
         fp = self.faults
-        if fp is None:
-            return self.network.transfer(src, dst, nbytes, ready)
         t_try = ready
         for attempt in range(1, fp.max_retries + 2):
             self._raise_if_crashed(
@@ -493,8 +493,7 @@ class ClusterMaster:
         """One bulk-synchronous tick: dispatch, compute, exchange,
         barrier, bookkeeping. Raises ``_Unreachable`` on any node loss."""
         fp = self.faults
-        if fp is not None and fp.has_repairs:
-            self._membership_tick()
+        self._membership_tick()
         tick = self.tick
         src_i, dst_i = tick % 2, (tick + 1) % 2
         ring = self.monitor.order()
@@ -504,18 +503,14 @@ class ClusterMaster:
 
         # Phase A: dispatch the tick command (reachability check; free on
         # delivery, but transient partitions delay a node's start).
-        starts: dict[int, float] = {}
-        if fp is not None:
-            for n in ring:
-                starts[n] = self._reach(n, self._clock)
+        starts = {n: self._reach(n, self._clock) for n in ring}
 
         # Phase B: local compute + edge gather per node (own clocks).
         finish: dict[int, float] = {}
         lost: list[NodeFailure] = []
         for n in ring:
             ag = self.agents[n]
-            if fp is not None:
-                ag.node.host_advance(max(0.0, starts[n] - ag.node.time))
+            ag.node.host_advance(max(0.0, starts[n] - ag.node.time))
             try:
                 t_f = ag.compute(src_i, dst_i, multi)
             except UnrecoverableError as e:
@@ -526,7 +521,7 @@ class ClusterMaster:
                     cause="agent-error",
                 )
                 raise _Unreachable([err]) from e
-            t_c = self._crash_since(n, t_f) if fp is not None else None
+            t_c = self._crash_since(n, t_f)
             if t_c is not None:
                 lost.append(self._crash_failure(n, t_c, " mid-compute"))
             else:
@@ -577,17 +572,15 @@ class ClusterMaster:
 
         # Phase D: barrier + liveness sweep.
         barrier = max(done.values()) if done else self._clock
-        if fp is not None:
-            for n in ring:
-                self._raise_if_crashed(
-                    n, barrier, " during the exchange window"
-                )
-            fp.heartbeats_sent += len(ring)
+        for n in ring:
+            self._raise_if_crashed(n, barrier, " during the exchange window")
+        fp.heartbeats_sent += len(ring)
         self._barrier(ring, barrier)
         self.tick = tick + 1
         self.monitor.record_ghosts(ghost_records)
         self._run_ghost_checks()
-        if fp is not None and self.tick % fp.checkpoint_interval == 0:
+        every = fp.checkpoint_interval
+        if every is not None and self.tick % every == 0:
             self._checkpoint(self.tick, from_host=False)
 
     def run(self, ticks: int) -> float:
@@ -615,7 +608,8 @@ class ClusterMaster:
         cid = self._ckpt_seq + 1
         ring = self.monitor.order()
         deg = fp.replicas_for(len(ring))
-        regions: list[tuple[int, int, tuple[int, ...]]] = []
+        # (owner's snapshot (lo, hi, data), holders with the owner first)
+        placed: list[tuple[tuple[int, int, np.ndarray | None], list[int]]] = []
         t_done = self._clock
         for pos, n in enumerate(ring):
             ag = self.agents[n]
@@ -624,70 +618,70 @@ class ClusterMaster:
                 t_local = max(self._clock, ag.node.time)
             else:
                 t_local = ag.checkpoint_local(cid, which)
-            lo, hi, data = ag.local_ckpts[cid]
+            snap = ag.local_ckpts[cid]
             holders = [n]
-            slab_nbytes = (hi - lo) * self.cols * 4
             for k in range(1, deg + 1):
                 peer = ring[(pos + k) % len(ring)]
                 if peer == n:
                     break
-                arrival = self._send(
-                    n, peer, slab_nbytes, t_local, "checkpoint"
+                arrival = self._ship_replica(
+                    n, peer, n, cid, snap, t_local, "checkpoint"
                 )
-                self.agents[peer].store_peer_ckpt(n, cid, lo, hi, data)
                 holders.append(peer)
                 t_done = max(t_done, arrival)
             t_done = max(t_done, t_local)
-            regions.append((lo, hi, tuple(holders)))
+            placed.append((snap, holders))
         # Elastic membership: re-admitted spares own no slab but can
         # carry checkpoint replicas — top each region up toward deg+1
         # holders so the replication factor does not stay eroded while
-        # the ring is short-handed.
-        if fp.has_repairs:
-            spares = [
-                m
-                for m in self.monitor.live_nodes()
-                if m not in self.monitor.slabs
-            ]
-            if spares:
-                deg_all = fp.replicas_for(len(self.monitor.live_nodes()))
-                base = t_done
-                topped: list[tuple[int, int, tuple[int, ...]]] = []
-                for lo, hi, holders in regions:
-                    hl = list(holders)
-                    owner = hl[0]
-                    _, _, data = self.agents[owner].local_ckpts[cid]
-                    for m in spares:
-                        if len(hl) > deg_all:
-                            break
-                        if m in hl:
-                            continue
-                        arrival = self._send(
-                            owner,
-                            m,
-                            (hi - lo) * self.cols * 4,
-                            base,
-                            "checkpoint",
-                        )
-                        self.agents[m].store_peer_ckpt(
-                            owner, cid, lo, hi, data
-                        )
-                        hl.append(m)
-                        fp.replicas_shipped += 1
-                        t_done = max(t_done, arrival)
-                    topped.append((lo, hi, tuple(hl)))
-                regions = topped
+        # the ring is short-handed. Without repairs there are no spares.
+        members = self.monitor.live_nodes()
+        spares = [m for m in members if m not in self.monitor.slabs]
+        deg_all = fp.replicas_for(len(members))
+        base = t_done
+        for snap, holders in placed:
+            owner = holders[0]
+            for m in spares:
+                if len(holders) > deg_all:
+                    break
+                if m in holders:
+                    continue
+                arrival = self._ship_replica(
+                    owner, m, owner, cid, snap, base, "checkpoint"
+                )
+                holders.append(m)
+                fp.replicas_shipped += 1
+                t_done = max(t_done, arrival)
         # Commit atomically: a failure anywhere above leaves the previous
         # checkpoint's records and stores untouched (uncommitted cid
         # entries in agent stores are pruned at the next commit).
-        self.monitor.record_checkpoint(tick, cid, regions)
+        self.monitor.record_checkpoint(
+            tick, cid, [(lo, hi, tuple(h)) for (lo, hi, _), h in placed]
+        )
         self._ckpt_seq = cid
-        for n in self.monitor.live_nodes():
+        for n in members:
             self.agents[n].prune_ckpts(cid)
         fp.checkpoints_taken += 1
         # The checkpoint is itself a barrier.
-        sync = self.monitor.live_nodes() if fp.has_repairs else ring
-        self._barrier(sync, t_done)
+        self._barrier(members, t_done)
+
+    def _ship_replica(
+        self,
+        src: int,
+        dst: int,
+        owner: int,
+        cid: int,
+        snap: tuple[int, int, np.ndarray | None],
+        ready: float,
+        what: str,
+    ) -> float:
+        """Ship checkpoint generation ``cid`` of ``owner``'s rows
+        ``snap = (lo, hi, data)`` from ``src`` to ``dst`` and store the
+        replica there. Returns the arrival time."""
+        lo, hi, data = snap
+        arrival = self._send(src, dst, (hi - lo) * self.cols * 4, ready, what)
+        self.agents[dst].store_peer_ckpt(owner, cid, lo, hi, data)
+        return arrival
 
     # -- elastic membership ---------------------------------------------------
     def _log_member(self, time: float, node: int, action: str, detail: str = "") -> None:
@@ -710,9 +704,10 @@ class ClusterMaster:
     def _membership_tick(self) -> None:
         """Drive the membership state machine up to the master clock:
         sweep crashed spares, process due repair announcements, and
-        resolve expired probation windows. Only called when the fault
-        plan schedules repair events — with none, the master's schedule
-        is untouched (the zero-overhead invariant)."""
+        resolve expired probation windows. Runs every tick; on a plan
+        with no repair events there are no spares, announcements or
+        probations, so it changes nothing (the zero-overhead
+        invariant)."""
         now = self._clock
         self._sweep_spares(now)
         progressed = True
@@ -915,16 +910,10 @@ class ClusterMaster:
             ):
                 continue
             src = min(live_holders)
-            arrival = self._send(
-                src,
-                node,
-                (rec.hi - rec.lo) * self.cols * 4,
-                t,
-                "re-replicate",
-            )
             data = self.agents[src].checkpoint_rows(rec.cid, rec.lo, rec.hi)
-            self.agents[node].store_peer_ckpt(
-                rec.holders[0], rec.cid, rec.lo, rec.hi, data
+            arrival = self._ship_replica(
+                src, node, rec.holders[0], rec.cid,
+                (rec.lo, rec.hi, data), t, "re-replicate",
             )
             self.monitor.add_checkpoint_holder(rec.lo, rec.hi, node)
             fp.replicas_shipped += 1
@@ -964,18 +953,16 @@ class ClusterMaster:
             if isinstance(e, NodeFailure):
                 causes[e.node] = e.cause
         for n in dict.fromkeys(u.nodes):
-            ag = self.agents[n]
             cause = causes.get(n)
             if cause in ("crash", "agent-error"):
                 self.monitor.mark_dead(n)
                 t_c = (
                     self._crash_since(n, now) if cause == "crash" else None
                 )
-                ag.crash(now if t_c is None else t_c)
+                self.agents[n].crash(now if t_c is None else t_c)
                 self._log_member(now, n, "dead", f"cause={cause}")
             else:  # partition / faulty link: intact but excluded
                 self.monitor.mark_fenced(n)
-                ag.fence()
                 self._log_member(now, n, "fence", f"cause={cause}")
             fp.nodes_lost += 1
         fp.recoveries += 1

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterNetwork, ClusterMaster, NetworkCalibration
+from repro.cluster import (
+    ClusterFaultPlan,
+    ClusterMaster,
+    ClusterNetwork,
+    NetworkCalibration,
+)
 from repro.errors import SchedulingError
 from repro.hardware import GTX_780
 from repro.kernels.game_of_life import gol_reference_step, make_gol_kernel
@@ -250,3 +255,54 @@ class TestTimingFunctionalParity:
         )
         assert f.run(ticks) == t.run(ticks)
         assert f.time == t.time
+
+
+class TestUnarmedPlan:
+    """``faults=None`` is shorthand for an empty plan with checkpoints
+    off: the master runs one tick path, and on that plan it must be the
+    plain fault-intolerant schedule, message for message."""
+
+    @staticmethod
+    def observe(cs):
+        return {
+            "time": cs.time,
+            "node_times": {n: ag.node.time for n, ag in cs.agents.items()},
+            "link_bytes": dict(cs.network.link_bytes),
+            "link_transfers": dict(cs.network.link_transfers),
+            "events": [
+                (
+                    type(e).__name__,
+                    getattr(e, "node", None),
+                    e.time,
+                    getattr(e, "cause", None),
+                )
+                for e in cs.events
+            ],
+            "recovery_log": cs.recovery_log,
+            "membership_log": cs.membership_log,
+            "board": cs.board().tolist() if cs.functional else None,
+        }
+
+    @pytest.mark.parametrize("functional", [True, False])
+    @pytest.mark.parametrize("wrap", [False, True])
+    @pytest.mark.parametrize("num_nodes", [1, 2, 4, 8])
+    def test_none_is_the_empty_plan(self, num_nodes, wrap, functional):
+        rng = np.random.default_rng(4)
+        board = (
+            (rng.random((32, 16)) < 0.4).astype(np.int32)
+            if functional
+            else (256, 128)
+        )
+        runs = []
+        for faults in (None, ClusterFaultPlan(checkpoint_interval=None)):
+            cs = ClusterMaster(
+                GTX_780, num_nodes, 2, board, make_gol_kernel("maps"),
+                functional=functional, wrap=wrap, faults=faults,
+            )
+            cs.run(5)
+            assert cs.faults.checkpoints_taken == 0
+            assert cs.monitor.checkpoints == []
+            runs.append(self.observe(cs))
+        assert runs[0] == runs[1]
+        assert runs[0]["events"] == runs[0]["recovery_log"] == []
+        assert runs[0]["membership_log"] == []

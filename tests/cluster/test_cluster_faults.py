@@ -129,7 +129,7 @@ class TestCrashRecovery:
         cs = ClusterMaster(GTX_780, 4, 2, board, KERNEL, faults=plan)
         cs.run(10)
         dead = cs.agents[1]
-        assert dead.dead and dead.node.crashed
+        assert cs.monitor.status[1] == "dead" and dead.node.crashed
         for d in dead.slabs:
             assert (d.host == POISON).all()
 
@@ -489,7 +489,7 @@ class TestObservability:
         assert entry["lost"] == [1]
         assert entry["errors"] == ["NodeFailure"]
         assert entry["resumed_from_tick"] <= entry["tick"]
-        assert entry["resumed_at"] >= entry["at"] or True  # both recorded
+        assert entry["resumed_at"] >= entry["at"]  # rebuild barriers after
         assert plan.checkpoints_taken >= 2  # initial + post-recovery
 
     def test_counters_stay_zero_without_faults(self):

@@ -14,6 +14,7 @@ from repro.cluster import (
     Partition,
     SlowLink,
 )
+from repro.errors import ClusterRecoveryError
 from repro.hardware import GTX_780
 from repro.kernels.game_of_life import make_gol_kernel
 
@@ -229,6 +230,22 @@ class TestClusterFaultPlan:
             ClusterFaultPlan(checkpoint_interval=0)
         with pytest.raises(ValueError):
             ClusterFaultPlan(link_fault_rate=1.0)
+
+    def test_no_checkpoints_makes_any_loss_checkpoint_lost(self):
+        """``checkpoint_interval=None`` insures nothing: the first node
+        loss finds no coordinated checkpoint to rebuild from."""
+        rng = np.random.default_rng(0)
+        board = (rng.random((32, 16)) < 0.4).astype(np.int32)
+        plan = ClusterFaultPlan(
+            checkpoint_interval=None, node_crashes=[NodeCrash(1, 0.0009)]
+        )
+        cs = ClusterMaster(
+            GTX_780, 4, 2, board, make_gol_kernel("maps"), faults=plan
+        )
+        with pytest.raises(ClusterRecoveryError) as ei:
+            cs.run(10)
+        assert ei.value.reason == "checkpoint-lost"
+        assert plan.checkpoints_taken == 0 and plan.recoveries == 1
 
 
 class TestFailureDetector:

@@ -78,7 +78,7 @@ class TestTimeline:
         assert not fp.crashed(2, REPAIR_AT)  # repaired exactly at t
         assert fp.crash_time(2) == CRASH_AT
         assert fp.crash_time(2, now=REPAIR_AT) is None
-        assert fp.has_repairs
+        assert fp.repairs_of(2) == [REPAIR_AT]
 
     def test_crash_in_window_is_half_open(self):
         fp = rejoin_plan()
@@ -139,7 +139,7 @@ class TestTimeline:
 
     def test_no_repairs_not_armed(self):
         fp = ClusterFaultPlan(node_crashes=[NodeCrash(2, 0.001)])
-        assert not fp.has_repairs
+        assert fp.node_repairs == []
         assert fp.repairs_of(2) == []
 
 
