@@ -14,9 +14,10 @@ One compute stream plus two copy streams (one per copy engine direction)
 are created per device — the simulation counterpart of the paper's
 one-invoker-thread-per-device design with concurrent copy/compute queues.
 
-Fault recovery (DESIGN.md §8): when the node carries a
-:class:`~repro.sim.faults.FaultPlan`, the ``wait``/``wait_all`` loops catch
-the engine's typed faults. A :class:`~repro.errors.TransientTransferError`
+Fault recovery (DESIGN.md §8): every loop that runs the simulation
+(``wait``, ``wait_all`` and the eviction pre-flight's drain) goes through
+one dispatcher, ``_drive``, which catches the engine's typed faults. A
+:class:`~repro.errors.TransientTransferError`
 is retried — from an alternate valid replica found via the Segment
 Location Monitor when one exists — after a capped exponential backoff in
 simulated time. A permanent :class:`~repro.errors.DeviceFault` (or an
@@ -45,7 +46,6 @@ from repro.core.memory_analyzer import MemoryAnalyzer
 from repro.core.plan import (
     COPY_MEMO_LIMIT,
     ChunkPlan,
-    ChunkStep,
     PlanCache,
     TaskPlan,
     build_chunk_plan,
@@ -95,8 +95,8 @@ class _TransferContext:
     ``payload_factory(op) -> payload`` overrides the default
     analyzer-buffer payload when the copy's destination is not the
     analyzer's allocation (chunk staging buffers, DESIGN.md §10): a retry
-    from an alternate replica must rebuild the payload against the same
-    staging destination."""
+    or hedge from an alternate replica (``_reroute``) must rebuild the
+    payload against the same staging destination."""
 
     datum: Optional[Datum]
     op: Optional[CopyOp]
@@ -138,6 +138,16 @@ class _GatherRecord:
     @property
     def complete(self) -> bool:
         return all(e is None or e.recorded for e in self.events)
+
+
+def _by_container(task: Task, per_input, per_output) -> list:
+    """Interleave items aligned with ``task.inputs`` and ``task.outputs``
+    into ``task.containers`` order."""
+    ins, outs = iter(per_input), iter(per_output)
+    return [
+        next(ins) if isinstance(c, InputContainer) else next(outs)
+        for c in task.containers
+    ]
 
 
 class Scheduler:
@@ -240,8 +250,8 @@ class Scheduler:
         #: token -> (device, pool buffers) for in-flight out-of-core chunk
         #: replays (DESIGN.md §10). Pools normally free themselves via a
         #: deferred command at the end of the chunk sequence; device
-        #: retirement clears all streams, so _retire_device force-frees
-        #: whatever is still registered here.
+        #: retirement and release clear streams, so _free_chunk_pools
+        #: force-frees whatever is still registered here.
         self._live_chunk_pools: dict[int, tuple[int, list[DeviceBuffer]]] = {}
         self._pool_tokens = 0
         # Straggler mitigation (DESIGN.md §11) — strictly opt-in via
@@ -318,14 +328,9 @@ class Scheduler:
         # the lease, crashing the next tenant's dispatches.
         if node.engine.observer == self._observe:
             node.engine.observer = None
-        # Chunk staging pools normally free themselves via a deferred
-        # command; a preempted or faulted lease may have destroyed that
-        # command, so force-free whatever is still registered.
-        for token, (dev, bufs) in list(self._live_chunk_pools.items()):
-            mem = node.devices[dev].memory
-            for b in bufs:
-                mem.free(b)
-            del self._live_chunk_pools[token]
+        # A preempted or faulted lease may have destroyed the pools'
+        # deferred free.
+        self._free_chunk_pools()
         self.analyzer.release_all()
         own = set()
         for group in (self._compute, self._copy_in, self._copy_out):
@@ -463,18 +468,9 @@ class Scheduler:
         here (see module docstring)."""
         self._check_live()
         self._no_capture("wait_all")
-        while True:
-            try:
-                t = self.node.run()
-            except TransientTransferError as f:
-                self._retry_transfer(f)
-            except StragglerAlarm as a:
-                self._mitigate(a)
-            except DeviceFault as f:
-                self._recover(f.device, f.time)
-            else:
-                self._prune_log()
-                return t
+        t = self._drive(self.node.run)
+        self._prune_log()
+        return t
 
     def wait(self, handle: TaskHandle) -> float:
         """Wait for a specific task; returns the simulated time at which
@@ -487,23 +483,20 @@ class Scheduler:
         ``wait_all``. The host clock advances to the task's completion
         time, as the calling host thread blocks until then.
         """
+        self._check_live()
         self._no_capture("wait")
         if handle is None or not isinstance(handle, TaskHandle) \
                 or handle.task is None:
             raise SchedulingError("invalid task handle")
-        while True:
+
+        def lap() -> float:
             if not handle.events:  # idle-task guard; active is never empty
                 return self.node.time
-            try:
-                # Recovery may have replaced the handle's events, so they
-                # are re-read on every lap.
-                return self.node.run_until(handle.events)
-            except TransientTransferError as f:
-                self._retry_transfer(f)
-            except StragglerAlarm as a:
-                self._mitigate(a)
-            except DeviceFault as f:
-                self._recover(f.device, f.time)
+            # Recovery may have replaced the handle's events, so they are
+            # re-read on every lap.
+            return self.node.run_until(handle.events)
+
+        return self._drive(lap)
 
     def mark_host_dirty(self, datum: Datum) -> None:
         """Tell the framework the bound host buffer was modified by the
@@ -573,7 +566,11 @@ class Scheduler:
             )
         return [self.invoke(kernel, *rest) for kernel, *rest in calls]
 
-    def _uninstall_capture_hooks(self) -> None:
+    def _stop_capture(self) -> None:
+        """End the recording: drop the capture state and its hooks."""
+        self._capture = None
+        self._capture_rec = None
+        self._capture_entry = None
         self.node.graph_recorder = None
         self.monitor.war_log = None
         for d in self.node.devices:
@@ -587,10 +584,7 @@ class Scheduler:
         graph, rec = self._capture, self._capture_rec
         entry, gen0 = self._capture_entry, self._capture_gen0
         war_log = self.monitor.war_log or set()
-        self._uninstall_capture_hooks()
-        self._capture = None
-        self._capture_rec = None
-        self._capture_entry = None
+        self._stop_capture()
         h_submit_end = self.node.host_time
         self.wait_all()
         graph._finalize(rec, entry, war_log, h_submit_end, gen0)
@@ -601,10 +595,7 @@ class Scheduler:
         if self._capture is None:
             return
         graph = self._capture
-        self._uninstall_capture_hooks()
-        self._capture = None
-        self._capture_rec = None
-        self._capture_entry = None
+        self._stop_capture()
         graph._fail("capture aborted")
 
     def capture(self) -> "_CaptureContext":
@@ -695,15 +686,14 @@ class Scheduler:
             cp = self._prepare_device(task, plan, d)
             if cp is not None:
                 chunked[d] = cp
+        in_core = [d for d in active if d not in chunked]
 
         # Lines 3-12: allocation and copy planning per device (the
         # segmentation rects come precomputed from the plan; only the
         # location-monitor copy computation depends on current residency).
         kernel_waits: dict[int, list[Event]] = {d: [] for d in active}
         copy_memo = plan.copy_memo if plan.memoize else None
-        for d in active:
-            if d in chunked:
-                continue
+        for d in in_core:
             dp = dplans[d]
             waits = kernel_waits[d]
             for i, (c, req) in enumerate(zip(inputs, dp.input_reqs)):
@@ -769,7 +759,7 @@ class Scheduler:
             for ev in kernel_waits[d]:
                 node.wait_event(stream, ev)
             payload = self._kernel_payload(
-                task, d, dplans[d].work_rect, num_active, race_pool
+                task, d, dplans[d], num_active, race_pool=race_pool
             )
             kcmd = node.launch_kernel(
                 stream, durations[d], payload, label=f"{task.name}@gpu{d}"
@@ -789,18 +779,14 @@ class Scheduler:
         # (reads at the copy sources, writes landed on the host) — except
         # for duplicated partials, which accumulate in the device-resident
         # buffer like the in-core path.
-        for d in active:
-            if d in chunked:
-                continue
+        for d in in_core:
             for c in inputs:
                 monitor.mark_read(c.datum, d, dev_events[d])
         for i, c in enumerate(outputs):
             if c.duplicated:
                 monitor.mark_partial(c.datum, c.aggregation, dev_events)
             else:
-                for d in active:
-                    if d in chunked:
-                        continue
+                for d in in_core:
                     monitor.mark_written(
                         c.datum, d, dplans[d].output_rects[i], dev_events[d]
                     )
@@ -832,21 +818,26 @@ class Scheduler:
             cached = plan.durations.get(key)
             if cached is not None:
                 return cached
-        node = self.node
-        durations = {}
-        for d in plan.active:
-            cost_ctx = CostContext(
-                work_rect=plan.device_plans[d].work_rect,
-                grid=task.grid,
-                containers=task.containers,
-                constants=task.constants,
-                spec=node.devices[d].spec,
-                calib=node.devices[d].calib,
-            )
-            durations[d] = task.kernel.duration(cost_ctx)
+        durations = {
+            d: self._duration(task, d, plan.device_plans[d].work_rect)
+            for d in plan.active
+        }
         if key is not None:
             plan.durations[key] = durations
         return durations
+
+    def _duration(self, task: Task, device: int, work_rect: Rect) -> float:
+        """The kernel cost model over one work rect on one device (a whole
+        segment, a speculated segment on an alternate, or one chunk)."""
+        dev = self.node.devices[device]
+        return task.kernel.duration(CostContext(
+            work_rect=work_rect,
+            grid=task.grid,
+            containers=task.containers,
+            constants=task.constants,
+            spec=dev.spec,
+            calib=dev.calib,
+        ))
 
     # -- straggler feedback (DESIGN.md §11) -----------------------------------------
     def _observe(
@@ -913,27 +904,24 @@ class Scheduler:
         time; evicting under them would read freed carcasses. Faults
         surfacing during the drain are handled exactly as in ``wait_all``.
         """
-        while True:
-            try:
-                self.node.run()
-            except TransientTransferError as f:
-                self._retry_transfer(f)
-            except StragglerAlarm as a:
-                self._mitigate(a)
-            except DeviceFault as f:
-                self._recover(f.device, f.time)
-            else:
-                return
+        self._drive(self.node.run)
 
-    def _alloc_task_buffers(self, task: Task, device: int) -> None:
+    def _alloc_task_buffers(self, task: Task, device: int) -> bool:
         """Allocate (or re-touch) every task buffer on a device, in the
         same input-then-output order the in-core planning loop always
         used, so FaultPlan nth-allocation numbering is unchanged on the
-        ample-capacity path."""
-        for c in task.inputs:
-            self.analyzer.buffer(c.datum, device)
-        for c in task.outputs:
-            self.analyzer.buffer(c.datum, device)
+        ample-capacity path. False on a genuine out-of-memory; an
+        injected allocation failure propagates."""
+        try:
+            for c in task.inputs:
+                self.analyzer.buffer(c.datum, device)
+            for c in task.outputs:
+                self.analyzer.buffer(c.datum, device)
+        except AllocationError as e:
+            if e.injected:
+                raise
+            return False
+        return True
 
     def _prepare_device(
         self, task: Task, plan: TaskPlan, device: int
@@ -956,12 +944,8 @@ class Scheduler:
         monitor = self.monitor
         node = self.node
         memory = node.devices[device].memory
-        try:
-            self._alloc_task_buffers(task, device)
+        if self._alloc_task_buffers(task, device):
             return None
-        except AllocationError as e:
-            if e.injected:
-                raise
         # Queued copies may still reference buffers about to be evicted;
         # drain them first. The drain can itself hit a fault and retire a
         # device, invalidating this replay's plan — abort and reschedule.
@@ -971,23 +955,15 @@ class Scheduler:
         task_dids = {id(c.datum) for c in task.containers}
         for salvage in (False, True):
             while True:
-                victims = [
-                    (datum, buf)
-                    for datum, buf in analyzer.buffers_on(device)
-                    if id(datum) not in task_dids
-                    and not monitor.has_partial_on(datum, device)
-                    and (salvage or monitor.evictable(datum, device))
-                ]
-                if not victims:
+                victim = next((
+                    datum for datum in self._cold_replicas(device, task_dids)
+                    if salvage or monitor.evictable(datum, device)
+                ), None)
+                if victim is None:
                     break
-                victims.sort(key=lambda v: (v[1].last_use, v[0].name))
-                self._evict_datum(victims[0][0], device, salvage=salvage)
-                try:
-                    self._alloc_task_buffers(task, device)
+                self._evict_datum(victim, device, salvage=salvage)
+                if self._alloc_task_buffers(task, device):
                     return None
-                except AllocationError as e:
-                    if e.injected:
-                        raise
         # Stage 2: the task's own staged inputs/outputs are streamed per
         # chunk instead of held whole; only duplicated outputs stay
         # resident (chunk kernels accumulate into them in place), and
@@ -1103,23 +1079,31 @@ class Scheduler:
         (return True); with nothing foreign left, drop the growing
         datum's own buffer — salvaging sole pieces — so it re-stages
         lazily at next use (return False)."""
-        monitor = self.monitor
-        candidates = [
-            (dat, buf)
-            for dat, buf in self.analyzer.buffers_on(device)
-            if dat is not datum and not monitor.has_partial_on(dat, device)
-        ]
-        candidates.sort(key=lambda v: (v[1].last_use, v[0].name))
-        for dat, _ in candidates:
-            if monitor.evictable(dat, device):
+        candidates = self._cold_replicas(device, {id(datum)})
+        for dat in candidates:
+            if self.monitor.evictable(dat, device):
                 self._evict_datum(dat, device, salvage=False)
                 return True
         if candidates:
-            self._evict_datum(candidates[0][0], device, salvage=True)
+            self._evict_datum(candidates[0], device, salvage=True)
             return True
         if self.analyzer.has_buffer(datum, device):
             self._evict_datum(datum, device, salvage=True)
         return False
+
+    def _cold_replicas(self, device: int, keep: set) -> list[Datum]:
+        """Eviction candidates on a device, least recently used first (ties
+        by name): every resident datum whose id is not in ``keep``, except
+        unaggregated partials, which are never evicted."""
+        monitor = self.monitor
+        victims = [
+            (datum, buf)
+            for datum, buf in self.analyzer.buffers_on(device)
+            if id(datum) not in keep
+            and not monitor.has_partial_on(datum, device)
+        ]
+        victims.sort(key=lambda v: (v[1].last_use, v[0].name))
+        return [datum for datum, _ in victims]
 
     def _pool_slice(
         self, device: int, pool: DeviceBuffer, rect: Rect, dtype
@@ -1264,9 +1248,12 @@ class Scheduler:
             label = f"{task.name}@gpu{d}#chunk{jn + 1}/{cp.num_chunks}"
             node.launch_kernel(
                 comp,
-                self._chunk_duration(task, d, step.work_rect),
-                self._chunk_kernel_payload(
-                    task, d, step, tmp_ins, tmp_outs, num_active
+                self._duration(task, d, step.work_rect),
+                self._kernel_payload(
+                    task, d, step, num_active,
+                    buffers=lambda ins=tmp_ins, outs=tmp_outs: _by_container(
+                        task, ins, outs
+                    ),
                 ),
                 label=label,
             )
@@ -1305,7 +1292,7 @@ class Scheduler:
         # Release the pools once the last kernel and every copy-out have
         # retired (the copy-out stream is in order; the zero-byte transfer
         # is pure bookkeeping). Device retirement clears streams, so
-        # _retire_device force-frees whatever is still registered.
+        # _free_chunk_pools force-frees whatever is still registered.
         node.wait_event(cout, last_kev)
 
         def free_pools(token=token, mem=mem):
@@ -1320,6 +1307,16 @@ class Scheduler:
         )
         done = node.record_event(cout, f"{task.name}@gpu{d}#done")
         return done, last_kev
+
+    def _free_chunk_pools(self) -> None:
+        """Force-free every registered chunk staging pool set: release and
+        device retirement destroy the streams holding the pools' deferred
+        free."""
+        for dev, bufs in self._live_chunk_pools.values():
+            mem = self.node.devices[dev].memory
+            for b in bufs:
+                mem.free(b)
+        self._live_chunk_pools.clear()
 
     def _chunk_in(
         self,
@@ -1372,108 +1369,18 @@ class Scheduler:
 
     def _chunk_in_factory(self, datum: Datum, tmp: DeviceBuffer, off):
         """Payload factory writing a copy's data into a staging buffer
-        (also used by transient-fault retries, which must rebuild the
-        payload for an alternate source against the *same* destination)."""
-        analyzer = self.analyzer
+        (also used by ``_reroute``, which must rebuild the payload for an
+        alternate source against the *same* destination)."""
 
         def factory(op: CopyOp):
             def payload() -> None:
-                if op.src == HOST:
-                    src_arr = datum.host[op.actual.slices()]
-                else:
-                    sbuf = analyzer.buffer(datum, op.src)
-                    virt = locate_virtual(sbuf, op.actual, datum.shape)
-                    src_arr = sbuf.view(virt)
-                tmp.view(op.actual.shift(off))[...] = src_arr
+                tmp.view(op.actual.shift(off))[...] = self._copy_source(
+                    datum, op
+                )
 
             return payload
 
         return factory
-
-    def _chunk_duration(
-        self, task: Task, device: int, work_rect: Rect
-    ) -> float:
-        """Kernel cost model over one chunk's (smaller) work rect."""
-        dev = self.node.devices[device]
-        return task.kernel.duration(CostContext(
-            work_rect=work_rect,
-            grid=task.grid,
-            containers=task.containers,
-            constants=task.constants,
-            spec=dev.spec,
-            calib=dev.calib,
-        ))
-
-    def _chunk_kernel_payload(
-        self,
-        task: Task,
-        device: int,
-        step: ChunkStep,
-        tmp_ins: list[DeviceBuffer],
-        tmp_outs: list[DeviceBuffer],
-        num_active: int,
-    ):
-        """Kernel payload over staging buffers. Chunk kernels run without a
-        sanitizer recorder: the conformance checks need whole-segment
-        recorders, which a chunked device cannot provide (documented
-        limitation, DESIGN.md §10)."""
-        if not self.node.functional or task.kernel.func is None:
-            return None
-        if task.kernel.raw:
-            from repro.core.unmodified import RoutineContext
-
-            def payload() -> None:
-                params: list = []
-                segments: list[Rect] = []
-                ii = oi = 0
-                for c in task.containers:
-                    if isinstance(c, InputContainer):
-                        seg = step.input_reqs[ii].virtual
-                        buf = tmp_ins[ii]
-                        ii += 1
-                    else:
-                        seg = step.output_rects[oi]
-                        buf = tmp_outs[oi]
-                        oi += 1
-                    params.append(buf.view(seg))
-                    segments.append(seg)
-                ctx = RoutineContext(
-                    device=device,
-                    num_devices=num_active,
-                    parameters=tuple(params),
-                    container_segments=tuple(segments),
-                    constants=task.constants,
-                    context=task.kernel.context,
-                )
-                task.kernel.func(ctx)
-
-            return payload
-
-        def payload() -> None:
-            views = []
-            ii = oi = 0
-            for i, c in enumerate(task.containers):
-                if isinstance(c, InputContainer):
-                    buf = tmp_ins[ii]
-                    ii += 1
-                else:
-                    buf = tmp_outs[oi]
-                    oi += 1
-                views.append(make_view(
-                    c, buf, task.grid.shape, step.work_rect,
-                    recorder=None, index=i,
-                ))
-            ctx = KernelContext(
-                device=device,
-                num_devices=num_active,
-                grid=task.grid,
-                work_rect=step.work_rect,
-                views=tuple(views),
-                constants=task.constants,
-            )
-            task.kernel.func(ctx)
-
-        return payload
 
     # -- helpers -------------------------------------------------------------------
     def _peers(self, device: int) -> list[int]:
@@ -1525,12 +1432,7 @@ class Scheduler:
         analyzer = self.analyzer
 
         def payload() -> None:
-            if op.src == HOST:
-                src_arr = datum.host[op.actual.slices()]
-            else:
-                sbuf = analyzer.buffer(datum, op.src)
-                virt = locate_virtual(sbuf, op.actual, datum.shape)
-                src_arr = sbuf.view(virt)
+            src_arr = self._copy_source(datum, op)
             if op.dst == HOST:
                 datum.host[op.actual.slices()] = src_arr
             else:
@@ -1542,6 +1444,14 @@ class Scheduler:
                     dbuf.view(virt)[...] = src_arr
 
         return payload
+
+    def _copy_source(self, datum: Datum, op: CopyOp):
+        """The array a segment copy reads (resolved when its payload runs,
+        since the source buffer may be allocated or grown until then)."""
+        if op.src == HOST:
+            return datum.host[op.actual.slices()]
+        sbuf = self.analyzer.buffer(datum, op.src)
+        return sbuf.view(locate_virtual(sbuf, op.actual, datum.shape))
 
     def _enqueue_clear(
         self, task: Task, container: OutputContainer, device: int,
@@ -1567,13 +1477,56 @@ class Scheduler:
             label=f"memset:{container.datum.name}@gpu{device}",
         )
 
-    def _kernel_payload(self, task: Task, device: int, work_rect: Rect,
-                        num_active: int, race_pool: dict | None = None):
-        if not self.node.functional or task.kernel.func is None:
+    def _kernel_payload(
+        self, task: Task, device: int, step, num_active: int,
+        race_pool: dict | None = None, buffers=None,
+    ):
+        """Functional payload running the kernel over one share of a task.
+
+        ``step`` is a :class:`~repro.core.plan.DevicePlan` (a segment, run
+        on its own device or speculated on another) or a
+        :class:`~repro.core.plan.ChunkStep` (one out-of-core chunk); both
+        carry the work rect, input requirements and owned output rects.
+        ``buffers()`` is called at dispatch and returns the device buffers
+        in ``task.containers`` order: by default the analyzer's buffers on
+        ``device``, for chunks their staging slices. Unmodified routines
+        (§4.6) get raw segment arrays, kernels get pattern views. With a
+        ``race_pool`` (sanitize mode) the views record their accesses and
+        the conformance checks run after the kernel; chunk kernels run
+        without one (DESIGN.md §10).
+        """
+        kernel = task.kernel
+        if not self.node.functional or kernel.func is None:
             return None
-        if task.kernel.raw:
-            return self._routine_payload(task, device, work_rect, num_active)
-        analyzer = self.analyzer
+        if buffers is None:
+            analyzer = self.analyzer
+
+            def buffers() -> list[DeviceBuffer]:
+                return [
+                    analyzer.buffer(c.datum, device) for c in task.containers
+                ]
+        if kernel.raw:
+            from repro.core.unmodified import RoutineContext
+
+            segments = tuple(_by_container(
+                task, [req.virtual for req in step.input_reqs],
+                step.output_rects,
+            ))
+
+            def payload() -> None:
+                kernel.func(RoutineContext(
+                    device=device,
+                    num_devices=num_active,
+                    parameters=tuple(
+                        buf.view(seg) for buf, seg in zip(buffers(), segments)
+                    ),
+                    container_segments=segments,
+                    constants=task.constants,
+                    context=kernel.context,
+                ))
+
+            return payload
+        work_rect = step.work_rect
 
         def payload() -> None:
             recorder = None
@@ -1585,24 +1538,19 @@ class Scheduler:
                 )
             views = tuple(
                 make_view(
-                    c,
-                    analyzer.buffer(c.datum, device),
-                    task.grid.shape,
-                    work_rect,
-                    recorder=recorder,
-                    index=i,
+                    c, buf, task.grid.shape, work_rect,
+                    recorder=recorder, index=i,
                 )
-                for i, c in enumerate(task.containers)
+                for i, (c, buf) in enumerate(zip(task.containers, buffers()))
             )
-            ctx = KernelContext(
+            kernel.func(KernelContext(
                 device=device,
                 num_devices=num_active,
                 grid=task.grid,
                 work_rect=work_rect,
                 views=views,
                 constants=task.constants,
-            )
-            task.kernel.func(ctx)
+            ))
             if recorder is not None:
                 from repro.sanitize.checker import check_races, check_segment
 
@@ -1619,37 +1567,6 @@ class Scheduler:
                     raise errors[0]
 
         return payload
-
-    def _routine_payload(self, task: Task, device: int, work_rect: Rect,
-                         num_active: int):
-        """Payload for unmodified routines: raw segment arrays (§4.6)."""
-        from repro.core.unmodified import RoutineContext
-
-        analyzer = self.analyzer
-
-        def payload() -> None:
-            params: list = []
-            segments: list[Rect] = []
-            for c in task.containers:
-                if isinstance(c, InputContainer):
-                    seg = c.required(task.grid.shape, work_rect).virtual
-                else:
-                    seg = c.owned(task.grid.shape, work_rect)
-                buf = analyzer.buffer(c.datum, device)
-                params.append(buf.view(seg))
-                segments.append(seg)
-            ctx = RoutineContext(
-                device=device,
-                num_devices=num_active,
-                parameters=tuple(params),
-                container_segments=tuple(segments),
-                constants=task.constants,
-                context=task.kernel.context,
-            )
-            task.kernel.func(ctx)
-
-        return payload
-
     # -- device-level reduce-scatter (Algorithm 1, line 17) -------------------------
     def _resolve_aggregation(
         self, datum: Datum, consumer_rects: dict[int, Rect]
@@ -1818,7 +1735,6 @@ class Scheduler:
         self.monitor.mark_aggregated(datum, hev)
         return hev
 
-    # -- fault recovery (DESIGN.md §8) ---------------------------------------------
     # -- straggler mitigation (DESIGN.md §11) -----------------------------------
     def _mitigate(self, alarm: StragglerAlarm) -> None:
         """React to a watchdog alarm: speculatively re-execute a lagging
@@ -1934,7 +1850,7 @@ class Scheduler:
             nbytes = op.actual.size * datum.dtype.itemsize
             t += topo.transfer_time(nbytes, topo.path(op.src, alt)) \
                 * self._ewma_t.get((op.src, alt), 1.0)
-        t += self._chunk_duration(origin.task, alt, dp.work_rect) \
+        t += self._duration(origin.task, alt, dp.work_rect) \
             * max(1.0, self._ewma_c.get(alt, 1.0))
         back = self._ewma_t.get((alt, origin.device), 1.0)
         for i, c in enumerate(origin.task.outputs):
@@ -2009,11 +1925,10 @@ class Scheduler:
         # speculation cleanly; an injected one retires the device (the
         # standard allocation-fault path).
         try:
-            for c in task.inputs:
-                rect = c.required(task.grid.shape, dp.work_rect).virtual
+            for c, req in zip(task.inputs, dp.input_reqs):
+                self.analyzer.absorb(c.datum, alt, req.virtual)
+            for c, rect in zip(task.outputs, dp.output_rects):
                 self.analyzer.absorb(c.datum, alt, rect)
-            for i, c in enumerate(task.outputs):
-                self.analyzer.absorb(c.datum, alt, dp.output_rects[i])
             for c in task.containers:
                 self.analyzer.buffer(c.datum, alt)
         except AllocationError as e:
@@ -2030,12 +1945,10 @@ class Scheduler:
         node.wait_event(stream, origin.dev_events[alt])
         for datum, op in staging:
             self._enqueue_copy(datum, op, stream=stream)
-        payload = self._kernel_payload(
-            task, alt, dp.work_rect, origin.num_active, None
-        )
+        payload = self._kernel_payload(task, alt, dp, origin.num_active)
         label = f"spec:{task.name}@gpu{alt}"
         node.launch_kernel(
-            stream, self._chunk_duration(task, alt, dp.work_rect), payload,
+            stream, self._duration(task, alt, dp.work_rect), payload,
             label=label,
         )
         skev = node.record_event(stream, label)
@@ -2068,17 +1981,8 @@ class Scheduler:
         the route is degraded beyond the mitigation budget."""
         node = self.node
         fp = node.faults
-        cmd, stream = alarm.command, alarm.stream
-        ctx = cmd.origin
-        op = ctx.op if ctx is not None else None
-        alt = None
-        if op is not None:
-            ready = self.monitor.ready_replicas(
-                ctx.datum, op.actual, exclude=(op.src,),
-                dead=node.engine.dead,
-            )
-            if ready:
-                alt = ready[0]
+        cmd = alarm.command
+        alt = self._alternate(cmd.origin)
         has_budget = fp.hedges_fired < fp.max_speculations
         if alt is None and not has_budget:
             raise StragglerTimeoutError(
@@ -2095,28 +1999,78 @@ class Scheduler:
             # alternate starts at the hedging deadline and may itself be
             # running over calibration.
             topo = node.topology
+            dst = cmd.origin.op.dst
             est = alarm.time + topo.transfer_time(
-                cmd.nbytes, topo.path(alt[0], op.dst, cmd.pageable)
-            ) * self._ewma_t.get((alt[0], op.dst), 1.0)
+                cmd.nbytes, topo.path(alt[0], dst, cmd.pageable)
+            ) * self._ewma_t.get((alt[0], dst), 1.0)
             if est >= alarm.projected_end:
                 alt = None
         if alt is None or not has_budget:
             self._run_slow(alarm)
             return
         fp.hedges_fired += 1
+        self._reroute(cmd, alarm.stream, alt, "hedge", alarm.time)
+
+    # -- fault recovery (DESIGN.md §8) ---------------------------------------------
+    def _drive(self, run):
+        """Call ``run()`` until it returns, recovering from every typed
+        fault it surfaces: a transient transfer fault is retried, a
+        straggler alarm mitigated, a permanent device fault recovered
+        from. The one fault loop behind ``wait``, ``wait_all`` and
+        ``_settle``."""
+        while True:
+            try:
+                return run()
+            except TransientTransferError as f:
+                self._retry_transfer(f)
+            except StragglerAlarm as a:
+                self._mitigate(a)
+            except DeviceFault as f:
+                self._recover(f.device, f.time)
+
+    def _alternate(
+        self, ctx: Optional[_TransferContext]
+    ) -> Optional[tuple[int, Optional[Event]]]:
+        """The first ready replica (peer devices first, host last) of a
+        segment copy's bytes other than its current source, as ``(src,
+        producer event)``; None for copies without provenance. Only ready
+        replicas are eligible (see LocationMonitor.ready_replicas)."""
+        op = ctx.op if ctx is not None else None
+        if op is None:
+            return None
+        ready = self.monitor.ready_replicas(
+            ctx.datum, op.actual, exclude=(op.src,),
+            dead=self.node.engine.dead,
+        )
+        return ready[0] if ready else None
+
+    def _reroute(
+        self, cmd, stream, alt: tuple[int, Optional[Event]], kind: str,
+        not_before: float,
+    ) -> None:
+        """Re-issue a segment copy from the alternate replica ``alt``
+        (``kind`` is ``"retry"`` or ``"hedge"``, also the label prefix),
+        starting no earlier than ``not_before``. The replacement goes to
+        the *front* of the copy's stream, so the already queued completion
+        EventRecord still publishes the copy to its waiters. Chunk-staging
+        copies rebuild their payload against the same staging destination
+        (``payload_factory``); regular copies target the analyzer's
+        buffer."""
+        ctx = cmd.origin
+        op = ctx.op
         src, src_ev = alt
         new_op = CopyOp(src, op.dst, op.actual, src_ev)
         ctx.op = new_op
         payload = None
-        if node.functional:
+        if self.node.functional:
             if ctx.payload_factory is not None:
                 payload = ctx.payload_factory(new_op)
             else:
                 payload = self._copy_payload(ctx.datum, new_op)
         replacement = type(cmd)(
-            label=f"hedge:{cmd.label}",
+            label=f"{kind}:{cmd.label}",
             payload=payload,
-            earliest_start=max(cmd.earliest_start, alarm.time),
+            earliest_start=max(cmd.earliest_start, not_before),
             src=src,
             dst=op.dst,
             nbytes=cmd.nbytes,
@@ -2126,9 +2080,16 @@ class Scheduler:
         )
         stream.commands.appendleft(replacement)
         if src_ev is not None:
+            # Already recorded (eligibility filter), but waiting pins the
+            # replacement's start after the replica's producer. A retry's
+            # wait keeps the faulted copy's own start; a hedge's starts
+            # with its replacement at the hedging deadline.
             stream.commands.appendleft(EventWait(
                 label=f"wait:{src_ev.label}",
-                earliest_start=replacement.earliest_start,
+                earliest_start=(
+                    cmd.earliest_start if kind == "retry"
+                    else replacement.earliest_start
+                ),
                 event=src_ev,
             ))
             if ctx.done_event is not None:
@@ -2139,13 +2100,10 @@ class Scheduler:
         backoff in simulated time.
 
         A segment copy (it carries a :class:`_TransferContext`) is retried
-        from an alternate valid replica when the location monitor knows one
-        whose producer has already run — peer devices first, host last;
-        otherwise over the original route, which is always safe because the
-        original source dependency was already satisfied. The replacement
-        is pushed to the *front* of the faulted stream, so the already
-        queued completion EventRecord still publishes the copy's
-        completion to its waiters.
+        from an alternate valid replica (:meth:`_alternate`) when the
+        location monitor knows one, via :meth:`_reroute`; otherwise over
+        the original route, which is always safe because the original
+        source dependency was already satisfied before the first attempt.
         """
         plan = self.node.faults
         cmd, stream = fault.command, fault.stream
@@ -2159,58 +2117,12 @@ class Scheduler:
                 f"{ctx.attempt - 1} retries"
             ) from fault
         not_before = fault.time + plan.backoff(ctx.attempt)
-        op = ctx.op
-        alt = None
-        if op is not None:
-            # Only ready replicas are eligible (see
-            # LocationMonitor.ready_replicas). The original route needs no
-            # such care — its source dependency was satisfied before the
-            # first attempt.
-            ready = self.monitor.ready_replicas(
-                ctx.datum, op.actual, exclude=(op.src,),
-                dead=self.node.engine.dead,
-            )
-            alt = ready[0] if ready else None
+        alt = self._alternate(ctx)
         if alt is None:
             cmd.earliest_start = max(cmd.earliest_start, not_before)
             stream.commands.appendleft(cmd)
             return
-        src, src_ev = alt
-        new_op = CopyOp(src, op.dst, op.actual, src_ev)
-        ctx.op = new_op
-        payload = None
-        if self.node.functional:
-            # Chunk-staging copies rebuild their payload against the same
-            # staging destination; regular copies target the analyzer's
-            # buffer.
-            if ctx.payload_factory is not None:
-                payload = ctx.payload_factory(new_op)
-            else:
-                payload = self._copy_payload(ctx.datum, new_op)
-        replacement = type(cmd)(
-            label=f"retry:{cmd.label}",
-            payload=payload,
-            earliest_start=max(cmd.earliest_start, not_before),
-            src=src,
-            dst=op.dst,
-            nbytes=cmd.nbytes,
-            pageable=cmd.pageable,
-            extra_latency=cmd.extra_latency,
-            origin=ctx,
-        )
-        stream.commands.appendleft(replacement)
-        if src_ev is not None:
-            # Already recorded (eligibility filter), but waiting pins the
-            # retry's start time after the replica's producer.
-            stream.commands.appendleft(
-                EventWait(
-                    label=f"wait:{src_ev.label}",
-                    earliest_start=cmd.earliest_start,
-                    event=src_ev,
-                )
-            )
-            if ctx.done_event is not None:
-                self.monitor.mark_read(ctx.datum, src, ctx.done_event)
+        self._reroute(cmd, stream, alt, "retry", not_before)
 
     def _recover(self, device: int, at_time: float) -> None:
         """Permanent-failure recovery: retire the device and resubmit every
@@ -2247,14 +2159,9 @@ class Scheduler:
         for s in node.streams:
             s.commands.clear()
         node.host_time = max(node.host_time, at_time)
-        # Chunk staging pools free themselves through a deferred command
-        # the stream purge just destroyed — force-free every registered
-        # pool set (on the dead device this is accounting hygiene only).
-        for token, (dev, bufs) in list(self._live_chunk_pools.items()):
-            mem = node.devices[dev].memory
-            for b in bufs:
-                mem.free(b)
-            del self._live_chunk_pools[token]
+        # The stream purge destroyed the pools' deferred free (on the
+        # dead device, freeing is accounting hygiene only).
+        self._free_chunk_pools()
         self.monitor.invalidate_for_recovery((device,))
         self.plans.invalidate_device(device)
         self._peer_cache.clear()

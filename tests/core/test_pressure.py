@@ -27,6 +27,7 @@ from repro.kernels.histogram import histogram_containers, make_histogram_kernel
 from repro.libs.cublas import make_sgemm_routine, sgemm_containers
 from repro.sim import DeviceFailure, FaultPlan, SimNode, TransferFault
 from repro.sim.trace_export import to_chrome_trace
+from repro.utils.rect import Rect
 
 FACTORS = (0.6, 0.3, 0.1)
 
@@ -40,10 +41,17 @@ GOL_N = 1024
 GOL_ITERS = 3
 
 
-def run_gol(capacity=None, n=GOL_N, iters=GOL_ITERS, faults=None):
+def run_gol(capacity=None, n=GOL_N, iters=GOL_ITERS, faults=None, gpus=4,
+            ballast=0):
+    """``ballast`` bytes of foreign data occupy device 0 before the run,
+    oversubscribing it alone."""
     spec = GTX_780 if capacity is None else capped(GTX_780, capacity)
     board = np.random.default_rng(7).integers(0, 2, (n, n), dtype=np.uint8)
-    node = SimNode(spec, 4, functional=True, faults=faults)
+    node = SimNode(spec, gpus, functional=True, faults=faults)
+    if ballast:
+        node.devices[0].memory.allocate(
+            0, Rect.from_shape((int(ballast),)), np.uint8
+        )
     sched = Scheduler(node)
     a = Matrix(n, n, np.uint8, "A").bind(board.copy())
     b = Matrix(n, n, np.uint8, "B").bind(np.zeros_like(board))
@@ -189,6 +197,27 @@ class TestPressureWithFaults:
         )
         assert np.array_equal(out, ref)
         assert fp.transfer_faults_fired >= 3
+
+    def test_chunk_in_copy_rerouted_to_another_replica(self):
+        # Only device 0 is oversubscribed, so it chunks while device 1
+        # runs in-core. Device 0's chunk-in copies then source halo rows
+        # from device 1's fresh replica; faulting the first one re-sources
+        # it from the host, whose payload must still fill the same staging
+        # slab.
+        from repro.hardware.topology import HOST
+
+        _, _, _, node = run_gol(n=self.N, iters=self.ITERS, gpus=2)
+        ws = max(r["peak"] for r in node.memory_report().values())
+        fp = FaultPlan(transfer_faults=[TransferFault(src=1, dst=0, nth=1)])
+        out, _, sched, node = run_gol(
+            capacity=ws, n=self.N, iters=self.ITERS, faults=fp, gpus=2,
+            ballast=ws // 2,
+        )
+        assert np.array_equal(out, gol_expected(self.N, self.ITERS))
+        assert fp.transfer_faults_fired == 1
+        retried = node.trace.matching("retry:chunk-in:")
+        assert len(retried) == 1 and retried[0].src == HOST
+        assert not sched._live_chunk_pools
 
 
 # -- Histogram (duplicated output stays resident across chunks) ------------------

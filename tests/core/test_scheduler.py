@@ -19,6 +19,7 @@ from repro.patterns import (
     Window2D,
 )
 from repro.sim import SimNode
+from repro.utils.rect import Rect
 
 
 def make_gol_kernel():
@@ -477,6 +478,34 @@ class TestSchedulerErrors:
             sched.wait(None)
         with pytest.raises(SchedulingError, match="invalid task handle"):
             sched.wait("not-a-handle")
+
+    @pytest.mark.parametrize("entry", [
+        "invoke", "analyze_call", "wait", "wait_all", "gather",
+        "gather_region",
+    ])
+    def test_released_scheduler_refuses_to_be_driven(self, entry):
+        node = SimNode(GTX_780, 2, functional=True)
+        sched = Scheduler(node)
+        n = 16
+        a = Matrix(n, n, np.int32, "A").bind(np.ones((n, n), np.int32))
+        b = Matrix(n, n, np.int32, "B").bind(np.zeros((n, n), np.int32))
+        k = make_gol_kernel()
+        containers = (Window2D(a, 1, WRAP), StructuredInjective(b))
+        sched.analyze_call(k, *containers)
+        handle = sched.invoke(k, *containers)  # still queued at release
+        sched.release()
+        calls = {
+            "invoke": lambda: sched.invoke(k, *containers),
+            "analyze_call": lambda: sched.analyze_call(k, *containers),
+            "wait": lambda: sched.wait(handle),
+            "wait_all": sched.wait_all,
+            "gather": lambda: sched.gather(b),
+            "gather_region": lambda: sched.gather_region(
+                b, Rect.from_shape((4, n))
+            ),
+        }
+        with pytest.raises(SchedulingError, match="released"):
+            calls[entry]()
 
     def test_unanalyzed_invoke_raises_analysis_error(self):
         from repro.errors import AnalysisError
