@@ -12,17 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core import Grid, Matrix, Scheduler, Vector
+from repro.bench.workloads import drain, gol, histogram, sgemm_chain, steady
+from repro.core import Matrix, Scheduler, Vector
 from repro.hardware.calibration import calibration_for
 from repro.hardware.specs import GPUSpec
-from repro.kernels.game_of_life import gol_containers, make_gol_kernel
-from repro.kernels.histogram import (
-    histogram_containers,
-    make_histogram_kernel,
-    make_naive_histogram_routine,
-)
-from repro.libs.cub import make_cub_histogram_routine
-from repro.libs.cublas import make_sgemm_routine, sgemm_containers
 from repro.libs.cublasxt import XtGemm, make_xt_node
 from repro.sim.node import SimNode
 
@@ -47,6 +40,18 @@ class ScalingResult:
             self.speedups = [base / t for t in self.times]
 
 
+def _per_iter(spec: GPUSpec, num_gpus: int, iters: int, build) -> float:
+    """Steady-state simulated seconds per iteration of ``build(sched)``'s
+    loop, after a warm-up iteration that pays the initial distribution."""
+    node = SimNode(spec, num_gpus, functional=False)
+    loop = build(Scheduler(node))
+    loop.warm_up()
+    t0 = node.time
+    steady(loop, iters)
+    drain(loop, iters)
+    return (node.time - t0) / iters
+
+
 # -- Game of Life --------------------------------------------------------------
 def run_gol(
     spec: GPUSpec,
@@ -54,44 +59,14 @@ def run_gol(
     size: int = PAPER_SIZE,
     iters: int = 10,
     variant: str = "maps_ilp",
-    use_graph: bool = False,
 ) -> float:
-    """Steady-state seconds per Game-of-Life tick over MAPS-Multi.
-
-    With ``use_graph`` the steady-state loop is captured once as an
-    iteration graph (DESIGN.md §12) and replayed as a macro-command —
-    same simulated timeline, an order of magnitude less host work.
-    """
-    node = SimNode(spec, num_gpus, functional=False)
-    sched = Scheduler(node)
-    a = Matrix(size, size, np.int32, "A")
-    b = Matrix(size, size, np.int32, "B")
-    kernel = make_gol_kernel(variant)
-    sched.analyze_call(kernel, *gol_containers(a, b, variant))
-    sched.analyze_call(kernel, *gol_containers(b, a, variant))
-    # Warm-up tick: pays the initial host->device distribution.
-    sched.invoke(kernel, *gol_containers(a, b, variant))
-    sched.wait_all()
-    t0 = node.time
-    if use_graph and iters >= 3:
-        # Tick 0 (eager) finishes distributing B; ticks 1-2 are then one
-        # steady-state ping-pong period — capture it, replay the rest,
-        # finish any odd tick eagerly.
-        sched.invoke(kernel, *gol_containers(b, a, variant))
-        periods, extra = divmod(iters - 3, 2)
-        with sched.capture() as g:
-            sched.invoke(kernel, *gol_containers(a, b, variant))
-            sched.invoke(kernel, *gol_containers(b, a, variant))
-        if periods:
-            g.launch(periods)
-        for i in range(extra):
-            sched.invoke(kernel, *gol_containers(a, b, variant))
-    else:
-        for i in range(iters):
-            src, dst = (b, a) if i % 2 == 0 else (a, b)
-            sched.invoke(kernel, *gol_containers(src, dst, variant))
-    sched.wait_all()
-    return (node.time - t0) / iters
+    """Steady-state seconds per Game-of-Life tick over MAPS-Multi."""
+    return _per_iter(spec, num_gpus, iters, lambda sched: gol(
+        sched,
+        Matrix(size, size, np.int32, "A"),
+        Matrix(size, size, np.int32, "B"),
+        variant,
+    ))
 
 
 def gol_scaling(spec: GPUSpec, gpu_counts=(1, 2, 3, 4)) -> ScalingResult:
@@ -117,47 +92,19 @@ def run_histogram(
     size: int = PAPER_SIZE,
     bins: int = PAPER_BINS,
     iters: int = 10,
-    use_graph: bool = False,
 ) -> float:
     """Seconds per 256-bin histogram of a resident size^2 8-bit image,
-    including the partial-result aggregation."""
-    node = SimNode(spec, num_gpus, functional=False)
-    sched = Scheduler(node)
-    image = Matrix(size, size, np.uint8, "image")
-    hist = Vector(bins, np.int32, "hist")
-    if impl == "maps":
-        kernel = make_histogram_kernel("maps")
-        invoke = sched.invoke
-    elif impl == "naive":
-        kernel = make_naive_histogram_routine()
-        invoke = sched.invoke_unmodified
-    elif impl == "cub":
-        kernel = make_cub_histogram_routine()
-        invoke = sched.invoke_unmodified
-    else:
-        raise ValueError(f"unknown histogram impl {impl!r}")
-    containers = histogram_containers(image, hist)
-    grid = Grid((size, size))
-    sched.analyze_call(kernel, *containers, grid=grid)
-    # Warm-up: distributes the image.
-    invoke(kernel, *containers, grid=grid)
-    sched.wait_all()
-    t0 = node.time
-    # The measured loop is kernel throughput (§5.1: the histogram requires
-    # no inter-GPU communication); the 1 KiB partial aggregation happens
-    # once at the end and is amortized.
-    if use_graph and iters >= 1:
-        # Every invocation is identical (no ping-pong): the period is a
-        # single invoke.
-        with sched.capture() as g:
-            invoke(kernel, *containers, grid=grid)
-        if iters > 1:
-            g.launch(iters - 1)
-    else:
-        for _ in range(iters):
-            invoke(kernel, *containers, grid=grid)
-    sched.gather(hist)
-    return (node.time - t0) / iters
+    including the partial-result aggregation.
+
+    The measured loop is kernel throughput (§5.1: the histogram requires
+    no inter-GPU communication); the 1 KiB partial aggregation happens
+    once at the end and is amortized."""
+    return _per_iter(spec, num_gpus, iters, lambda sched: histogram(
+        sched,
+        Matrix(size, size, np.uint8, "image"),
+        Vector(bins, np.int32, "hist"),
+        impl,
+    ))
 
 
 def histogram_scaling(
@@ -173,41 +120,16 @@ def run_gemm_chain(
     num_gpus: int,
     size: int = PAPER_SIZE,
     chain: int = 10,
-    use_graph: bool = False,
 ) -> float:
     """Steady-state seconds per multiplication in a chain
     X_{i+1} = X_i @ B of size^2 matrices (the §5.4 workload), running
     unmodified CUBLAS under MAPS-Multi."""
-    node = SimNode(spec, num_gpus, functional=False)
-    sched = Scheduler(node)
-    b = Matrix(size, size, np.float32, "B")
-    x = Matrix(size, size, np.float32, "X")
-    y = Matrix(size, size, np.float32, "Y")
-    gemm = make_sgemm_routine()
-    sched.analyze_call(gemm, *sgemm_containers(x, b, y))
-    sched.analyze_call(gemm, *sgemm_containers(y, b, x))
-    # Warm-up: distributes X stripes and replicates B.
-    sched.invoke_unmodified(gemm, *sgemm_containers(x, b, y))
-    sched.wait_all()
-    t0 = node.time
-    if use_graph and chain >= 3:
-        # Multiplication 0 (eager) finishes distributing the second
-        # operand; 1-2 are then one steady-state period.
-        sched.invoke_unmodified(gemm, *sgemm_containers(y, b, x))
-        periods, extra = divmod(chain - 3, 2)
-        with sched.capture() as g:
-            sched.invoke_unmodified(gemm, *sgemm_containers(x, b, y))
-            sched.invoke_unmodified(gemm, *sgemm_containers(y, b, x))
-        if periods:
-            g.launch(periods)
-        for i in range(extra):
-            sched.invoke_unmodified(gemm, *sgemm_containers(x, b, y))
-    else:
-        for i in range(chain):
-            src, dst = (y, x) if i % 2 == 0 else (x, y)
-            sched.invoke_unmodified(gemm, *sgemm_containers(src, b, dst))
-    sched.wait_all()
-    return (node.time - t0) / chain
+    return _per_iter(spec, num_gpus, chain, lambda sched: sgemm_chain(
+        sched,
+        Matrix(size, size, np.float32, "X"),
+        Matrix(size, size, np.float32, "B"),
+        Matrix(size, size, np.float32, "Y"),
+    ))
 
 
 def gemm_scaling(spec: GPUSpec, gpu_counts=(1, 2, 3, 4)) -> ScalingResult:

@@ -21,14 +21,10 @@ from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
-
 from repro.bench.reporting import fmt_table
-from repro.core import Grid, Matrix, Scheduler, Vector
+from repro.bench.workloads import TIMING, run
+from repro.core import Scheduler
 from repro.hardware.specs import GPUSpec, GTX_780
-from repro.kernels.game_of_life import gol_containers, make_gol_kernel
-from repro.kernels.histogram import histogram_containers, make_histogram_kernel
-from repro.libs.cublas import make_sgemm_routine, sgemm_containers
 from repro.sim.faults import DeviceFailure, FaultPlan, Straggler
 from repro.sim.node import SimNode
 
@@ -37,71 +33,20 @@ ITERS = 10
 NUM_GPUS = 4
 
 
-def _run_gol(spec: GPUSpec, size: int, iters: int, faults) -> dict:
+def _run(
+    name: str, spec: GPUSpec, size: int, iters: int, faults: FaultPlan | None
+) -> dict:
     node = SimNode(spec, NUM_GPUS, functional=False, faults=faults)
     sched = Scheduler(node)
-    kernel = make_gol_kernel()
-    a = Matrix(size, size, np.uint8, "gol_a")
-    b = Matrix(size, size, np.uint8, "gol_b")
-    sched.analyze_call(kernel, *gol_containers(a, b))
-    sched.analyze_call(kernel, *gol_containers(b, a))
-    cur, nxt = a, b
-    for _ in range(iters):
-        sched.invoke(kernel, *gol_containers(cur, nxt))
-        sched.gather(nxt)  # per-iteration checkpoint
-        cur, nxt = nxt, cur
-    return _result(node, sched, faults)
-
-
-def _run_histogram(spec: GPUSpec, size: int, iters: int, faults) -> dict:
-    node = SimNode(spec, NUM_GPUS, functional=False, faults=faults)
-    sched = Scheduler(node)
-    kernel = make_histogram_kernel("maps")
-    image = Matrix(size, size, np.uint8, "image")
-    hist = Vector(256, np.int32, "hist")
-    containers = histogram_containers(image, hist)
-    grid = Grid((size, size))
-    sched.analyze_call(kernel, *containers, grid=grid)
-    for _ in range(iters):
-        sched.invoke(kernel, *containers, grid=grid)
-        sched.gather(hist)
-    return _result(node, sched, faults)
-
-
-def _run_sgemm(spec: GPUSpec, size: int, iters: int, faults) -> dict:
-    node = SimNode(spec, NUM_GPUS, functional=False, faults=faults)
-    sched = Scheduler(node)
-    gemm = make_sgemm_routine()
-    bmat = Matrix(size, size, np.float32, "B")
-    x = Matrix(size, size, np.float32, "X")
-    y = Matrix(size, size, np.float32, "Y")
-    sched.analyze_call(gemm, *sgemm_containers(x, bmat, y))
-    sched.analyze_call(gemm, *sgemm_containers(y, bmat, x))
-    cur, nxt = x, y
-    for _ in range(iters):
-        sched.invoke_unmodified(gemm, *sgemm_containers(cur, bmat, nxt))
-        sched.gather(nxt)
-        cur, nxt = nxt, cur
-    return _result(node, sched, faults)
-
-
-def _result(node: SimNode, sched: Scheduler, faults) -> dict:
-    t = sched.wait_all()
+    run(TIMING[name](sched, size), iters, sync="gather")
     return {
-        "sim_time": t,
+        "sim_time": sched.wait_all(),
         "commands": node.engine.commands_executed,
         "alive_devices": list(sched.alive_devices),
         "transfer_faults_fired": (
             faults.transfer_faults_fired if faults else 0
         ),
     }
-
-
-WORKLOADS: dict[str, Callable[[GPUSpec, int, int, FaultPlan | None], dict]] = {
-    "game_of_life": _run_gol,
-    "histogram": _run_histogram,
-    "sgemm_chain": _run_sgemm,
-}
 
 
 def _scenarios(baseline_time: float) -> dict[str, Callable[[], FaultPlan]]:
@@ -134,14 +79,14 @@ def measure_faults(
         "iters": iters,
         "workloads": {},
     }
-    for name, fn in WORKLOADS.items():
-        baseline = fn(spec, size, iters, None)
+    for name in TIMING:
+        baseline = _run(name, spec, size, iters, None)
         entry = {"baseline": baseline}
         for scen, make_plan in _scenarios(baseline["sim_time"]).items():
-            r = fn(spec, size, iters, make_plan())
+            r = _run(name, spec, size, iters, make_plan())
             r["overhead"] = r["sim_time"] / baseline["sim_time"]
             entry[scen] = r
-        replay = fn(spec, size, iters, _scenarios(
+        replay = _run(name, spec, size, iters, _scenarios(
             baseline["sim_time"])["permanent"]())
         assert replay["sim_time"] == entry["permanent"]["sim_time"], (
             f"{name}: permanent-failure recovery is nondeterministic "

@@ -31,16 +31,11 @@ points — rather than against the plain cached run.
 from __future__ import annotations
 
 import time
-from typing import Callable
-
-import numpy as np
 
 from repro.bench.reporting import best_of, fmt_table
-from repro.core import Grid, Matrix, Scheduler, Vector
+from repro.bench.workloads import TIMING, drain, steady
+from repro.core import Scheduler
 from repro.hardware.specs import GPUSpec, GTX_780
-from repro.kernels.game_of_life import gol_containers, make_gol_kernel
-from repro.kernels.histogram import histogram_containers, make_histogram_kernel
-from repro.libs.cublas import make_sgemm_routine, sgemm_containers
 from repro.sim.node import SimNode
 
 #: Paper scale (§5: "8K square") and invocation count per measurement.
@@ -57,153 +52,18 @@ NUM_GPUS = 4
 MODES = ("uncached", "cached", "twin", "graph")
 
 
-def _run_gol(mode: str, spec: GPUSpec, size: int, iters: int) -> dict:
+def _run(name: str, mode: str, spec: GPUSpec, size: int, iters: int) -> dict:
     node = SimNode(spec, NUM_GPUS, functional=False)
     sched = Scheduler(node, plan_cache=mode != "uncached")
-    kernel = make_gol_kernel()
-    a = Matrix(size, size, np.uint8, "gol_a")
-    b = Matrix(size, size, np.uint8, "gol_b")
-    sched.analyze_call(kernel, *gol_containers(a, b))
-    sched.analyze_call(kernel, *gol_containers(b, a))
-    sched.invoke(kernel, *gol_containers(a, b))  # warm-up distribution
-    sched.wait_all()
-    graph = None
-    # Tick 0 still distributes the second board; ticks 1-2 are the first
-    # steady-state ping-pong period, so that is what graph mode captures.
-    periods, extra = divmod(iters - 3, 2)
+    loop = TIMING[name](sched, size)
+    loop.warm_up()
     t0 = time.perf_counter()
-    if mode == "graph":
-        sched.invoke(kernel, *gol_containers(b, a))
-        with sched.capture() as graph:
-            sched.invoke(kernel, *gol_containers(a, b))
-            sched.invoke(kernel, *gol_containers(b, a))
-        if periods:
-            graph.launch(periods)
-        for _ in range(extra):
-            sched.invoke(kernel, *gol_containers(a, b))
-    elif mode == "twin":
-        sched.invoke(kernel, *gol_containers(b, a))
-        sched.wait_all()  # begin_batch drain
-        sched.invoke(kernel, *gol_containers(a, b))
-        sched.invoke(kernel, *gol_containers(b, a))
-        sched.wait_all()  # end_batch drain
-        cur, nxt = a, b
-        for _ in range(2 * periods):
-            sched.invoke(kernel, *gol_containers(cur, nxt))
-            cur, nxt = nxt, cur
-        if periods:
-            sched.wait_all()  # launch drain
-        for _ in range(extra):
-            sched.invoke(kernel, *gol_containers(a, b))
-    else:
-        cur, nxt = b, a
-        for _ in range(iters):
-            sched.invoke(kernel, *gol_containers(cur, nxt))
-            cur, nxt = nxt, cur
+    graph = steady(loop, iters, mode if mode in ("twin", "graph") else "eager")
     t1 = time.perf_counter()
-    sched.wait_all()
-    t2 = time.perf_counter()
-    return _result(node, sched, t1 - t0, t2 - t1, graph)
-
-
-def _run_histogram(mode: str, spec: GPUSpec, size: int, iters: int) -> dict:
-    node = SimNode(spec, NUM_GPUS, functional=False)
-    sched = Scheduler(node, plan_cache=mode != "uncached")
-    kernel = make_histogram_kernel("maps")
-    image = Matrix(size, size, np.uint8, "image")
-    hist = Vector(256, np.int32, "hist")
-    containers = histogram_containers(image, hist)
-    grid = Grid((size, size))
-    sched.analyze_call(kernel, *containers, grid=grid)
-    sched.invoke(kernel, *containers, grid=grid)  # warm-up distribution
-    sched.wait_all()
-    graph = None
-    t0 = time.perf_counter()
-    if mode == "graph":
-        # Every invocation is identical (no ping-pong): the period is a
-        # single invoke.
-        with sched.capture() as graph:
-            sched.invoke(kernel, *containers, grid=grid)
-        if iters > 1:
-            graph.launch(iters - 1)
-    elif mode == "twin":
-        sched.wait_all()  # begin_batch drain (no-op here)
-        sched.invoke(kernel, *containers, grid=grid)
-        sched.wait_all()  # end_batch drain
-        for _ in range(iters - 1):
-            sched.invoke(kernel, *containers, grid=grid)
-        if iters > 1:
-            sched.wait_all()  # launch drain
-    else:
-        for _ in range(iters):
-            sched.invoke(kernel, *containers, grid=grid)
-    t1 = time.perf_counter()
-    sched.gather(hist)
-    sched.wait_all()
-    t2 = time.perf_counter()
-    return _result(node, sched, t1 - t0, t2 - t1, graph)
-
-
-def _run_sgemm(mode: str, spec: GPUSpec, size: int, iters: int) -> dict:
-    node = SimNode(spec, NUM_GPUS, functional=False)
-    sched = Scheduler(node, plan_cache=mode != "uncached")
-    gemm = make_sgemm_routine()
-    bmat = Matrix(size, size, np.float32, "B")
-    x = Matrix(size, size, np.float32, "X")
-    y = Matrix(size, size, np.float32, "Y")
-    sched.analyze_call(gemm, *sgemm_containers(x, bmat, y))
-    sched.analyze_call(gemm, *sgemm_containers(y, bmat, x))
-    sched.invoke_unmodified(gemm, *sgemm_containers(x, bmat, y))  # warm-up
-    sched.wait_all()
-    graph = None
-    # Multiplication 0 still distributes the Y stripes; 1-2 are the first
-    # steady-state ping-pong period.
-    periods, extra = divmod(iters - 3, 2)
-    t0 = time.perf_counter()
-    if mode == "graph":
-        sched.invoke_unmodified(gemm, *sgemm_containers(y, bmat, x))
-        with sched.capture() as graph:
-            sched.invoke_unmodified(gemm, *sgemm_containers(x, bmat, y))
-            sched.invoke_unmodified(gemm, *sgemm_containers(y, bmat, x))
-        if periods:
-            graph.launch(periods)
-        for _ in range(extra):
-            sched.invoke_unmodified(gemm, *sgemm_containers(x, bmat, y))
-    elif mode == "twin":
-        sched.invoke_unmodified(gemm, *sgemm_containers(y, bmat, x))
-        sched.wait_all()  # begin_batch drain
-        sched.invoke_unmodified(gemm, *sgemm_containers(x, bmat, y))
-        sched.invoke_unmodified(gemm, *sgemm_containers(y, bmat, x))
-        sched.wait_all()  # end_batch drain
-        cur, nxt = x, y
-        for _ in range(2 * periods):
-            sched.invoke_unmodified(gemm, *sgemm_containers(cur, bmat, nxt))
-            cur, nxt = nxt, cur
-        if periods:
-            sched.wait_all()  # launch drain
-        for _ in range(extra):
-            sched.invoke_unmodified(gemm, *sgemm_containers(x, bmat, y))
-    else:
-        cur, nxt = y, x
-        for _ in range(iters):
-            sched.invoke_unmodified(gemm, *sgemm_containers(cur, bmat, nxt))
-            cur, nxt = nxt, cur
-    t1 = time.perf_counter()
-    sched.wait_all()
-    t2 = time.perf_counter()
-    return _result(node, sched, t1 - t0, t2 - t1, graph)
-
-
-def _result(
-    node: SimNode,
-    sched: Scheduler,
-    submit: float,
-    drain: float,
-    graph=None,
-) -> dict:
+    drain(loop, iters)
     out = {
-        "submit_s": submit,
-        "drain_s": drain,
+        "submit_s": t1 - t0,
+        "drain_s": time.perf_counter() - t1,
         "sim_time": node.time,
         "commands": node.engine.commands_executed,
         "plan_cache": sched.plans.stats,
@@ -223,11 +83,7 @@ def _result(
     return out
 
 
-WORKLOADS: dict[str, Callable[[str, GPUSpec, int, int], dict]] = {
-    "game_of_life": _run_gol,
-    "histogram": _run_histogram,
-    "sgemm_chain": _run_sgemm,
-}
+WORKLOADS = tuple(TIMING)
 
 
 def _submit(r: dict) -> float:
@@ -266,19 +122,19 @@ def measure_overhead(
         "graph_floor": graph_floor,
         "workloads": {},
     }
-    for name, fn in WORKLOADS.items():
+    for name in WORKLOADS:
         uncached = best_of(
-            lambda: fn("uncached", spec, size, iters), repeats, _submit
+            lambda: _run(name, "uncached", spec, size, iters), repeats, _submit
         )
         cached = best_of(
-            lambda: fn("cached", spec, size, iters), repeats, _submit
+            lambda: _run(name, "cached", spec, size, iters), repeats, _submit
         )
         # The twin is only the graph's bit-identity reference; one run.
-        twin = fn("twin", spec, size, iters)
+        twin = _run(name, "twin", spec, size, iters)
         # Graph submission and drain interleave inside launch(); rank
         # repeats by total wall-clock.
         graph = best_of(
-            lambda: fn("graph", spec, size, iters), repeats, _total
+            lambda: _run(name, "graph", spec, size, iters), repeats, _total
         )
         assert cached["sim_time"] == uncached["sim_time"], (
             f"{name}: plan cache changed simulated time "

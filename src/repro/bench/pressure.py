@@ -18,18 +18,15 @@ Results are written to ``BENCH_pressure.json``.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import dataclasses
 
-import numpy as np
-
 from repro.bench.reporting import fmt_table
-from repro.core import Matrix, Scheduler
+from repro.bench.workloads import TIMING, run
+from repro.core import Scheduler
 from repro.errors import CapacityError
 from repro.hardware.specs import GPUSpec, GTX_780
-from repro.kernels.game_of_life import gol_containers, make_gol_kernel
-from repro.libs.cublas import make_sgemm_routine, sgemm_containers
 from repro.sim.node import SimNode
 
 FACTORS = (1.0, 0.6, 0.3, 0.1)
@@ -41,43 +38,20 @@ SGEMM_ITERS = 4
 SGEMM_GPUS = 2
 
 
-def _run_gol(spec: GPUSpec) -> dict:
-    node = SimNode(spec, GOL_GPUS, functional=False)
+#: Workload name -> (size, iterations, GPU count).
+WORKLOADS = {
+    "game_of_life": (GOL_SIZE, GOL_ITERS, GOL_GPUS),
+    "sgemm_chain": (SGEMM_SIZE, SGEMM_ITERS, SGEMM_GPUS),
+}
+
+
+def _run(name: str, spec: GPUSpec) -> dict:
+    size, iters, gpus = WORKLOADS[name]
+    node = SimNode(spec, gpus, functional=False)
     sched = Scheduler(node)
-    kernel = make_gol_kernel()
-    a = Matrix(GOL_SIZE, GOL_SIZE, np.uint8, "gol_a")
-    b = Matrix(GOL_SIZE, GOL_SIZE, np.uint8, "gol_b")
-    sched.analyze_call(kernel, *gol_containers(a, b))
-    sched.analyze_call(kernel, *gol_containers(b, a))
-    cur, nxt = a, b
-    for _ in range(GOL_ITERS):
-        sched.invoke(kernel, *gol_containers(cur, nxt))
-        sched.gather(nxt)
-        cur, nxt = nxt, cur
-    return _result(node, sched)
-
-
-def _run_sgemm(spec: GPUSpec) -> dict:
-    node = SimNode(spec, SGEMM_GPUS, functional=False)
-    sched = Scheduler(node)
-    gemm = make_sgemm_routine()
-    bmat = Matrix(SGEMM_SIZE, SGEMM_SIZE, np.float32, "B")
-    x = Matrix(SGEMM_SIZE, SGEMM_SIZE, np.float32, "X")
-    y = Matrix(SGEMM_SIZE, SGEMM_SIZE, np.float32, "Y")
-    sched.analyze_call(gemm, *sgemm_containers(x, bmat, y))
-    sched.analyze_call(gemm, *sgemm_containers(y, bmat, x))
-    cur, nxt = x, y
-    for _ in range(SGEMM_ITERS):
-        sched.invoke_unmodified(gemm, *sgemm_containers(cur, bmat, nxt))
-        sched.gather(nxt)
-        cur, nxt = nxt, cur
-    return _result(node, sched)
-
-
-def _result(node: SimNode, sched: Scheduler) -> dict:
-    t = sched.wait_all()
+    run(TIMING[name](sched, size), iters, sync="gather")
     return {
-        "sim_time": t,
+        "sim_time": sched.wait_all(),
         "commands": node.engine.commands_executed,
         "working_set": max(
             r["peak"] for r in node.memory_report().values()
@@ -88,12 +62,6 @@ def _result(node: SimNode, sched: Scheduler) -> dict:
         ),
         "salvage_copies": len(node.trace.matching("salvage:")),
     }
-
-
-WORKLOADS: dict[str, Callable[[GPUSpec], dict]] = {
-    "game_of_life": _run_gol,
-    "sgemm_chain": _run_sgemm,
-}
 
 
 def _capped(spec: GPUSpec, capacity: int) -> GPUSpec:
@@ -109,15 +77,15 @@ def measure_pressure(spec: GPUSpec = GTX_780) -> dict:
         "factors": list(FACTORS),
         "workloads": {},
     }
-    for name, fn in WORKLOADS.items():
-        ample = fn(spec)
+    for name in WORKLOADS:
+        ample = _run(name, spec)
         ws = ample["working_set"]
         entry: dict = {"working_set": ws, "ample": ample, "runs": {}}
         deterministic_probe: Optional[str] = None
         for factor in FACTORS:
             capped_spec = _capped(spec, max(1, int(ws * factor)))
             try:
-                r = fn(capped_spec)
+                r = _run(name, capped_spec)
             except CapacityError as e:
                 entry["runs"][str(factor)] = {
                     "capacity_error": True,
@@ -130,7 +98,7 @@ def measure_pressure(spec: GPUSpec = GTX_780) -> dict:
             entry["runs"][str(factor)] = r
             if factor < 1.0 and deterministic_probe is None:
                 deterministic_probe = str(factor)
-                replay = fn(capped_spec)
+                replay = _run(name, capped_spec)
                 assert replay["sim_time"] == r["sim_time"], (
                     f"{name} @ {factor}x: degradation is nondeterministic "
                     f"({replay['sim_time']} != {r['sim_time']})"

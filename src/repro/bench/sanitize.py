@@ -21,15 +21,10 @@ import time
 import numpy as np
 
 from repro.bench.reporting import best_of, fmt_table
+from repro.bench.workloads import Loop, gol, histogram, run
 from repro.core import Scheduler, Vector
 from repro.core.datum import from_array
 from repro.hardware.specs import GPUSpec, GTX_780
-from repro.kernels.game_of_life import gol_containers, make_gol_kernel
-from repro.kernels.histogram import (
-    histogram_containers,
-    histogram_grid,
-    make_histogram_kernel,
-)
 from repro.sim.node import SimNode
 
 #: Functional-mode scale: large enough that kernel bodies dominate noise,
@@ -40,54 +35,42 @@ REPEATS = 3
 NUM_GPUS = 2
 
 
-def _run_gol(sanitize: bool, spec: GPUSpec, size: int, iters: int) -> dict:
+def _gol(sched: Scheduler, size: int) -> Loop:
     rng = np.random.default_rng(0)
     board = (rng.random((size, size)) < 0.35).astype(np.int32)
-    node = SimNode(spec, NUM_GPUS, functional=True)
-    sched = Scheduler(node, sanitize=sanitize)
-    kernel = make_gol_kernel()
     a = from_array(board, "san_a")
-    b = from_array(np.zeros_like(board), "san_b")
-    sched.analyze_call(kernel, *gol_containers(a, b))
-    sched.analyze_call(kernel, *gol_containers(b, a))
-    cur, nxt = a, b
-    t0 = time.perf_counter()
-    for _ in range(iters):
-        sched.invoke(kernel, *gol_containers(cur, nxt))
-        cur, nxt = nxt, cur
-    sched.wait_all()
-    t1 = time.perf_counter()
-    sched.gather(cur)
-    return {"wall_s": t1 - t0, "checksum": int(cur.host.sum())}
+    return gol(sched, a, from_array(np.zeros_like(board), "san_b"))
 
 
-def _run_histogram(
-    sanitize: bool, spec: GPUSpec, size: int, iters: int
-) -> dict:
+def _histogram(sched: Scheduler, size: int) -> Loop:
     rng = np.random.default_rng(1)
     image = from_array(
         rng.integers(0, 256, (size, size), dtype=np.int64), "san_img"
     )
+    hist = Vector(256, np.int64, "san_hist").bind(np.zeros(256, np.int64))
+    return histogram(sched, image, hist)
+
+
+#: Functional datums: workload name -> ``build(sched, size)``.
+WORKLOADS = {
+    "game_of_life": _gol,
+    "histogram": _histogram,
+}
+
+
+def _run(
+    name: str, sanitize: bool, spec: GPUSpec, size: int, iters: int
+) -> dict:
     node = SimNode(spec, NUM_GPUS, functional=True)
     sched = Scheduler(node, sanitize=sanitize)
-    kernel = make_histogram_kernel("maps")
-    hist = Vector(256, np.int64, "san_hist").bind(np.zeros(256, np.int64))
-    containers = histogram_containers(image, hist)
-    grid = histogram_grid(image)
-    sched.analyze_call(kernel, *containers, grid=grid)
+    loop = WORKLOADS[name](sched, size)
     t0 = time.perf_counter()
-    for _ in range(iters):
-        sched.invoke(kernel, *containers, grid=grid)
+    run(loop, iters)
     sched.wait_all()
     t1 = time.perf_counter()
-    sched.gather(hist)
-    return {"wall_s": t1 - t0, "checksum": int(hist.host.sum())}
-
-
-WORKLOADS = {
-    "game_of_life": _run_gol,
-    "histogram": _run_histogram,
-}
+    out = loop.out(iters - 1)
+    sched.gather(out)
+    return {"wall_s": t1 - t0, "checksum": int(out.host.sum())}
 
 
 def _wall(r: dict) -> float:
@@ -113,10 +96,12 @@ def measure_sanitize(
         "repeats": repeats,
         "workloads": {},
     }
-    for name, fn in WORKLOADS.items():
-        plain = best_of(lambda: fn(False, spec, size, iters), repeats, _wall)
+    for name in WORKLOADS:
+        plain = best_of(
+            lambda: _run(name, False, spec, size, iters), repeats, _wall
+        )
         sanitized = best_of(
-            lambda: fn(True, spec, size, iters), repeats, _wall
+            lambda: _run(name, True, spec, size, iters), repeats, _wall
         )
         assert sanitized["checksum"] == plain["checksum"], (
             f"{name}: sanitize mode changed the functional result "

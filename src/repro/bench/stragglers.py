@@ -31,14 +31,10 @@ from typing import Callable
 import numpy as np
 
 from repro.bench.reporting import fmt_table
+from repro.bench.workloads import TIMING, Loop, gol, run
 from repro.core import Matrix, Scheduler
 from repro.hardware.specs import GPUSpec, GTX_780
-from repro.kernels.game_of_life import (
-    gol_containers,
-    gol_reference_step,
-    make_gol_kernel,
-)
-from repro.libs.cublas import make_sgemm_routine, sgemm_containers
+from repro.kernels.game_of_life import gol_reference_step
 from repro.sim.faults import FaultPlan, Straggler
 from repro.sim.node import SimNode
 
@@ -52,57 +48,26 @@ FACTORS = (1.5, 2.0, 4.0)
 #: The acceptance bound: a 4x-slow device must cost at most this much
 #: over the fault-free baseline once mitigation is on.
 TARGET = 1.5
+WORKLOADS = ("game_of_life", "sgemm_chain")
 
 
-def _run_gol(spec: GPUSpec, size: int, iters: int, faults) -> dict:
+def _synced(loop: Loop, iters: int) -> float:
+    """Wait on every iteration (the feedback loop's cadence), then bring
+    the last output home; returns the simulated time."""
+    run(loop, iters, sync="wait")
+    loop.sched.gather_async(loop.out(iters - 1))
+    return loop.sched.wait_all()
+
+
+def _run(name: str, spec: GPUSpec, size: int, iters: int, faults) -> dict:
     node = SimNode(spec, NUM_GPUS, functional=False, faults=faults)
     sched = Scheduler(node)
-    kernel = make_gol_kernel()
-    a = Matrix(size, size, np.uint8, "gol_a")
-    b = Matrix(size, size, np.uint8, "gol_b")
-    sched.analyze_call(kernel, *gol_containers(a, b))
-    sched.analyze_call(kernel, *gol_containers(b, a))
-    cur, nxt = a, b
-    for _ in range(iters):
-        h = sched.invoke(kernel, *gol_containers(cur, nxt))
-        sched.wait(h)  # iteration boundary: the feedback loop's cadence
-        cur, nxt = nxt, cur
-    sched.gather_async(cur)
-    return _result(node, sched, faults)
-
-
-def _run_sgemm(spec: GPUSpec, size: int, iters: int, faults) -> dict:
-    node = SimNode(spec, NUM_GPUS, functional=False, faults=faults)
-    sched = Scheduler(node)
-    gemm = make_sgemm_routine()
-    bmat = Matrix(size, size, np.float32, "B")
-    x = Matrix(size, size, np.float32, "X")
-    y = Matrix(size, size, np.float32, "Y")
-    sched.analyze_call(gemm, *sgemm_containers(x, bmat, y))
-    sched.analyze_call(gemm, *sgemm_containers(y, bmat, x))
-    cur, nxt = x, y
-    for _ in range(iters):
-        h = sched.invoke_unmodified(gemm, *sgemm_containers(cur, bmat, nxt))
-        sched.wait(h)
-        cur, nxt = nxt, cur
-    sched.gather_async(cur)
-    return _result(node, sched, faults)
-
-
-def _result(node: SimNode, sched: Scheduler, faults) -> dict:
-    t = sched.wait_all()
     return {
-        "sim_time": t,
+        "sim_time": _synced(TIMING[name](sched, size), iters),
         "commands": node.engine.commands_executed,
         "speculations_fired": faults.speculations_fired if faults else 0,
         "hedges_fired": faults.hedges_fired if faults else 0,
     }
-
-
-WORKLOADS: dict[str, Callable[[GPUSpec, int, int, FaultPlan | None], dict]] = {
-    "game_of_life": _run_gol,
-    "sgemm_chain": _run_sgemm,
-}
 
 
 def _scenarios(
@@ -141,35 +106,20 @@ def _assert_bit_identical(make_plan: Callable[[bool], FaultPlan]) -> None:
     the fault-free reference bit for bit."""
     n, iters, seed = 256, 6, 7
 
-    def run(faults):
-        node = SimNode(GTX_780, NUM_GPUS, functional=True, faults=faults)
-        sched = Scheduler(node)
-        a = Matrix(n, n, np.uint8, "A")
-        b = Matrix(n, n, np.uint8, "B")
-        board = np.random.default_rng(seed).integers(
+    def board():
+        return np.random.default_rng(seed).integers(
             0, 2, (n, n), dtype=np.uint8
         )
-        a.bind(board.copy())
-        b.bind(np.zeros_like(board))
-        kernel = make_gol_kernel()
-        sched.analyze_call(kernel, *gol_containers(a, b))
-        sched.analyze_call(kernel, *gol_containers(b, a))
-        cur, nxt = a, b
-        for _ in range(iters):
-            h = sched.invoke(kernel, *gol_containers(cur, nxt))
-            sched.wait(h)
-            cur, nxt = nxt, cur
-        sched.gather_async(cur)
-        sched.wait_all()
-        return cur.host.copy()
 
-    expected = np.random.default_rng(seed).integers(
-        0, 2, (n, n), dtype=np.uint8
-    )
+    node = SimNode(GTX_780, NUM_GPUS, functional=True, faults=make_plan(True))
+    a = Matrix(n, n, np.uint8, "A").bind(board())
+    b = Matrix(n, n, np.uint8, "B").bind(np.zeros((n, n), np.uint8))
+    loop = gol(Scheduler(node), a, b)
+    _synced(loop, iters)
+    expected = board()
     for _ in range(iters):
         expected = gol_reference_step(expected)
-    out = run(make_plan(True))
-    assert np.array_equal(out, expected), (
+    assert np.array_equal(loop.out(iters - 1).host, expected), (
         "straggler mitigation changed the computed result"
     )
 
@@ -196,14 +146,14 @@ def measure_stragglers(
         "sizes": {k: {"size": v[0], "iters": v[1]} for k, v in sizes.items()},
         "workloads": {},
     }
-    for name, fn in WORKLOADS.items():
+    for name in WORKLOADS:
         size, iters = sizes[name]
-        baseline = fn(spec, size, iters, None)
+        baseline = _run(name, spec, size, iters, None)
         base_t = baseline["sim_time"]
         entry: dict = {"baseline": baseline}
         for scen, make_plan in _scenarios(base_t).items():
-            off = fn(spec, size, iters, make_plan(False))
-            on = fn(spec, size, iters, make_plan(True))
+            off = _run(name, spec, size, iters, make_plan(False))
+            on = _run(name, spec, size, iters, make_plan(True))
             off["overhead"] = off["sim_time"] / base_t
             on["overhead"] = on["sim_time"] / base_t
             entry[scen] = {"unmitigated": off, "mitigated": on}
@@ -212,7 +162,9 @@ def measure_stragglers(
             f"{name}: 4x straggler mitigated to "
             f"{worst['mitigated']['overhead']:.2f}x, target {TARGET}x"
         )
-        replay = fn(spec, size, iters, _scenarios(base_t)["compute_4x"](True))
+        replay = _run(
+            name, spec, size, iters, _scenarios(base_t)["compute_4x"](True)
+        )
         assert replay["sim_time"] == worst["mitigated"]["sim_time"], (
             f"{name}: mitigated timeline is nondeterministic "
             f"({replay['sim_time']} != {worst['mitigated']['sim_time']})"

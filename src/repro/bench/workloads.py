@@ -1,0 +1,204 @@
+"""The paper's three §5 workloads, declared once for every bench module.
+
+Each builder takes the caller's datums (so every bench keeps its own
+dtypes and names), runs the AnalyzeCalls and returns a :class:`Loop`
+whose ``step(i)`` submits iteration ``i``. Game of Life and the SGEMM
+chain ping-pong between two buffers (period 2); every histogram
+invocation is identical (period 1).
+
+Three drivers share the iteration recipes:
+
+* :func:`run` — iterations ``0..iters-1`` with an optional per-iteration
+  host checkpoint (``gather``) or handle wait (``wait``);
+* :func:`steady` — iterations ``1..iters`` after :meth:`Loop.warm_up`,
+  eager, captured as an iteration graph (DESIGN.md §12), or as the graph's
+  eager ``twin`` (``wait_all`` at exactly the capture/launch drains);
+* :func:`drain` — aggregate a reductive output, then ``wait_all``.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from repro.core import Datum, Matrix, Scheduler, Vector
+from repro.core.graph import IterationGraph
+from repro.kernels.game_of_life import gol_containers, make_gol_kernel
+from repro.kernels.histogram import (
+    histogram_containers,
+    histogram_grid,
+    make_histogram_kernel,
+    make_naive_histogram_routine,
+)
+from repro.libs.cub import make_cub_histogram_routine
+from repro.libs.cublas import make_sgemm_routine, sgemm_containers
+
+
+@dataclass
+class Loop:
+    """One workload's iteration loop on a scheduler."""
+
+    sched: Scheduler
+    #: Submit iteration ``i``; returns its task handle.
+    step: Callable[[int], object]
+    #: The datum iteration ``i`` writes.
+    out: Callable[[int], Datum]
+    #: Iterations before the submitted calls repeat.
+    period: int
+
+    def warm_up(self) -> None:
+        """Submit iteration 0 and drain it: pays the initial
+        host->device distribution."""
+        self.step(0)
+        self.sched.wait_all()
+
+
+def _loop(sched, invoke, kernel, containers, outs, grid=None) -> Loop:
+    """``containers(i)`` builds iteration ``i``'s call; ``outs`` holds one
+    output per phase of the period."""
+    period = len(outs)
+    for i in range(period):
+        sched.analyze_call(kernel, *containers(i), grid=grid)
+    return Loop(
+        sched,
+        lambda i: invoke(kernel, *containers(i), grid=grid),
+        lambda i: outs[i % period],
+        period,
+    )
+
+
+def gol(sched: Scheduler, a: Datum, b: Datum, variant: str = "maps_ilp") -> Loop:
+    """Game of Life ping-pong: even iterations step ``a`` into ``b``."""
+    boards = ((a, b), (b, a))
+    return _loop(
+        sched,
+        sched.invoke,
+        make_gol_kernel(variant),
+        lambda i: gol_containers(*boards[i % 2], variant),
+        (b, a),
+    )
+
+
+def sgemm_chain(sched: Scheduler, x: Datum, b: Datum, y: Datum) -> Loop:
+    """Chained SGEMM X_{i+1} = X_i @ B over unmodified CUBLAS (§5.4):
+    even iterations multiply ``x`` into ``y``."""
+    calls = ((x, b, y), (y, b, x))
+    return _loop(
+        sched,
+        sched.invoke_unmodified,
+        make_sgemm_routine(),
+        lambda i: sgemm_containers(*calls[i % 2]),
+        (y, x),
+    )
+
+
+def histogram(
+    sched: Scheduler, image: Datum, hist: Datum, impl: str = "maps"
+) -> Loop:
+    """Histogram of ``image`` into ``hist``: the MAPS kernel, or the naive
+    or CUB routine run unmodified (§5.3)."""
+    if impl == "maps":
+        kernel, invoke = make_histogram_kernel("maps"), sched.invoke
+    elif impl == "naive":
+        kernel = make_naive_histogram_routine()
+        invoke = sched.invoke_unmodified
+    elif impl == "cub":
+        kernel = make_cub_histogram_routine()
+        invoke = sched.invoke_unmodified
+    else:
+        raise ValueError(f"unknown histogram impl {impl!r}")
+    containers = histogram_containers(image, hist)
+    return _loop(
+        sched, invoke, kernel, lambda i: containers, (hist,),
+        grid=histogram_grid(image),
+    )
+
+
+#: The timing-only datums shared by the faults, overhead, pressure and
+#: stragglers benches: workload name -> ``build(sched, size)``.
+TIMING: dict[str, Callable[[Scheduler, int], Loop]] = {
+    "game_of_life": lambda sched, size: gol(
+        sched,
+        Matrix(size, size, np.uint8, "gol_a"),
+        Matrix(size, size, np.uint8, "gol_b"),
+    ),
+    "histogram": lambda sched, size: histogram(
+        sched,
+        Matrix(size, size, np.uint8, "image"),
+        Vector(256, np.int32, "hist"),
+    ),
+    "sgemm_chain": lambda sched, size: sgemm_chain(
+        sched,
+        Matrix(size, size, np.float32, "X"),
+        Matrix(size, size, np.float32, "B"),
+        Matrix(size, size, np.float32, "Y"),
+    ),
+}
+
+
+def run(loop: Loop, iters: int, sync: str | None = None) -> None:
+    """Submit iterations ``0..iters-1``. After each, ``sync="gather"``
+    brings its output to the host (a per-iteration checkpoint) and
+    ``sync="wait"`` waits on its handle (the straggler feedback loop's
+    cadence)."""
+    for i in range(iters):
+        handle = loop.step(i)
+        if sync == "gather":
+            loop.sched.gather(loop.out(i))
+        elif sync == "wait":
+            loop.sched.wait(handle)
+
+
+def steady(
+    loop: Loop, iters: int, mode: str = "eager"
+) -> IterationGraph | None:
+    """Submit iterations ``1..iters`` after :meth:`Loop.warm_up`.
+
+    ``graph`` lets the first ``period - 1`` iterations finish distributing
+    the second buffer, captures the next period, launches the remaining
+    whole periods as one macro-command and finishes the rest eagerly.
+    ``twin`` submits the same iterations eagerly with ``wait_all`` at each
+    capture/launch drain: the graph's bit-identity reference. Both fall
+    back to eager when ``iters`` holds no full steady-state period.
+    Returns the captured graph, if any.
+    """
+    if mode not in ("eager", "graph", "twin"):
+        raise ValueError(f"unknown steady mode {mode!r}")
+    p = loop.period
+
+    def steps(lo: int, hi: int) -> None:
+        for i in range(lo, hi):
+            loop.step(i)
+
+    if mode == "eager" or iters < 2 * p - 1:
+        steps(1, iters + 1)
+        return None
+    periods = (iters - (2 * p - 1)) // p
+    rest = 2 * p + p * periods  # first iteration after the launched laps
+    graph = None
+    steps(1, p)
+    if mode == "graph":
+        with loop.sched.capture() as graph:
+            steps(p, 2 * p)
+        if periods:
+            graph.launch(periods)
+    else:
+        loop.sched.wait_all()  # begin_batch drain
+        steps(p, 2 * p)
+        loop.sched.wait_all()  # end_batch drain
+        steps(2 * p, rest)
+        if periods:
+            loop.sched.wait_all()  # launch drain
+    steps(rest, iters + 1)
+    return graph
+
+
+def drain(loop: Loop, last: int) -> float:
+    """Gather iteration ``last``'s output if the monitor still holds it as
+    per-device partials, then ``wait_all``; returns the simulated time."""
+    out = loop.out(last)
+    if loop.sched.monitor.needs_aggregation(out):
+        loop.sched.gather(out)
+    return loop.sched.wait_all()

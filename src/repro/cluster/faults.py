@@ -253,6 +253,14 @@ class ClusterFaultPlan:
             raise ValueError("max_flaps must be >= 1")
         if not 0.0 <= self.link_fault_rate < 1.0:
             raise ValueError("link_fault_rate must be in [0, 1)")
+        if min(self.retry_base, self.retry_cap, self.ack_timeout) < 0.0:
+            raise ValueError("retry backoff base/cap and ack_timeout must be >= 0")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+        for lf in self.link_faults:
+            # Send counts start at 1, so nth/count below 1 never fire.
+            if lf.nth < 1 or lf.count < 1:
+                raise ValueError(f"link fault nth/count must be >= 1, got {lf}")
         for p in self.partitions:
             seen: set[int] = set()
             for g in p.groups:

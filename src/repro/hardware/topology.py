@@ -160,6 +160,3 @@ class NodeTopology:
             return 0.0
         bw = min(seg.link.bandwidth for seg in path)
         return self.calib.transfer_latency + nbytes / bw
-
-    def all_links(self) -> list[Link]:
-        return [*self._uplinks, *self._p2p, self._qpi]

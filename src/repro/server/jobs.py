@@ -18,7 +18,6 @@ schedule produced (and that two runs produce the same sequence).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -144,12 +143,3 @@ class Job:
             f"{self.sim_time_used:.4g}s",
             str(self.preemptions),
         ]
-
-
-_counter = itertools.count(1)
-
-
-def fresh_job_id(counter=None) -> str:
-    """``job-0001``-style unique id (per-server counters in practice)."""
-    n = next(counter if counter is not None else _counter)
-    return f"job-{n:04d}"

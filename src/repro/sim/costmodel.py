@@ -64,8 +64,3 @@ class KernelCost:
         if self.global_atomics:
             t = max(t, self.global_atomics / calib.global_atomic_rate)
         return t
-
-
-def launch_overhead(interconnect: InterconnectCalibration) -> float:
-    """Fixed kernel-launch latency."""
-    return interconnect.kernel_launch_latency

@@ -294,10 +294,6 @@ class Rect:
             ]
         )
 
-    def translate_into(self, origin: Sequence[int]) -> "Rect":
-        """Express this rect relative to a new origin (buffer-local coords)."""
-        return self.shift([-o for o in origin])
-
     def subtract(self, other: "Rect") -> list["Rect"]:
         """Set difference ``self \\ other`` as a list of disjoint rects.
 

@@ -231,6 +231,19 @@ class TestClusterFaultPlan:
         with pytest.raises(ValueError):
             ClusterFaultPlan(link_fault_rate=1.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"link_faults": [LinkFault(nth=0)]},
+        {"link_faults": [LinkFault(count=0)]},
+        {"max_retries": -1},
+        {"retry_base": -1e-5},
+        {"retry_cap": -1e-3},
+        {"ack_timeout": -1e-4},
+    ], ids=["nth0", "count0", "retries-neg", "base-neg", "cap-neg",
+            "ack-neg"])
+    def test_rejects_inputs_it_would_mishandle(self, kwargs):
+        with pytest.raises(ValueError):
+            ClusterFaultPlan(**kwargs)
+
     def test_no_checkpoints_makes_any_loss_checkpoint_lost(self):
         """``checkpoint_interval=None`` insures nothing: the first node
         loss finds no coordinated checkpoint to rebuild from."""
