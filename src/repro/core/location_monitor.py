@@ -108,15 +108,22 @@ class LocationMonitor:
     (the uncached-baseline mode of ``repro.bench --overhead``).
     """
 
-    def __init__(self) -> None:
+    def __init__(
+        self,
+        geom_ids: dict[tuple, int] | None = None,
+        transitions: dict[tuple, tuple[int, tuple]] | None = None,
+    ) -> None:
         self._state: dict[int, _DatumState] = {}
         self._datums: dict[int, "Datum"] = {}
         #: Cross-invocation memoization switch (see class docstring).
         self.amortize = True
+        # The two tables are geometry only — no datum, event or monitor
+        # appears in a key or a template — so a caching scheduler passes
+        # its node's shared ones (DESIGN.md §7); default: private.
         #: geometry fingerprint -> canonical state id.
-        self._geom_ids: dict[tuple, int] = {}
+        self._geom_ids = {} if geom_ids is None else geom_ids
         #: (state id, kind, loc, rect) -> (post state id, template).
-        self._transitions: dict[tuple, tuple[int, tuple]] = {}
+        self._transitions = {} if transitions is None else transitions
         #: Memoized-transition replays vs. slow-path mutations (diagnostics).
         self.transition_hits = 0
         self.transition_misses = 0

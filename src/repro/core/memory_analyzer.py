@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.errors import AllocationError, AnalysisError
+from repro.core.plan import Uncacheable, bounded_put, task_signature
 from repro.core.task import Task
 from repro.patterns.base import InputContainer, OutputContainer
 from repro.sim.memory import DeviceBuffer
@@ -33,8 +34,13 @@ class MemoryAnalyzer:
     """Tracks per-(datum, device) requirement bounding boxes and owns the
     resulting one-shot allocations."""
 
-    def __init__(self, node: "SimNode"):
+    def __init__(self, node: "SimNode", rects: dict | None = None):
         self.node = node
+        #: Geometry signature -> the ``(container index, device, rect)``
+        #: requirements :meth:`analyze` folds in — pure geometry, so a
+        #: caching scheduler passes its node's shared table; None
+        #: recomputes them every time (the uncached baseline).
+        self._rects = rects
         #: (datum, device) -> bounding box in virtual datum coordinates.
         self._boxes: dict[tuple[int, int], Rect] = {}
         self._datums: dict[int, "Datum"] = {}
@@ -60,21 +66,50 @@ class MemoryAnalyzer:
         """
         if devices is None:
             devices = tuple(range(self.node.num_gpus))
+        containers = task.containers
+        for i, device, rect in self._requirements(task, devices, weights):
+            self._merge(containers[i].datum, device, rect)
+
+    def _requirements(
+        self,
+        task: Task,
+        devices: tuple[int, ...],
+        weights: tuple[int, ...] | None,
+    ) -> tuple[tuple[int, int, Rect], ...]:
+        """Per active device, each container's required (inputs) or owned
+        (outputs) virtual rect, memoized by geometry in ``_rects``."""
+        memo = self._rects
+        key = None
+        if memo is not None:
+            try:
+                # The plan key minus its kernel id: rects are kernel-free.
+                key = task_signature(task, devices, weights)[1:]
+            except Uncacheable:
+                pass
+            else:
+                hit = memo.get(key)
+                if hit is not None:
+                    return hit
         if weights is None:
             partition = task.grid.partition(len(devices))
         else:
             partition = task.grid.partition_weighted(weights)
+        out = []
         for device, work_rect in zip(devices, partition):
             if work_rect.empty:
                 continue
-            for c in task.containers:
+            for i, c in enumerate(task.containers):
                 if isinstance(c, InputContainer):
                     rect = c.required(task.grid.shape, work_rect).virtual
                 elif isinstance(c, OutputContainer):
                     rect = c.owned(task.grid.shape, work_rect)
                 else:  # pragma: no cover - Container is abstract
                     continue
-                self._merge(c.datum, device, rect)
+                out.append((i, device, rect))
+        out = tuple(out)
+        if key is not None:
+            bounded_put(memo, key, out)
+        return out
 
     def _merge(self, datum: "Datum", device: int, rect: Rect) -> None:
         key = (id(datum), device)

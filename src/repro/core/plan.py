@@ -10,16 +10,29 @@ residency-dependent part — the Segment Location Monitor's copy planning —
 runs per invocation.
 
 A :class:`TaskPlan` is keyed by :func:`task_signature`: kernel identity,
-per-container pattern type + parameters + datum identity/shape/dtype, the
-grid, and the active device count. Changing any of these (a different
-datum, a reshaped grid, another node size) yields a different key, so stale
-plans are never replayed; the cache holds strong references to the kernel
-and datums so the ``id()``-based components of the key cannot be recycled.
+per-container pattern type + parameters + datum shape/dtype, the grid, the
+active device tuple and the straggler weights. The key holds no datum
+identity: a plan is geometry only, so a Game-of-Life ping-pong is one plan,
+and a job server's next lease, job or replica on the same node replays the
+plans an earlier one built. Changing any component (a reshaped grid,
+another dtype or pattern parameter, another device set) yields a different
+key, so stale plans are never replayed. The cache pins the kernel so the
+``id()`` in the key cannot be recycled while the plan is cached. Binding a
+plan to datums it was not yet checked against re-runs the analyzed-box
+check (:func:`check_plan`) once per binding per scheduler.
+
+Every caching scheduler on one ``SimNode`` shares that node's
+:class:`NodeTables`: the plans, the analyzer's requirement rects and the
+location monitor's geometry ids and transitions, all geometry-keyed. Plan
+and rect tables are bounded by :data:`PLAN_LIMIT` (oldest evicted first).
+``Scheduler(plan_cache=False)`` shares and memoizes nothing.
 
 Plan caching changes *wall-clock* host cost only. Simulated time is
 unaffected: the scheduler charges the same modelled host overhead per
 invocation whether a plan was replayed or freshly built, and the replayed
-command sequence is identical to the one the slow path emits.
+command sequence is identical to the one the slow path emits. Cost models
+therefore see containers through the key alone: pattern, shape and dtype,
+never a datum's contents.
 """
 
 from __future__ import annotations
@@ -50,7 +63,7 @@ def _freeze(value: Any) -> Hashable:
 
 def container_signature(c: "Container") -> tuple:
     """Stable signature of one container: pattern type + parameters +
-    datum identity, shape and dtype.
+    datum shape and dtype (no datum identity: plans are geometry only).
 
     Pattern parameters are taken from the instance dict (``radius``,
     ``boundary``, ``ilp``, ``op``, ...), so new pattern classes participate
@@ -62,7 +75,6 @@ def container_signature(c: "Container") -> tuple:
     )
     return (
         type(c).__qualname__,
-        id(c.datum),
         c.datum.shape,
         c.datum.dtype.str,
         params,
@@ -85,6 +97,9 @@ def task_signature(
     weights: "tuple[int, ...] | None" = None,
 ) -> tuple:
     """The plan-cache key for one task submission (see module docstring).
+    Everything after the leading kernel id is what the grid partition and
+    the containers' ``required``/``owned`` rects depend on — the key of
+    the analyzer's requirement-rect table.
 
     ``weights`` is the quantized per-device throughput-ratio vector the
     straggler-feedback loop segments by (DESIGN.md §11); it is part of the
@@ -132,14 +147,12 @@ class DevicePlan:
 class TaskPlan:
     """Everything signature-determined about scheduling one task.
 
-    The plan pins the objects its signature refers to by identity
-    (``kernel``, ``datums``) so Python cannot recycle their ids while the
-    plan is cached.
+    The plan pins the kernel its signature refers to by identity so
+    Python cannot recycle its id while the plan is cached.
     """
 
     signature: tuple
     kernel: Any
-    datums: tuple
     grid_shape: tuple[int, ...]
     partition: list[Rect]
     active: tuple[int, ...]
@@ -170,13 +183,6 @@ class TaskPlan:
     #: fingerprints for it would be pure overhead.
     memoize: bool = False
     replays: int = 0
-    #: Out-of-core chunk plans per device (DESIGN.md §10). Pressure state is
-    #: deliberately NOT part of the cache key: every replay attempts the
-    #: in-core path first and falls into chunking only when the allocation
-    #: actually fails, so a cached plan self-heals when memory frees up; a
-    #: cached chunk plan is revalidated against the device's *current*
-    #: ``free_bytes`` before reuse and rebuilt when stale.
-    chunk_plans: dict[int, "ChunkPlan"] = field(default_factory=dict)
 
 
 #: Upper bound on memoized copy decisions per plan. Steady-state iterative
@@ -184,6 +190,46 @@ class TaskPlan:
 #: residency never revisits a state stops memoizing here instead of growing
 #: the dict unboundedly.
 COPY_MEMO_LIMIT = 512
+
+#: Upper bound on the plans (and on the analyzer's requirement-rect
+#: entries) one node keeps; above it the oldest entry is evicted. Steady
+#: workloads need one plan per task shape; a caller that builds a kernel
+#: per call mints a new key every time, and would otherwise pin every
+#: kernel it ever built.
+PLAN_LIMIT = 512
+
+
+def bounded_put(table: dict, key: Hashable, value: Any) -> None:
+    """``table[key] = value``, evicting the oldest entry above
+    :data:`PLAN_LIMIT`."""
+    table[key] = value
+    if len(table) > PLAN_LIMIT:
+        del table[next(iter(table))]
+
+
+class NodeTables:
+    """The geometry-keyed memo tables shared by every caching scheduler on
+    one ``SimNode`` (see module docstring), so leases, jobs and replicas
+    on a node replay what an earlier one built. Hit/miss counters stay on
+    each scheduler's :class:`PlanCache` and ``LocationMonitor``."""
+
+    def __init__(self) -> None:
+        #: task signature -> plan (:class:`PlanCache`).
+        self.plans: dict[tuple, TaskPlan] = {}
+        #: geometry signature -> requirement rects (``MemoryAnalyzer``).
+        self.rects: dict[tuple, tuple] = {}
+        #: residency geometry -> state id (``LocationMonitor``).
+        self.geom_ids: dict[tuple, int] = {}
+        #: (state id, op) -> (post state id, template) (``LocationMonitor``).
+        self.transitions: dict[tuple, tuple[int, tuple]] = {}
+
+    @classmethod
+    def of(cls, node) -> "NodeTables":
+        """The node's tables, created on first use."""
+        tables = node.plan_tables
+        if tables is None:
+            tables = node.plan_tables = cls()
+        return tables
 
 
 def build_plan(task: "Task", devices: "int | tuple[int, ...]", analyzer=None,
@@ -197,10 +243,9 @@ def build_plan(task: "Task", devices: "int | tuple[int, ...]", analyzer=None,
     device. With ``weights`` (the quantized observed-throughput ratio
     vector, aligned with ``devices``), the grid is split proportionally
     instead of evenly — the ratio-aware segmenter of the straggler
-    feedback loop (DESIGN.md §11). When ``analyzer`` is given, each rect
-    is validated against the analyzed allocation boxes (``check_within``)
-    so replays can skip re-validation. No commands are enqueued and no
-    monitor state is touched.
+    feedback loop (DESIGN.md §11). When ``analyzer`` is given, the plan is
+    validated against the task's analyzed boxes (:func:`check_plan`). No
+    commands are enqueued and no monitor state is touched.
     """
     devices = _device_tuple(devices)
     try:
@@ -221,34 +266,44 @@ def build_plan(task: "Task", devices: "int | tuple[int, ...]", analyzer=None,
     work_shape = task.grid.shape
     for d in active:
         w = work_rects[d]
-        reqs = tuple(c.required(work_shape, w) for c in inputs)
-        owned = tuple(c.owned(work_shape, w) for c in outputs)
-        if analyzer is not None:
-            for c, req in zip(inputs, reqs):
-                analyzer.check_within(c.datum, d, req.virtual)
-            for c, rect in zip(outputs, owned):
-                analyzer.check_within(c.datum, d, rect)
         device_plans[d] = DevicePlan(
             device=d,
             work_rect=w,
-            input_reqs=reqs,
-            output_rects=owned,
+            input_reqs=tuple(c.required(work_shape, w) for c in inputs),
+            output_rects=tuple(c.owned(work_shape, w) for c in outputs),
             peers=tuple(peers_of(d)) if peers_of is not None else (),
         )
     consumer_rects = tuple(
         {d: device_plans[d].input_reqs[i].virtual for d in active}
         for i in range(len(inputs))
     )
-    return TaskPlan(
+    plan = TaskPlan(
         signature=signature,
         kernel=task.kernel,
-        datums=tuple(c.datum for c in task.containers),
         grid_shape=work_shape,
         partition=partition,
         active=active,
         device_plans=device_plans,
         consumer_rects=consumer_rects,
     )
+    if analyzer is not None:
+        check_plan(task, plan, analyzer)
+    return plan
+
+
+def check_plan(task: "Task", plan: TaskPlan, analyzer) -> None:
+    """Validate every rect of ``plan`` against the analyzed allocation
+    boxes of ``task``'s datums (``check_within``), so replays can skip
+    re-validation. A plan is geometry only, so this runs once per binding
+    of datums to it."""
+    inputs = task.inputs
+    outputs = task.outputs
+    for d in plan.active:
+        dp = plan.device_plans[d]
+        for c, req in zip(inputs, dp.input_reqs):
+            analyzer.check_within(c.datum, d, req.virtual)
+        for c, rect in zip(outputs, dp.output_rects):
+            analyzer.check_within(c.datum, d, rect)
 
 
 @dataclass(frozen=True)
@@ -435,16 +490,20 @@ def build_chunk_plan(
 
 
 class PlanCache:
-    """Signature-keyed store of :class:`TaskPlan` objects.
+    """Signature-keyed store of :class:`TaskPlan` objects, with one
+    scheduler's hit/miss counters.
 
-    ``enabled=False`` turns the scheduler into the uncached baseline: every
-    invocation rebuilds its plan from scratch (and nothing is stored), which
-    is what ``python -m repro.bench --overhead`` measures against.
+    ``plans`` is the backing dict — the node's shared ``NodeTables.plans``
+    for a caching scheduler, a private one by default. ``enabled=False``
+    turns the scheduler into the uncached baseline: every invocation
+    rebuilds its plan from scratch (and nothing is stored), which is what
+    ``python -m repro.bench --overhead`` measures against.
     """
 
-    def __init__(self, enabled: bool = True):
+    def __init__(self, enabled: bool = True,
+                 plans: dict[tuple, TaskPlan] | None = None):
         self.enabled = enabled
-        self._plans: dict[tuple, TaskPlan] = {}
+        self._plans: dict[tuple, TaskPlan] = {} if plans is None else plans
         self.hits = 0
         self.misses = 0
         self.bypasses = 0
@@ -480,16 +539,14 @@ class PlanCache:
 
     def store(self, plan: TaskPlan) -> None:
         if self.enabled and plan.signature:
-            self._plans[plan.signature] = plan
+            bounded_put(self._plans, plan.signature, plan)
             plan.memoize = True
-
-    def clear(self) -> None:
-        self._plans.clear()
 
     def invalidate_device(self, device: int) -> int:
         """Drop every plan that segments work onto ``device`` (fault
-        recovery: the device set changed, so those plans can never be
-        replayed safely). Returns the number of plans dropped."""
+        recovery retired it; the device tuple in the key already keeps
+        those plans from being replayed, so this only frees them). Returns
+        the number of plans dropped."""
         doomed = [
             key for key, plan in self._plans.items()
             if device in plan.active

@@ -46,10 +46,12 @@ from repro.core.memory_analyzer import MemoryAnalyzer
 from repro.core.plan import (
     COPY_MEMO_LIMIT,
     ChunkPlan,
+    NodeTables,
     PlanCache,
     TaskPlan,
     build_chunk_plan,
     build_plan,
+    check_plan,
     freeze_constants,
 )
 from repro.core.task import CostContext, Kernel, Task, TaskHandle
@@ -140,6 +142,12 @@ class _GatherRecord:
         return all(e is None or e.recorded for e in self.events)
 
 
+def _binding(task: Task, plan: TaskPlan) -> tuple:
+    """One binding of datums to a plan: ``(signature, datum ids)``. A
+    plan is geometry only, so per-datum state is keyed by its binding."""
+    return (plan.signature, tuple([id(c.datum) for c in task.containers]))
+
+
 def _by_container(task: Task, per_input, per_output) -> list:
     """Interleave items aligned with ``task.inputs`` and ``task.outputs``
     into ``task.containers`` order."""
@@ -203,14 +211,23 @@ class Scheduler:
                 "sanitize mode records kernel accesses and therefore "
                 "requires a functional-mode node"
             )
-        self.analyzer = MemoryAnalyzer(node)
-        self.monitor = LocationMonitor()
-        # One knob controls all cross-invocation amortization: with the
-        # plan cache off, the location monitor's transition memoization is
-        # off too, so every invocation recomputes from scratch (the honest
-        # uncached baseline for `repro.bench --overhead`).
+        # One knob controls all cross-invocation amortization. With the
+        # plan cache on, plans, analyzed requirement rects and monitor
+        # transitions come from the node's shared geometry tables, so they
+        # outlive this scheduler (the job server's next lease replays
+        # them). With it off, nothing is memoized or shared: every
+        # invocation recomputes from scratch (the honest uncached baseline
+        # for `repro.bench --overhead`, and the differential oracle).
+        tables = NodeTables.of(node) if plan_cache else NodeTables()
+        self.analyzer = MemoryAnalyzer(
+            node, tables.rects if plan_cache else None
+        )
+        self.monitor = LocationMonitor(tables.geom_ids, tables.transitions)
         self.monitor.amortize = plan_cache
-        self.plans = PlanCache(enabled=plan_cache)
+        self.plans = PlanCache(enabled=plan_cache, plans=tables.plans)
+        #: Bindings (``_binding``) whose rects were checked against this
+        #: scheduler's analyzed boxes (``check_plan``).
+        self._bound: set[tuple] = set()
         self._peer_cache: dict[int, list[int]] = {}
         g = node.num_gpus
         self._compute = [
@@ -253,6 +270,15 @@ class Scheduler:
         #: retirement and release clear streams, so _free_chunk_pools
         #: force-frees whatever is still registered here.
         self._live_chunk_pools: dict[int, tuple[int, list[DeviceBuffer]]] = {}
+        #: Out-of-core chunk plans per (binding, device) (DESIGN.md §10). They depend on memory pressure, not geometry,
+        #: so they stay with this scheduler and binding instead of the
+        #: node's shared plan. Pressure state is deliberately NOT part of
+        #: the key: every replay attempts the in-core path first and falls
+        #: into chunking only when the allocation actually fails, so a
+        #: cached plan self-heals when memory frees up; a cached chunk
+        #: plan is revalidated against the device's *current*
+        #: ``free_bytes`` before reuse and rebuilt when stale.
+        self._chunk_plans: dict[tuple, ChunkPlan] = {}
         self._pool_tokens = 0
         # Straggler mitigation (DESIGN.md §11) — strictly opt-in via
         # FaultPlan.mitigate_stragglers alone (off on the node's empty
@@ -632,19 +658,25 @@ class Scheduler:
         self._refresh_weights()
         plan = self.plans.lookup(task, self._alive, weights=self._weights)
         if plan is None:
-            # Slow path: runs once per task signature (or every time with
-            # the cache disabled). The implicit analysis must precede plan
-            # construction, which validates rects against analyzed boxes.
-            if self.auto_analyze:
-                self.analyzer.ensure(task, self._alive, weights=self._weights)
+            # Slow path: runs once per task signature on the node (or
+            # every time with the cache disabled).
             plan = build_plan(
-                task, self._alive,
-                analyzer=self.analyzer, peers_of=self._peers,
+                task, self._alive, peers_of=self._peers,
                 weights=self._weights,
             )
             if not plan.active:
                 raise SchedulingError(f"task {task.name} has an empty grid")
             self.plans.store(plan)
+        # A plan is geometry only, so each new binding of datums to it is
+        # checked against their analyzed boxes (after the implicit
+        # analysis, if on) — a cached plan once per scheduler.
+        binding = _binding(task, plan)
+        if binding not in self._bound:
+            if self.auto_analyze:
+                self.analyzer.ensure(task, self._alive, weights=self._weights)
+            check_plan(task, plan, self.analyzer)
+            if plan.memoize:
+                self._bound.add(binding)
         return plan
 
     def _replay(
@@ -997,13 +1029,15 @@ class Scheduler:
                     device=device,
                 ) from e
         budget = memory.free_bytes
-        cp = plan.chunk_plans.get(device)
+        key = (_binding(task, plan), device)
+        cp = self._chunk_plans.get(key)
         if cp is None or cp.footprint > budget:
             cp = build_chunk_plan(
                 task, device, plan.device_plans[device].work_rect,
                 budget, memory.capacity,
             )
-            plan.chunk_plans[device] = cp
+            if plan.memoize:
+                self._chunk_plans[key] = cp
         node.trace.add(TraceRecord(
             kind="event",
             label=(

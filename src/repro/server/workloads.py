@@ -8,7 +8,14 @@ iteration counter *are* the checkpoint". The contract:
 * :meth:`bind` attaches fresh datums (bound to the persistent host
   arrays) to a scheduler and runs the ``AnalyzeCall`` declarations. It is
   called once per *lease*; after a preemption the next lease's scheduler
-  re-uploads from host and continues from ``completed`` iterations.
+  re-uploads from host and continues from ``completed`` iterations. A
+  lease re-does only the per-datum work: analyzed boxes and allocations,
+  residency, and one box check per new binding of datums to a plan. The
+  plans, requirement rects and monitor transitions are geometry-keyed
+  tables on the node (DESIGN.md §7), so every lease, job and replica
+  replays those an earlier lease built — which is why each kind's kernel
+  is built once at module level: plans are keyed by kernel identity, and
+  a kernel per job would split them per job.
 * :meth:`run_chunk` advances up to ``checkpoint_every`` iterations and
   gathers results back, leaving host state checkpoint-complete again.
   Preemption happens only between chunks, so nothing in flight is lost.
@@ -40,6 +47,11 @@ from repro.kernels.histogram import (
     make_histogram_kernel,
 )
 from repro.libs.cublas import make_sgemm_routine, sgemm_containers
+
+#: One stateless kernel per kind, shared by every job (module docstring).
+_GOL = make_gol_kernel()
+_HISTOGRAM = make_histogram_kernel("maps")
+_SGEMM = make_sgemm_routine()
 
 
 class Workload:
@@ -110,7 +122,6 @@ class GoLWorkload(Workload):
         self._initial = (rng.random((size, size)) < 0.35).astype(np.int32)
         self.boards = [self._initial.copy(), np.zeros_like(self._initial)]
         self._datums: list[Matrix] | None = None
-        self._kernel = make_gol_kernel()
 
     def bind(self, sched: Scheduler) -> None:
         a = Matrix(self.size, self.size, np.int32, "gol.A").bind(
@@ -120,15 +131,15 @@ class GoLWorkload(Workload):
             self.boards[1]
         )
         self._datums = [a, b]
-        sched.analyze_call(self._kernel, *gol_containers(a, b))
-        sched.analyze_call(self._kernel, *gol_containers(b, a))
+        sched.analyze_call(_GOL, *gol_containers(a, b))
+        sched.analyze_call(_GOL, *gol_containers(b, a))
 
     def run_chunk(self, sched: Scheduler) -> int:
         k = min(self.checkpoint_every, self.iterations - self.completed)
         d = self._datums
         for i in range(self.completed, self.completed + k):
             src, dst = d[i % 2], d[(i + 1) % 2]
-            sched.invoke(self._kernel, *gol_containers(src, dst))
+            sched.invoke(_GOL, *gol_containers(src, dst))
             sched.gather(dst)
         self.completed += k
         return k
@@ -182,10 +193,8 @@ class GoLGraphWorkload(GoLWorkload):
 
     def _pair(self, sched: Scheduler, i: int) -> None:
         d = self._datums
-        sched.invoke(self._kernel, *gol_containers(d[i % 2], d[(i + 1) % 2]))
-        sched.invoke(
-            self._kernel, *gol_containers(d[(i + 1) % 2], d[i % 2])
-        )
+        sched.invoke(_GOL, *gol_containers(d[i % 2], d[(i + 1) % 2]))
+        sched.invoke(_GOL, *gol_containers(d[(i + 1) % 2], d[i % 2]))
 
     def run_chunk(self, sched: Scheduler) -> int:
         k = min(self.checkpoint_every, self.iterations - self.completed)
@@ -252,7 +261,6 @@ class HistogramWorkload(Workload):
         ).astype(np.uint8)
         self.acc = np.zeros(bins, dtype=np.int64)
         self._hist_host = np.zeros(bins, dtype=np.int32)
-        self._kernel = make_histogram_kernel("maps")
         self._image_d: Matrix | None = None
         self._hist_d: Vector | None = None
         self._grid: Grid | None = None
@@ -266,7 +274,7 @@ class HistogramWorkload(Workload):
         )
         self._grid = histogram_grid(self._image_d)
         sched.analyze_call(
-            self._kernel,
+            _HISTOGRAM,
             *histogram_containers(self._image_d, self._hist_d),
             grid=self._grid,
         )
@@ -275,7 +283,7 @@ class HistogramWorkload(Workload):
         k = min(self.checkpoint_every, self.iterations - self.completed)
         for _ in range(k):
             sched.invoke(
-                self._kernel,
+                _HISTOGRAM,
                 *histogram_containers(self._image_d, self._hist_d),
                 grid=self._grid,
             )
@@ -323,7 +331,6 @@ class SgemmWorkload(Workload):
             rng.standard_normal((size, size)).astype(np.float32) / size
         )
         self.mats = [self._x0.copy(), np.zeros_like(self._x0)]
-        self._routine = make_sgemm_routine()
         self._datums: list[Matrix] | None = None
         self._b_d: Matrix | None = None
 
@@ -339,17 +346,15 @@ class SgemmWorkload(Workload):
         )
         self._datums = [x, y]
         self._b_d = b
-        sched.analyze_call(self._routine, *sgemm_containers(x, b, y))
-        sched.analyze_call(self._routine, *sgemm_containers(y, b, x))
+        sched.analyze_call(_SGEMM, *sgemm_containers(x, b, y))
+        sched.analyze_call(_SGEMM, *sgemm_containers(y, b, x))
 
     def run_chunk(self, sched: Scheduler) -> int:
         k = min(self.checkpoint_every, self.iterations - self.completed)
         d, b = self._datums, self._b_d
         for i in range(self.completed, self.completed + k):
             src, dst = d[i % 2], d[(i + 1) % 2]
-            sched.invoke_unmodified(
-                self._routine, *sgemm_containers(src, b, dst)
-            )
+            sched.invoke_unmodified(_SGEMM, *sgemm_containers(src, b, dst))
             sched.gather(dst)
         self.completed += k
         return k

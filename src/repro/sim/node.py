@@ -83,6 +83,10 @@ class SimNode:
         self._lease: dict | None = None
         #: Whole-node fail-stop flag (DESIGN.md §15), set by :meth:`crash`.
         self.crashed = False
+        #: Host-side memo tables shared by every caching scheduler on this
+        #: node (``repro.core.plan.NodeTables``, DESIGN.md §7); created by
+        #: the first one.
+        self.plan_tables = None
 
     # -- properties ------------------------------------------------------------
     @property

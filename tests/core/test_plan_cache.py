@@ -16,8 +16,13 @@ from repro.core import Grid, Kernel, Matrix, Scheduler, Vector
 from repro.core.location_monitor import LocationMonitor
 from repro.core.plan import task_signature
 from repro.core.task import Task
+from repro.errors import AnalysisError
 from repro.hardware import GTX_780, HOST
-from repro.kernels.game_of_life import gol_containers, make_gol_kernel
+from repro.kernels.game_of_life import (
+    gol_containers,
+    gol_reference_step,
+    make_gol_kernel,
+)
 from repro.kernels.histogram import histogram_containers, make_histogram_kernel
 from repro.patterns import StructuredInjective, Window2D
 from repro.sim import SimNode
@@ -98,13 +103,14 @@ class TestCachedEqualsUncached:
 
 class TestCacheBehavior:
     def test_steady_state_hits(self):
-        """The alternating GoL submission has two signatures: two misses,
-        every later invocation replays a cached plan."""
+        """Plans are geometry only: both directions of the GoL ping-pong
+        share one signature, so one miss and every later invocation
+        replays that plan."""
         _, _, sched = run_gol(plan_cache=True, iters=6)
         stats = sched.plans.stats
-        assert stats["plans"] == 2
-        assert stats["misses"] == 2
-        assert stats["hits"] == 4
+        assert stats["plans"] == 1
+        assert stats["misses"] == 1
+        assert stats["hits"] == 5
 
     def test_disabled_cache_stores_nothing(self):
         _, _, sched = run_gol(plan_cache=False, iters=6)
@@ -119,6 +125,98 @@ class TestCacheBehavior:
     def test_monitor_transitions_replayed_when_cached(self):
         _, _, sched = run_gol(plan_cache=True, iters=6)
         assert sched.monitor.transition_hits > 0
+
+    def test_plans_outlive_the_scheduler(self):
+        """A later scheduler on the same node (the job server's next
+        lease) replays the node's plans and monitor transitions, with its
+        own counters, and the same results as the uncached oracle."""
+        out_off, _, _ = run_gol(plan_cache=False)
+        node = SimNode(GTX_780, 4, functional=True)
+        k = make_gol_kernel()
+        scheds = []
+        for lease in range(2):
+            sched = Scheduler(node)
+            if lease == 0:
+                # Other residency states first, so this lease numbers the
+                # board's states differently from the next one: shared
+                # copy decisions must be keyed by node-wide state ids.
+                w = Matrix(8, 8, np.uint8, "w").bind(np.ones((8, 8), np.uint8))
+                v = Matrix(8, 8, np.uint8, "v").bind(np.zeros((8, 8), np.uint8))
+                sched.analyze_call(k, *gol_containers(w, v))
+                sched.analyze_call(k, *gol_containers(v, w))
+                for src, dst in ((w, v), (v, w), (w, v)):
+                    sched.invoke(k, *gol_containers(src, dst))
+            rng = np.random.default_rng(1)
+            board = (rng.random((48, 48)) < 0.35).astype(np.uint8)
+            a = Matrix(48, 48, np.uint8, "A").bind(board.copy())
+            b = Matrix(48, 48, np.uint8, "B").bind(np.zeros_like(board))
+            sched.analyze_call(k, *gol_containers(a, b))
+            sched.analyze_call(k, *gol_containers(b, a))
+            for i in range(6):
+                src, dst = (a, b) if i % 2 == 0 else (b, a)
+                sched.invoke(k, *gol_containers(src, dst))
+            sched.gather(a)
+            assert (a.host == out_off).all()
+            sched.release()
+            scheds.append(sched)
+        first, later = scheds
+        assert first.plans.stats["misses"] == 2
+        assert first.monitor.transition_misses > 0
+        assert later.plans.stats["misses"] == 0
+        assert later.plans.stats["hits"] == 6
+        assert later.monitor.transition_misses == 0
+        assert len(node.plan_tables.plans) == 2
+
+    def test_uncached_scheduler_shares_nothing(self):
+        _, node, sched = run_gol(plan_cache=False)
+        assert node.plan_tables is None
+        assert not sched.monitor._geom_ids and not sched.monitor._transitions
+        assert sched.analyzer._rects is None
+
+
+class TestBindingCheck:
+    """A cached plan is geometry only; binding it to datums it was never
+    checked against must still validate their analyzed boxes."""
+
+    def _pair(self, n=32, seed=3):
+        rng = np.random.default_rng(seed)
+        board = (rng.random((n, n)) < 0.35).astype(np.uint8)
+        a = Matrix(n, n, np.uint8, "A").bind(board)
+        b = Matrix(n, n, np.uint8, "B").bind(np.zeros((n, n), np.uint8))
+        return a, b
+
+    def test_hit_on_datum_without_halo_box_raises(self):
+        node = SimNode(GTX_780, 4, functional=True)
+        sched = Scheduler(node)
+        k = make_gol_kernel()
+        a, b = self._pair()
+        # Only A -> B is declared: B's boxes hold its owned stripes, with
+        # no halo rows for reading it through the 3x3 window.
+        sched.analyze_call(k, *gol_containers(a, b))
+        sched.invoke(k, *gol_containers(a, b))
+        with pytest.raises(AnalysisError, match="'B'"):
+            sched.invoke(k, *gol_containers(b, a))
+        assert sched.plans.stats["misses"] == 1
+        assert sched.plans.stats["hits"] == 1
+
+    def test_auto_analyze_hit_analyzes_and_allocates_new_datums(self):
+        node = SimNode(GTX_780, 4, functional=True)
+        sched = Scheduler(node, auto_analyze=True)
+        k = make_gol_kernel()
+        a, b = self._pair()
+        sched.invoke(k, *gol_containers(a, b))
+        c, d = self._pair(seed=4)
+        ref = gol_reference_step(c.host.copy())
+        assert not sched.analyzer.analyzed(c, 0)
+        sched.invoke(k, *gol_containers(c, d))
+        assert sched.plans.stats["hits"] == 1
+        (plan,) = node.plan_tables.plans.values()
+        for dev in plan.active:
+            assert sched.analyzer.analyzed(c, dev)
+            assert sched.analyzer.analyzed(d, dev)
+            assert sched.analyzer.has_buffer(c, dev)
+        sched.gather(d)
+        assert (d.host == ref).all()
 
 
 class TestInvalidation:
@@ -143,10 +241,30 @@ class TestInvalidation:
         t = self._task()
         assert task_signature(t, 2) != task_signature(t, 4)
 
-    def test_signature_differs_by_datum(self):
-        assert task_signature(self._task(name="A"), 4) != task_signature(
+    def test_same_shape_datums_share_a_signature(self):
+        assert task_signature(self._task(name="A"), 4) == task_signature(
             self._task(name="B"), 4
         )
+
+    def test_signature_differs_by_dtype(self):
+        k = self.kernel
+        t32 = Task(k, [Window2D(Matrix(32, 32, np.int32, "a"), 1),
+                       StructuredInjective(Matrix(32, 32, np.int32, "b"))])
+        t8 = Task(k, [Window2D(Matrix(32, 32, np.uint8, "a"), 1),
+                      StructuredInjective(Matrix(32, 32, np.int32, "b"))])
+        assert task_signature(t32, 4) != task_signature(t8, 4)
+
+    def test_signature_differs_by_pattern_params(self):
+        k = self.kernel
+        a = Matrix(32, 32, np.int32, "a")
+        b = Matrix(32, 32, np.int32, "b")
+        r1 = Task(k, [Window2D(a, 1), StructuredInjective(b)])
+        r2 = Task(k, [Window2D(a, 2), StructuredInjective(b)])
+        assert task_signature(r1, 4) != task_signature(r2, 4)
+
+    def test_signature_differs_by_device_tuple(self):
+        t = self._task()
+        assert task_signature(t, (0, 1)) != task_signature(t, (2, 3))
 
     def test_signature_stable_for_same_task(self):
         t = self._task()
