@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import Kernel, Matrix, Scheduler
+from repro.core import Grid, Kernel, Matrix, Scheduler
 from repro.core.datum import Datum
 from repro.hardware.specs import GPUSpec
 from repro.patterns import ZERO, StructuredInjective, Window2D
@@ -80,6 +80,19 @@ class NodeAgent:
         self.hi = 0
         #: Double-buffered slab datums (ext = hi - lo + 2 * radius rows).
         self.slabs: list[Datum] | None = None
+        # Per-slab tick geometry, computed once by build() and cleared by
+        # revive(): a steady tick only reads these fields.
+        #: Edge rows (sent to the neighbours) and ghost rows (received
+        #: from them), in slab coordinates of the current range.
+        self.top_edge: Rect | None = None
+        self.bottom_edge: Rect | None = None
+        self.top_ghost: Rect | None = None
+        self.bottom_ghost: Rect | None = None
+        #: ``calls[i]`` are the containers of the tick reading
+        #: ``slabs[i]`` and writing the other buffer.
+        self.calls: tuple[tuple[Window2D, StructuredInjective], ...] = ()
+        #: The tick's work grid (one thread per extended-slab cell).
+        self.grid: Grid | None = None
         #: Generation counter: bumped on every (re)build, names the datums.
         self.generation = 0
         #: checkpoint id -> (lo, hi, interior snapshot) of *this* node's
@@ -90,21 +103,6 @@ class NodeAgent:
         #: owner -> {checkpoint id -> (lo, hi, interior snapshot)}.
         self.peer_ckpts: dict[int, dict[int, tuple[int, int, np.ndarray | None]]] = {}
 
-    # -- geometry -------------------------------------------------------------
-    @property
-    def slab_rows(self) -> int:
-        return self.hi - self.lo
-
-    def edge_rects(self) -> tuple[Rect, Rect, Rect, Rect]:
-        """(top edge, bottom edge, top ghost, bottom ghost) in slab
-        coordinates of the current range."""
-        r, s = self.radius, self.slab_rows
-        top_edge = Rect((r, 2 * r), (0, self.cols))
-        bottom_edge = Rect((s, s + r), (0, self.cols))
-        top_ghost = Rect((0, r), (0, self.cols))
-        bottom_ghost = Rect((s + r, s + 2 * r), (0, self.cols))
-        return top_edge, bottom_edge, top_ghost, bottom_ghost
-
     # -- build / rebuild ------------------------------------------------------
     def build(
         self,
@@ -114,13 +112,18 @@ class NodeAgent:
         which: int,
     ) -> None:
         """Create and analyze the double-buffered slab for rows
-        ``[lo, hi)``. ``region`` is the *extended* initial content
-        (interior plus ghost rows, ``hi - lo + 2*radius`` tall) loaded
-        into buffer ``which``; None in timing-only mode."""
+        ``[lo, hi)`` and compute its tick geometry. ``region`` is the
+        *extended* initial content (interior plus ghost rows,
+        ``hi - lo + 2*radius`` tall) loaded into buffer ``which``; None
+        in timing-only mode."""
         self.lo, self.hi = lo, hi
         self.generation += 1
-        r = self.radius
-        ext = self.slab_rows + 2 * r
+        r, s, cols = self.radius, hi - lo, self.cols
+        ext = s + 2 * r
+        self.top_edge = Rect((r, 2 * r), (0, cols))
+        self.bottom_edge = Rect((s, s + r), (0, cols))
+        self.top_ghost = Rect((0, r), (0, cols))
+        self.bottom_ghost = Rect((s + r, s + 2 * r), (0, cols))
         pair: list[Datum] = []
         for buf in range(2):
             d = Matrix(
@@ -136,12 +139,13 @@ class NodeAgent:
                 d.bind(backing)
             pair.append(d)
         self.slabs = pair
-        for a, b in ((0, 1), (1, 0)):
-            self.sched.analyze_call(
-                self.kernel,
-                Window2D(self.slabs[a], r, ZERO),
-                StructuredInjective(self.slabs[b]),
-            )
+        self.calls = tuple(
+            (Window2D(pair[a], r, ZERO), StructuredInjective(pair[b]))
+            for a, b in ((0, 1), (1, 0))
+        )
+        self.grid = Grid(self.calls[0][1].work_shape_from_datum())
+        for call in self.calls:
+            self.sched.analyze_call(self.kernel, *call, grid=self.grid)
 
     def rebuild(
         self,
@@ -167,22 +171,18 @@ class NodeAgent:
         self.build(lo, hi, region, which)
 
     # -- tick execution -------------------------------------------------------
-    def compute(self, src_i: int, dst_i: int, gather_edges: bool) -> float:
-        """Run one stencil tick ``slabs[src_i] -> slabs[dst_i]`` and (when
-        the slab has cluster neighbours) gather the freshly computed edge
-        rows to the host for the exchange phase. Returns the node time at
-        completion. Intra-node faults are recovered inside ``wait_all``;
-        an exhausted node raises UnrecoverableError to the master."""
-        te, be, _, _ = self.edge_rects()
-        src, dst = self.slabs[src_i], self.slabs[dst_i]
-        self.sched.invoke(
-            self.kernel,
-            Window2D(src, self.radius, ZERO),
-            StructuredInjective(dst),
-        )
+    def compute(self, src_i: int, gather_edges: bool) -> float:
+        """Run one stencil tick from ``slabs[src_i]`` into the other
+        buffer and (when the slab has cluster neighbours) gather the
+        freshly computed edge rows to the host for the exchange phase.
+        Returns the node time at completion. Intra-node faults are
+        recovered inside ``wait_all``; an exhausted node raises
+        UnrecoverableError to the master."""
+        dst = self.slabs[1 - src_i]
+        self.sched.invoke(self.kernel, *self.calls[src_i], grid=self.grid)
         if gather_edges:
-            self.sched.gather_region(dst, te)
-            self.sched.gather_region(dst, be)
+            self.sched.gather_region(dst, self.top_edge)
+            self.sched.gather_region(dst, self.bottom_edge)
         return self.sched.wait_all()
 
     # -- ghost handling -------------------------------------------------------
@@ -333,6 +333,10 @@ class NodeAgent:
         self.lo = 0
         self.hi = 0
         self.slabs = None
+        self.top_edge = self.bottom_edge = None
+        self.top_ghost = self.bottom_ghost = None
+        self.calls = ()
+        self.grid = None
         self.local_ckpts = {}
         self.peer_ckpts = {}
         self.node.host_advance(now)

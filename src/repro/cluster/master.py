@@ -512,7 +512,7 @@ class ClusterMaster:
             ag = self.agents[n]
             ag.node.host_advance(max(0.0, starts[n] - ag.node.time))
             try:
-                t_f = ag.compute(src_i, dst_i, multi)
+                t_f = ag.compute(src_i, multi)
             except UnrecoverableError as e:
                 err = NodeFailure(
                     f"node {n} reported intra-node recovery exhausted: {e}",
@@ -535,10 +535,9 @@ class ClusterMaster:
         if multi:
             for pos, n in enumerate(ring):
                 ag = self.agents[n]
-                te, be, _, _ = ag.edge_rects()
                 for dpos, src_rect, is_top in (
-                    (pos - 1, te, True),  # my top edge -> upper
-                    (pos + 1, be, False),  # neighbor's bottom ghost, &vv
+                    (pos - 1, ag.top_edge, True),  # my top edge -> upper
+                    (pos + 1, ag.bottom_edge, False),  # bottom -> lower
                 ):
                     if self.wrap:
                         dpos %= len(ring)
@@ -546,8 +545,7 @@ class ClusterMaster:
                         continue
                     j = ring[dpos]
                     jag = self.agents[j]
-                    _, _, jtg, jbg = jag.edge_rects()
-                    dst_rect = jbg if is_top else jtg
+                    dst_rect = jag.bottom_ghost if is_top else jag.top_ghost
                     if j == n:  # single wrapped node: both edges local
                         ag.copy_local_ghost(dst_i, src_rect, dst_rect)
                         continue
@@ -567,8 +565,7 @@ class ClusterMaster:
             # space, re-zeroed (the tick wrote stencil outputs there).
             for n, top in ((ring[0], True), (ring[-1], False)):
                 ag = self.agents[n]
-                _, _, tg, bg = ag.edge_rects()
-                ag.zero_ghost(dst_i, tg if top else bg)
+                ag.zero_ghost(dst_i, ag.top_ghost if top else ag.bottom_ghost)
 
         # Phase D: barrier + liveness sweep.
         barrier = max(done.values()) if done else self._clock

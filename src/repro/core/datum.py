@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.errors import PatternMismatchError
+from repro.utils.rect import Rect
 
 _anon = itertools.count()
 
@@ -25,6 +26,8 @@ class Datum:
     Attributes:
         name: Identifier used in traces and error messages.
         shape: Full N-d extent.
+        extent: The full :class:`~repro.utils.rect.Rect` of ``shape``
+            (computed once: the shape never changes).
         dtype: Element type.
         host: Bound host buffer (``None`` until :meth:`bind`, or forever in
             timing-only mode).
@@ -39,6 +42,7 @@ class Datum:
         self.shape = tuple(int(s) for s in shape)
         if not self.shape or any(s <= 0 for s in self.shape):
             raise ValueError(f"invalid datum shape {self.shape}")
+        self.extent = Rect.from_shape(self.shape)
         self.dtype = np.dtype(dtype)
         self.name = name or f"datum{next(_anon)}"
         self.host: Optional[np.ndarray] = None

@@ -139,7 +139,7 @@ class LocationMonitor:
         if st is None:
             st = _DatumState()
             # A freshly-seen datum's authoritative copy is its host buffer.
-            st.up_to_date[HOST] = [_Instance(Rect.from_shape(datum.shape), None)]
+            st.up_to_date[HOST] = [_Instance(datum.extent, None)]
             self._state[id(datum)] = st
             self._datums[id(datum)] = datum
         return st
@@ -662,7 +662,7 @@ class LocationMonitor:
         st.agg_mode = Aggregation.NONE
         st.agg_sources.clear()
         st.up_to_date = {
-            HOST: [_Instance(Rect.from_shape(datum.shape), event)]
+            HOST: [_Instance(datum.extent, event)]
         }
 
     def mark_host_dirty(self, datum: "Datum", host_time: float) -> None:
@@ -687,7 +687,7 @@ class LocationMonitor:
         st.agg_lost = False
         st.agg_shadow = None
         st.up_to_date = {
-            HOST: [_Instance(Rect.from_shape(datum.shape), None)]
+            HOST: [_Instance(datum.extent, None)]
         }
 
     # -- helpers ------------------------------------------------------------------
@@ -709,6 +709,4 @@ class LocationMonitor:
 
     def host_covered(self, datum: "Datum") -> bool:
         """Whether the host instance covers the full datum (for tests)."""
-        full = Rect.from_shape(datum.shape)
-        insts = self.instances(datum, HOST)
-        return not full.subtract_all(insts)
+        return not datum.extent.subtract_all(self.instances(datum, HOST))

@@ -22,9 +22,10 @@ plan to datums it was not yet checked against re-runs the analyzed-box
 check (:func:`check_plan`) once per binding per scheduler.
 
 Every caching scheduler on one ``SimNode`` shares that node's
-:class:`NodeTables`: the plans, the analyzer's requirement rects and the
-location monitor's geometry ids and transitions, all geometry-keyed. Plan
-and rect tables are bounded by :data:`PLAN_LIMIT` (oldest evicted first).
+:class:`NodeTables`: the plans, the analyzer's requirement rects, the
+location monitor's geometry ids and transitions, and the copy decisions
+of host gathers, all geometry-keyed. Plan and rect tables are bounded by
+:data:`PLAN_LIMIT` (oldest evicted first).
 ``Scheduler(plan_cache=False)`` shares and memoizes nothing.
 
 Plan caching changes *wall-clock* host cost only. Simulated time is
@@ -166,8 +167,9 @@ class TaskPlan:
     #: frozen-constants key -> {device: kernel duration}.
     durations: dict[tuple, dict[int, float]] = field(default_factory=dict)
     #: Memoized location-monitor copy decisions for steady-state replay:
-    #: ``(input_index, device, residency fingerprint) ->
-    #: tuple[(src, src_index, rect), ...]``. Iterative workloads cycle
+    #: ``(residency fingerprint, (input_index, device)) ->
+    #: tuple[(src, src_index, rect), ...]``, kept by
+    #: ``Scheduler._copy_ops``. Iterative workloads cycle
     #: through a handful of residency states, so after a warm-up lap every
     #: copy plan is rebuilt from here — the rect algebra of Algorithm 2 is
     #: skipped, only the (per-iteration) producer events are re-read. A
@@ -185,8 +187,9 @@ class TaskPlan:
     replays: int = 0
 
 
-#: Upper bound on memoized copy decisions per plan. Steady-state iterative
-#: workloads need a few entries per (input, device); a workload whose
+#: Upper bound on memoized copy decisions per plan (and in a node's
+#: region-gather table). Steady-state iterative workloads need a few
+#: entries per (input, device) or gathered region; a workload whose
 #: residency never revisits a state stops memoizing here instead of growing
 #: the dict unboundedly.
 COPY_MEMO_LIMIT = 512
@@ -222,6 +225,9 @@ class NodeTables:
         self.geom_ids: dict[tuple, int] = {}
         #: (state id, op) -> (post state id, template) (``LocationMonitor``).
         self.transitions: dict[tuple, tuple[int, tuple]] = {}
+        #: (state id, target rect) -> host-gather copy decisions
+        #: (``Scheduler._copy_ops``), bounded by :data:`COPY_MEMO_LIMIT`.
+        self.gathers: dict[tuple, tuple] = {}
 
     @classmethod
     def of(cls, node) -> "NodeTables":

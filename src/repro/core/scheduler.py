@@ -34,7 +34,7 @@ from its own checkpoint.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Hashable, Iterable, Mapping, Optional
 
 
 from repro.core.buffers import locate_virtual, locate_virtual_all
@@ -224,6 +224,8 @@ class Scheduler:
         )
         self.monitor = LocationMonitor(tables.geom_ids, tables.transitions)
         self.monitor.amortize = plan_cache
+        #: Host-gather copy decisions (``_copy_ops``), node-shared.
+        self._gathers = tables.gathers if plan_cache else None
         self.plans = PlanCache(enabled=plan_cache, plans=tables.plans)
         #: Bindings (``_binding``) whose rects were checked against this
         #: scheduler's analyzed boxes (``check_plan``).
@@ -460,9 +462,44 @@ class Scheduler:
                 )
             ev = self._aggregate(datum)
             return [ev] if ev is not None else []
-        target = region if region is not None else Rect.from_shape(datum.shape)
-        ops = self.monitor.compute_copies(datum, [target], HOST)
+        target = region if region is not None else datum.extent
+        # Gathers pass no peer preference, so their decisions depend on
+        # geometry alone and are memoized per target rect in the node's
+        # shared table.
+        ops = self._copy_ops(datum, self._gathers, target, (target,), HOST)
         return [self._enqueue_copy(datum, op) for op in ops]
+
+    def _copy_ops(
+        self,
+        datum: Datum,
+        memo: dict | None,
+        key: Hashable,
+        required: Iterable[Rect],
+        target: int,
+        prefer: Iterable[int] = (),
+    ) -> list[CopyOp]:
+        """Algorithm 2 for ``required`` at ``target``, through a memo of
+        copy decisions (the residency-dependent part of scheduling).
+
+        Iterative workloads revisit the same residency states, so the
+        decisions are kept in ``memo`` per ``(state, key)``, where ``key``
+        names everything else they depend on, and rebuilt against the
+        current producer events (``replay_copies``). An unseen state runs
+        ``compute_copies``; an uncacheable one (fingerprint ``None``) or
+        ``memo=None`` (cache off) never touches the memo, which stops
+        growing at :data:`COPY_MEMO_LIMIT` entries."""
+        monitor = self.monitor
+        state = None if memo is None else monitor.fingerprint(datum)
+        if state is not None:
+            decisions = memo.get((state, key))
+            if decisions is not None:
+                return monitor.replay_copies(datum, target, decisions)
+        ops = monitor.compute_copies(datum, required, target, prefer=prefer)
+        if state is not None and len(memo) < COPY_MEMO_LIMIT:
+            memo[(state, key)] = tuple(
+                (op.src, op.src_index, op.actual) for op in ops
+            )
+        return ops
 
     def mark_host_region_dirty(self, datum: Datum, region: Rect) -> None:
         """The application overwrote ``region`` of the bound host buffer
@@ -476,7 +513,7 @@ class Scheduler:
         """Reject regions that don't fit the datum: silently accepting an
         out-of-bounds rect would corrupt the location monitor (it tracks
         regions that cannot exist) and index past host buffers."""
-        full = Rect.from_shape(datum.shape)
+        full = datum.extent
         if region.ndim != full.ndim:
             raise SchedulingError(
                 f"region {region} has {region.ndim} dims but datum "
@@ -724,6 +761,8 @@ class Scheduler:
         # segmentation rects come precomputed from the plan; only the
         # location-monitor copy computation depends on current residency).
         kernel_waits: dict[int, list[Event]] = {d: [] for d in active}
+        # Copy decisions are memoized per (input, device) in the cached
+        # plan; one-shot plans (cache off) skip the memo entirely.
         copy_memo = plan.copy_memo if plan.memoize else None
         for d in in_core:
             dp = dplans[d]
@@ -732,30 +771,10 @@ class Scheduler:
                 analyzer.buffer(c.datum, d)
                 if monitor.needs_aggregation(c.datum):
                     self._aggregate(c.datum)
-                # Copy planning is the residency-dependent part of a replay.
-                # Iterative workloads revisit the same residency states, so
-                # decisions are memoized per (input, device, state) in the
-                # cached plan; an unseen state runs Algorithm 2 as usual.
-                # One-shot plans (cache off) skip the memo entirely.
-                decisions = memo_key = None
-                if copy_memo is not None:
-                    state = monitor.fingerprint(c.datum)
-                    if state is not None:
-                        memo_key = (i, d, state)
-                        decisions = copy_memo.get(memo_key)
-                if decisions is not None:
-                    ops = monitor.replay_copies(c.datum, d, decisions)
-                else:
-                    ops = monitor.compute_copies(
-                        c.datum,
-                        [a for _, a in req.pieces],
-                        d,
-                        prefer=dp.peers,
-                    )
-                    if memo_key is not None and len(copy_memo) < COPY_MEMO_LIMIT:
-                        copy_memo[memo_key] = tuple(
-                            (op.src, op.src_index, op.actual) for op in ops
-                        )
+                ops = self._copy_ops(
+                    c.datum, copy_memo, (i, d),
+                    (a for _, a in req.pieces), d, dp.peers,
+                )
                 for op in ops:  # line 13: distribute to invoker streams
                     waits.append(self._enqueue_copy(c.datum, op))
             for c in outputs:
@@ -1628,8 +1647,7 @@ class Scheduler:
                 if a.overlaps(b):
                     self._aggregate(datum)
                     return
-        full = Rect.from_shape(datum.shape)
-        if full.subtract_all(rects):
+        if datum.extent.subtract_all(rects):
             self._aggregate(datum)
             return
         self._reduce_scatter(datum, consumer_rects, sources)
