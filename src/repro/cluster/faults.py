@@ -1,8 +1,9 @@
 """Deterministic fault injection for the simulated cluster (DESIGN.md §15).
 
-The cluster-level mirror of :mod:`repro.sim.faults`: a
-:class:`ClusterFaultPlan` describes when and where the *fabric and whole
-nodes* misbehave, one level of the failure hierarchy above the per-node
+The cluster-level counterpart of :mod:`repro.sim.faults`, built on the
+same :mod:`repro.utils.faultspec` vocabulary: a :class:`ClusterFaultPlan`
+describes when and where the *fabric and whole nodes* misbehave, one
+level of the failure hierarchy above the per-node
 :class:`~repro.sim.faults.FaultPlan`. Four fault classes are modelled:
 
 * **Node crashes** (:class:`NodeCrash`): fail-stop of a whole multi-GPU
@@ -51,11 +52,11 @@ actions and identical simulated times.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from repro.sim.faults import FaultPlan
 from repro.utils.backoff import capped_backoff
+from repro.utils.faultspec import LinkFault, LinkFaultPlan, Window, link_matches
 
 
 @dataclass(frozen=True)
@@ -84,37 +85,30 @@ class NodeRepair:
 
 
 @dataclass(frozen=True)
-class LinkFault:
-    """Transient loss of specific inter-node messages.
-
-    The ``nth`` message sent on the directed link ``(src, dst)`` (1-based;
-    ``None`` matches any endpoint) is lost, as are the following
-    ``count - 1`` matching sends — ``count`` models how many consecutive
-    attempts (including the master's retries) fail before the link heals.
-    """
-
-    src: int | None = None
-    dst: int | None = None
-    nth: int = 1
-    count: int = 1
-
-
-@dataclass(frozen=True)
-class Partition:
+class Partition(Window):
     """The fabric splits into disconnected ``groups`` for a time window.
 
-    ``groups`` must cover every node exactly once; messages between
-    different groups are lost while ``start <= t < end``. The head node
-    (master) can reach the largest group (lowest member id breaks ties).
+    Each node sits in at most one of ``groups``; nodes no group names
+    form one further, implicit group. Messages between different groups
+    are lost while ``start <= t < end``. The head node (master) can
+    reach the largest group (lowest member id breaks ties).
     """
 
     groups: tuple[tuple[int, ...], ...]
     start: float
     end: float
 
+    def group_of(self, node: int) -> int:
+        """Index of the group naming ``node``, or -1 for the implicit
+        group of unnamed nodes."""
+        for i, g in enumerate(self.groups):
+            if node in g:
+                return i
+        return -1
+
 
 @dataclass(frozen=True)
-class SlowLink:
+class SlowLink(Window):
     """Degraded link: matching messages take ``factor`` times longer.
 
     ``src``/``dst`` of ``None`` match any endpoint; ``start``/``end``
@@ -129,7 +123,7 @@ class SlowLink:
     end: float | None = None
 
 
-class ClusterFaultPlan:
+class ClusterFaultPlan(LinkFaultPlan):
     """A deterministic schedule of cluster faults plus the failure
     detector's and checkpointer's policy knobs (see module docstring).
 
@@ -215,16 +209,11 @@ class ClusterFaultPlan:
         reslab_on_rejoin: bool = False,
         node_plans: dict[int, FaultPlan] | None = None,
     ):
-        self.seed = seed
-        self.rng = random.Random(seed)
         self.node_crashes = list(node_crashes or [])
         self.node_repairs = list(node_repairs or [])
         self.link_faults = list(link_faults or [])
         self.partitions = list(partitions or [])
         self.link_fault_rate = float(link_fault_rate)
-        self.retry_base = float(retry_base)
-        self.retry_cap = float(retry_cap)
-        self.max_retries = int(max_retries)
         self.ack_timeout = float(ack_timeout)
         self.heartbeat_interval = float(heartbeat_interval)
         self.heartbeat_timeout = float(heartbeat_timeout)
@@ -251,37 +240,27 @@ class ClusterFaultPlan:
             raise ValueError("rejoin backoff base/cap must be positive")
         if self.max_flaps < 1:
             raise ValueError("max_flaps must be >= 1")
-        if not 0.0 <= self.link_fault_rate < 1.0:
-            raise ValueError("link_fault_rate must be in [0, 1)")
-        if min(self.retry_base, self.retry_cap, self.ack_timeout) < 0.0:
-            raise ValueError("retry backoff base/cap and ack_timeout must be >= 0")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        for lf in self.link_faults:
-            # Send counts start at 1, so nth/count below 1 never fire.
-            if lf.nth < 1 or lf.count < 1:
-                raise ValueError(f"link fault nth/count must be >= 1, got {lf}")
+        super().__init__(
+            seed,
+            self.link_faults,
+            self.link_fault_rate,
+            retry_base,
+            retry_cap,
+            max_retries,
+            ack_timeout=self.ack_timeout,
+        )
         for p in self.partitions:
-            seen: set[int] = set()
-            for g in p.groups:
-                if seen & set(g):
-                    raise ValueError(f"partition groups overlap: {p}")
-                seen |= set(g)
+            named = [n for g in p.groups for n in g]
+            if len(set(named)) < len(named):
+                raise ValueError(f"partition groups overlap: {p}")
             if len(p.groups) < 2:
                 raise ValueError(f"partition needs >= 2 groups: {p}")
-            if p.start > p.end:
-                raise ValueError(f"partition window inverted: {p}")
-        #: (src, dst) spec-key -> messages sent, for `nth` matching
-        #: (exact-link and wildcard specs count independently, mirroring
-        #: TransferFault).
-        self._link_counts: dict[tuple[int | None, int | None], int] = {}
-        self._slow: list[SlowLink] = []
-        for s in slow_links or []:
+            p.check_window()
+        self._slow: list[SlowLink] = list(slow_links or [])
+        for s in self._slow:
             if s.factor < 1.0:
                 raise ValueError(f"slow-link factor must be >= 1, got {s}")
-            if s.end is not None and s.start > s.end:
-                raise ValueError(f"slow-link window inverted: {s}")
-            self._slow.append(s)
+            s.check_window()
         #: Per-node availability timeline: a normalized, time-sorted list
         #: of ``(time, is_crash)`` transitions. Redundant events are
         #: dropped during normalization (a crash while already down, a
@@ -319,7 +298,6 @@ class ClusterFaultPlan:
         for times in self._repairs.values():
             times.sort()
         #: Diagnostics, also used by `repro.bench --cluster` reports.
-        self.link_faults_fired = 0
         self.heartbeats_sent = 0
         self.heartbeats_missed = 0
         self.messages_retried = 0
@@ -376,7 +354,7 @@ class ClusterFaultPlan:
     # -- partitions ----------------------------------------------------------
     def _active_partition(self, now: float) -> Partition | None:
         for p in self.partitions:
-            if p.start <= now < p.end:
+            if p.covers(now):
                 return p
         return None
 
@@ -386,12 +364,7 @@ class ClusterFaultPlan:
         if src == dst:
             return True
         p = self._active_partition(now)
-        if p is None:
-            return True
-        for g in p.groups:
-            if src in g:
-                return dst in g
-        return True  # src not named in any group: unpartitioned
+        return p is None or p.group_of(src) == p.group_of(dst)
 
     def master_group(self, nodes: list[int], now: float) -> list[int]:
         """The subset of ``nodes`` the head node can reach at ``now``.
@@ -400,68 +373,23 @@ class ClusterFaultPlan:
         breaking ties); with no active partition it reaches everyone.
         """
         p = self._active_partition(now)
-        if p is None:
+        if p is None or not nodes:
             return list(nodes)
-        candidates = []
-        for g in p.groups:
-            members = [n for n in nodes if n in g]
-            if members:
-                candidates.append(members)
-        unlisted = [
-            n for n in nodes if not any(n in g for g in p.groups)
-        ]
-        if unlisted:
-            candidates.append(unlisted)
-        if not candidates:
-            return list(nodes)
-        return max(candidates, key=lambda ms: (len(ms), -min(ms)))
-
-    # -- transient link faults ------------------------------------------------
-    def link_fault_now(self, src: int, dst: int) -> bool:
-        """Whether the message being sent on ``src -> dst`` is lost.
-
-        Stateful: advances the per-link send counters and, when a fault
-        rate is set, draws from the plan's RNG. Call exactly once per
-        send attempt.
-        """
-        fault = False
-        for spec in self.link_faults:
-            if spec.src is not None and spec.src != src:
-                continue
-            if spec.dst is not None and spec.dst != dst:
-                continue
-            key = (spec.src, spec.dst)
-            n = self._link_counts.get(key, 0) + 1
-            self._link_counts[key] = n
-            if spec.nth <= n < spec.nth + spec.count:
-                fault = True
-        if self.link_fault_rate > 0.0:
-            if self.rng.random() < self.link_fault_rate:
-                fault = True
-        if fault:
-            self.link_faults_fired += 1
-        return fault
+        groups: dict[int, list[int]] = {}
+        for n in nodes:
+            groups.setdefault(p.group_of(n), []).append(n)
+        return max(groups.values(), key=lambda ms: (len(ms), -min(ms)))
 
     # -- slow links ----------------------------------------------------------
     def slow_factor(self, src: int, dst: int, now: float) -> float:
         """Worst active slowdown factor for a ``src -> dst`` message."""
         worst = 1.0
         for s in self._slow:
-            if s.src is not None and s.src != src:
-                continue
-            if s.dst is not None and s.dst != dst:
-                continue
-            if now < s.start or (s.end is not None and now >= s.end):
-                continue
-            worst = max(worst, s.factor)
+            if link_matches(s.src, s.dst, src, dst) and s.covers(now):
+                worst = max(worst, s.factor)
         return worst
 
     # -- retry policy --------------------------------------------------------
-    def backoff(self, attempt: int) -> float:
-        """Cluster-time delay before retry ``attempt`` (1-based):
-        capped exponential ``min(retry_base * 2**(attempt-1), retry_cap)``."""
-        return capped_backoff(self.retry_base, attempt, self.retry_cap)
-
     def rejoin_backoff(self, flap: int) -> float:
         """Cluster-time delay between a node's ``flap``-th repair
         announcement (1-based) and the start of its probation window:

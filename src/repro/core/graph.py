@@ -19,9 +19,9 @@ The replay is *bit-identical* to the eager path, not merely equivalent:
   creation sequence: a steady-state period creates the same events in the
   same order every lap, so a captured wait on an event created ``k``
   slots before the capture window is "the same slot, one period earlier".
-* Device-LRU touch order, per-link fault counters and EWMA observer
-  callbacks are replayed so every side channel the scheduler might read
-  later has the exact state an uncaptured run would have left.
+* Device-LRU touch order and EWMA observer callbacks are replayed so
+  every side channel the scheduler might read later has the exact state
+  an uncaptured run would have left.
 
 A graph is *invalidated* — and its :meth:`IterationGraph.launch` falls
 back to re-invoking the recorded calls through the normal scheduler path,
@@ -168,7 +168,6 @@ class IterationGraph:
         self._slot_events: list[Event] = []
         self._slot_of: dict[Event, int] = {}
         self._slot_labels: list[str] = []
-        self._link_inc: dict[tuple, int] = {}
         self._devices: set[int] = set()
         self._touches: list[tuple[Any, Any]] = []
         self._expected: dict[int, tuple] = {}
@@ -228,10 +227,8 @@ class IterationGraph:
         norm_labels = [_TASK_ID.sub("", ev.label) for ev in events]
         engine = sched.node.engine
         topology = sched.node.topology
-        faults = sched.node.faults
         const_events: list[Event] = []
         const_index: dict[Event, int] = {}
-        link_inc: dict[tuple, int] = {}
         devices: set[int] = set()
         programs: list[tuple["Stream", list[tuple]]] = []
 
@@ -308,16 +305,6 @@ class IterationGraph:
                         devices.add(cmd.src)
                     if cmd.dst != HOST:
                         devices.add(cmd.dst)
-                    # Per-link dispatch counters the eager path would
-                    # advance in transfer_faults_now; replayed as a
-                    # per-lap delta at launch.
-                    for spec in faults.transfer_faults:
-                        if spec.src is not None and spec.src != cmd.src:
-                            continue
-                        if spec.dst is not None and spec.dst != cmd.dst:
-                            continue
-                        key = (spec.src, spec.dst)
-                        link_inc[key] = link_inc.get(key, 0) + 1
                     ops.append(
                         (
                             3,
@@ -369,7 +356,6 @@ class IterationGraph:
         self._slot_events = list(events)
         self._slot_of = slot_of
         self._slot_labels = [ev.label for ev in events]
-        self._link_inc = link_inc
         self._devices = devices
         self._touches = list(rec.touches)
         self._expected = exit_snap
@@ -548,7 +534,16 @@ class IterationGraph:
         for s in node.streams:
             if s.commands:
                 return False
-        if not self._faults_quiescent():
+        # The replay skips per-dispatch fault checks, so every permanent
+        # failure must already have happened, on no device the graph
+        # uses, and nothing else in the plan may be armed. Fault counters
+        # are not replayed: every spec is exhausted by now and counts only
+        # grow, so no later dispatch's outcome depends on them.
+        now = node.time
+        for d, ft in node.engine.dead.items():
+            if ft > now or d in self._devices:
+                return False
+        if node.faults.armed(now):
             return False
         # An EWMA drift that would flip weights on the next eager invoke
         # must take the slow path (which then bumps the generation).
@@ -560,40 +555,6 @@ class IterationGraph:
             st = state.get(did)
             if st is None or _snapshot_state(st) != snap:
                 return False
-        return True
-
-    def _faults_quiescent(self) -> bool:
-        """The replay skips per-dispatch fault checks, so it is only valid
-        when the eager path would provably perform none of their effects:
-        every permanent failure already happened (and not on a device the
-        graph uses), every degradation window with a factor ended, no
-        random or pending targeted transfer faults remain, and watchdog
-        deadlines cannot fire at factor 1.0."""
-        node = self._sched.node
-        now = node.time
-        dead = node.engine.dead
-        if dead:
-            for d, ft in dead.items():
-                if ft > now or d in self._devices:
-                    return False
-        fp = node.faults
-        if fp.transfer_fault_rate > 0.0:
-            return False
-        for spec in fp.transfer_faults:
-            c = fp._link_counts.get((spec.src, spec.dst), 0)
-            if c < spec.nth + spec.count - 1:
-                return False
-        for wins in fp._stragglers.values():
-            for start, end, cf, bf in wins:
-                if cf == 1.0 and bf == 1.0:
-                    continue
-                # Window bounds are plan-relative (FaultPlan.epoch).
-                if end is None or end + fp.epoch > now:
-                    return False
-        if fp.mitigate_stragglers and (
-            fp.watchdog_patience <= 1.0 or fp.hedge_patience <= 1.0
-        ):
-            return False
         return True
 
     # -- fast path ------------------------------------------------------------
@@ -629,10 +590,6 @@ class IterationGraph:
         node.host_time = max(h, engine.now)
         self._boundary_times = ev_time[(n - 1) * E:]
         self._refresh_monitor(ev_time, n)
-        if self._link_inc:
-            counts = node.faults._link_counts
-            for key, c in self._link_inc.items():
-                counts[key] = counts.get(key, 0) + n * c
         sched.plans.graph_hits += n * max(1, len(self.calls))
         return node.time
 

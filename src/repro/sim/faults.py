@@ -35,11 +35,10 @@ simulated times.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from repro.errors import AllocationError
-from repro.utils.backoff import capped_backoff
+from repro.utils.faultspec import LinkFault, LinkFaultPlan, Window
 
 
 @dataclass(frozen=True)
@@ -50,21 +49,9 @@ class DeviceFailure:
     at_time: float
 
 
-@dataclass(frozen=True)
-class TransferFault:
-    """Transient failure of specific transfers on a link.
-
-    The ``nth`` dispatched memcpy matching ``(src, dst)`` (1-based; ``None``
-    matches any endpoint) faults, as do the following ``count - 1``
-    matching dispatches — so ``count`` models how many consecutive attempts
-    (including the scheduler's retries over the same link) fail before the
-    link heals.
-    """
-
-    src: int | None = None
-    dst: int | None = None
-    nth: int = 1
-    count: int = 1
+#: Targeted transient transfer fault: the nth memcpy dispatched on a link
+#: fails, ``count`` times in a row (see :class:`LinkFault`).
+TransferFault = LinkFault
 
 
 @dataclass(frozen=True)
@@ -76,7 +63,7 @@ class AllocFailure:
 
 
 @dataclass(frozen=True)
-class Straggler:
+class Straggler(Window):
     """Per-device degradation: kernel durations are multiplied by
     ``compute_factor``; transfers touching the device take
     ``bandwidth_factor`` times longer. Factors must be >= 1.
@@ -95,7 +82,7 @@ class Straggler:
     end: float | None = None
 
 
-class FaultPlan:
+class FaultPlan(LinkFaultPlan):
     """A deterministic schedule of injected faults (see module docstring).
 
     Args:
@@ -154,17 +141,12 @@ class FaultPlan:
         rebalance_threshold: float = 0.25,
         ewma_alpha: float = 0.8,
     ):
-        self.seed = seed
-        self.rng = random.Random(seed)
         self.device_failures = list(device_failures or [])
         self.transfer_faults = list(transfer_faults or [])
         self.alloc_failures = {
             (a.device, a.nth_alloc) for a in (alloc_failures or [])
         }
         self.transfer_fault_rate = float(transfer_fault_rate)
-        self.retry_base = float(retry_base)
-        self.retry_cap = float(retry_cap)
-        self.max_retries = int(max_retries)
         self.mitigate_stragglers = bool(mitigate_stragglers)
         self.watchdog_patience = float(watchdog_patience)
         self.hedge_patience = float(hedge_patience)
@@ -175,35 +157,24 @@ class FaultPlan:
             raise ValueError("straggler patience factors must be >= 1")
         if not 0.0 < self.ewma_alpha <= 1.0:
             raise ValueError("ewma_alpha must be in (0, 1]")
-        if not 0.0 <= self.transfer_fault_rate < 1.0:
-            raise ValueError("transfer_fault_rate must be in [0, 1)")
-        if self.retry_base < 0.0 or self.retry_cap < 0.0:
-            raise ValueError("retry backoff base/cap must be >= 0")
-        if self.max_retries < 0 or self.max_speculations < 0:
-            raise ValueError("max_retries/max_speculations must be >= 0")
-        for t in self.transfer_faults:
-            # Link counts start at 1, so nth/count below 1 never fire.
-            if t.nth < 1 or t.count < 1:
-                raise ValueError(
-                    f"transfer fault nth/count must be >= 1, got {t}"
-                )
-        #: device -> onset-windowed degradation entries
-        #: ``(start, end, compute_factor, bandwidth_factor)``.
-        self._stragglers: dict[
-            int, list[tuple[float, float | None, float, float]]
-        ] = {}
+        super().__init__(
+            seed,
+            self.transfer_faults,
+            self.transfer_fault_rate,
+            retry_base,
+            retry_cap,
+            max_retries,
+            max_speculations=self.max_speculations,
+        )
+        #: device -> the stragglers degrading it.
+        self._stragglers: dict[int, list[Straggler]] = {}
         for s in stragglers or []:
             if s.compute_factor < 1.0 or s.bandwidth_factor < 1.0:
                 raise ValueError(
                     f"straggler factors must be >= 1, got {s}"
                 )
-            if s.end is not None and s.start > s.end:
-                raise ValueError(
-                    f"straggler onset window must have start <= end, got {s}"
-                )
-            self._stragglers.setdefault(s.device, []).append(
-                (s.start, s.end, s.compute_factor, s.bandwidth_factor)
-            )
+            s.check_window()
+            self._stragglers.setdefault(s.device, []).append(s)
         #: Epoch offset in simulated seconds (DESIGN.md §13): every time
         #: in the plan — straggler onset windows, permanent failure times —
         #: is *plan-relative*, and the node's clock is mapped through
@@ -218,10 +189,7 @@ class FaultPlan:
         #: device was repaired/replaced between leases, so requeue-after-
         #: fault retries against healthy hardware instead of re-dying).
         self.consumed_failures: set[int] = set()
-        #: Per-(src, dst) count of dispatched transfers, for `nth` matching.
-        self._link_counts: dict[tuple[int | None, int | None], int] = {}
         #: Diagnostics, also used by `repro.bench --faults` reports.
-        self.transfer_faults_fired = 0
         self.alloc_faults_fired = 0
         #: Mitigation diagnostics (`repro.bench --stragglers` reports).
         self.speculations_fired = 0
@@ -253,20 +221,17 @@ class FaultPlan:
         return times
 
     # -- stragglers ----------------------------------------------------------
-    def _factor(self, device: int, now: float | None, idx: int) -> float:
-        """Worst active degradation factor (``idx`` selects compute vs
-        bandwidth). ``now=None`` ignores onset windows and returns the
-        worst factor the device ever has (conservative; also the legacy
+    def _factor(self, device: int, now: float | None, field: str) -> float:
+        """Worst active degradation ``field`` (compute or bandwidth
+        factor). ``now=None`` ignores onset windows and returns the worst
+        factor the device ever has (conservative; also the legacy
         whole-run behaviour for windowless stragglers)."""
         worst = 1.0
         if now is not None:
             now -= self.epoch
-        for start, end, *factors in self._stragglers.get(device, ()):
-            if now is not None and (
-                now < start or (end is not None and now >= end)
-            ):
-                continue
-            worst = max(worst, factors[idx])
+        for s in self._stragglers.get(device, ()):
+            if now is None or s.covers(now):
+                worst = max(worst, getattr(s, field))
         return worst
 
     # Both queries run on every kernel/memcpy dispatch, armed or not; the
@@ -274,7 +239,7 @@ class FaultPlan:
     def compute_factor(self, device: int, now: float | None = None) -> float:
         if device not in self._stragglers:
             return 1.0
-        return self._factor(device, now, 0)
+        return self._factor(device, now, "compute_factor")
 
     def transfer_factor(
         self, src: int, dst: int, now: float | None = None
@@ -284,35 +249,40 @@ class FaultPlan:
         if src not in s and dst not in s:
             return 1.0
         return max(
-            self._factor(src, now, 1),
-            self._factor(dst, now, 1),
+            self._factor(src, now, "bandwidth_factor"),
+            self._factor(dst, now, "bandwidth_factor"),
         )
 
     # -- transient transfer faults -------------------------------------------
-    def transfer_faults_now(self, src: int, dst: int) -> bool:
-        """Whether the transfer being dispatched on ``src -> dst`` faults.
+    #: Whether the memcpy being dispatched on ``src -> dst`` faults; call
+    #: exactly once per dispatch (:meth:`LinkFaultPlan.link_fault_now`).
+    transfer_faults_now = LinkFaultPlan.link_fault_now
 
-        Stateful: advances the per-link dispatch counters (exact-link and
-        wildcard specs count independently) and, when a fault rate is set,
-        draws from the plan's RNG. Call exactly once per memcpy dispatch.
-        """
-        fault = False
-        for spec in self.transfer_faults:
-            if spec.src is not None and spec.src != src:
-                continue
-            if spec.dst is not None and spec.dst != dst:
-                continue
-            key = (spec.src, spec.dst)
-            n = self._link_counts.get(key, 0) + 1
-            self._link_counts[key] = n
-            if spec.nth <= n < spec.nth + spec.count:
-                fault = True
-        if self.transfer_fault_rate > 0.0:
-            if self.rng.random() < self.transfer_fault_rate:
-                fault = True
-        if fault:
-            self.transfer_faults_fired += 1
-        return fault
+    @property
+    def transfer_faults_fired(self) -> int:
+        """Transfers faulted so far (`repro.bench --faults` reports)."""
+        return self.link_faults_fired
+
+    def armed(self, now: float) -> bool:
+        """Whether a dispatch at or after simulated time ``now`` could
+        still see an effect of this plan other than a permanent failure
+        (those live in the engine's dead map): a fault rate or an
+        unexhausted transfer-fault spec, a straggler factor whose window
+        has not healed, or a mitigation watchdog that fires at factor
+        1.0. The graph fast path (DESIGN.md §12) replays only when this
+        is False."""
+        if self.link_faults_pending():
+            return True
+        now -= self.epoch  # windows are plan-relative
+        for wins in self._stragglers.values():
+            for s in wins:
+                if not s.healed(now) and (
+                    s.compute_factor != 1.0 or s.bandwidth_factor != 1.0
+                ):
+                    return True
+        return self.mitigate_stragglers and (
+            self.watchdog_patience <= 1.0 or self.hedge_patience <= 1.0
+        )
 
     # -- allocation failures -------------------------------------------------
     def check_alloc(self, device: int, nth: int) -> None:
@@ -325,9 +295,3 @@ class FaultPlan:
                 device=device,
                 injected=True,
             )
-
-    # -- retry policy ----------------------------------------------------------
-    def backoff(self, attempt: int) -> float:
-        """Simulated-time delay before retry ``attempt`` (1-based):
-        capped exponential ``min(retry_base * 2**(attempt-1), retry_cap)``."""
-        return capped_backoff(self.retry_base, attempt, self.retry_cap)

@@ -42,11 +42,6 @@ def _lanes_of(rec: TraceRecord) -> tuple[str, ...]:
     return ("other",)
 
 
-def _lane_of(rec: TraceRecord) -> str:
-    """Primary lane of a record (kept for single-lane callers)."""
-    return _lanes_of(rec)[0]
-
-
 def render_timeline(
     trace: Trace,
     width: int = 100,

@@ -146,6 +146,16 @@ class TestClusterFaultPlan:
         # other links never match, and don't advance this spec's counter
         assert not p.link_fault_now(1, 0)
 
+    def test_specs_sharing_a_link_advance_its_count_once(self):
+        # Regression: each spec on (0, 1) used to advance the shared
+        # count, so the nth=3 spec saw counts 2, 4, ... and never fired.
+        p = ClusterFaultPlan(link_faults=[
+            LinkFault(0, 1, nth=1), LinkFault(0, 1, nth=3),
+        ])
+        hits = [p.link_fault_now(0, 1) for _ in range(5)]
+        assert hits == [True, False, True, False, False]
+        assert p.link_faults_fired == 2
+
     def test_link_fault_rate_is_seed_deterministic(self):
         a = ClusterFaultPlan(seed=7, link_fault_rate=0.5)
         b = ClusterFaultPlan(seed=7, link_fault_rate=0.5)
@@ -162,6 +172,20 @@ class TestClusterFaultPlan:
         assert not p.reachable(0, 2, 1.5)
         assert p.reachable(0, 1, 1.5)  # same group
         assert p.reachable(0, 2, 2.0)  # healed (half-open window)
+
+    def test_unnamed_nodes_form_one_implicit_group(self):
+        # Regression: reachable(3, 0) was True but reachable(0, 3) False.
+        p = ClusterFaultPlan(
+            partitions=[Partition(groups=((0, 1), (2,)), start=0.0, end=1.0)]
+        )
+        assert not p.reachable(3, 0, 0.5)
+        assert not p.reachable(0, 3, 0.5)
+        assert not p.reachable(2, 3, 0.5)
+        assert not p.reachable(3, 2, 0.5)
+        assert p.reachable(3, 4, 0.5) and p.reachable(4, 3, 0.5)
+        # The head agrees: {3, 4} outnumbers {2} and ties {0, 1} on size.
+        assert p.master_group([0, 1, 2, 3, 4], 0.5) == [0, 1]
+        assert p.master_group([0, 2, 3, 4], 0.5) == [3, 4]
 
     def test_master_sits_on_largest_group(self):
         p = ClusterFaultPlan(

@@ -26,7 +26,13 @@ from repro.kernels.game_of_life import (
     make_gol_kernel,
 )
 from repro.libs.cublas import make_sgemm_routine, sgemm_containers
-from repro.sim import DeviceFailure, FaultPlan, SimNode, Straggler
+from repro.sim import (
+    DeviceFailure,
+    FaultPlan,
+    SimNode,
+    Straggler,
+    TransferFault,
+)
 
 N = 128
 GPUS = 4
@@ -354,6 +360,52 @@ class TestInvalidation:
                                                 faults=faults())
         assert g.replayable, g.reason
         assert g.fast_launches == 1
+        assert te == tg
+        assert rowse == rowsg
+
+    def test_exhausted_transfer_fault_allows_fast_path(self):
+        # The first 0->1 halo copy faults during warm-up and is retried;
+        # the spec is exhausted before capture, so launches are fast and
+        # per-link counts no replay advances can change no outcome.
+        faults = lambda: FaultPlan(  # noqa: E731
+            transfer_faults=[TransferFault(src=0, dst=1, nth=1)]
+        )
+        pairs = 8
+        be, te, rowse, _, se = run_gol_pairs(pairs, graph=False,
+                                             faults=faults())
+        bg, tg, rowsg, g, sg = run_gol_pairs(pairs, graph=True,
+                                             faults=faults())
+        fe, fg = se.node.faults, sg.node.faults
+        assert fe.transfer_faults_fired == fg.transfer_faults_fired == 1
+        assert g.replayable, g.reason
+        assert g.launches == g.fast_launches == 1
+        # Replayed laps advance no counter, yet nothing below differs.
+        assert fg._link_counts[(0, 1)] < fe._link_counts[(0, 1)]
+        assert not fg.link_faults_pending()
+        assert np.array_equal(bg, gol_expected(2 * pairs))
+        assert np.array_equal(be, bg)
+        assert te == tg
+        assert rowse == rowsg
+
+    def test_pending_transfer_fault_blocks_fast_path(self):
+        # One 0->1 halo copy in warm-up, two per period: the 6th 0->1
+        # dispatch is in the second launched period. The launch falls
+        # back, and the fault fires on the same dispatch as eagerly.
+        faults = lambda: FaultPlan(  # noqa: E731
+            transfer_faults=[TransferFault(src=0, dst=1, nth=6)]
+        )
+        pairs = 8
+        be, te, rowse, _, se = run_gol_pairs(pairs, graph=False,
+                                             faults=faults())
+        bg, tg, rowsg, g, sg = run_gol_pairs(pairs, graph=True,
+                                             faults=faults())
+        assert g.replayable, g.reason
+        assert g.launches == 1 and g.fast_launches == 0
+        fe, fg = se.node.faults, sg.node.faults
+        assert fe.transfer_faults_fired == fg.transfer_faults_fired == 1
+        assert fe._link_counts == fg._link_counts
+        assert np.array_equal(bg, gol_expected(2 * pairs))
+        assert np.array_equal(be, bg)
         assert te == tg
         assert rowse == rowsg
 

@@ -55,6 +55,33 @@ class TestFaultPlan:
         assert fired == [False, True, True, False, False]
         assert fp.transfer_faults_fired == 2
 
+    def test_specs_sharing_a_link_advance_its_count_once(self):
+        # Regression: each spec on (0, 1) used to advance the shared
+        # count, so the nth=3 spec saw counts 2, 4, ... and never fired.
+        fp = FaultPlan(transfer_faults=[
+            TransferFault(0, 1, nth=1), TransferFault(0, 1, nth=3),
+        ])
+        fired = [fp.transfer_faults_now(0, 1) for _ in range(5)]
+        assert fired == [True, False, True, False, False]
+        assert fp.transfer_faults_fired == 2
+
+    def test_armed_until_nothing_can_still_fire(self):
+        assert not FaultPlan().armed(0.0)
+        assert FaultPlan(transfer_fault_rate=0.1).armed(0.0)
+        fp = FaultPlan(transfer_faults=[TransferFault(nth=2)])
+        fp.transfer_faults_now(0, 1)
+        assert fp.armed(0.0)
+        fp.transfer_faults_now(0, 1)  # last faulting dispatch
+        assert not fp.armed(0.0)
+        fp = FaultPlan(stragglers=[Straggler(0, 2.0, start=1.0, end=2.0)])
+        assert fp.armed(0.0) and fp.armed(1.5) and not fp.armed(2.0)
+        fp.rebase(1.0)  # windows are plan-relative
+        assert fp.armed(2.5) and not fp.armed(3.0)
+        assert not FaultPlan(stragglers=[Straggler(0)]).armed(0.0)
+        assert FaultPlan(
+            mitigate_stragglers=True, watchdog_patience=1.0
+        ).armed(0.0)
+
     def test_link_specific_fault_ignores_other_links(self):
         fp = FaultPlan(transfer_faults=[TransferFault(src=0, dst=1, nth=1)])
         assert not fp.transfer_faults_now(1, 0)  # reverse direction
