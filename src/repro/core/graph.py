@@ -15,10 +15,12 @@ The replay is *bit-identical* to the eager path, not merely equivalent:
   pure function of captured values).
 * Host-clock checkpoints re-accumulate the captured per-lap advances with
   the same sequential additions the eager submission loop performs.
-* Cross-lap event dependencies are resolved through the global event
-  creation sequence: a steady-state period creates the same events in the
-  same order every lap, so a captured wait on an event created ``k``
-  slots before the capture window is "the same slot, one period earlier".
+* Cross-lap event dependencies are resolved by position: a steady-state
+  period creates the same events in the same order every lap, and a
+  captured wait on an event from before the capture reads the monitor
+  position (datum, location, instance or read index) that held it. The
+  period leaves either the same event there (a constant) or one of its
+  own (``slot``), so a later lap waits on that slot one period earlier.
 * Device-LRU touch order and EWMA observer callbacks are replayed so
   every side channel the scheduler might read later has the exact state
   an uncaptured run would have left.
@@ -29,13 +31,15 @@ bit-identically by construction — whenever the steady state it froze no
 longer holds: an EWMA rebalance changed segment weights, a device was
 retired, a replica was evicted or chunked under memory pressure (all bump
 the scheduler's graph generation), straggler windows or pending transfer
-faults are still active, or the residency state the capture period left
-behind no longer matches.
+faults are still active, or the monitor no longer has the structure the
+capture period left behind: the same residency geometry, aggregation
+state and consumed read-list shapes. Events are not compared by identity,
+so eager work between launches that rebuilds the same structure (a new
+producer of the same residency) keeps the fast path.
 """
 
 from __future__ import annotations
 
-import re
 from typing import TYPE_CHECKING, Any
 
 from repro.core.location_monitor import _Instance
@@ -53,11 +57,6 @@ from repro.sim.commands import (
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.scheduler import Scheduler
     from repro.sim.stream import Stream
-
-#: Task names embed a global invocation id (``gol#42@gpu1``) that differs
-#: between any two invocations; strip it when comparing event labels
-#: across laps.
-_TASK_ID = re.compile(r"#\d+")
 
 
 class GraphRecorder:
@@ -109,9 +108,11 @@ class GraphRecorder:
 
 
 def _snapshot_state(st) -> tuple:
-    """Immutable view of one datum's monitor state (events by reference)."""
+    """Immutable view of one datum's monitor state (events by reference;
+    ``st.sid`` must be current, as ``LocationMonitor.states`` leaves it)."""
     shadow = st.agg_shadow
     return (
+        st.sid,
         tuple(
             (loc, tuple((i.rect, i.event) for i in insts))
             for loc, insts in st.up_to_date.items()
@@ -123,13 +124,46 @@ def _snapshot_state(st) -> tuple:
         None
         if shadow is None
         else (shadow[0], tuple(shadow[1].items()), shadow[2]),
+        tuple(st.read_marks.items()),
     )
 
 
 def snapshot_monitor(monitor) -> dict[int, tuple]:
-    """Snapshot every datum's residency state (used by capture begin/end
-    to prove the period is a fixed point modulo per-lap event refresh)."""
-    return {did: _snapshot_state(st) for did, st in monitor._state.items()}
+    """Snapshot every datum's monitor state, events by reference (capture
+    compares the entry and exit snapshots to prove the period is a fixed
+    point modulo per-lap event refresh)."""
+    return {did: _snapshot_state(st) for did, st in monitor.states().items()}
+
+
+#: Kinds of a *position* ``(did, kind, loc, idx)``: a place the eager path
+#: reads an event from — an up-to-date instance, a pending-aggregation
+#: source (``idx`` 0), or an entry of a pending-read list that a writer of
+#: the period consumes.
+_INST, _AGG, _READ = 0, 1, 2
+
+
+def _event_at(st, kind: int, loc: int, idx: int):
+    if kind == _INST:
+        return st.up_to_date[loc][idx].event
+    if kind == _AGG:
+        return st.agg_sources[loc]
+    return st.pending_reads[loc][idx]
+
+
+def _positions(did: int, snap: tuple, consumed: set[int]):
+    """``(position, event)`` for every event of one datum's snapshot the
+    eager path may read; ``consumed`` are the locations whose read lists
+    the period's writers take."""
+    _, utd, _, aggs, pend = snap[:5]
+    for loc, insts in utd:
+        for i, (_, ev) in enumerate(insts):
+            yield (did, _INST, loc, i), ev
+    for d, ev in aggs:
+        yield (did, _AGG, d, 0), ev
+    for loc, evs in pend:
+        if loc in consumed:
+            for i, ev in enumerate(evs):
+                yield (did, _READ, loc, i), ev
 
 
 class IterationGraph:
@@ -140,6 +174,15 @@ class IterationGraph:
     period ``n`` times; when the frozen steady state no longer holds it
     transparently falls back to re-invoking the recorded calls through
     the normal scheduler path.
+
+    The graph binds to the monitor by *structure*, not by the identity of
+    the last producer: per captured datum it keeps the geometry state id,
+    the aggregation state and the shape of every read list the period
+    consumes, and every wait on an event from before the capture is
+    recorded by the position the event held (datum, location, instance or
+    read index). A launch re-reads the events at those positions, so
+    eager work that leaves the same structure behind — a new producer of
+    the same residency — keeps the fast path.
     """
 
     def __init__(self, scheduler: "Scheduler"):
@@ -163,17 +206,24 @@ class IterationGraph:
         self._deltas: list[float] = []
         self._K = 1
         self._E = 0
-        self._const_events: list[Event] = []
-        self._boundary_times: list[float] = []
-        self._slot_events: list[Event] = []
-        self._slot_of: dict[Event, int] = {}
         self._slot_labels: list[str] = []
         self._devices: set[int] = set()
         self._touches: list[tuple[Any, Any]] = []
-        self._expected: dict[int, tuple] = {}
-        #: (id(datum), loc) -> ("replace", slots) | ("tail", slots); locs
-        #: whose pending-read lists the epilogue must rebuild or extend.
-        self._pending_plan: dict[tuple[int, int], tuple[str, tuple]] = {}
+        #: Entry-state events the replay reads, each as the positions
+        #: that held it at capture; a launch requires each group to hold
+        #: one recorded event again. Constant waits (opcode mode 2) index
+        #: this list.
+        self._refs: list[tuple[tuple, ...]] = []
+        #: ``(slot, ref)``: lap 0's previous-lap wait on ``slot`` reads the
+        #: event of ``ref``.
+        self._slot_refs: list[tuple[int, int]] = []
+        #: did -> ``(sid, agg mode, agg lost, agg source devices,
+        #: ((loc, length, mark), ...) of consumed read lists, positions
+        #: that must hold no event)`` — the structure a launch requires.
+        self._shape: dict[int, tuple] = {}
+        #: did -> how the epilogue leaves the datum as the last lap would:
+        #: ``(instances, agg sources, shadow, replaced reads, read tails)``.
+        self._exit: dict[int, tuple] = {}
 
     # -- capture finalization -------------------------------------------------
     def _fail(self, reason: str) -> None:
@@ -222,16 +272,71 @@ class IterationGraph:
             return self._fail(
                 "host clock advanced outside host_advance during capture"
             )
-
         slot_of = {ev: i for i, ev in enumerate(events)}
-        norm_labels = [_TASK_ID.sub("", ev.label) for ev in events]
+
+        # -- residency fixed point (modulo per-lap event refresh) ------------
+        monitor = sched.monitor
+        exit_snap = snapshot_monitor(monitor)
+        consumed: dict[int, set[int]] = {}
+        for did, loc in war_log:
+            consumed.setdefault(did, set()).add(loc)
+        for did in entry:
+            if did not in exit_snap:  # pragma: no cover - states persist
+                return self._fail("a datum's state vanished during capture")
+        captured = []
+        for did, ex in exit_snap.items():
+            en = entry.get(did)
+            if en is None:
+                return self._fail(
+                    "a datum first touched during capture has no "
+                    "steady-state entry snapshot"
+                )
+            if did in consumed or en != ex:
+                captured.append(did)
+        shape: dict[int, tuple] = {}
+        exits: dict[int, tuple] = {}
+        for did in captured:
+            plan = self._check_fixed_point(
+                entry[did], exit_snap[did], slot_of, consumed.get(did, set())
+            )
+            if isinstance(plan, str):
+                return self._fail(plan)
+            shape[did], exits[did] = plan
+
+        # Where each entry event sits, and what the period leaves there.
+        holders: dict[Event, list[tuple]] = {}
+        after: dict[tuple, Any] = {}
+        for did in captured:
+            locs = consumed.get(did, set())
+            for pos, ev in _positions(did, entry[did], locs):
+                if ev is not None:
+                    holders.setdefault(ev, []).append(pos)
+            for pos, ev in _positions(did, exit_snap[did], locs):
+                after[pos] = ev
+        refs: list[tuple[tuple, ...]] = []
+        ref_of: dict[Event, int] = {}
+
+        def ref(ev: Event) -> int | None:
+            r = ref_of.get(ev)
+            if r is None:
+                group = holders.get(ev)
+                if group is None:
+                    return None
+                r = ref_of[ev] = len(refs)
+                refs.append(tuple(group))
+            return r
+
+        # Entry events the period leaves in place keep their positions
+        # bound together too, whether or not anything waits on them.
+        for ev, group in holders.items():
+            if any(after[p] is ev for p in group):
+                ref(ev)
+
         engine = sched.node.engine
         topology = sched.node.topology
-        const_events: list[Event] = []
-        const_index: dict[Event, int] = {}
+        slot_refs: dict[int, int] = {}
         devices: set[int] = set()
         programs: list[tuple["Stream", list[tuple]]] = []
-
         for sid, cmds in rec.commands.items():
             stream = rec.streams[sid]
             ops: list[tuple] = []
@@ -241,33 +346,39 @@ class IterationGraph:
                     ev = cmd.event
                     if ev is None:
                         return self._fail("captured wait without an event")
-                    s = ev.seq
-                    if S0 <= s < S0 + E:
-                        ops.append((0, ck, 0, s - S0))
-                    elif S0 - E <= s < S0:
-                        slot = s - (S0 - E)
-                        if (
-                            not ev.recorded
-                            or _TASK_ID.sub("", ev.label)
-                            != norm_labels[slot]
-                        ):
-                            return self._fail(
-                                f"previous-period event {ev.label!r} does "
-                                f"not line up with captured slot {slot} — "
-                                "the warm-up iteration was not steady-state"
-                            )
-                        ops.append((0, ck, 1, slot))
-                    else:
-                        if not ev.recorded:
-                            return self._fail(
-                                f"wait on pre-capture event {ev.label!r} "
-                                "that never recorded"
-                            )
-                        idx = const_index.get(ev)
-                        if idx is None:
-                            idx = const_index[ev] = len(const_events)
-                            const_events.append(ev)
-                        ops.append((0, ck, 2, idx))
+                    slot = slot_of.get(ev)
+                    if slot is not None:
+                        ops.append((0, ck, 0, slot))
+                        continue
+                    if not ev.recorded:
+                        return self._fail(
+                            f"wait on pre-capture event {ev.label!r} "
+                            "that never recorded"
+                        )
+                    r = ref(ev)
+                    if r is None:
+                        return self._fail(
+                            f"wait on pre-capture event {ev.label!r} the "
+                            "monitor holds at no position"
+                        )
+                    nxt = [after.get(p) for p in refs[r]]
+                    succ = nxt[0]
+                    if any(x is not succ for x in nxt):
+                        return self._fail(
+                            f"positions of pre-capture event {ev.label!r} "
+                            "end the period holding different events"
+                        )
+                    if succ is ev:  # untouched constant
+                        ops.append((0, ck, 2, r))
+                        continue
+                    slot = slot_of.get(succ)
+                    if slot is None or slot_refs.setdefault(slot, r) != r:
+                        return self._fail(
+                            f"previous-period event {ev.label!r} is not "
+                            "refreshed by one captured slot — the warm-up "
+                            "iteration was not steady-state"
+                        )
+                    ops.append((0, ck, 1, slot))
                 elif t is EventRecord:
                     slot = slot_of.get(cmd.event)
                     if slot is None:
@@ -327,153 +438,158 @@ class IterationGraph:
                     )
             programs.append((stream, ops))
 
-        # -- residency fixed point (modulo per-lap event refresh) ------------
-        monitor = sched.monitor
-        exit_snap = snapshot_monitor(monitor)
-        pending_plan: dict[tuple[int, int], tuple[str, tuple]] = {}
-        for did, ex in exit_snap.items():
-            en = entry.get(did)
-            if en is None:
-                return self._fail(
-                    "a datum first touched during capture has no "
-                    "steady-state entry snapshot"
-                )
-            ok = self._check_fixed_point(
-                did, en, ex, slot_of, war_log, pending_plan
-            )
-            if ok is not None:
-                return self._fail(ok)
-        for did in entry:
-            if did not in exit_snap:  # pragma: no cover - states persist
-                return self._fail("a datum's state vanished during capture")
-
         self._programs = programs
         self._deltas = list(rec.deltas)
         self._K = len(rec.deltas) + 1
         self._E = E
-        self._const_events = const_events
-        self._boundary_times = [ev.recorded_at for ev in events]
-        self._slot_events = list(events)
-        self._slot_of = slot_of
         self._slot_labels = [ev.label for ev in events]
         self._devices = devices
         self._touches = list(rec.touches)
-        self._expected = exit_snap
-        self._pending_plan = pending_plan
+        self._refs = refs
+        self._slot_refs = sorted(slot_refs.items())
+        self._shape = shape
+        self._exit = exits
         self.replayable = True
         self.reason = ""
 
     def _check_fixed_point(
         self,
-        did: int,
         en: tuple,
         ex: tuple,
         slot_of: dict[Event, int],
-        war_log: set[tuple[int, int]],
-        pending_plan: dict[tuple[int, int], tuple[str, tuple]],
-    ) -> str | None:
+        consumed: set[int],
+    ) -> str | tuple:
         """One datum's entry-vs-exit proof. The captured period must leave
-        the datum's residency *geometry* exactly where it found it, and
-        every event reference must be either untouched (a pre-capture
-        constant) or refreshed by the period (a window event the epilogue
-        re-materializes per lap). Returns a failure reason or None."""
-        e_utd, e_mode, e_aggs, e_pend, e_lost, e_shadow = en
-        x_utd, x_mode, x_aggs, x_pend, x_lost, x_shadow = ex
+        the datum's residency *geometry* and aggregation state exactly
+        where it found them, every event reference must be either left in
+        place (a pre-capture constant) or refreshed by the period (a window
+        event the epilogue re-materializes per lap), and every read list a
+        writer consumes must end the period with the shape it started
+        with. Returns a failure reason, or the datum's launch structure
+        and epilogue plan."""
+        e_sid, e_utd, e_mode, e_aggs, e_pend, e_lost, e_shadow, e_marks = en
+        x_sid, x_utd, x_mode, x_aggs, x_pend, x_lost, x_shadow, x_marks = ex
+        if x_sid < 0:
+            return "residency geometry id table is full"
+        if e_sid != x_sid:
+            return "residency geometry changed across the captured period"
         if e_mode is not x_mode or e_lost != x_lost:
             return "aggregation state changed across the captured period"
+        nones: list[tuple[int, int, int]] = []
 
-        def ref_ok(e_ev, x_ev) -> bool:
-            if x_ev is None:
-                return e_ev is None
-            if x_ev in slot_of:
-                return True  # refreshed per lap
-            return x_ev is e_ev  # untouched pre-capture constant
-
-        if len(e_utd) != len(x_utd):
-            return "residency geometry changed across the captured period"
-        for (e_loc, e_insts), (x_loc, x_insts) in zip(e_utd, x_utd):
-            if e_loc != x_loc or len(e_insts) != len(x_insts):
-                return (
-                    "residency geometry changed across the captured period"
-                )
-            for (e_rect, e_ev), (x_rect, x_ev) in zip(e_insts, x_insts):
-                if e_rect != x_rect:
-                    return (
-                        "residency geometry changed across the captured "
-                        "period"
-                    )
-                if not ref_ok(e_ev, x_ev):
-                    return (
-                        "an up-to-date instance carries an event from "
-                        "neither the capture window nor the entry state"
-                    )
-        if len(e_aggs) != len(x_aggs):
-            return "aggregation sources changed across the captured period"
-        for (e_d, e_ev), (x_d, x_ev) in zip(e_aggs, x_aggs):
-            if e_d != x_d or not ref_ok(e_ev, x_ev):
-                return (
-                    "aggregation sources changed across the captured period"
-                )
-        if (e_shadow is None) != (x_shadow is None):
-            return "aggregation shadow changed across the captured period"
-        if x_shadow is not None:
-            if e_shadow[0] is not x_shadow[0] or len(e_shadow[1]) != len(
-                x_shadow[1]
-            ):
-                return "aggregation shadow changed across the captured period"
-            for (e_d, e_ev), (x_d, x_ev) in zip(e_shadow[1], x_shadow[1]):
-                if e_d != x_d or not ref_ok(e_ev, x_ev):
-                    return (
-                        "aggregation shadow changed across the captured "
-                        "period"
-                    )
-            if not ref_ok(e_shadow[2], x_shadow[2]):
-                return "aggregation shadow changed across the captured period"
-
-        # Pending reads: a list the period's writer consumed (war_log) must
-        # end the period holding only window events (replaced per lap); an
-        # unconsumed list may only have grown by a window-event tail.
-        e_pend_map = dict(e_pend)
-        for loc, x_evs in x_pend:
-            key = (did, loc)
-            if key in war_log:
-                slots = []
-                for ev in x_evs:
-                    s = slot_of.get(ev)
-                    if s is None:
-                        return (
-                            "a consumed pending-read list ends the period "
-                            "with a pre-capture event"
-                        )
-                    slots.append(s)
-                pending_plan[key] = ("replace", tuple(slots))
-                continue
-            e_evs = e_pend_map.get(loc, ())
-            if len(x_evs) < len(e_evs):
-                return "a pending-read list shrank without a writer"
-            for e_ev, x_ev in zip(e_evs, x_evs):
+        def refresh(kind, loc, idx, e_ev, x_ev):
+            """Slot refreshing the position per lap, None if it is left
+            alone, or a failure reason."""
+            if e_ev is None or x_ev is None:
                 if e_ev is not x_ev:
                     return (
-                        "a pending-read list's retained prefix changed "
-                        "across the captured period"
+                        "an event reference appeared or vanished across "
+                        "the captured period"
                     )
-            tail = x_evs[len(e_evs):]
-            if tail:
-                slots = []
-                for ev in tail:
-                    s = slot_of.get(ev)
-                    if s is None:
-                        return (
-                            "a pending-read list grew by a pre-capture "
-                            "event"
-                        )
-                    slots.append(s)
-                pending_plan[key] = ("tail", tuple(slots))
-        x_locs = {loc for loc, _ in x_pend}
-        for loc, e_evs in e_pend_map.items():
-            if e_evs and loc not in x_locs and (did, loc) not in war_log:
+                nones.append((kind, loc, idx))
+                return None
+            slot = slot_of.get(x_ev)
+            if slot is not None:
+                return slot
+            if x_ev is not e_ev:
+                return (
+                    "an up-to-date instance carries an event from "
+                    "neither the capture window nor the entry state"
+                )
+            return None
+
+        insts = []  # same geometry: locations and rects line up
+        for (_, e_insts), (x_loc, x_insts) in zip(e_utd, x_utd):
+            fresh = []
+            for i, ((_, e_ev), (x_rect, x_ev)) in enumerate(
+                zip(e_insts, x_insts)
+            ):
+                slot = refresh(_INST, x_loc, i, e_ev, x_ev)
+                if isinstance(slot, str):
+                    return slot
+                if slot is not None:
+                    fresh.append((i, x_rect, slot))
+            if fresh:
+                insts.append((x_loc, tuple(fresh)))
+        if [d for d, _ in e_aggs] != [d for d, _ in x_aggs]:
+            return "aggregation sources changed across the captured period"
+        aggs = []
+        for (d, e_ev), (_, x_ev) in zip(e_aggs, x_aggs):
+            slot = refresh(_AGG, d, 0, e_ev, x_ev)
+            if isinstance(slot, str):
+                return slot
+            if slot is not None:
+                aggs.append((d, slot))
+        # An aggregation shadow is either the period's own (partials and
+        # aggregation both captured) or left alone.
+        shadow = None
+        if x_shadow is not None:
+            mode, sources, hev = x_shadow
+            if all(
+                ev is None or ev in slot_of
+                for ev in (hev, *(ev for _, ev in sources))
+            ):
+                shadow = (
+                    mode,
+                    tuple((d, slot_of.get(ev)) for d, ev in sources),
+                    slot_of.get(hev),
+                )
+            elif x_shadow == e_shadow:
+                shadow = "keep"
+            else:
+                return "aggregation shadow changed across the captured period"
+
+        # Pending reads: a list a writer consumes must end the period
+        # holding only window events, with its entry shape (the replay
+        # waits on exactly that many); any other list can only grow by a
+        # window-event tail (compaction may drop completed entry reads).
+        e_pend_map, x_pend_map = dict(e_pend), dict(x_pend)
+        e_mark_map, x_mark_map = dict(e_marks), dict(x_marks)
+        replace, tails = [], []
+        for loc in sorted(consumed):
+            x_evs = x_pend_map.get(loc, ())
+            slots = tuple(slot_of.get(ev, -1) for ev in x_evs)
+            if -1 in slots:
+                return (
+                    "a consumed pending-read list ends the period with a "
+                    "pre-capture event"
+                )
+            mark = x_mark_map.get(loc)
+            if (
+                len(x_evs) != len(e_pend_map.get(loc, ()))
+                or mark != e_mark_map.get(loc)
+            ):
+                return (
+                    "a consumed pending-read list changed shape across "
+                    "the captured period"
+                )
+            replace.append((loc, slots, mark))
+        for loc, x_evs in x_pend:
+            if loc in consumed:
+                continue
+            k = len(x_evs)
+            while k and x_evs[k - 1] in slot_of:
+                k -= 1
+            if k and not e_pend_map.get(loc):
+                return "a pending-read list grew by a pre-capture event"
+            if k < len(x_evs):
+                tails.append(
+                    (loc, tuple(slot_of[ev] for ev in x_evs[k:]))
+                )
+        for loc, e_evs in e_pend:
+            if e_evs and loc not in x_pend_map and loc not in consumed:
                 return "a pending-read list vanished without a writer"
-        return None
+        return (
+            (
+                x_sid,
+                x_mode,
+                x_lost,
+                tuple(d for d, _ in x_aggs),
+                tuple((loc, len(slots), mark) for loc, slots, mark in replace),
+                tuple(nones),
+            ),
+            (tuple(insts), tuple(aggs), shadow, tuple(replace), tuple(tails)),
+        )
 
     # -- launch ---------------------------------------------------------------
     def launch(self, n: int = 1) -> float:
@@ -506,9 +622,10 @@ class IterationGraph:
             return sched.node.time
         self.launches += 1
         self.replayed_laps += n
-        if self._fast_ok():
+        entry = self._fast_entry()
+        if entry is not None:
             self.fast_launches += 1
-            return self._fast(n)
+            return self._fast(n, *entry)
         for _ in range(n):
             for raw, kernel, containers, grid, constants in self.calls:
                 if raw:
@@ -522,18 +639,20 @@ class IterationGraph:
         return sched.wait_all()
 
     # -- fast-path validation -------------------------------------------------
-    def _fast_ok(self) -> bool:
+    def _fast_entry(self) -> tuple[dict, list[Event]] | None:
+        """The captured datums' monitor states and the events at every
+        recorded position when the fast path applies, else None."""
         if not self.replayable:
-            return False
+            return None
         sched = self._sched
         if sched._graph_generation != self.generation:
-            return False
+            return None
         node = sched.node
         # Anything still queued means un-drained foreign work; the replay
         # assumes quiescent streams.
         for s in node.streams:
             if s.commands:
-                return False
+                return None
         # The replay skips per-dispatch fault checks, so every permanent
         # failure must already have happened, on no device the graph
         # uses, and nothing else in the plan may be armed. Fault counters
@@ -542,23 +661,48 @@ class IterationGraph:
         now = node.time
         for d, ft in node.engine.dead.items():
             if ft > now or d in self._devices:
-                return False
+                return None
         if node.faults.armed(now):
-            return False
+            return None
         # An EWMA drift that would flip weights on the next eager invoke
         # must take the slow path (which then bumps the generation).
         if sched._current_weights() != sched._weights:
-            return False
-        monitor = sched.monitor
-        state = monitor._state
-        for did, snap in self._expected.items():
-            st = state.get(did)
-            if st is None or _snapshot_state(st) != snap:
-                return False
-        return True
+            return None
+        # Structure: the same geometry, aggregation state and consumed
+        # read-list shapes give the same copy decisions and waits.
+        states = sched.monitor.states(self._shape)
+        for did, (sid, mode, lost, agg, shapes, nones) in self._shape.items():
+            st = states.get(did)
+            if (
+                st is None
+                or st.sid != sid
+                or st.agg_mode is not mode
+                or st.agg_lost != lost
+                or tuple(st.agg_sources) != agg
+            ):
+                return None
+            reads, marks = st.pending_reads, st.read_marks
+            for loc, length, mark in shapes:
+                if len(reads.get(loc, ())) != length or marks.get(loc) != mark:
+                    return None
+            for kind, loc, idx in nones:
+                if _event_at(st, kind, loc, idx) is not None:
+                    return None
+        # Every position group must again hold one recorded event.
+        events = []
+        for group in self._refs:
+            did, kind, loc, idx = group[0]
+            ev = _event_at(states[did], kind, loc, idx)
+            if ev is None or ev.recorded_at is None:
+                return None
+            for did, kind, loc, idx in group[1:]:
+                if _event_at(states[did], kind, loc, idx) is not ev:
+                    return None
+            events.append(ev)
+        return states, events
 
     # -- fast path ------------------------------------------------------------
-    def _fast(self, n: int) -> float:
+    def _fast(self, n: int, states: dict, refs: list[Event]) -> float:
         sched = self._sched
         node = sched.node
         engine = node.engine
@@ -582,104 +726,75 @@ class IterationGraph:
             for _ in range(n):
                 for mem, buf in touches:
                     mem.touch(buf)
-        const_times = [ev.recorded_at for ev in self._const_events]
+        ref_times = [ev.recorded_at for ev in refs]
+        boundary = [0.0] * E  # lap 0's previous-lap slots, by position
+        for slot, r in self._slot_refs:
+            boundary[slot] = ref_times[r]
         ev_time = engine.run_graph(
-            self._programs, n, ck_vals, K, E, self._boundary_times,
-            const_times,
+            self._programs, n, ck_vals, K, E, boundary, ref_times
         )
         node.host_time = max(h, engine.now)
-        self._boundary_times = ev_time[(n - 1) * E:]
-        self._refresh_monitor(ev_time, n)
+        self._refresh_monitor(ev_time, n, states)
         sched.plans.graph_hits += n * max(1, len(self.calls))
         return node.time
 
-    def _refresh_monitor(self, ev_time: list, n: int) -> None:
-        """Epilogue: re-materialize the monitor's event references as the
-        final replay lap would have left them.
+    def _refresh_monitor(self, ev_time: list, n: int, states: dict) -> None:
+        """Epilogue: leave the captured datums' monitor states as the
+        final replay lap would have, with fresh :class:`Event` objects.
 
-        Fresh :class:`Event` objects are created for the final lap (the
-        captured templates keep their capture-time values — the same
-        template may also sit in an append-only pending-read tail, where
-        its *old* time is the correct one), and the graph's expected
-        snapshot is rebuilt around them so the next launch validates
-        against exactly what this one left behind.
+        Read tails are appended lap by lap through the monitor's own
+        compaction, with every replayed event still unrecorded — as in the
+        eager submission, where no event of the launch has run yet — and
+        the events get their replayed times only afterwards.
         """
         E = self._E
-        base = (n - 1) * E
-        slot_of = self._slot_of
-        monitor = self._sched.monitor
-        new_final: dict[int, Event] = {}
-        inter: dict[tuple[int, int], Event] = {}
-
-        def fresh(slot: int) -> Event:
-            ev = new_final.get(slot)
-            if ev is None:
-                ev = Event(label=self._slot_labels[slot])
-                ev.recorded_at = ev_time[base + slot]
-                new_final[slot] = ev
-            return ev
+        labels = self._slot_labels
+        made: dict[int, Event] = {}  # ev_time index -> event
 
         def lap_ev(lap: int, slot: int) -> Event:
-            if lap == n - 1:
-                return fresh(slot)
-            key = (lap, slot)
-            ev = inter.get(key)
+            k = lap * E + slot
+            ev = made.get(k)
             if ev is None:
-                ev = Event(label=self._slot_labels[slot])
-                ev.recorded_at = ev_time[lap * E + slot]
-                inter[key] = ev
+                ev = made[k] = Event(label=labels[slot])
             return ev
 
-        def map_ev(ev):
-            if ev is None:
-                return None
-            s = slot_of.get(ev)
-            return ev if s is None else fresh(s)
+        last = n - 1
 
-        new_expected: dict[int, tuple] = {}
-        for did, snap in self._expected.items():
-            st = monitor._state[did]
-            utd, mode, aggs, pend, lost, shadow = snap
-            for loc, insts in utd:
-                cur = st.up_to_date[loc]
-                changed = False
-                new_insts = []
-                for i, (rect, ev) in enumerate(insts):
-                    s = None if ev is None else slot_of.get(ev)
-                    if s is None:
-                        new_insts.append(cur[i])
-                    else:
-                        # Never mutate an _Instance in place: memoized
-                        # transition templates may share it.
-                        new_insts.append(_Instance(rect, fresh(s)))
-                        changed = True
-                if changed:
-                    st.up_to_date[loc] = new_insts
-            if aggs:
-                for d, ev in aggs:
-                    m = map_ev(ev)
-                    if m is not ev:
-                        st.agg_sources[d] = m
-            if shadow is not None:
-                sh_mode, sh_sources, sh_ev = shadow
+        def final(slot: int | None) -> Event | None:
+            return None if slot is None else lap_ev(last, slot)
+
+        host_time = self._sched.node.host_time
+        for did, (insts, aggs, shadow, replace, tails) in self._exit.items():
+            st = states[did]
+            utd = st.up_to_date
+            for loc, items in insts:
+                # Never mutate an _Instance or its list in place: memoized
+                # transition templates may share them.
+                lst = list(utd[loc])
+                for i, rect, slot in items:
+                    lst[i] = _Instance(rect, lap_ev(last, slot))
+                utd[loc] = lst
+            for d, slot in aggs:
+                st.agg_sources[d] = lap_ev(last, slot)
+            if shadow is None:
+                st.agg_shadow = None
+            elif shadow != "keep":
+                mode, sources, hev = shadow
                 st.agg_shadow = (
-                    sh_mode,
-                    {d: map_ev(ev) for d, ev in sh_sources},
-                    map_ev(sh_ev),
+                    mode, {d: final(s) for d, s in sources}, final(hev)
                 )
-            for (p_did, loc), (kind, slots) in self._pending_plan.items():
-                if p_did != did:
-                    continue
-                if kind == "replace":
-                    st.pending_reads[loc] = [fresh(s) for s in slots]
-                else:  # append-only tail: one set per replayed lap
-                    lst = st.pending_reads[loc]
-                    for lap in range(n):
-                        for s in slots:
-                            lst.append(lap_ev(lap, s))
-            new_expected[did] = _snapshot_state(st)
-        self._expected = new_expected
-        slot_events = self._slot_events
-        for s, ev in new_final.items():
-            slot_events[s] = ev
-        self._slot_of = {ev: s for s, ev in enumerate(slot_events)}
+            for loc, slots, mark in replace:
+                if slots:
+                    st.pending_reads[loc] = [lap_ev(last, s) for s in slots]
+                else:
+                    st.pending_reads.pop(loc, None)
+                if mark is None:
+                    st.read_marks.pop(loc, None)
+                else:
+                    st.read_marks[loc] = mark
+            for loc, slots in tails:
+                for lap in range(n):
+                    for s in slots:
+                        st.add_read(loc, lap_ev(lap, s), host_time)
+        for k, ev in made.items():
+            ev.recorded_at = ev_time[k]

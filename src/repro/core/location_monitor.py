@@ -9,7 +9,14 @@ Tracks all host and device instances of each datum. Per datum it keeps:
   (Reductive/Unstructured) left per-device partial results that must be
   combined before the datum can be read (Algorithm 2, lines 15–17);
 * ``pending_reads`` — completion events of transfers/kernels that read an
-  instance, which a subsequent writer must wait on (WAR hazards).
+  instance, which a subsequent writer must wait on (WAR hazards). A read
+  that completed at or before the host clock can no longer delay any
+  writer (the writer's wait is submitted at or after that host time), so
+  the lists are compacted of such reads, amortized: a list is compacted
+  only once it reaches :data:`_READ_FLOOR` entries or has doubled since
+  its last compaction. Lists a period reads and then writes stay below
+  the floor and keep every wait; lists of never-written datums stay
+  proportional to their live readers.
 
 :meth:`compute_copies` is Algorithm 2: given a required segment and a
 target location, produce the minimal list of copy operations, preferring a
@@ -75,6 +82,43 @@ class _DatumState:
     #: pending-aggregation state if the aggregation itself was cancelled
     #: (its host event never recorded).
     agg_shadow: tuple | None = None
+    #: location -> length its pending-read list must reach before the
+    #: next compaction; absent means :data:`_READ_FLOOR`.
+    read_marks: dict[int, int] = field(default_factory=dict)
+
+    def add_read(self, loc: int, event: Event, host_time: float) -> None:
+        """Append an in-flight reader at ``loc``, compacting the list
+        when it reached its mark (see :meth:`compact_reads`)."""
+        reads = self.pending_reads.get(loc)
+        if reads is None:
+            self.pending_reads[loc] = [event]
+            return
+        reads.append(event)
+        n = len(reads)
+        # A stored mark always exceeds the floor.
+        if n >= _READ_FLOOR and n >= self.read_marks.get(loc, n):
+            self.compact_reads(loc, host_time)
+
+    def compact_reads(self, loc: int, host_time: float) -> None:
+        """Drop the reads at ``loc`` recorded at or before ``host_time``
+        (they cannot delay a writer submitted from then on) and set the
+        list's next mark to twice what is left, at least the floor."""
+        reads = self.pending_reads.get(loc)
+        if reads:
+            reads[:] = [
+                e for e in reads
+                if e.recorded_at is None or e.recorded_at > host_time
+            ]
+        mark = 2 * len(reads or ())
+        if mark > _READ_FLOOR:
+            self.read_marks[loc] = mark
+        else:
+            self.read_marks.pop(loc, None)
+
+    def take_reads(self, loc: int) -> list[Event]:
+        """Remove and return the pending reads at ``loc``."""
+        self.read_marks.pop(loc, None)
+        return self.pending_reads.pop(loc, [])
 
 
 #: Event-source markers in memoized transition templates. Inherited events
@@ -89,6 +133,8 @@ _AMBIGUOUS = "ambiguous"  # event object shared by several pre instances
 #: never revisits a state stops memoizing instead of growing unboundedly.
 _GEOM_LIMIT = 65536
 _TRANS_LIMIT = 16384
+#: Pending-read lists shorter than this are never compacted.
+_READ_FLOOR = 64
 
 
 class LocationMonitor:
@@ -351,7 +397,7 @@ class LocationMonitor:
         sole pieces) first — this is bookkeeping, not a safety check."""
         st = self._st(datum)
         st.up_to_date.pop(device, None)
-        st.pending_reads.pop(device, None)
+        st.take_reads(device)
         st.sid = -1
 
     def invalidate_for_recovery(self, dead: Iterable[int]) -> None:
@@ -391,6 +437,7 @@ class LocationMonitor:
                     del st.up_to_date[loc]
             # Readers that never ran impose no WAR constraint (waiting on
             # their events would deadlock); completed ones still do.
+            st.read_marks.clear()
             for loc in list(st.pending_reads):
                 if loc in dead:
                     del st.pending_reads[loc]
@@ -415,6 +462,22 @@ class LocationMonitor:
             st.sid = -1
 
     # -- steady-state replay support -------------------------------------------
+    def states(
+        self, dids: Iterable[int] | None = None
+    ) -> dict[int, _DatumState]:
+        """Per-datum states by datum id (all tracked datums, or the
+        tracked ones among ``dids``), each with its geometry id ``sid``
+        current (-1: uncacheable). Iteration graphs (DESIGN.md §12) read
+        and refresh the monitor only through this view."""
+        state = self._state
+        out: dict[int, _DatumState] = {}
+        for did in state if dids is None else dids:
+            st = state.get(did)
+            if st is not None:
+                self._sid(st)
+                out[did] = st
+        return out
+
     def _sid(self, st: _DatumState) -> int:
         """Canonical id of the state's instance geometry (lazy).
 
@@ -574,15 +637,23 @@ class LocationMonitor:
         st.sid = -1
         self._insert(st.up_to_date.setdefault(target, []), actual, event)
 
-    def mark_read(self, datum: "Datum", loc: int, event: Event) -> None:
-        """Register an in-flight reader of the instance at ``loc``."""
-        self._st(datum).pending_reads.setdefault(loc, []).append(event)
+    def mark_read(
+        self,
+        datum: "Datum",
+        loc: int,
+        event: Event,
+        host_time: float = float("-inf"),
+    ) -> None:
+        """Register an in-flight reader of the instance at ``loc``;
+        ``host_time`` is the host clock at submission, against which the
+        list is compacted of completed reads (module docstring)."""
+        self._st(datum).add_read(loc, event, host_time)
 
     def take_war_events(self, datum: "Datum", loc: int) -> list[Event]:
         """Events a writer at ``loc`` must wait for (consumes them)."""
         if self.war_log is not None:
             self.war_log.add((id(datum), loc))
-        return self._st(datum).pending_reads.pop(loc, [])
+        return self._st(datum).take_reads(loc)
 
     def mark_written(
         self, datum: "Datum", device: int, rect: Rect, event: Optional[Event]
@@ -669,18 +740,13 @@ class LocationMonitor:
         """The user modified the bound host buffer at ``host_time``:
         invalidate devices.
 
-        Host reads that completed by ``host_time`` are dropped: a later
-        host-side writer is submitted no earlier than that, so waiting on
-        them could never delay it, and a datum re-uploaded on every call
-        would otherwise grow its host read list without bound.
+        Host reads that completed by ``host_time`` are dropped
+        unconditionally (the compaction rule of the module docstring,
+        without waiting for the mark): a datum re-uploaded on every call
+        would otherwise carry a host read list per upload.
         """
         st = self._st(datum)
-        reads = st.pending_reads.get(HOST)
-        if reads:
-            reads[:] = [
-                e for e in reads
-                if e.recorded_at is None or e.recorded_at > host_time
-            ]
+        st.compact_reads(HOST, host_time)
         st.sid = -1
         st.agg_mode = Aggregation.NONE
         st.agg_sources.clear()

@@ -242,6 +242,8 @@ class Scheduler:
             node.new_stream(d, "copy-out", f"gpu{d}.copy-out") for d in range(g)
         ]
         self._host_stream = node.new_stream(HOST, "host", "host.aggregate")
+        #: Handles of invocations not yet seen complete; ``wait_all``
+        #: drops the completed ones.
         self.handles: list[TaskHandle] = []
         #: Devices currently taking work; starts as the ``devices``
         #: restriction (default: all) and shrinks as faults retire devices.
@@ -832,7 +834,9 @@ class Scheduler:
         # buffer like the in-core path.
         for d in in_core:
             for c in inputs:
-                monitor.mark_read(c.datum, d, dev_events[d])
+                monitor.mark_read(
+                    c.datum, d, dev_events[d], node.host_time
+                )
         for i, c in enumerate(outputs):
             if c.duplicated:
                 monitor.mark_partial(c.datum, c.aggregation, dev_events)
@@ -1416,7 +1420,7 @@ class Scheduler:
                 cmd.origin = _TransferContext(
                     datum, op, ev, payload_factory=factory
                 )
-                monitor.mark_read(datum, op.src, ev)
+                monitor.mark_read(datum, op.src, ev, node.host_time)
                 events.append(ev)
         return events
 
@@ -1478,7 +1482,7 @@ class Scheduler:
         ev = node.record_event(stream, label)
         cmd.origin = _TransferContext(datum, op, ev)
         self.monitor.mark_copied(datum, op.dst, op.actual, ev)
-        self.monitor.mark_read(datum, op.src, ev)
+        self.monitor.mark_read(datum, op.src, ev, node.host_time)
         return ev
 
     def _copy_payload(self, datum: Datum, op: CopyOp):
@@ -1689,7 +1693,7 @@ class Scheduler:
                 )
                 ev = node.record_event(stream, f"rs:{datum.name}:{s}->{d}")
                 copy_events.append(ev)
-                self.monitor.mark_read(datum, s, ev)
+                self.monitor.mark_read(datum, s, ev, node.host_time)
             # Local reduction kernel on the consumer's compute stream.
             stream = self._compute[d]
             own = sources.get(d)
@@ -2005,7 +2009,7 @@ class Scheduler:
         )
         skev = node.record_event(stream, label)
         for c in task.inputs:
-            monitor.mark_read(c.datum, alt, skev)
+            monitor.mark_read(c.datum, alt, skev, node.host_time)
         commit_evs = []
         for i, c in enumerate(task.outputs):
             rect = dp.output_rects[i]
@@ -2145,7 +2149,9 @@ class Scheduler:
                 event=src_ev,
             ))
             if ctx.done_event is not None:
-                self.monitor.mark_read(ctx.datum, src, ctx.done_event)
+                self.monitor.mark_read(
+                    ctx.datum, src, ctx.done_event, self.node.host_time
+                )
 
     def _retry_transfer(self, fault: TransientTransferError) -> None:
         """Re-queue a transiently-faulted memcpy after a capped exponential
@@ -2321,7 +2327,9 @@ class Scheduler:
 
     def _prune_log(self) -> None:
         """Drop completed entries from the submission log (everything ran,
-        so nothing before this point can ever need resubmission)."""
+        so nothing before this point can ever need resubmission) and
+        completed handles from :attr:`handles`, so neither grows with the
+        number of invocations."""
         if self._log:
             self._log = [
                 e for e in self._log
@@ -2329,6 +2337,11 @@ class Scheduler:
                     all(ev.recorded for ev in e.events)
                     if isinstance(e, TaskHandle) else e.complete
                 )
+            ]
+        if self.handles:
+            self.handles[:] = [
+                h for h in self.handles
+                if not all(ev.recorded for ev in h.events)
             ]
 
     # -- paper-style CamelCase aliases ------------------------------------------------

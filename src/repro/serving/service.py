@@ -85,8 +85,8 @@ class ServingConfig:
     capacity_frac: float = 1.0
     #: Straggler composition: installed on the node when not None.
     faults: FaultPlan | None = None
-    #: Clear the node trace / task-handle logs every this many batches
-    #: (bounded memory over multi-thousand-request traces).
+    #: Clear the node trace every this many batches (bounded memory over
+    #: multi-thousand-request traces).
     clear_every: int = 64
 
 
@@ -338,12 +338,9 @@ class ServingNode:
                         )
                     )
                 if batcher.batches % cfg.clear_every == 0:
-                    # Bounded memory over long traces: the event trace and
-                    # the append-only task-handle logs are diagnostics, not
-                    # state — drop them periodically.
+                    # Bounded memory over long traces: the event trace is
+                    # a diagnostic, not state — drop it periodically.
                     self.node.trace.clear()
-                    for r in st.replicas.values():
-                        r.sched.handles.clear()
             nxt: list[float] = []
             if ai < n:
                 nxt.append(arrivals[ai].arrival)

@@ -16,11 +16,9 @@ from typing import Any, Callable, Optional
 Payload = Optional[Callable[[], None]]
 
 #: Global event creation counter. Iteration-graph capture (DESIGN.md §12)
-#: uses the monotone sequence number to map an event reference in a
-#: recorded command stream onto "the same slot, one period earlier": a
-#: steady-state period creates the same events in the same order, so the
-#: event recorded k creations before the capture window corresponds to
-#: the captured slot E - k (E = events per period).
+#: checks that the events of the captured period were created back to
+#: back, so slot ``s`` of the period is the event with sequence number
+#: ``S0 + s``.
 _event_seqs = itertools.count()
 
 

@@ -306,3 +306,16 @@ class TestUnarmedPlan:
         assert runs[0] == runs[1]
         assert runs[0]["events"] == runs[0]["recovery_log"] == []
         assert runs[0]["membership_log"] == []
+
+
+class TestBoundedState:
+    def test_task_handles_stay_bounded(self):
+        """Every tick invokes on every agent; ``wait_all`` drops the
+        completed handles, so none piles up over a long run."""
+        master = ClusterMaster(
+            GTX_780, 2, 2, (64, 64), make_gol_kernel("maps"),
+            functional=False,
+        )
+        master.run(300)
+        for ag in master.agents.values():
+            assert len(ag.sched.handles) <= 2

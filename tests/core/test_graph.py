@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core import Matrix, Scheduler
+from repro.core.graph import snapshot_monitor
 from repro.errors import GraphCaptureError
 from repro.hardware import GTX_780
 from repro.kernels.game_of_life import (
@@ -504,3 +505,187 @@ class TestInvalidation:
         assert np.array_equal(bg, ref)
         assert te == tg
         assert rowse == rowsg
+
+
+def structure(monitor, times=False):
+    """The identity-snapshot oracle, made comparable across runs.
+
+    Every datum's monitor snapshot (``snapshot_monitor``, events by
+    reference) with each event replaced by the index of its first
+    occurrence, so two states compare equal iff they hold the same
+    geometry, aggregation state and read lists with the same aliasing of
+    events. With ``times``, each event also carries its id-normalised
+    label and recorded time.
+    """
+    seen: dict = {}
+
+    def ev(e):
+        if e is None:
+            return None
+        k = seen.setdefault(e, len(seen))
+        if not times:
+            return k
+        return k, re.sub(r"#\d+", "", e.label), e.recorded_at
+
+    names = {did: d.name for did, d in monitor._datums.items()}
+    out = []
+    for did, snap in sorted(
+        snapshot_monitor(monitor).items(), key=lambda kv: names[kv[0]]
+    ):
+        _, utd, mode, aggs, pend, lost, shadow, marks = snap
+        out.append((
+            names[did],
+            tuple(
+                (loc, tuple((r, ev(e)) for r, e in insts))
+                for loc, insts in utd
+            ),
+            mode,
+            tuple((d, ev(e)) for d, e in aggs),
+            tuple((loc, tuple(ev(e) for e in evs)) for loc, evs in pend),
+            lost,
+            None if shadow is None else (
+                shadow[0],
+                tuple((d, ev(e)) for d, e in shadow[1]),
+                ev(shadow[2]),
+            ),
+            marks,
+        ))
+    return out
+
+
+class TestStructuralReplay:
+    """Graphs bind to the monitor by structure: an eager period between
+    launches leaves new events in the same places, and the next launch
+    still takes the fast path — bit-identically to the eager twin and to
+    the fallback path."""
+
+    @staticmethod
+    def _gol(mode, rounds=3):
+        """Launch two laps, then run one drained eager period over the
+        captured datums, ``rounds`` times. ``mode``: ``graph``,
+        ``fallback`` (the same graph, fast path disabled) or ``eager``."""
+        node, sched, a, b, kernel, ca, cb = gol_setup()
+
+        def period():
+            sched.invoke(kernel, *ca)
+            sched.invoke(kernel, *cb)
+
+        period()  # warm-up
+        sched.wait_all()
+        entry_ids = snapshot_monitor(sched.monitor)
+        entry = structure(sched.monitor)
+        g = None
+        if mode == "eager":
+            sched.wait_all()  # begin_batch drain
+            period()
+            sched.wait_all()  # end_batch drain
+        else:
+            with sched.capture() as g:
+                period()
+            if mode == "fallback":
+                g._fast_entry = lambda: None
+        for r in range(rounds):
+            if r:
+                # The oracle: events differ by identity, structure does
+                # not — so only a structural check keeps the fast path.
+                assert snapshot_monitor(sched.monitor) != entry_ids
+                assert structure(sched.monitor) == entry
+            if g is None:
+                period()
+                period()
+                sched.wait_all()
+            else:
+                g.launch(2)
+            period()  # the eager period
+            sched.wait_all()
+        sched.gather_async(a)
+        t = sched.wait_all()
+        return (a.host.copy(), t, norm_trace(node),
+                node.engine.commands_executed,
+                structure(sched.monitor, times=True), g)
+
+    def test_eager_period_between_launches_stays_fast(self):
+        eager = self._gol("eager")
+        fast = self._gol("graph")
+        slow = self._gol("fallback")
+        g = fast[-1]
+        assert g.replayable, g.reason
+        assert g.launches == g.fast_launches == 3
+        assert slow[-1].launches == 3 and slow[-1].fast_launches == 0
+        assert np.array_equal(eager[0], gol_expected(2 * 11))
+        for run in (fast, slow):
+            assert np.array_equal(run[0], eager[0])
+            assert run[1:5] == eager[1:5]
+
+    @staticmethod
+    def _serve(mode, serves=40, n=32):
+        """The serving pattern: a fresh host input, one eager pair that
+        uploads it, two replayed pairs, a gather — against a weight matrix
+        that is read every pair and never written, so its read lists cross
+        the compaction floor on every path."""
+        node = SimNode(GTX_780, GPUS, functional=True)
+        sched = Scheduler(node)
+        rng = np.random.default_rng(11)
+        w = Matrix(n, n, np.float32, "W").bind(
+            (rng.standard_normal((n, n)) / np.sqrt(n)).astype(np.float32)
+        )
+        xh = np.zeros((n, n), np.float32)
+        x = Matrix(n, n, np.float32, "X").bind(xh)
+        y = Matrix(n, n, np.float32, "Y").bind(np.zeros((n, n), np.float32))
+        gemm = make_sgemm_routine()
+        cxy, cyx = sgemm_containers(x, w, y), sgemm_containers(y, w, x)
+        sched.analyze_call(gemm, *cxy)
+        sched.analyze_call(gemm, *cyx)
+
+        def pair():
+            sched.invoke_unmodified(gemm, *cxy)
+            sched.invoke_unmodified(gemm, *cyx)
+
+        g = None
+        outs = []
+        for _ in range(serves):
+            xh[...] = rng.standard_normal((n, n)).astype(np.float32)
+            sched.mark_host_dirty(x)
+            pair()
+            sched.wait_all()
+            if mode == "eager":
+                if not outs:  # the capture's drains and period
+                    sched.wait_all()
+                    pair()
+                    sched.wait_all()
+                pair()
+                pair()
+                sched.wait_all()
+            else:
+                if g is None:
+                    with sched.capture() as g:
+                        pair()
+                    if mode == "fallback":
+                        g._fast_entry = lambda: None
+                g.launch(2)
+            sched.gather(x)
+            outs.append(x.host.copy())
+        reads = max(
+            len(evs)
+            for st in sched.monitor.states().values()
+            for evs in st.pending_reads.values()
+        )
+        return (np.stack(outs), node.time, norm_trace(node),
+                node.engine.commands_executed,
+                structure(sched.monitor, times=True), reads, g)
+
+    def test_serving_pattern_fast_and_exact(self):
+        eager = self._serve("eager")
+        fast = self._serve("graph")
+        slow = self._serve("fallback")
+        g = fast[-1]
+        assert g.replayable, g.reason
+        assert g.launches == g.fast_launches == 40
+        assert slow[-1].fast_launches == 0
+        for run in (fast, slow):
+            assert np.array_equal(run[0], eager[0])
+            # Time, trace rows, command count and the whole monitor state
+            # (events, times, compacted read lists) match the eager twin.
+            assert run[1:5] == eager[1:5]
+        # 40 serves read W 240 times per device; compaction kept it short.
+        assert eager[5] == fast[5] <= 64

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.bench.workloads import TIMING
+from repro.core import Scheduler
 from repro.core.datum import Matrix
-from repro.core.location_monitor import LocationMonitor
+from repro.core.location_monitor import _READ_FLOOR, LocationMonitor
 from repro.errors import SchedulingError
-from repro.hardware import HOST
+from repro.hardware import GTX_780, HOST
 from repro.patterns import Aggregation
+from repro.sim import SimNode
 from repro.sim.commands import Event
 from repro.utils.rect import Rect
 
@@ -165,6 +168,69 @@ class TestWarTracking:
     def test_reads_scoped_per_location(self, mon, datum):
         mon.mark_read(datum, 0, Event("r"))
         assert mon.take_war_events(datum, 1) == []
+
+
+def recorded(label, at):
+    ev = Event(label)
+    ev.recorded_at = at
+    return ev
+
+
+class TestReadCompaction:
+    """Completed reads are dropped once a read list reaches its mark; a
+    read recorded at or before the host clock cannot delay a writer."""
+
+    def test_short_lists_keep_every_wait(self, mon, datum):
+        evs = [recorded(f"r{i}", 1.0) for i in range(_READ_FLOOR - 1)]
+        for ev in evs:
+            mon.mark_read(datum, 0, ev, 5.0)
+        assert mon.take_war_events(datum, 0) == evs
+
+    def test_compacts_at_the_floor(self, mon, datum):
+        done = [recorded(f"d{i}", 1.0) for i in range(_READ_FLOOR - 2)]
+        late = recorded("late", 9.0)  # recorded after the host clock
+        live = Event("live")  # not yet run
+        for ev in (*done, late, live):
+            mon.mark_read(datum, 0, ev, 5.0)
+        assert mon.take_war_events(datum, 0) == [late, live]
+
+    def test_unfinished_reads_double_the_mark(self, mon, datum):
+        live = [Event(f"l{i}") for i in range(3 * _READ_FLOOR)]
+        for ev in live:
+            mon.mark_read(datum, 0, ev, 5.0)
+        st = mon.states()[id(datum)]
+        # Compactions at 64 and 128 dropped nothing; next one at 256.
+        assert st.read_marks[0] == 4 * _READ_FLOOR
+        assert mon.take_war_events(datum, 0) == live
+        assert 0 not in st.read_marks
+
+    def test_never_written_datum_stays_bounded(self, mon, datum):
+        for i in range(5000):
+            mon.mark_read(datum, 0, recorded(f"r{i}", float(i)), float(i))
+        assert len(mon.states()[id(datum)].pending_reads[0]) <= _READ_FLOOR
+
+    def test_node_eager_shape_stays_bounded(self):
+        """3,000 timing-only iterations of GoL, histogram and chained
+        SGEMM on one node, gathering the histogram every 50: the image
+        and the weight matrix are read every iteration, never written."""
+        node = SimNode(GTX_780, 4, functional=False)
+        sched = Scheduler(node)
+        loops = [TIMING[w](sched, 1024) for w in TIMING]
+        hist = loops[1].out(0)
+        for loop in loops:
+            loop.warm_up()
+        for i in range(1, 3001):
+            for loop in loops:
+                loop.step(i)
+            if i % 50 == 0:
+                sched.gather(hist)
+        sched.wait_all()
+        longest = max(
+            len(evs)
+            for st in sched.monitor.states().values()
+            for evs in st.pending_reads.values()
+        )
+        assert longest <= 2 * _READ_FLOOR
 
 
 class Test2DSegments:

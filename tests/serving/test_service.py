@@ -6,6 +6,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core.graph import IterationGraph
+from repro.core.location_monitor import _READ_FLOOR
 from repro.hardware import HOST
 from repro.serving import (
     ServingConfig,
@@ -143,6 +145,42 @@ class TestBoundedState:
                 )
             reads = rep.sched.monitor._st(x).pending_reads.get(HOST, [])
             assert len(reads) <= 1
+
+    def test_read_lists_stay_bounded(self):
+        """The weight matrix is read by every pair and never written; its
+        completed reads are compacted, so no read list of any datum grows
+        with the number of serves."""
+        node = SimNode(CFG.spec, CFG.num_gpus, functional=True)
+        rep = _Replica(node, 0, CFG)
+        sgemm = rep.engines["sgemm"]
+        for i in range(2000):
+            sgemm.serve([Request(rid=i, kind="sgemm", arrival=0.0, seed=i)])
+        longest = max(
+            len(evs)
+            for st in rep.sched.monitor.states().values()
+            for evs in st.pending_reads.values()
+        )
+        assert longest <= 2 * _READ_FLOOR
+        # Every serve's eager pair leaves the structure the graph was
+        # captured against, so every launch replays the graph.
+        assert sgemm.graph.fast_launches == sgemm.graph.launches == 2000
+
+    def test_graph_replay_is_the_steady_state(self, monkeypatch):
+        """Over a 2,000-request trace, at least 95% of the graph launches
+        of every replica take the fast path."""
+        graphs = {}
+        launch = IterationGraph.launch
+
+        def spy(g, n=1):
+            graphs[id(g)] = g
+            return launch(g, n)
+
+        monkeypatch.setattr(IterationGraph, "launch", spy)
+        ServingNode(CFG).run(poisson_trace(2000, rate=50000.0, seed=0))
+        launches = sum(g.launches for g in graphs.values())
+        fast = sum(g.fast_launches for g in graphs.values())
+        assert launches > 0
+        assert fast >= 0.95 * launches
 
 
 class TestConfigValidation:
