@@ -19,13 +19,13 @@ command streams; the benchmark asserts this (``sim_time`` and
 ``commands`` equality) rather than trusting it.
 
 On top of the cached scheduler, a third rung measures iteration-graph
-replay (DESIGN.md §12): one steady-state period of each workload is
-captured with ``sched.capture()`` and the remaining iterations are
-replayed with ``graph.launch(n)`` as a single macro-command. Because the
-capture boundaries insert drain barriers that an uninterrupted eager loop
-would not have, the graph run is checked bit-for-bit against a "twin" —
-an eager cached run with ``wait_all`` calls at exactly the capture/launch
-points — rather than against the plain cached run.
+replay (DESIGN.md §12): ``Loop.replay`` captures one steady-state period
+of each workload and launches the remaining whole periods as a single
+macro-command. Because the capture boundaries insert drain barriers that
+an uninterrupted eager loop would not have, the graph run is checked
+bit-for-bit against a "twin" — an eager cached run with ``wait_all``
+calls at exactly the capture/launch points — rather than against the
+plain cached run.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """The paper's three §5 workloads, declared once for every bench module.
 
 Each builder takes the caller's datums (so every bench keeps its own
-dtypes and names), runs the AnalyzeCalls and returns a :class:`Loop`
-whose ``step(i)`` submits iteration ``i``. Game of Life and the SGEMM
+dtypes and names) and declares a :class:`~repro.core.graph.Loop` whose
+``step(i)`` submits iteration ``i``. Game of Life and the SGEMM
 chain ping-pong between two buffers (period 2); every histogram
 invocation is identical (period 1).
 
@@ -11,20 +11,19 @@ Three drivers share the iteration recipes:
 * :func:`run` — iterations ``0..iters-1`` with an optional per-iteration
   host checkpoint (``gather``) or handle wait (``wait``);
 * :func:`steady` — iterations ``1..iters`` after :meth:`Loop.warm_up`,
-  eager, captured as an iteration graph (DESIGN.md §12), or as the graph's
+  eager, replayed as an iteration graph (DESIGN.md §12), or as the graph's
   eager ``twin`` (``wait_all`` at exactly the capture/launch drains);
 * :func:`drain` — aggregate a reductive output, then ``wait_all``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from repro.core import Datum, Matrix, Scheduler, Vector
-from repro.core.graph import IterationGraph
+from repro.core.graph import IterationGraph, Loop
 from repro.kernels.game_of_life import gol_containers, make_gol_kernel
 from repro.kernels.histogram import (
     histogram_containers,
@@ -36,47 +35,12 @@ from repro.libs.cub import make_cub_histogram_routine
 from repro.libs.cublas import make_sgemm_routine, sgemm_containers
 
 
-@dataclass
-class Loop:
-    """One workload's iteration loop on a scheduler."""
-
-    sched: Scheduler
-    #: Submit iteration ``i``; returns its task handle.
-    step: Callable[[int], object]
-    #: The datum iteration ``i`` writes.
-    out: Callable[[int], Datum]
-    #: Iterations before the submitted calls repeat.
-    period: int
-
-    def warm_up(self) -> None:
-        """Submit iteration 0 and drain it: pays the initial
-        host->device distribution."""
-        self.step(0)
-        self.sched.wait_all()
-
-
-def _loop(sched, invoke, kernel, containers, outs, grid=None) -> Loop:
-    """``containers(i)`` builds iteration ``i``'s call; ``outs`` holds one
-    output per phase of the period."""
-    period = len(outs)
-    for i in range(period):
-        sched.analyze_call(kernel, *containers(i), grid=grid)
-    return Loop(
-        sched,
-        lambda i: invoke(kernel, *containers(i), grid=grid),
-        lambda i: outs[i % period],
-        period,
-    )
-
-
 def gol(sched: Scheduler, a: Datum, b: Datum, variant: str = "maps_ilp") -> Loop:
     """Game of Life ping-pong: even iterations step ``a`` into ``b``."""
-    boards = ((a, b), (b, a))
-    return _loop(
+    return Loop.declare(
         sched,
-        sched.invoke,
         make_gol_kernel(variant),
-        lambda i: gol_containers(*boards[i % 2], variant),
+        (gol_containers(a, b, variant), gol_containers(b, a, variant)),
         (b, a),
     )
 
@@ -84,12 +48,10 @@ def gol(sched: Scheduler, a: Datum, b: Datum, variant: str = "maps_ilp") -> Loop
 def sgemm_chain(sched: Scheduler, x: Datum, b: Datum, y: Datum) -> Loop:
     """Chained SGEMM X_{i+1} = X_i @ B over unmodified CUBLAS (§5.4):
     even iterations multiply ``x`` into ``y``."""
-    calls = ((x, b, y), (y, b, x))
-    return _loop(
+    return Loop.declare(
         sched,
-        sched.invoke_unmodified,
         make_sgemm_routine(),
-        lambda i: sgemm_containers(*calls[i % 2]),
+        (sgemm_containers(x, b, y), sgemm_containers(y, b, x)),
         (y, x),
     )
 
@@ -100,18 +62,18 @@ def histogram(
     """Histogram of ``image`` into ``hist``: the MAPS kernel, or the naive
     or CUB routine run unmodified (§5.3)."""
     if impl == "maps":
-        kernel, invoke = make_histogram_kernel("maps"), sched.invoke
+        kernel = make_histogram_kernel("maps")
     elif impl == "naive":
         kernel = make_naive_histogram_routine()
-        invoke = sched.invoke_unmodified
     elif impl == "cub":
         kernel = make_cub_histogram_routine()
-        invoke = sched.invoke_unmodified
     else:
         raise ValueError(f"unknown histogram impl {impl!r}")
-    containers = histogram_containers(image, hist)
-    return _loop(
-        sched, invoke, kernel, lambda i: containers, (hist,),
+    return Loop.declare(
+        sched,
+        kernel,
+        (histogram_containers(image, hist),),
+        (hist,),
         grid=histogram_grid(image),
     )
 
@@ -177,13 +139,9 @@ def steady(
         return None
     periods = (iters - (2 * p - 1)) // p
     rest = 2 * p + p * periods  # first iteration after the launched laps
-    graph = None
     steps(1, p)
     if mode == "graph":
-        with loop.sched.capture() as graph:
-            steps(p, 2 * p)
-        if periods:
-            graph.launch(periods)
+        loop.replay(p, periods + 1)
     else:
         loop.sched.wait_all()  # begin_batch drain
         steps(p, 2 * p)
@@ -192,7 +150,7 @@ def steady(
         if periods:
             loop.sched.wait_all()  # launch drain
     steps(rest, iters + 1)
-    return graph
+    return loop.graph
 
 
 def drain(loop: Loop, last: int) -> float:

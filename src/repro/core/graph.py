@@ -36,6 +36,10 @@ capture period left behind: the same residency geometry, aggregation
 state and consumed read-list shapes. Events are not compared by identity,
 so eager work between launches that rebuilds the same structure (a new
 producer of the same residency) keeps the fast path.
+
+Workloads do not capture or launch by hand: :class:`Loop` declares one
+steady period of calls and drives its graph (the benches, the job
+server's workloads and the serving engines all use it).
 """
 
 from __future__ import annotations
@@ -798,3 +802,82 @@ class IterationGraph:
                         st.add_read(loc, lap_ev(lap, s), host_time)
         for k, ev in made.items():
             ev.recorded_at = ev_time[k]
+
+
+class Loop:
+    """One steady period of calls on one scheduler, and its graph driver.
+
+    An iterative workload re-submits the same ``period`` calls, one per
+    iteration: a ping-pong between two buffers has period 2, a call whose
+    containers never change has period 1. :meth:`declare` runs each
+    call's ``AnalyzeCall`` once and keeps its container tuple, so
+    iteration ``i`` re-invokes ``calls[i % period]``. :meth:`replay`
+    captures one period as an :class:`IterationGraph` and launches it;
+    the graph belongs to this loop's scheduler, so a workload resuming on
+    a new scheduler (a new job-server lease) declares a new loop and
+    captures again.
+    """
+
+    def __init__(self, sched: "Scheduler", kernel, calls, outs, grid=None):
+        if len(calls) != len(outs):
+            raise ValueError("need one output per call of the period")
+        self.sched = sched
+        self.kernel = kernel
+        self.calls = calls
+        self.outs = outs
+        self.grid = grid
+        #: Iterations before the submitted calls repeat.
+        self.period = len(calls)
+        self._invoke = sched.invoke_unmodified if kernel.raw else sched.invoke
+        #: The captured period, once :meth:`replay` has run.
+        self.graph: IterationGraph | None = None
+        #: Diagnostics: captures performed / periods launched as a graph.
+        self.captures = 0
+        self.replayed = 0
+
+    @classmethod
+    def declare(cls, sched, kernel, calls, outs, grid=None) -> "Loop":
+        """Analyze each call of the period once and return its loop;
+        ``calls`` holds one container tuple and ``outs`` one output datum
+        per phase of the period."""
+        for call in calls:
+            sched.analyze_call(kernel, *call, grid=grid)
+        return cls(sched, kernel, tuple(calls), tuple(outs), grid)
+
+    def step(self, i: int):
+        """Submit iteration ``i``; returns its task handle."""
+        return self._invoke(
+            self.kernel, *self.calls[i % self.period], grid=self.grid
+        )
+
+    def out(self, i: int):
+        """The datum iteration ``i`` writes."""
+        return self.outs[i % self.period]
+
+    def warm_up(self, start: int | None = None) -> None:
+        """Submit the period from iteration ``start`` and drain it: pays
+        the host->device distribution of the inputs and leaves the
+        monitor in the steady state a capture freezes. Without ``start``,
+        iteration 0 alone (the benches' warm-up, after which their drivers
+        submit from iteration 1)."""
+        lo = start or 0
+        for i in range(lo, lo + (1 if start is None else self.period)):
+            self.step(i)
+        self.sched.wait_all()
+
+    def replay(self, start: int, n: int) -> None:
+        """Run ``n`` periods from iteration ``start`` through the iteration
+        graph and drain them. A loop holding no graph yet captures the
+        first of them and launches the other ``n - 1``."""
+        if n <= 0:
+            return
+        if self.graph is None:
+            with self.sched.capture() as graph:
+                for i in range(start, start + self.period):
+                    self.step(i)
+            self.graph = graph
+            self.captures += 1
+            n -= 1
+        if n:
+            self.graph.launch(n)
+            self.replayed += n

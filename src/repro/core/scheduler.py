@@ -242,9 +242,6 @@ class Scheduler:
             node.new_stream(d, "copy-out", f"gpu{d}.copy-out") for d in range(g)
         ]
         self._host_stream = node.new_stream(HOST, "host", "host.aggregate")
-        #: Handles of invocations not yet seen complete; ``wait_all``
-        #: drops the completed ones.
-        self.handles: list[TaskHandle] = []
         #: Devices currently taking work; starts as the ``devices``
         #: restriction (default: all) and shrinks as faults retire devices.
         if devices is None:
@@ -316,6 +313,12 @@ class Scheduler:
     def alive_devices(self) -> tuple[int, ...]:
         """Devices currently scheduled onto (shrinks under faults)."""
         return self._alive
+
+    @property
+    def handles(self) -> list[TaskHandle]:
+        """Handles of invocations not yet seen complete, read from the
+        submission log (a fresh list; ``wait_all`` prunes the log)."""
+        return [e for e in self._log if isinstance(e, TaskHandle)]
 
     @property
     def released(self) -> bool:
@@ -622,15 +625,6 @@ class Scheduler:
         self._capture_rec = rec
         return graph
 
-    def submit_batch(self, calls) -> list[TaskHandle]:
-        """Invoke every ``(kernel, *containers)`` tuple of ``calls`` inside
-        the currently recording batch (list form of the capture API)."""
-        if self._capture is None:
-            raise GraphCaptureError(
-                "submit_batch requires an active capture (begin_batch)"
-            )
-        return [self.invoke(kernel, *rest) for kernel, *rest in calls]
-
     def _stop_capture(self) -> None:
         """End the recording: drop the capture state and its hooks."""
         self._capture = None
@@ -853,7 +847,6 @@ class Scheduler:
         # way nothing is silently marked complete.
         if handle is None:
             handle = TaskHandle(task, submitted_at=node.host_time)
-            self.handles.append(handle)
             self._log.append(handle)
             handle.events.extend(new_events)
         else:
@@ -2327,9 +2320,8 @@ class Scheduler:
 
     def _prune_log(self) -> None:
         """Drop completed entries from the submission log (everything ran,
-        so nothing before this point can ever need resubmission) and
-        completed handles from :attr:`handles`, so neither grows with the
-        number of invocations."""
+        so nothing before this point can ever need resubmission), so it
+        does not grow with the number of invocations."""
         if self._log:
             self._log = [
                 e for e in self._log
@@ -2337,11 +2329,6 @@ class Scheduler:
                     all(ev.recorded for ev in e.events)
                     if isinstance(e, TaskHandle) else e.complete
                 )
-            ]
-        if self.handles:
-            self.handles[:] = [
-                h for h in self.handles
-                if not all(ev.recorded for ev in h.events)
             ]
 
     # -- paper-style CamelCase aliases ------------------------------------------------

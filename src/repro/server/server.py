@@ -487,6 +487,9 @@ class JobServer:
                 self.tenant_usage.get(spec.tenant, 0.0) + used
             )
             sched.release()
+            # The loop holds the released scheduler; a waiting or finished
+            # job must not keep it alive.
+            spec.workload.loop = None
             node.end_lease()
 
     def _drive(self, job: Job, sched: Scheduler, lease_start: float) -> None:

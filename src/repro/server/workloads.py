@@ -6,8 +6,9 @@ the job server's preemption model is exactly "the host arrays plus an
 iteration counter *are* the checkpoint". The contract:
 
 * :meth:`bind` attaches fresh datums (bound to the persistent host
-  arrays) to a scheduler and runs the ``AnalyzeCall`` declarations. It is
-  called once per *lease*; after a preemption the next lease's scheduler
+  arrays) to a scheduler and declares their :class:`~repro.core.graph.Loop`
+  (one steady period of calls, analyzed once). It is called once per
+  *lease*; after a preemption the next lease's scheduler
   re-uploads from host and continues from ``completed`` iterations. A
   lease re-does only the per-datum work: analyzed boxes and allocations,
   residency, and one box check per new binding of datums to a plan. The
@@ -18,6 +19,7 @@ iteration counter *are* the checkpoint". The contract:
   a kernel per job would split them per job.
 * :meth:`run_chunk` advances up to ``checkpoint_every`` iterations and
   gathers results back, leaving host state checkpoint-complete again.
+  The base method steps the loop and gathers every iteration's output.
   Preemption happens only between chunks, so nothing in flight is lost.
 * :meth:`result` returns the output array; :meth:`reference` computes the
   same thing with plain numpy. Every payload is a pure function of host
@@ -28,14 +30,16 @@ iteration counter *are* the checkpoint". The contract:
 Three app families cover the paper's pattern spectrum: Game of Life
 (Window stencil), histogram (Window + ReductiveStatic), and a chained
 SGEMM over the unmodified-CUBLAS path (Block patterns). The GoL variant
-optionally re-captures an iteration graph (DESIGN.md §12) each lease.
+replays its loop as an iteration graph (DESIGN.md §12), re-captured each
+lease.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core import Grid, Matrix, Scheduler, Vector
+from repro.core import Matrix, Scheduler, Vector
+from repro.core.graph import IterationGraph, Loop
 from repro.kernels.game_of_life import (
     gol_containers,
     gol_reference_step,
@@ -69,6 +73,9 @@ class Workload:
         self.checkpoint_every = int(checkpoint_every)
         #: Iterations whose results are safely in host memory.
         self.completed = 0
+        #: The current lease's loop, declared by :meth:`bind`; the server
+        #: drops it when the lease ends.
+        self.loop: Loop | None = None
 
     @property
     def finished(self) -> bool:
@@ -81,7 +88,17 @@ class Workload:
     def run_chunk(self, sched: Scheduler) -> int:
         """Advance up to ``checkpoint_every`` iterations; returns how many
         ran. Host state is checkpoint-complete on return."""
-        raise NotImplementedError
+        k = min(self.checkpoint_every, self.iterations - self.completed)
+        loop = self.loop
+        for i in range(self.completed, self.completed + k):
+            loop.step(i)
+            sched.gather(loop.out(i))
+            self.gathered(i)
+        self.completed += k
+        return k
+
+    def gathered(self, i: int) -> None:
+        """Hook run once iteration ``i``'s output is in host memory."""
 
     # -- results ------------------------------------------------------------
     def result(self) -> np.ndarray:
@@ -121,7 +138,6 @@ class GoLWorkload(Workload):
         rng = np.random.default_rng(seed)
         self._initial = (rng.random((size, size)) < 0.35).astype(np.int32)
         self.boards = [self._initial.copy(), np.zeros_like(self._initial)]
-        self._datums: list[Matrix] | None = None
 
     def bind(self, sched: Scheduler) -> None:
         a = Matrix(self.size, self.size, np.int32, "gol.A").bind(
@@ -130,19 +146,9 @@ class GoLWorkload(Workload):
         b = Matrix(self.size, self.size, np.int32, "gol.B").bind(
             self.boards[1]
         )
-        self._datums = [a, b]
-        sched.analyze_call(_GOL, *gol_containers(a, b))
-        sched.analyze_call(_GOL, *gol_containers(b, a))
-
-    def run_chunk(self, sched: Scheduler) -> int:
-        k = min(self.checkpoint_every, self.iterations - self.completed)
-        d = self._datums
-        for i in range(self.completed, self.completed + k):
-            src, dst = d[i % 2], d[(i + 1) % 2]
-            sched.invoke(_GOL, *gol_containers(src, dst))
-            sched.gather(dst)
-        self.completed += k
-        return k
+        self.loop = Loop.declare(
+            sched, _GOL, (gol_containers(a, b), gol_containers(b, a)), (b, a)
+        )
 
     def result(self) -> np.ndarray:
         return self.boards[self.completed % 2].copy()
@@ -167,7 +173,7 @@ class GoLGraphWorkload(GoLWorkload):
     (it pays the host-to-device distribution, which is not steady state),
     the second is captured, and the remainder of the lease replays the
     graph. A preemption releases the scheduler, which spoils the graph —
-    the next lease demotes to eager and re-captures, bit-identically.
+    the next lease declares a new loop and re-captures, bit-identically.
     """
 
     kind = "gol-graph"
@@ -185,50 +191,31 @@ class GoLGraphWorkload(GoLWorkload):
                 "(the captured period is one two-tick ping-pong)"
             )
         super().__init__(size, iterations, checkpoint_every, seed)
-        self.graph = None
-        self._graph_sched: Scheduler | None = None
-        #: Diagnostics: captures performed / periods replayed via graph.
+        #: Diagnostics over every lease: captures performed / periods
+        #: launched through a graph.
         self.captures = 0
         self.replayed_periods = 0
 
-    def _pair(self, sched: Scheduler, i: int) -> None:
-        d = self._datums
-        sched.invoke(_GOL, *gol_containers(d[i % 2], d[(i + 1) % 2]))
-        sched.invoke(_GOL, *gol_containers(d[(i + 1) % 2], d[i % 2]))
+    @property
+    def graph(self) -> IterationGraph | None:
+        """The current lease's captured period, if any."""
+        return None if self.loop is None else self.loop.graph
 
     def run_chunk(self, sched: Scheduler) -> int:
         k = min(self.checkpoint_every, self.iterations - self.completed)
-        i = self.completed
-        pairs = k // 2
-        if self._graph_sched is not sched:
-            # Fresh lease: the previous lease's graph (if any) belongs to
-            # a released scheduler — demote to eager and re-capture.
-            self.graph = None
-            self._graph_sched = sched
-        while pairs:
-            if self.graph is not None:
-                self.graph.launch(pairs)
-                self.replayed_periods += pairs
-                i += 2 * pairs
-                pairs = 0
-            elif i == self.completed and self._datums is not None:
-                # First period of the lease: eager warm-up (pays the
-                # re-distribution of host state).
-                self._pair(sched, i)
-                sched.wait_all()
-                i += 2
-                pairs -= 1
-            else:
-                with sched.capture() as g:
-                    self._pair(sched, i)
-                self.graph = g
-                self.captures += 1
-                i += 2
-                pairs -= 1
-        # One gather per chunk: the checkpoint. Parity is even, so the
-        # current board is boards[i % 2] == boards[0 or 1] consistently.
-        sched.gather(self._datums[i % 2])
-        self.completed = i
+        loop, i = self.loop, self.completed
+        if loop.graph is None:
+            # First period of the lease: eager warm-up (pays the
+            # re-distribution of host state).
+            loop.warm_up(i)
+            i += 2
+        captures, replayed = loop.captures, loop.replayed
+        loop.replay(i, (self.completed + k - i) // 2)
+        self.captures += loop.captures - captures
+        self.replayed_periods += loop.replayed - replayed
+        self.completed += k
+        # One gather per chunk: the checkpoint.
+        sched.gather(loop.out(self.completed - 1))
         return k
 
 
@@ -261,36 +248,22 @@ class HistogramWorkload(Workload):
         ).astype(np.uint8)
         self.acc = np.zeros(bins, dtype=np.int64)
         self._hist_host = np.zeros(bins, dtype=np.int32)
-        self._image_d: Matrix | None = None
-        self._hist_d: Vector | None = None
-        self._grid: Grid | None = None
 
     def bind(self, sched: Scheduler) -> None:
-        self._image_d = Matrix(
-            self.size, self.size, np.uint8, "hist.image"
-        ).bind(self.image)
-        self._hist_d = Vector(self.bins, np.int32, "hist.out").bind(
-            self._hist_host
+        image = Matrix(self.size, self.size, np.uint8, "hist.image").bind(
+            self.image
         )
-        self._grid = histogram_grid(self._image_d)
-        sched.analyze_call(
+        hist = Vector(self.bins, np.int32, "hist.out").bind(self._hist_host)
+        self.loop = Loop.declare(
+            sched,
             _HISTOGRAM,
-            *histogram_containers(self._image_d, self._hist_d),
-            grid=self._grid,
+            (histogram_containers(image, hist),),
+            (hist,),
+            grid=histogram_grid(image),
         )
 
-    def run_chunk(self, sched: Scheduler) -> int:
-        k = min(self.checkpoint_every, self.iterations - self.completed)
-        for _ in range(k):
-            sched.invoke(
-                _HISTOGRAM,
-                *histogram_containers(self._image_d, self._hist_d),
-                grid=self._grid,
-            )
-            sched.gather(self._hist_d)
-            self.acc += self._hist_host
-        self.completed += k
-        return k
+    def gathered(self, i: int) -> None:
+        self.acc += self._hist_host
 
     def result(self) -> np.ndarray:
         return self.acc.copy()
@@ -331,8 +304,6 @@ class SgemmWorkload(Workload):
             rng.standard_normal((size, size)).astype(np.float32) / size
         )
         self.mats = [self._x0.copy(), np.zeros_like(self._x0)]
-        self._datums: list[Matrix] | None = None
-        self._b_d: Matrix | None = None
 
     def bind(self, sched: Scheduler) -> None:
         x = Matrix(self.size, self.size, np.float32, "gemm.X").bind(
@@ -344,20 +315,12 @@ class SgemmWorkload(Workload):
         b = Matrix(self.size, self.size, np.float32, "gemm.B").bind(
             self.b_host
         )
-        self._datums = [x, y]
-        self._b_d = b
-        sched.analyze_call(_SGEMM, *sgemm_containers(x, b, y))
-        sched.analyze_call(_SGEMM, *sgemm_containers(y, b, x))
-
-    def run_chunk(self, sched: Scheduler) -> int:
-        k = min(self.checkpoint_every, self.iterations - self.completed)
-        d, b = self._datums, self._b_d
-        for i in range(self.completed, self.completed + k):
-            src, dst = d[i % 2], d[(i + 1) % 2]
-            sched.invoke_unmodified(_SGEMM, *sgemm_containers(src, b, dst))
-            sched.gather(dst)
-        self.completed += k
-        return k
+        self.loop = Loop.declare(
+            sched,
+            _SGEMM,
+            (sgemm_containers(x, b, y), sgemm_containers(y, b, x)),
+            (y, x),
+        )
 
     def result(self) -> np.ndarray:
         return self.mats[self.completed % 2].copy()

@@ -29,6 +29,7 @@ import numpy as np
 from repro.apps.lenet.inference import LeNetInference
 from repro.apps.lenet.network import LeNetParams
 from repro.core import Datum, Scheduler
+from repro.core.graph import Loop
 from repro.libs.cublas import make_sgemm_routine, sgemm_containers
 from repro.serving.trace import Request
 
@@ -123,31 +124,27 @@ class SgemmEngine:
         self._y = Datum((self.batch, size), np.float32, "serve.Y").bind(
             np.zeros((self.batch, size), np.float32)
         )
-        self._b = Datum((size, size), np.float32, "serve.B").bind(b_host)
-        self._routine = make_sgemm_routine()
-        sched.analyze_call(
-            self._routine, *sgemm_containers(self._x, self._b, self._y)
+        b = Datum((size, size), np.float32, "serve.B").bind(b_host)
+        self.loop = Loop.declare(
+            sched,
+            make_sgemm_routine(),
+            (
+                sgemm_containers(self._x, b, self._y),
+                sgemm_containers(self._y, b, self._x),
+            ),
+            (self._y, self._x),
         )
-        sched.analyze_call(
-            self._routine, *sgemm_containers(self._y, self._b, self._x)
-        )
-        self.graph = None
-        #: Diagnostics: graph captures performed / ping-pong pairs
-        #: replayed through the graph (vs. run eagerly).
-        self.captures = 0
-        self.replayed_pairs = 0
+
+    # Diagnostics, kept on the loop: the captured pair, graph captures
+    # performed and ping-pong pairs replayed through the graph (vs. run
+    # eagerly).
+    graph = property(lambda self: self.loop.graph)
+    captures = property(lambda self: self.loop.captures)
+    replayed_pairs = property(lambda self: self.loop.replayed)
 
     def _input_for(self, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
         return rng.standard_normal(self.size).astype(np.float32)
-
-    def _pair(self) -> None:
-        self.sched.invoke_unmodified(
-            self._routine, *sgemm_containers(self._x, self._b, self._y)
-        )
-        self.sched.invoke_unmodified(
-            self._routine, *sgemm_containers(self._y, self._b, self._x)
-        )
 
     def serve(self, requests: list[Request]) -> list[np.ndarray]:
         """Answer up to ``batch`` requests in one padded chained-GEMM
@@ -162,26 +159,13 @@ class SgemmEngine:
             self._x_host[i] = self._input_for(r.seed)
         if k < self.batch:
             self._x_host[k:] = 0.0
-        sched = self.sched
-        sched.mark_host_dirty(self._x)
+        self.sched.mark_host_dirty(self._x)
         # First pair eager: pays the padded batch's H2D re-distribution,
         # leaving the monitor in the steady state the graph was captured
         # against.
-        self._pair()
-        sched.wait_all()
-        pairs = self.layers // 2 - 1
-        while pairs:
-            if self.graph is not None:
-                self.graph.launch(pairs)
-                self.replayed_pairs += pairs
-                pairs = 0
-            else:
-                with sched.capture() as g:
-                    self._pair()
-                self.graph = g
-                self.captures += 1
-                pairs -= 1
-        sched.gather(self._x)
+        self.loop.warm_up(0)
+        self.loop.replay(2, self.layers // 2 - 1)
+        self.sched.gather(self._x)
         out = self._x.host
         return [out[i].copy() for i in range(k)]
 

@@ -1,9 +1,12 @@
 """The shared workload builders and drivers in repro.bench.workloads."""
 
+import re
+
+import numpy as np
 import pytest
 
-from repro.bench.workloads import TIMING, drain, run, steady
-from repro.core import Scheduler
+from repro.bench.workloads import TIMING, drain, gol, histogram, run, steady
+from repro.core import Matrix, Scheduler, Vector
 from repro.hardware import GTX_780
 from repro.sim.node import SimNode
 
@@ -27,6 +30,93 @@ def test_graph_matches_twin(name, iters):
     t_twin, cmds_twin, _ = _steady(name, iters, "twin")
     assert t_graph == t_twin
     assert cmds_graph == cmds_twin
+
+
+def _hosts(name):
+    """The persistent host arrays a workload's leases bind to."""
+    rng = np.random.default_rng(3)
+    if name == "game_of_life":
+        board = (rng.random((SIZE, SIZE)) < 0.35).astype(np.int32)
+        return [board, np.zeros_like(board)]
+    image = rng.integers(0, 256, (SIZE, SIZE), dtype=np.int64)
+    return [image.astype(np.uint8), np.zeros(256, np.int32)]
+
+
+def _declare(name, sched, hosts):
+    """A lease's loop: fresh datums bound to the persistent host arrays."""
+    if name == "game_of_life":
+        a, b = (
+            Matrix(SIZE, SIZE, np.int32, f"board{k}").bind(h)
+            for k, h in enumerate(hosts)
+        )
+        return gol(sched, a, b)
+    image = Matrix(SIZE, SIZE, np.uint8, "image").bind(hosts[0])
+    return histogram(sched, image, Vector(256, np.int32, "hist").bind(hosts[1]))
+
+
+def _replay(loop, start, n, graph, first):
+    """``loop.replay(start, n)``, or its eager twin: the same periods with
+    ``wait_all`` where the capture (the lease's ``first`` replay) and the
+    launch drain."""
+    if graph:
+        loop.replay(start, n)
+        return
+    p, sched = loop.period, loop.sched
+    if first:
+        sched.wait_all()  # begin_batch drain
+        for i in range(start, start + p):
+            loop.step(i)
+        sched.wait_all()  # end_batch drain
+        start, n = start + p, n - 1
+    for i in range(start, start + n * p):
+        loop.step(i)
+    if n:
+        sched.wait_all()  # launch drain
+
+
+#: Per lease, the period counts replayed after its one-period warm-up; the
+#: second lease's first replay captures without launching.
+LEASES = ((3,), (1, 2))
+
+
+def _two_leases(name, graph):
+    """Periods 0-3 on one scheduler, a checkpoint gather and ``release()``,
+    then periods 4-7 on a fresh scheduler of the same node."""
+    node = SimNode(GTX_780, GPUS, functional=True)
+    hosts = _hosts(name)
+    captures = i = 0
+    for replays in LEASES:
+        sched = Scheduler(node)
+        loop = _declare(name, sched, hosts)
+        p = loop.period
+        loop.warm_up(i)
+        i += p
+        for k, n in enumerate(replays):
+            _replay(loop, i, n, graph, first=k == 0)
+            i += n * p
+        sched.gather(loop.out(i - 1))
+        if graph:
+            assert loop.graph.fast_launches == loop.graph.launches == 1
+        captures += loop.captures
+        sched.release()
+    rows = [
+        (r.kind, re.sub(r"#\d+", "", r.label), r.device, r.start, r.end,
+         r.nbytes, r.src)
+        for r in node.trace
+    ]
+    return hosts, node.time, rows, node.engine.commands_executed, captures
+
+
+@pytest.mark.parametrize("name", ["game_of_life", "histogram"])
+def test_graph_matches_twin_across_leases(name):
+    hosts_g, t_g, rows_g, cmds_g, captures = _two_leases(name, graph=True)
+    hosts_t, t_t, rows_t, cmds_t, _ = _two_leases(name, graph=False)
+    assert captures == 2
+    for h_g, h_t in zip(hosts_g, hosts_t):
+        assert np.array_equal(h_g, h_t)
+    assert t_g == t_t
+    assert rows_g == rows_t
+    assert cmds_g == cmds_t
 
 
 @pytest.mark.parametrize("name", sorted(TIMING))
