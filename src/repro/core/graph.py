@@ -670,7 +670,8 @@ class IterationGraph:
             return None
         # An EWMA drift that would flip weights on the next eager invoke
         # must take the slow path (which then bumps the generation).
-        if sched._current_weights() != sched._weights:
+        m = sched._mitigator
+        if m is not None and m.weights() != sched._weights:
             return None
         # Structure: the same geometry, aggregation state and consumed
         # read-list shapes give the same copy decisions and waits.

@@ -312,6 +312,12 @@ def check_plan(task: "Task", plan: TaskPlan, analyzer) -> None:
             analyzer.check_within(c.datum, d, rect)
 
 
+def binding(task: "Task", plan: TaskPlan) -> tuple:
+    """One binding of datums to a plan: ``(signature, datum ids)``. A
+    plan is geometry only, so per-datum state is keyed by its binding."""
+    return (plan.signature, tuple([id(c.datum) for c in task.containers]))
+
+
 @dataclass(frozen=True)
 class ChunkStep:
     """One sub-segment of a device's work under out-of-core replay."""

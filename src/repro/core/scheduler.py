@@ -14,148 +14,55 @@ One compute stream plus two copy streams (one per copy engine direction)
 are created per device — the simulation counterpart of the paper's
 one-invoker-thread-per-device design with concurrent copy/compute queues.
 
-Fault recovery (DESIGN.md §8): every loop that runs the simulation
-(``wait``, ``wait_all`` and the eviction pre-flight's drain) goes through
-one dispatcher, ``_drive``, which catches the engine's typed faults. A
-:class:`~repro.errors.TransientTransferError`
-is retried — from an alternate valid replica found via the Segment
-Location Monitor when one exists — after a capped exponential backoff in
-simulated time. A permanent :class:`~repro.errors.DeviceFault` (or an
-injected allocation failure) retires the device: all queued commands are
-aborted, the monitor is purged of state the fault made untrue, plans
-segmented over the dead device are invalidated, and every incomplete task
-and gather is resubmitted — in original submission order — across the
-surviving devices. Recovery succeeds iff every incomplete task's inputs
-still have a valid replica somewhere (host or surviving device); otherwise
-:class:`~repro.errors.UnrecoverableError` tells the application to restart
-from its own checkpoint.
+Three mechanisms live outside this path, behind hooks that run only when
+armed: memory pressure (``core/pressure.py``, DESIGN.md §10), straggler
+mitigation (``core/mitigation.py``, §11) and fault recovery
+(``core/recovery.py``, §8).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Hashable, Iterable, Mapping, Optional
 
-
+from repro.core import recovery
 from repro.core.buffers import locate_virtual, locate_virtual_all
 from repro.core.datum import Datum
 from repro.core.graph import GraphRecorder, IterationGraph, snapshot_monitor
 from repro.core.grid import Grid
 from repro.core.location_monitor import CopyOp, LocationMonitor
 from repro.core.memory_analyzer import MemoryAnalyzer
+from repro.core.mitigation import Mitigator, _KernelOrigin
 from repro.core.plan import (
     COPY_MEMO_LIMIT,
-    ChunkPlan,
     NodeTables,
     PlanCache,
     TaskPlan,
-    build_chunk_plan,
+    binding,
     build_plan,
     check_plan,
     freeze_constants,
 )
+from repro.core.pressure import MemoryPressure
+from repro.core.recovery import _GatherRecord, _RescheduleError, _TransferContext
 from repro.core.task import CostContext, Kernel, Task, TaskHandle
 from repro.device_api.context import KernelContext
 from repro.device_api.views import make_view
 from repro.errors import (
     AllocationError,
-    CapacityError,
     DeviceFault,
     GraphCaptureError,
     SchedulingError,
     StragglerAlarm,
-    StragglerTimeoutError,
     TransientTransferError,
-    UnrecoverableError,
 )
 from repro.hardware.topology import HOST
-from repro.patterns.base import Aggregation, InputContainer, OutputContainer
+from repro.patterns.base import Aggregation
 from repro.patterns.output_patterns import combine
-from repro.sim.commands import Event, EventRecord, EventWait
+from repro.sim.commands import Event
 from repro.sim.memory import DeviceBuffer
-from repro.sim.trace import TraceRecord
-from repro.utils.rect import Rect
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.node import SimNode
-
-
-class _RescheduleError(Exception):
-    """Internal control flow: a settle inside an in-progress replay
-    recovered from a fault (retiring a device), so the replay's plan is
-    stale — abort it and reschedule against the new alive set. Never
-    escapes the scheduler."""
-
-
-@dataclass
-class _TransferContext:
-    """Provenance attached to a segment-copy Memcpy (``cmd.origin``) so a
-    transient fault on it can be retried from an alternate replica.
-    Aggregation/reduce-scatter transfers carry no context and are retried
-    over the same route.
-
-    ``payload_factory(op) -> payload`` overrides the default
-    analyzer-buffer payload when the copy's destination is not the
-    analyzer's allocation (chunk staging buffers, DESIGN.md §10): a retry
-    or hedge from an alternate replica (``_reroute``) must rebuild the
-    payload against the same staging destination."""
-
-    datum: Optional[Datum]
-    op: Optional[CopyOp]
-    done_event: Optional[Event]
-    attempt: int = 0
-    payload_factory: Any = None
-    #: Set once the straggler watchdog alarmed on this copy; a hedged or
-    #: declined transfer runs to completion without re-alarming.
-    alarmed: bool = False
-
-
-@dataclass
-class _KernelOrigin:
-    """Provenance attached to a per-segment KernelLaunch (``cmd.origin``)
-    when straggler mitigation is on, so the watchdog's
-    :class:`~repro.errors.StragglerAlarm` carries enough context to
-    speculatively re-execute the segment on an idle device (DESIGN.md
-    §11). ``dev_events`` is the replay's shared device -> completion-event
-    map (fully populated before any wait can alarm)."""
-
-    task: Task
-    plan: TaskPlan
-    device: int
-    dev_events: dict
-    num_active: int
-    alarmed: bool = False
-
-
-@dataclass
-class _GatherRecord:
-    """A gather the application requested, tracked until its transfers
-    complete so an aborting fault cannot silently leave the host buffer
-    stale — recovery re-issues any gather with unrecorded events."""
-
-    datum: Datum
-    region: Optional[Rect]  # None = whole datum (may aggregate)
-    events: list = field(default_factory=list)
-
-    @property
-    def complete(self) -> bool:
-        return all(e is None or e.recorded for e in self.events)
-
-
-def _binding(task: Task, plan: TaskPlan) -> tuple:
-    """One binding of datums to a plan: ``(signature, datum ids)``. A
-    plan is geometry only, so per-datum state is keyed by its binding."""
-    return (plan.signature, tuple([id(c.datum) for c in task.containers]))
-
-
-def _by_container(task: Task, per_input, per_output) -> list:
-    """Interleave items aligned with ``task.inputs`` and ``task.outputs``
-    into ``task.containers`` order."""
-    ins, outs = iter(per_input), iter(per_output)
-    return [
-        next(ins) if isinstance(c, InputContainer) else next(outs)
-        for c in task.containers
-    ]
 
 
 class Scheduler:
@@ -227,7 +134,7 @@ class Scheduler:
         #: Host-gather copy decisions (``_copy_ops``), node-shared.
         self._gathers = tables.gathers if plan_cache else None
         self.plans = PlanCache(enabled=plan_cache, plans=tables.plans)
-        #: Bindings (``_binding``) whose rects were checked against this
+        #: Bindings (``plan.binding``) whose rects were checked against this
         #: scheduler's analyzed boxes (``check_plan``).
         self._bound: set[tuple] = set()
         self._peer_cache: dict[int, list[int]] = {}
@@ -262,43 +169,19 @@ class Scheduler:
         #: surviving device set when recovery re-segments work.
         self._analyzed: list[Task] = []
         #: Submission log (TaskHandles and _GatherRecords in order) driving
-        #: ordered resubmission after a permanent failure; pruned of
-        #: completed entries after each successful wait.
+        #: ordered resubmission after a permanent failure; bounded after
+        #: every wait (``recovery.prune_log``).
         self._log: list = []
-        #: token -> (device, pool buffers) for in-flight out-of-core chunk
-        #: replays (DESIGN.md §10). Pools normally free themselves via a
-        #: deferred command at the end of the chunk sequence; device
-        #: retirement and release clear streams, so _free_chunk_pools
-        #: force-frees whatever is still registered here.
-        self._live_chunk_pools: dict[int, tuple[int, list[DeviceBuffer]]] = {}
-        #: Out-of-core chunk plans per (binding, device) (DESIGN.md §10). They depend on memory pressure, not geometry,
-        #: so they stay with this scheduler and binding instead of the
-        #: node's shared plan. Pressure state is deliberately NOT part of
-        #: the key: every replay attempts the in-core path first and falls
-        #: into chunking only when the allocation actually fails, so a
-        #: cached plan self-heals when memory frees up; a cached chunk
-        #: plan is revalidated against the device's *current*
-        #: ``free_bytes`` before reuse and rebuilt when stale.
-        self._chunk_plans: dict[tuple, ChunkPlan] = {}
-        self._pool_tokens = 0
-        # Straggler mitigation (DESIGN.md §11) — strictly opt-in via
-        # FaultPlan.mitigate_stragglers alone (off on the node's empty
-        # plan); with it off, no observer is installed, no origin
-        # provenance is attached, and the scheduler's command stream is
-        # byte-identical to a build without this feature.
-        self._mitigation = node.faults.mitigate_stragglers
-        #: device -> EWMA of observed/calibrated kernel duration ratio.
-        self._ewma_c: dict[int, float] = {}
-        #: (src, dst) -> EWMA of observed/calibrated transfer ratio
-        #: (diagnostics; deliberately not folded into segment weights, as
-        #: a degraded shared link would taint healthy endpoints).
-        self._ewma_t: dict[tuple[int, int], float] = {}
+        #: Eviction and out-of-core chunking (DESIGN.md §10).
+        self._pressure = MemoryPressure(self)
         #: Current quantized throughput weights (None = even split).
         self._weights: tuple[int, ...] | None = None
-        #: device -> dedicated speculation stream (created lazily).
-        self._spec_streams: dict[int, Any] = {}
-        if self._mitigation:
-            node.engine.observer = self._observe
+        #: Straggler mitigation (DESIGN.md §11), strictly opt-in via
+        #: FaultPlan.mitigate_stragglers alone (off on the node's empty
+        #: plan). Without it the scheduler holds no mitigation state.
+        self._mitigator = (
+            Mitigator(self) if node.faults.mitigate_stragglers else None
+        )
         # Iteration-graph capture & replay (DESIGN.md §12). The generation
         # counter is bumped by every steady-state-breaking transition
         # (weight rebalance, device retirement, replica eviction, chunk
@@ -317,8 +200,11 @@ class Scheduler:
     @property
     def handles(self) -> list[TaskHandle]:
         """Handles of invocations not yet seen complete, read from the
-        submission log (a fresh list; ``wait_all`` prunes the log)."""
-        return [e for e in self._log if isinstance(e, TaskHandle)]
+        submission log (a fresh list)."""
+        return [
+            e for e in self._log
+            if isinstance(e, TaskHandle) and not e.complete
+        ]
 
     @property
     def released(self) -> bool:
@@ -359,17 +245,19 @@ class Scheduler:
         # == not `is`: bound-method objects are created per access, so
         # identity would never match and a stale observer would outlive
         # the lease, crashing the next tenant's dispatches.
-        if node.engine.observer == self._observe:
+        mitigator = self._mitigator
+        if mitigator is not None and node.engine.observer == mitigator.observe:
             node.engine.observer = None
         # A preempted or faulted lease may have destroyed the pools'
         # deferred free.
-        self._free_chunk_pools()
+        self._pressure.free_pools()
         self.analyzer.release_all()
         own = set()
         for group in (self._compute, self._copy_in, self._copy_out):
             own.update(id(s) for s in group)
         own.add(id(self._host_stream))
-        own.update(id(s) for s in self._spec_streams.values())
+        if mitigator is not None:
+            own.update(id(s) for s in mitigator.spec_streams.values())
         for s in node.streams:
             if id(s) in own:
                 s.commands.clear()
@@ -389,7 +277,8 @@ class Scheduler:
         self._check_live()
         self._no_capture("analyze_call")
         task = Task(kernel, containers, grid, constants)
-        self._refresh_weights()
+        if self._mitigator is not None:
+            self._mitigator.refresh()
         self.analyzer.analyze(task, self._alive, weights=self._weights)
         self._analyzed.append(task)
         self.node.host_advance(self.node.interconnect.scheduler_container_overhead)
@@ -537,7 +426,7 @@ class Scheduler:
         self._check_live()
         self._no_capture("wait_all")
         t = self._drive(self.node.run)
-        self._prune_log()
+        recovery.prune_log(self, keep_producers=False)
         return t
 
     def wait(self, handle: TaskHandle) -> float:
@@ -549,7 +438,9 @@ class Scheduler:
         device drain): commands of later, independent tasks may remain
         queued afterwards and are executed by a subsequent ``wait``/
         ``wait_all``. The host clock advances to the task's completion
-        time, as the calling host thread blocks until then.
+        time, as the calling host thread blocks until then. Once the
+        drain leaves every logged entry complete, the submission log keeps
+        only the latest producer of each datum.
         """
         self._check_live()
         self._no_capture("wait")
@@ -564,7 +455,9 @@ class Scheduler:
             # re-read on every lap.
             return self.node.run_until(handle.events)
 
-        return self._drive(lap)
+        t = self._drive(lap)
+        recovery.prune_log(self, keep_producers=True)
+        return t
 
     def mark_host_dirty(self, datum: Datum) -> None:
         """Tell the framework the bound host buffer was modified by the
@@ -681,14 +574,15 @@ class Scheduler:
                 plan = self._lookup_or_build(task)
                 return self._replay(task, plan)
             except _RescheduleError:
-                continue  # settle-time recovery changed the alive set
+                continue  # a drain-time recovery changed the alive set
             except AllocationError as e:
                 if not e.injected:
                     raise
-                self._recover(e.device, self.node.time)
+                recovery.recover(self, e.device, self.node.time)
 
     def _lookup_or_build(self, task: Task) -> TaskPlan:
-        self._refresh_weights()
+        if self._mitigator is not None:
+            self._mitigator.refresh()
         plan = self.plans.lookup(task, self._alive, weights=self._weights)
         if plan is None:
             # Slow path: runs once per task signature on the node (or
@@ -703,134 +597,89 @@ class Scheduler:
         # A plan is geometry only, so each new binding of datums to it is
         # checked against their analyzed boxes (after the implicit
         # analysis, if on) — a cached plan once per scheduler.
-        binding = _binding(task, plan)
-        if binding not in self._bound:
+        bound = binding(task, plan)
+        if bound not in self._bound:
             if self.auto_analyze:
                 self.analyzer.ensure(task, self._alive, weights=self._weights)
             check_plan(task, plan, self.analyzer)
             if plan.memoize:
-                self._bound.add(binding)
+                self._bound.add(bound)
         return plan
 
     def _replay(
         self, task: Task, plan: TaskPlan, handle: TaskHandle | None = None
     ) -> TaskHandle:
         node = self.node
-        ic = node.interconnect
         monitor = self.monitor
-        analyzer = self.analyzer
         active = plan.active
-        inputs = task.inputs
-        outputs = task.outputs
+        inputs, outputs = task.inputs, task.outputs
         dplans = plan.device_plans
-
-        # Host-side scheduling overhead (task construction, segmentation,
-        # location-monitor bookkeeping). Charged identically on build and
-        # replay: the plan cache models no simulated-time savings, only
-        # real host wall-clock savings.
+        # Host overhead, the same on build and replay (caching saves host time).
+        ic = node.interconnect
         node.host_advance(
             ic.scheduler_task_overhead
             + ic.scheduler_container_overhead * len(task.containers) * len(active)
         )
-
-        # Pending-aggregation inputs are resolved first: segmented disjoint
-        # consumers get a device-level reduce-scatter (Algorithm 1 line 17:
-        # "copy segment from one device to another, aggregating as
-        # necessary"); anything else falls back to host-level aggregation.
+        # Pending aggregations first (Algorithm 1 line 17): disjoint
+        # consumers get a device-level reduce-scatter, others the host.
         for i, c in enumerate(inputs):
             if monitor.needs_aggregation(c.datum):
                 self._resolve_aggregation(c.datum, plan.consumer_rects[i])
-
-        # DESIGN.md §10 pre-flight: make every active device's working set
-        # resident, escalating evict -> out-of-core chunking when device
-        # memory is oversubscribed. With ample capacity this is exactly the
-        # allocation pass the in-core path always ran (buffers allocate on
-        # first use and are merely re-touched afterwards).
-        chunked: dict[int, ChunkPlan] = {}
+        # Step 3, the one allocation pass. A working set that does not fit
+        # goes to the pressure hook, which evicts until it fits or returns
+        # the device's out-of-core chunk plan (DESIGN.md §10).
+        staged: dict[int, Any] = {}
         for d in active:
-            cp = self._prepare_device(task, plan, d)
-            if cp is not None:
-                chunked[d] = cp
-        in_core = [d for d in active if d not in chunked]
-
-        # Lines 3-12: allocation and copy planning per device (the
-        # segmentation rects come precomputed from the plan; only the
-        # location-monitor copy computation depends on current residency).
-        kernel_waits: dict[int, list[Event]] = {d: [] for d in active}
-        # Copy decisions are memoized per (input, device) in the cached
-        # plan; one-shot plans (cache off) skip the memo entirely.
+            bufs = self._alloc_task_buffers(task, d)
+            staged[d] = self._pressure.prepare(task, plan, d) if bufs is None else bufs
+        in_core = [d for d in active if type(staged[d]) is list]
+        # Steps 4-5 (lines 3-13): the monitor's copies, on the invoker
+        # streams; decisions are memoized per (input, device) when cached.
+        kernel_waits: dict[int, list[Event]] = {}
         copy_memo = plan.copy_memo if plan.memoize else None
         for d in in_core:
             dp = dplans[d]
-            waits = kernel_waits[d]
+            kernel_waits[d] = waits = []
             for i, (c, req) in enumerate(zip(inputs, dp.input_reqs)):
-                analyzer.buffer(c.datum, d)
-                if monitor.needs_aggregation(c.datum):
-                    self._aggregate(c.datum)
-                ops = self._copy_ops(
+                for op in self._copy_ops(
                     c.datum, copy_memo, (i, d),
                     (a for _, a in req.pieces), d, dp.peers,
-                )
-                for op in ops:  # line 13: distribute to invoker streams
+                ):
                     waits.append(self._enqueue_copy(c.datum, op))
-            for c in outputs:
-                analyzer.buffer(c.datum, d)
+            for c, buf in zip(outputs, staged[d][len(inputs):]):
                 # WAR: wait for in-flight readers of the previous contents.
                 waits.extend(monitor.take_war_events(c.datum, d))
                 if c.duplicated:
-                    self._enqueue_clear(task, c, d, waits)
-
-        # Lines 14-21: queue kernels, record completion events. Chunked
-        # devices replay their whole alloc->copy-in->kernel->copy-out
-        # sequence here; their completion event is the end of the chunk
-        # pipeline (last copy-out + pool release).
+                    self._enqueue_clear(c.datum, d, buf, waits)
+        # Step 6 (lines 14-21): kernels and their completion events; a
+        # chunked device replays its chunk pipeline instead.
         durations = self._durations(task, plan)
-        num_active = len(active)
-        # One race pool per replay: payloads deposit their recorders here
-        # as they execute; the last kernel of the task runs the
-        # cross-device checks over the full pool.
         race_pool: dict[int, Any] | None = {} if self.sanitize else None
         new_events: list[Event] = []
         dev_events: dict[int, Event] = {}
         for d in active:
-            if d in chunked:
-                done_ev, last_kev = self._replay_chunked(
-                    task, plan, chunked[d], num_active
+            if d not in in_core:
+                done_ev, dev_events[d] = self._pressure.replay_chunked(
+                    task, plan, staged[d]
                 )
                 new_events.append(done_ev)
-                # The last chunk kernel is the producer of any duplicated
-                # partial and the WAR anchor for this device.
-                dev_events[d] = last_kev
                 continue
             stream = self._compute[d]
             for ev in kernel_waits[d]:
                 node.wait_event(stream, ev)
             payload = self._kernel_payload(
-                task, d, dplans[d], num_active, race_pool=race_pool
+                task, d, dplans[d], len(active), race_pool=race_pool
             )
-            kcmd = node.launch_kernel(
-                stream, durations[d], payload, label=f"{task.name}@gpu{d}"
-            )
-            ev = node.record_event(stream, f"{task.name}@gpu{d}")
-            if self._mitigation:
-                # dev_events is shared by reference; it is fully populated
-                # before any wait can surface an alarm for this replay.
-                kcmd.origin = _KernelOrigin(
-                    task, plan, d, dev_events, num_active
-                )
+            label = f"{task.name}@gpu{d}"
+            kcmd = node.launch_kernel(stream, durations[d], payload, label=label)
+            dev_events[d] = ev = node.record_event(stream, label)
             new_events.append(ev)
-            dev_events[d] = ev
-
-        # Monitor updates: written segments / pending partials / reads.
-        # Chunked devices already did their own bookkeeping per chunk
-        # (reads at the copy sources, writes landed on the host) — except
-        # for duplicated partials, which accumulate in the device-resident
-        # buffer like the in-core path.
+            if self._mitigator is not None:
+                kcmd.origin = _KernelOrigin(task, plan, d, dev_events)
+        # Monitor updates; chunked devices did their own reads and writes.
         for d in in_core:
             for c in inputs:
-                monitor.mark_read(
-                    c.datum, d, dev_events[d], node.host_time
-                )
+                monitor.mark_read(c.datum, d, dev_events[d], node.host_time)
         for i, c in enumerate(outputs):
             if c.duplicated:
                 monitor.mark_partial(c.datum, c.aggregation, dev_events)
@@ -839,18 +688,12 @@ class Scheduler:
                     monitor.mark_written(
                         c.datum, d, dplans[d].output_rects[i], dev_events[d]
                     )
-
-        # The handle is created/updated only once the replay has fully
-        # committed: if a settle-time recovery aborts the replay midway,
-        # a first-time task is simply rescheduled (it was never logged)
-        # and a resubmitted one keeps its old, unrecorded events — either
-        # way nothing is silently marked complete.
+        # Only a committed replay touches the handle: an aborted first-time
+        # task was never logged; a resubmitted one keeps its old events.
         if handle is None:
             handle = TaskHandle(task, submitted_at=node.host_time)
             self._log.append(handle)
-            handle.events.extend(new_events)
-        else:
-            handle.events[:] = new_events
+        handle.events[:] = new_events
         return handle
 
     def _durations(self, task: Task, plan: TaskPlan) -> dict[int, float]:
@@ -887,550 +730,20 @@ class Scheduler:
             calib=dev.calib,
         ))
 
-    # -- straggler feedback (DESIGN.md §11) -----------------------------------------
-    def _observe(
-        self, kind: str, where, nominal: float, actual: float
-    ) -> None:
-        """Engine dispatch hook: fold one observed/calibrated duration
-        ratio into the per-device (kernel) or per-route (transfer) EWMA.
-        Runs in simulated-dispatch order, so the estimate stream — and
-        everything derived from it — is deterministic under a fixed seed.
-        """
-        if nominal <= 0.0:
-            return
-        ratio = actual / nominal
-        a = self.node.faults.ewma_alpha
-        table = self._ewma_c if kind == "kernel" else self._ewma_t
-        prev = table.get(where)
-        table[where] = ratio if prev is None else prev + a * (ratio - prev)
-
-    def _current_weights(self) -> tuple[int, ...] | None:
-        """Quantized per-device throughput weights from the compute EWMA.
-
-        Returns None — the even-split default, byte-identical to a run
-        without mitigation — until observed throughput diverges from the
-        calibration by more than ``rebalance_threshold``. Weights are
-        relative speeds (1/slowdown) quantized to integers in 1..16 so the
-        plan-cache key stays stable across jittery estimates and re-hits
-        the even-split plans after a transient straggler heals.
-        """
-        if not self._mitigation:
-            return None
-        fp = self.node.faults
-        slowdowns = [max(self._ewma_c.get(d, 1.0), 1e-9) for d in self._alive]
-        if max(slowdowns) < 1.0 + fp.rebalance_threshold:
-            return None
-        speeds = [1.0 / s for s in slowdowns]
-        m = max(speeds)
-        q = tuple(max(1, round(16.0 * sp / m)) for sp in speeds)
-        if len(set(q)) == 1:
-            return None
-        return q
-
-    def _refresh_weights(self) -> None:
-        """Re-derive segment weights from the EWMAs; on change, re-analyze
-        every declared task under the new split so allocations cover the
-        shifted segments before the next plan build (growth preserves
-        contents, exactly as after fault recovery)."""
-        if not self._mitigation:
-            return
-        w = self._current_weights()
-        if w == self._weights:
-            return
-        self._graph_generation += 1
-        self._weights = w
-        for t in self._analyzed:
-            self.analyzer.ensure(
-                t, self._alive, oom_handler=self._recovery_oom, weights=w
-            )
-
-    # -- memory pressure (DESIGN.md §10) --------------------------------------------
-    def _settle(self) -> None:
-        """Drain every queued command before mutating residency.
-
-        In-flight copy payloads resolve the analyzer's buffers at dispatch
-        time; evicting under them would read freed carcasses. Faults
-        surfacing during the drain are handled exactly as in ``wait_all``.
-        """
-        self._drive(self.node.run)
-
-    def _alloc_task_buffers(self, task: Task, device: int) -> bool:
-        """Allocate (or re-touch) every task buffer on a device, in the
-        same input-then-output order the in-core planning loop always
-        used, so FaultPlan nth-allocation numbering is unchanged on the
-        ample-capacity path. False on a genuine out-of-memory; an
-        injected allocation failure propagates."""
+    def _alloc_task_buffers(
+        self, task: Task, device: int
+    ) -> Optional[list[DeviceBuffer]]:
+        """Allocate (or re-touch) every task buffer on a device, inputs
+        then outputs — the order FaultPlan nth-allocation numbering
+        counts — and return them in that order. None on a genuine
+        out-of-memory; an injected allocation failure propagates."""
+        buffer = self.analyzer.buffer
         try:
-            for c in task.inputs:
-                self.analyzer.buffer(c.datum, device)
-            for c in task.outputs:
-                self.analyzer.buffer(c.datum, device)
+            return [buffer(c.datum, device) for c in (*task.inputs, *task.outputs)]
         except AllocationError as e:
             if e.injected:
                 raise
-            return False
-        return True
-
-    def _prepare_device(
-        self, task: Task, plan: TaskPlan, device: int
-    ) -> Optional[ChunkPlan]:
-        """Make one device's working set resident, escalating through the
-        degradation ladder (DESIGN.md §10):
-
-        0. in-core: allocate the analyzed boxes (ample-capacity fast path);
-        1. evict cold replicas LRU-first — first only safely-evictable ones
-           (every byte also up to date on the host or a peer), then sole
-           copies after salvaging them to the host;
-        2. out-of-core: evict the task's own staged buffers too and replay
-           this device's share in chunks through fixed staging pools;
-        3. an irreducible single-chunk footprint raises
-           :class:`~repro.errors.CapacityError` (from ``build_chunk_plan``).
-
-        Returns the chunk plan for stage 2, or None for the in-core path.
-        """
-        analyzer = self.analyzer
-        monitor = self.monitor
-        node = self.node
-        memory = node.devices[device].memory
-        if self._alloc_task_buffers(task, device):
             return None
-        # Queued copies may still reference buffers about to be evicted;
-        # drain them first. The drain can itself hit a fault and retire a
-        # device, invalidating this replay's plan — abort and reschedule.
-        self._settle()
-        if any(dev not in self._alive for dev in plan.active):
-            raise _RescheduleError
-        task_dids = {id(c.datum) for c in task.containers}
-        for salvage in (False, True):
-            while True:
-                victim = next((
-                    datum for datum in self._cold_replicas(device, task_dids)
-                    if salvage or monitor.evictable(datum, device)
-                ), None)
-                if victim is None:
-                    break
-                self._evict_datum(victim, device, salvage=salvage)
-                if self._alloc_task_buffers(task, device):
-                    return None
-        # Stage 2: the task's own staged inputs/outputs are streamed per
-        # chunk instead of held whole; only duplicated outputs stay
-        # resident (chunk kernels accumulate into them in place), and
-        # unaggregated partials are never evicted.
-        for c in task.containers:
-            dup = isinstance(c, OutputContainer) and c.duplicated
-            if (
-                not dup
-                and analyzer.has_buffer(c.datum, device)
-                and not monitor.has_partial_on(c.datum, device)
-            ):
-                self._evict_datum(c.datum, device, salvage=True)
-        for c in task.outputs:
-            if not c.duplicated:
-                continue
-            try:
-                analyzer.buffer(c.datum, device)
-            except AllocationError as e:
-                if e.injected:
-                    raise
-                box = analyzer.box(c.datum, device)
-                required = box.size * c.datum.dtype.itemsize
-                raise CapacityError(
-                    f"device {device}: duplicated output {c.datum.name!r} "
-                    f"needs {required} B resident across all chunks, but "
-                    f"only {memory.free_bytes} B of {memory.capacity} B "
-                    "can be freed",
-                    datum=c.datum.name,
-                    required=required,
-                    capacity=memory.capacity,
-                    device=device,
-                ) from e
-        budget = memory.free_bytes
-        key = (_binding(task, plan), device)
-        cp = self._chunk_plans.get(key)
-        if cp is None or cp.footprint > budget:
-            cp = build_chunk_plan(
-                task, device, plan.device_plans[device].work_rect,
-                budget, memory.capacity,
-            )
-            if plan.memoize:
-                self._chunk_plans[key] = cp
-        node.trace.add(TraceRecord(
-            kind="event",
-            label=(
-                f"chunk-plan:{task.name}@gpu{device}:"
-                f"{cp.num_chunks}x{cp.slots}"
-            ),
-            device=device, start=node.time, end=node.time,
-        ))
-        self._graph_generation += 1
-        return cp
-
-    def _evict_datum(self, datum: Datum, device: int, salvage: bool) -> None:
-        """Evict one datum's replica from a device, optionally salvaging
-        sole pieces to the host first, and leave an ``evict:`` event in the
-        trace."""
-        node = self.node
-        self._graph_generation += 1
-        if salvage:
-            self._salvage(datum, device)
-        freed = self.analyzer.evict(datum, device)
-        self.monitor.drop_location(datum, device)
-        node.trace.add(TraceRecord(
-            kind="event",
-            label=f"evict:{datum.name}@gpu{device}",
-            device=device, start=node.time, end=node.time, nbytes=freed,
-        ))
-
-    def _salvage(self, datum: Datum, device: int) -> None:
-        """Copy sole up-to-date pieces (no replica anywhere else) to the
-        host before eviction. Algorithm 2's correctness hinges on never
-        losing a last-output instance; the eviction ladder upholds the same
-        invariant by gathering before freeing. The functional payload
-        snapshots the data eagerly — the buffer is freed before the queued
-        copy executes in simulated time."""
-        node = self.node
-        monitor = self.monitor
-        pieces = monitor.sole_pieces(datum, device)
-        if not pieces:
-            return
-        stream = self._copy_out[device]
-        for wev in monitor.take_war_events(datum, HOST):
-            node.wait_event(stream, wev)
-        buf = self.analyzer.buffer(datum, device)
-        for piece, pev in pieces:
-            if piece.empty:
-                continue
-            payload = None
-            if node.functional:
-                virt = locate_virtual(buf, piece, datum.shape)
-                arr = buf.view(virt).copy()
-
-                def payload(piece=piece, arr=arr):
-                    datum.host[piece.slices()] = arr
-            if pev is not None and not pev.recorded:
-                node.wait_event(stream, pev)
-            node.memcpy(
-                stream,
-                src=device,
-                dst=HOST,
-                nbytes=piece.size * datum.dtype.itemsize,
-                payload=payload,
-                label=f"salvage:{datum.name}:{device}->host",
-            )
-            ev = node.record_event(stream, f"salvage:{datum.name}:{device}")
-            monitor.mark_copied(datum, HOST, piece, ev)
-
-    def _recovery_oom(
-        self, datum: Datum, device: int, exc: AllocationError
-    ) -> bool:
-        """``oom_handler`` for post-retirement re-analysis: survivors'
-        boxes grow to absorb the dead device's share and may no longer
-        fit. Evict the coldest foreign replica and retry the growth
-        (return True); with nothing foreign left, drop the growing
-        datum's own buffer — salvaging sole pieces — so it re-stages
-        lazily at next use (return False)."""
-        candidates = self._cold_replicas(device, {id(datum)})
-        for dat in candidates:
-            if self.monitor.evictable(dat, device):
-                self._evict_datum(dat, device, salvage=False)
-                return True
-        if candidates:
-            self._evict_datum(candidates[0], device, salvage=True)
-            return True
-        if self.analyzer.has_buffer(datum, device):
-            self._evict_datum(datum, device, salvage=True)
-        return False
-
-    def _cold_replicas(self, device: int, keep: set) -> list[Datum]:
-        """Eviction candidates on a device, least recently used first (ties
-        by name): every resident datum whose id is not in ``keep``, except
-        unaggregated partials, which are never evicted."""
-        monitor = self.monitor
-        victims = [
-            (datum, buf)
-            for datum, buf in self.analyzer.buffers_on(device)
-            if id(datum) not in keep
-            and not monitor.has_partial_on(datum, device)
-        ]
-        victims.sort(key=lambda v: (v[1].last_use, v[0].name))
-        return [datum for datum, _ in victims]
-
-    def _pool_slice(
-        self, device: int, pool: DeviceBuffer, rect: Rect, dtype
-    ) -> DeviceBuffer:
-        """A zero-cost staging alias over a pool slab: a DeviceBuffer whose
-        rect is one chunk's box, backed by a view of the slab's array. Not
-        an allocation — pools are the only chunk-path allocations, keeping
-        FaultPlan nth-allocation numbering stable across chunk counts."""
-        data = None
-        if pool.data is not None:
-            data = pool.data[tuple(slice(0, n) for n in rect.shape)]
-        return DeviceBuffer(device, rect, dtype, data)
-
-    def _replay_chunked(
-        self, task: Task, plan: TaskPlan, cp: ChunkPlan, num_active: int
-    ) -> tuple[Event, Event]:
-        """Out-of-core replay of one device's share (DESIGN.md §10 stage
-        2): alloc -> copy-in -> kernel -> copy-out/free per chunk. With two
-        staging slots, chunk i's copy-out overlaps chunk i+1's copy-in and
-        compute on the dual copy engines (the cuda-style double-buffered
-        pipeline). Returns ``(done_event, last_kernel_event)`` — the former
-        ends the whole pipeline (last copy-out + pool release), the latter
-        is the producer event for duplicated partials.
-        """
-        node = self.node
-        monitor = self.monitor
-        analyzer = self.analyzer
-        d = cp.device
-        mem = node.devices[d].memory
-        cout = self._copy_out[d]
-        comp = self._compute[d]
-        dp = plan.device_plans[d]
-        inputs = task.inputs
-        outputs = task.outputs
-
-        # Register the pool set *before* carving it out: an injected
-        # allocation fault mid-pool must not leak the slabs already
-        # allocated when retirement clears the streams (and with them the
-        # deferred free below).
-        self._pool_tokens += 1
-        token = self._pool_tokens
-        pools: list[DeviceBuffer] = []
-        self._live_chunk_pools[token] = (d, pools)
-
-        eff_slots = min(cp.slots, cp.num_chunks)
-        in_pools: list[list[DeviceBuffer]] = []
-        for i, c in enumerate(inputs):
-            if cp.persistent_in[i]:
-                rect = cp.steps[0].input_reqs[i].virtual
-                buf = mem.allocate(d, rect, c.datum.dtype)
-                pools.append(buf)
-                in_pools.append([buf])
-            else:
-                slabs = []
-                for _ in range(eff_slots):
-                    buf = mem.allocate(
-                        d, Rect.from_shape(cp.in_pool_shapes[i]), c.datum.dtype
-                    )
-                    pools.append(buf)
-                    slabs.append(buf)
-                in_pools.append(slabs)
-        out_pools: list[Optional[list[DeviceBuffer]]] = []
-        for o, c in enumerate(outputs):
-            shape = cp.out_pool_shapes[o]
-            if shape is None:
-                out_pools.append(None)  # duplicated: analyzer-resident
-                continue
-            slabs = []
-            for _ in range(eff_slots):
-                buf = mem.allocate(d, Rect.from_shape(shape), c.datum.dtype)
-                pools.append(buf)
-                slabs.append(buf)
-            out_pools.append(slabs)
-
-        # Chunk-invariant inputs are staged once, before the first chunk.
-        persist_events: list[Event] = []
-        for i, c in enumerate(inputs):
-            if cp.persistent_in[i]:
-                persist_events += self._chunk_in(
-                    c.datum, d, cp.steps[0].input_reqs[i],
-                    in_pools[i][0], dp.peers, [],
-                )
-
-        # Duplicated outputs accumulate in the resident buffer across all
-        # chunks: zero them once up front (after in-flight readers drain).
-        # Non-duplicated outputs land on the host; their WAR events gate
-        # the first copy-out.
-        host_war: list[Event] = []
-        for o, c in enumerate(outputs):
-            if out_pools[o] is None:
-                war = list(monitor.take_war_events(c.datum, d))
-                self._enqueue_clear(task, c, d, war)
-            else:
-                host_war += monitor.take_war_events(c.datum, HOST)
-        for wev in host_war:
-            node.wait_event(cout, wev)
-
-        slot_kernel_ev: list[Optional[Event]] = [None] * eff_slots
-        slot_out_ev: list[Optional[Event]] = [None] * eff_slots
-        last_kev: Event = None  # type: ignore[assignment]
-        for jn, step in enumerate(cp.steps):
-            s = jn % eff_slots
-            # In-slot WAR: the slab's previous kernel must finish before
-            # its arrays are overwritten by this chunk's copy-ins.
-            slot_waits = (
-                [slot_kernel_ev[s]] if slot_kernel_ev[s] is not None else []
-            )
-            in_events: list[Event] = []
-            tmp_ins: list[DeviceBuffer] = []
-            for i, c in enumerate(inputs):
-                if cp.persistent_in[i]:
-                    tmp_ins.append(in_pools[i][0])
-                    continue
-                req = step.input_reqs[i]
-                tmp = self._pool_slice(
-                    d, in_pools[i][s], req.virtual, c.datum.dtype
-                )
-                in_events += self._chunk_in(
-                    c.datum, d, req, tmp, dp.peers, slot_waits
-                )
-                tmp_ins.append(tmp)
-            tmp_outs: list[DeviceBuffer] = []
-            for o, c in enumerate(outputs):
-                if out_pools[o] is None:
-                    tmp_outs.append(analyzer.buffer(c.datum, d))
-                else:
-                    tmp_outs.append(self._pool_slice(
-                        d, out_pools[o][s], step.output_rects[o],
-                        c.datum.dtype,
-                    ))
-            waits = list(in_events)
-            if jn == 0:
-                # Later chunks inherit this ordering from the in-order
-                # compute stream.
-                waits += persist_events
-            if slot_out_ev[s] is not None:
-                # Out-slot WAR: the slab's previous copy-out must land
-                # before this chunk's kernel overwrites it.
-                waits.append(slot_out_ev[s])
-            for wev in waits:
-                node.wait_event(comp, wev)
-            label = f"{task.name}@gpu{d}#chunk{jn + 1}/{cp.num_chunks}"
-            node.launch_kernel(
-                comp,
-                self._duration(task, d, step.work_rect),
-                self._kernel_payload(
-                    task, d, step, num_active,
-                    buffers=lambda ins=tmp_ins, outs=tmp_outs: _by_container(
-                        task, ins, outs
-                    ),
-                ),
-                label=label,
-            )
-            kev = node.record_event(comp, label)
-            slot_kernel_ev[s] = kev
-            last_kev = kev
-            oev: Optional[Event] = None
-            for o, c in enumerate(outputs):
-                if out_pools[o] is None:
-                    continue
-                owned = step.output_rects[o]
-                if owned.empty:
-                    continue
-                node.wait_event(cout, kev)
-                payload = None
-                if node.functional:
-                    tmp = tmp_outs[o]
-
-                    def payload(datum=c.datum, owned=owned, tmp=tmp):
-                        datum.host[owned.slices()] = tmp.view(owned)
-                node.memcpy(
-                    cout,
-                    src=d,
-                    dst=HOST,
-                    nbytes=owned.size * c.datum.dtype.itemsize,
-                    payload=payload,
-                    label=f"chunk-out:{c.datum.name}:{d}->host#{jn + 1}",
-                )
-                oev = node.record_event(
-                    cout, f"chunk-out:{c.datum.name}:{d}#{jn + 1}"
-                )
-                monitor.mark_written(c.datum, HOST, owned, oev)
-            if oev is not None:
-                slot_out_ev[s] = oev
-
-        # Release the pools once the last kernel and every copy-out have
-        # retired (the copy-out stream is in order; the zero-byte transfer
-        # is pure bookkeeping). Device retirement clears streams, so
-        # _free_chunk_pools force-frees whatever is still registered.
-        node.wait_event(cout, last_kev)
-
-        def free_pools(token=token, mem=mem):
-            entry = self._live_chunk_pools.pop(token, None)
-            if entry is not None:
-                for b in entry[1]:
-                    mem.free(b)
-
-        node.memcpy(
-            cout, src=d, dst=HOST, nbytes=0, payload=free_pools,
-            label=f"chunk-free:{task.name}@gpu{d}",
-        )
-        done = node.record_event(cout, f"{task.name}@gpu{d}#done")
-        return done, last_kev
-
-    def _free_chunk_pools(self) -> None:
-        """Force-free every registered chunk staging pool set: release and
-        device retirement destroy the streams holding the pools' deferred
-        free."""
-        for dev, bufs in self._live_chunk_pools.values():
-            mem = self.node.devices[dev].memory
-            for b in bufs:
-                mem.free(b)
-        self._live_chunk_pools.clear()
-
-    def _chunk_in(
-        self,
-        datum: Datum,
-        device: int,
-        req,
-        tmp: DeviceBuffer,
-        peers: list[int],
-        slot_waits: list[Event],
-    ) -> list[Event]:
-        """Stage one chunk-input requirement into a staging buffer; returns
-        the copies' completion events. The device's own replica was evicted
-        in stage 2, so Algorithm 2 sources from peers/host. The staging
-        slab is transient and deliberately *not* marked as a replica."""
-        node = self.node
-        monitor = self.monitor
-        events: list[Event] = []
-        for virt, act in req.pieces:
-            if act.empty:
-                continue
-            off = tuple(v - a for v, a in zip(virt.begin, act.begin))
-            ops = monitor.compute_copies(datum, [act], device, prefer=peers)
-            for op in ops:
-                factory = self._chunk_in_factory(datum, tmp, off)
-                if op.src == HOST:
-                    stream = self._copy_in[device]
-                else:
-                    stream = self._copy_out[op.src]
-                for wev in slot_waits:
-                    node.wait_event(stream, wev)
-                if op.wait is not None:
-                    node.wait_event(stream, op.wait)
-                payload = factory(op) if node.functional else None
-                label = f"chunk-in:{datum.name}:{op.src}->{device}"
-                cmd = node.memcpy(
-                    stream,
-                    src=op.src,
-                    dst=device,
-                    nbytes=op.actual.size * datum.dtype.itemsize,
-                    payload=payload,
-                    label=label,
-                )
-                ev = node.record_event(stream, label)
-                cmd.origin = _TransferContext(
-                    datum, op, ev, payload_factory=factory
-                )
-                monitor.mark_read(datum, op.src, ev, node.host_time)
-                events.append(ev)
-        return events
-
-    def _chunk_in_factory(self, datum: Datum, tmp: DeviceBuffer, off):
-        """Payload factory writing a copy's data into a staging buffer
-        (also used by ``_reroute``, which must rebuild the payload for an
-        alternate source against the *same* destination)."""
-
-        def factory(op: CopyOp):
-            def payload() -> None:
-                tmp.view(op.actual.shift(off))[...] = self._copy_source(
-                    datum, op
-                )
-
-            return payload
-
-        return factory
 
     # -- helpers -------------------------------------------------------------------
     def _peers(self, device: int) -> list[int]:
@@ -1448,33 +761,35 @@ class Scheduler:
         return peers
 
     def _enqueue_copy(
-        self, datum: Datum, op: CopyOp, stream=None
+        self, datum: Datum, op: CopyOp, stream=None, waits=(), factory=None
     ) -> Event:
         """Queue one segment copy on the appropriate copy stream (or an
         explicit ``stream`` — speculation routes its staging and commit
-        copies through a dedicated stream, see :meth:`_spec_stream`)."""
+        copies through a dedicated stream), after ``waits``. A payload
+        ``factory(op)`` stages a chunk input (DESIGN.md §10): its
+        destination is a staging slab, which is not a replica."""
         node = self.node
         if stream is None:
-            if op.src == HOST:
-                stream = self._copy_in[op.dst]
-            else:
-                stream = self._copy_out[op.src]
+            src = op.src
+            stream = self._copy_in[op.dst] if src == HOST else self._copy_out[src]
+        for ev in waits:
+            node.wait_event(stream, ev)
         if op.wait is not None:
             node.wait_event(stream, op.wait)
-        nbytes = op.actual.size * datum.dtype.itemsize
-        payload = self._copy_payload(datum, op) if node.functional else None
-        label = f"copy:{datum.name}:{op.src}->{op.dst}"
+        payload = None
+        if node.functional:
+            payload = factory(op) if factory else self._copy_payload(datum, op)
+        kind = "chunk-in" if factory else "copy"
+        label = f"{kind}:{datum.name}:{op.src}->{op.dst}"
         cmd = node.memcpy(
-            stream,
-            src=op.src,
-            dst=op.dst,
-            nbytes=nbytes,
-            payload=payload,
-            label=label,
+            stream, src=op.src, dst=op.dst,
+            nbytes=op.actual.size * datum.dtype.itemsize,
+            payload=payload, label=label,
         )
         ev = node.record_event(stream, label)
-        cmd.origin = _TransferContext(datum, op, ev)
-        self.monitor.mark_copied(datum, op.dst, op.actual, ev)
+        cmd.origin = _TransferContext(datum, op, ev, payload_factory=factory)
+        if factory is None:
+            self.monitor.mark_copied(datum, op.dst, op.actual, ev)
         self.monitor.mark_read(datum, op.src, ev, node.host_time)
         return ev
 
@@ -1504,13 +819,12 @@ class Scheduler:
         return sbuf.view(locate_virtual(sbuf, op.actual, datum.shape))
 
     def _enqueue_clear(
-        self, task: Task, container: OutputContainer, device: int,
+        self, datum: Datum, device: int, buf: DeviceBuffer,
         waits: list[Event],
     ) -> None:
         """Zero a duplicated output buffer before the kernel accumulates
         into it (device-side memset on the compute stream)."""
         node = self.node
-        buf = self.analyzer.buffer(container.datum, device)
         spec = node.devices[device].spec
         calib = node.devices[device].calib
         duration = buf.nbytes / (spec.mem_bandwidth * calib.stream_efficiency)
@@ -1524,7 +838,7 @@ class Scheduler:
                 b.data.fill(0)
         node.launch_kernel(
             stream, duration, payload,
-            label=f"memset:{container.datum.name}@gpu{device}",
+            label=f"memset:{datum.name}@gpu{device}",
         )
 
     def _kernel_payload(
@@ -1558,9 +872,8 @@ class Scheduler:
         if kernel.raw:
             from repro.core.unmodified import RoutineContext
 
-            segments = tuple(_by_container(
-                task, [req.virtual for req in step.input_reqs],
-                step.output_rects,
+            segments = tuple(task.by_container(
+                [req.virtual for req in step.input_reqs], step.output_rects
             ))
 
             def payload() -> None:
@@ -1784,552 +1097,22 @@ class Scheduler:
         self.monitor.mark_aggregated(datum, hev)
         return hev
 
-    # -- straggler mitigation (DESIGN.md §11) -----------------------------------
-    def _mitigate(self, alarm: StragglerAlarm) -> None:
-        """React to a watchdog alarm: speculatively re-execute a lagging
-        kernel segment on an idle device, or hedge a transfer stuck behind
-        a degraded route from an alternate replica.
-
-        The host notices at the watchdog deadline, so the host clock is
-        advanced there first — every mitigation command submitted below
-        carries the deadline as its ``earliest_start`` (recovery does the
-        same with the fault time).
-        """
-        node = self.node
-        node.host_time = max(node.host_time, alarm.time)
-        # The projection itself is a throughput observation: a speculated
-        # (cancelled) kernel never dispatches, so without this the
-        # feedback loop would never learn about the straggler it keeps
-        # paying to work around.
-        if alarm.kind == "kernel":
-            self._observe(
-                "kernel", alarm.device, alarm.nominal,
-                alarm.projected_end - alarm.start,
-            )
-            self._speculate_kernel(alarm)
-        else:
-            cmd = alarm.command
-            self._observe(
-                "memcpy", (cmd.src, cmd.dst), alarm.nominal,
-                alarm.projected_end - alarm.start,
-            )
-            self._hedge_transfer(alarm)
-
-    def _run_slow(self, alarm: StragglerAlarm) -> None:
-        """Decline mitigation: re-queue the popped command untouched. Its
-        origin is marked alarmed, so it runs (slowly) to completion, and
-        its timeline is exactly what an unmitigated run would produce."""
-        alarm.stream.commands.appendleft(alarm.command)
-
-    def _spec_stream(self, device: int):
-        """A dedicated per-device stream for speculative re-execution.
-
-        Speculation commands must not queue behind unrelated work on the
-        device's regular streams: an already-queued copy there may wait on
-        the very completion event whose recording the speculation gates
-        (the commit publication), which would deadlock the stream."""
-        s = self._spec_streams.get(device)
-        if s is None:
-            s = self.node.new_stream(device, "spec", f"gpu{device}.spec")
-            self._spec_streams[device] = s
-        return s
-
-    def _pick_alternate(
-        self, alarm: StragglerAlarm
-    ) -> Optional[tuple[int, float]]:
-        """The device to re-execute a lagging segment on, with the time it
-        is (estimated to be) free.
-
-        Eligible peers are alive, active in the same plan, and have
-        nothing queued on their compute stream beyond their own segment:
-        later queued work was planned without knowledge of the speculation
-        and could clobber the staged inputs. A peer whose own segment is
-        still in flight is usable — the watchdog alarm surfaces at
-        dispatch, which is earlier in dispatch order than the peers'
-        completions even though the modelled reaction time (the deadline)
-        is later — with its completion estimated from the plan's
-        calibrated duration. Earliest-free wins; ties go to the lowest
-        device index."""
-        origin = alarm.command.origin
-        node = self.node
-        durations = self._durations(origin.task, origin.plan)
-        cands = []
-        for o in origin.plan.active:
-            if o == origin.device or o not in self._alive \
-                    or o in node.engine.dead:
-                continue
-            ev = origin.dev_events.get(o)
-            if ev is None:
-                continue
-            cmds = self._compute[o].commands
-            if ev.recorded:
-                if cmds:
-                    continue
-                done = ev.recorded_at
-            else:
-                if not cmds or not (
-                    isinstance(cmds[-1], EventRecord)
-                    and cmds[-1].event is ev
-                ):
-                    continue
-                done = alarm.start + durations[o] * max(
-                    1.0, self._ewma_c.get(o, 1.0)
-                )
-            cands.append((done, o))
-        if not cands:
-            return None
-        done, alt = min(cands)
-        return alt, done
-
-    def _estimate_speculation(
-        self, alarm: StragglerAlarm, alt: int, alt_ready: float,
-        staging: list,
-    ) -> float:
-        """Deterministic completion estimate of re-executing the slow
-        segment on ``alt``: staging the missing inputs, the kernel at the
-        alternate's calibrated (EWMA-corrected) speed, and the commit
-        copies back to the slow device — serialized, as the speculation
-        stream runs them in order. Compared by the caller against letting
-        the straggler run to ``alarm.projected_end``."""
-        topo = self.node.topology
-        origin = alarm.command.origin
-        dp = origin.plan.device_plans[origin.device]
-        t = max(alarm.time, alt_ready)
-        for datum, op in staging:
-            nbytes = op.actual.size * datum.dtype.itemsize
-            t += topo.transfer_time(nbytes, topo.path(op.src, alt)) \
-                * self._ewma_t.get((op.src, alt), 1.0)
-        t += self._duration(origin.task, alt, dp.work_rect) \
-            * max(1.0, self._ewma_c.get(alt, 1.0))
-        back = self._ewma_t.get((alt, origin.device), 1.0)
-        for i, c in enumerate(origin.task.outputs):
-            rect = dp.output_rects[i]
-            if rect.empty:
-                continue
-            nbytes = rect.size * c.datum.dtype.itemsize
-            t += topo.transfer_time(
-                nbytes, topo.path(alt, origin.device)
-            ) * back
-        return t
-
-    def _speculate_kernel(self, alarm: StragglerAlarm) -> None:
-        """Re-execute a lagging kernel segment on an idle device,
-        first-complete-wins (DESIGN.md §11).
-
-        Commit-copy protocol: the alternate recomputes the slow device's
-        exact segment (same work rect, same ``num_devices`` — bit-identical
-        arithmetic), publishes its outputs in the location monitor
-        (retracting the slow device's optimistic submit-time instances),
-        then copies them into the slow device's buffer. The slow stream's
-        still-queued completion EventRecord is gated on the commit, so
-        already-queued downstream consumers — which wait on that event and
-        whose payloads are bound to the slow device's buffer — stay
-        correct in both data and time; the task handle's events never
-        change. The loser kernel is dropped (its writes were purely
-        simulated-future, so there is nothing to discard)."""
-        node = self.node
-        fp = node.faults
-        monitor = self.monitor
-        origin = alarm.command.origin
-        task, plan, d = origin.task, origin.plan, origin.device
-        dp = plan.device_plans[d]
-        picked = self._pick_alternate(alarm)
-        if (
-            picked is None
-            or fp.speculations_fired >= fp.max_speculations
-            or self.sanitize
-            or any(c.duplicated for c in task.outputs)
-            or any(
-                o.datum is i.datum for o in task.outputs for i in task.inputs
-            )
-        ):
-            # No idle healthy device, budget exhausted, or the task is
-            # outside speculation's envelope (duplicated partials would
-            # double-count; in-place datums could cycle the commit
-            # publication; sanitize-mode race pools need every segment's
-            # recorder): let the straggler run.
-            self._run_slow(alarm)
-            return
-        alt, alt_ready = picked
-        # Staging plan (pure): input pieces the alternate is missing.
-        staging: list[tuple[Datum, CopyOp]] = []
-        for c, req in zip(task.inputs, dp.input_reqs):
-            for op in monitor.compute_copies(
-                c.datum, [a for _, a in req.pieces], alt,
-                prefer=self._peers(alt),
-            ):
-                staging.append((c.datum, op))
-        if any(op.wait is not None and not op.wait.recorded
-               for _, op in staging):
-            # An unrecorded staging producer may transitively wait on this
-            # very segment's completion event — speculating could deadlock.
-            self._run_slow(alarm)
-            return
-        if self._estimate_speculation(alarm, alt, alt_ready, staging) \
-                >= alarm.projected_end:
-            self._run_slow(alarm)
-            return
-        # Grow the alternate's boxes/buffers to cover the slow segment
-        # before touching any shared state: a genuine OOM abandons the
-        # speculation cleanly; an injected one retires the device (the
-        # standard allocation-fault path).
-        try:
-            for c, req in zip(task.inputs, dp.input_reqs):
-                self.analyzer.absorb(c.datum, alt, req.virtual)
-            for c, rect in zip(task.outputs, dp.output_rects):
-                self.analyzer.absorb(c.datum, alt, rect)
-            for c in task.containers:
-                self.analyzer.buffer(c.datum, alt)
-        except AllocationError as e:
-            self._run_slow(alarm)
-            if e.injected:
-                self._recover(e.device, node.time)
-            return
-        fp.speculations_fired += 1
-        stream = self._spec_stream(alt)
-        # Serialize the speculation after the alternate's own segment:
-        # data-wise the two touch disjoint regions, but the explicit wait
-        # keeps the alternate's own completion — which downstream
-        # consumers depend on — first in line for its compute engine.
-        node.wait_event(stream, origin.dev_events[alt])
-        for datum, op in staging:
-            self._enqueue_copy(datum, op, stream=stream)
-        payload = self._kernel_payload(task, alt, dp, origin.num_active)
-        label = f"spec:{task.name}@gpu{alt}"
-        node.launch_kernel(
-            stream, self._duration(task, alt, dp.work_rect), payload,
-            label=label,
-        )
-        skev = node.record_event(stream, label)
-        for c in task.inputs:
-            monitor.mark_read(c.datum, alt, skev, node.host_time)
-        commit_evs = []
-        for i, c in enumerate(task.outputs):
-            rect = dp.output_rects[i]
-            if rect.empty:
-                continue
-            monitor.mark_written(c.datum, alt, rect, skev)
-            commit_evs.append(self._enqueue_copy(
-                c.datum, CopyOp(alt, d, rect, skev), stream=stream
-            ))
-        # Gate the slow stream's queued completion EventRecord on the
-        # commit: the event publishes once the buffer is truly up to date.
-        for ev in commit_evs:
-            alarm.stream.commands.appendleft(EventWait(
-                label=f"wait:{ev.label}",
-                earliest_start=alarm.time,
-                event=ev,
-            ))
-
-    def _hedge_transfer(self, alarm: StragglerAlarm) -> None:
-        """Re-route a transfer stuck behind a degraded link: once the
-        hedging deadline passes, re-issue it from an alternate ready
-        replica (DESIGN.md §11). With no alternate (or no budget) the slow
-        transfer runs to completion; with neither, the typed
-        :class:`~repro.errors.StragglerTimeoutError` tells the application
-        the route is degraded beyond the mitigation budget."""
-        node = self.node
-        fp = node.faults
-        cmd = alarm.command
-        alt = self._alternate(cmd.origin)
-        has_budget = fp.hedges_fired < fp.max_speculations
-        if alt is None and not has_budget:
-            raise StragglerTimeoutError(
-                f"transfer {cmd.label!r} projected "
-                f"{alarm.projected_end - alarm.start:.3g}s against "
-                f"{alarm.nominal:.3g}s calibrated; no alternate replica "
-                "exists and the mitigation budget is exhausted",
-                device=alarm.device,
-                time=alarm.time,
-            ) from alarm
-        if alt is not None:
-            # Hedge only when the reroute beats the degraded route's
-            # projection (deterministic estimate, like speculation): the
-            # alternate starts at the hedging deadline and may itself be
-            # running over calibration.
-            topo = node.topology
-            dst = cmd.origin.op.dst
-            est = alarm.time + topo.transfer_time(
-                cmd.nbytes, topo.path(alt[0], dst, cmd.pageable)
-            ) * self._ewma_t.get((alt[0], dst), 1.0)
-            if est >= alarm.projected_end:
-                alt = None
-        if alt is None or not has_budget:
-            self._run_slow(alarm)
-            return
-        fp.hedges_fired += 1
-        self._reroute(cmd, alarm.stream, alt, "hedge", alarm.time)
-
-    # -- fault recovery (DESIGN.md §8) ---------------------------------------------
+    # -- the one fault loop ------------------------------------------------------
     def _drive(self, run):
-        """Call ``run()`` until it returns, recovering from every typed
-        fault it surfaces: a transient transfer fault is retried, a
-        straggler alarm mitigated, a permanent device fault recovered
-        from. The one fault loop behind ``wait``, ``wait_all`` and
-        ``_settle``."""
+        """Call ``run()`` until it returns, passing every typed fault it
+        surfaces to its hook: a transient transfer fault is retried and a
+        permanent device fault recovered from (``core/recovery.py``), a
+        straggler alarm mitigated (``core/mitigation.py``). The one fault
+        loop behind ``wait``, ``wait_all`` and the eviction drain."""
         while True:
             try:
                 return run()
             except TransientTransferError as f:
-                self._retry_transfer(f)
+                recovery.retry_transfer(self, f)
             except StragglerAlarm as a:
-                self._mitigate(a)
+                self._mitigator.mitigate(a)
             except DeviceFault as f:
-                self._recover(f.device, f.time)
-
-    def _alternate(
-        self, ctx: Optional[_TransferContext]
-    ) -> Optional[tuple[int, Optional[Event]]]:
-        """The first ready replica (peer devices first, host last) of a
-        segment copy's bytes other than its current source, as ``(src,
-        producer event)``; None for copies without provenance. Only ready
-        replicas are eligible (see LocationMonitor.ready_replicas)."""
-        op = ctx.op if ctx is not None else None
-        if op is None:
-            return None
-        ready = self.monitor.ready_replicas(
-            ctx.datum, op.actual, exclude=(op.src,),
-            dead=self.node.engine.dead,
-        )
-        return ready[0] if ready else None
-
-    def _reroute(
-        self, cmd, stream, alt: tuple[int, Optional[Event]], kind: str,
-        not_before: float,
-    ) -> None:
-        """Re-issue a segment copy from the alternate replica ``alt``
-        (``kind`` is ``"retry"`` or ``"hedge"``, also the label prefix),
-        starting no earlier than ``not_before``. The replacement goes to
-        the *front* of the copy's stream, so the already queued completion
-        EventRecord still publishes the copy to its waiters. Chunk-staging
-        copies rebuild their payload against the same staging destination
-        (``payload_factory``); regular copies target the analyzer's
-        buffer."""
-        ctx = cmd.origin
-        op = ctx.op
-        src, src_ev = alt
-        new_op = CopyOp(src, op.dst, op.actual, src_ev)
-        ctx.op = new_op
-        payload = None
-        if self.node.functional:
-            if ctx.payload_factory is not None:
-                payload = ctx.payload_factory(new_op)
-            else:
-                payload = self._copy_payload(ctx.datum, new_op)
-        replacement = type(cmd)(
-            label=f"{kind}:{cmd.label}",
-            payload=payload,
-            earliest_start=max(cmd.earliest_start, not_before),
-            src=src,
-            dst=op.dst,
-            nbytes=cmd.nbytes,
-            pageable=cmd.pageable,
-            extra_latency=cmd.extra_latency,
-            origin=ctx,
-        )
-        stream.commands.appendleft(replacement)
-        if src_ev is not None:
-            # Already recorded (eligibility filter), but waiting pins the
-            # replacement's start after the replica's producer. A retry's
-            # wait keeps the faulted copy's own start; a hedge's starts
-            # with its replacement at the hedging deadline.
-            stream.commands.appendleft(EventWait(
-                label=f"wait:{src_ev.label}",
-                earliest_start=(
-                    cmd.earliest_start if kind == "retry"
-                    else replacement.earliest_start
-                ),
-                event=src_ev,
-            ))
-            if ctx.done_event is not None:
-                self.monitor.mark_read(
-                    ctx.datum, src, ctx.done_event, self.node.host_time
-                )
-
-    def _retry_transfer(self, fault: TransientTransferError) -> None:
-        """Re-queue a transiently-faulted memcpy after a capped exponential
-        backoff in simulated time.
-
-        A segment copy (it carries a :class:`_TransferContext`) is retried
-        from an alternate valid replica (:meth:`_alternate`) when the
-        location monitor knows one, via :meth:`_reroute`; otherwise over
-        the original route, which is always safe because the original
-        source dependency was already satisfied before the first attempt.
-        """
-        plan = self.node.faults
-        cmd, stream = fault.command, fault.stream
-        ctx = cmd.origin
-        if ctx is None:
-            ctx = cmd.origin = _TransferContext(None, None, None)
-        ctx.attempt += 1
-        if ctx.attempt > plan.max_retries:
-            raise UnrecoverableError(
-                f"transfer {cmd.label!r} still failing after "
-                f"{ctx.attempt - 1} retries"
-            ) from fault
-        not_before = fault.time + plan.backoff(ctx.attempt)
-        alt = self._alternate(ctx)
-        if alt is None:
-            cmd.earliest_start = max(cmd.earliest_start, not_before)
-            stream.commands.appendleft(cmd)
-            return
-        self._reroute(cmd, stream, alt, "retry", not_before)
-
-    def _recover(self, device: int, at_time: float) -> None:
-        """Permanent-failure recovery: retire the device and resubmit every
-        incomplete task and gather over the survivors (in original
-        submission order, so recomputed values flow exactly as first
-        scheduled). Cascading injected allocation failures during
-        resubmission retire further devices."""
-        while True:
-            try:
-                self._retire_device(device, at_time)
-                self._resubmit()
-                return
-            except AllocationError as e:
-                if not e.injected:
-                    raise
-                device, at_time = e.device, self.node.time
-
-    def _retire_device(self, device: int, at_time: float) -> None:
-        """Drop one device from the schedulable set and purge every piece
-        of host-side state that mentioned it."""
-        alive = tuple(d for d in self._alive if d != device)
-        if not alive:
-            raise UnrecoverableError(
-                f"device {device} failed at t={at_time:.6g} and no devices "
-                "survive; restart from an application checkpoint"
-            )
-        self._alive = alive
-        self._graph_generation += 1
-        node = self.node
-        node.retire_device(device, at_time)
-        # Abort everything in flight: queued commands reference dead
-        # buffers and events that will never record. Incomplete work is
-        # re-issued from the submission log instead.
-        for s in node.streams:
-            s.commands.clear()
-        node.host_time = max(node.host_time, at_time)
-        # The stream purge destroyed the pools' deferred free (on the
-        # dead device, freeing is accounting hygiene only).
-        self._free_chunk_pools()
-        self.monitor.invalidate_for_recovery((device,))
-        self.plans.invalidate_device(device)
-        self._peer_cache.clear()
-        self.analyzer.drop_device(device)
-        # Straggler feedback mentioning the dead device is meaningless
-        # now; re-derive segment weights over the survivors.
-        self._ewma_c.pop(device, None)
-        for key in [k for k in self._ewma_t if device in k]:
-            del self._ewma_t[key]
-        self._weights = self._current_weights()
-        # Re-segmenting over the survivors grows their requirement boxes;
-        # re-analyze every declared task so allocations are resized before
-        # resubmission (growth preserves surviving contents). The grown
-        # boxes may no longer fit next to evictable leftovers — the OOM
-        # handler frees those rather than failing the recovery.
-        for t in self._analyzed:
-            self.analyzer.ensure(
-                t, self._alive, oom_handler=self._recovery_oom,
-                weights=self._weights,
-            )
-
-    def _resubmit(self) -> None:
-        """Re-issue incomplete tasks and gathers in submission order."""
-        log = list(self._log)
-        for i, entry in enumerate(log):
-            if isinstance(entry, TaskHandle):
-                if not entry.events or all(e.recorded for e in entry.events):
-                    continue
-                task = entry.task
-                try:
-                    plan = self._lookup_or_build(task)
-                    self._replay(task, plan, handle=entry)
-                except _RescheduleError:
-                    # A settle inside the replay retired another device;
-                    # the nested recovery already resubmitted every
-                    # incomplete entry over the new alive set.
-                    return
-                except SchedulingError as e:
-                    # A needed input segment has no surviving replica: the
-                    # fault destroyed data that was never checkpointed.
-                    raise UnrecoverableError(
-                        f"cannot resubmit task {task.name!r}: {e}"
-                    ) from e
-            else:
-                if entry.complete:
-                    continue
-                try:
-                    entry.events = self._gather_events(
-                        entry.datum, entry.region
-                    )
-                except (SchedulingError, UnrecoverableError) as e:
-                    # The fault landed between a task's completion and its
-                    # checkpoint copy-out: the task counts as done, but
-                    # part of its output (a stripe, or an aggregation
-                    # partial) died with the device. The producing task is
-                    # still in the log — pruning happens only on fault-free
-                    # waits — so recompute it from its own inputs, then
-                    # retry the gather.
-                    if not self._recompute_producer(entry.datum, log[:i]):
-                        raise UnrecoverableError(
-                            f"cannot re-issue gather of "
-                            f"{entry.datum.name!r}: {e}"
-                        ) from e
-                    try:
-                        entry.events = self._gather_events(
-                            entry.datum, entry.region
-                        )
-                    except SchedulingError as e2:
-                        raise UnrecoverableError(
-                            f"cannot re-issue gather of "
-                            f"{entry.datum.name!r}: {e2}"
-                        ) from e2
-
-    def _recompute_producer(self, datum: Datum, preceding: list) -> bool:
-        """Force-resubmit the most recent logged task writing ``datum``.
-
-        Returns False when no such task is in the log, or its own inputs
-        have no surviving replica (only one producer level is recomputed:
-        an application checkpointing every step never needs more; one that
-        doesn't has no host anchor to recompute from anyway)."""
-        for entry in reversed(preceding):
-            if not isinstance(entry, TaskHandle):
-                continue
-            task = entry.task
-            writes = any(
-                isinstance(c, OutputContainer) and c.datum is datum
-                for c in task.containers
-            )
-            if not writes:
-                continue
-            while True:
-                try:
-                    plan = self._lookup_or_build(task)
-                    self._replay(task, plan, handle=entry)
-                except _RescheduleError:
-                    # Nested recovery shrank the alive set mid-replay; the
-                    # producer (complete in the log, so skipped by the
-                    # nested resubmission) still needs this recompute —
-                    # retry it over the survivors.
-                    continue
-                except SchedulingError:
-                    return False
-                return True
-        return False
-
-    def _prune_log(self) -> None:
-        """Drop completed entries from the submission log (everything ran,
-        so nothing before this point can ever need resubmission), so it
-        does not grow with the number of invocations."""
-        if self._log:
-            self._log = [
-                e for e in self._log
-                if not (
-                    all(ev.recorded for ev in e.events)
-                    if isinstance(e, TaskHandle) else e.complete
-                )
-            ]
+                recovery.recover(self, f.device, f.time)
 
     # -- paper-style CamelCase aliases ------------------------------------------------
     AnalyzeCall = analyze_call

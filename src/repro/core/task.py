@@ -135,6 +135,15 @@ class Task:
     def name(self) -> str:
         return f"{self.kernel.name}#{self.id}"
 
+    def by_container(self, per_input, per_output) -> list:
+        """Interleave items aligned with ``inputs`` and ``outputs`` into
+        ``containers`` order."""
+        ins, outs = iter(per_input), iter(per_output)
+        return [
+            next(ins) if isinstance(c, InputContainer) else next(outs)
+            for c in self.containers
+        ]
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Task({self.name}, grid={self.grid.shape})"
 
@@ -151,3 +160,8 @@ class TaskHandle:
     @property
     def name(self) -> str:
         return self.task.name
+
+    @property
+    def complete(self) -> bool:
+        """Whether every completion event has been recorded."""
+        return all(e.recorded for e in self.events)

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core import Grid, Kernel, Matrix, Scheduler, Vector
 from repro.core.location_monitor import LocationMonitor
+from repro.core.memory_analyzer import MemoryAnalyzer
 from repro.core.plan import task_signature
 from repro.core.task import Task
 from repro.errors import AnalysisError
@@ -326,6 +327,60 @@ class TestWaitHandle:
         assert t <= node.time
         sched.wait_all()
         assert all(ev.recorded for ev in h2.events)
+
+
+class TestInCorePath:
+    """Count gates on the no-pressure, no-alarm invoke (precedent:
+    ``tests/server/test_pick_oracle.py``)."""
+
+    @staticmethod
+    def gol(node, n=64):
+        sched = Scheduler(node)
+        a = Matrix(n, n, np.uint8, "A")
+        b = Matrix(n, n, np.uint8, "B")
+        k = make_gol_kernel()
+        ping, pong = gol_containers(a, b), gol_containers(b, a)
+        sched.analyze_call(k, *ping)
+        sched.analyze_call(k, *pong)
+        return sched, lambda i: sched.invoke(k, *(ping if i % 2 == 0 else pong))
+
+    def test_one_allocation_pass_per_invoke(self, monkeypatch):
+        # A cached, timing-only GoL invoke on 4 GPUs asks the analyzer for
+        # each container's buffer once per in-core device: 2 x 4 calls.
+        sched, invoke = self.gol(SimNode(GTX_780, 4, functional=False))
+        for i in range(2):  # build both plans and allocate every buffer
+            invoke(i)
+        sched.wait_all()
+        calls = 0
+        buffer = MemoryAnalyzer.buffer
+
+        def counting(self, datum, device):
+            nonlocal calls
+            calls += 1
+            return buffer(self, datum, device)
+
+        monkeypatch.setattr(MemoryAnalyzer, "buffer", counting)
+        invoke(0)
+        assert sched.plans.hits >= 1
+        assert calls == 2 * 4
+
+    def test_unarmed_scheduler_has_no_mitigator(self):
+        node = SimNode(GTX_780, 4, functional=False)
+        sched, invoke = self.gol(node)
+        invoke(0)
+        sched.wait_all()
+        assert sched._mitigator is None
+        assert node.engine.observer is None
+
+    def test_wait_bounds_the_submission_log(self):
+        # Each wait drains everything, so the log keeps only the latest
+        # producer of each board; the waited handle is no longer listed.
+        sched, invoke = self.gol(SimNode(GTX_780, 4, functional=False))
+        for i in range(2000):
+            h = invoke(i)
+            sched.wait(h)
+        assert len(sched._log) <= 2
+        assert h not in sched.handles
 
 
 class TestTransitionMemoization:

@@ -91,7 +91,7 @@ class TestGolUnderPressure:
         assert np.array_equal(out, ref)
         # Degradation actually engaged: the board cannot be in-core.
         assert node.trace.matching("evict:") or node.trace.matching("#chunk")
-        assert not sched._live_chunk_pools  # pools self-released
+        assert not sched._pressure.live_pools  # pools self-released
 
     def test_pressure_costs_time_not_correctness(self, gol_ample):
         _, t_ample, ws, _ = gol_ample
@@ -163,7 +163,7 @@ class TestPressureWithFaults:
         )
         assert np.array_equal(out, ref)
         assert sched.alive_devices == (0, 1, 3)
-        assert not sched._live_chunk_pools  # no leaked staging pools
+        assert not sched._pressure.live_pools  # no leaked staging pools
 
     def test_device_failure_mid_chunk_sequence(self):
         # 0.3x leaves every device chunked from the first invoke; the
@@ -178,7 +178,7 @@ class TestPressureWithFaults:
         )
         assert np.array_equal(out, ref)
         assert sched.alive_devices == (0, 2, 3)
-        assert not sched._live_chunk_pools
+        assert not sched._pressure.live_pools
         # Accounting stayed coherent on the survivors: nothing leaked.
         for d in sched.alive_devices:
             mem = node.devices[d].memory
@@ -217,7 +217,7 @@ class TestPressureWithFaults:
         assert fp.transfer_faults_fired == 1
         retried = node.trace.matching("retry:chunk-in:")
         assert len(retried) == 1 and retried[0].src == HOST
-        assert not sched._live_chunk_pools
+        assert not sched._pressure.live_pools
 
 
 # -- Histogram (duplicated output stays resident across chunks) ------------------

@@ -329,9 +329,10 @@ class TestDataLoss:
         return node, sched, v, h
 
     def test_lost_stripe_recomputed_from_logged_producer(self):
-        # wait(handle) does not prune the submission log, so when device
-        # 1's stripe dies with it, recovery re-runs the logged producer
-        # task and the gather still lands complete data on the host.
+        # wait(handle) keeps the latest producer of each datum in the
+        # submission log, so when device 1's stripe dies with it, recovery
+        # re-runs the logged producer task and the gather still lands
+        # complete data on the host.
         node, sched, v, h = self._fill_striped()
         t = sched.wait(h)
         node.retire_device(1, t)

@@ -215,7 +215,7 @@ class TestMitigatedGol:
         )
         out, _, sched, _ = run_gol(fp, iters=12)
         assert np.array_equal(out, gol_expected(iters=12))
-        assert 1 in sched._ewma_c  # feedback did observe the slow phase
+        assert 1 in sched._mitigator.ewma_c  # feedback did observe the slow phase
         assert sched._weights is None  # ...and healed back to even split
 
 

@@ -272,9 +272,9 @@ class TestUnarmedPlan:
     """An empty FaultPlan is the unarmed state: a node built with one runs
     float-for-float like a node built with ``faults=None``."""
 
-    @pytest.mark.parametrize("graph", [False, True], ids=["eager", "graph"])
-    def test_empty_plan_matches_no_plan(self, graph):
-        runs = [run_mixed(f, graph) for f in (None, FaultPlan())]
+    @staticmethod
+    def check_matches_no_plan(faults, graph):
+        runs = [run_mixed(f, graph) for f in (None, faults)]
         (na, rows_a, outs_a, ga), (nb, rows_b, outs_b, gb) = runs
         assert rows_a == rows_b
         assert na.engine.commands_executed == nb.engine.commands_executed
@@ -285,6 +285,21 @@ class TestUnarmedPlan:
             for g in (ga, gb):
                 assert g.replayable, g.reason
                 assert g.launches == g.fast_launches == 1
+
+    @pytest.mark.parametrize("graph", [False, True], ids=["eager", "graph"])
+    def test_empty_plan_matches_no_plan(self, graph):
+        self.check_matches_no_plan(FaultPlan(), graph)
+
+    @pytest.mark.parametrize("graph", [False, True], ids=["eager", "graph"])
+    @pytest.mark.parametrize("stragglers", [
+        [], [Straggler(device=1, compute_factor=8.0, start=0.0, end=1e-12)],
+    ], ids=["no-straggler", "healed-straggler"])
+    def test_idle_mitigation_matches_no_plan(self, stragglers, graph):
+        # Mitigation armed but never alarmed: the mitigator's feedback
+        # stays at the calibration, so it must not change a single
+        # command, time or byte, nor keep graph replay off its fast path.
+        faults = FaultPlan(stragglers=stragglers, mitigate_stragglers=True)
+        self.check_matches_no_plan(faults, graph)
 
 
 class TestLeaseRoundTrip:
