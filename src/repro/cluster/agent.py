@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.core import Grid, Kernel, Matrix, Scheduler
 from repro.core.datum import Datum
+from repro.core.graph import Loop
 from repro.hardware.specs import GPUSpec
 from repro.patterns import ZERO, StructuredInjective, Window2D
 from repro.sim.faults import FaultPlan
@@ -93,6 +94,9 @@ class NodeAgent:
         self.calls: tuple[tuple[Window2D, StructuredInjective], ...] = ()
         #: The tick's work grid (one thread per extended-slab cell).
         self.grid: Grid | None = None
+        #: The ping-pong on the current scheduler: one single-tick graph
+        #: per parity (DESIGN.md §15).
+        self.loop: Loop | None = None
         #: Generation counter: bumped on every (re)build, names the datums.
         self.generation = 0
         #: checkpoint id -> (lo, hi, interior snapshot) of *this* node's
@@ -144,8 +148,10 @@ class NodeAgent:
             for a, b in ((0, 1), (1, 0))
         )
         self.grid = Grid(self.calls[0][1].work_shape_from_datum())
-        for call in self.calls:
-            self.sched.analyze_call(self.kernel, *call, grid=self.grid)
+        self.loop = Loop.declare(
+            self.sched, self.kernel, self.calls, (pair[1], pair[0]),
+            grid=self.grid,
+        )
 
     def rebuild(
         self,
@@ -175,15 +181,12 @@ class NodeAgent:
         """Run one stencil tick from ``slabs[src_i]`` into the other
         buffer and (when the slab has cluster neighbours) gather the
         freshly computed edge rows to the host for the exchange phase.
-        Returns the node time at completion. Intra-node faults are
-        recovered inside ``wait_all``; an exhausted node raises
-        UnrecoverableError to the master."""
-        dst = self.slabs[1 - src_i]
-        self.sched.invoke(self.kernel, *self.calls[src_i], grid=self.grid)
-        if gather_edges:
-            self.sched.gather_region(dst, self.top_edge)
-            self.sched.gather_region(dst, self.bottom_edge)
-        return self.sched.wait_all()
+        Returns the node time at completion. A steady tick is one launch
+        of its parity's graph (``Loop.tick``); intra-node faults are
+        recovered inside the eager fallback's ``wait_all``, and an
+        exhausted node raises UnrecoverableError to the master."""
+        edges = (self.top_edge, self.bottom_edge) if gather_edges else ()
+        return self.loop.tick(src_i, edges)
 
     # -- ghost handling -------------------------------------------------------
     def write_ghost(
@@ -337,6 +340,7 @@ class NodeAgent:
         self.top_ghost = self.bottom_ghost = None
         self.calls = ()
         self.grid = None
+        self.loop = None
         self.local_ckpts = {}
         self.peer_ckpts = {}
         self.node.host_advance(now)

@@ -2,10 +2,14 @@
 
 CUDA-graph-style batch submission for the steady state: the scheduler
 records one full iteration's *resolved* command stream — every kernel,
-copy, event dependency and host-clock advance that planning produced —
-into an :class:`IterationGraph`, then re-dispatches it ``n`` times as a
-pre-lowered macro-command, skipping task construction, plan lookup,
-copy-decision memoization and per-task monitor queries entirely.
+copy (region gathers to the host included), event dependency and
+host-clock advance that planning produced — into an
+:class:`IterationGraph`, then re-dispatches it as a pre-lowered
+macro-command, skipping task construction, plan lookup, copy-decision
+memoization and per-task monitor queries entirely. A graph is a
+*transition* from the monitor structure it was captured in to the state
+it left; one whose exit equals its entry (a fixed point) replays ``n``
+laps per launch.
 
 The replay is *bit-identical* to the eager path, not merely equivalent:
 
@@ -32,14 +36,15 @@ longer holds: an EWMA rebalance changed segment weights, a device was
 retired, a replica was evicted or chunked under memory pressure (all bump
 the scheduler's graph generation), straggler windows or pending transfer
 faults are still active, or the monitor no longer has the structure the
-capture period left behind: the same residency geometry, aggregation
+capture period started from: the same residency geometry, aggregation
 state and consumed read-list shapes. Events are not compared by identity,
 so eager work between launches that rebuilds the same structure (a new
 producer of the same residency) keeps the fast path.
 
 Workloads do not capture or launch by hand: :class:`Loop` declares one
-steady period of calls and drives its graph (the benches, the job
-server's workloads and the serving engines all use it).
+steady period of calls and drives its graphs (the benches, the job
+server's workloads, the serving engines and the cluster's node agents
+all use it).
 """
 
 from __future__ import annotations
@@ -191,11 +196,14 @@ class IterationGraph:
 
     def __init__(self, scheduler: "Scheduler"):
         self._sched = scheduler
-        #: The invoke-level calls of the period, for the fallback path:
-        #: ``(raw, kernel, containers, grid, constants)``.
+        #: The scheduler calls of the period (invokes and gathers), for
+        #: the fallback path: ``(bound method, args, kwargs)``.
         self.calls: list[tuple] = []
         #: Whether the capture compiled to a replayable macro-command.
         self.replayable = False
+        #: Whether the period leaves the structure it started from, so
+        #: ``launch(n)`` replays ``n`` laps; a transition replays one.
+        self.fixed_point = False
         #: Human-readable reason when not replayable.
         self.reason = "capture not finalized"
         #: Scheduler graph generation the capture is valid for; any
@@ -223,11 +231,17 @@ class IterationGraph:
         self._slot_refs: list[tuple[int, int]] = []
         #: did -> ``(sid, agg mode, agg lost, agg source devices,
         #: ((loc, length, mark), ...) of consumed read lists, positions
-        #: that must hold no event)`` — the structure a launch requires.
+        #: that must hold no event)`` — the entry structure a launch
+        #: requires.
         self._shape: dict[int, tuple] = {}
-        #: did -> how the epilogue leaves the datum as the last lap would:
-        #: ``(instances, agg sources, shadow, replaced reads, read tails)``.
+        #: did -> the exit state the epilogue leaves, as the last lap
+        #: would: ``(sid, agg mode, agg lost, instances, agg sources,
+        #: shadow, replaced reads, read tails)``; each event is None, a
+        #: slot ``s >= 0`` or the entry ref ``r`` stored as ``-1 - r``.
         self._exit: dict[int, tuple] = {}
+        #: Invokes per lap, counted as the capture records them
+        #: (``plans.graph_hits`` counts replayed invokes).
+        self.invokes = 0
 
     # -- capture finalization -------------------------------------------------
     def _fail(self, reason: str) -> None:
@@ -278,7 +292,7 @@ class IterationGraph:
             )
         slot_of = {ev: i for i, ev in enumerate(events)}
 
-        # -- residency fixed point (modulo per-lap event refresh) ------------
+        # -- entry structure and exit state of every touched datum ------------
         monitor = sched.monitor
         exit_snap = snapshot_monitor(monitor)
         consumed: dict[int, set[int]] = {}
@@ -297,26 +311,12 @@ class IterationGraph:
                 )
             if did in consumed or en != ex:
                 captured.append(did)
-        shape: dict[int, tuple] = {}
-        exits: dict[int, tuple] = {}
-        for did in captured:
-            plan = self._check_fixed_point(
-                entry[did], exit_snap[did], slot_of, consumed.get(did, set())
-            )
-            if isinstance(plan, str):
-                return self._fail(plan)
-            shape[did], exits[did] = plan
-
-        # Where each entry event sits, and what the period leaves there.
+        # Where each entry event sits; a launch re-reads it there.
         holders: dict[Event, list[tuple]] = {}
-        after: dict[tuple, Any] = {}
         for did in captured:
-            locs = consumed.get(did, set())
-            for pos, ev in _positions(did, entry[did], locs):
+            for pos, ev in _positions(did, entry[did], consumed.get(did, ())):
                 if ev is not None:
                     holders.setdefault(ev, []).append(pos)
-            for pos, ev in _positions(did, exit_snap[did], locs):
-                after[pos] = ev
         refs: list[tuple[tuple, ...]] = []
         ref_of: dict[Event, int] = {}
 
@@ -330,11 +330,26 @@ class IterationGraph:
                 refs.append(tuple(group))
             return r
 
-        # Entry events the period leaves in place keep their positions
-        # bound together too, whether or not anything waits on them.
-        for ev, group in holders.items():
-            if any(after[p] is ev for p in group):
-                ref(ev)
+        shape: dict[int, tuple] = {}
+        exits: dict[int, tuple] = {}
+        fixed = True
+        for did in captured:
+            plan = self._datum_plan(
+                did, entry[did], exit_snap[did], slot_of,
+                consumed.get(did, set()), ref,
+            )
+            if isinstance(plan, str):
+                return self._fail(plan)
+            shape[did], exits[did], same = plan
+            fixed = fixed and same
+        # What a fixed point leaves at each entry position (a later lap
+        # waits on it one period earlier).
+        after: dict[tuple, Any] = {}
+        if fixed:
+            for did in captured:
+                locs = consumed.get(did, ())
+                for pos, ev in _positions(did, exit_snap[did], locs):
+                    after[pos] = ev
 
         engine = sched.node.engine
         topology = sched.node.topology
@@ -365,6 +380,9 @@ class IterationGraph:
                             f"wait on pre-capture event {ev.label!r} the "
                             "monitor holds at no position"
                         )
+                    if not fixed:  # one lap: the entry event itself
+                        ops.append((0, ck, 2, r))
+                        continue
                     nxt = [after.get(p) for p in refs[r]]
                     succ = nxt[0]
                     if any(x is not succ for x in nxt):
@@ -453,77 +471,69 @@ class IterationGraph:
         self._slot_refs = sorted(slot_refs.items())
         self._shape = shape
         self._exit = exits
+        self.fixed_point = fixed
         self.replayable = True
         self.reason = ""
 
-    def _check_fixed_point(
+    def _datum_plan(
         self,
+        did: int,
         en: tuple,
         ex: tuple,
         slot_of: dict[Event, int],
         consumed: set[int],
+        ref,
     ) -> str | tuple:
-        """One datum's entry-vs-exit proof. The captured period must leave
-        the datum's residency *geometry* and aggregation state exactly
-        where it found them, every event reference must be either left in
-        place (a pre-capture constant) or refreshed by the period (a window
-        event the epilogue re-materializes per lap), and every read list a
-        writer consumes must end the period with the shape it started
-        with. Returns a failure reason, or the datum's launch structure
-        and epilogue plan."""
-        e_sid, e_utd, e_mode, e_aggs, e_pend, e_lost, e_shadow, e_marks = en
+        """One datum's entry structure, exit state and whether the period
+        is a fixed point for it.
+
+        Every event the period leaves must be re-materializable: none, a
+        window event (the epilogue creates a fresh one per slot) or an
+        entry event (``ref`` binds it to the positions that held it, which
+        a launch re-reads). A read list a writer consumes must end the
+        period holding only window events; any other list may only grow by
+        a tail of window events (compaction may drop completed entry
+        reads). The datum is a fixed point when the exit has the entry's
+        structure and every event is left in place or refreshed by a slot,
+        so lap ``k + 1`` starts where lap ``k`` started. Returns a failure
+        reason, or ``(entry structure, exit state, fixed point)``."""
+        e_sid, _, e_mode, e_aggs, e_pend, e_lost, e_shadow, e_marks = en
         x_sid, x_utd, x_mode, x_aggs, x_pend, x_lost, x_shadow, x_marks = ex
-        if x_sid < 0:
+        if e_sid < 0 or x_sid < 0:
             return "residency geometry id table is full"
-        if e_sid != x_sid:
-            return "residency geometry changed across the captured period"
-        if e_mode is not x_mode or e_lost != x_lost:
-            return "aggregation state changed across the captured period"
-        nones: list[tuple[int, int, int]] = []
 
-        def refresh(kind, loc, idx, e_ev, x_ev):
-            """Slot refreshing the position per lap, None if it is left
-            alone, or a failure reason."""
-            if e_ev is None or x_ev is None:
-                if e_ev is not x_ev:
-                    return (
-                        "an event reference appeared or vanished across "
-                        "the captured period"
-                    )
-                nones.append((kind, loc, idx))
+        def source(ev):
+            """None, a slot ``s >= 0`` or an entry ref ``r`` as ``-1 - r``;
+            False if the event is neither a window nor an entry event."""
+            if ev is None:
                 return None
-            slot = slot_of.get(x_ev)
-            if slot is not None:
-                return slot
-            if x_ev is not e_ev:
-                return (
-                    "an up-to-date instance carries an event from "
-                    "neither the capture window nor the entry state"
-                )
-            return None
+            s = slot_of.get(ev)
+            if s is not None:
+                return s
+            r = ref(ev)
+            return False if r is None else -1 - r
 
-        insts = []  # same geometry: locations and rects line up
-        for (_, e_insts), (x_loc, x_insts) in zip(e_utd, x_utd):
-            fresh = []
-            for i, ((_, e_ev), (x_rect, x_ev)) in enumerate(
-                zip(e_insts, x_insts)
-            ):
-                slot = refresh(_INST, x_loc, i, e_ev, x_ev)
-                if isinstance(slot, str):
-                    return slot
-                if slot is not None:
-                    fresh.append((i, x_rect, slot))
-            if fresh:
-                insts.append((x_loc, tuple(fresh)))
-        if [d for d, _ in e_aggs] != [d for d, _ in x_aggs]:
-            return "aggregation sources changed across the captured period"
+        insts = []
+        for loc, x_insts in x_utd:
+            row = []
+            for rect, ev in x_insts:
+                src = source(ev)
+                if src is False:
+                    return (
+                        "an up-to-date instance carries an event from "
+                        "neither the capture window nor the entry state"
+                    )
+                row.append((rect, src))
+            insts.append((loc, tuple(row)))
         aggs = []
-        for (d, e_ev), (_, x_ev) in zip(e_aggs, x_aggs):
-            slot = refresh(_AGG, d, 0, e_ev, x_ev)
-            if isinstance(slot, str):
-                return slot
-            if slot is not None:
-                aggs.append((d, slot))
+        for d, ev in x_aggs:
+            src = source(ev)
+            if src is False:
+                return (
+                    "an aggregation source carries an event from neither "
+                    "the capture window nor the entry state"
+                )
+            aggs.append((d, src))
         # An aggregation shadow is either the period's own (partials and
         # aggregation both captured) or left alone.
         shadow = None
@@ -543,13 +553,9 @@ class IterationGraph:
             else:
                 return "aggregation shadow changed across the captured period"
 
-        # Pending reads: a list a writer consumes must end the period
-        # holding only window events, with its entry shape (the replay
-        # waits on exactly that many); any other list can only grow by a
-        # window-event tail (compaction may drop completed entry reads).
         e_pend_map, x_pend_map = dict(e_pend), dict(x_pend)
         e_mark_map, x_mark_map = dict(e_marks), dict(x_marks)
-        replace, tails = [], []
+        replace, shapes = [], []
         for loc in sorted(consumed):
             x_evs = x_pend_map.get(loc, ())
             slots = tuple(slot_of.get(ev, -1) for ev in x_evs)
@@ -558,16 +564,11 @@ class IterationGraph:
                     "a consumed pending-read list ends the period with a "
                     "pre-capture event"
                 )
-            mark = x_mark_map.get(loc)
-            if (
-                len(x_evs) != len(e_pend_map.get(loc, ()))
-                or mark != e_mark_map.get(loc)
-            ):
-                return (
-                    "a consumed pending-read list changed shape across "
-                    "the captured period"
-                )
-            replace.append((loc, slots, mark))
+            replace.append((loc, slots, x_mark_map.get(loc)))
+            shapes.append(
+                (loc, len(e_pend_map.get(loc, ())), e_mark_map.get(loc))
+            )
+        tails = []
         for loc, x_evs in x_pend:
             if loc in consumed:
                 continue
@@ -583,23 +584,61 @@ class IterationGraph:
         for loc, e_evs in e_pend:
             if e_evs and loc not in x_pend_map and loc not in consumed:
                 return "a pending-read list vanished without a writer"
+
+        at = dict(_positions(did, en, consumed))
+        nones = tuple(pos[1:] for pos, ev in at.items() if ev is None)
+        fixed = (
+            e_sid == x_sid
+            and e_mode is x_mode
+            and e_lost == x_lost
+            and [d for d, _ in e_aggs] == [d for d, _ in x_aggs]
+            and all(
+                len(slots) == n and mark == e_mark
+                for (_, slots, mark), (_, n, e_mark) in zip(replace, shapes)
+            )
+            and all(
+                (ev is None) == (at[pos] is None)
+                and (ev is None or ev in slot_of or ev is at[pos])
+                for pos, ev in _positions(did, ex, consumed)
+            )
+        )
         return (
+            (
+                e_sid,
+                e_mode,
+                e_lost,
+                tuple(d for d, _ in e_aggs),
+                tuple(shapes),
+                nones,
+            ),
             (
                 x_sid,
                 x_mode,
                 x_lost,
-                tuple(d for d, _ in x_aggs),
-                tuple((loc, len(slots), mark) for loc, slots, mark in replace),
-                tuple(nones),
+                tuple(insts),
+                tuple(aggs),
+                shadow,
+                tuple(replace),
+                tuple(tails),
             ),
-            (tuple(insts), tuple(aggs), shadow, tuple(replace), tuple(tails)),
+            fixed,
+        )
+
+    @property
+    def expired(self) -> bool:
+        """Whether no launch can take the fast path any more: the capture
+        did not compile, or the scheduler's steady state changed since."""
+        return (
+            not self.replayable
+            or self._sched._graph_generation != self.generation
         )
 
     # -- launch ---------------------------------------------------------------
     def launch(self, n: int = 1) -> float:
         """Re-dispatch the captured period ``n`` times; returns the
         simulated time afterwards (the period's commands are fully
-        drained, like ``wait_all``).
+        drained, like ``wait_all``). A transition graph replays one lap
+        only: ``n > 1`` takes the fallback.
 
         Uses the pre-lowered macro-command when the frozen steady state
         still holds; otherwise falls back to re-invoking the recorded
@@ -626,31 +665,24 @@ class IterationGraph:
             return sched.node.time
         self.launches += 1
         self.replayed_laps += n
-        entry = self._fast_entry()
+        entry = (
+            self._fast_entry() if n == 1 or self.fixed_point else None
+        )
         if entry is not None:
             self.fast_launches += 1
             return self._fast(n, *entry)
         for _ in range(n):
-            for raw, kernel, containers, grid, constants in self.calls:
-                if raw:
-                    sched.invoke_unmodified(
-                        kernel, *containers, grid=grid, constants=constants
-                    )
-                else:
-                    sched.invoke(
-                        kernel, *containers, grid=grid, constants=constants
-                    )
+            for fn, args, kwargs in self.calls:
+                fn(*args, **kwargs)
         return sched.wait_all()
 
     # -- fast-path validation -------------------------------------------------
     def _fast_entry(self) -> tuple[dict, list[Event]] | None:
         """The captured datums' monitor states and the events at every
         recorded position when the fast path applies, else None."""
-        if not self.replayable:
+        if self.expired:
             return None
         sched = self._sched
-        if sched._graph_generation != self.generation:
-            return None
         node = sched.node
         # Anything still queued means un-drained foreign work; the replay
         # assumes quiescent streams.
@@ -739,13 +771,16 @@ class IterationGraph:
             self._programs, n, ck_vals, K, E, boundary, ref_times
         )
         node.host_time = max(h, engine.now)
-        self._refresh_monitor(ev_time, n, states)
-        sched.plans.graph_hits += n * max(1, len(self.calls))
+        self._refresh_monitor(ev_time, n, states, refs)
+        sched.plans.graph_hits += n * self.invokes
         return node.time
 
-    def _refresh_monitor(self, ev_time: list, n: int, states: dict) -> None:
+    def _refresh_monitor(
+        self, ev_time: list, n: int, states: dict, refs: list[Event]
+    ) -> None:
         """Epilogue: leave the captured datums' monitor states as the
-        final replay lap would have, with fresh :class:`Event` objects.
+        final replay lap would have, with fresh :class:`Event` objects for
+        the window's slots and the launch's entry events for its refs.
 
         Read tails are appended lap by lap through the monitor's own
         compaction, with every replayed event still unrecorded — as in the
@@ -765,22 +800,25 @@ class IterationGraph:
 
         last = n - 1
 
-        def final(slot: int | None) -> Event | None:
-            return None if slot is None else lap_ev(last, slot)
+        def final(src: int | None) -> Event | None:
+            if src is None:
+                return None
+            return lap_ev(last, src) if src >= 0 else refs[-1 - src]
 
         host_time = self._sched.node.host_time
-        for did, (insts, aggs, shadow, replace, tails) in self._exit.items():
+        for did, exit_state in self._exit.items():
+            sid, mode, lost, insts, aggs, shadow, replace, tails = exit_state
             st = states[did]
-            utd = st.up_to_date
-            for loc, items in insts:
-                # Never mutate an _Instance or its list in place: memoized
-                # transition templates may share them.
-                lst = list(utd[loc])
-                for i, rect, slot in items:
-                    lst[i] = _Instance(rect, lap_ev(last, slot))
-                utd[loc] = lst
-            for d, slot in aggs:
-                st.agg_sources[d] = lap_ev(last, slot)
+            # Fresh instances and lists: memoized transition templates may
+            # share the old ones.
+            st.up_to_date = {
+                loc: [_Instance(rect, final(src)) for rect, src in row]
+                for loc, row in insts
+            }
+            st.sid = sid
+            st.agg_mode = mode
+            st.agg_lost = lost
+            st.agg_sources = {d: final(src) for d, src in aggs}
             if shadow is None:
                 st.agg_shadow = None
             elif shadow != "keep":
@@ -814,9 +852,10 @@ class Loop:
     call's ``AnalyzeCall`` once and keeps its container tuple, so
     iteration ``i`` re-invokes ``calls[i % period]``. :meth:`replay`
     captures one period as an :class:`IterationGraph` and launches it;
-    the graph belongs to this loop's scheduler, so a workload resuming on
-    a new scheduler (a new job-server lease) declares a new loop and
-    captures again.
+    :meth:`tick` runs one iteration at a time, each phase through its own
+    single-iteration graph. The graphs belong to this loop's scheduler,
+    so a workload resuming on a new scheduler (a new job-server lease, a
+    rebuilt cluster node) declares a new loop and captures again.
     """
 
     def __init__(self, sched: "Scheduler", kernel, calls, outs, grid=None):
@@ -832,7 +871,11 @@ class Loop:
         self._invoke = sched.invoke_unmodified if kernel.raw else sched.invoke
         #: The captured period, once :meth:`replay` has run.
         self.graph: IterationGraph | None = None
-        #: Diagnostics: captures performed / periods launched as a graph.
+        #: Per phase of the period, ``(gathers, graph or None)`` once its
+        #: first tick ran (``tick``).
+        self.phases: list[tuple | None] = [None] * self.period
+        #: Diagnostics: captures performed / periods (or ticks) launched
+        #: as a graph.
         self.captures = 0
         self.replayed = 0
 
@@ -882,3 +925,45 @@ class Loop:
         if n:
             self.graph.launch(n)
             self.replayed += n
+
+    def tick(self, i: int, gathers: tuple = ()) -> float:
+        """Run iteration ``i``, gather the ``gathers`` regions of its
+        output to the host and drain; returns the node time.
+
+        Iteration ``i`` starts from where eager work between ticks left the
+        monitor (host writes of ghost rows, say), so it is replayed as a
+        *transition*: each phase of the period holds one single-iteration
+        graph, launched once per tick, whose entry check covers that work.
+        A phase's first tick runs eagerly (it still distributes the
+        inputs) and its second is captured; a scheduler that cannot
+        capture runs every tick eagerly. A launch whose entry state does
+        not hold takes the eager fallback and the graph is kept; a graph
+        that has :attr:`~IterationGraph.expired` is dropped, and its phase
+        starts over like a new one.
+        """
+        k = i % self.period
+        sched = self.sched
+        ph = self.phases[k]
+        if ph is not None and (ph[0] != gathers or (
+            ph[1] is not None and ph[1].expired
+        )):
+            ph = None
+        if ph is None or not sched.capturable:
+            self.phases[k] = (gathers, None)
+            self._tick(i, gathers)
+            return sched.wait_all()
+        graph = ph[1]
+        if graph is None:
+            with sched.capture() as graph:
+                self._tick(i, gathers)
+            self.captures += 1
+            self.phases[k] = (gathers, graph)
+            return sched.node.time
+        self.replayed += 1
+        return graph.launch(1)
+
+    def _tick(self, i: int, gathers: tuple) -> None:
+        self.step(i)
+        out = self.out(i)
+        for region in gathers:
+            self.sched.gather_region(out, region)

@@ -207,6 +207,13 @@ class Scheduler:
         ]
 
     @property
+    def capturable(self) -> bool:
+        """Whether :meth:`begin_batch` may record: the capture records
+        resolved plans (plan cache on) and the sanitizer must see every
+        eager dispatch (sanitize off)."""
+        return self.plans.enabled and not self.sanitize
+
+    @property
     def released(self) -> bool:
         """Whether :meth:`release` tore this scheduler down."""
         return self._released
@@ -293,8 +300,9 @@ class Scheduler:
     ) -> TaskHandle:
         """Schedule and queue a task (Algorithm 1). Returns a handle."""
         if self._capture is not None:
-            self._capture.calls.append(
-                (False, kernel, containers, grid, constants)
+            self._capture.invokes += 1
+            self._capture_call(
+                self.invoke, kernel, *containers, grid=grid, constants=constants
             )
         task = Task(kernel, containers, grid, constants)
         return self._schedule(task)
@@ -315,8 +323,10 @@ class Scheduler:
                 "with make_routine()"
             )
         if self._capture is not None:
-            self._capture.calls.append(
-                (True, routine, containers, grid, constants)
+            self._capture.invokes += 1
+            self._capture_call(
+                self.invoke_unmodified, routine, *containers,
+                grid=grid, constants=constants,
             )
         task = Task(routine, containers, grid, constants)
         return self._schedule(task)
@@ -324,7 +334,8 @@ class Scheduler:
     def gather_async(self, datum: Datum) -> None:
         """Queue the transfers (and aggregation) bringing ``datum`` back
         into its bound host buffer."""
-        self._no_capture("gather")
+        if self._capture is not None:
+            self._capture_gather(self.gather_async, datum)
         events = self._gather_events(datum, None)
         self._log.append(_GatherRecord(datum, None, events))
 
@@ -337,8 +348,9 @@ class Scheduler:
         """Queue the transfers bringing only ``region`` of ``datum`` up to
         date on the host (used e.g. for inter-node halo exchange in the
         cluster extension). Reductive datums must be gathered whole."""
-        self._no_capture("gather_region")
         self._check_region(datum, region)
+        if self._capture is not None:
+            self._capture_gather(self.gather_region, datum, region)
         events = self._gather_events(datum, region)
         self._log.append(_GatherRecord(datum, region, events))
 
@@ -470,9 +482,22 @@ class Scheduler:
         if self._capture is not None:
             raise GraphCaptureError(
                 f"{what} is not allowed while an iteration-graph capture "
-                "is recording: a captured period must be pure steady-state "
-                "submission (invoke/invoke_unmodified only)"
+                "is recording: a captured period may only submit invokes "
+                "and gathers of datums without pending partials"
             )
+
+    def _capture_call(self, fn, *args, **kwargs) -> None:
+        """Keep a call of the recording capture for its fallback path."""
+        self._capture.calls.append((fn, args, kwargs))
+
+    def _capture_gather(self, fn, datum: Datum, *args) -> None:
+        """A gather joins the recording capture: its copies and
+        host-landing monitor updates are recorded like an invoke's.
+        Aggregating partials is a host-side combine the graph does not
+        capture."""
+        if self.monitor.needs_aggregation(datum):
+            self._no_capture(f"gathering {datum.name!r} (pending partials)")
+        self._capture_call(fn, datum, *args)
 
     def begin_batch(self) -> IterationGraph:
         """Start capturing one steady-state period into an
@@ -480,10 +505,11 @@ class Scheduler:
 
         Drains all outstanding work first (the capture must start from a
         quiescent node), then records every command the following
-        ``invoke``/``invoke_unmodified`` calls produce until
-        :meth:`end_batch`. Requires the plan cache (the capture records
-        *resolved* plans) and is unavailable in sanitize mode (the
-        sanitizer must observe every eager dispatch).
+        ``invoke``/``invoke_unmodified`` and ``gather_async``/
+        ``gather_region`` calls produce until :meth:`end_batch`. Requires
+        the plan cache (the capture records *resolved* plans) and is
+        unavailable in sanitize mode (the sanitizer must observe every
+        eager dispatch).
         """
         self._check_live()
         if self._capture is not None:

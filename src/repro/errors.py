@@ -87,9 +87,9 @@ class SchedulingError(MapsError):
 
 class GraphCaptureError(SchedulingError):
     """Iteration-graph capture misuse (DESIGN.md §12): nested captures,
-    captures without the plan cache, or a synchronizing call
-    (``wait``/``gather``/``analyze_call``/host-dirty marking) issued while
-    a capture is recording a steady-state period."""
+    captures without the plan cache, or a synchronizing or host-side call
+    (``wait``/``wait_all``/``analyze_call``/host-dirty marking, or a gather
+    that must aggregate partials) issued while a capture is recording."""
 
 
 class SimulationError(MapsError):

@@ -17,8 +17,8 @@ import re
 import numpy as np
 import pytest
 
-from repro.core import Matrix, Scheduler
-from repro.core.graph import snapshot_monitor
+from repro.core import Grid, Kernel, Matrix, Scheduler, Vector
+from repro.core.graph import IterationGraph, Loop, snapshot_monitor
 from repro.errors import GraphCaptureError
 from repro.hardware import GTX_780
 from repro.kernels.game_of_life import (
@@ -27,6 +27,7 @@ from repro.kernels.game_of_life import (
     make_gol_kernel,
 )
 from repro.libs.cublas import make_sgemm_routine, sgemm_containers
+from repro.patterns import NO_CHECKS, ReductiveStatic, Window1D
 from repro.sim import (
     DeviceFailure,
     FaultPlan,
@@ -34,6 +35,7 @@ from repro.sim import (
     Straggler,
     TransferFault,
 )
+from repro.utils.rect import Rect
 
 N = 128
 GPUS = 4
@@ -240,22 +242,79 @@ class TestCaptureReplay:
 class TestCaptureGuards:
     def test_sync_calls_raise_during_capture(self):
         node, sched, a, b, kernel, ca, cb = gol_setup()
-        sched.invoke(kernel, *ca)
+        h = sched.invoke(kernel, *ca)
         sched.wait_all()
         for bad in (
             sched.wait_all,
-            lambda: sched.gather_async(a),
+            lambda: sched.wait(h),
+            lambda: sched.gather(a),  # gather_async, then a wait_all
             lambda: sched.analyze_call(kernel, *ca),
             lambda: sched.mark_host_dirty(a),
+            lambda: sched.mark_host_region_dirty(a, Rect((0, 1), (0, N))),
         ):
             g = sched.begin_batch()
-            with pytest.raises(GraphCaptureError):
+            with pytest.raises(GraphCaptureError, match="may only submit"):
                 bad()
             sched._abort_batch()
             assert not g.replayable
         # The scheduler stays usable after an aborted capture.
         sched.invoke(kernel, *cb)
         sched.wait_all()
+
+    def test_gathers_are_capturable(self):
+        """A gather of a datum without pending partials records its
+        device-to-host copies; the graph compiles and replays them, and
+        their payloads read the buffers of the launch."""
+        node, sched, a, b, kernel, ca, cb = gol_setup()
+        edge = Rect((1, 2), (0, N))
+        rng = np.random.default_rng(3)
+
+        def fresh_input():
+            a.host[...] = rng.integers(0, 2, (N, N), dtype=np.uint8)
+            sched.mark_host_dirty(a)
+
+        def tick():
+            sched.invoke(kernel, *ca)
+            sched.gather_region(b, edge)
+            sched.gather_async(b)
+
+        for _ in range(2):
+            fresh_input()
+            tick()
+            sched.wait_all()
+        fresh_input()
+        with sched.capture() as g:
+            tick()
+        assert g.replayable, g.reason
+        assert [fn.__name__ for fn, _, _ in g.calls] == [
+            "invoke", "gather_region", "gather_async"
+        ]
+        for _ in range(3):
+            fresh_input()
+            g.launch(1)
+            np.testing.assert_array_equal(b.host, gol_reference_step(a.host))
+        assert g.launches == g.fast_launches == 3
+
+    def test_gathering_pending_partials_raises(self):
+        sched = Scheduler(SimNode(GTX_780, GPUS, functional=False))
+        n = 64
+        src = Vector(n, np.float32, "src")
+        acc = Vector(n, np.float32, "acc")
+        k = Kernel("p")
+        grid = Grid((n,), block0=1)
+        args = (Window1D(src, 0, NO_CHECKS), ReductiveStatic(acc))
+        sched.analyze_call(k, *args, grid=grid)
+        sched.invoke(k, *args, grid=grid)
+        sched.wait_all()
+        for bad in (
+            lambda: sched.gather_async(acc),
+            lambda: sched.gather_region(acc, Rect((0, n))),
+        ):
+            g = sched.begin_batch()
+            with pytest.raises(GraphCaptureError, match="pending partials"):
+                bad()
+            sched._abort_batch()
+            assert not g.replayable and g.calls == []
 
     def test_capture_context_aborts_on_error(self):
         node, sched, a, b, kernel, ca, cb = gol_setup()
@@ -610,6 +669,7 @@ class TestStructuralReplay:
         slow = self._gol("fallback")
         g = fast[-1]
         assert g.replayable, g.reason
+        assert g.fixed_point
         assert g.launches == g.fast_launches == 3
         assert slow[-1].launches == 3 and slow[-1].fast_launches == 0
         assert np.array_equal(eager[0], gol_expected(2 * 11))
@@ -689,3 +749,99 @@ class TestStructuralReplay:
             assert run[1:5] == eager[1:5]
         # 40 serves read W 240 times per device; compaction kept it short.
         assert eager[5] == fast[5] <= 64
+
+
+class TestTransitionGraphs:
+    """Single-iteration transition graphs (``Loop.tick``): each phase of a
+    ping-pong replays one tick with its edge gathers, and host writes
+    between launches (ghost rows, as the cluster master installs them)
+    are covered by the launch's entry check."""
+
+    EDGES = (Rect((1, 2), (0, N)), Rect((N - 2, N - 1), (0, N)))
+    GHOSTS = (Rect((0, 1), (0, N)), Rect((N - 1, N), (0, N)))
+
+    @classmethod
+    def _ticks(cls, mode, ticks=12, monkeypatch=None):
+        """``ticks`` ticks, each gathering the output's edge rows and then
+        rewriting its ghost rows on the host. ``mode``: ``graph``,
+        ``fallback`` (every launch's fast path disabled) or ``eager``."""
+        node, sched, a, b, kernel, ca, cb = gol_setup()
+        loop = Loop(sched, kernel, (ca, cb), (b, a))
+        if mode == "fallback":
+            monkeypatch.setattr(IterationGraph, "_fast_entry", lambda g: None)
+        rng = np.random.default_rng(5)
+        want = a.host.copy()
+        for i in range(ticks):
+            out = loop.out(i)
+            if mode == "eager":
+                loop.step(i)
+                for r in cls.EDGES:
+                    sched.gather_region(out, r)
+                sched.wait_all()
+            else:
+                loop.tick(i, cls.EDGES)
+            want = gol_reference_step(want)
+            for r in cls.EDGES:  # the gathered edges are current
+                np.testing.assert_array_equal(
+                    out.host[r.slices()], want[r.slices()]
+                )
+            for r in cls.GHOSTS:
+                rows = rng.integers(0, 2, (1, N), dtype=np.uint8)
+                out.host[r.slices()] = rows
+                want[r.slices()] = rows
+                sched.mark_host_region_dirty(out, r)
+        last = loop.out(ticks - 1)
+        sched.gather_async(last)
+        t = sched.wait_all()
+        np.testing.assert_array_equal(last.host, want)
+        return (t, norm_trace(node), node.engine.commands_executed,
+                structure(sched.monitor, times=True), loop)
+
+    def test_ghost_writes_between_launches(self, monkeypatch):
+        eager = self._ticks("eager")
+        fast = self._ticks("graph")
+        loop = fast[-1]
+        # Per phase: one eager tick, one capture, then launches.
+        assert loop.captures == 2 and loop.replayed == 12 - 4
+        for _, g in loop.phases:
+            assert g.replayable, g.reason
+            assert not g.fixed_point
+            assert g.launches == g.fast_launches == 4
+        assert fast[:4] == eager[:4]
+        slow = self._ticks("fallback", monkeypatch=monkeypatch)
+        # A launch that falls back keeps its graph: no re-capture.
+        assert slow[-1].captures == 2 and slow[-1].replayed == 12 - 4
+        for _, g in slow[-1].phases:
+            assert g.launches == 4 and g.fast_launches == 0
+        assert slow[:4] == eager[:4]
+
+    def test_expired_graph_is_recaptured(self):
+        """A graph whose steady state is gone is dropped, and its phase
+        starts over: one eager tick, a capture, then fast launches."""
+        node, sched, a, b, kernel, ca, cb = gol_setup()
+        loop = Loop(sched, kernel, (ca, cb), (b, a))
+        for i in range(6):
+            loop.tick(i, self.EDGES)
+        old = [g for _, g in loop.phases]
+        assert loop.captures == 2 and loop.replayed == 2
+        sched._graph_generation += 1  # as a weight rebalance does
+        assert all(g.expired for g in old)
+        for i in range(6, 12):
+            loop.tick(i, self.EDGES)
+        assert loop.captures == 4 and loop.replayed == 4
+        assert all(g.launches == 1 for g in old)
+        for _, g in loop.phases:
+            assert g not in old and not g.expired
+            assert g.launches == g.fast_launches == 1
+
+    def test_transition_launch_n_falls_back(self):
+        """A transition replays one lap; more laps take the fallback."""
+        node, sched, a, b, kernel, ca, cb = gol_setup()
+        loop = Loop(sched, kernel, (ca, cb), (b, a))
+        for i in range(4):
+            loop.tick(i, self.EDGES)
+            sched.mark_host_region_dirty(loop.out(i), self.GHOSTS[0])
+        g = loop.phases[0][1]
+        assert g.replayable and not g.fixed_point
+        g.launch(2)
+        assert g.launches == 1 and g.fast_launches == 0
