@@ -41,6 +41,13 @@ state and consumed read-list shapes. Events are not compared by identity,
 so eager work between launches that rebuilds the same structure (a new
 producer of the same residency) keeps the fast path.
 
+A launch's bookkeeping costs what changed since the last one. Finalization
+compiles the graph's entry-event reads and its epilogue (the exit state it
+writes back to the monitor) into straight-line Python, shared by graphs of
+one structure. The epilogue stamps each datum with its exit; every monitor
+mutation clears the stamp, and a datum still carrying one the graph has
+verified skips the structural compare.
+
 Workloads do not capture or launch by hand: :class:`Loop` declares one
 steady period of calls and drives its graphs (the benches, the job
 server's workloads, the serving engines and the cluster's node agents
@@ -49,6 +56,7 @@ all use it).
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING, Any
 
 from repro.core.location_monitor import _Instance
@@ -175,6 +183,69 @@ def _positions(did: int, snap: tuple, consumed: set[int]):
                 yield (did, _READ, loc, i), ev
 
 
+def _lists_match(st, shapes: tuple, nones: tuple) -> bool:
+    """Whether the datum's consumed read lists have the captured lengths
+    and marks, and every ``(kind, loc, idx)`` of ``nones`` holds no
+    event."""
+    reads, marks = st.pending_reads, st.read_marks
+    for loc, length, mark in shapes:
+        if len(reads.get(loc, ())) != length or marks.get(loc) != mark:
+            return False
+    for kind, loc, idx in nones:
+        if _event_at(st, kind, loc, idx) is not None:
+            return False
+    return True
+
+
+def _matches(st, shape: tuple) -> bool:
+    """Whether one datum's monitor state has a graph's entry structure
+    (``IterationGraph._shape``)."""
+    sid, mode, lost, agg, shapes, nones = shape
+    return (
+        st.sid == sid
+        and st.agg_mode is mode
+        and st.agg_lost == lost
+        and tuple(st.agg_sources) == agg
+        and _lists_match(st, shapes, nones)
+    )
+
+
+class _Exit:
+    """One datum's exit in one graph: the stamp that graph's epilogue
+    leaves on the datum, which the next monitor mutation clears.
+    ``replaced`` are the locations whose read lists the exit replaces."""
+
+    __slots__ = ("replaced",)
+
+    def __init__(self, replaced: frozenset):
+        self.replaced = replaced
+
+
+def _residual(stamp: _Exit, shape: tuple) -> tuple:
+    """What a datum still stamped with ``stamp`` must show to match
+    ``shape``, once one full compare passed on it: the exit fixes the
+    geometry, aggregation state, events' presence and the read lists it
+    replaced, but not the lists it appends to or leaves alone. Empty when
+    nothing is left to check, else ``(read shapes, nones)``."""
+    kept = stamp.replaced
+    shapes, nones = shape[4], shape[5]
+    shapes = tuple(x for x in shapes if x[0] not in kept)
+    nones = tuple(p for p in nones if p[0] == _READ and p[1] not in kept)
+    return (shapes, nones) if shapes or nones else ()
+
+
+@functools.lru_cache(maxsize=256)
+def _compiled(src: str):
+    """The code object of a graph's generated launch steps
+    (``IterationGraph._compile``); graphs of one structure share it."""
+    return compile(src, "<graph launch>", "exec")
+
+
+#: Stamps a graph remembers as verified; past this it starts over (a long
+#: lived graph next to re-captured ones would otherwise keep their stamps).
+_VERIFIED_LIMIT = 16
+
+
 class IterationGraph:
     """A captured steady-state period, replayable as one macro-command.
 
@@ -242,6 +313,18 @@ class IterationGraph:
         #: Invokes per lap, counted as the capture records them
         #: (``plans.graph_hits`` counts replayed invokes).
         self.invokes = 0
+        #: Generated by ``_compile``: the entry events' reads and the
+        #: epilogue's writes.
+        self._read_refs = None
+        self._write_exit = None
+        #: Lap 0's previous-lap event times when no slot reads an entry
+        #: ref (all zero).
+        self._boundary: list[float] = []
+        #: Stamp -> the checks that remain for a datum carrying it
+        #: (``_residual``), for every stamp a full compare has passed on.
+        self._verified: dict[_Exit, tuple] = {}
+        #: Datums compared in full by entry checks (diagnostics).
+        self.full_compares = 0
 
     # -- capture finalization -------------------------------------------------
     def _fail(self, reason: str) -> None:
@@ -466,11 +549,13 @@ class IterationGraph:
         self._E = E
         self._slot_labels = [ev.label for ev in events]
         self._devices = devices
-        self._touches = list(rec.touches)
+        self._touches = [(mem.touch, buf) for mem, buf in rec.touches]
         self._refs = refs
         self._slot_refs = sorted(slot_refs.items())
+        self._boundary = [0.0] * E
         self._shape = shape
         self._exit = exits
+        self._compile(entry)
         self.fixed_point = fixed
         self.replayable = True
         self.reason = ""
@@ -624,6 +709,181 @@ class IterationGraph:
             fixed,
         )
 
+    def _compile(self, entry: dict[int, tuple]) -> None:
+        """Lower the refs and exits into the Python code a launch runs:
+        ``read_refs`` for the entry check and ``write_exit`` for the
+        epilogue. The source spells out the structure (list indices and
+        slots) and binds every value (datum ids, locations, geometry ids,
+        rects, labels, stamps) by name, so graphs of one structure share
+        the compiled code — serving's replicas, one per GPU, among them."""
+        ns: dict[str, Any] = {"Event": Event, "I": _Instance}
+
+        def const(value) -> str:
+            """A name bound to ``value`` in the generated code."""
+            name = f"c{len(ns) - 2}"
+            ns[name] = value
+            return name
+
+        src = self._refs_source(const) + self._exit_source(const, entry)
+        exec(_compiled(src), ns)
+        self._read_refs = ns["read_refs"]
+        self._write_exit = ns["write_exit"]
+
+    def _refs_source(self, const) -> str:
+        """``read_refs(states)``: the event each ref group holds at all of
+        its positions, or None when a group does not hold one recorded
+        event."""
+        lines = []
+        names: dict[int, str] = {}
+
+        def at(did, kind, loc, idx) -> str:
+            st = names.get(did)
+            if st is None:
+                st = names[did] = f"s{len(names)}"
+                lines.append(f"{st} = states[{const(did)}]")
+            if kind == _INST:
+                return f"{st}.up_to_date[{const(loc)}][{idx}].event"
+            if kind == _AGG:
+                return f"{st}.agg_sources[{const(loc)}]"
+            return f"{st}.pending_reads[{const(loc)}][{idx}]"
+
+        for r, (first, *rest) in enumerate(self._refs):
+            lines.append(f"e{r} = {at(*first)}")
+            lines.append(
+                f"if e{r} is None or e{r}.recorded_at is None"
+                + "".join(f" or {at(*pos)} is not e{r}" for pos in rest)
+                + ": return None"
+            )
+        lines.append(
+            "return [%s]" % ", ".join(f"e{r}" for r in range(len(self._refs)))
+        )
+        return "def read_refs(states):\n" + "".join(
+            f"    {line}\n" for line in lines
+        )
+
+    def _carries(self, did: int, en: tuple) -> dict[tuple, int]:
+        """``(loc, rect, source) -> idx``: the entry instances of one datum
+        an exit row may carry over, because the entry check guarantees
+        their event — None at a required-none position, an entry ref at
+        one of its group's positions."""
+        utd = dict(en[1])
+        out: dict[tuple, int] = {}
+        for kind, loc, idx in self._shape[did][5]:
+            if kind == _INST:
+                out.setdefault((loc, utd[loc][idx][0], None), idx)
+        for r, group in enumerate(self._refs):
+            for d, kind, loc, idx in group:
+                if d == did and kind == _INST:
+                    out.setdefault((loc, utd[loc][idx][0], -1 - r), idx)
+        return out
+
+    def _exit_source(self, const, entry: dict[int, tuple]) -> str:
+        """``write_exit(states, refs, ev_time, n, host_time)``, the
+        epilogue: it makes the launch's events and writes every captured
+        datum's exit in one pass of assignments.
+
+        An exit instance whose entry instance the launch finds unchanged —
+        a None event at a required-none position, or an entry ref at one
+        of its group's positions — is carried over, and a location whose
+        instances all are, in order, keeps its list."""
+        E = self._E
+        labels = self._slot_labels
+        tail = sorted({s for x in self._exit.values() for _, t in x[7] for s in t})
+        tail_at = {s: j for j, s in enumerate(tail)}
+        done: set[int] = set()  # last-lap slots outside read tails
+
+        def val(src) -> str:
+            """One exit event (``_datum_plan``'s encoding) as code."""
+            if src is None:
+                return "None"
+            if src < 0:
+                return f"refs[{-1 - src}]"
+            if src in tail_at:
+                return f"last[{tail_at[src]}]"
+            done.add(src)
+            return f"v{src}"
+
+        def mapping(pairs) -> str:
+            return "{%s}" % ", ".join(
+                f"{const(d)}: {val(src)}" for d, src in pairs
+            )
+
+        body: list[str] = []
+        for did, exit_state in self._exit.items():
+            sid, mode, lost, insts, aggs, shadow, replace, tails = exit_state
+            carries = self._carries(did, entry[did])
+            e_len = {loc: len(row) for loc, row in entry[did][1]}
+            locs = []
+            for loc, row in insts:
+                at = const(loc)
+                items = []
+                for rect, src in row:
+                    i = carries.pop((loc, rect, src), None)
+                    items.append(
+                        f"I({const(rect)}, {val(src)})"
+                        if i is None else f"old[{at}][{i}]"
+                    )
+                carried = [f"old[{at}][{i}]" for i in range(e_len.get(loc, 0))]
+                if loc in e_len and items == carried:
+                    locs.append(f"{at}: old[{at}]")
+                else:
+                    locs.append(f"{at}: [{', '.join(items)}]")
+            body += [
+                f"st = states[{const(did)}]",
+                "old = st.up_to_date",
+                "st.up_to_date = {%s}" % ", ".join(locs),
+                f"st.sid = {const(sid)}",
+                f"st.agg_mode = {const(mode)}",
+                f"st.agg_lost = {const(lost)}",
+                f"st.agg_sources = {mapping(aggs)}",
+            ]
+            if shadow is None:
+                body.append("st.agg_shadow = None")
+            elif shadow != "keep":
+                smode, sources, hev = shadow
+                body.append(
+                    f"st.agg_shadow = ({const(smode)}, {mapping(sources)}, "
+                    f"{val(hev)})"
+                )
+            for loc, slots, mark in replace:
+                at = const(loc)
+                body.append(
+                    f"st.pending_reads[{at}] = [{', '.join(map(val, slots))}]"
+                    if slots else f"st.pending_reads.pop({at}, None)"
+                )
+                body.append(
+                    f"st.read_marks.pop({at}, None)" if mark is None
+                    else f"st.read_marks[{at}] = {const(mark)}"
+                )
+            for loc, slots in tails:  # lap by lap, as eager submission does
+                at = const(loc)
+                body.append("for evs in laps:")
+                body += [
+                    f"    st.add_read({at}, evs[{tail_at[s]}], host_time)"
+                    for s in slots
+                ]
+            stamp = _Exit(frozenset(loc for loc, _, _ in replace))
+            body.append(f"st.stamp = {const(stamp)}")
+        head = [f"b = (n - 1) * {E}"] + [
+            f"v{s} = Event({const(labels[s])}, ev_time[b + {s}])"
+            for s in sorted(done)
+        ]
+        times = []
+        if tail:
+            head += [
+                "laps = [[Event(label) for label in %s] for _ in range(n)]"
+                % const(tuple(labels[s] for s in tail)),
+                "last = laps[-1]",
+            ]
+            times = ["for lap, evs in enumerate(laps):", f"    b = lap * {E}"]
+            times += [
+                f"    evs[{j}].recorded_at = ev_time[b + {s}]"
+                for j, s in enumerate(tail)
+            ]
+        return "def write_exit(states, refs, ev_time, n, host_time):\n" + "".join(
+            f"    {line}\n" for line in head + body + times
+        )
+
     @property
     def expired(self) -> bool:
         """Whether no launch can take the fast path any more: the capture
@@ -706,37 +966,31 @@ class IterationGraph:
         if m is not None and m.weights() != sched._weights:
             return None
         # Structure: the same geometry, aggregation state and consumed
-        # read-list shapes give the same copy decisions and waits.
+        # read-list shapes give the same copy decisions and waits. A datum
+        # still stamped with an exit this graph verified holds that exit's
+        # structure; only the consumed read lists the exit did not replace
+        # are read again.
         states = sched.monitor.states(self._shape)
-        for did, (sid, mode, lost, agg, shapes, nones) in self._shape.items():
+        verified = self._verified
+        for did, shape in self._shape.items():
             st = states.get(did)
-            if (
-                st is None
-                or st.sid != sid
-                or st.agg_mode is not mode
-                or st.agg_lost != lost
-                or tuple(st.agg_sources) != agg
-            ):
+            if st is None:
                 return None
-            reads, marks = st.pending_reads, st.read_marks
-            for loc, length, mark in shapes:
-                if len(reads.get(loc, ())) != length or marks.get(loc) != mark:
+            stamp = st.stamp
+            rest = None if stamp is None else verified.get(stamp)
+            if rest is None:
+                self.full_compares += 1
+                if not _matches(st, shape):
                     return None
-            for kind, loc, idx in nones:
-                if _event_at(st, kind, loc, idx) is not None:
-                    return None
+                if stamp is not None:
+                    if len(verified) >= _VERIFIED_LIMIT:
+                        verified.clear()
+                    verified[stamp] = _residual(stamp, shape)
+            elif rest and not _lists_match(st, rest[0], rest[1]):
+                return None
         # Every position group must again hold one recorded event.
-        events = []
-        for group in self._refs:
-            did, kind, loc, idx = group[0]
-            ev = _event_at(states[did], kind, loc, idx)
-            if ev is None or ev.recorded_at is None:
-                return None
-            for did, kind, loc, idx in group[1:]:
-                if _event_at(states[did], kind, loc, idx) is not ev:
-                    return None
-            events.append(ev)
-        return states, events
+        events = self._read_refs(states)
+        return None if events is None else (states, events)
 
     # -- fast path ------------------------------------------------------------
     def _fast(self, n: int, states: dict, refs: list[Event]) -> float:
@@ -744,8 +998,6 @@ class IterationGraph:
         node = sched.node
         engine = node.engine
         deltas = self._deltas
-        K = self._K
-        E = self._E
         # Host checkpoints: the eager submission loop's host_time after
         # each advance, re-accumulated with the same sequential additions.
         ck_vals: list[float] = []
@@ -761,86 +1013,40 @@ class IterationGraph:
         touches = self._touches
         if touches:
             for _ in range(n):
-                for mem, buf in touches:
-                    mem.touch(buf)
+                for touch, buf in touches:
+                    touch(buf)
         ref_times = [ev.recorded_at for ev in refs]
-        boundary = [0.0] * E  # lap 0's previous-lap slots, by position
-        for slot, r in self._slot_refs:
-            boundary[slot] = ref_times[r]
+        boundary = self._boundary  # lap 0's previous-lap slots, by position
+        if self._slot_refs:
+            boundary = boundary[:]
+            for slot, r in self._slot_refs:
+                boundary[slot] = ref_times[r]
         ev_time = engine.run_graph(
-            self._programs, n, ck_vals, K, E, boundary, ref_times
+            self._programs, n, ck_vals, self._K, self._E, boundary, ref_times
         )
         node.host_time = max(h, engine.now)
-        self._refresh_monitor(ev_time, n, states, refs)
+        self._epilogue(ev_time, n, states, refs)
         sched.plans.graph_hits += n * self.invokes
         return node.time
 
-    def _refresh_monitor(
+    def _epilogue(
         self, ev_time: list, n: int, states: dict, refs: list[Event]
     ) -> None:
-        """Epilogue: leave the captured datums' monitor states as the
-        final replay lap would have, with fresh :class:`Event` objects for
-        the window's slots and the launch's entry events for its refs.
+        """Leave the captured datums' monitor states as the final replay
+        lap would have, through the code ``_exit_source`` generated, and
+        stamp each datum with its exit.
 
-        Read tails are appended lap by lap through the monitor's own
-        compaction, with every replayed event still unrecorded — as in the
-        eager submission, where no event of the launch has run yet — and
-        the events get their replayed times only afterwards.
+        The exit holds a fresh :class:`Event` for every slot the last lap
+        leaves in the monitor, the launch's entry events for its refs, and
+        None. Read tails are appended lap by lap through the monitor's own
+        compaction, with their events still unrecorded — as in the eager
+        submission, where no event of the launch has run yet — and get
+        their replayed times only afterwards; no compaction reads the
+        other events, which are made with theirs.
         """
-        E = self._E
-        labels = self._slot_labels
-        made: dict[int, Event] = {}  # ev_time index -> event
-
-        def lap_ev(lap: int, slot: int) -> Event:
-            k = lap * E + slot
-            ev = made.get(k)
-            if ev is None:
-                ev = made[k] = Event(label=labels[slot])
-            return ev
-
-        last = n - 1
-
-        def final(src: int | None) -> Event | None:
-            if src is None:
-                return None
-            return lap_ev(last, src) if src >= 0 else refs[-1 - src]
-
-        host_time = self._sched.node.host_time
-        for did, exit_state in self._exit.items():
-            sid, mode, lost, insts, aggs, shadow, replace, tails = exit_state
-            st = states[did]
-            # Fresh instances and lists: memoized transition templates may
-            # share the old ones.
-            st.up_to_date = {
-                loc: [_Instance(rect, final(src)) for rect, src in row]
-                for loc, row in insts
-            }
-            st.sid = sid
-            st.agg_mode = mode
-            st.agg_lost = lost
-            st.agg_sources = {d: final(src) for d, src in aggs}
-            if shadow is None:
-                st.agg_shadow = None
-            elif shadow != "keep":
-                mode, sources, hev = shadow
-                st.agg_shadow = (
-                    mode, {d: final(s) for d, s in sources}, final(hev)
-                )
-            for loc, slots, mark in replace:
-                if slots:
-                    st.pending_reads[loc] = [lap_ev(last, s) for s in slots]
-                else:
-                    st.pending_reads.pop(loc, None)
-                if mark is None:
-                    st.read_marks.pop(loc, None)
-                else:
-                    st.read_marks[loc] = mark
-            for loc, slots in tails:
-                for lap in range(n):
-                    for s in slots:
-                        st.add_read(loc, lap_ev(lap, s), host_time)
-        for k, ev in made.items():
-            ev.recorded_at = ev_time[k]
+        self._write_exit(
+            states, refs, ev_time, n, self._sched.node.host_time
+        )
 
 
 class Loop:

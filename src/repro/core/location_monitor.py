@@ -85,10 +85,15 @@ class _DatumState:
     #: location -> length its pending-read list must reach before the
     #: next compaction; absent means :data:`_READ_FLOOR`.
     read_marks: dict[int, int] = field(default_factory=dict)
+    #: The compiled graph exit whose epilogue left this state (DESIGN.md
+    #: §12); every mutation clears it, so a stamped state is exactly what
+    #: that exit wrote, read tails aside.
+    stamp: object = None
 
     def add_read(self, loc: int, event: Event, host_time: float) -> None:
         """Append an in-flight reader at ``loc``, compacting the list
         when it reached its mark (see :meth:`compact_reads`)."""
+        self.stamp = None
         reads = self.pending_reads.get(loc)
         if reads is None:
             self.pending_reads[loc] = [event]
@@ -103,6 +108,7 @@ class _DatumState:
         """Drop the reads at ``loc`` recorded at or before ``host_time``
         (they cannot delay a writer submitted from then on) and set the
         list's next mark to twice what is left, at least the floor."""
+        self.stamp = None
         reads = self.pending_reads.get(loc)
         if reads:
             reads[:] = [
@@ -117,6 +123,7 @@ class _DatumState:
 
     def take_reads(self, loc: int) -> list[Event]:
         """Remove and return the pending reads at ``loc``."""
+        self.stamp = None
         self.read_marks.pop(loc, None)
         return self.pending_reads.pop(loc, [])
 
@@ -415,6 +422,7 @@ class LocationMonitor:
         """
         dead = set(dead)
         for st in self._state.values():
+            st.stamp = None
             # A cancelled aggregation (host event never recorded) reverts
             # the datum to partials-pending; a completed one is final.
             if st.agg_mode is Aggregation.NONE and st.agg_shadow is not None:
@@ -620,6 +628,7 @@ class LocationMonitor:
     ) -> None:
         """A copy landed ``actual`` at ``target`` (it is now up to date)."""
         st = self._st(datum)
+        st.stamp = None
         if self.amortize and st.sid >= 0:
             key = (st.sid, 0, target, actual)
             hit = self._transitions.get(key)
@@ -661,6 +670,7 @@ class LocationMonitor:
         """A kernel wrote ``rect`` on ``device``: every other instance
         overlapping it is now stale; the device's instance is authoritative."""
         st = self._st(datum)
+        st.stamp = None
         st.agg_mode = Aggregation.NONE
         st.agg_sources.clear()
         st.agg_lost = False
@@ -715,6 +725,7 @@ class LocationMonitor:
         if mode is Aggregation.NONE:
             raise SchedulingError("mark_partial requires an aggregation mode")
         st = self._st(datum)
+        st.stamp = None
         st.sid = -1
         st.up_to_date = {}
         st.agg_mode = mode
@@ -728,6 +739,7 @@ class LocationMonitor:
         The pre-aggregation state is snapshotted so a fault-recovery pass
         can revert to partials-pending if the aggregation never ran."""
         st = self._st(datum)
+        st.stamp = None
         st.sid = -1
         st.agg_shadow = (st.agg_mode, dict(st.agg_sources), event)
         st.agg_mode = Aggregation.NONE

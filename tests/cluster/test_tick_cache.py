@@ -141,9 +141,10 @@ class TestSteadyTickHostWork:
     benchmark's 8-node setup with its checkpoint interval."""
 
     @staticmethod
-    def _window(monkeypatch) -> tuple[dict, int]:
+    def _window(monkeypatch) -> tuple[dict, int, dict]:
         """Warm up, then count the planning work and the fast launches
-        of 100 ticks."""
+        of 100 ticks; per node, each launch's ``(fast, datums its entry
+        check compared in full)``."""
         m = ClusterMaster(
             GTX_780, 8, 2, (2048, 2048), KERNEL, functional=False,
             faults=ClusterFaultPlan(checkpoint_interval=100),
@@ -175,25 +176,49 @@ class TestSteadyTickHostWork:
                 counted("agent geometry", getattr(agent_mod, name)),
             )
         fast = _count_fast(monkeypatch)
+        launches: dict = {}
+        entry = IterationGraph._fast_entry
+
+        def counted_entry(g):
+            before = g.full_compares
+            verdict = entry(g)
+            launches.setdefault(id(g._sched), []).append(
+                (verdict is not None, g.full_compares - before)
+            )
+            return verdict
+
+        monkeypatch.setattr(IterationGraph, "_fast_entry", counted_entry)
         before = m.tick
         for _ in range(100):  # crosses the checkpoint at tick 200
             m.step()
         assert m.tick == before + 100
-        return counts, fast["fast"]
+        return counts, fast["fast"], launches
 
     def test_steady_ticks_do_no_planning(self, monkeypatch):
-        counts, fast = self._window(monkeypatch)
+        counts, fast, launches = self._window(monkeypatch)
         assert counts == {"compute_copies": 0, "agent geometry": 0,
                           "implied grid": 0}
         # Only the two ticks after the checkpoint take the fallback.
-        assert fast >= 0.95 * 8 * 100
+        assert fast == 784
+        # A fast launch compares only the read slab in full: the master's
+        # ghost marks cleared its stamp, while the written slab still
+        # carries the other parity's exit, which the graph has verified.
+        # After the eager fallback ticks both slabs changed eagerly, so
+        # the first fast launch compares both.
+        assert len(launches) == 8
+        for seq in launches.values():
+            for (was_fast, _), (is_fast, full) in zip(
+                [(True, 0)] + seq, seq
+            ):
+                if is_fast:
+                    assert full <= (1 if was_fast else 2)
 
     def test_eager_ticks_do_no_planning(self, monkeypatch):
         """With every launch's fast path disabled, each tick runs its
         invoke and edge gathers eagerly: the memoized gather decisions
         and the agent's geometry still leave no planning work."""
         monkeypatch.setattr(IterationGraph, "_fast_entry", lambda g: None)
-        counts, fast = self._window(monkeypatch)
+        counts, fast, _ = self._window(monkeypatch)
         assert counts == {"compute_copies": 0, "agent geometry": 0,
                           "implied grid": 0}
         assert fast == 0

@@ -1,0 +1,280 @@
+"""A fast launch's bookkeeping against its oracle (DESIGN.md §12).
+
+An entry check compares in full only the datums whose stamp it has not
+verified, and the epilogue writes the exit through generated code.
+``graph_oracle`` keeps the implementations they replaced; here both run
+on every launch of a cluster run with ghost marks, a fixed-point replay
+whose read tails compact within one launch, serving's SGEMM loop and
+eager work that must force the fallback, and they must agree on the
+verdict and on the whole monitor state left behind. Every monitor
+mutation clears the stamp, so the next launch compares the datum in
+full.
+"""
+
+import inspect
+
+import numpy as np
+import pytest
+
+import repro.core.graph as graph_mod
+from repro.cluster import ClusterFaultPlan, ClusterMaster, NodeCrash
+from repro.core import Scheduler
+from repro.core.graph import Loop
+from repro.core.location_monitor import LocationMonitor, _DatumState
+from repro.hardware import GTX_780, HOST
+from repro.kernels.game_of_life import make_gol_kernel
+from repro.patterns.base import Aggregation
+from repro.serving.models import SgemmEngine
+from repro.serving.trace import Request
+from repro.sim import SimNode
+from repro.sim.commands import Event
+from repro.utils.rect import Rect
+
+from . import graph_oracle
+from . import test_graph as tg
+
+
+class TestOracleAgrees:
+    def test_cluster_ticks_with_ghost_marks(self, monkeypatch):
+        """Steady ticks, checkpoint ticks and a crash's recovery: the
+        master's ghost marks land between every pair of launches."""
+        stats = graph_oracle.install(monkeypatch)
+        board = (np.random.default_rng(3).random((64, 32)) < 0.35).astype(
+            np.int32
+        )
+        kernel = make_gol_kernel("maps")
+        span = ClusterMaster(GTX_780, 4, 2, board, kernel).run(40)
+        plan = ClusterFaultPlan(
+            checkpoint_interval=10, node_crashes=[NodeCrash(2, 0.5 * span)]
+        )
+        m = ClusterMaster(GTX_780, 4, 2, board, kernel, faults=plan)
+        m.run(40)
+        want = board
+        for _ in range(40):
+            want = tg.gol_reference_step(want, wrap=False)
+        np.testing.assert_array_equal(m.board(), want)
+        assert plan.recoveries == 1
+        assert stats["fast"] == stats["epilogues"] > 4 * 40 // 2
+        assert stats["entries"] > stats["fast"]  # fallbacks were checked
+
+    def test_transition_ticks(self, monkeypatch):
+        stats = graph_oracle.install(monkeypatch)
+        *_, loop = tg.TestTransitionGraphs._ticks("graph")
+        assert stats["fast"] == sum(g.fast_launches for _, g in loop.phases)
+        assert stats["fast"] == 8
+
+    @staticmethod
+    def _serve(layers: int, serves: int):
+        """Serving's SGEMM engine: per serve, a fresh upload, the eager
+        warm-up pair and one launch of ``layers // 2 - 1`` laps."""
+        node = SimNode(GTX_780, 4)
+        eng = SgemmEngine(Scheduler(node), batch=4, size=32, layers=layers)
+        eng.warmup()
+        for k in range(serves):
+            eng.serve([Request(rid=k, kind="sgemm", arrival=0.0, seed=k)])
+        return eng.graph
+
+    def test_fixed_point_tails_compact_within_a_launch(self, monkeypatch):
+        """140 layers replay 69 laps per launch; the weight matrix is
+        read once per lap on each device, so its read tails cross the
+        compaction mark inside every launch."""
+        stats = graph_oracle.install(monkeypatch)
+        compactions = []
+        compact = _DatumState.compact_reads
+
+        def counted(st, loc, host_time):
+            compactions.append(loc)
+            return compact(st, loc, host_time)
+
+        monkeypatch.setattr(_DatumState, "compact_reads", counted)
+        g = self._serve(140, 0)
+        # The serve's closing gather changed the output's host geometry.
+        g.launch(69)
+        assert (g.launches, g.fast_launches) == (2, 1)
+        for _ in range(3):
+            compactions.clear()
+            compared = g.full_compares
+            g.launch(69)
+            assert compactions
+        assert g.fixed_point and any(x[7] for x in g._exit.values())
+        assert g.fast_launches == stats["fast"] == 4
+        # Each datum left the fallback unstamped, the next launch stamped
+        # it and the one after verified its stamp: the last skips them all.
+        assert g.full_compares == compared
+
+    def test_serving_sgemm_loop(self, monkeypatch):
+        """Serving's SGEMM loop: a fresh upload and the eager warm-up pair
+        before every launch, so every launch compares each datum in
+        full."""
+        stats = graph_oracle.install(monkeypatch)
+        g = self._serve(6, 40)
+        assert g.launches == g.fast_launches == stats["fast"] == 41
+        assert g.full_compares == len(g._shape) * g.launches
+
+    @pytest.mark.parametrize("work", ["geometry", "read length"])
+    def test_eager_work_forces_the_fallback(self, monkeypatch, work):
+        """Eager work between launches that changes a captured datum's
+        geometry or the length of a read list the period consumes: both
+        checks send the launch down the fallback."""
+        stats = graph_oracle.install(monkeypatch)
+        node, sched, a, b, kernel, ca, cb = tg.gol_setup()
+        sched.invoke(kernel, *ca)
+        sched.invoke(kernel, *cb)
+        sched.wait_all()
+        with sched.capture() as g:
+            sched.invoke(kernel, *ca)
+            sched.invoke(kernel, *cb)
+        g.launch(2)
+        g.launch(2)
+        assert g.fast_launches == 2
+        if work == "geometry":
+            sched.mark_host_region_dirty(a, Rect((0, 1), (0, tg.N)))
+        else:
+            sched.gather_region(b, Rect((0, 1), (0, tg.N)))
+            sched.wait_all()
+        g.launch(2)
+        assert g.launches == 3 and g.fast_launches == 2
+        assert stats["entries"] == 3 and stats["fast"] == 2
+
+
+    def test_stamp_leaves_appended_lists_checked(self, monkeypatch):
+        """A stamp fixes only the read lists its exit replaces. ``a``
+        carries phase 0's exit, which appends to the GPU read lists that
+        phase 1 consumes; one read more at the end of one of them (put
+        there directly, so the stamp stays) still sends phase 1's launch
+        down the fallback."""
+        stats = graph_oracle.install(monkeypatch)
+        node, sched, a, b, kernel, ca, cb = tg.gol_setup()
+        loop = Loop(sched, kernel, (ca, cb), (b, a))
+        edges = tg.TestTransitionGraphs.EDGES
+        for i in range(7):
+            loop.tick(i, edges)
+        g0, g1 = (g for _, g in loop.phases)
+        assert (g0.fast_launches, g1.fast_launches) == (2, 1)
+        st = sched.monitor.states()[id(a)]
+        assert st.stamp is not None and st.stamp in g1._verified
+        st.pending_reads[0].append(_done())
+        loop.tick(7, edges)
+        assert g1.launches == 2 and g1.fast_launches == 1
+        assert stats["fast"] == 3 and stats["entries"] == 4
+
+
+def _compared(monkeypatch, g, sched):
+    """A function that launches ``g`` for two laps (or, with ``launch``
+    False, runs only the entry check of that launch) and returns the
+    names of the datums the entry check compared in full."""
+    names = {id(d): d.name for d in sched.monitor._datums.values()}
+    seen = []
+    matches = graph_mod._matches
+
+    def spied(st, shape):
+        seen.append(st)
+        return matches(st, shape)
+
+    monkeypatch.setattr(graph_mod, "_matches", spied)
+
+    def run(launch=True):
+        seen.clear()
+        if launch:
+            g.launch(2)
+        else:
+            g._fast_entry()
+        states = sched.monitor.states()
+        return {names[did] for did, st in states.items()
+                if any(st is s for s in seen)}
+
+    return run
+
+
+def _host(sched):
+    return sched.node.host_time
+
+
+#: Every monitor entry point that changes a datum's state, run on the
+#: stamped datum ``a``: ``(monitor, scheduler, datum) -> None``.
+MUTATORS = {
+    "mark_copied": lambda m, s, a: m.mark_copied(
+        a, HOST, Rect((0, 1), (0, tg.N)), None
+    ),
+    "mark_written_memoized": lambda m, s, a: m.mark_written(
+        a, HOST, Rect((0, 1), (0, tg.N)), None
+    ),
+    "mark_written_slow": lambda m, s, a: _unamortized(
+        m, lambda: m.mark_written(a, HOST, Rect((0, 1), (0, tg.N)), None)
+    ),
+    "mark_read": lambda m, s, a: m.mark_read(a, 0, _done(), _host(s)),
+    "add_read": lambda m, s, a: m.states()[id(a)].add_read(
+        1, _done(), _host(s)
+    ),
+    "take_war_events": lambda m, s, a: m.take_war_events(a, 0),
+    "compact_reads": lambda m, s, a: m.states()[id(a)].compact_reads(
+        0, _host(s)
+    ),
+    "take_reads": lambda m, s, a: m.states()[id(a)].take_reads(0),
+    "mark_partial": lambda m, s, a: m.mark_partial(
+        a, Aggregation.SUM, {0: _done(), 1: _done()}
+    ),
+    "mark_aggregated": lambda m, s, a: m.mark_aggregated(a, _done()),
+    "mark_host_dirty": lambda m, s, a: m.mark_host_dirty(a, _host(s)),
+    "drop_location": lambda m, s, a: m.drop_location(a, 3),
+    "invalidate_for_recovery": lambda m, s, a: m.invalidate_for_recovery(()),
+}
+
+#: Entry points that leave every datum's state as it is.
+READ_ONLY = {
+    "instances", "needs_aggregation", "aggregation", "compute_copies",
+    "replicas", "ready_replicas", "has_partial_on", "evictable",
+    "sole_pieces", "states", "fingerprint", "replay_copies",
+    "host_covered",
+}
+
+
+def _done() -> Event:
+    return Event("done", 0.0)
+
+
+def _unamortized(m, fn):
+    m.amortize = False
+    try:
+        fn()
+    finally:
+        m.amortize = True
+
+
+class TestMutatorsClearTheStamp:
+    def test_every_entry_point_is_classified(self):
+        """A new public entry point must join MUTATORS (and clear the
+        stamp) or READ_ONLY."""
+        public = {
+            name
+            for cls in (LocationMonitor, _DatumState)
+            for name, _ in inspect.getmembers(cls, inspect.isfunction)
+            if not name.startswith("_")
+        }
+        mutators = {name.split("_memoized")[0].split("_slow")[0]
+                    for name in MUTATORS}
+        assert public == mutators | READ_ONLY
+
+    @pytest.mark.parametrize("name", sorted(MUTATORS))
+    def test_next_launch_compares_in_full(self, monkeypatch, name):
+        node, sched, a, b, kernel, ca, cb = tg.gol_setup(functional=False)
+        sched.invoke(kernel, *ca)
+        sched.invoke(kernel, *cb)
+        sched.wait_all()
+        with sched.capture() as g:
+            sched.invoke(kernel, *ca)
+            sched.invoke(kernel, *cb)
+        compared = _compared(monkeypatch, g, sched)
+        assert compared() == {"A", "B"}  # left by the capture's eager period
+        assert compared() == {"A", "B"}  # stamped; verified now
+        assert compared() == set()
+        monitor = sched.monitor
+        memo = monitor.transition_hits + monitor.transition_misses
+        MUTATORS[name](monitor, sched, a)
+        if name == "mark_written_memoized":
+            assert monitor.transition_hits + monitor.transition_misses > memo
+        assert monitor.states()[id(a)].stamp is None
+        # Only the entry check runs: some of these mutations (a dropped
+        # sole copy, partials out of nowhere) leave a state no eager
+        # fallback could run on.
+        assert "A" in compared(launch=False)
