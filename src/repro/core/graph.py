@@ -13,10 +13,10 @@ laps per launch.
 
 The replay is *bit-identical* to the eager path, not merely equivalent:
 
-* Every opcode performs the same floating-point arithmetic in the same
-  order as :meth:`Engine._dispatch` (durations, channel occupancy and
-  engine busy times are precomputed only where the eager expression is a
-  pure function of captured values).
+* Every opcode is the engine's own lowering of its command
+  (:meth:`Engine.lower`), and :meth:`Engine.run_graph` dispatches it
+  through the same loop as :meth:`Engine.run`: the same floating-point
+  arithmetic, in the same order.
 * Host-clock checkpoints re-accumulate the captured per-lap advances with
   the same sequential additions the eager submission loop performs.
 * Cross-lap event dependencies are resolved by position: a steady-state
@@ -435,7 +435,6 @@ class IterationGraph:
                     after[pos] = ev
 
         engine = sched.node.engine
-        topology = sched.node.topology
         slot_refs: dict[int, int] = {}
         devices: set[int] = set()
         programs: list[tuple["Stream", list[tuple]]] = []
@@ -491,52 +490,15 @@ class IterationGraph:
                             "captured record of a pre-capture event"
                         )
                     ops.append((1, ck, slot))
-                elif t is KernelLaunch:
-                    dev = stream.device
-                    devices.add(dev)
-                    ops.append(
-                        (
-                            2,
-                            ck,
-                            engine.devices[dev].compute,
-                            cmd.duration,
-                            cmd.label,
-                            cmd.payload,
-                            dev,
+                elif t in (KernelLaunch, Memcpy, HostOp):
+                    if t is KernelLaunch:
+                        devices.add(stream.device)
+                    elif t is Memcpy:
+                        devices.update(
+                            d for d in (cmd.src, cmd.dst) if d != HOST
                         )
-                    )
-                elif t is Memcpy:
-                    engines, path, channels = engine._route(
-                        cmd.src, cmd.dst, cmd.pageable
-                    )
-                    duration = (
-                        topology.transfer_time(cmd.nbytes, path)
-                        + cmd.extra_latency
-                    )
-                    segchan = tuple(
-                        (ch, cmd.nbytes / seg.link.bandwidth)
-                        for seg, ch in zip(path, channels)
-                    )
-                    if cmd.src != HOST:
-                        devices.add(cmd.src)
-                    if cmd.dst != HOST:
-                        devices.add(cmd.dst)
-                    ops.append(
-                        (
-                            3,
-                            ck,
-                            engines,
-                            segchan,
-                            duration,
-                            cmd.label,
-                            cmd.payload,
-                            cmd.src,
-                            cmd.dst,
-                            cmd.nbytes,
-                        )
-                    )
-                elif t is HostOp:
-                    ops.append((4, ck, cmd.duration, cmd.label, cmd.payload))
+                    op = engine.lower(cmd, stream.device)
+                    ops.append((op[0], ck, *op[2:]))
                 else:
                     return self._fail(
                         f"unreplayable command type {t.__name__}"

@@ -347,9 +347,7 @@ class Mitigator:
         # commit: the event publishes once the buffer is truly up to date.
         for ev in commit_evs:
             alarm.stream.commands.appendleft(EventWait(
-                label=f"wait:{ev.label}",
-                earliest_start=alarm.time,
-                event=ev,
+                earliest_start=alarm.time, event=ev,
             ))
         return True
 

@@ -184,6 +184,10 @@ class TaskPlan:
     #: disabled, or unhashable signature) cannot be replayed, so computing
     #: fingerprints for it would be pure overhead.
     memoize: bool = False
+    #: Whether the plan is in a cache table now (cleared when the table
+    #: evicts or invalidates it): a pre-bound record replays only a plan
+    #: a signature lookup would still find.
+    cached: bool = False
     replays: int = 0
 
 
@@ -310,6 +314,44 @@ def check_plan(task: "Task", plan: TaskPlan, analyzer) -> None:
             analyzer.check_within(c.datum, d, req.virtual)
         for c, rect in zip(outputs, dp.output_rects):
             analyzer.check_within(c.datum, d, rect)
+
+
+def prekey(kernel: Any, containers: tuple, grid: Any) -> tuple:
+    """The cheap key of one submission, built before its :class:`Task`:
+    the kernel, each container's type and instance dict (its datum by
+    identity, its pattern parameters by value) and the grid argument.
+    Containers are fresh objects per call, so their identity would never
+    repeat; their dicts are read in insertion order, without the sort
+    :func:`container_signature` does. Raises ``TypeError`` when a
+    parameter is unhashable. The key holds the datums themselves, so it
+    never matches a later datum that reuses a dropped one's ``id``."""
+    key = (
+        id(kernel),
+        None if grid is None else (grid.shape, grid.block0),
+        *[(type(c), *vars(c).items()) for c in containers],
+    )
+    hash(key)
+    return key
+
+
+@dataclass(eq=False, slots=True)
+class BoundPlan:
+    """A plan bound to one submission's datums (DESIGN.md §7): what a
+    steady invoke under the same :func:`prekey` would otherwise recompute.
+
+    ``task`` is the first :class:`Task` built under the key (later ones
+    are its :meth:`Task.rebind`); ``buffers`` are each active device's
+    buffers in allocation-pass order, valid while every device's
+    allocator ``epoch`` equals ``epochs``; ``devices``/``weights`` are the
+    alive set and straggler weights the plan was looked up under.
+    """
+
+    task: Any
+    plan: TaskPlan
+    devices: tuple[int, ...]
+    weights: tuple[int, ...] | None
+    buffers: dict[int, list]
+    epochs: tuple[tuple[int, int], ...]
 
 
 def binding(task: "Task", plan: TaskPlan) -> tuple:
@@ -549,10 +591,22 @@ class PlanCache:
         plan.replays += 1
         return plan
 
+    def hit(self, plan: TaskPlan) -> TaskPlan:
+        """Count a lookup a pre-bound record answered (``BoundPlan``)."""
+        self.hits += 1
+        plan.replays += 1
+        return plan
+
     def store(self, plan: TaskPlan) -> None:
         if self.enabled and plan.signature:
-            bounded_put(self._plans, plan.signature, plan)
-            plan.memoize = True
+            table = self._plans
+            old = table.get(plan.signature)
+            if old is not None:
+                old.cached = False
+            table[plan.signature] = plan
+            if len(table) > PLAN_LIMIT:
+                table.pop(next(iter(table))).cached = False
+            plan.memoize = plan.cached = True
 
     def invalidate_device(self, device: int) -> int:
         """Drop every plan that segments work onto ``device`` (fault
@@ -564,7 +618,7 @@ class PlanCache:
             if device in plan.active
         ]
         for key in doomed:
-            del self._plans[key]
+            self._plans.pop(key).cached = False
         return len(doomed)
 
     @property

@@ -133,7 +133,6 @@ def reroute(
         # wait keeps the faulted copy's own start; a hedge's starts
         # with its replacement at the hedging deadline.
         stream.commands.appendleft(EventWait(
-            label=f"wait:{src_ev.label}",
             earliest_start=(
                 cmd.earliest_start if kind == "retry"
                 else replacement.earliest_start

@@ -34,13 +34,16 @@ from repro.core.memory_analyzer import MemoryAnalyzer
 from repro.core.mitigation import Mitigator, _KernelOrigin
 from repro.core.plan import (
     COPY_MEMO_LIMIT,
+    BoundPlan,
     NodeTables,
     PlanCache,
     TaskPlan,
     binding,
+    bounded_put,
     build_plan,
     check_plan,
     freeze_constants,
+    prekey,
 )
 from repro.core.pressure import MemoryPressure
 from repro.core.recovery import _GatherRecord, _RescheduleError, _TransferContext
@@ -137,6 +140,9 @@ class Scheduler:
         #: Bindings (``plan.binding``) whose rects were checked against this
         #: scheduler's analyzed boxes (``check_plan``).
         self._bound: set[tuple] = set()
+        #: ``plan.prekey`` -> the submission's ``BoundPlan`` (DESIGN.md
+        #: §7); empty with the plan cache off.
+        self._prebound: dict[tuple, BoundPlan] = {}
         self._peer_cache: dict[int, list[int]] = {}
         g = node.num_gpus
         self._compute = [
@@ -259,6 +265,7 @@ class Scheduler:
         # deferred free.
         self._pressure.free_pools()
         self.analyzer.release_all()
+        self._prebound.clear()
         own = set()
         for group in (self._compute, self._copy_in, self._copy_out):
             own.update(id(s) for s in group)
@@ -304,8 +311,7 @@ class Scheduler:
             self._capture_call(
                 self.invoke, kernel, *containers, grid=grid, constants=constants
             )
-        task = Task(kernel, containers, grid, constants)
-        return self._schedule(task)
+        return self._submit(kernel, containers, grid, constants)
 
     def invoke_unmodified(
         self,
@@ -328,8 +334,7 @@ class Scheduler:
                 self.invoke_unmodified, routine, *containers,
                 grid=grid, constants=constants,
             )
-        task = Task(routine, containers, grid, constants)
-        return self._schedule(task)
+        return self._submit(routine, containers, grid, constants)
 
     def gather_async(self, datum: Datum) -> None:
         """Queue the transfers (and aggregation) bringing ``datum`` back
@@ -583,7 +588,28 @@ class Scheduler:
         return _CaptureContext(self)
 
     # -- Algorithm 1 ------------------------------------------------------------
-    def _schedule(self, task: Task) -> TaskHandle:
+    def _submit(self, kernel, containers, grid, constants) -> TaskHandle:
+        """Build a submission's task and schedule it. With the plan cache
+        on, a submission whose ``plan.prekey`` has a bound record reuses
+        the record's task shape (``Task.rebind``), plan and buffers."""
+        key = rec = None
+        if self.plans.enabled:
+            try:
+                key = prekey(kernel, containers, grid)
+            except TypeError:  # an unhashable parameter: never bound
+                pass
+            else:
+                rec = self._prebound.get(key)
+        if rec is None:
+            task = Task(kernel, containers, grid, constants)
+        else:
+            task = rec.task.rebind(containers, constants)
+        return self._schedule(task, key, rec)
+
+    def _schedule(
+        self, task: Task, key: tuple | None = None,
+        rec: BoundPlan | None = None,
+    ) -> TaskHandle:
         """Plan lookup/build, then replay (the cached fast path and the
         uncached baseline share the replay, so both emit identical command
         sequences). An *injected* allocation failure retires the device —
@@ -597,8 +623,8 @@ class Scheduler:
         self._check_live()
         while True:
             try:
-                plan = self._lookup_or_build(task)
-                return self._replay(task, plan)
+                plan = self._lookup_or_build(task, rec)
+                return self._replay(task, plan, key=key, rec=rec)
             except _RescheduleError:
                 continue  # a drain-time recovery changed the alive set
             except AllocationError as e:
@@ -606,9 +632,20 @@ class Scheduler:
                     raise
                 recovery.recover(self, e.device, self.node.time)
 
-    def _lookup_or_build(self, task: Task) -> TaskPlan:
+    def _lookup_or_build(
+        self, task: Task, rec: BoundPlan | None = None
+    ) -> TaskPlan:
         if self._mitigator is not None:
             self._mitigator.refresh()
+        if (
+            rec is not None
+            and rec.plan.cached
+            and rec.devices == self._alive
+            and rec.weights == self._weights
+        ):
+            # The plan the record's submission was looked up under, with
+            # its binding already checked.
+            return self.plans.hit(rec.plan)
         plan = self.plans.lookup(task, self._alive, weights=self._weights)
         if plan is None:
             # Slow path: runs once per task signature on the node (or
@@ -633,7 +670,8 @@ class Scheduler:
         return plan
 
     def _replay(
-        self, task: Task, plan: TaskPlan, handle: TaskHandle | None = None
+        self, task: Task, plan: TaskPlan, handle: TaskHandle | None = None,
+        key: tuple | None = None, rec: BoundPlan | None = None,
     ) -> TaskHandle:
         node = self.node
         monitor = self.monitor
@@ -653,12 +691,39 @@ class Scheduler:
                 self._resolve_aggregation(c.datum, plan.consumer_rects[i])
         # Step 3, the one allocation pass. A working set that does not fit
         # goes to the pressure hook, which evicts until it fits or returns
-        # the device's out-of-core chunk plan (DESIGN.md §10).
-        staged: dict[int, Any] = {}
-        for d in active:
-            bufs = self._alloc_task_buffers(task, d)
-            staged[d] = self._pressure.prepare(task, plan, d) if bufs is None else bufs
-        in_core = [d for d in active if type(staged[d]) is list]
+        # the device's out-of-core chunk plan (DESIGN.md §10). A bound
+        # record's buffers stand in for it while no allocator on the
+        # node allocated or freed since: the same LRU touches, in order.
+        devices = node.devices
+        bound = None
+        if rec is not None and rec.plan is plan:
+            bound = rec.buffers
+            for d, epoch in rec.epochs:
+                if devices[d].memory.epoch != epoch:
+                    bound = None
+                    break
+        if bound is not None:
+            staged = bound
+            for d in active:
+                touch = devices[d].memory.touch
+                for buf in bound[d]:
+                    touch(buf)
+            in_core = active
+        else:
+            staged: dict[int, Any] = {}
+            for d in active:
+                bufs = self._alloc_task_buffers(task, d)
+                staged[d] = (
+                    self._pressure.prepare(task, plan, d)
+                    if bufs is None else bufs
+                )
+            in_core = [d for d in active if type(staged[d]) is list]
+            if key is not None and plan.memoize and len(in_core) == len(active):
+                bounded_put(self._prebound, key, BoundPlan(
+                    task if rec is None else rec.task, plan, self._alive,
+                    self._weights, staged,
+                    tuple((d, devices[d].memory.epoch) for d in active),
+                ))
         # Steps 4-5 (lines 3-13): the monitor's copies, on the invoker
         # streams; decisions are memoized per (input, device) when cached.
         kernel_waits: dict[int, list[Event]] = {}
@@ -683,6 +748,7 @@ class Scheduler:
         race_pool: dict[int, Any] | None = {} if self.sanitize else None
         new_events: list[Event] = []
         dev_events: dict[int, Event] = {}
+        name = task.name
         for d in active:
             if d not in in_core:
                 done_ev, dev_events[d] = self._pressure.replay_chunked(
@@ -696,7 +762,7 @@ class Scheduler:
             payload = self._kernel_payload(
                 task, d, dplans[d], len(active), race_pool=race_pool
             )
-            label = f"{task.name}@gpu{d}"
+            label = f"{name}@gpu{d}"
             kcmd = node.launch_kernel(stream, durations[d], payload, label=label)
             dev_events[d] = ev = node.record_event(stream, label)
             new_events.append(ev)

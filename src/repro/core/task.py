@@ -131,6 +131,28 @@ class Task:
         for c in self.containers:
             c.validate(self.grid.shape)
 
+    def rebind(
+        self,
+        containers: tuple[Container, ...],
+        constants: Mapping[str, Any] | None = None,
+    ) -> "Task":
+        """A new task over ``containers`` with this task's kernel and grid.
+
+        For a submission with this task's ``plan.prekey``: the containers
+        have the same types, parameters and datums, so the checks and the
+        implied grid of construction would come out the same."""
+        task = object.__new__(Task)
+        task.id = next(_task_ids)
+        task.kernel = self.kernel
+        task.containers = containers
+        task.constants = dict(constants or {})
+        task.inputs = [c for c in containers if isinstance(c, InputContainer)]
+        task.outputs = [
+            c for c in containers if isinstance(c, OutputContainer)
+        ]
+        task.grid = self.grid
+        return task
+
     @property
     def name(self) -> str:
         return f"{self.kernel.name}#{self.id}"

@@ -41,7 +41,6 @@ class Event:
 class Command:
     """Base class for all queued commands."""
 
-    label: str = ""
     payload: Payload = None
     #: Host submission time — the command may not start before this (models
     #: the host thread that enqueued it).
@@ -52,11 +51,14 @@ class Command:
 class KernelLaunch(Command):
     """A kernel execution on a device's compute engine."""
 
+    label: str = ""
     duration: float = 0.0
     #: Scheduler-attached provenance (task/segment context) so the
     #: straggler watchdog can speculatively re-execute a lagging segment
     #: on another device (DESIGN.md §11). Opaque to the engine.
     origin: Any = None
+    #: ``Engine.lower``'s opcode, set at enqueue (see :class:`Memcpy`).
+    op: Any = field(default=None, init=False)
 
 
 @dataclass(eq=False, slots=True)
@@ -69,6 +71,7 @@ class Memcpy(Command):
     baseline).
     """
 
+    label: str = ""
     src: int = 0
     dst: int = 0
     nbytes: int = 0
@@ -78,20 +81,37 @@ class Memcpy(Command):
     #: transient fault can be retried from an alternate replica. Opaque to
     #: the engine.
     origin: Any = None
+    #: ``Engine.lower``'s opcode (resolved route, duration, label and
+    #: payload), set at enqueue. Not an init field, so
+    #: ``dataclasses.replace`` (a rerouted retry) starts unset and the
+    #: engine lowers the new command at dispatch.
+    op: Any = field(default=None, init=False)
 
 
 @dataclass(eq=False, slots=True)
 class EventRecord(Command):
+    label: str = ""
     event: Event | None = None
+    #: The record opcode; the engine reads the event from the command.
+    op = (1,)
 
 
 @dataclass(eq=False, slots=True)
 class EventWait(Command):
     event: Event | None = None
+    #: The wait opcode; the engine reads the event from the command.
+    op = (0,)
+
+    @property
+    def label(self) -> str:
+        """Built on read: no trace row or dispatch reads it."""
+        return f"wait:{self.event.label if self.event is not None else ''}"
 
 
 @dataclass(eq=False, slots=True)
 class HostOp(Command):
     """Host-side work (e.g. host-level aggregation after a gather)."""
 
+    label: str = ""
     duration: float = 0.0
+    op: Any = field(default=None, init=False)

@@ -35,6 +35,7 @@ simulated times.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.errors import AllocationError
@@ -194,6 +195,8 @@ class FaultPlan(LinkFaultPlan):
         #: Mitigation diagnostics (`repro.bench --stragglers` reports).
         self.speculations_fired = 0
         self.hedges_fired = 0
+        #: :meth:`armed` is False from this plan-relative time on.
+        self._quiet = self._quiet_time()
 
     # -- epoch rebasing ------------------------------------------------------
     def rebase(self, epoch: float) -> None:
@@ -205,6 +208,7 @@ class FaultPlan(LinkFaultPlan):
         regardless of how long it queued or how often it was preempted.
         """
         self.epoch = float(epoch)
+        self._quiet = self._quiet_time()
 
     # -- permanent failures --------------------------------------------------
     def failure_times(self) -> dict[int, float]:
@@ -254,14 +258,39 @@ class FaultPlan(LinkFaultPlan):
         )
 
     # -- transient transfer faults -------------------------------------------
-    #: Whether the memcpy being dispatched on ``src -> dst`` faults; call
-    #: exactly once per dispatch (:meth:`LinkFaultPlan.link_fault_now`).
-    transfer_faults_now = LinkFaultPlan.link_fault_now
+    def transfer_faults_now(self, src: int, dst: int) -> bool:
+        """Whether the memcpy being dispatched on ``src -> dst`` faults;
+        call exactly once per dispatch (:meth:`LinkFaultPlan.link_fault_now`).
+        A spec stops being pending only at a dispatch that faults, so the
+        quiet time is recomputed then."""
+        if self.link_fault_now(src, dst):
+            self._quiet = self._quiet_time()
+            return True
+        return False
 
     @property
     def transfer_faults_fired(self) -> int:
         """Transfers faulted so far (`repro.bench --faults` reports)."""
         return self.link_faults_fired
+
+    def _quiet_time(self) -> float:
+        """The plan-relative time from which :meth:`armed` is False: the
+        latest heal of a straggler window with a non-unit factor, or
+        infinity while a link fault is pending, a window never heals, or
+        a mitigation watchdog fires at factor 1.0."""
+        if self.link_faults_pending() or (
+            self.mitigate_stragglers
+            and (self.watchdog_patience <= 1.0 or self.hedge_patience <= 1.0)
+        ):
+            return math.inf
+        quiet = -math.inf
+        for wins in self._stragglers.values():
+            for s in wins:
+                if s.compute_factor != 1.0 or s.bandwidth_factor != 1.0:
+                    if s.end is None:
+                        return math.inf
+                    quiet = max(quiet, s.end)
+        return quiet
 
     def armed(self, now: float) -> bool:
         """Whether a dispatch at or after simulated time ``now`` could
@@ -269,20 +298,11 @@ class FaultPlan(LinkFaultPlan):
         (those live in the engine's dead map): a fault rate or an
         unexhausted transfer-fault spec, a straggler factor whose window
         has not healed, or a mitigation watchdog that fires at factor
-        1.0. The graph fast path (DESIGN.md §12) replays only when this
-        is False."""
-        if self.link_faults_pending():
-            return True
-        now -= self.epoch  # windows are plan-relative
-        for wins in self._stragglers.values():
-            for s in wins:
-                if not s.healed(now) and (
-                    s.compute_factor != 1.0 or s.bandwidth_factor != 1.0
-                ):
-                    return True
-        return self.mitigate_stragglers and (
-            self.watchdog_patience <= 1.0 or self.hedge_patience <= 1.0
-        )
+        1.0. Constant time: the quiet time is cached (windows are
+        plan-relative, so :meth:`rebase` only re-reads it). The graph fast
+        path (DESIGN.md §12) replays only when this is False, and the
+        engine skips its dispatch checks."""
+        return now - self.epoch < self._quiet
 
     # -- allocation failures -------------------------------------------------
     def check_alloc(self, device: int, nth: int) -> None:

@@ -94,6 +94,9 @@ class DeviceMemory:
         self.alloc_calls = 0
         #: Monotonic use clock; stamps ``DeviceBuffer.last_use`` (LRU).
         self.clock = 0
+        #: Bumped by every allocation attempt and every free: a scheduler's
+        #: pre-bound buffer lists (DESIGN.md §7) are valid while it holds.
+        self.epoch = 0
         #: Live (non-empty) allocations by identity: the authority on what
         #: this allocator owns, consulted by :meth:`free` to reject double
         #: frees and buffers belonging to another device's memory.
@@ -117,6 +120,7 @@ class DeviceMemory:
     ) -> DeviceBuffer:
         """Allocate a contiguous buffer covering ``rect``."""
         dtype = np.dtype(dtype)
+        self.epoch += 1
         # Every attempt counts — zero-size, injected-fault and genuine-OOM
         # outcomes included — so the Nth-allocation fault hook sees a
         # stable numbering (see class docstring).
@@ -153,6 +157,7 @@ class DeviceMemory:
         :class:`~repro.errors.DeviceError` instead of underflowing
         ``used``.
         """
+        self.epoch += 1
         if buf.rect.empty:
             buf.freed = True
             return

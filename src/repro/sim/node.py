@@ -242,7 +242,8 @@ class SimNode:
             earliest_start=self.host_time,
             duration=total,
         )
-        stream.enqueue(cmd)
+        cmd.op = self.engine.lower(cmd, stream.device)
+        stream.commands.append(cmd)
         if self.graph_recorder is not None:
             self.graph_recorder.record(stream, cmd)
         return cmd
@@ -268,7 +269,8 @@ class SimNode:
             pageable=pageable,
             extra_latency=extra_latency,
         )
-        stream.enqueue(cmd)
+        cmd.op = self.engine.lower(cmd, stream.device)
+        stream.commands.append(cmd)
         if self.graph_recorder is not None:
             self.graph_recorder.record(stream, cmd)
         return cmd
@@ -278,19 +280,15 @@ class SimNode:
         cmd = EventRecord(
             label=label, earliest_start=self.host_time, event=event
         )
-        stream.enqueue(cmd)
+        stream.commands.append(cmd)
         if self.graph_recorder is not None:
             self.graph_recorder.record(stream, cmd)
             self.graph_recorder.record_event(event)
         return event
 
     def wait_event(self, stream: Stream, event: Event) -> None:
-        cmd = EventWait(
-            label=f"wait:{event.label}",
-            earliest_start=self.host_time,
-            event=event,
-        )
-        stream.enqueue(cmd)
+        cmd = EventWait(earliest_start=self.host_time, event=event)
+        stream.commands.append(cmd)
         if self.graph_recorder is not None:
             self.graph_recorder.record(stream, cmd)
 
@@ -307,7 +305,8 @@ class SimNode:
             earliest_start=self.host_time,
             duration=duration,
         )
-        stream.enqueue(cmd)
+        cmd.op = self.engine.lower(cmd, stream.device)
+        stream.commands.append(cmd)
         if self.graph_recorder is not None:
             self.graph_recorder.record(stream, cmd)
         return cmd

@@ -37,10 +37,6 @@ class Stream:
         self.commands: Deque[Command] = deque()
         self.cursor: float = 0.0
 
-    def enqueue(self, cmd: Command) -> Command:
-        self.commands.append(cmd)
-        return cmd
-
     @property
     def pending(self) -> int:
         return len(self.commands)

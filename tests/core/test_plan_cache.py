@@ -346,7 +346,8 @@ class TestInCorePath:
 
     def test_one_allocation_pass_per_invoke(self, monkeypatch):
         # A cached, timing-only GoL invoke on 4 GPUs asks the analyzer for
-        # each container's buffer once per in-core device: 2 x 4 calls.
+        # no buffer once its submission is bound: the record's buffers
+        # stand in for the 2 x 4 calls of the allocation pass.
         sched, invoke = self.gol(SimNode(GTX_780, 4, functional=False))
         for i in range(2):  # build both plans and allocate every buffer
             invoke(i)
@@ -362,7 +363,66 @@ class TestInCorePath:
         monkeypatch.setattr(MemoryAnalyzer, "buffer", counting)
         invoke(0)
         assert sched.plans.hits >= 1
-        assert calls == 2 * 4
+        assert calls == 0
+
+    def test_steady_node_eager_loop_counts(self, monkeypatch):
+        # The node_eager mix, timing-only: a steady invoke builds no task
+        # signature, and asks the analyzer for at most one buffer per
+        # active device (the histogram gathers' partials, here).
+        import repro.core.memory_analyzer as analyzer_mod
+        import repro.core.plan as plan_mod
+        from repro.kernels.histogram import histogram_grid
+        from repro.libs.cublas import make_sgemm_routine, sgemm_containers
+
+        node = SimNode(GTX_780, 4, functional=False)
+        sched = Scheduler(node)
+        n = 1024
+        boards = [Matrix(n, n, np.uint8, "A"), Matrix(n, n, np.uint8, "B")]
+        image = Matrix(n, n, np.uint8, "image")
+        hist = Vector(256, np.int32, "hist")
+        bmat = Matrix(n, n, np.float32, "gemm.B")
+        xs = [Matrix(n, n, np.float32, "X"), Matrix(n, n, np.float32, "Y")]
+        gol, hk, gemm = (make_gol_kernel(), make_histogram_kernel("maps"),
+                         make_sgemm_routine())
+        grid = histogram_grid(image)
+        hargs = histogram_containers(image, hist)
+        sched.analyze_call(gol, *gol_containers(*boards))
+        sched.analyze_call(gol, *gol_containers(*boards[::-1]))
+        sched.analyze_call(hk, *hargs, grid=grid)
+        sched.analyze_call(gemm, *sgemm_containers(xs[0], bmat, xs[1]))
+        sched.analyze_call(gemm, *sgemm_containers(xs[1], bmat, xs[0]))
+
+        def step(i):
+            sched.invoke(gol, *gol_containers(boards[i % 2], boards[1 - i % 2]))
+            sched.invoke(hk, *hargs, grid=grid)
+            if i % 10 == 9:
+                sched.gather(hist)
+            sched.invoke_unmodified(
+                gemm, *sgemm_containers(xs[i % 2], bmat, xs[1 - i % 2]))
+
+        for i in range(3):  # warm-up lap: plans, buffers and records
+            step(i)
+        sched.wait_all()
+        counts = {"buffer": 0, "signature": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(MemoryAnalyzer, "buffer",
+                            counting("buffer", MemoryAnalyzer.buffer))
+        for mod in (plan_mod, analyzer_mod):
+            monkeypatch.setattr(mod, "task_signature", counting(
+                "signature", plan_mod.task_signature))
+        invokes = 3 * 40
+        for i in range(3, 43):
+            step(i)
+        sched.wait_all()
+        assert counts["signature"] == 0
+        assert counts["buffer"] <= len(sched.alive_devices) * invokes
+        assert counts["buffer"] == 4 * 4  # four gathers, four partials each
 
     def test_unarmed_scheduler_has_no_mitigator(self):
         node = SimNode(GTX_780, 4, functional=False)
@@ -421,3 +481,215 @@ class TestTransitionMemoization:
         assert mon.transition_hits == 0
         assert mon.transition_misses == 0
         assert not mon._transitions
+
+
+# -- pre-bound invokes (DESIGN.md §7) -----------------------------------------
+class Rebinds:
+    """Counts bound records rebuilt under a key that already had one: a
+    record whose buffers, devices or weights went stale."""
+
+    def __init__(self, monkeypatch):
+        import repro.core.scheduler as sched_mod
+
+        self.binds = self.rebinds = 0
+        put = sched_mod.bounded_put
+
+        def counting(table, key, value):
+            self.binds += 1
+            self.rebinds += key in table
+            put(table, key, value)
+
+        monkeypatch.setattr(sched_mod, "bounded_put", counting)
+
+
+def run_mix(plan_cache, faults=None, capacity=None, auto=False, n=64,
+            iters=8, gemm=True):
+    """GoL ping-pong, a histogram and (with ``gemm``) a chained SGEMM,
+    gathered every other iteration; ``auto`` skips AnalyzeCall
+    (``auto_analyze``)."""
+    import dataclasses
+
+    from repro.kernels.histogram import histogram_grid
+    from repro.libs.cublas import make_sgemm_routine, sgemm_containers
+
+    spec = GTX_780 if capacity is None else dataclasses.replace(
+        GTX_780, global_memory_bytes=int(capacity)
+    )
+    node = SimNode(spec, 4, functional=True, faults=faults)
+    sched = Scheduler(node, plan_cache=plan_cache, auto_analyze=auto)
+    rng = np.random.default_rng(4)
+    boards = [
+        Matrix(n, n, np.uint8, "A").bind(
+            (rng.random((n, n)) < 0.35).astype(np.uint8)),
+        Matrix(n, n, np.uint8, "B").bind(np.zeros((n, n), np.uint8)),
+    ]
+    image = Matrix(n, n, np.uint8, "image").bind(
+        rng.integers(0, 256, (n, n)).astype(np.uint8))
+    hist = Vector(256, np.int32, "hist").bind(np.zeros(256, np.int32))
+    bmat = Matrix(n, n, np.float32, "gemm.B").bind(
+        (rng.standard_normal((n, n)) / n).astype(np.float32))
+    xs = [
+        Matrix(n, n, np.float32, "X").bind(
+            rng.standard_normal((n, n)).astype(np.float32)),
+        Matrix(n, n, np.float32, "Y").bind(np.zeros((n, n), np.float32)),
+    ]
+    gol, hk = make_gol_kernel(), make_histogram_kernel("maps")
+    routine = make_sgemm_routine() if gemm else None
+    grid = histogram_grid(image)
+    hargs = histogram_containers(image, hist)
+    if not auto:
+        sched.analyze_call(gol, *gol_containers(*boards))
+        sched.analyze_call(gol, *gol_containers(*boards[::-1]))
+        sched.analyze_call(hk, *hargs, grid=grid)
+        if gemm:
+            sched.analyze_call(routine, *sgemm_containers(xs[0], bmat, xs[1]))
+            sched.analyze_call(routine, *sgemm_containers(xs[1], bmat, xs[0]))
+    for i in range(iters):
+        sched.invoke(gol, *gol_containers(boards[i % 2], boards[1 - i % 2]))
+        sched.invoke(hk, *hargs, grid=grid)
+        if gemm:
+            sched.invoke_unmodified(
+                routine, *sgemm_containers(xs[i % 2], bmat, xs[1 - i % 2]))
+            if i % 2:
+                sched.gather_async(xs[1 - i % 2])
+        if i % 2:
+            sched.gather_async(boards[1 - i % 2])
+            sched.gather(hist)
+    last = iters % 2
+    outs = [boards[last], hist] + ([xs[last]] if gemm else [])
+    for d in outs:
+        sched.gather_async(d)
+    sched.wait_all()
+    outs = [d.host.copy() for d in outs]
+    return outs, node, sched
+
+
+class TestPreBinding:
+    """Every way a bound record goes stale forces the rebind path, and
+    the run stays bit-identical to ``plan_cache=False``."""
+
+    @staticmethod
+    def check(monkeypatch, **kw):
+        ref, ref_node, _ = run_mix(False, **kw)
+        counter = Rebinds(monkeypatch)
+        out, node, sched = run_mix(True, **kw)
+        for a, b in zip(out, ref):
+            assert a.tobytes() == b.tobytes()
+        assert node.time == ref_node.time
+        assert normalized_trace(node) == normalized_trace(ref_node)
+        assert node.engine.commands_executed == \
+            ref_node.engine.commands_executed
+        assert counter.rebinds >= 1
+        return sched
+
+    def test_steady_invokes_bind_nothing_after_the_first_lap(
+        self, monkeypatch
+    ):
+        # Five submission shapes (two GoL, the histogram, two SGEMM). The
+        # first lap's later allocations stale two earlier records once;
+        # after that no invoke binds again.
+        counts = []
+        for iters in (3, 12):
+            counter = Rebinds(monkeypatch)
+            run_mix(True, iters=iters)
+            counts.append((counter.binds, counter.rebinds))
+        assert counts[0] == counts[1] == (7, 2)
+
+    @pytest.mark.parametrize("factor", [0.75, 0.3])
+    def test_eviction_under_pressure(self, monkeypatch, factor):
+        # Capacity at a fraction of the in-core working set (SGEMM's
+        # chunk-invariant B does not fit, so the mix is GoL and the
+        # histogram). At 0.75x replicas are evicted between invokes and
+        # each eviction stales the records; at 0.3x every device runs
+        # out of core, and a chunked task binds nothing.
+        _, node, _ = run_mix(False, gemm=False, n=256)
+        peak = max(d.memory.peak for d in node.devices)
+        kw = dict(capacity=factor * peak, gemm=False, n=256)
+        if factor < 0.5:
+            ref, ref_node, _ = run_mix(False, **kw)
+            counter = Rebinds(monkeypatch)
+            out, node, _ = run_mix(True, **kw)
+            assert [a.tobytes() for a in out] == [a.tobytes() for a in ref]
+            assert normalized_trace(node) == normalized_trace(ref_node)
+            assert node.trace.matching("#chunk")
+            assert counter.binds == 0
+            return
+        sched = self.check(monkeypatch, **kw)
+        assert sched.node.trace.matching("evict:")
+
+    def test_box_growth_under_auto_analyze(self, monkeypatch):
+        self.check(monkeypatch, auto=True)
+
+    def test_injected_allocation_failure_retires_a_device(self, monkeypatch):
+        from repro.sim import AllocFailure, FaultPlan
+
+        sched = self.check(monkeypatch, faults=FaultPlan(
+            alloc_failures=[AllocFailure(device=1, nth_alloc=6)]
+        ))
+        assert sched.alive_devices == (0, 2, 3)
+
+    def test_straggler_reweighting(self, monkeypatch):
+        from repro.sim import FaultPlan, Straggler
+
+        sched = self.check(monkeypatch, n=256, faults=FaultPlan(
+            stragglers=[Straggler(device=1, compute_factor=4.0)],
+            mitigate_stragglers=True,
+        ))
+        assert sched._weights is not None
+
+    def test_leases_reuse_freed_datum_ids(self, monkeypatch):
+        # Every lease builds a scheduler and binds fresh datums; a freed
+        # datum's id is often taken by the next lease's. Records hold
+        # their datums, so an id match alone never replays a record.
+        from tests.server.test_plan_sharing import (
+            UncachedScheduler,
+            observables,
+            run,
+            specs,
+        )
+
+        import weakref
+
+        seen: dict[int, set[int]] = {}
+        lease = [0, lambda: None]  # ordinal, weakref to its scheduler
+
+        class Spy(Scheduler):
+            def _submit(self, kernel, containers, grid, constants):
+                if lease[1]() is not self:
+                    lease[:] = [lease[0] + 1, weakref.ref(self)]
+                for c in containers:
+                    seen.setdefault(id(c.datum), set()).add(lease[0])
+                return super()._submit(kernel, containers, grid, constants)
+
+        oracle_srv, oracle = run(
+            monkeypatch, UncachedScheduler, specs(2, n=60, faults=False))
+        srv, jobs = run(monkeypatch, Spy, specs(2, n=60, faults=False))
+        assert observables(srv, jobs) == observables(oracle_srv, oracle)
+        assert any(len(owners) > 1 for owners in seen.values())
+        for a, b in zip(jobs, oracle):
+            assert np.array_equal(a.spec.workload.result(),
+                                  b.spec.workload.result())
+
+    def test_record_answers_only_for_its_alive_set(self):
+        # A 16-row board runs on device 0 only, so retiring device 3
+        # leaves its plan cached; the record must still not answer for
+        # the new alive set, whose signature names another plan.
+        from repro.core import recovery
+
+        node = SimNode(GTX_780, 4, functional=False)
+        sched = Scheduler(node)
+        a, b = Matrix(16, 16, np.uint8, "A"), Matrix(16, 16, np.uint8, "B")
+        k = make_gol_kernel()
+        ping, pong = gol_containers(a, b), gol_containers(b, a)
+        sched.analyze_call(k, *ping)
+        sched.analyze_call(k, *pong)
+        for c in (ping, pong, ping):
+            sched.invoke(k, *c)
+        sched.wait_all()
+        plan = sched._prebound[next(iter(sched._prebound))].plan
+        assert plan.active == (0,)
+        recovery.recover(sched, 3, node.time)
+        assert plan.cached and sched.alive_devices == (0, 1, 2)
+        misses = sched.plans.misses
+        sched.invoke(k, *pong)
+        assert sched.plans.misses == misses + 1

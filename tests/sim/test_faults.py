@@ -4,6 +4,7 @@ Scheduler-level recovery is covered by tests/core/test_recovery.py; here
 we test the plan's own semantics and the engine surfacing typed faults.
 """
 
+import random
 import re
 
 import numpy as np
@@ -128,6 +129,84 @@ class TestFaultPlan:
         assert fp.backoff(4) == 4e-5  # capped
         with pytest.raises(ValueError):
             fp.backoff(0)
+
+
+def armed_reference(fp: FaultPlan, now: float) -> bool:
+    """``FaultPlan.armed`` as it scanned every spec on every call."""
+    if fp.link_faults_pending():
+        return True
+    now -= fp.epoch
+    for wins in fp._stragglers.values():
+        for s in wins:
+            if not s.healed(now) and (
+                s.compute_factor != 1.0 or s.bandwidth_factor != 1.0
+            ):
+                return True
+    return fp.mitigate_stragglers and (
+        fp.watchdog_patience <= 1.0 or fp.hedge_patience <= 1.0
+    )
+
+
+class TestArmed:
+    @staticmethod
+    def random_plan(rng: random.Random) -> FaultPlan:
+        def window():
+            start = rng.choice([0.0, 1.0, 2.5])
+            end = rng.choice([None, start, start + 1.0, start + 4.0])
+            return start, end
+
+        stragglers = []
+        for _ in range(rng.randrange(4)):
+            start, end = window()
+            stragglers.append(Straggler(
+                device=rng.randrange(3),
+                compute_factor=rng.choice([1.0, 1.0, 3.0]),
+                bandwidth_factor=rng.choice([1.0, 2.0]),
+                start=start, end=end,
+            ))
+        links = [
+            TransferFault(src=rng.choice([0, 1, HOST, None]),
+                          dst=rng.choice([0, 1, None]),
+                          nth=rng.randrange(1, 6), count=rng.randrange(1, 3))
+            for _ in range(rng.randrange(3))
+        ]
+        return FaultPlan(
+            seed=rng.randrange(100),
+            stragglers=stragglers,
+            transfer_faults=links,
+            transfer_fault_rate=rng.choice([0.0, 0.0, 0.0, 0.3]),
+            mitigate_stragglers=rng.random() < 0.5,
+            watchdog_patience=rng.choice([1.0, 2.0, 2.0]),
+            hedge_patience=rng.choice([1.0, 2.0, 2.0]),
+        )
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_reference_through_rebase_and_faults(self, seed):
+        rng = random.Random(seed)
+        fp = self.random_plan(rng)
+        for _ in range(60):
+            op = rng.random()
+            if op < 0.15:
+                fp.rebase(rng.choice([0.0, 0.5, 3.0, 7.25]))
+            elif op < 0.5:
+                fp.transfer_faults_now(rng.choice([0, 1, HOST]),
+                                       rng.choice([0, 1, HOST]))
+            now = rng.choice([0.0, 0.999, 1.0, 2.0, 3.5, 5.0, 6.5, 9.0,
+                              rng.uniform(0.0, 12.0)])
+            assert fp.armed(now) == armed_reference(fp, now)
+
+    def test_armed_time_is_constant(self):
+        # A quiet plan answers from the cached time: no spec is scanned.
+        fp = FaultPlan(
+            stragglers=[Straggler(device=d, compute_factor=2.0, end=1.0)
+                        for d in range(64)],
+            transfer_faults=[TransferFault(src=0, dst=1, nth=1)],
+        )
+        fp.transfer_faults_now(0, 1)
+        fp._stragglers = None  # a scan would now raise
+        fp.link_faults_pending = None
+        assert fp.armed(1.0) is False
+        assert fp.armed(0.5) is True
 
 
 class TestEngineFaults:
@@ -300,6 +379,23 @@ class TestUnarmedPlan:
         # command, time or byte, nor keep graph replay off its fast path.
         faults = FaultPlan(stragglers=stragglers, mitigate_stragglers=True)
         self.check_matches_no_plan(faults, graph)
+
+
+    def test_quiet_plan_skips_dispatch_checks(self):
+        # A healed straggler and an exhausted link fault leave the plan
+        # quiet: dispatch asks it nothing, and still matches no plan.
+        fp = FaultPlan(
+            stragglers=[Straggler(device=1, compute_factor=8.0, end=1e-12)],
+            transfer_faults=[TransferFault(src=0, dst=1, nth=1)],
+        )
+        assert fp.transfer_faults_now(0, 1)
+
+        def boom(*args):
+            raise AssertionError("dispatch queried a quiet plan")
+
+        fp.compute_factor = fp.transfer_factor = boom
+        fp.transfer_faults_now = boom
+        self.check_matches_no_plan(fp, graph=False)
 
 
 class TestLeaseRoundTrip:
