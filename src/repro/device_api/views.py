@@ -20,6 +20,8 @@ can observe, classify and report the violation with full context.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from typing import Optional, Sequence
 
 import numpy as np
@@ -60,6 +62,145 @@ def _scaled(work_rect: Rect, scales: Sequence[int]) -> Rect:
     )
 
 
+#: Bound on the window-geometry table, as for ``core/graph.py``'s compiled
+#: launch bodies: past it the least recently used geometry is dropped.
+_GEOMETRIES = 256
+
+
+def _index_map(
+    d: int, want, buffer_rect: Rect, n: int, boundary: Boundary,
+    lenient: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Buffer-local positions of the virtual positions ``want`` along dim
+    ``d``, and the mask of those that read as zero (the rules are
+    :meth:`WindowView._gather`'s)."""
+    lo, hi = buffer_rect[d].begin, buffer_rect[d].end
+    v = np.arange(want.begin, want.end, dtype=np.int64)
+    pos = np.full(v.size, -1, dtype=np.int64)
+    zero = np.zeros(v.size, dtype=bool)
+    if boundary is Boundary.WRAP:
+        # Prefer the in-datum (identity) image: kernel writes and copies
+        # keep it current, while a halo image the buffer happens to retain
+        # (e.g. after fault recovery grew it to a full period) may be
+        # stale — the analyzer plans no halo copies when a device holds
+        # the whole dimension. Otherwise the first held of v, v-n, v+n.
+        images = (v, v - n, v + n)
+        for c in images:
+            hit = (pos < 0) & (c >= 0) & (c < n) & (c >= lo) & (c < hi)
+            pos[hit] = c[hit] - lo
+        for c in images:
+            hit = (pos < 0) & (c >= lo) & (c < hi)
+            pos[hit] = c[hit] - lo
+    elif boundary is Boundary.CLAMP:
+        c = np.clip(v, 0, n - 1)
+        hit = (c >= lo) & (c < hi)
+        pos[hit] = c[hit] - lo
+    else:  # ZERO / NO_CHECKS: only positions outside the datum are zeros
+        zero = (v < 0) | (v >= n)
+        hit = ~zero & (v >= lo) & (v < hi)
+        pos[hit] = v[hit] - lo
+        pos[zero] = 0
+    missing = pos < 0
+    if missing.any():
+        if not lenient:
+            raise DeviceError(
+                f"window position {int(v[missing.argmax()])} (dim {d}) has "
+                f"no backing data in buffer extent {buffer_rect} "
+                f"(boundary {boundary.value})"
+            )
+        pos[missing] = 0
+        zero |= missing
+    return pos, zero
+
+
+def _run(pos: np.ndarray, zero: np.ndarray) -> slice | None:
+    """``pos`` as a slice, when it is one ascending run with no zeros."""
+    if zero.any() or not (np.diff(pos) == 1).all():
+        return None
+    start = int(pos[0]) if pos.size else 0
+    return slice(start, start + pos.size)
+
+
+class _Gather:
+    """How to copy one virtual-coordinate rect out of a buffer's array:
+    one slice per dimension, or one ``np.ix_`` index and the zero masks."""
+
+    __slots__ = ("slices", "index", "zeros")
+
+    def __init__(
+        self, want: Rect, buffer_rect: Rect, shape: tuple[int, ...],
+        boundary: Boundary, lenient: bool,
+    ):
+        maps = [
+            _index_map(d, want[d], buffer_rect, shape[d], boundary, lenient)
+            for d in range(want.ndim)
+        ]
+        runs = [_run(pos, zero) for pos, zero in maps]
+        if all(r is not None for r in runs):
+            self.slices = tuple(runs)
+            self.index = None
+            self.zeros = ()
+            return
+        self.slices = None
+        self.index = np.ix_(*[pos for pos, _ in maps])
+        self.zeros = tuple(
+            tuple(zero if e == d else slice(None) for e in range(want.ndim))
+            for d, (_, zero) in enumerate(maps) if zero.any()
+        )
+
+    def take(self, arr: np.ndarray) -> np.ndarray:
+        """A fresh array (never a view of ``arr``) of the gathered rect."""
+        if self.slices is not None:
+            return arr[self.slices].copy()
+        out = arr[self.index]
+        for z in self.zeros:
+            out[z] = 0
+        return out
+
+
+class _Geometry:
+    """A window view's geometry, a pure function of its table key: the
+    center and padded rects, the padded rect's gather, and the
+    padded-array slices of every in-radius offset (in
+    ``itertools.product`` order, the order of :meth:`WindowView.
+    neighborhood_sum`)."""
+
+    __slots__ = (
+        "center_rect", "padded_rect", "gather", "offsets", "center",
+        "window", "neighbors",
+    )
+
+    def __init__(
+        self, radius: tuple[int, ...], boundary: Boundary,
+        work_shape: tuple[int, ...], shape: tuple[int, ...],
+        work_rect: Rect, buffer_rect: Rect,
+    ):
+        center = _scaled(work_rect, _scales(work_shape, shape))
+        self.center_rect = center
+        self.padded_rect = center.expand(list(radius))
+        self.gather = _Gather(
+            self.padded_rect, buffer_rect, shape, boundary, lenient=False
+        )
+        self.offsets = {
+            offs: tuple(
+                slice(r + o, r + o + s)
+                for r, o, s in zip(radius, offs, center.shape)
+            )
+            for offs in itertools.product(*[range(-r, r + 1) for r in radius])
+        }
+        self.center = self.offsets[(0,) * len(radius)]
+        self.window = tuple(self.offsets.values())
+        self.neighbors = tuple(
+            sl for offs, sl in self.offsets.items() if any(offs)
+        )
+
+
+#: The geometry table: one entry per (radius, boundary, work shape, datum
+#: shape, work rect, buffer rect), shared by every scheduler and lease. A
+#: geometry with no backing data raises, and is not cached.
+_geometry = functools.lru_cache(maxsize=_GEOMETRIES)(_Geometry)
+
+
 class _Recording:
     """Mixin wiring a view to an optional access recorder."""
 
@@ -86,6 +227,11 @@ class WindowView(_Recording):
     the same-shaped region shifted by the given per-dimension offsets
     (|o_d| <= radius_d) — the vectorized equivalent of the paper's
     relative-coordinate iterator access.
+
+    The view's geometry (its center and padded rects, how each padded
+    position maps into the buffer, and the padded-array slice of every
+    in-radius offset) comes from the shared geometry table, so a steady
+    view costs one table lookup and one gather.
     """
 
     def __init__(
@@ -98,101 +244,62 @@ class WindowView(_Recording):
         index: int = 0,
     ):
         self.container = container
-        datum = container.datum
         self.radius = container.radius
-        scales = _scales(work_shape, datum.shape)
-        self.center_rect = _scaled(work_rect, scales)
         self._attach(recorder, index)
         self._buffer = buffer
-        self._shape = tuple(datum.shape)
-        self._padded = self._gather(
-            self.center_rect.expand(list(self.radius)), lenient=False
+        self._shape = tuple(container.datum.shape)
+        arr = buffer.view(buffer.rect)
+        geo = _geometry(
+            self.radius, container.boundary, tuple(work_shape), self._shape,
+            work_rect, buffer.rect,
         )
+        self._geo = geo
+        self.center_rect = geo.center_rect
+        self._padded = geo.gather.take(arr)
 
     def _gather(self, want: Rect, lenient: bool) -> np.ndarray:
         """Materialize an arbitrary virtual-coordinate rect from the buffer.
 
         Each position maps to a buffer position: directly where the
         framework placed halo data; modularly when the buffer holds the
-        full period of a wrapped dimension; clamped to the nearest edge
-        under CLAMP; or to synthesized zeros under ZERO/NO_CHECKS. The
-        mapping is materialized as per-dimension index arrays and gathered
-        with successive ``np.take`` calls. Positions with no backing data
-        raise DeviceError — except in ``lenient`` (sanitize) mode, where
-        they resolve to zeros so the access can be recorded and reported
-        instead of aborting the kernel.
+        full period of a wrapped dimension (the in-datum image first, then
+        ``v``, ``v - n``, ``v + n``); clamped to the nearest edge under
+        CLAMP. Under ZERO/NO_CHECKS a position outside the datum is a
+        synthesized zero. Any other position — including an in-datum one
+        the buffer does not hold, under every boundary — has no backing
+        data and raises DeviceError, except in ``lenient`` (sanitize)
+        mode, where it resolves to zero so the access can be recorded and
+        reported instead of aborting the kernel.
+
+        The per-dimension maps are built with numpy (:func:`_index_map`);
+        a dimension that maps to one contiguous buffer run becomes a
+        slice. The result is always a fresh array: one slice copy when
+        every dimension is a slice, else one ``np.ix_`` gather followed by
+        masked zeroing. A view's own padded rect goes through the same
+        code once per geometry (``_geometry``); this method serves
+        the uncached lenient reads of sanitize mode.
         """
         buffer = self._buffer
-        shape = self._shape
         arr = buffer.view(buffer.rect)
-        boundary = self.container.boundary
-        index_lists: list[np.ndarray] = []
-        zero_masks: list[np.ndarray] = []
-        for d in range(want.ndim):
-            lo, hi = buffer.rect[d].begin, buffer.rect[d].end
-            n = shape[d]
-            idxs = np.empty(want[d].size, dtype=np.int64)
-            mask = np.zeros(want[d].size, dtype=bool)
-            for i, v in enumerate(range(want[d].begin, want[d].end)):
-                pos: int | None = None
-                if boundary is Boundary.WRAP:
-                    # Prefer the in-datum (identity) position: kernel
-                    # writes and copies keep it current, while a halo
-                    # image the buffer happens to retain (e.g. after
-                    # fault recovery grew it to a full period) may be
-                    # stale — the analyzer plans no halo copies when a
-                    # device holds the whole dimension.
-                    cands = sorted(
-                        (v, v - n, v + n), key=lambda c: not 0 <= c < n
-                    )
-                    for cand in cands:
-                        if lo <= cand < hi:
-                            pos = cand - lo
-                            break
-                elif boundary is Boundary.CLAMP:
-                    c = min(max(v, 0), n - 1)
-                    if lo <= c < hi:
-                        pos = c - lo
-                else:  # ZERO / NO_CHECKS
-                    if 0 <= v < n and lo <= v < hi:
-                        pos = v - lo
-                    else:
-                        pos = 0
-                        mask[i] = True
-                if pos is None:
-                    if lenient:
-                        pos = 0
-                        mask[i] = True
-                    else:
-                        raise DeviceError(
-                            f"window position {v} (dim {d}) has no backing "
-                            f"data in buffer extent {buffer.rect} "
-                            f"(boundary {boundary.value})"
-                        )
-                idxs[i] = pos
-            index_lists.append(idxs)
-            zero_masks.append(mask)
-        out = arr
-        for d, idxs in enumerate(index_lists):
-            out = np.take(out, idxs, axis=d)
-        if any(m.any() for m in zero_masks):
-            out = out.copy()
-            for d, m in enumerate(zero_masks):
-                if m.any():
-                    sl = [slice(None)] * want.ndim
-                    sl[d] = m
-                    out[tuple(sl)] = 0
-        return out
+        return _Gather(
+            want, buffer.rect, self._shape, self.container.boundary, lenient
+        ).take(arr)
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.center_rect.shape
 
     def center(self) -> np.ndarray:
+        if self._recorder is None:
+            return self._padded[self._geo.center]
         return self.offset(*([0] * self.center_rect.ndim))
 
     def offset(self, *offsets: int) -> np.ndarray:
         """The center-shaped region shifted by per-dimension offsets."""
+        if self._recorder is None:
+            sl = self._geo.offsets.get(offsets)
+            if sl is not None:
+                return self._padded[sl]
         if len(offsets) != self.center_rect.ndim:
             raise DeviceError(
                 f"offset needs {self.center_rect.ndim} components"
@@ -221,34 +328,41 @@ class WindowView(_Recording):
                 kind="over-radius-read",
                 container_index=self._rec_index,
                 rect=want,
-                declared=self.center_rect.expand(list(self.radius)),
+                declared=self._geo.padded_rect,
                 detail=(
                     f"offsets {tuple(offsets)} exceed declared window "
                     f"radius {self.radius}"
                 ),
             ))
             return self._gather(want, lenient=True)
-        slices = []
-        for d, off in enumerate(offsets):
-            start = self.radius[d] + off
-            slices.append(slice(start, start + self.center_rect.shape[d]))
-        return self._padded[tuple(slices)]
+        return self._padded[self._geo.offsets[offsets]]
 
     def neighborhood_sum(self, include_center: bool = False) -> np.ndarray:
         """Sum over the full window (minus the center unless requested) —
-        a convenience for stencil kernels like the Game of Life."""
-        import itertools
+        a convenience for stencil kernels like the Game of Life.
 
-        acc = None
-        for offs in itertools.product(
-            *[range(-r, r + 1) for r in self.radius]
-        ):
-            if not include_center and all(o == 0 for o in offs):
-                continue
-            v = self.offset(*offs)
-            acc = v.copy() if acc is None else acc + v
-        if acc is None:
-            acc = self.center().copy()
+        Terms are added in ``itertools.product`` offset order, the first
+        copied and the rest added in place, so float sums do not depend
+        on whether a recorder is attached (which routes every term
+        through :meth:`offset`, so the sanitizer sees each read).
+        """
+        geo = self._geo
+        if self._recorder is None:
+            padded = self._padded
+            terms = [
+                padded[sl]
+                for sl in (geo.window if include_center else geo.neighbors)
+            ]
+        else:
+            terms = [
+                self.offset(*offs)
+                for offs in geo.offsets if include_center or any(offs)
+            ]
+        if not terms:
+            return self.center().copy()
+        acc = terms[0].copy()
+        for v in terms[1:]:
+            acc += v
         return acc
 
 

@@ -229,3 +229,50 @@ class TestOutputViews:
         )
         with pytest.raises(DeviceError):
             hv.out_view.max_at(np.array([0]), np.array([1]))
+
+
+class TestUnheldDatumData:
+    """Only positions outside the datum are synthesized zeros: under every
+    boundary, an in-datum position the buffer does not hold has no backing
+    data (strict mode raises, lenient mode reads zero)."""
+
+    @staticmethod
+    def view_parts(boundary, rows):
+        data = np.arange(64, dtype=np.int32).reshape(8, 8)
+        node = SimNode(GTX_780, 1, functional=True)
+        c = Window2D(from_array(data, "m"), 1, boundary)
+        buf = node.devices[0].memory.allocate(
+            0, Rect((0, rows), (0, 8)), data.dtype
+        )
+        buf.view(buf.rect)[...] = data[:rows]
+        return c, buf
+
+    @pytest.mark.parametrize("boundary", [Boundary.ZERO, Boundary.NO_CHECKS])
+    def test_zero_window_raises_for_unheld_row(self, boundary):
+        # Datum row 4 (values 32-39) is the padded last row; the buffer
+        # holds rows [0, 4). It used to come back as zeros.
+        c, buf = self.view_parts(boundary, 4)
+        with pytest.raises(
+            DeviceError,
+            match=r"window position 4 \(dim 0\) has no backing data",
+        ):
+            make_view(c, buf, (8, 8), Rect((0, 4), (0, 8)))
+
+    @pytest.mark.parametrize("boundary", [WRAP, Boundary.CLAMP])
+    def test_wrap_and_clamp_raise_on_the_same_buffer(self, boundary):
+        c, buf = self.view_parts(boundary, 4)
+        with pytest.raises(DeviceError, match="has no backing data"):
+            WindowView(c, buf, (8, 8), Rect((0, 4), (0, 8)))
+
+    def test_lenient_reads_unheld_row_as_zero(self):
+        c, buf = self.view_parts(Boundary.ZERO, 5)
+        w = WindowView(c, buf, (8, 8), Rect((0, 4), (0, 8)))
+        assert (w.offset(1, 0)[-1] == np.arange(32, 40)).all()
+        want = Rect((-1, 6), (0, 8))
+        with pytest.raises(DeviceError, match=r"window position 5 \(dim 0\)"):
+            w._gather(want, lenient=False)
+        got = w._gather(want, lenient=True)
+        expect = np.zeros((7, 8), np.int32)
+        expect[1:6] = np.arange(40, dtype=np.int32).reshape(5, 8)
+        assert got.dtype == expect.dtype
+        assert (got == expect).all()
