@@ -101,7 +101,7 @@ def main() -> None:
     assert sorted(rejoin.monitor.slabs) == [0, 1, 2, 3]
     assert plan.nodes_readmitted == 1
     admitted = next(
-        e for e in rejoin.membership_log if e.action == "re-admit"
+        e for e in rejoin.log if e.action == "re-admit"
     )
     print(
         f"crash, then repair:  {rejoin.time * 1e3:6.2f} ms "

@@ -175,16 +175,16 @@ def main(argv: list[str] | None = None) -> int:
         "experiments",
     )
     modes.add_argument(
+        "--json",
+        metavar="PATH",
+        help="output path of the mode's results (default: "
+        "BENCH_<mode>.json)",
+    )
+    modes.add_argument(
         "--overhead",
         action="store_true",
         help="measure host-path overhead (plan cache off vs on) and write "
         "BENCH_overhead.json",
-    )
-    modes.add_argument(
-        "--overhead-json",
-        default="BENCH_overhead.json",
-        metavar="PATH",
-        help="output path for --overhead results (default: %(default)s)",
     )
     modes.add_argument(
         "--graph-floor",
@@ -202,23 +202,11 @@ def main(argv: list[str] | None = None) -> int:
         "transient / straggler scenarios) and write BENCH_faults.json",
     )
     modes.add_argument(
-        "--faults-json",
-        default="BENCH_faults.json",
-        metavar="PATH",
-        help="output path for --faults results (default: %(default)s)",
-    )
-    modes.add_argument(
         "--pressure",
         action="store_true",
         help="measure graceful degradation under device-memory pressure "
         "(capacity clamped to 1.0/0.6/0.3/0.1x of the in-core working "
         "set) and write BENCH_pressure.json",
-    )
-    modes.add_argument(
-        "--pressure-json",
-        default="BENCH_pressure.json",
-        metavar="PATH",
-        help="output path for --pressure results (default: %(default)s)",
     )
     modes.add_argument(
         "--stragglers",
@@ -228,22 +216,10 @@ def main(argv: list[str] | None = None) -> int:
         "write BENCH_stragglers.json",
     )
     modes.add_argument(
-        "--stragglers-json",
-        default="BENCH_stragglers.json",
-        metavar="PATH",
-        help="output path for --stragglers results (default: %(default)s)",
-    )
-    modes.add_argument(
         "--sanitize",
         action="store_true",
         help="measure the sanitizer's functional-mode overhead (recording "
         "on vs off) and write BENCH_sanitize.json",
-    )
-    modes.add_argument(
-        "--sanitize-json",
-        default="BENCH_sanitize.json",
-        metavar="PATH",
-        help="output path for --sanitize results (default: %(default)s)",
     )
     modes.add_argument(
         "--server",
@@ -253,24 +229,12 @@ def main(argv: list[str] | None = None) -> int:
         "DESIGN.md §13) and write BENCH_server.json",
     )
     modes.add_argument(
-        "--server-json",
-        default="BENCH_server.json",
-        metavar="PATH",
-        help="output path for --server results (default: %(default)s)",
-    )
-    modes.add_argument(
         "--serving",
         action="store_true",
         help="measure serving under open-loop load (Poisson + bursty "
         "traces at 0.5x/1x/2x/4x capacity; dynamic batching, replica "
         "autoscaling, latency SLOs; DESIGN.md §14) and write "
         "BENCH_serving.json",
-    )
-    modes.add_argument(
-        "--serving-json",
-        default="BENCH_serving.json",
-        metavar="PATH",
-        help="output path for --serving results (default: %(default)s)",
     )
     modes.add_argument(
         "--serving-requests",
@@ -295,12 +259,6 @@ def main(argv: list[str] | None = None) -> int:
         "fault-recovery overhead (node crash / partition / slow link, "
         "bit-identity asserted; DESIGN.md §15) and write "
         "BENCH_cluster.json",
-    )
-    modes.add_argument(
-        "--cluster-json",
-        default="BENCH_cluster.json",
-        metavar="PATH",
-        help="output path for --cluster results (default: %(default)s)",
     )
     modes.add_argument(
         "--cluster-max-overhead",
@@ -342,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, mode):
             results = measure()
             print(report(results))
-            path = getattr(args, f"{mode}_json")
+            path = args.json or f"BENCH_{mode}.json"
             write_json(results, path)
             print(f"wrote {path}")
             return 0

@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.bench.reporting import fmt_table
 from repro.cluster import (
+    MEMBERSHIP_ACTIONS,
     ClusterFaultPlan,
     ClusterMaster,
     NodeCrash,
@@ -137,7 +138,9 @@ def _run_recovery(
         "events": [type(e).__name__ for e in cs.events],
     }
     if fp.node_repairs:
-        stats["membership"] = [e.action for e in cs.membership_log]
+        stats["membership"] = [
+            e.action for e in cs.log if e.action in MEMBERSHIP_ACTIONS
+        ]
         stats["nodes_readmitted"] = fp.nodes_readmitted
         stats["replicas_shipped"] = fp.replicas_shipped
     return cs.board(), stats, cs

@@ -10,19 +10,19 @@ from repro.cluster.faults import (
     Partition,
     SlowLink,
 )
-from repro.cluster.master import ClusterMaster, MembershipEvent
-from repro.cluster.monitor import CheckpointRecord, ClusterMonitor, GhostRecord
+from repro.cluster.master import MEMBERSHIP_ACTIONS, ClusterEvent, ClusterMaster
+from repro.cluster.monitor import CheckpointRecord, ClusterMonitor
 from repro.cluster.network import ClusterNetwork, NetworkCalibration
 
 __all__ = [
     "ClusterNetwork",
     "NetworkCalibration",
     "ClusterMaster",
-    "MembershipEvent",
+    "ClusterEvent",
+    "MEMBERSHIP_ACTIONS",
     "NodeAgent",
     "ClusterMonitor",
     "CheckpointRecord",
-    "GhostRecord",
     "ClusterFaultPlan",
     "NodeCrash",
     "NodeRepair",

@@ -36,9 +36,9 @@ Recovery (the tentpole protocol):
    :meth:`_declared_dead`), crashes mid-compute, lands on the wrong side
    of a partition past the retry budget, or escalates an intra-node
    :class:`~repro.errors.UnrecoverableError`.
-2. **Fence** — the node is marked dead (crash: host memory poisoned) or
-   fenced (partition: intact but excluded until repaired), and the typed
-   error is appended to :attr:`events`.
+2. **Fence** — the typed error is logged as a ``"failure"`` entry, and
+   the node is marked dead (crash: host memory poisoned) or fenced
+   (partition: intact but excluded until repaired).
 3. **Check** — partitions need the master to keep a strict majority;
    every board row needs a surviving checkpoint replica
    (:meth:`ClusterMonitor.coverage_gap`). Otherwise
@@ -54,7 +54,9 @@ Recovery (the tentpole protocol):
 6. **Cross-check** — edge rows the dead node had shipped into surviving
    neighbours' ghost regions are compared against the replayed rows once
    the replay re-reaches the failure tick (``"ghost-mismatch"`` if the
-   recovered state diverges).
+   recovered state diverges). The holders are derived from the ring of
+   the last completed exchange: a node's upper neighbour holds its top
+   edge rows and its lower neighbour its bottom ones.
 
 Elastic membership (when the fault plan schedules
 :class:`~repro.cluster.faults.NodeRepair` events): a repaired node
@@ -68,23 +70,28 @@ replication factor), and ``reslab_on_rejoin`` additionally re-runs the
 decomposition over the enlarged survivor set through the same
 rewind+replay ladder as recovery. A node exceeding ``max_flaps``
 crash→repair cycles is permanently banned
-(:class:`~repro.errors.NodeBannedError`). Every transition is recorded
-as a :class:`MembershipEvent` in :attr:`ClusterMaster.membership_log`.
-With no repair events planned the membership pass finds nothing to do:
-no node leaves the ring without a rollback, so there are no idle spares
-to sweep or top up, and the schedule is the repair-free protocol.
+(:class:`~repro.errors.NodeBannedError`). With no repair events planned
+the membership pass finds nothing to do: no node leaves the ring without
+a rollback, so there are no idle spares to sweep or top up, and the
+schedule is the repair-free protocol.
+
+The master keeps one event log, :attr:`ClusterMaster.log`: a
+:class:`ClusterEvent` per typed failure, membership transition and
+recovery resume point, in the order they happen. :attr:`~ClusterMaster.
+events` (the typed errors) and :meth:`~ClusterMaster.membership_stats`
+are views over it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.cluster.agent import NodeAgent
 from repro.cluster.faults import ClusterFaultPlan
-from repro.cluster.monitor import ClusterMonitor, GhostRecord
+from repro.cluster.monitor import ClusterMonitor
 from repro.cluster.network import ClusterNetwork, NetworkCalibration
 from repro.core import Kernel
 from repro.errors import (
@@ -99,25 +106,42 @@ from repro.errors import (
 from repro.hardware.specs import GPUSpec
 
 
-@dataclass(frozen=True)
-class MembershipEvent:
-    """One membership transition, stamped with simulated cluster time —
-    the cluster-level mirror of
-    :class:`~repro.serving.autoscaler.ScalingEvent`.
+#: Log actions that change the member set (counted by
+#: :meth:`ClusterMaster.membership_stats`); the log's other actions are
+#: ``"failure"`` and ``"resume"``.
+MEMBERSHIP_ACTIONS = frozenset({
+    "dead", "fence", "repair-announce", "probation-start",
+    "probation-fail", "re-admit", "re-replicate", "reslab", "ban",
+})
 
-    ``action`` is one of ``"dead"`` / ``"fence"`` (a node leaves the
-    member set), ``"repair-announce"`` (a repaired node contacts the
-    master), ``"probation-start"`` / ``"probation-fail"``, ``"re-admit"``
-    (probation passed, node is an idle spare again), ``"re-replicate"``
-    (anti-entropy shipped checkpoint regions to the rejoined node),
-    ``"reslab"`` (the decomposition was re-run over the enlarged
-    survivor set) or ``"ban"`` (flap damping made the exclusion
-    permanent)."""
+
+@dataclass(frozen=True)
+class ClusterEvent:
+    """One entry of the master's event log, stamped with simulated cluster
+    time and the master's tick (the last completed one).
+
+    ``action`` is ``"failure"`` (a typed node loss detected during a tick
+    attempt, handled by the recovery that follows), ``"resume"`` (that
+    recovery rebuilt the cluster and replays from ``tick``; ``node`` is
+    None) or one of :data:`MEMBERSHIP_ACTIONS`: ``"dead"`` / ``"fence"``
+    (a node leaves the member set), ``"repair-announce"`` (a repaired
+    node contacts the master), ``"probation-start"`` /
+    ``"probation-fail"``, ``"re-admit"`` (probation passed, node is an
+    idle spare again), ``"re-replicate"`` (anti-entropy shipped
+    checkpoint regions to the rejoined node), ``"reslab"`` (the
+    decomposition was re-run over the enlarged survivor set) or
+    ``"ban"`` (flap damping made the exclusion permanent).
+
+    ``error`` is the typed exception of a ``"failure"``, of a ``"dead"``
+    idle spare and of a ``"ban"``; its message is the entry's ``detail``,
+    so two logs compare equal by value."""
 
     time: float
-    node: int
+    node: int | None
     action: str
-    detail: str = ""
+    detail: str
+    tick: int
+    error: Exception | None = field(default=None, compare=False, repr=False)
 
 
 class _Unreachable(Exception):
@@ -212,13 +236,9 @@ class ClusterMaster:
             faults = ClusterFaultPlan(checkpoint_interval=None)
         self.faults: ClusterFaultPlan = faults
         self.network = ClusterNetwork(num_nodes, network)
-        self.monitor = ClusterMonitor(rows, cols, radius, 4)
-        #: Typed failure errors in detection order (observability).
-        self.events: list[Exception] = []
-        #: One dict per recovery, for reports and tests.
-        self.recovery_log: list[dict] = []
-        #: Membership audit log (elastic membership; see MembershipEvent).
-        self.membership_log: list[MembershipEvent] = []
+        #: The event log (see :class:`ClusterEvent`), in the order the
+        #: master saw the events.
+        self.log: list[ClusterEvent] = []
         #: node -> cluster time of its last (re-)admission: liveness
         #: checks only look at crashes *after* this, so a node that
         #: crashed, was repaired and re-admitted is not re-condemned for
@@ -246,9 +266,7 @@ class ClusterMaster:
                 functional,
                 faults=faults.node_plans.get(i),
             )
-        self.monitor.node_monitors = {
-            i: ag.sched.monitor for i, ag in self.agents.items()
-        }
+        self.monitor = ClusterMonitor(rows, cols, radius, 4, self.agents)
         slabs = self.monitor.assign(
             list(range(num_nodes)), min_rows=radius + 1
         )
@@ -266,6 +284,8 @@ class ClusterMaster:
         self._clock = 0.0
         #: Monotonic checkpoint id (agents' store key; see monitor).
         self._ckpt_seq = 0
+        #: The last completed ghost exchange: (tick, node -> slab rows).
+        self._exchanged: tuple[int, dict[int, tuple[int, int]]] | None = None
         #: Pending ghost-replica integrity probes: (tick, lo, hi, data).
         self._ghost_checks: list[tuple[int, int, int, np.ndarray | None]] = []
         if faults.checkpoint_interval is not None:
@@ -498,8 +518,7 @@ class ClusterMaster:
         src_i, dst_i = tick % 2, (tick + 1) % 2
         ring = self.monitor.order()
         multi = len(ring) > 1 or self.wrap
-        r = self.radius
-        nbytes = r * self.cols * 4
+        nbytes = self.radius * self.cols * 4
 
         # Phase A: dispatch the tick command (reachability check; free on
         # delivery, but transient partitions delay a node's start).
@@ -530,7 +549,6 @@ class ClusterMaster:
             raise _Unreachable(lost)
 
         # Phase C: ghost exchange over the fabric.
-        ghost_records: list[GhostRecord] = []
         done = dict(finish)
         if multi:
             for pos, n in enumerate(ring):
@@ -554,12 +572,6 @@ class ClusterMaster:
                     jag.write_ghost(
                         dst_i, dst_rect, ag.edge_data(dst_i, src_rect)
                     )
-                    g_lo, g_hi = (
-                        (ag.lo, ag.lo + r) if is_top else (ag.hi - r, ag.hi)
-                    )
-                    ghost_records.append(
-                        GhostRecord(j, g_lo, g_hi, tick + 1)
-                    )
         if not self.wrap:
             # Global edges have no neighbor: their ghosts are empty
             # space, re-zeroed (the tick wrote stencil outputs there).
@@ -574,7 +586,7 @@ class ClusterMaster:
         fp.heartbeats_sent += len(ring)
         self._barrier(ring, barrier)
         self.tick = tick + 1
-        self.monitor.record_ghosts(ghost_records)
+        self._exchanged = (self.tick, dict(self.monitor.slabs))
         self._run_ghost_checks()
         every = fp.checkpoint_interval
         if every is not None and self.tick % every == 0:
@@ -680,24 +692,42 @@ class ClusterMaster:
         self.agents[dst].store_peer_ckpt(owner, cid, lo, hi, data)
         return arrival
 
-    # -- elastic membership ---------------------------------------------------
-    def _log_member(self, time: float, node: int, action: str, detail: str = "") -> None:
-        self.membership_log.append(
-            MembershipEvent(time=time, node=node, action=action, detail=detail)
+    # -- the event log --------------------------------------------------------
+    def _log(
+        self,
+        time: float,
+        node: int | None,
+        action: str,
+        detail: str = "",
+        error: Exception | None = None,
+    ) -> None:
+        """Append one entry stamped with the current tick; an error's
+        message is its detail."""
+        if error is not None:
+            detail = str(error)
+        self.log.append(
+            ClusterEvent(time, node, action, detail, self.tick, error)
         )
 
+    @property
+    def events(self) -> list[Exception]:
+        """The typed errors of the log, in detection order."""
+        return [e.error for e in self.log if e.error is not None]
+
     def membership_stats(self) -> dict:
-        """Per-action counts over the membership audit log, plus the
-        current status map (reported by ``repro.bench --cluster``)."""
+        """Per-action counts over the log's membership transitions, plus
+        the current status map."""
         counts: dict[str, int] = {}
-        for ev in self.membership_log:
-            counts[ev.action] = counts.get(ev.action, 0) + 1
+        for ev in self.log:
+            if ev.action in MEMBERSHIP_ACTIONS:
+                counts[ev.action] = counts.get(ev.action, 0) + 1
         return {
-            "events": len(self.membership_log),
+            "events": sum(counts.values()),
             "actions": counts,
             "status": dict(self.monitor.status),
         }
 
+    # -- elastic membership ---------------------------------------------------
     def _membership_tick(self) -> None:
         """Drive the membership state machine up to the master clock:
         sweep crashed spares, process due repair announcements, and
@@ -734,8 +764,7 @@ class ClusterMaster:
             self.monitor.mark_dead(n)
             self.agents[n].crash(t_c)
             fp.nodes_lost += 1
-            self.events.append(err)
-            self._log_member(err.time, n, "dead", "idle spare lost")
+            self._log(err.time, n, "dead", error=err)
 
     def _check_repairs(self, now: float) -> bool:
         """Process repair announcements due by ``now``; returns whether
@@ -759,7 +788,7 @@ class ClusterMaster:
                 else:
                     # Already a member (stale repair) or banned: consume.
                     if status == "banned":
-                        self._log_member(
+                        self._log(
                             reps[i], n, "repair-announce", "ignored: banned"
                         )
                     i += 1
@@ -774,9 +803,7 @@ class ClusterMaster:
         fp.nodes_repaired += 1
         self._flaps[node] = self._flaps.get(node, 0) + 1
         flaps = self._flaps[node]
-        self._log_member(
-            t_repair, node, "repair-announce", f"flap {flaps}"
-        )
+        self._log(t_repair, node, "repair-announce", f"flap {flaps}")
         if flaps > fp.max_flaps:
             self.monitor.mark_banned(node)
             fp.nodes_banned += 1
@@ -789,17 +816,13 @@ class ClusterMaster:
                 time=t_ban,
                 flaps=flaps,
             )
-            self.events.append(err)
-            self._log_member(
-                t_ban, node, "ban",
-                f"{flaps} flaps > max_flaps={fp.max_flaps}",
-            )
+            self._log(t_ban, node, "ban", error=err)
             return
         start = max(now, t_repair) + fp.rejoin_backoff(flaps)
         deadline = start + fp.probation_interval
         self._probation[node] = (t_repair, start, deadline)
         self.monitor.mark_probation(node)
-        self._log_member(
+        self._log(
             start, node, "probation-start",
             f"clean heartbeats until t={deadline:.6f}s",
         )
@@ -827,7 +850,7 @@ class ClusterMaster:
                 self.monitor.mark_dead(n)
             else:
                 self.monitor.mark_fenced(n)
-            self._log_member(deadline, n, "probation-fail", detail)
+            self._log(deadline, n, "probation-fail", detail)
         return changed
 
     def _probation_verdict(
@@ -866,16 +889,13 @@ class ClusterMaster:
         ag = self.agents[node]
         ag.revive(t)
         self.monitor.mark_admitted(node)
-        self.monitor.node_monitors[node] = ag.sched.monitor
         self._member_since[node] = t
         fp.nodes_readmitted += 1
-        self._log_member(
-            t, node, "re-admit", "idle spare after clean probation"
-        )
+        self._log(t, node, "re-admit", "idle spare after clean probation")
         t_done = self._re_replicate(node, t)
         if fp.reslab_on_rejoin:
             fp.reslabs += 1
-            self._log_member(
+            self._log(
                 t_done, node, "reslab",
                 "re-running the decomposition over the enlarged survivor set",
             )
@@ -918,7 +938,7 @@ class ClusterMaster:
             t_done = max(t_done, arrival)
         self._barrier(self.monitor.live_nodes(), t_done)
         if shipped:
-            self._log_member(
+            self._log(
                 t_done, node, "re-replicate",
                 f"{shipped} checkpoint region(s)",
             )
@@ -931,7 +951,9 @@ class ClusterMaster:
         now = max(self._clock, u.at)
         pre_live = self.monitor.live_nodes()
         old_slabs = dict(self.monitor.slabs)
-        self.events.extend(u.errors)
+        for e in u.errors:
+            node = e.node if isinstance(e, NodeFailure) else e.dst
+            self._log(e.time, node, "failure", error=e)
 
         # Partitions must leave the master a strict majority; otherwise
         # fencing would resolve a split-brain by fiat.
@@ -957,20 +979,12 @@ class ClusterMaster:
                     self._crash_since(n, now) if cause == "crash" else None
                 )
                 self.agents[n].crash(now if t_c is None else t_c)
-                self._log_member(now, n, "dead", f"cause={cause}")
+                self._log(now, n, "dead", f"cause={cause}")
             else:  # partition / faulty link: intact but excluded
                 self.monitor.mark_fenced(n)
-                self._log_member(now, n, "fence", f"cause={cause}")
+                self._log(now, n, "fence", f"cause={cause}")
             fp.nodes_lost += 1
         fp.recoveries += 1
-        self.recovery_log.append(
-            {
-                "at": now,
-                "tick": self.tick,
-                "lost": list(dict.fromkeys(u.nodes)),
-                "errors": [type(e).__name__ for e in u.errors],
-            }
-        )
 
         live = self.monitor.live_nodes()
         if not live:
@@ -996,27 +1010,21 @@ class ClusterMaster:
             ) from u.errors[0]
 
         # Save surviving neighbours' ghost copies of the dead nodes' edge
-        # rows (stamped with the last completed tick T) for the
-        # post-replay integrity cross-check.
+        # rows, as of the exchange that completed the last tick T, for
+        # the post-replay integrity cross-check.
         T = self.tick
-        which_T = T % 2
         for n in dict.fromkeys(u.nodes):
             rng = old_slabs.get(n)
             if rng is None:
                 continue
-            for g in self.monitor.ghost_replicas_of(*rng):
-                if g.tick != T:
-                    continue
-                data = self.agents[g.holder].read_rows(
-                    which_T, g.lo, g.hi
-                )
-                self._ghost_checks.append((T, g.lo, g.hi, data))
+            for holder, g_lo, g_hi in self._ghost_copies(T, *rng):
+                data = self.agents[holder].read_rows(T % 2, g_lo, g_hi)
+                self._ghost_checks.append((T, g_lo, g_hi, data))
 
         # Re-slab across survivors and rebuild from checkpoint replicas,
         # fetching each new slab's rows peer-to-peer over the fabric.
         self._rebuild_from_checkpoint(now)
-        self.recovery_log[-1]["resumed_from_tick"] = self.tick
-        self.recovery_log[-1]["resumed_at"] = self._clock
+        self._log(self._clock, None, "resume")
 
     def _rebuild_from_checkpoint(self, now: float) -> None:
         """Re-slab across the current member set (recovery steps 4-5,
@@ -1056,7 +1064,6 @@ class ClusterMaster:
                     cause="agent-error",
                 )
                 raise _Unreachable([err]) from e
-            self.monitor.node_monitors[n] = self.agents[n].sched.monitor
 
         self._barrier(live, t_done)
         # Roll back to the checkpoint; the drive loop replays from here.
@@ -1129,6 +1136,37 @@ class ClusterMaster:
         return t_done
 
     # -- ghost integrity cross-check ------------------------------------------
+    def _ghost_copies(
+        self, tick: int, lo: int, hi: int
+    ) -> list[tuple[int, int, int]]:
+        """``(holder, g_lo, g_hi)`` for every ghost copy of rows in
+        ``[lo, hi)`` that a member still holds from the exchange that
+        completed ``tick``. Each sender in ring order contributes its
+        upper neighbour's copy of its top edge ``[s_lo, s_lo + r)``, then
+        its lower neighbour's copy of its bottom edge ``[s_hi - r,
+        s_hi)``. The ring wraps only on a cyclic board, and a lone
+        wrapped node copies its edges locally."""
+        if self._exchanged is None or self._exchanged[0] != tick:
+            return []
+        slabs = self._exchanged[1]
+        ring = sorted(slabs, key=lambda n: slabs[n][0])
+        k, r = len(ring), self.radius
+        out = []
+        for pos, n in enumerate(ring):
+            s_lo, s_hi = slabs[n]
+            for dpos, g_lo in ((pos - 1, s_lo), (pos + 1, s_hi - r)):
+                if not (self.wrap or 0 <= dpos < k):
+                    continue
+                j = ring[dpos % k]
+                if (
+                    j != n
+                    and g_lo < hi
+                    and g_lo + r > lo
+                    and self.monitor.status.get(j) in ("live", "idle")
+                ):
+                    out.append((j, g_lo, g_lo + r))
+        return out
+
     def _run_ghost_checks(self) -> None:
         """When the replay re-reaches the failure tick, compare the
         recomputed rows against the ghost copies surviving neighbours

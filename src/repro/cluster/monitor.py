@@ -3,15 +3,17 @@
 Within a node, each scheduler's :class:`~repro.core.location_monitor.
 LocationMonitor` tracks which *device* holds which segment of each datum.
 The cluster master needs the same answer one level up: which *node* holds
-which rows of the global board, in which role — as the live slab owner,
-as a ghost replica of a neighbour's edge rows, or as a checkpoint replica
-of a peer's whole slab. :class:`ClusterMonitor` is that map. It never
-touches array data; it is pure metadata, consulted by the master to plan
-recovery transfers and asserted against by tests.
+which rows of the global board, in which role — as the live slab owner or
+as a checkpoint replica of a peer's whole slab. :class:`ClusterMonitor`
+is that map. It never touches array data; it is pure metadata, consulted
+by the master to plan recovery transfers and asserted against by tests.
+(Ghost replicas follow from the ring: the master derives who holds a
+node's edge rows from the decomposition of the last exchange.)
 
 The hierarchy is explicit: :meth:`node_monitor` descends from a node-level
-row range to the owning node's intra-node ``LocationMonitor``, so a
-segment query can be resolved board -> node -> device.
+row range to the owning node's intra-node ``LocationMonitor``, read from
+the node agent's current scheduler, so a segment query can be resolved
+board -> node -> device.
 """
 
 from __future__ import annotations
@@ -35,17 +37,6 @@ class CheckpointRecord:
     holders: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class GhostRecord:
-    """Rows ``[lo, hi)`` of the global board replicated in ``holder``'s
-    ghost region as of the exchange that completed ``tick``."""
-
-    holder: int
-    lo: int
-    hi: int
-    tick: int
-
-
 class ClusterMonitor:
     """Node-level slab / replica map over the per-node location monitors.
 
@@ -53,9 +44,18 @@ class ClusterMonitor:
         rows, cols: Global board shape.
         radius: Stencil radius (ghost depth).
         itemsize: Bytes per element (for transfer sizing).
+        agents: node -> :class:`~repro.cluster.agent.NodeAgent` (the
+            master's own map; the lower level of the hierarchy).
     """
 
-    def __init__(self, rows: int, cols: int, radius: int, itemsize: int):
+    def __init__(
+        self,
+        rows: int,
+        cols: int,
+        radius: int,
+        itemsize: int,
+        agents: dict | None = None,
+    ):
         self.rows = rows
         self.cols = cols
         self.radius = radius
@@ -70,11 +70,7 @@ class ClusterMonitor:
         self.status: dict[int, str] = {}
         #: Current coordinated checkpoint, one record per region.
         self.checkpoints: list[CheckpointRecord] = []
-        #: Ghost replicas recorded at the last completed exchange.
-        self.ghosts: list[GhostRecord] = []
-        #: node -> intra-node LocationMonitor (set by the master; the
-        #: lower level of the hierarchy).
-        self.node_monitors: dict[int, object] = {}
+        self.agents = {} if agents is None else agents
 
     # -- decomposition --------------------------------------------------------
     def assign(self, nodes: list[int], min_rows: int) -> dict[int, tuple[int, int]]:
@@ -229,27 +225,13 @@ class ClusterMonitor:
             return (cursor, hi)
         return None
 
-    # -- ghosts ---------------------------------------------------------------
-    def record_ghosts(self, records: list[GhostRecord]) -> None:
-        """Replace the ghost-replica map after a completed exchange."""
-        self.ghosts = list(records)
-
-    def ghost_replicas_of(self, lo: int, hi: int) -> list[GhostRecord]:
-        """Ghost records overlapping rows ``[lo, hi)`` held by nodes that
-        are still live (recovery's integrity cross-check sources)."""
-        return [
-            g
-            for g in self.ghosts
-            if g.lo < hi
-            and g.hi > lo
-            and self.status.get(g.holder) in ("live", "idle")
-        ]
-
     # -- hierarchy ------------------------------------------------------------
     def node_monitor(self, node: int):
         """Descend one level: the intra-node LocationMonitor of ``node``
-        (device-level segment locations within that node's slab)."""
-        return self.node_monitors.get(node)
+        (device-level segment locations within that node's slab), or
+        None for a node without an agent."""
+        agent = self.agents.get(node)
+        return None if agent is None else agent.sched.monitor
 
     def describe(self) -> dict:
         """Snapshot of the hierarchy for observability and tests."""
@@ -260,8 +242,5 @@ class ClusterMonitor:
             "checkpoints": [
                 (r.lo, r.hi, r.holders) for r in self.checkpoints
             ],
-            "ghosts": [
-                (g.holder, g.lo, g.hi, g.tick) for g in self.ghosts
-            ],
-            "nodes_with_monitors": sorted(self.node_monitors),
+            "nodes_with_monitors": sorted(self.agents),
         }

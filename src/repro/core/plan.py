@@ -161,9 +161,6 @@ class TaskPlan:
     #: Per-input consumer rects {device: virtual rect} for the device-level
     #: reduce-scatter path (aligned with ``task.inputs``).
     consumer_rects: tuple[dict[int, Rect], ...]
-    #: Modelled host-side scheduling overhead charged per invocation
-    #: (identical on build and replay — see module docstring).
-    host_overhead: float = 0.0
     #: frozen-constants key -> {device: kernel duration}.
     durations: dict[tuple, dict[int, float]] = field(default_factory=dict)
     #: Memoized location-monitor copy decisions for steady-state replay:
@@ -188,7 +185,6 @@ class TaskPlan:
     #: evicts or invalidates it): a pre-bound record replays only a plan
     #: a signature lookup would still find.
     cached: bool = False
-    replays: int = 0
 
 
 #: Upper bound on memoized copy decisions per plan (and in a node's
@@ -588,13 +584,11 @@ class PlanCache:
             self.misses += 1
             return None
         self.hits += 1
-        plan.replays += 1
         return plan
 
     def hit(self, plan: TaskPlan) -> TaskPlan:
         """Count a lookup a pre-bound record answered (``BoundPlan``)."""
         self.hits += 1
-        plan.replays += 1
         return plan
 
     def store(self, plan: TaskPlan) -> None:

@@ -266,9 +266,10 @@ class NodeBannedError(NodeFailure):
     repair after more than ``ClusterFaultPlan.max_flaps`` flaps is marked
     ``"banned"`` instead of entering probation — flap damping keeps an
     unstable machine from repeatedly triggering probation, re-replication
-    and re-slab churn. Recorded in :attr:`ClusterMaster.events
-    <repro.cluster.ClusterMaster>` and the membership log; like any
-    detected failure it does not escape to applications on its own.
+    and re-slab churn. Recorded as the ``"ban"`` entry of the master's
+    event log (:attr:`ClusterMaster.log <repro.cluster.ClusterMaster>`);
+    like any detected failure it does not escape to applications on its
+    own.
 
     Attributes:
         flaps: Crash→repair cycles observed when the ban was imposed.

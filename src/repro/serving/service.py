@@ -36,6 +36,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -47,6 +48,14 @@ from repro.serving.models import LeNetEngine, SgemmEngine
 from repro.serving.trace import ArrivalTrace, Request
 from repro.sim import SimNode
 from repro.sim.faults import FaultPlan
+
+#: Matrix products per SGEMM request.
+SGEMM_LAYERS = 6
+#: Weight seed of both models, shared by every replica.
+MODEL_SEED = 0
+#: Batches between clears of the node trace (bounded memory over
+#: multi-thousand-request traces).
+CLEAR_EVERY = 64
 
 
 @dataclass(frozen=True)
@@ -79,15 +88,14 @@ class ServingConfig:
     #: Opt-in: the default preserves serve-everything behavior.
     shed_expired: bool = False
     sgemm_size: int = 96
-    sgemm_layers: int = 6
-    model_seed: int = 0
     #: Memory-pressure composition: device memory is scaled by this.
     capacity_frac: float = 1.0
     #: Straggler composition: installed on the node when not None.
     faults: FaultPlan | None = None
-    #: Clear the node trace every this many batches (bounded memory over
-    #: multi-thousand-request traces).
-    clear_every: int = 64
+    #: The module constants, readable through a config (not fields).
+    sgemm_layers: ClassVar[int] = SGEMM_LAYERS
+    model_seed: ClassVar[int] = MODEL_SEED
+    clear_every: ClassVar[int] = CLEAR_EVERY
 
 
 @dataclass(frozen=True)
@@ -177,14 +185,14 @@ class _Replica:
         self.sched = Scheduler(node, devices=(device,))
         self.engines = {
             "lenet": LeNetEngine(
-                self.sched, cfg.max_batch, model_seed=cfg.model_seed
+                self.sched, cfg.max_batch, model_seed=MODEL_SEED
             ),
             "sgemm": SgemmEngine(
                 self.sched,
                 cfg.max_batch,
                 size=cfg.sgemm_size,
-                layers=cfg.sgemm_layers,
-                model_seed=cfg.model_seed,
+                layers=SGEMM_LAYERS,
+                model_seed=MODEL_SEED,
             ),
         }
         #: Virtual times (driver-owned).
@@ -337,7 +345,7 @@ class ServingNode:
                             batch_size=len(batch),
                         )
                     )
-                if batcher.batches % cfg.clear_every == 0:
+                if batcher.batches % CLEAR_EVERY == 0:
                     # Bounded memory over long traces: the event trace is
                     # a diagnostic, not state — drop it periodically.
                     self.node.trace.clear()

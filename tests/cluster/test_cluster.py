@@ -269,17 +269,7 @@ class TestUnarmedPlan:
             "node_times": {n: ag.node.time for n, ag in cs.agents.items()},
             "link_bytes": dict(cs.network.link_bytes),
             "link_transfers": dict(cs.network.link_transfers),
-            "events": [
-                (
-                    type(e).__name__,
-                    getattr(e, "node", None),
-                    e.time,
-                    getattr(e, "cause", None),
-                )
-                for e in cs.events
-            ],
-            "recovery_log": cs.recovery_log,
-            "membership_log": cs.membership_log,
+            "log": [(e, type(e.error).__name__) for e in cs.log],
             "board": cs.board().tolist() if cs.functional else None,
         }
 
@@ -304,8 +294,7 @@ class TestUnarmedPlan:
             assert cs.monitor.checkpoints == []
             runs.append(self.observe(cs))
         assert runs[0] == runs[1]
-        assert runs[0]["events"] == runs[0]["recovery_log"] == []
-        assert runs[0]["membership_log"] == []
+        assert runs[0]["log"] == []
 
 
 class TestBoundedState:

@@ -447,8 +447,7 @@ class TestDeterminism:
                     plan.link_faults_fired,
                     plan.messages_retried,
                     plan.heartbeats_missed,
-                    [(type(e).__name__, e.node) for e in cs.events],
-                    cs.recovery_log,
+                    [(e, type(e.error).__name__) for e in cs.log],
                 )
             )
         a, b = runs
@@ -485,11 +484,15 @@ class TestObservability:
         plan = ClusterFaultPlan(node_crashes=[NodeCrash(1, 0.0009)])
         cs = ClusterMaster(GTX_780, 4, 2, board, KERNEL, faults=plan)
         cs.run(10)
-        (entry,) = cs.recovery_log
-        assert entry["lost"] == [1]
-        assert entry["errors"] == ["NodeFailure"]
-        assert entry["resumed_from_tick"] <= entry["tick"]
-        assert entry["resumed_at"] >= entry["at"]  # rebuild barriers after
+        failure, lost, resume = cs.log
+        assert (failure.action, lost.action, resume.action) == (
+            "failure", "dead", "resume"
+        )
+        assert lost.node == 1 and failure.node == 1
+        assert type(failure.error) is NodeFailure
+        assert cs.events == [failure.error]
+        assert resume.node is None and resume.tick <= lost.tick
+        assert resume.time >= lost.time  # rebuild barriers after
         assert plan.checkpoints_taken >= 2  # initial + post-recovery
 
     def test_counters_stay_zero_without_faults(self):
@@ -503,3 +506,51 @@ class TestObservability:
         assert plan.recoveries == 0
         assert plan.heartbeats_sent > 0
         assert plan.checkpoints_taken == 1 + 8 // plan.checkpoint_interval
+
+
+class TestGhostCrossCheck:
+    """Recovery step 6: the edge rows a lost node had shipped into its
+    surviving neighbours' ghost regions are saved at recovery and compared
+    with the replayed rows once the replay re-reaches that tick."""
+
+    @staticmethod
+    def _wrap_crash():
+        plan = ClusterFaultPlan(node_crashes=[NodeCrash(1, 0.0009)])
+        return ClusterMaster(
+            GTX_780, 4, 2, make_board(), KERNEL, wrap=True, faults=plan
+        )
+
+    def test_replay_runs_the_saved_checks(self, monkeypatch):
+        ran = []
+        real = ClusterMaster._run_ghost_checks
+
+        def spy(self):
+            ran.extend(
+                (t, lo, hi) for t, lo, hi, _ in self._ghost_checks
+                if t == self.tick
+            )
+            real(self)
+
+        monkeypatch.setattr(ClusterMaster, "_run_ghost_checks", spy)
+        cs = self._wrap_crash()
+        cs.run(10)
+        # Node 1 owned rows [16, 32): node 0 held its top edge row and
+        # node 2 its bottom one, both checked at the failed tick.
+        assert ran == [(3, 16, 17), (3, 31, 32)]
+        assert cs._ghost_checks == []
+        clean, _ = fault_free(make_board(), 10, wrap=True)
+        assert np.array_equal(cs.board(), clean)
+
+    def test_corrupt_ghost_copy_is_a_mismatch(self, monkeypatch):
+        real = ClusterMaster._recover
+
+        def corrupt(self, u):
+            real(self, u)
+            assert self._ghost_checks, "recovery saved no ghost copies"
+            self._ghost_checks[0][3][0, 0] ^= 1
+
+        monkeypatch.setattr(ClusterMaster, "_recover", corrupt)
+        cs = self._wrap_crash()
+        with pytest.raises(ClusterRecoveryError) as info:
+            cs.run(10)
+        assert info.value.reason == "ghost-mismatch"

@@ -92,17 +92,35 @@ class TestClusterMonitor:
         assert m.coverage_gap(0, 64) == (32, 64)
 
     def test_ghost_records_filter_dead_holders(self):
-        from repro.cluster import GhostRecord
+        """Recovery derives who holds a node's edge rows from the ring of
+        the last completed exchange: a slab's upper neighbour holds its
+        top edge, its lower neighbour its bottom edge, and a holder that
+        left the member set holds nothing."""
 
-        m = self.mk()
-        m.assign([0, 1], min_rows=2)
-        m.record_ghosts(
-            [GhostRecord(0, 32, 33, 5), GhostRecord(1, 31, 32, 5)]
-        )
-        assert len(m.ghost_replicas_of(30, 34)) == 2
-        m.mark_dead(1)
-        recs = m.ghost_replicas_of(30, 34)
-        assert [g.holder for g in recs] == [0]
+        def master(nodes, wrap):
+            return ClusterMaster(
+                GTX_780, nodes, 1, (64, 16), make_gol_kernel("maps"),
+                functional=False, wrap=wrap,
+            )
+
+        m = master(4, wrap=False)
+        assert m._ghost_copies(0, 16, 32) == []  # no exchange yet
+        m.run(2)
+        assert m._ghost_copies(2, 16, 32) == [(0, 16, 17), (2, 31, 32)]
+        assert m._ghost_copies(1, 16, 32) == []  # not that exchange
+        # Rows 30-34 span node 1's bottom edge and node 2's top edge.
+        assert m._ghost_copies(2, 30, 34) == [(2, 31, 32), (1, 32, 33)]
+        # The board's edges have an upper/lower neighbour only on a ring.
+        assert m._ghost_copies(2, 0, 16) == [(1, 15, 16)]
+        m.monitor.mark_dead(1)
+        assert m._ghost_copies(2, 30, 34) == [(2, 31, 32)]
+        w = master(4, wrap=True)
+        w.run(1)
+        assert w._ghost_copies(1, 0, 16) == [(3, 0, 1), (1, 15, 16)]
+        # A lone wrapped node exchanges with itself: no other holder.
+        lone = master(1, wrap=True)
+        lone.run(1)
+        assert lone._ghost_copies(1, 0, 64) == []
 
     def test_hierarchy_descends_to_node_monitors(self):
         rng = np.random.default_rng(0)
@@ -115,6 +133,20 @@ class TestClusterMonitor:
         d = mon.describe()
         assert d["slabs"] == {0: (0, 16), 1: (16, 32)}
         assert d["nodes_with_monitors"] == [0, 1]
+        assert ClusterMonitor(32, 16, 1, 4).node_monitor(0) is None
+        # A recovery rebuilds the survivor onto a fresh scheduler; the
+        # hierarchy descends into the new one.
+        cs = ClusterMaster(
+            GTX_780, 2, 2, board, make_gol_kernel("maps"),
+            faults=ClusterFaultPlan(
+                checkpoint_replicas=1, node_crashes=[NodeCrash(1, 0.0005)]
+            ),
+        )
+        before = cs.monitor.node_monitor(0)
+        cs.run(6)
+        assert cs.faults.recoveries == 1
+        assert cs.monitor.node_monitor(0) is cs.agents[0].sched.monitor
+        assert cs.monitor.node_monitor(0) is not before
 
 
 class TestClusterFaultPlan:

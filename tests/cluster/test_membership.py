@@ -16,8 +16,9 @@ import pytest
 from repro import FaultPlan, NodeBannedError, NodeFailure, Straggler
 from repro.cluster import (
     ClusterFaultPlan,
+    MEMBERSHIP_ACTIONS,
+    ClusterEvent,
     ClusterMaster,
-    MembershipEvent,
     NodeCrash,
     NodeRepair,
     Partition,
@@ -50,8 +51,12 @@ def clean_60(board):
     return cs.board(), cs.time
 
 
+def membership(cs):
+    return [e for e in cs.log if e.action in MEMBERSHIP_ACTIONS]
+
+
 def actions(cs):
-    return [e.action for e in cs.membership_log]
+    return [e.action for e in membership(cs)]
 
 
 # Crash at 1.5 ms is detected and recovered by ~3.2 ms; the repair at
@@ -154,9 +159,11 @@ class TestRejoin:
         assert actions(cs) == [
             "dead", "repair-announce", "probation-start", "re-admit",
         ]
-        assert all(isinstance(e, MembershipEvent) for e in cs.membership_log)
-        ts = [e.time for e in cs.membership_log]
-        assert ts == sorted(ts) and all(e.node == 2 for e in cs.membership_log)
+        assert all(isinstance(e, ClusterEvent) for e in cs.log)
+        ts = [e.time for e in membership(cs)]
+        assert ts == sorted(ts) and all(e.node == 2 for e in membership(cs))
+        # The recovery of the crash brackets the membership "dead" entry.
+        assert [e.action for e in cs.log][:3] == ["failure", "dead", "resume"]
         assert plan.nodes_repaired == 1 and plan.nodes_readmitted == 1
         assert plan.nodes_banned == 0 and plan.probations_failed == 0
         stats = cs.membership_stats()
@@ -220,9 +227,7 @@ class TestRejoin:
         runs = [run_cluster(board, 60, rejoin_plan()) for _ in range(2)]
         assert runs[0].time == runs[1].time
         assert np.array_equal(runs[0].board(), runs[1].board())
-        log0 = [(e.time, e.node, e.action) for e in runs[0].membership_log]
-        log1 = [(e.time, e.node, e.action) for e in runs[1].membership_log]
-        assert log0 == log1
+        assert runs[0].log == runs[1].log
 
 
 class TestProbationFailure:
@@ -309,11 +314,11 @@ class TestZeroOverhead:
         assert crash_only.heartbeats_missed == armed.heartbeats_missed
         assert crash_only.checkpoints_taken == armed.checkpoints_taken
         # The log exists (plan is armed) but records only the crash.
-        assert [e.action for e in b.membership_log] == ["dead"]
+        assert actions(b) == ["dead"]
 
     def test_no_repairs_keeps_empty_log(self, board):
         cs = run_cluster(board, 10, ClusterFaultPlan())
-        assert cs.membership_log == []
+        assert cs.log == []
         assert cs.membership_stats()["events"] == 0
 
 

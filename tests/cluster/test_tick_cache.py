@@ -101,9 +101,7 @@ def _elastic_run(board, crashed, crash_at, repair_at):
         "times": times,
         "link_bytes": dict(m.network.link_bytes),
         "link_transfers": dict(m.network.link_transfers),
-        "recovery_log": m.recovery_log,
-        "membership_log": m.membership_log,
-        "events": [(type(e), str(e)) for e in m.events],
+        "log": [(e, type(e.error)) for e in m.log],
         "counters": (plan.recoveries, plan.nodes_readmitted,
                      plan.checkpoints_taken),
         "traces": traces,
