@@ -189,6 +189,14 @@ class NodeAgent:
         return self.loop.tick(src_i, edges)
 
     # -- ghost handling -------------------------------------------------------
+    # The three ghost writes mark rects the master's exchange plan checked
+    # once against both slab buffers (check_ghost), not on every tick.
+    def check_ghost(self, rect: Rect) -> None:
+        """Validate a ghost rect against both slab buffers (the
+        scheduler's region check), once per exchange plan."""
+        for slab in self.slabs:
+            self.sched._check_region(slab, rect)
+
     def write_ghost(
         self, which: int, rect: Rect, data: np.ndarray | None
     ) -> None:
@@ -198,14 +206,14 @@ class NodeAgent:
         slab = self.slabs[which]
         if self.functional and data is not None:
             slab.host[rect.slices()] = data
-        self.sched.mark_host_region_dirty(slab, rect)
+        self.sched.mark_checked_region_dirty(slab, rect)
 
     def copy_local_ghost(self, which: int, src: Rect, dst: Rect) -> None:
         """Single wrapped node: both edges exchange with itself."""
         slab = self.slabs[which]
         if self.functional:
             slab.host[dst.slices()] = slab.host[src.slices()]
-        self.sched.mark_host_region_dirty(slab, dst)
+        self.sched.mark_checked_region_dirty(slab, dst)
 
     def zero_ghost(self, which: int, rect: Rect) -> None:
         """Re-zero a global-boundary ghost (empty space outside the
@@ -213,7 +221,7 @@ class NodeAgent:
         slab = self.slabs[which]
         if self.functional:
             slab.host[rect.slices()] = 0
-        self.sched.mark_host_region_dirty(slab, rect)
+        self.sched.mark_checked_region_dirty(slab, rect)
 
     def edge_data(self, which: int, rect: Rect) -> np.ndarray | None:
         """Host copy of freshly gathered edge rows (functional mode)."""

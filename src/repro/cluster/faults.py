@@ -52,6 +52,8 @@ actions and identical simulated times.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from repro.sim.faults import FaultPlan
@@ -388,6 +390,38 @@ class ClusterFaultPlan(LinkFaultPlan):
             if link_matches(s.src, s.dst, src, dst) and s.covers(now):
                 worst = max(worst, s.factor)
         return worst
+
+    # -- calm window ---------------------------------------------------------
+    def calm_until(self, t: float, members: Mapping[int, float]) -> float:
+        """End of the calm window ``[t, end)``: queries at any time in it
+        about ``members`` (node -> last admission time) get the
+        fault-free answers — :meth:`crash_in` since admission is None,
+        :meth:`reachable` is True, :meth:`master_group` is everyone,
+        :meth:`slow_factor` is 1 and :meth:`link_fault_now` is False.
+
+        The window ends at the first of a member's first crash after its
+        admission (half-open, like ``crash_in``) and the next partition or
+        slow-link onset. It is empty (``t`` is returned) while such a
+        window covers ``t``, a member's crash already lies at or before
+        ``t``, or a link fault is pending. Once no spec is pending,
+        ``link_fault_now`` never fires again, so a caller may skip it
+        and the counters it would advance: nothing reads them again
+        except ``link_faults_pending``, which stays False."""
+        if self.link_faults_pending():
+            return t
+        end = math.inf
+        for node, since in members.items():
+            for tc, is_crash in self._timeline.get(node, ()):
+                if is_crash and tc > since:
+                    end = min(end, tc)
+                    break
+        slow = [s for s in self._slow if s.factor > 1.0]
+        for w in (*self.partitions, *slow):
+            if w.covers(t):
+                return t
+            if w.start > t:
+                end = min(end, w.start)
+        return max(t, end)
 
     # -- retry policy --------------------------------------------------------
     def rejoin_backoff(self, flap: int) -> float:

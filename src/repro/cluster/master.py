@@ -28,7 +28,12 @@ always carries a :class:`~repro.cluster.faults.ClusterFaultPlan` and runs
 one tick path; the unarmed state (``faults=None``) is an empty plan with
 checkpoints off. On it every message is delivered on the first attempt at
 the nominal link speed and no checkpoint is taken, so the schedule is the
-plain fault-intolerant one, message for message.
+plain fault-intolerant one, message for message. Between fault-plan
+events a tick asks the plan nothing: inside the calm window
+(:meth:`ClusterFaultPlan.calm_until`) every crash, reachability,
+link-fault and slow-link question has its fault-free answer, and the
+full checks run whenever the clock lies outside it. The ghost exchange
+itself is planned once per slab decomposition (:class:`_ExchangePlan`).
 
 Recovery (the tentpole protocol):
 
@@ -104,6 +109,7 @@ from repro.errors import (
     UnrecoverableError,
 )
 from repro.hardware.specs import GPUSpec
+from repro.utils.rect import Rect
 
 
 #: Log actions that change the member set (counted by
@@ -142,6 +148,32 @@ class ClusterEvent:
     detail: str
     tick: int
     error: Exception | None = field(default=None, compare=False, repr=False)
+
+
+#: The empty calm window: every fault-plan query takes the full check.
+_NO_CALM = (0.0, 0.0)
+
+
+@dataclass(frozen=True)
+class _ExchangePlan:
+    """The ghost exchange of one slab decomposition, built when the slabs
+    change (:meth:`ClusterMaster._plan_exchange`) and read by every tick
+    until the next change."""
+
+    #: Slab owners in row order.
+    ring: tuple[int, ...]
+    #: Whether the nodes gather their edges: a neighbour or a wrap.
+    multi: bool
+    #: Bytes of one ghost message (``radius`` rows).
+    nbytes: int
+    #: ``(src, dst, src_rect, dst_rect, g_lo)`` per message, in send
+    #: order: each sender's top edge to its upper neighbour, then its
+    #: bottom edge to its lower one. ``g_lo`` is the edge's first global
+    #: row; ``src == dst`` is a lone wrapped node's local copy.
+    messages: tuple[tuple[int, int, Rect, Rect, int], ...]
+    #: ``(node, rect)`` of the global-edge ghosts a non-wrapping board
+    #: re-zeroes every tick.
+    zeros: tuple[tuple[int, Rect], ...]
 
 
 class _Unreachable(Exception):
@@ -266,7 +298,9 @@ class ClusterMaster:
                 functional,
                 faults=faults.node_plans.get(i),
             )
-        self.monitor = ClusterMonitor(rows, cols, radius, 4, self.agents)
+        self.monitor = ClusterMonitor(
+            rows, cols, radius, np.dtype(np.int32).itemsize, self.agents
+        )
         slabs = self.monitor.assign(
             list(range(num_nodes)), min_rows=radius + 1
         )
@@ -277,6 +311,11 @@ class ClusterMaster:
                 else None
             )
             self.agents[i].build(lo, hi, region, which=0)
+        self._exchange_plan = self._plan_exchange()
+        #: ``[start, end)`` in which every fault-plan query about the
+        #: members has its fault-free answer (``calm_until``): set once
+        #: per tick after the membership pass, emptied by recovery.
+        self._calm = _NO_CALM
 
         self.tick = 0
         self._target = 0
@@ -284,8 +323,8 @@ class ClusterMaster:
         self._clock = 0.0
         #: Monotonic checkpoint id (agents' store key; see monitor).
         self._ckpt_seq = 0
-        #: The last completed ghost exchange: (tick, node -> slab rows).
-        self._exchanged: tuple[int, dict[int, tuple[int, int]]] | None = None
+        #: The last completed ghost exchange: (tick, its exchange plan).
+        self._exchanged: tuple[int, _ExchangePlan] | None = None
         #: Pending ghost-replica integrity probes: (tick, lo, hi, data).
         self._ghost_checks: list[tuple[int, int, int, np.ndarray | None]] = []
         if faults.checkpoint_interval is not None:
@@ -312,7 +351,51 @@ class ClusterMaster:
             ]
         return region
 
+    # -- exchange plan --------------------------------------------------------
+    def _plan_exchange(self) -> _ExchangePlan:
+        """The exchange plan of the current slabs. Every ghost rect it
+        writes is checked here against both of its node's slab buffers,
+        so the per-tick marks skip the check."""
+        ring = tuple(self.monitor.order())
+        k, r = len(ring), self.radius
+        multi = k > 1 or self.wrap
+        messages = []
+        for pos, n in enumerate(ring if multi else ()):
+            ag = self.agents[n]
+            for dpos, src_rect, top in (
+                (pos - 1, ag.top_edge, True),  # my top edge -> upper
+                (pos + 1, ag.bottom_edge, False),  # bottom -> lower
+            ):
+                if not (self.wrap or 0 <= dpos < k):
+                    continue
+                j = ring[dpos % k]
+                jag = self.agents[j]
+                dst_rect = jag.bottom_ghost if top else jag.top_ghost
+                jag.check_ghost(dst_rect)
+                g_lo = ag.lo if top else ag.hi - r
+                messages.append((n, j, src_rect, dst_rect, g_lo))
+        # Global edges have no neighbour: their ghosts are empty space,
+        # re-zeroed every tick (the tick wrote stencil outputs there).
+        zeros = () if self.wrap else (
+            (ring[0], self.agents[ring[0]].top_ghost),
+            (ring[-1], self.agents[ring[-1]].bottom_ghost),
+        )
+        for n, rect in zeros:
+            self.agents[n].check_ghost(rect)
+        return _ExchangePlan(
+            ring,
+            multi,
+            r * self.cols * self.monitor.itemsize,
+            tuple(messages),
+            zeros,
+        )
+
     # -- messaging ------------------------------------------------------------
+    def _calm_at(self, t: float) -> bool:
+        """Whether ``t`` lies in the calm window, where every fault-plan
+        query about a member has its fault-free answer."""
+        return self._calm[0] <= t < self._calm[1]
+
     def _crash_since(self, node: int, t: float) -> float | None:
         """The crash that makes ``node`` lost to the cluster at time
         ``t``: the earliest crash after its last (re-)admission and at or
@@ -320,6 +403,8 @@ class ClusterMaster:
         a node that crashed and was repaired within one window still lost
         its memory, so any crash since admission is a loss until the
         membership protocol re-admits it."""
+        if self._calm_at(t):
+            return None
         return self.faults.crash_in(node, self._member_since[node], t)
 
     def _reach(self, node: int, t: float) -> float:
@@ -328,6 +413,8 @@ class ClusterMaster:
         are metadata-sized and ride the fabric's control plane: delivery
         is free in simulated time, but *failed* delivery costs the ack
         timeout plus backoff per attempt. Returns the delivery time."""
+        if self._calm_at(t):
+            return t
         fp = self.faults
         t_try = t
         live = self.monitor.order()
@@ -348,6 +435,8 @@ class ClusterMaster:
     ) -> float:
         """One inter-node data message (ghost rows, checkpoint replica,
         recovery fetch) with loss retry. Returns the arrival time."""
+        if self._calm_at(ready):
+            return self.network.transfer(src, dst, nbytes, ready)
         fp = self.faults
         t_try = ready
         for attempt in range(1, fp.max_retries + 2):
@@ -513,12 +602,16 @@ class ClusterMaster:
         """One bulk-synchronous tick: dispatch, compute, exchange,
         barrier, bookkeeping. Raises ``_Unreachable`` on any node loss."""
         fp = self.faults
+        # The membership pass may admit a node: it runs the full checks,
+        # and the calm window is taken over the members it leaves.
+        self._calm = _NO_CALM
         self._membership_tick()
+        since = {n: self._member_since[n] for n in self.monitor.live_nodes()}
+        self._calm = (self._clock, fp.calm_until(self._clock, since))
         tick = self.tick
         src_i, dst_i = tick % 2, (tick + 1) % 2
-        ring = self.monitor.order()
-        multi = len(ring) > 1 or self.wrap
-        nbytes = self.radius * self.cols * 4
+        xp = self._exchange_plan
+        ring = xp.ring
 
         # Phase A: dispatch the tick command (reachability check; free on
         # delivery, but transient partitions delay a node's start).
@@ -531,7 +624,7 @@ class ClusterMaster:
             ag = self.agents[n]
             ag.node.host_advance(max(0.0, starts[n] - ag.node.time))
             try:
-                t_f = ag.compute(src_i, multi)
+                t_f = ag.compute(src_i, xp.multi)
             except UnrecoverableError as e:
                 err = NodeFailure(
                     f"node {n} reported intra-node recovery exhausted: {e}",
@@ -550,34 +643,18 @@ class ClusterMaster:
 
         # Phase C: ghost exchange over the fabric.
         done = dict(finish)
-        if multi:
-            for pos, n in enumerate(ring):
-                ag = self.agents[n]
-                for dpos, src_rect, is_top in (
-                    (pos - 1, ag.top_edge, True),  # my top edge -> upper
-                    (pos + 1, ag.bottom_edge, False),  # bottom -> lower
-                ):
-                    if self.wrap:
-                        dpos %= len(ring)
-                    elif not 0 <= dpos < len(ring):
-                        continue
-                    j = ring[dpos]
-                    jag = self.agents[j]
-                    dst_rect = jag.bottom_ghost if is_top else jag.top_ghost
-                    if j == n:  # single wrapped node: both edges local
-                        ag.copy_local_ghost(dst_i, src_rect, dst_rect)
-                        continue
-                    arrival = self._send(n, j, nbytes, finish[n], "ghost")
-                    done[j] = max(done[j], arrival)
-                    jag.write_ghost(
-                        dst_i, dst_rect, ag.edge_data(dst_i, src_rect)
-                    )
-        if not self.wrap:
-            # Global edges have no neighbor: their ghosts are empty
-            # space, re-zeroed (the tick wrote stencil outputs there).
-            for n, top in ((ring[0], True), (ring[-1], False)):
-                ag = self.agents[n]
-                ag.zero_ghost(dst_i, ag.top_ghost if top else ag.bottom_ghost)
+        for n, j, src_rect, dst_rect, _ in xp.messages:
+            ag = self.agents[n]
+            if j == n:
+                ag.copy_local_ghost(dst_i, src_rect, dst_rect)
+                continue
+            arrival = self._send(n, j, xp.nbytes, finish[n], "ghost")
+            done[j] = max(done[j], arrival)
+            self.agents[j].write_ghost(
+                dst_i, dst_rect, ag.edge_data(dst_i, src_rect)
+            )
+        for n, rect in xp.zeros:
+            self.agents[n].zero_ghost(dst_i, rect)
 
         # Phase D: barrier + liveness sweep.
         barrier = max(done.values()) if done else self._clock
@@ -586,7 +663,7 @@ class ClusterMaster:
         fp.heartbeats_sent += len(ring)
         self._barrier(ring, barrier)
         self.tick = tick + 1
-        self._exchanged = (self.tick, dict(self.monitor.slabs))
+        self._exchanged = (self.tick, xp)
         self._run_ghost_checks()
         every = fp.checkpoint_interval
         if every is not None and self.tick % every == 0:
@@ -688,7 +765,8 @@ class ClusterMaster:
         ``snap = (lo, hi, data)`` from ``src`` to ``dst`` and store the
         replica there. Returns the arrival time."""
         lo, hi, data = snap
-        arrival = self._send(src, dst, (hi - lo) * self.cols * 4, ready, what)
+        nbytes = (hi - lo) * self.cols * self.monitor.itemsize
+        arrival = self._send(src, dst, nbytes, ready, what)
         self.agents[dst].store_peer_ckpt(owner, cid, lo, hi, data)
         return arrival
 
@@ -947,6 +1025,7 @@ class ClusterMaster:
     # -- recovery -------------------------------------------------------------
     def _recover(self, u: _Unreachable) -> None:
         """The recovery ladder (module docstring steps 2-5)."""
+        self._calm = _NO_CALM
         fp = self.faults
         now = max(self._clock, u.at)
         pre_live = self.monitor.live_nodes()
@@ -1064,6 +1143,7 @@ class ClusterMaster:
                     cause="agent-error",
                 )
                 raise _Unreachable([err]) from e
+        self._exchange_plan = self._plan_exchange()
 
         self._barrier(live, t_done)
         # Roll back to the checkpoint; the drive loop replays from here.
@@ -1122,7 +1202,7 @@ class ClusterMaster:
                         self._send(
                             holder,
                             n,
-                            (s_hi - s_lo) * self.cols * 4,
+                            (s_hi - s_lo) * self.cols * self.monitor.itemsize,
                             ready,
                             "recover",
                         ),
@@ -1141,31 +1221,21 @@ class ClusterMaster:
     ) -> list[tuple[int, int, int]]:
         """``(holder, g_lo, g_hi)`` for every ghost copy of rows in
         ``[lo, hi)`` that a member still holds from the exchange that
-        completed ``tick``. Each sender in ring order contributes its
-        upper neighbour's copy of its top edge ``[s_lo, s_lo + r)``, then
-        its lower neighbour's copy of its bottom edge ``[s_hi - r,
-        s_hi)``. The ring wraps only on a cyclic board, and a lone
-        wrapped node copies its edges locally."""
+        completed ``tick``: the receivers of that exchange plan's
+        messages, in send order (each sender's upper neighbour holds its
+        top edge, then its lower neighbour its bottom edge). A lone
+        wrapped node's local copy has no other holder."""
         if self._exchanged is None or self._exchanged[0] != tick:
             return []
-        slabs = self._exchanged[1]
-        ring = sorted(slabs, key=lambda n: slabs[n][0])
-        k, r = len(ring), self.radius
-        out = []
-        for pos, n in enumerate(ring):
-            s_lo, s_hi = slabs[n]
-            for dpos, g_lo in ((pos - 1, s_lo), (pos + 1, s_hi - r)):
-                if not (self.wrap or 0 <= dpos < k):
-                    continue
-                j = ring[dpos % k]
-                if (
-                    j != n
-                    and g_lo < hi
-                    and g_lo + r > lo
-                    and self.monitor.status.get(j) in ("live", "idle")
-                ):
-                    out.append((j, g_lo, g_lo + r))
-        return out
+        r = self.radius
+        return [
+            (j, g_lo, g_lo + r)
+            for n, j, _, _, g_lo in self._exchanged[1].messages
+            if j != n
+            and g_lo < hi
+            and g_lo + r > lo
+            and self.monitor.status.get(j) in ("live", "idle")
+        ]
 
     def _run_ghost_checks(self) -> None:
         """When the replay re-reaches the failure tick, compare the

@@ -354,8 +354,14 @@ class Scheduler:
         date on the host (used e.g. for inter-node halo exchange in the
         cluster extension). Reductive datums must be gathered whole."""
         self._check_region(datum, region)
+        self._gather_region(datum, region)
+
+    def _gather_region(self, datum: Datum, region: Rect) -> None:
+        """:meth:`gather_region` past its region check. A capture records
+        this, so a graph's eager fallback does not re-check a region that
+        was checked when the capture recorded it."""
         if self._capture is not None:
-            self._capture_gather(self.gather_region, datum, region)
+            self._capture_gather(self._gather_region, datum, region)
         events = self._gather_events(datum, region)
         self._log.append(_GatherRecord(datum, region, events))
 
@@ -416,8 +422,14 @@ class Scheduler:
         """The application overwrote ``region`` of the bound host buffer
         (e.g. received remote halo rows): device-resident copies of that
         region are stale; the rest stays valid."""
-        self._no_capture("mark_host_region_dirty")
         self._check_region(datum, region)
+        self.mark_checked_region_dirty(datum, region)
+
+    def mark_checked_region_dirty(self, datum: Datum, region: Rect) -> None:
+        """:meth:`mark_host_region_dirty` of a region its caller already
+        validated against ``datum``: the cluster agents check their ghost
+        rects once per exchange plan, not on every tick's mark."""
+        self._no_capture("mark_host_region_dirty")
         self.monitor.mark_written(datum, HOST, region, None)
 
     def _check_region(self, datum: Datum, region: Rect) -> None:

@@ -8,6 +8,7 @@ right typed :class:`~repro.errors.ClusterRecoveryError` reason instead of
 a wrong answer."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from repro.cluster import (
     ClusterMaster,
     LinkFault,
     NodeCrash,
+    NodeRepair,
     Partition,
     SlowLink,
 )
@@ -554,3 +556,73 @@ class TestGhostCrossCheck:
         with pytest.raises(ClusterRecoveryError) as info:
             cs.run(10)
         assert info.value.reason == "ghost-mismatch"
+
+
+class TestCalmUntil:
+    """Edges of ``ClusterFaultPlan.calm_until(t, members)``: the end of
+    the window from ``t`` in which every query about the members has its
+    fault-free answer (``t`` itself when the window is empty)."""
+
+    MEMBERS = {0: -1.0, 1: -1.0}
+
+    def test_fault_free_plan_is_calm_forever(self):
+        assert ClusterFaultPlan().calm_until(0.5, self.MEMBERS) == math.inf
+
+    def test_window_starting_at_t_is_not_calm(self):
+        for spec in (
+            Partition(((0,), (1,)), start=1.0, end=2.0),
+            SlowLink(0, 1, factor=4.0, start=1.0, end=2.0),
+        ):
+            key = "partitions" if isinstance(spec, Partition) else "slow_links"
+            plan = ClusterFaultPlan(**{key: [spec]})
+            assert plan.calm_until(0.5, self.MEMBERS) == 1.0  # onset
+            assert plan.calm_until(1.0, self.MEMBERS) == 1.0  # covered
+            assert plan.calm_until(1.5, self.MEMBERS) == 1.5
+            # A window ending at t has healed.
+            assert plan.calm_until(2.0, self.MEMBERS) == math.inf
+
+    def test_window_that_never_heals(self):
+        plan = ClusterFaultPlan(slow_links=[SlowLink(0, 1, factor=2.0)])
+        assert plan.calm_until(3.0, self.MEMBERS) == 3.0
+        part = ClusterFaultPlan(
+            partitions=[Partition(((0,), (1,)), start=1.0, end=None)]
+        )
+        assert part.calm_until(0.25, self.MEMBERS) == 1.0
+        assert part.calm_until(7.0, self.MEMBERS) == 7.0
+
+    def test_unit_slow_link_changes_no_answer(self):
+        plan = ClusterFaultPlan(slow_links=[SlowLink(0, 1, factor=1.0)])
+        assert plan.calm_until(3.0, self.MEMBERS) == math.inf
+
+    def test_crash_bound_is_half_open(self):
+        """A crash at ``c`` ends the window at ``c``: ``crash_in`` counts
+        crashes in ``(since, t]``, so a query at ``c`` already sees it."""
+        plan = ClusterFaultPlan(node_crashes=[NodeCrash(1, 2.0)])
+        end = plan.calm_until(0.5, self.MEMBERS)
+        assert end == 2.0
+        assert plan.crash_in(1, -1.0, math.nextafter(end, 0.0)) is None
+        assert plan.crash_in(1, -1.0, end) == 2.0
+
+    def test_crash_at_or_before_admission_is_ignored(self):
+        plan = ClusterFaultPlan(
+            node_crashes=[NodeCrash(1, 2.0), NodeCrash(1, 5.0)],
+            node_repairs=[NodeRepair(1, 3.0)],
+        )
+        assert plan.calm_until(3.5, {0: -1.0, 1: 2.0}) == 5.0
+        assert plan.calm_until(3.5, {0: -1.0, 1: 3.5}) == 5.0
+        # A node that is not a member does not bound the window.
+        assert plan.calm_until(0.5, {0: -1.0}) == math.inf
+
+    def test_member_crash_before_t_empties_the_window(self):
+        plan = ClusterFaultPlan(node_crashes=[NodeCrash(1, 2.0)])
+        assert plan.calm_until(2.0, self.MEMBERS) == 2.0
+        assert plan.calm_until(3.0, self.MEMBERS) == 3.0
+
+    def test_pending_link_fault_empties_the_window(self):
+        plan = ClusterFaultPlan(link_faults=[LinkFault(0, 1, nth=2, count=2)])
+        assert plan.calm_until(0.0, self.MEMBERS) == 0.0
+        fired = [plan.link_fault_now(0, 1) for _ in range(3)]
+        assert fired == [False, True, True]
+        assert plan.calm_until(0.0, self.MEMBERS) == math.inf
+        rate = ClusterFaultPlan(link_fault_rate=0.1)
+        assert rate.calm_until(0.0, self.MEMBERS) == 0.0

@@ -13,7 +13,10 @@ steady tick replays as one launch of its parity's single-tick graph
   observable;
 * a steady tick does no planning work: no Algorithm 2 run, no agent rect,
   container or implied grid, whether it is a fast graph launch (as it
-  is) or runs eagerly;
+  is) or runs eagerly; between fault-plan events it asks the plan
+  nothing (the master's calm window), checks no region (the ghost marks
+  and edge gathers are checked once per exchange plan and capture) and
+  builds no exchange plan;
 * the geometry follows the slab through ``build``, ``rebuild`` and
   ``revive``;
 * an agent holds at most two graphs, and never launches one of a
@@ -22,6 +25,7 @@ steady tick replays as one launch of its parity's single-tick graph
 
 import functools
 import gc
+import math
 import re
 import weakref
 
@@ -134,15 +138,26 @@ class TestCachedTickMatchesUncached:
             assert cached[key] == oracle[key], key
 
 
+#: Host work a quiet steady tick must not do: planning (the first
+#: three), the fault-plan queries the master's calm window answers, the
+#: region checks of the pre-checked ghost marks and edge gathers, and
+#: exchange-plan builds.
+QUIET = (
+    "compute_copies", "agent geometry", "implied grid",
+    "crash_in", "reachable", "master_group", "slow_factor", "link_fault_now",
+    "_check_region", "_plan_exchange",
+)
+
+
 class TestSteadyTickHostWork:
     """Deterministic host-work counts of steady ticks, on the perf
     benchmark's 8-node setup with its checkpoint interval."""
 
     @staticmethod
     def _window(monkeypatch) -> tuple[dict, int, dict]:
-        """Warm up, then count the planning work and the fast launches
-        of 100 ticks; per node, each launch's ``(fast, datums its entry
-        check compared in full)``."""
+        """Warm up, then count the host work of :data:`QUIET` and the
+        fast launches of 100 ticks; per node, each launch's ``(fast,
+        datums its entry check compared in full)``."""
         m = ClusterMaster(
             GTX_780, 8, 2, (2048, 2048), KERNEL, functional=False,
             faults=ClusterFaultPlan(checkpoint_interval=100),
@@ -151,8 +166,7 @@ class TestSteadyTickHostWork:
         # ticks after it meet monitor states for the first time.
         for _ in range(110):
             m.step()
-        counts = {"compute_copies": 0, "agent geometry": 0,
-                  "implied grid": 0}
+        counts = dict.fromkeys(QUIET, 0)
 
         def counted(name, fn):
             @functools.wraps(fn)
@@ -173,6 +187,12 @@ class TestSteadyTickHostWork:
                 agent_mod, name,
                 counted("agent geometry", getattr(agent_mod, name)),
             )
+        for cls, name in (
+            *((ClusterFaultPlan, n) for n in QUIET[3:8]),
+            (Scheduler, "_check_region"),
+            (ClusterMaster, "_plan_exchange"),
+        ):
+            monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
         fast = _count_fast(monkeypatch)
         launches: dict = {}
         entry = IterationGraph._fast_entry
@@ -194,8 +214,7 @@ class TestSteadyTickHostWork:
 
     def test_steady_ticks_do_no_planning(self, monkeypatch):
         counts, fast, launches = self._window(monkeypatch)
-        assert counts == {"compute_copies": 0, "agent geometry": 0,
-                          "implied grid": 0}
+        assert counts == dict.fromkeys(QUIET, 0)
         # Only the two ticks after the checkpoint take the fallback.
         assert fast == 784
         # A fast launch compares only the read slab in full: the master's
@@ -217,9 +236,19 @@ class TestSteadyTickHostWork:
         and the agent's geometry still leave no planning work."""
         monkeypatch.setattr(IterationGraph, "_fast_entry", lambda g: None)
         counts, fast, _ = self._window(monkeypatch)
-        assert counts == {"compute_copies": 0, "agent geometry": 0,
-                          "implied grid": 0}
+        assert counts == dict.fromkeys(QUIET, 0)
         assert fast == 0
+
+    def test_counters_see_the_full_checks(self, monkeypatch):
+        """With the calm window forced shut, the same ticks ask the fault
+        plan every question: the zero counts above are the window's."""
+        monkeypatch.setattr(
+            ClusterFaultPlan, "calm_until", lambda self, t, m: -math.inf
+        )
+        counts, _, _ = self._window(monkeypatch)
+        for name in QUIET[3:8]:
+            assert counts[name] > 0, name
+        assert counts["_check_region"] == counts["_plan_exchange"] == 0
 
 
 def _check_geometry(ag: NodeAgent) -> None:
