@@ -8,12 +8,18 @@ fixed batch shape, then invoked per batch.
 
 The shape is fixed on purpose, exactly like a compiled fixed-shape
 inference engine (TensorRT-style): every batch is padded to ``batch``
-rows, so every invocation resolves to the *same* task signatures (plan
-cache hits from batch two onward) and — because every per-sample
-computation (conv via im2col, pooling, GEMMs) touches only that sample's
-rows at an identical total shape — a request's logits are **bitwise
-independent of which other requests shared its batch**. That invariant is
-what lets the dynamic batcher promise batched == sequential bit-identity.
+rows, so every invocation resolves to the *same* task signatures and —
+because every per-sample computation (conv via im2col, pooling, GEMMs)
+touches only that sample's rows at an identical total shape — a request's
+logits are **bitwise independent of which other requests shared its
+batch**. That invariant is what lets the dynamic batcher promise batched
+== sequential bit-identity.
+
+The eight layer calls are declared as one :class:`~repro.core.graph.Loop`
+and every batch is one :meth:`~repro.core.graph.Loop.serve` transition
+(the input upload, the forward chain and the gather of the logits): the
+first batch runs eagerly, the second is captured as an iteration graph
+(DESIGN.md §12) and every later one is a single graph launch.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from repro.apps.lenet.network import (
     LeNetParams,
 )
 from repro.core import Datum, Grid, Scheduler
+from repro.core.graph import Loop
 from repro.patterns import (
     BlockStriped,
     InjectiveStriped,
@@ -60,9 +67,15 @@ class LeNetInference:
         self._images = np.zeros((b, 1, 28, 28), np.float32)
         self._build_datums()
         self._build_kernels()
-        self._grid = Grid((b,), block0=1)
-        for kernel, containers in self._forward_calls():
-            sched.analyze_call(kernel, *containers, grid=self._grid)
+        calls = self._forward_calls()
+        self.loop = Loop.declare(
+            sched,
+            [kernel for kernel, _ in calls],
+            [containers for _, containers in calls],
+            [self.a1, self.p1, self.a2, self.p2, self.f, self.h, self.hr,
+             self.logits],
+            Grid((b,), block0=1),
+        )
 
     def _datum(self, name: str, shape, dtype=np.float32) -> Datum:
         d = Datum(shape, dtype, name)
@@ -174,8 +187,5 @@ class LeNetInference:
         self._images[:k] = images
         if k < self.batch:
             self._images[k:] = 0.0
-        self.sched.mark_host_dirty(self.x0)
-        for kernel, containers in self._forward_calls():
-            self.sched.invoke_unmodified(kernel, *containers, grid=self._grid)
-        self.sched.gather(self.logits)
+        self.loop.serve((self.x0,), self.loop.period, gathers=(self.logits,))
         return self.logits.host.copy()

@@ -108,7 +108,7 @@ def _point(report: ServingReport, load_x: float) -> dict:
         "provisionings": report.provisionings,
         "scaling_events": len(report.scaling_events),
         "graph_captures": report.graph_captures,
-        "graph_replayed_pairs": report.graph_replayed_pairs,
+        "graph_launches": report.graph_launches,
         "results_hash": report.results_hash(),
         **_percentiles(report.latencies),
     }

@@ -101,14 +101,6 @@ class ClusterMonitor:
         """Live slab owners in row order (the exchange ring)."""
         return sorted(self.slabs, key=lambda n: self.slabs[n][0])
 
-    def neighbors(self, node: int, wrap: bool) -> tuple[int | None, int | None]:
-        """(upper, lower) row-neighbours of ``node`` in the current ring."""
-        ring = self.order()
-        i = ring.index(node)
-        up = ring[i - 1] if (i > 0 or wrap) else None
-        down = ring[(i + 1) % len(ring)] if (i + 1 < len(ring) or wrap) else None
-        return up, down
-
     # -- liveness -------------------------------------------------------------
     def live_nodes(self) -> list[int]:
         """Cluster members: slab owners plus idle spares. Nodes that are

@@ -3,7 +3,8 @@
 CUDA-graph-style batch submission for the steady state: the scheduler
 records one full iteration's *resolved* command stream — every kernel,
 copy (region gathers to the host included), event dependency and
-host-clock advance that planning produced — into an
+host-clock advance that planning produced, and the host-dirty marks and
+host syncs between them — into an
 :class:`IterationGraph`, then re-dispatches it as a pre-lowered
 macro-command, skipping task construction, plan lookup, copy-decision
 memoization and per-task monitor queries entirely. A graph is a
@@ -56,6 +57,7 @@ all use it).
 
 from __future__ import annotations
 
+import bisect
 import functools
 from typing import TYPE_CHECKING, Any
 
@@ -76,13 +78,16 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.stream import Stream
 
 
+_CLOCK = "host clock advanced outside host_advance during capture"
+
+
 class GraphRecorder:
     """Collects one steady-state period as the scheduler submits it.
 
     Installed as ``node.graph_recorder`` by ``Scheduler.begin_batch``;
     submission behaviour is unchanged, the recorder only mirrors what was
-    enqueued (plus the host-clock advances and device-LRU touches the
-    replay must reproduce).
+    enqueued (plus the host-clock advances, host-dirty marks, host syncs
+    and device-LRU touches the replay must reproduce).
     """
 
     __slots__ = (
@@ -91,7 +96,10 @@ class GraphRecorder:
         "events",
         "deltas",
         "touches",
-        "h_start",
+        "h",
+        "marks",
+        "cuts",
+        "fail",
     )
 
     def __init__(self, host_time: float):
@@ -103,11 +111,19 @@ class GraphRecorder:
         #: Events created during the capture window, in creation order
         #: (slot s holds the event with sequence number ``S0 + s``).
         self.events: list[Event] = []
-        #: Host-clock advances of the period, in order.
-        self.deltas: list[float] = []
+        #: Host-clock advances of the period, in order; None where a host
+        #: sync rejoined the clock to the engine's.
+        self.deltas: list[float | None] = []
         #: Submission-time device-LRU touches ``(memory, buffer)``.
         self.touches: list[tuple[Any, Any]] = []
-        self.h_start = host_time
+        #: The host clock the recorded advances and syncs account for.
+        self.h = host_time
+        #: ``(datum id, checkpoint)`` of every host-dirty mark.
+        self.marks: list[tuple[int, int]] = []
+        #: ``(touches, events)`` recorded before each host sync.
+        self.cuts: list[tuple[int, int]] = []
+        #: Why the period cannot replay, once something made it so.
+        self.fail = ""
 
     def record(self, stream: "Stream", cmd: Any) -> None:
         sid = stream.id
@@ -122,6 +138,38 @@ class GraphRecorder:
 
     def record_host(self, dt: float) -> None:
         self.deltas.append(dt)
+        self.h += dt
+
+    def record_mark(self, did: int, host_reads) -> None:
+        """A host-dirty mark of datum ``did``, whose host read list was
+        ``host_reads``: the replay compacts that list at the mark's
+        checkpoint, which reproduces the eager compaction only while the
+        list holds no read of this period."""
+        if self.events and any(
+            e.seq >= self.events[0].seq for e in host_reads
+        ):
+            self.fail = "a host-dirty mark follows a host read of the period"
+        self.marks.append((did, len(self.deltas)))
+
+    def sync_mark(self, host_time: float) -> tuple[int, int, int]:
+        """What was recorded before a host sync drains the node, whose host
+        clock reads ``host_time``."""
+        if host_time != self.h:
+            self.fail = _CLOCK
+        return len(self.touches), len(self.events), len(self.deltas)
+
+    def record_sync(self, before: tuple, host_time: float) -> None:
+        """A host sync that drained the node, which left the host clock at
+        ``host_time``. The drain's touches are dispatch-time ones (the
+        replayed payloads make them again); work the drain submitted
+        (recovery, speculation) has no place in the graph."""
+        touches, events, deltas = before
+        if len(self.events) != events or len(self.deltas) != deltas:
+            self.fail = "work was submitted while a captured host sync drained"
+        del self.touches[touches:]
+        self.cuts.append((touches, events))
+        self.deltas.append(None)
+        self.h = host_time
 
 
 def _snapshot_state(st) -> tuple:
@@ -241,9 +289,11 @@ def _compiled(src: str):
     return compile(src, "<graph launch>", "exec")
 
 
-#: Stamps a graph remembers as verified; past this it starts over (a long
-#: lived graph next to re-captured ones would otherwise keep their stamps).
+#: Stamps a graph remembers as verified, at least, and per captured datum;
+#: past this it starts over (a long lived graph next to re-captured ones
+#: would otherwise keep their stamps).
 _VERIFIED_LIMIT = 16
+_VERIFIED_PER_DATUM = 2
 
 
 class IterationGraph:
@@ -285,13 +335,18 @@ class IterationGraph:
         self.fast_launches = 0
         self.replayed_laps = 0
         # Compiled state (set by _finalize when replayable):
-        self._programs: list[tuple["Stream", list[tuple]]] = []
-        self._deltas: list[float] = []
+        #: Per segment of the period (one more than its host syncs): the
+        #: per-stream opcode programs, the host-clock advances and the
+        #: submission-time device-LRU touches ``(touch, buffer)``.
+        self._segments: list[tuple[list, list[float], list]] = []
+        #: ``(datum id, checkpoint)`` of the period's host-dirty marks.
+        self._marks: list[tuple[int, int]] = []
+        #: The first event slot of every segment after the first.
+        self._cuts: list[int] = []
         self._K = 1
         self._E = 0
         self._slot_labels: list[str] = []
         self._devices: set[int] = set()
-        self._touches: list[tuple[Any, Any]] = []
         #: Entry-state events the replay reads, each as the positions
         #: that held it at capture; a launch requires each group to hold
         #: one recorded event again. Constant waits (opcode mode 2) index
@@ -350,6 +405,8 @@ class IterationGraph:
                 "steady state changed during capture (weight rebalance, "
                 "device retirement, eviction or chunking)"
             )
+        if rec.fail:
+            return self._fail(rec.fail)
         if not rec.commands:
             return self._fail("empty capture: no commands were submitted")
         events = rec.events
@@ -364,16 +421,13 @@ class IterationGraph:
                 return self._fail(
                     f"captured event {ev.label!r} was never recorded"
                 )
-        # Host clock must have moved only through host_advance (a recovery
-        # or mitigation pass mid-capture jumps it directly).
-        h = rec.h_start
-        for d in rec.deltas:
-            h += d
-        if h != h_submit_end:
-            return self._fail(
-                "host clock advanced outside host_advance during capture"
-            )
+        # Host clock must have moved only through host_advance and host
+        # syncs (a recovery or mitigation pass mid-capture jumps it
+        # directly).
+        if rec.h != h_submit_end:
+            return self._fail(_CLOCK)
         slot_of = {ev: i for i, ev in enumerate(events)}
+        marked = {did for did, _ in rec.marks}
 
         # -- entry structure and exit state of every touched datum ------------
         monitor = sched.monitor
@@ -392,7 +446,9 @@ class IterationGraph:
                     "a datum first touched during capture has no "
                     "steady-state entry snapshot"
                 )
-            if did in consumed or en != ex:
+            # A marked datum is always captured: its launch re-applies
+            # the mark.
+            if did in consumed or did in marked or en != ex:
                 captured.append(did)
         # Where each entry event sits; a launch re-reads it there.
         holders: dict[Event, list[tuple]] = {}
@@ -415,7 +471,8 @@ class IterationGraph:
 
         shape: dict[int, tuple] = {}
         exits: dict[int, tuple] = {}
-        fixed = True
+        # A period with marks or syncs replays one lap per launch.
+        fixed = not (rec.marks or rec.cuts)
         for did in captured:
             plan = self._datum_plan(
                 did, entry[did], exit_snap[did], slot_of,
@@ -437,11 +494,25 @@ class IterationGraph:
         engine = sched.node.engine
         slot_refs: dict[int, int] = {}
         devices: set[int] = set()
-        programs: list[tuple["Stream", list[tuple]]] = []
+        # Host syncs cut the period into segments, dispatched one after the
+        # other, each with its host advances; checkpoint ck lies in segment
+        # segment_of[ck].
+        deltas: list[list[float]] = [[]]
+        segment_of = [0]
+        for d in rec.deltas:
+            if d is None:
+                deltas.append([])
+            else:
+                deltas[-1].append(d)
+            segment_of.append(len(deltas) - 1)
+        programs: list[list[tuple["Stream", list[tuple]]]] = [
+            [] for _ in deltas
+        ]
         for sid, cmds in rec.commands.items():
             stream = rec.streams[sid]
-            ops: list[tuple] = []
+            lanes: dict[int, list[tuple]] = {}
             for cmd, ck in cmds:
+                ops = lanes.setdefault(segment_of[ck], [])
                 t = type(cmd)
                 if t is EventWait:
                     ev = cmd.event
@@ -503,15 +574,24 @@ class IterationGraph:
                     return self._fail(
                         f"unreplayable command type {t.__name__}"
                     )
-            programs.append((stream, ops))
+            for g, ops in lanes.items():
+                programs[g].append((stream, ops))
 
-        self._programs = programs
-        self._deltas = list(rec.deltas)
+        bounds = [0, *(t for t, _ in rec.cuts), len(rec.touches)]
+        self._segments = [
+            (
+                programs[g],
+                deltas[g],
+                [(m.touch, b) for m, b in rec.touches[bounds[g]:bounds[g + 1]]],
+            )
+            for g in range(len(programs))
+        ]
+        self._marks = list(rec.marks)
+        self._cuts = [e for _, e in rec.cuts]
         self._K = len(rec.deltas) + 1
         self._E = E
         self._slot_labels = [ev.label for ev in events]
         self._devices = devices
-        self._touches = [(mem.touch, buf) for mem, buf in rec.touches]
         self._refs = refs
         self._slot_refs = sorted(slot_refs.items())
         self._boundary = [0.0] * E
@@ -771,6 +851,9 @@ class IterationGraph:
             )
 
         body: list[str] = []
+        #: Per segment: ``(state, loc, stamp) -> slots`` appended to that
+        #: read list, in list order.
+        segments: list[dict] = [{} for _ in range(len(self._cuts) + 1)]
         for did, exit_state in self._exit.items():
             sid, mode, lost, insts, aggs, shadow, replace, tails = exit_state
             carries = self._carries(did, entry[did])
@@ -790,8 +873,9 @@ class IterationGraph:
                     locs.append(f"{at}: old[{at}]")
                 else:
                     locs.append(f"{at}: [{', '.join(items)}]")
+            st = f"states[{const(did)}]"
             body += [
-                f"st = states[{const(did)}]",
+                f"st = {st}",
                 "old = st.up_to_date",
                 "st.up_to_date = {%s}" % ", ".join(locs),
                 f"st.sid = {const(sid)}",
@@ -817,33 +901,44 @@ class IterationGraph:
                     f"st.read_marks.pop({at}, None)" if mark is None
                     else f"st.read_marks[{at}] = {const(mark)}"
                 )
-            for loc, slots in tails:  # lap by lap, as eager submission does
-                at = const(loc)
-                body.append("for evs in laps:")
-                body += [
-                    f"    st.add_read({at}, evs[{tail_at[s]}], host_time)"
-                    for s in slots
-                ]
-            stamp = _Exit(frozenset(loc for loc, _, _ in replace))
-            body.append(f"st.stamp = {const(stamp)}")
+            stamp = const(_Exit(frozenset(loc for loc, _, _ in replace)))
+            body.append(f"st.stamp = {stamp}")
+            for loc, slots in tails:
+                for s in slots:
+                    g = bisect.bisect_right(self._cuts, s)
+                    segments[g].setdefault((st, loc, stamp), []).append(s)
         head = [f"b = (n - 1) * {E}"] + [
             f"v{s} = Event({const(labels[s])}, ev_time[b + {s}])"
             for s in sorted(done)
         ]
-        times = []
         if tail:
             head += [
                 "laps = [[Event(label) for label in %s] for _ in range(n)]"
                 % const(tuple(labels[s] for s in tail)),
                 "last = laps[-1]",
             ]
-            times = ["for lap, evs in enumerate(laps):", f"    b = lap * {E}"]
-            times += [
-                f"    evs[{j}].recorded_at = ev_time[b + {s}]"
-                for j, s in enumerate(tail)
+        # Read tails are appended lap by lap, as eager submission does, with
+        # the events of their segment unrecorded and those of the segments
+        # before it (drained by a host sync) recorded.
+        for appends in segments:
+            if not appends:
+                continue
+            for (st, loc, _), slots in appends.items():
+                body.append("for evs in laps:")
+                body += [
+                    f"    {st}.add_read({const(loc)}, evs[{tail_at[s]}], "
+                    "host_time)"
+                    for s in slots
+                ]
+            body += ["for lap, evs in enumerate(laps):", f"    b = lap * {E}"]
+            body += [
+                f"    evs[{tail_at[s]}].recorded_at = ev_time[b + {s}]"
+                for s in sorted({s for v in appends.values() for s in v})
             ]
+            # An append clears the stamp the datum's exit left.
+            body += [f"{st}.stamp = {stamp}" for st, _, stamp in appends]
         return "def write_exit(states, refs, ev_time, n, host_time):\n" + "".join(
-            f"    {line}\n" for line in head + body + times
+            f"    {line}\n" for line in head + body
         )
 
     @property
@@ -945,7 +1040,9 @@ class IterationGraph:
                 if not _matches(st, shape):
                     return None
                 if stamp is not None:
-                    if len(verified) >= _VERIFIED_LIMIT:
+                    if len(verified) >= max(
+                        _VERIFIED_LIMIT, _VERIFIED_PER_DATUM * len(self._shape)
+                    ):
                         verified.clear()
                     verified[stamp] = _residual(stamp, shape)
             elif rest and not _lists_match(st, rest[0], rest[1]):
@@ -959,34 +1056,45 @@ class IterationGraph:
         sched = self._sched
         node = sched.node
         engine = node.engine
-        deltas = self._deltas
-        # Host checkpoints: the eager submission loop's host_time after
-        # each advance, re-accumulated with the same sequential additions.
-        ck_vals: list[float] = []
-        h = node.host_time
-        for _ in range(n):
-            ck_vals.append(h)
-            for d in deltas:
-                h += d
-                ck_vals.append(h)
-        # Submission-time LRU touches (all laps' submissions precede the
-        # drain in the eager order; dispatch-time touches replay through
-        # the re-executed payload closures).
-        touches = self._touches
-        if touches:
-            for _ in range(n):
-                for touch, buf in touches:
-                    touch(buf)
+        K, E = self._K, self._E
         ref_times = [ev.recorded_at for ev in refs]
         boundary = self._boundary  # lap 0's previous-lap slots, by position
         if self._slot_refs:
             boundary = boundary[:]
             for slot, r in self._slot_refs:
                 boundary[slot] = ref_times[r]
-        ev_time = engine.run_graph(
-            self._programs, n, ck_vals, self._K, self._E, boundary, ref_times
-        )
+        # Host checkpoints: the eager submission loop's host_time after
+        # each advance, re-accumulated with the same sequential additions;
+        # a host sync drains the segment before it and rejoins the clock
+        # to the engine's, as ``SimNode.run`` does (a period with syncs
+        # replays one lap).
+        ck_vals: list[float] = []
+        h = node.host_time
+        ev_time = None
+        for programs, deltas, touches in self._segments:
+            if ev_time is not None:
+                h = max(h, engine.now)
+            for _ in range(n):
+                ck_vals.append(h)
+                for d in deltas:
+                    h += d
+                    ck_vals.append(h)
+            # Submission-time LRU touches (a segment's submissions precede
+            # its drain in the eager order; dispatch-time touches replay
+            # through the re-executed payload closures).
+            if touches:
+                for _ in range(n):
+                    for touch, buf in touches:
+                        touch(buf)
+            ev_time = engine.run_graph(
+                programs, n, ck_vals, K, E, boundary, ref_times, ev_time
+            )
         node.host_time = max(h, engine.now)
+        # A host-dirty mark's effect the exit does not write: the host read
+        # list compacted at the mark's checkpoint (the period's own reads
+        # join it in the epilogue).
+        for did, ck in self._marks:
+            states[did].compact_reads(HOST, ck_vals[ck])
         self._epilogue(ev_time, n, states, refs)
         sched.plans.graph_hits += n * self.invokes
         return node.time
@@ -1001,10 +1109,10 @@ class IterationGraph:
         The exit holds a fresh :class:`Event` for every slot the last lap
         leaves in the monitor, the launch's entry events for its refs, and
         None. Read tails are appended lap by lap through the monitor's own
-        compaction, with their events still unrecorded — as in the eager
-        submission, where no event of the launch has run yet — and get
-        their replayed times only afterwards; no compaction reads the
-        other events, which are made with theirs.
+        compaction, with the events of their segment still unrecorded — as
+        in the eager submission, where no event of that segment has run yet
+        — and get their replayed times only afterwards; no compaction reads
+        the other events, which are made with theirs.
         """
         self._write_exit(
             states, refs, ev_time, n, self._sched.node.host_time
@@ -1016,34 +1124,47 @@ class Loop:
 
     An iterative workload re-submits the same ``period`` calls, one per
     iteration: a ping-pong between two buffers has period 2, a call whose
-    containers never change has period 1. :meth:`declare` runs each
+    containers never change has period 1, and a chain of layers (LeNet's
+    forward pass) runs each of its calls once. :meth:`declare` runs each
     call's ``AnalyzeCall`` once and keeps its container tuple, so
-    iteration ``i`` re-invokes ``calls[i % period]``. :meth:`replay`
-    captures one period as an :class:`IterationGraph` and launches it;
-    :meth:`tick` runs one iteration at a time, each phase through its own
-    single-iteration graph. The graphs belong to this loop's scheduler,
-    so a workload resuming on a new scheduler (a new job-server lease, a
-    rebuilt cluster node) declares a new loop and captures again.
+    iteration ``i`` re-invokes ``calls[i % period]`` with its kernel.
+    :meth:`replay` captures one period as an :class:`IterationGraph` and
+    launches it; :meth:`tick` runs one iteration and :meth:`serve` one
+    request batch, each as a transition graph. The graphs belong to this
+    loop's scheduler, so a workload resuming on a new scheduler (a new
+    job-server lease, a rebuilt cluster node) declares a new loop and
+    captures again.
     """
 
     def __init__(self, sched: "Scheduler", kernel, calls, outs, grid=None):
         if len(calls) != len(outs):
             raise ValueError("need one output per call of the period")
         self.sched = sched
-        self.kernel = kernel
+        #: One kernel per call of the period.
+        self.kernels = (
+            tuple(kernel) if isinstance(kernel, (tuple, list))
+            else (kernel,) * len(calls)
+        )
+        if len(self.kernels) != len(calls):
+            raise ValueError("need one kernel per call of the period")
         self.calls = calls
         self.outs = outs
         self.grid = grid
         #: Iterations before the submitted calls repeat.
         self.period = len(calls)
-        self._invoke = sched.invoke_unmodified if kernel.raw else sched.invoke
+        self._invokes = tuple(
+            sched.invoke_unmodified if k.raw else sched.invoke
+            for k in self.kernels
+        )
         #: The captured period, once :meth:`replay` has run.
         self.graph: IterationGraph | None = None
         #: Per phase of the period, ``(gathers, graph or None)`` once its
         #: first tick ran (``tick``).
         self.phases: list[tuple | None] = [None] * self.period
-        #: Diagnostics: captures performed / periods (or ticks) launched
-        #: as a graph.
+        #: ``(shape, graph or None)`` once the first serve ran (``serve``).
+        self.serving: tuple | None = None
+        #: Diagnostics: captures performed / periods, ticks or serves
+        #: launched as a graph.
         self.captures = 0
         self.replayed = 0
 
@@ -1051,16 +1172,17 @@ class Loop:
     def declare(cls, sched, kernel, calls, outs, grid=None) -> "Loop":
         """Analyze each call of the period once and return its loop;
         ``calls`` holds one container tuple and ``outs`` one output datum
-        per phase of the period."""
-        for call in calls:
-            sched.analyze_call(kernel, *call, grid=grid)
-        return cls(sched, kernel, tuple(calls), tuple(outs), grid)
+        per phase of the period, and ``kernel`` is the kernel of every
+        call or a sequence of one kernel per call."""
+        loop = cls(sched, kernel, tuple(calls), tuple(outs), grid)
+        for k, call in zip(loop.kernels, loop.calls):
+            sched.analyze_call(k, *call, grid=grid)
+        return loop
 
     def step(self, i: int):
         """Submit iteration ``i``; returns its task handle."""
-        return self._invoke(
-            self.kernel, *self.calls[i % self.period], grid=self.grid
-        )
+        k = i % self.period
+        return self._invokes[k](self.kernels[k], *self.calls[k], grid=self.grid)
 
     def out(self, i: int):
         """The datum iteration ``i`` writes."""
@@ -1101,37 +1223,75 @@ class Loop:
         Iteration ``i`` starts from where eager work between ticks left the
         monitor (host writes of ghost rows, say), so it is replayed as a
         *transition*: each phase of the period holds one single-iteration
-        graph, launched once per tick, whose entry check covers that work.
-        A phase's first tick runs eagerly (it still distributes the
-        inputs) and its second is captured; a scheduler that cannot
-        capture runs every tick eagerly. A launch whose entry state does
-        not hold takes the eager fallback and the graph is kept; a graph
-        that has :attr:`~IterationGraph.expired` is dropped, and its phase
-        starts over like a new one.
+        graph, launched once per tick, whose entry check covers that work
+        (:meth:`_transition`).
         """
         k = i % self.period
-        sched = self.sched
-        ph = self.phases[k]
-        if ph is not None and (ph[0] != gathers or (
-            ph[1] is not None and ph[1].expired
-        )):
-            ph = None
-        if ph is None or not sched.capturable:
-            self.phases[k] = (gathers, None)
-            self._tick(i, gathers)
-            return sched.wait_all()
-        graph = ph[1]
-        if graph is None:
-            with sched.capture() as graph:
-                self._tick(i, gathers)
-            self.captures += 1
-            self.phases[k] = (gathers, graph)
-            return sched.node.time
-        self.replayed += 1
-        return graph.launch(1)
+        self.phases[k] = self._transition(
+            self.phases[k], gathers, lambda: self._tick(i, gathers)
+        )
+        return self.sched.node.time
 
     def _tick(self, i: int, gathers: tuple) -> None:
         self.step(i)
         out = self.out(i)
         for region in gathers:
             self.sched.gather_region(out, region)
+
+    def serve(
+        self, marks: tuple, n: int, syncs: tuple = (), gathers: tuple = ()
+    ) -> float:
+        """Serve one request batch and drain; returns the node time.
+
+        The application has written the host buffers of the ``marks``
+        datums; they are marked host-dirty (their upload joins the first
+        call that reads them), iterations ``0..n-1`` run with a host sync
+        before each iteration in ``syncs``, and the ``gathers`` datums are
+        gathered whole. The serve is one transition graph, launched once
+        per serve (:meth:`_transition`)."""
+        shape = (marks, n, syncs, gathers)
+        self.serving = self._transition(
+            self.serving, shape, lambda: self._serve(*shape)
+        )
+        return self.sched.node.time
+
+    def _serve(self, marks, n, syncs, gathers) -> None:
+        sched = self.sched
+        for datum in marks:
+            sched.mark_host_dirty(datum)
+        for i in range(n):
+            if i in syncs:
+                sched.wait_all()
+            self.step(i)
+        for datum in gathers:
+            sched.gather_async(datum)
+
+    def _transition(self, slot: tuple | None, shape, body) -> tuple:
+        """Run ``body`` once through the graph of ``slot`` (``(shape,
+        graph or None)``, None before the first run) and drain; returns
+        the slot to keep.
+
+        The first run is eager (it still distributes the inputs) and the
+        second is captured; a scheduler that cannot capture runs every
+        time eagerly. A launch whose entry state does not hold takes the
+        eager fallback and the graph is kept; a graph that has
+        :attr:`~IterationGraph.expired`, or a run of another ``shape``,
+        starts over like a first run."""
+        sched = self.sched
+        if slot is not None and (slot[0] != shape or (
+            slot[1] is not None and slot[1].expired
+        )):
+            slot = None
+        if slot is None or not sched.capturable:
+            body()
+            sched.wait_all()
+            return shape, None
+        graph = slot[1]
+        if graph is None:
+            with sched.capture() as graph:
+                body()
+            self.captures += 1
+            return shape, graph
+        self.replayed += 1
+        graph.launch(1)
+        return slot

@@ -201,6 +201,10 @@ class LocationMonitor:
         """Up-to-date regions of a datum at a location (for tests)."""
         return [i.rect for i in self._st(datum).up_to_date.get(loc, [])]
 
+    def host_reads(self, datum: "Datum") -> tuple[Event, ...]:
+        """The in-flight readers of the datum's host instance."""
+        return tuple(self._st(datum).pending_reads.get(HOST, ()))
+
     def needs_aggregation(self, datum: "Datum") -> bool:
         return self._st(datum).agg_mode is not Aggregation.NONE
 

@@ -451,10 +451,17 @@ class Scheduler:
     def wait_all(self) -> float:
         """Run the simulation until every queued command has executed;
         returns the simulated time. Injected faults are recovered from
-        here (see module docstring)."""
+        here (see module docstring). Inside a capture it is recorded as a
+        host sync: the launch drains there too."""
         self._check_live()
-        self._no_capture("wait_all")
-        t = self._drive(self.node.run)
+        rec = self._capture_rec
+        if rec is None:
+            t = self._drive(self.node.run)
+        else:
+            self._capture_call(self.wait_all)
+            before = rec.sync_mark(self.node.host_time)
+            t = self._drive(self.node.run)
+            rec.record_sync(before, self.node.host_time)
         recovery.prune_log(self, keep_producers=False)
         return t
 
@@ -490,8 +497,13 @@ class Scheduler:
 
     def mark_host_dirty(self, datum: Datum) -> None:
         """Tell the framework the bound host buffer was modified by the
-        application, invalidating device-resident instances."""
-        self._no_capture("mark_host_dirty")
+        application, invalidating device-resident instances. A capture
+        records the mark, and its launches apply it; the upload itself
+        reads the host buffer when its copy runs."""
+        rec = self._capture_rec
+        if rec is not None:
+            self._capture_call(self.mark_host_dirty, datum)
+            rec.record_mark(id(datum), self.monitor.host_reads(datum))
         self.monitor.mark_host_dirty(datum, self.node.host_time)
 
     # -- iteration graphs (DESIGN.md §12) ---------------------------------------
@@ -499,8 +511,9 @@ class Scheduler:
         if self._capture is not None:
             raise GraphCaptureError(
                 f"{what} is not allowed while an iteration-graph capture "
-                "is recording: a captured period may only submit invokes "
-                "and gathers of datums without pending partials"
+                "is recording: a captured period may only submit invokes, "
+                "gathers of datums without pending partials, host-dirty "
+                "marks of whole datums and wait_all"
             )
 
     def _capture_call(self, fn, *args, **kwargs) -> None:
@@ -523,9 +536,10 @@ class Scheduler:
         Drains all outstanding work first (the capture must start from a
         quiescent node), then records every command the following
         ``invoke``/``invoke_unmodified`` and ``gather_async``/
-        ``gather_region`` calls produce until :meth:`end_batch`. Requires
-        the plan cache (the capture records *resolved* plans) and is
-        unavailable in sanitize mode (the sanitizer must observe every
+        ``gather_region`` calls produce until :meth:`end_batch`, with the
+        ``mark_host_dirty`` marks and ``wait_all`` syncs between them.
+        Requires the plan cache (the capture records *resolved* plans) and
+        is unavailable in sanitize mode (the sanitizer must observe every
         eager dispatch).
         """
         self._check_live()

@@ -4,14 +4,17 @@ A *replica* is one device's copy of a model, hosted behind the dynamic
 batcher. Two engines are served:
 
 * :class:`LeNetEngine` — the Fig. 10 CNN, forward pass only, via
-  :class:`repro.apps.lenet.inference.LeNetInference` (eager, plan-cached
-  from the second batch on);
+  :class:`repro.apps.lenet.inference.LeNetInference`;
 * :class:`SgemmEngine` — a chained small-SGEMM microservice (an
   ``layers``-deep stack of ``X @ B`` ping-pongs through *unmodified*
-  CUBLAS, §4.6). Its steady-state ping-pong period is captured as an
-  iteration graph (DESIGN.md §12) on the first serve and replayed on
-  every later one, so the per-request host path is a graph launch, not
-  ``layers`` scheduler invocations.
+  CUBLAS, §4.6).
+
+Each engine serves a batch as one :meth:`Loop.serve
+<repro.core.graph.Loop.serve>` transition: the input upload, every
+layer and the gather of the result. The first serve of an engine runs
+eagerly, the second is captured as an iteration graph (DESIGN.md §12),
+and every later serve is one graph launch, not ``layers`` scheduler
+invocations.
 
 Both engines run every batch at one **fixed padded shape**. That is the
 load-bearing invariant of the serving layer: identical call shapes mean
@@ -57,6 +60,9 @@ class LeNetEngine:
         rng = np.random.default_rng(seed)
         return rng.standard_normal((1, 28, 28)).astype(np.float32)
 
+    #: The engine's loop (its serve graph and counters).
+    loop = property(lambda self: self._engine.loop)
+
     def serve(self, requests: list[Request]) -> list[np.ndarray]:
         """Answer up to ``batch`` requests in one padded invocation;
         returns one ``(10,)`` logits vector per request."""
@@ -82,14 +88,11 @@ class SgemmEngine:
     matrix ``B`` scaled by ``1/sqrt(size)`` so magnitudes stay bounded.
     ``layers`` must be even: the result lands back in ``X``.
 
-    The first ping-pong pair of every serve runs eagerly (it absorbs the
-    new batch's host-to-device upload, which is not steady state); the
-    second pair of the *first* serve is captured as an iteration graph
-    and all remaining pairs — of this serve and every later one — replay
-    it (``captures`` / ``replayed_pairs`` count the split). Zero-padding
-    rows is arithmetically inert here (``0 @ B == 0``) and keeps the GEMM
-    shape — and therefore the BLAS blocking and per-row summation order —
-    identical across batch occupancies.
+    A serve drains once after the first ping-pong pair, which absorbs
+    the new batch's host-to-device upload (``Loop.serve``'s host sync).
+    Zero-padding rows is arithmetically inert here (``0 @ B == 0``) and
+    keeps the GEMM shape — and therefore the BLAS blocking and per-row
+    summation order — identical across batch occupancies.
     """
 
     kind = "sgemm"
@@ -104,8 +107,8 @@ class SgemmEngine:
     ):
         if layers < 2 or layers % 2:
             raise ValueError(
-                "layers must be even and >= 2 (the captured period is "
-                "one X/Y ping-pong pair)"
+                "layers must be even and >= 2 (the result lands back in "
+                "X after each X/Y ping-pong pair)"
             )
         self.sched = sched
         self.batch = int(batch)
@@ -135,20 +138,12 @@ class SgemmEngine:
             (self._y, self._x),
         )
 
-    # Diagnostics, kept on the loop: the captured pair, graph captures
-    # performed and ping-pong pairs replayed through the graph (vs. run
-    # eagerly).
-    graph = property(lambda self: self.loop.graph)
-    captures = property(lambda self: self.loop.captures)
-    replayed_pairs = property(lambda self: self.loop.replayed)
-
     def _input_for(self, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
         return rng.standard_normal(self.size).astype(np.float32)
 
-    def serve(self, requests: list[Request]) -> list[np.ndarray]:
-        """Answer up to ``batch`` requests in one padded chained-GEMM
-        run; returns one ``(size,)`` feature vector per request."""
+    def _load(self, requests: list[Request]) -> int:
+        """Write the padded batch into the host input; returns its size."""
         k = len(requests)
         if k > self.batch:
             raise ValueError(
@@ -159,20 +154,28 @@ class SgemmEngine:
             self._x_host[i] = self._input_for(r.seed)
         if k < self.batch:
             self._x_host[k:] = 0.0
-        self.sched.mark_host_dirty(self._x)
-        # First pair eager: pays the padded batch's H2D re-distribution,
-        # leaving the monitor in the steady state the graph was captured
-        # against.
-        self.loop.warm_up(0)
-        self.loop.replay(2, self.layers // 2 - 1)
-        self.sched.gather(self._x)
+        return k
+
+    def serve(self, requests: list[Request]) -> list[np.ndarray]:
+        """Answer up to ``batch`` requests in one padded chained-GEMM
+        run; returns one ``(size,)`` feature vector per request."""
+        k = self._load(requests)
+        self.loop.serve((self._x,), self.layers, (2,), (self._x,))
         out = self._x.host
         return [out[i].copy() for i in range(k)]
 
     def warmup(self) -> None:
-        """One padded dummy batch: pays weight/input distribution, plan
-        analysis, and the steady-state graph capture."""
-        dummy = Request(
+        """One padded dummy batch: pays weight/input distribution and plan
+        analysis. It runs eagerly, outside the serve graph, and drains
+        after each of its first two ping-pong pairs; that timeline is the
+        replica's calibrated provisioning time (``BENCH_serving.json``)."""
+        loop = self.loop
+        self._load([Request(
             rid=-1, kind=self.kind, arrival=0.0, seed=self._model_seed
-        )
-        self.serve([dummy])
+        )])
+        self.sched.mark_host_dirty(self._x)
+        for start in range(0, min(4, self.layers), 2):
+            loop.warm_up(start)
+        for i in range(4, self.layers):
+            loop.step(i)
+        self.sched.gather(self._x)

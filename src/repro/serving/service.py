@@ -131,8 +131,9 @@ class ServingReport:
     provisionings: int
     batches: int
     mean_batch: float
+    #: Serve graphs captured, and serves launched as one of them.
     graph_captures: int
-    graph_replayed_pairs: int
+    graph_launches: int
     #: Requests shed past their SLO deadline instead of served (empty
     #: unless ``config.shed_expired``).
     shed: list[Request] = field(default_factory=list)
@@ -207,8 +208,11 @@ class _Replica:
         return self.engines[batch.kind].serve(list(batch.requests))
 
     def graph_stats(self) -> tuple[int, int]:
-        s = self.engines["sgemm"]
-        return s.captures, s.replayed_pairs
+        loops = [eng.loop for eng in self.engines.values()]
+        return (
+            sum(loop.captures for loop in loops),
+            sum(loop.replayed for loop in loops),
+        )
 
 
 @dataclass
@@ -371,11 +375,11 @@ class ServingNode:
             now = min(nxt)
         served.sort(key=lambda s: (s.completed, s.rid))
         makespan = served[-1].completed if served else 0.0
-        caps, pairs = st.retired_graph_stats
+        caps, launches = st.retired_graph_stats
         for r in st.replicas.values():
             c, p = r.graph_stats()
             caps += c
-            pairs += p
+            launches += p
         return ServingReport(
             config=cfg,
             pattern=trace.pattern,
@@ -390,7 +394,7 @@ class ServingNode:
             batches=batcher.batches,
             mean_batch=batcher.mean_batch,
             graph_captures=caps,
-            graph_replayed_pairs=pairs,
+            graph_launches=launches,
             shed=list(batcher.shed_requests),
         )
 

@@ -199,6 +199,7 @@ class Engine:
         E: int,
         boundary_times: list[float],
         const_times: list[float],
+        ev_time: list[float | None] | None = None,
     ) -> list[float | None]:
         """Replay a compiled iteration graph for ``n`` laps (DESIGN.md §12).
 
@@ -220,9 +221,13 @@ class Engine:
         ``earliest_start``) for a command recorded after ``ck`` host
         advances of its lap. Returns the flat ``n * E`` array of recorded
         event times (lap-major); entry ``lap * E + slot`` is that lap's
-        recording of captured event ``slot``.
+        recording of captured event ``slot``. A graph replayed in segments
+        (one per host sync it captured) passes the array the earlier
+        segments filled as ``ev_time``, so a wait on an event of an
+        earlier segment reads its time.
         """
-        ev_time: list[float | None] = [None] * (n * E)
+        if ev_time is None:
+            ev_time = [None] * (n * E)
         self._dispatch(
             [p[0] for p in programs], None,
             ([p[1] for p in programs], n, ck_vals, K, E, boundary_times,

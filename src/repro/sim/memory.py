@@ -21,13 +21,18 @@ instead of silently corrupting the accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from repro.errors import AllocationError, DeviceError
 from repro.utils.rect import Rect
+
+
+#: Regions a buffer remembers the slices of (``DeviceBuffer.view``); a
+#: buffer viewed through more starts over.
+_VIEW_MEMO_LIMIT = 64
 
 
 @dataclass(eq=False)
@@ -50,6 +55,10 @@ class DeviceBuffer:
     data: Optional[np.ndarray] = None
     freed: bool = False
     last_use: int = 0
+    #: region -> its slicing tuple into ``data``, for regions already
+    #: checked against ``rect`` (:meth:`view`); cleared past
+    #: :data:`_VIEW_MEMO_LIMIT` entries.
+    _slices: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def nbytes(self) -> int:
@@ -65,11 +74,17 @@ class DeviceBuffer:
             raise DeviceError("buffer has no functional data (timing-only mode)")
         if self.freed:
             raise DeviceError("use after free")
-        if not self.rect.contains(region):
-            raise DeviceError(
-                f"region {region} outside buffer extent {self.rect}"
-            )
-        return self.data[region.slices(self.origin)]
+        memo = self._slices
+        idx = memo.get(region)
+        if idx is None:
+            if not self.rect.contains(region):
+                raise DeviceError(
+                    f"region {region} outside buffer extent {self.rect}"
+                )
+            if len(memo) >= _VIEW_MEMO_LIMIT:
+                memo.clear()
+            idx = memo[region] = region.slices(self.origin)
+        return self.data[idx]
 
 
 class DeviceMemory:

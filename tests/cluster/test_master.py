@@ -46,9 +46,6 @@ class TestClusterMonitor:
         m = self.mk()
         m.assign([3, 0, 2], min_rows=2)
         assert m.order() == [0, 2, 3]  # id order == row order
-        assert m.neighbors(2, wrap=False) == (0, 3)
-        assert m.neighbors(0, wrap=False) == (None, 2)
-        assert m.neighbors(0, wrap=True) == (3, 2)
 
     def test_mark_dead_and_fenced_drop_slabs(self):
         m = self.mk()

@@ -20,6 +20,7 @@ time, and every pre-launch event (the entry refs among them) by identity.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 
 from repro.core.graph import IterationGraph, _event_at, _snapshot_state
@@ -101,6 +102,10 @@ def refresh(
         return lap_ev(last, src) if src >= 0 else refs[-1 - src]
 
     host_time = graph._sched.node.host_time
+    # Read tails per segment of the period: appended after the events of
+    # the segments before them (drained by a host sync) have their times.
+    cuts = graph._cuts
+    appends: list[list] = [[] for _ in range(len(cuts) + 1)]
     for did, exit_state in graph._exit.items():
         sid, mode, lost, insts, aggs, shadow, replace, tails = exit_state
         st = states[did]
@@ -129,9 +134,19 @@ def refresh(
             else:
                 st.read_marks[loc] = mark
         for loc, slots in tails:
+            for g in range(len(appends)):
+                mine = [s for s in slots if bisect.bisect_right(cuts, s) == g]
+                if mine:
+                    appends[g].append((st, loc, mine))
+    for segment in appends:
+        for st, loc, slots in segment:
             for lap in range(n):
                 for s in slots:
                     st.add_read(loc, lap_ev(lap, s), host_time)
+        for _, _, slots in segment:
+            for lap in range(n):
+                for s in slots:
+                    lap_ev(lap, s).recorded_at = ev_time[lap * E + s]
     for k, ev in made.items():
         ev.recorded_at = ev_time[k]
 

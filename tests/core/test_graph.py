@@ -37,6 +37,8 @@ from repro.sim import (
 )
 from repro.utils.rect import Rect
 
+from . import graph_oracle
+
 N = 128
 GPUS = 4
 
@@ -244,12 +246,12 @@ class TestCaptureGuards:
         node, sched, a, b, kernel, ca, cb = gol_setup()
         h = sched.invoke(kernel, *ca)
         sched.wait_all()
+        # wait_all and mark_host_dirty are recorded as a host sync and a
+        # host-dirty mark (TestHostOps); waiting on one task and region
+        # marks are not.
         for bad in (
-            sched.wait_all,
             lambda: sched.wait(h),
-            lambda: sched.gather(a),  # gather_async, then a wait_all
             lambda: sched.analyze_call(kernel, *ca),
-            lambda: sched.mark_host_dirty(a),
             lambda: sched.mark_host_region_dirty(a, Rect((0, 1), (0, N))),
         ):
             g = sched.begin_batch()
@@ -325,7 +327,7 @@ class TestCaptureGuards:
         with pytest.raises(GraphCaptureError):
             with sched.capture():
                 sched.invoke(kernel, *cb)
-                sched.wait_all()  # boom
+                sched.analyze_call(kernel, *cb)  # boom
         # usable again, no capture left installed
         assert node.graph_recorder is None
         sched.invoke(kernel, *ca)
@@ -849,3 +851,144 @@ class TestTransitionGraphs:
         assert g.replayable and not g.fixed_point
         g.launch(2)
         assert g.launches == 1 and g.fast_launches == 0
+
+
+class TestHostOps:
+    """A captured ``mark_host_dirty`` is recorded as a monitor op and a
+    captured ``wait_all`` as a host sync: a launch compacts the mark's host
+    read list at its checkpoint and drains at the sync, rejoining the host
+    clock to the engine's before the checkpoints after it. Host clocks,
+    trace rows, monitor state and answers equal an eager twin's (plan
+    cache off, so it never captures)."""
+
+    @staticmethod
+    def _rounds(mode, period, rounds=24, n=32):
+        """``rounds`` rounds of ``period(sched, x, w, pair)`` on all four
+        GPUs, each after a fresh host input; the weight matrix ``w`` is
+        read by every GEMM and never written, so its read lists cross the
+        compaction floor with tails on both sides of a sync. ``mode``:
+        ``eager``, ``graph`` (round 0 eager, round 1 captured, then
+        launches) or ``fallback`` (every launch's fast path disabled)."""
+        node = SimNode(GTX_780, GPUS, functional=True)
+        sched = Scheduler(node, plan_cache=mode != "eager")
+        rng = np.random.default_rng(11)
+        w = Matrix(n, n, np.float32, "W").bind(
+            (rng.standard_normal((n, n)) / np.sqrt(n)).astype(np.float32)
+        )
+        xh = np.zeros((n, n), np.float32)
+        x = Matrix(n, n, np.float32, "X").bind(xh)
+        y = Matrix(n, n, np.float32, "Y").bind(np.zeros((n, n), np.float32))
+        loop = Loop.declare(
+            sched, make_sgemm_routine(),
+            (sgemm_containers(x, w, y), sgemm_containers(y, w, x)), (y, x),
+        )
+
+        def pair():
+            loop.step(0)
+            loop.step(1)
+
+        g = None
+        outs, clocks = [], []
+        for r in range(rounds):
+            xh[...] = rng.standard_normal((n, n)).astype(np.float32)
+            if mode == "eager" or r == 0:
+                period(sched, x, w, pair)
+                sched.wait_all()
+            elif g is None:
+                with sched.capture() as g:
+                    period(sched, x, w, pair)
+                if mode == "fallback":
+                    g._fast_entry = lambda: None
+            else:
+                g.launch(1)
+            outs.append(x.host.copy())
+            clocks.append((node.host_time, node.engine.now))
+        lru = sorted(
+            (d.name, dev, buf.last_use)
+            for d in (w, x, y)
+            for dev in range(GPUS)
+            for buf in [sched.analyzer.buffer(d, dev)]
+        )
+        return (np.stack(outs), clocks, norm_trace(node),
+                node.engine.commands_executed,
+                structure(sched.monitor, times=True), lru, g)
+
+    @staticmethod
+    def _serve(sched, x, w, pair):
+        """The SGEMM engine's serve: upload mark, a pair, a host sync, two
+        pairs, the gather."""
+        sched.mark_host_dirty(x)
+        pair()
+        sched.wait_all()
+        pair()
+        pair()
+        sched.gather_async(x)
+
+    @staticmethod
+    def _late_mark(sched, x, w, pair):
+        """As ``_serve``, and the weights are rewritten after the sync:
+        their mark sits at a rejoined checkpoint and re-uploads them."""
+        sched.mark_host_dirty(x)
+        pair()
+        sched.wait_all()
+        sched.mark_host_dirty(w)
+        pair()
+        sched.wait_all()
+        pair()
+        sched.gather_async(x)
+
+    @pytest.mark.parametrize("period", ["_serve", "_late_mark"])
+    def test_marks_and_syncs_match_the_eager_twin(self, period, monkeypatch):
+        stats = graph_oracle.install(monkeypatch)
+        fn = getattr(self, period)
+        eager = self._rounds("eager", fn)
+        fast = self._rounds("graph", fn)
+        g = fast[-1]
+        assert g.replayable, g.reason
+        assert not g.fixed_point and g._marks and g._cuts
+        assert g.launches == g.fast_launches == stats["fast"] == 22
+        assert [fn.__name__ for fn, _, _ in g.calls].count("wait_all") == (
+            len(g._cuts)
+        )
+        for run in (fast, self._rounds("fallback", fn)):
+            assert np.array_equal(run[0], eager[0])
+            # Host clock after every round, trace rows (start times carry
+            # the host checkpoints), command count, the whole monitor
+            # state (read lists and event times included) and the
+            # buffers' LRU stamps.
+            assert run[1:6] == eager[1:6]
+
+    def test_mark_after_a_host_read_is_not_replayed(self):
+        """A second mark of a datum the period already uploaded would
+        compact a list that holds the period's own read: the capture
+        stays fallback-only, and launches still equal the eager run."""
+
+        def twice(sched, x, w, pair):
+            TestHostOps._serve(sched, x, w, pair)
+            sched.mark_host_dirty(x)
+
+        eager = self._rounds("eager", twice)
+        fast = self._rounds("graph", twice)
+        g = fast[-1]
+        assert not g.replayable
+        assert g.reason == "a host-dirty mark follows a host read of the period"
+        assert g.launches == 22 and g.fast_launches == 0
+        assert np.array_equal(fast[0], eager[0])
+        assert fast[1:6] == eager[1:6]
+
+    def test_work_submitted_while_a_sync_drains_is_not_replayed(self):
+        """A sync whose drain submits work, as a straggler's speculative
+        re-execution or a recovery pass does (an event record stands in
+        for it here), records it into no segment: the capture stays
+        fallback-only."""
+        node, sched, a, b, kernel, ca, cb = gol_setup()
+        sched.invoke(kernel, *ca)
+        sched.wait_all()
+        with sched.capture() as g:
+            sched.invoke(kernel, *cb)
+            rec = sched._capture_rec
+            before = rec.sync_mark(node.host_time)
+            node.record_event(sched._compute[0], "speculated")
+            rec.record_sync(before, node.host_time)
+        assert not g.replayable
+        assert g.reason == "work was submitted while a captured host sync drained"

@@ -64,15 +64,18 @@ class TestOracleAgrees:
         assert stats["fast"] == 8
 
     @staticmethod
-    def _serve(layers: int, serves: int):
-        """Serving's SGEMM engine: per serve, a fresh upload, the eager
-        warm-up pair and one launch of ``layers // 2 - 1`` laps."""
+    def _pairs(layers: int):
+        """Serving's SGEMM chain as a fixed point: a fresh upload, one
+        eager ping-pong pair, a captured pair and ``layers // 2 - 2``
+        laps of it, a gather; returns the pair's graph."""
         node = SimNode(GTX_780, 4)
         eng = SgemmEngine(Scheduler(node), batch=4, size=32, layers=layers)
-        eng.warmup()
-        for k in range(serves):
-            eng.serve([Request(rid=k, kind="sgemm", arrival=0.0, seed=k)])
-        return eng.graph
+        loop = eng.loop
+        loop.sched.mark_host_dirty(eng._x)
+        loop.warm_up(0)
+        loop.replay(2, layers // 2 - 1)
+        loop.sched.gather(eng._x)
+        return loop.graph
 
     def test_fixed_point_tails_compact_within_a_launch(self, monkeypatch):
         """140 layers replay 69 laps per launch; the weight matrix is
@@ -87,7 +90,7 @@ class TestOracleAgrees:
             return compact(st, loc, host_time)
 
         monkeypatch.setattr(_DatumState, "compact_reads", counted)
-        g = self._serve(140, 0)
+        g = self._pairs(140)
         # The serve's closing gather changed the output's host geometry.
         g.launch(69)
         assert (g.launches, g.fast_launches) == (2, 1)
@@ -103,13 +106,20 @@ class TestOracleAgrees:
         assert g.full_compares == compared
 
     def test_serving_sgemm_loop(self, monkeypatch):
-        """Serving's SGEMM loop: a fresh upload and the eager warm-up pair
-        before every launch, so every launch compares each datum in
-        full."""
+        """Serving's SGEMM engine: each serve (the upload's mark, a host
+        sync after the first pair, the gather) is one launch whose read
+        tails straddle the sync, and nothing touches its datums between
+        launches, so only the first two launches compare them in full."""
         stats = graph_oracle.install(monkeypatch)
-        g = self._serve(6, 40)
-        assert g.launches == g.fast_launches == stats["fast"] == 41
-        assert g.full_compares == len(g._shape) * g.launches
+        node = SimNode(GTX_780, 4)
+        eng = SgemmEngine(Scheduler(node), batch=4, size=32, layers=6)
+        eng.warmup()
+        for k in range(40):
+            eng.serve([Request(rid=k, kind="sgemm", arrival=0.0, seed=k)])
+        g = eng.loop.serving[1]  # serve 0 eager, serve 1 captured
+        assert g.launches == g.fast_launches == stats["fast"] == 38
+        assert g._cuts and g._marks
+        assert g.full_compares == 2 * len(g._shape)
 
     @pytest.mark.parametrize("work", ["geometry", "read length"])
     def test_eager_work_forces_the_fallback(self, monkeypatch, work):
@@ -225,7 +235,7 @@ READ_ONLY = {
     "instances", "needs_aggregation", "aggregation", "compute_copies",
     "replicas", "ready_replicas", "has_partial_on", "evictable",
     "sole_pieces", "states", "fingerprint", "replay_copies",
-    "host_covered",
+    "host_covered", "host_reads",
 }
 
 

@@ -169,3 +169,58 @@ class TestAccountingProperty:
         spec_bytes = GTX_780.global_memory_bytes
         for d in (0, 1):
             assert rep[d]["free"] == spec_bytes - rep[d]["used"]
+
+
+class TestBufferView:
+    """``DeviceBuffer.view`` memoizes each checked region's slices; its
+    arrays and errors are those of plain indexing with the full checks."""
+
+    @staticmethod
+    def _buffer():
+        m = mem()
+        buf = m.allocate(0, Rect((-2, 6), (3, 9)), np.float32)
+        buf.data[...] = np.arange(48, dtype=np.float32).reshape(8, 6)
+        return m, buf
+
+    def test_views_slice_like_plain_indexing(self):
+        _, buf = self._buffer()
+        for region in (
+            buf.rect, Rect((-2, 0), (3, 9)), Rect((1, 6), (4, 7)),
+            Rect((0, 0), (5, 5)),
+        ):
+            want = buf.data[
+                region[0].begin + 2:region[0].end + 2,
+                region[1].begin - 3:region[1].end - 3,
+            ]
+            for _ in range(2):  # built, then from the memo
+                got = buf.view(region)
+                assert np.shares_memory(got, buf.data) or got.size == 0
+                np.testing.assert_array_equal(got, want)
+                assert got.shape == want.shape
+
+    def test_the_three_errors(self):
+        m, buf = self._buffer()
+        inside = Rect((0, 2), (4, 6))
+        buf.view(inside)
+        for _ in range(2):  # an outside region is never memoized
+            with pytest.raises(DeviceError, match="outside buffer extent"):
+                buf.view(Rect((0, 7), (4, 6)))
+        timing = DeviceMemory(1 << 20, functional=False).allocate(
+            0, Rect((0, 4)), np.float32
+        )
+        with pytest.raises(DeviceError, match="no functional data"):
+            timing.view(Rect((0, 2)))
+        freed = m.allocate(0, Rect((0, 4)), np.float32)
+        freed.view(Rect((0, 2)))
+        freed.freed = True  # as after free(), but with data still bound
+        with pytest.raises(DeviceError, match="use after free"):
+            freed.view(Rect((0, 2)))
+
+    def test_memo_stays_bounded(self):
+        _, buf = self._buffer()
+        sizes = []
+        for i in range(300):
+            buf.view(Rect((-2, -2 + 1 + i % 8), (3 + i % 6, 9)))
+            buf.view(Rect((i % 5, 6), (3, 4 + i % 5)))
+            sizes.append(len(buf._slices))
+        assert max(sizes) <= 64
