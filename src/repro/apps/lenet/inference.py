@@ -16,7 +16,7 @@ batch**. That invariant is what lets the dynamic batcher promise batched
 == sequential bit-identity.
 
 The eight layer calls are declared as one :class:`~repro.core.graph.Loop`
-and every batch is one :meth:`~repro.core.graph.Loop.serve` transition
+and every batch is one :meth:`~repro.core.graph.Loop.run` transition
 (the input upload, the forward chain and the gather of the logits): the
 first batch runs eagerly, the second is captured as an iteration graph
 (DESIGN.md §12) and every later one is a single graph launch.
@@ -187,5 +187,5 @@ class LeNetInference:
         self._images[:k] = images
         if k < self.batch:
             self._images[k:] = 0.0
-        self.loop.serve((self.x0,), self.loop.period, gathers=(self.logits,))
+        self.loop.run(0, self.loop.period, marks=(self.x0,), gathers=(None,))
         return self.logits.host.copy()

@@ -143,9 +143,9 @@ def steady(
     if mode == "graph":
         loop.replay(p, periods + 1)
     else:
-        loop.sched.wait_all()  # begin_batch drain
+        loop.sched.wait_all()  # the capture's opening drain
         steps(p, 2 * p)
-        loop.sched.wait_all()  # end_batch drain
+        loop.sched.wait_all()  # the capture's closing drain
         steps(2 * p, rest)
         if periods:
             loop.sched.wait_all()  # launch drain

@@ -182,11 +182,11 @@ class NodeAgent:
         buffer and (when the slab has cluster neighbours) gather the
         freshly computed edge rows to the host for the exchange phase.
         Returns the node time at completion. A steady tick is one launch
-        of its parity's graph (``Loop.tick``); intra-node faults are
+        of its parity's graph (``Loop.run``); intra-node faults are
         recovered inside the eager fallback's ``wait_all``, and an
         exhausted node raises UnrecoverableError to the master."""
         edges = (self.top_edge, self.bottom_edge) if gather_edges else ()
-        return self.loop.tick(src_i, edges)
+        return self.loop.run(src_i, 1, gathers=edges)
 
     # -- ghost handling -------------------------------------------------------
     # The three ghost writes mark rects the master's exchange plan checked

@@ -50,9 +50,10 @@ mutation clears the stamp, and a datum still carrying one the graph has
 verified skips the structural compare.
 
 Workloads do not capture or launch by hand: :class:`Loop` declares one
-steady period of calls and drives its graphs (the benches, the job
-server's workloads, the serving engines and the cluster's node agents
-all use it).
+steady period of calls and drives its graphs, whole periods through
+:meth:`Loop.replay` (the benches and the job server's workloads) and
+transitions through :meth:`Loop.run` (the serving engines and the
+cluster's node agents).
 """
 
 from __future__ import annotations
@@ -84,13 +85,19 @@ _CLOCK = "host clock advanced outside host_advance during capture"
 class GraphRecorder:
     """Collects one steady-state period as the scheduler submits it.
 
-    Installed as ``node.graph_recorder`` by ``Scheduler.begin_batch``;
-    submission behaviour is unchanged, the recorder only mirrors what was
-    enqueued (plus the host-clock advances, host-dirty marks, host syncs
-    and device-LRU touches the replay must reproduce).
+    Made and installed as ``node.graph_recorder`` by
+    ``Scheduler.capture``; submission behaviour is unchanged, the recorder
+    only mirrors what was enqueued (plus the host-clock advances,
+    host-dirty marks, host syncs and device-LRU touches the replay must
+    reproduce). It carries the graph it records into, the monitor state
+    the period starts from and the scheduler's graph generation then.
     """
 
     __slots__ = (
+        "graph",
+        "entry",
+        "gen0",
+        "war_log",
         "commands",
         "streams",
         "events",
@@ -102,7 +109,21 @@ class GraphRecorder:
         "fail",
     )
 
-    def __init__(self, host_time: float):
+    def __init__(
+        self,
+        graph: "IterationGraph",
+        host_time: float,
+        entry: dict[int, tuple],
+        gen0: int,
+    ):
+        self.graph = graph
+        #: ``snapshot_monitor`` of the monitor the period starts from.
+        self.entry = entry
+        #: The scheduler's graph generation when the capture started.
+        self.gen0 = gen0
+        #: ``(datum id, location)`` of every read list a writer of the
+        #: period consumed (installed as ``monitor.war_log``).
+        self.war_log: set[tuple[int, int]] = set()
         #: stream id -> [(command, checkpoint index)]; the checkpoint is
         #: the number of host advances seen before submission, so replay
         #: can reconstruct the command's ``earliest_start`` per lap.
@@ -299,8 +320,8 @@ _VERIFIED_PER_DATUM = 2
 class IterationGraph:
     """A captured steady-state period, replayable as one macro-command.
 
-    Produced by ``Scheduler.begin_batch()``/``end_batch()`` (or the
-    ``with sched.capture() as g:`` form). :meth:`launch` re-dispatches the
+    Produced by ``with sched.capture() as g:``. :meth:`launch`
+    re-dispatches the
     period ``n`` times; when the frozen steady state no longer holds it
     transparently falls back to re-invoking the recorded calls through
     the normal scheduler path.
@@ -386,21 +407,16 @@ class IterationGraph:
         self.replayable = False
         self.reason = reason
 
-    def _finalize(
-        self,
-        rec: GraphRecorder,
-        entry: dict[int, tuple],
-        war_log: set[tuple[int, int]],
-        h_submit_end: float,
-        gen0: int,
-    ) -> None:
-        """Compile the recorded period into per-stream opcode programs and
+    def _finalize(self, rec: GraphRecorder, h_submit_end: float) -> None:
+        """Compile the period ``rec`` recorded, whose submission left the
+        host clock at ``h_submit_end``, into per-stream opcode programs and
         prove replayability; on any failed proof the graph stays usable
         through the fallback path only."""
         sched = self._sched
+        entry = rec.entry
         self.generation = sched._graph_generation
         self.launches = 0
-        if gen0 != self.generation:
+        if rec.gen0 != self.generation:
             return self._fail(
                 "steady state changed during capture (weight rebalance, "
                 "device retirement, eviction or chunking)"
@@ -433,7 +449,7 @@ class IterationGraph:
         monitor = sched.monitor
         exit_snap = snapshot_monitor(monitor)
         consumed: dict[int, set[int]] = {}
-        for did, loc in war_log:
+        for did, loc in rec.war_log:
             consumed.setdefault(did, set()).add(loc)
         for did in entry:
             if did not in exit_snap:  # pragma: no cover - states persist
@@ -1129,11 +1145,11 @@ class Loop:
     call's ``AnalyzeCall`` once and keeps its container tuple, so
     iteration ``i`` re-invokes ``calls[i % period]`` with its kernel.
     :meth:`replay` captures one period as an :class:`IterationGraph` and
-    launches it; :meth:`tick` runs one iteration and :meth:`serve` one
-    request batch, each as a transition graph. The graphs belong to this
-    loop's scheduler, so a workload resuming on a new scheduler (a new
-    job-server lease, a rebuilt cluster node) declares a new loop and
-    captures again.
+    launches it; :meth:`run` runs a stretch of iterations between host
+    marks, syncs and gathers (a cluster tick, a served request batch) as
+    a transition graph. The graphs belong to this loop's scheduler, so a
+    workload resuming on a new scheduler (a new job-server lease, a
+    rebuilt cluster node) declares a new loop and captures again.
     """
 
     def __init__(self, sched: "Scheduler", kernel, calls, outs, grid=None):
@@ -1158,13 +1174,12 @@ class Loop:
         )
         #: The captured period, once :meth:`replay` has run.
         self.graph: IterationGraph | None = None
-        #: Per phase of the period, ``(gathers, graph or None)`` once its
-        #: first tick ran (``tick``).
-        self.phases: list[tuple | None] = [None] * self.period
-        #: ``(shape, graph or None)`` once the first serve ran (``serve``).
-        self.serving: tuple | None = None
-        #: Diagnostics: captures performed / periods, ticks or serves
-        #: launched as a graph.
+        #: :meth:`run`'s slot table: phase of the period a run starts at
+        #: -> ``(shape, graph or None)``, the shape of the last run from
+        #: there and its graph (None until the run that captures it).
+        self.slots: dict[int, tuple] = {}
+        #: Diagnostics: captures performed / periods or runs launched as
+        #: a graph.
         self.captures = 0
         self.replayed = 0
 
@@ -1216,82 +1231,70 @@ class Loop:
             self.graph.launch(n)
             self.replayed += n
 
-    def tick(self, i: int, gathers: tuple = ()) -> float:
-        """Run iteration ``i``, gather the ``gathers`` regions of its
-        output to the host and drain; returns the node time.
-
-        Iteration ``i`` starts from where eager work between ticks left the
-        monitor (host writes of ghost rows, say), so it is replayed as a
-        *transition*: each phase of the period holds one single-iteration
-        graph, launched once per tick, whose entry check covers that work
-        (:meth:`_transition`).
-        """
-        k = i % self.period
-        self.phases[k] = self._transition(
-            self.phases[k], gathers, lambda: self._tick(i, gathers)
-        )
-        return self.sched.node.time
-
-    def _tick(self, i: int, gathers: tuple) -> None:
-        self.step(i)
-        out = self.out(i)
-        for region in gathers:
-            self.sched.gather_region(out, region)
-
-    def serve(
-        self, marks: tuple, n: int, syncs: tuple = (), gathers: tuple = ()
+    def run(
+        self, start: int, n: int, marks: tuple = (), syncs: tuple = (),
+        gathers: tuple = (),
     ) -> float:
-        """Serve one request batch and drain; returns the node time.
+        """Run iterations ``start..start+n-1`` as one transition and drain;
+        returns the node time.
 
         The application has written the host buffers of the ``marks``
-        datums; they are marked host-dirty (their upload joins the first
-        call that reads them), iterations ``0..n-1`` run with a host sync
-        before each iteration in ``syncs``, and the ``gathers`` datums are
-        gathered whole. The serve is one transition graph, launched once
-        per serve (:meth:`_transition`)."""
-        shape = (marks, n, syncs, gathers)
-        self.serving = self._transition(
-            self.serving, shape, lambda: self._serve(*shape)
-        )
-        return self.sched.node.time
+        datums; they are marked host-dirty first (their upload joins the
+        first call that reads them). A host sync precedes the ``k``-th
+        iteration of the run for each ``k`` in ``syncs``. Then every region
+        in ``gathers`` of the last iteration's output is gathered to the
+        host; a ``None`` region gathers it whole.
 
-    def _serve(self, marks, n, syncs, gathers) -> None:
+        The run starts from wherever eager work between runs left the
+        monitor (host writes of ghost rows, say), so each phase of the
+        period a run starts at keeps one graph in :attr:`slots` whose
+        entry check covers that work. The first run of a shape is eager
+        (it still distributes the inputs), the second is captured and
+        every later one is one launch. A launch whose entry state does not
+        hold takes the eager fallback and the graph is kept; a graph that
+        has :attr:`~IterationGraph.expired`, or a run of another shape,
+        starts over like a first run. A scheduler that cannot capture runs
+        every time eagerly, and so does a shape whose whole gather finds
+        pending partials (their host combine is not captured).
+        """
+        sched = self.sched
+        phase = start % self.period
+        shape = (n, marks, syncs, gathers)
+        slot = self.slots.get(phase)
+        if slot is not None and slot[0] == shape:
+            graph = slot[1]
+            if graph is None:
+                with sched.capture() as graph:
+                    self._submit(start, *shape)
+                self.captures += 1
+                self.slots[phase] = shape, graph
+                return sched.node.time
+            if not graph.expired:
+                self.replayed += 1
+                return graph.launch(1)
+        if self._submit(start, *shape) and sched.capturable:
+            self.slots[phase] = shape, None
+        else:
+            self.slots.pop(phase, None)
+        return sched.wait_all()
+
+    def _submit(self, start, n, marks, syncs, gathers) -> bool:
+        """Submit one :meth:`run`; returns whether a capture can record it
+        (no whole gather found pending partials)."""
         sched = self.sched
         for datum in marks:
             sched.mark_host_dirty(datum)
-        for i in range(n):
-            if i in syncs:
+        for k in range(n):
+            if k in syncs:
                 sched.wait_all()
-            self.step(i)
-        for datum in gathers:
-            sched.gather_async(datum)
-
-    def _transition(self, slot: tuple | None, shape, body) -> tuple:
-        """Run ``body`` once through the graph of ``slot`` (``(shape,
-        graph or None)``, None before the first run) and drain; returns
-        the slot to keep.
-
-        The first run is eager (it still distributes the inputs) and the
-        second is captured; a scheduler that cannot capture runs every
-        time eagerly. A launch whose entry state does not hold takes the
-        eager fallback and the graph is kept; a graph that has
-        :attr:`~IterationGraph.expired`, or a run of another ``shape``,
-        starts over like a first run."""
-        sched = self.sched
-        if slot is not None and (slot[0] != shape or (
-            slot[1] is not None and slot[1].expired
-        )):
-            slot = None
-        if slot is None or not sched.capturable:
-            body()
-            sched.wait_all()
-            return shape, None
-        graph = slot[1]
-        if graph is None:
-            with sched.capture() as graph:
-                body()
-            self.captures += 1
-            return shape, graph
-        self.replayed += 1
-        graph.launch(1)
-        return slot
+            self.step(start + k)
+        out = self.out(start + n - 1)
+        capturable = True
+        for region in gathers:
+            if region is not None:
+                sched.gather_region(out, region)
+                continue
+            if sched.monitor.needs_aggregation(out):
+                capturable = False
+            sched.gather_async(out)
+        return capturable

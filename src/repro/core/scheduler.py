@@ -11,8 +11,9 @@ submitted task it:
 6. queues the kernels, with GPU events enforcing memory consistency.
 
 One compute stream plus two copy streams (one per copy engine direction)
-are created per device — the simulation counterpart of the paper's
-one-invoker-thread-per-device design with concurrent copy/compute queues.
+are created per device the scheduler drives — the simulation counterpart
+of the paper's one-invoker-thread-per-device design with concurrent
+copy/compute queues.
 
 Three mechanisms live outside this path, behind hooks that run only when
 armed: memory pressure (``core/pressure.py``, DESIGN.md §10), straggler
@@ -22,7 +23,8 @@ mitigation (``core/mitigation.py``, §11) and fault recovery
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Hashable, Iterable, Mapping, Optional
+import contextlib
+from typing import TYPE_CHECKING, Any, Hashable, Iterable, Iterator, Mapping, Optional
 
 from repro.core import recovery
 from repro.core.buffers import locate_virtual, locate_virtual_all
@@ -145,16 +147,6 @@ class Scheduler:
         self._prebound: dict[tuple, BoundPlan] = {}
         self._peer_cache: dict[int, list[int]] = {}
         g = node.num_gpus
-        self._compute = [
-            node.new_stream(d, "compute", f"gpu{d}.compute") for d in range(g)
-        ]
-        self._copy_in = [
-            node.new_stream(d, "copy-in", f"gpu{d}.copy-in") for d in range(g)
-        ]
-        self._copy_out = [
-            node.new_stream(d, "copy-out", f"gpu{d}.copy-out") for d in range(g)
-        ]
-        self._host_stream = node.new_stream(HOST, "host", "host.aggregate")
         #: Devices currently taking work; starts as the ``devices``
         #: restriction (default: all) and shrinks as faults retire devices.
         if devices is None:
@@ -168,6 +160,18 @@ class Scheduler:
                     f"devices {alive} out of range for a {g}-GPU node"
                 )
         self._alive: tuple[int, ...] = alive
+        # The invoker streams of this scheduler's devices, keyed by device
+        # (the set never grows, so every device it will use has them).
+        self._compute = {
+            d: node.new_stream(d, "compute", f"gpu{d}.compute") for d in alive
+        }
+        self._copy_in = {
+            d: node.new_stream(d, "copy-in", f"gpu{d}.copy-in") for d in alive
+        }
+        self._copy_out = {
+            d: node.new_stream(d, "copy-out", f"gpu{d}.copy-out") for d in alive
+        }
+        self._host_stream = node.new_stream(HOST, "host", "host.aggregate")
         #: Set by :meth:`release`: the scheduler gave its streams and
         #: buffers back to the node and must not be driven again.
         self._released = False
@@ -193,10 +197,8 @@ class Scheduler:
         # (weight rebalance, device retirement, replica eviction, chunk
         # planning); captured graphs are valid for one generation only.
         self._graph_generation = 0
-        self._capture: IterationGraph | None = None
-        self._capture_rec: GraphRecorder | None = None
-        self._capture_entry: dict[int, tuple] | None = None
-        self._capture_gen0 = 0
+        #: The recorder of the capture in progress (:meth:`capture`).
+        self._recorder: GraphRecorder | None = None
 
     @property
     def alive_devices(self) -> tuple[int, ...]:
@@ -214,7 +216,7 @@ class Scheduler:
 
     @property
     def capturable(self) -> bool:
-        """Whether :meth:`begin_batch` may record: the capture records
+        """Whether :meth:`capture` may record: the capture records
         resolved plans (plan cache on) and the sanitizer must see every
         eager dispatch (sanitize off)."""
         return self.plans.enabled and not self.sanitize
@@ -242,9 +244,10 @@ class Scheduler:
         from the node's dispatch set, the straggler observer unhooked, and
         any captured iteration graphs spoiled (their generation check
         fails and :meth:`IterationGraph.launch` refuses a released
-        scheduler — the workload re-captures on its next lease). Safe to
-        call twice; every driving entry point raises
-        :class:`~repro.errors.SchedulingError` afterwards.
+        scheduler — the workload re-captures on its next lease). A
+        capture still recording removes its hooks when its ``with`` block
+        exits, never compiled. Safe to call twice; every driving entry
+        point raises :class:`~repro.errors.SchedulingError` afterwards.
         """
         if self._released:
             return
@@ -252,8 +255,6 @@ class Scheduler:
         # Spoil captured graphs before anything else: a launch racing the
         # teardown must take neither the fast path nor the eager fallback.
         self._graph_generation += 1
-        if self._capture is not None:
-            self._abort_batch()
         node = self.node
         # == not `is`: bound-method objects are created per access, so
         # identity would never match and a stale observer would outlive
@@ -266,10 +267,9 @@ class Scheduler:
         self._pressure.free_pools()
         self.analyzer.release_all()
         self._prebound.clear()
-        own = set()
+        own = {id(self._host_stream)}
         for group in (self._compute, self._copy_in, self._copy_out):
-            own.update(id(s) for s in group)
-        own.add(id(self._host_stream))
+            own.update(id(s) for s in group.values())
         if mitigator is not None:
             own.update(id(s) for s in mitigator.spec_streams.values())
         for s in node.streams:
@@ -306,8 +306,8 @@ class Scheduler:
         constants: Mapping[str, Any] | None = None,
     ) -> TaskHandle:
         """Schedule and queue a task (Algorithm 1). Returns a handle."""
-        if self._capture is not None:
-            self._capture.invokes += 1
+        if self._recorder is not None:
+            self._recorder.graph.invokes += 1
             self._capture_call(
                 self.invoke, kernel, *containers, grid=grid, constants=constants
             )
@@ -328,8 +328,8 @@ class Scheduler:
                 f"{routine.name!r} is not an unmodified routine; build it "
                 "with make_routine()"
             )
-        if self._capture is not None:
-            self._capture.invokes += 1
+        if self._recorder is not None:
+            self._recorder.graph.invokes += 1
             self._capture_call(
                 self.invoke_unmodified, routine, *containers,
                 grid=grid, constants=constants,
@@ -339,7 +339,7 @@ class Scheduler:
     def gather_async(self, datum: Datum) -> None:
         """Queue the transfers (and aggregation) bringing ``datum`` back
         into its bound host buffer."""
-        if self._capture is not None:
+        if self._recorder is not None:
             self._capture_gather(self.gather_async, datum)
         events = self._gather_events(datum, None)
         self._log.append(_GatherRecord(datum, None, events))
@@ -360,7 +360,7 @@ class Scheduler:
         """:meth:`gather_region` past its region check. A capture records
         this, so a graph's eager fallback does not re-check a region that
         was checked when the capture recorded it."""
-        if self._capture is not None:
+        if self._recorder is not None:
             self._capture_gather(self._gather_region, datum, region)
         events = self._gather_events(datum, region)
         self._log.append(_GatherRecord(datum, region, events))
@@ -454,7 +454,7 @@ class Scheduler:
         here (see module docstring). Inside a capture it is recorded as a
         host sync: the launch drains there too."""
         self._check_live()
-        rec = self._capture_rec
+        rec = self._recorder
         if rec is None:
             t = self._drive(self.node.run)
         else:
@@ -500,7 +500,7 @@ class Scheduler:
         application, invalidating device-resident instances. A capture
         records the mark, and its launches apply it; the upload itself
         reads the host buffer when its copy runs."""
-        rec = self._capture_rec
+        rec = self._recorder
         if rec is not None:
             self._capture_call(self.mark_host_dirty, datum)
             rec.record_mark(id(datum), self.monitor.host_reads(datum))
@@ -508,7 +508,7 @@ class Scheduler:
 
     # -- iteration graphs (DESIGN.md §12) ---------------------------------------
     def _no_capture(self, what: str) -> None:
-        if self._capture is not None:
+        if self._recorder is not None:
             raise GraphCaptureError(
                 f"{what} is not allowed while an iteration-graph capture "
                 "is recording: a captured period may only submit invokes, "
@@ -518,7 +518,7 @@ class Scheduler:
 
     def _capture_call(self, fn, *args, **kwargs) -> None:
         """Keep a call of the recording capture for its fallback path."""
-        self._capture.calls.append((fn, args, kwargs))
+        self._recorder.graph.calls.append((fn, args, kwargs))
 
     def _capture_gather(self, fn, datum: Datum, *args) -> None:
         """A gather joins the recording capture: its copies and
@@ -529,21 +529,24 @@ class Scheduler:
             self._no_capture(f"gathering {datum.name!r} (pending partials)")
         self._capture_call(fn, datum, *args)
 
-    def begin_batch(self) -> IterationGraph:
-        """Start capturing one steady-state period into an
-        :class:`~repro.core.graph.IterationGraph`.
+    @contextlib.contextmanager
+    def capture(self) -> Iterator[IterationGraph]:
+        """Capture one steady-state period into an
+        :class:`~repro.core.graph.IterationGraph`:
+        ``with sched.capture() as g:``.
 
         Drains all outstanding work first (the capture must start from a
-        quiescent node), then records every command the following
+        quiescent node), then records every command the block's
         ``invoke``/``invoke_unmodified`` and ``gather_async``/
-        ``gather_region`` calls produce until :meth:`end_batch`, with the
-        ``mark_host_dirty`` marks and ``wait_all`` syncs between them.
-        Requires the plan cache (the capture records *resolved* plans) and
-        is unavailable in sanitize mode (the sanitizer must observe every
-        eager dispatch).
+        ``gather_region`` calls produce, with the ``mark_host_dirty`` marks
+        and ``wait_all`` syncs between them. Leaving the block drains the
+        period and compiles ``g`` (a period that cannot replay keeps the
+        fallback path only); an exception aborts it. Requires the plan
+        cache (the capture records *resolved* plans) and is unavailable in
+        sanitize mode (the sanitizer must observe every eager dispatch).
         """
         self._check_live()
-        if self._capture is not None:
+        if self._recorder is not None:
             raise GraphCaptureError("an iteration-graph capture is already "
                                     "recording (captures do not nest)")
         if not self.plans.enabled:
@@ -556,12 +559,16 @@ class Scheduler:
                 "iteration-graph capture is unavailable in sanitize mode"
             )
         self.wait_all()
-        graph = IterationGraph(self)
-        rec = GraphRecorder(self.node.host_time)
-        self._capture_entry = snapshot_monitor(self.monitor)
-        self._capture_gen0 = self._graph_generation
-        self.monitor.war_log = set()
-        for d in self.node.devices:
+        node, monitor = self.node, self.monitor
+        rec = GraphRecorder(
+            IterationGraph(self), node.host_time, snapshot_monitor(monitor),
+            self._graph_generation,
+        )
+        # The three recorder hooks: commands and events, the writers'
+        # consumed read lists, and submission-time device-LRU touches.
+        node.graph_recorder = rec
+        monitor.war_log = rec.war_log
+        for d in node.devices:
             mem = d.memory
             cls = type(mem)
 
@@ -570,48 +577,21 @@ class Scheduler:
                 _cls.touch(_mem, buf)
 
             mem.touch = _touch
-        self.node.graph_recorder = rec
-        self._capture = graph
-        self._capture_rec = rec
-        return graph
-
-    def _stop_capture(self) -> None:
-        """End the recording: drop the capture state and its hooks."""
-        self._capture = None
-        self._capture_rec = None
-        self._capture_entry = None
-        self.node.graph_recorder = None
-        self.monitor.war_log = None
-        for d in self.node.devices:
-            d.memory.__dict__.pop("touch", None)
-
-    def end_batch(self) -> IterationGraph:
-        """Stop recording, drain the captured period and compile it;
-        returns the (possibly fallback-only) :class:`IterationGraph`."""
-        if self._capture is None:
-            raise GraphCaptureError("no iteration-graph capture to end")
-        graph, rec = self._capture, self._capture_rec
-        entry, gen0 = self._capture_entry, self._capture_gen0
-        war_log = self.monitor.war_log or set()
-        self._stop_capture()
-        h_submit_end = self.node.host_time
+        self._recorder = rec
+        try:
+            yield rec.graph
+        except BaseException:
+            rec.graph._fail("capture aborted")
+            raise
+        finally:
+            self._recorder = None
+            node.graph_recorder = None
+            monitor.war_log = None
+            for d in node.devices:
+                d.memory.__dict__.pop("touch", None)
+        h_submit_end = node.host_time
         self.wait_all()
-        graph._finalize(rec, entry, war_log, h_submit_end, gen0)
-        return graph
-
-    def _abort_batch(self) -> None:
-        """Discard a recording capture (context-manager error path)."""
-        if self._capture is None:
-            return
-        graph = self._capture
-        self._stop_capture()
-        graph._fail("capture aborted")
-
-    def capture(self) -> "_CaptureContext":
-        """``with sched.capture() as g:`` — batch-submission sugar around
-        :meth:`begin_batch`/:meth:`end_batch`; ``g`` is the
-        :class:`IterationGraph`, finalized when the block exits."""
-        return _CaptureContext(self)
+        rec.graph._finalize(rec, h_submit_end)
 
     # -- Algorithm 1 ------------------------------------------------------------
     def _submit(self, kernel, containers, grid, constants) -> TaskHandle:
@@ -1241,21 +1221,3 @@ class Scheduler:
     Wait = wait
     WaitAll = wait_all
 
-
-class _CaptureContext:
-    """Context manager of :meth:`Scheduler.capture`."""
-
-    def __init__(self, scheduler: Scheduler):
-        self._sched = scheduler
-        self.graph: IterationGraph | None = None
-
-    def __enter__(self) -> IterationGraph:
-        self.graph = self._sched.begin_batch()
-        return self.graph
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if exc_type is None:
-            self._sched.end_batch()
-        else:
-            self._sched._abort_batch()
-        return False

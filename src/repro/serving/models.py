@@ -9,8 +9,8 @@ batcher. Two engines are served:
   ``layers``-deep stack of ``X @ B`` ping-pongs through *unmodified*
   CUBLAS, §4.6).
 
-Each engine serves a batch as one :meth:`Loop.serve
-<repro.core.graph.Loop.serve>` transition: the input upload, every
+Each engine serves a batch as one :meth:`Loop.run
+<repro.core.graph.Loop.run>` transition: the input upload, every
 layer and the gather of the result. The first serve of an engine runs
 eagerly, the second is captured as an iteration graph (DESIGN.md §12),
 and every later serve is one graph launch, not ``layers`` scheduler
@@ -89,7 +89,7 @@ class SgemmEngine:
     ``layers`` must be even: the result lands back in ``X``.
 
     A serve drains once after the first ping-pong pair, which absorbs
-    the new batch's host-to-device upload (``Loop.serve``'s host sync).
+    the new batch's host-to-device upload (``Loop.run``'s host sync).
     Zero-padding rows is arithmetically inert here (``0 @ B == 0``) and
     keeps the GEMM shape — and therefore the BLAS blocking and per-row
     summation order — identical across batch occupancies.
@@ -160,7 +160,9 @@ class SgemmEngine:
         """Answer up to ``batch`` requests in one padded chained-GEMM
         run; returns one ``(size,)`` feature vector per request."""
         k = self._load(requests)
-        self.loop.serve((self._x,), self.layers, (2,), (self._x,))
+        self.loop.run(
+            0, self.layers, marks=(self._x,), syncs=(2,), gathers=(None,)
+        )
         out = self._x.host
         return [out[i].copy() for i in range(k)]
 

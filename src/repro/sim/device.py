@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from repro.hardware.calibration import GpuCalibration, calibration_for
 from repro.hardware.specs import GPUSpec
 from repro.sim.memory import DeviceMemory
-from repro.sim.stream import Stream
 
 
 @dataclass(eq=False)
@@ -28,8 +27,9 @@ class Device:
 
     Each device owns a compute engine, two copy engines (§2: "modern GPUs
     are equipped with multiple memory copy engines that allow simultaneous
-    two-way memory transfer"), a global-memory allocator, and any number of
-    streams.
+    two-way memory transfer") and a global-memory allocator. Its streams
+    are the node's (``SimNode.new_stream``), which drops them when their
+    scheduler is released.
     """
 
     def __init__(self, index: int, spec: GPUSpec, functional: bool):
@@ -40,12 +40,6 @@ class Device:
         self.compute = EngineState(f"gpu{index}.compute")
         self.copy_in = EngineState(f"gpu{index}.copy-in")
         self.copy_out = EngineState(f"gpu{index}.copy-out")
-        self.streams: list[Stream] = []
-
-    def new_stream(self, role: str = "compute", label: str = "") -> Stream:
-        s = Stream(self.index, role, label)
-        self.streams.append(s)
-        return s
 
     def engines(self) -> list[EngineState]:
         return [self.compute, self.copy_in, self.copy_out]

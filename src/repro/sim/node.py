@@ -102,10 +102,9 @@ class SimNode:
     def new_stream(
         self, device: int = HOST, role: str = "compute", label: str = ""
     ) -> Stream:
-        if device == HOST:
-            s = Stream(HOST, role, label)
-        else:
-            s = self.devices[device].new_stream(role, label)
+        if device != HOST and not 0 <= device < len(self.devices):
+            raise IndexError(f"node has no GPU {device}")
+        s = Stream(device, role, label)
         self.streams.append(s)
         return s
 

@@ -63,10 +63,10 @@ def _replay(loop, start, n, graph, first):
         return
     p, sched = loop.period, loop.sched
     if first:
-        sched.wait_all()  # begin_batch drain
+        sched.wait_all()  # the capture's opening drain
         for i in range(start, start + p):
             loop.step(i)
-        sched.wait_all()  # end_batch drain
+        sched.wait_all()  # the capture's closing drain
         start, n = start + p, n - 1
     for i in range(start, start + n * p):
         loop.step(i)

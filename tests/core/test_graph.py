@@ -17,9 +17,10 @@ import re
 import numpy as np
 import pytest
 
+from repro.bench.workloads import histogram
 from repro.core import Grid, Kernel, Matrix, Scheduler, Vector
 from repro.core.graph import IterationGraph, Loop, snapshot_monitor
-from repro.errors import GraphCaptureError
+from repro.errors import GraphCaptureError, SchedulingError
 from repro.hardware import GTX_780
 from repro.kernels.game_of_life import (
     gol_containers,
@@ -52,12 +53,14 @@ def norm_trace(node):
     ]
 
 
-def gol_setup(faults=None, n=N, capacity=None, functional=True, seed=7):
+def gol_setup(
+    faults=None, n=N, capacity=None, functional=True, seed=7, **sched_kw
+):
     spec = GTX_780 if capacity is None else dataclasses.replace(
         GTX_780, global_memory_bytes=int(capacity)
     )
     node = SimNode(spec, GPUS, functional=functional, faults=faults)
-    sched = Scheduler(node)
+    sched = Scheduler(node, **sched_kw)
     a = Matrix(n, n, np.uint8, "A")
     b = Matrix(n, n, np.uint8, "B")
     if functional:
@@ -100,10 +103,10 @@ def run_gol_pairs(pairs, graph, faults=None, capacity=None, laps_between=0):
             sched.invoke(kernel, *cb)
         g.launch(pairs - 2)
     else:
-        sched.wait_all()  # begin_batch drain
+        sched.wait_all()  # the capture's opening drain
         sched.invoke(kernel, *ca)
         sched.invoke(kernel, *cb)
-        sched.wait_all()  # end_batch drain
+        sched.wait_all()  # the capture's closing drain
         for _ in range(pairs - 2):
             sched.invoke(kernel, *ca)
             sched.invoke(kernel, *cb)
@@ -254,10 +257,9 @@ class TestCaptureGuards:
             lambda: sched.analyze_call(kernel, *ca),
             lambda: sched.mark_host_region_dirty(a, Rect((0, 1), (0, N))),
         ):
-            g = sched.begin_batch()
             with pytest.raises(GraphCaptureError, match="may only submit"):
-                bad()
-            sched._abort_batch()
+                with sched.capture() as g:
+                    bad()
             assert not g.replayable
         # The scheduler stays usable after an aborted capture.
         sched.invoke(kernel, *cb)
@@ -314,10 +316,9 @@ class TestCaptureGuards:
             lambda: sched.gather_async(acc),
             lambda: sched.gather_region(acc, Rect((0, n))),
         ):
-            g = sched.begin_batch()
             with pytest.raises(GraphCaptureError, match="pending partials"):
-                bad()
-            sched._abort_batch()
+                with sched.capture() as g:
+                    bad()
             assert not g.replayable and g.calls == []
 
     def test_capture_context_aborts_on_error(self):
@@ -337,20 +338,37 @@ class TestCaptureGuards:
         node, sched, a, b, kernel, ca, cb = gol_setup()
         with sched.capture():
             with pytest.raises(GraphCaptureError):
-                sched.begin_batch()
+                with sched.capture():
+                    pass
             sched.invoke(kernel, *ca)
 
     def test_requires_plan_cache(self):
         node = SimNode(GTX_780, GPUS, functional=False)
         sched = Scheduler(node, plan_cache=False)
         with pytest.raises(GraphCaptureError):
-            sched.begin_batch()
+            with sched.capture():
+                pass
 
     def test_unavailable_in_sanitize_mode(self):
         node = SimNode(GTX_780, GPUS, functional=True)
         sched = Scheduler(node, sanitize=True)
         with pytest.raises(GraphCaptureError):
-            sched.begin_batch()
+            with sched.capture():
+                pass
+
+    def test_release_during_capture(self):
+        """Releasing the scheduler inside a capture: the block's closing
+        drain refuses the released scheduler, the graph never compiles
+        and no hook stays on the node."""
+        node, sched, a, b, kernel, ca, cb = gol_setup()
+        with pytest.raises(SchedulingError, match="released"):
+            with sched.capture() as g:
+                sched.invoke(kernel, *ca)
+                sched.release()
+        assert not g.replayable
+        assert node.graph_recorder is None and sched.monitor.war_log is None
+        assert all("touch" not in vars(d.memory) for d in node.devices)
+        assert node.streams == []
 
     def test_launch_during_capture_raises(self):
         node, sched, a, b, kernel, ca, cb = gol_setup()
@@ -490,10 +508,10 @@ class TestInvalidation:
                 sched.invoke(kernel, *ca)
                 sched.invoke(kernel, *cb)
         else:
-            sched.wait_all()  # begin_batch drain
+            sched.wait_all()  # the capture's opening drain
             sched.invoke(kernel, *ca)
             sched.invoke(kernel, *cb)
-            sched.wait_all()  # end_batch drain
+            sched.wait_all()  # the capture's closing drain
         p0 = node.time
         for _ in range(2):  # checkpointed: every tick gathered
             sched.invoke(kernel, *ca)
@@ -641,9 +659,9 @@ class TestStructuralReplay:
         entry = structure(sched.monitor)
         g = None
         if mode == "eager":
-            sched.wait_all()  # begin_batch drain
+            sched.wait_all()  # the capture's opening drain
             period()
-            sched.wait_all()  # end_batch drain
+            sched.wait_all()  # the capture's closing drain
         else:
             with sched.capture() as g:
                 period()
@@ -758,7 +776,7 @@ class TestStructuralReplay:
 
 
 class TestTransitionGraphs:
-    """Single-iteration transition graphs (``Loop.tick``): each phase of a
+    """Single-iteration transition graphs (``Loop.run``): each phase of a
     ping-pong replays one tick with its edge gathers, and host writes
     between launches (ghost rows, as the cluster master installs them)
     are covered by the launch's entry check."""
@@ -785,7 +803,7 @@ class TestTransitionGraphs:
                     sched.gather_region(out, r)
                 sched.wait_all()
             else:
-                loop.tick(i, cls.EDGES)
+                loop.run(i, 1, gathers=cls.EDGES)
             want = gol_reference_step(want)
             for r in cls.EDGES:  # the gathered edges are current
                 np.testing.assert_array_equal(
@@ -809,7 +827,7 @@ class TestTransitionGraphs:
         loop = fast[-1]
         # Per phase: one eager tick, one capture, then launches.
         assert loop.captures == 2 and loop.replayed == 12 - 4
-        for _, g in loop.phases:
+        for _, g in loop.slots.values():
             assert g.replayable, g.reason
             assert not g.fixed_point
             assert g.launches == g.fast_launches == 4
@@ -817,7 +835,7 @@ class TestTransitionGraphs:
         slow = self._ticks("fallback", monkeypatch=monkeypatch)
         # A launch that falls back keeps its graph: no re-capture.
         assert slow[-1].captures == 2 and slow[-1].replayed == 12 - 4
-        for _, g in slow[-1].phases:
+        for _, g in slow[-1].slots.values():
             assert g.launches == 4 and g.fast_launches == 0
         assert slow[:4] == eager[:4]
 
@@ -827,16 +845,16 @@ class TestTransitionGraphs:
         node, sched, a, b, kernel, ca, cb = gol_setup()
         loop = Loop(sched, kernel, (ca, cb), (b, a))
         for i in range(6):
-            loop.tick(i, self.EDGES)
-        old = [g for _, g in loop.phases]
+            loop.run(i, 1, gathers=self.EDGES)
+        old = [g for _, g in loop.slots.values()]
         assert loop.captures == 2 and loop.replayed == 2
         sched._graph_generation += 1  # as a weight rebalance does
         assert all(g.expired for g in old)
         for i in range(6, 12):
-            loop.tick(i, self.EDGES)
+            loop.run(i, 1, gathers=self.EDGES)
         assert loop.captures == 4 and loop.replayed == 4
         assert all(g.launches == 1 for g in old)
-        for _, g in loop.phases:
+        for _, g in loop.slots.values():
             assert g not in old and not g.expired
             assert g.launches == g.fast_launches == 1
 
@@ -845,12 +863,106 @@ class TestTransitionGraphs:
         node, sched, a, b, kernel, ca, cb = gol_setup()
         loop = Loop(sched, kernel, (ca, cb), (b, a))
         for i in range(4):
-            loop.tick(i, self.EDGES)
+            loop.run(i, 1, gathers=self.EDGES)
             sched.mark_host_region_dirty(loop.out(i), self.GHOSTS[0])
-        g = loop.phases[0][1]
+        g = loop.slots[0][1]
         assert g.replayable and not g.fixed_point
         g.launch(2)
         assert g.launches == 1 and g.fast_launches == 0
+
+
+class TestRunSlots:
+    """:meth:`Loop.run`'s slot policy: per phase, a shape's first run is
+    eager, its second captured and every later one a launch; another
+    shape, a scheduler that cannot capture, and a whole gather of pending
+    partials all run eagerly."""
+
+    EDGES = TestTransitionGraphs.EDGES
+
+    def test_new_shape_starts_over(self):
+        node, sched, a, b, kernel, ca, cb = gol_setup()
+        loop = Loop(sched, kernel, (ca, cb), (b, a))
+        want = a.host.copy()
+
+        def run(gathers):
+            nonlocal want
+            loop.run(0, 2, gathers=gathers)
+            want = gol_reference_step(gol_reference_step(want))
+
+        for _ in range(3):
+            run(self.EDGES)
+        g_edges = loop.slots[0][1]
+        assert (loop.captures, loop.replayed) == (1, 1)
+        assert g_edges.launches == g_edges.fast_launches == 1
+        run(())  # eager: the edges' graph is dropped, never launched
+        assert loop.slots[0][1] is None
+        assert (loop.captures, loop.replayed) == (1, 1)
+        run(())  # captured
+        g_none = loop.slots[0][1]
+        assert g_none is not g_edges and loop.captures == 2
+        run(())  # launched
+        assert g_none.launches == g_none.fast_launches == 1
+        run(self.EDGES)  # the edges start over too: eager, then capture
+        run(self.EDGES)
+        assert loop.slots[0][1] not in (g_edges, g_none)
+        assert g_edges.launches == 1 and g_none.launches == 1
+        assert (loop.captures, loop.replayed) == (3, 2)
+        sched.gather(a)
+        np.testing.assert_array_equal(a.host, want)
+
+    @staticmethod
+    def _serves(**sched_kw):
+        """Eight runs of a ping-pong pair with a fresh input's mark, a host
+        sync before the second call and a whole gather; returns the
+        gathered boards, the node time and the loop."""
+        node, sched, a, b, kernel, ca, cb = gol_setup(**sched_kw)
+        loop = Loop(sched, kernel, (ca, cb), (b, a))
+        rng = np.random.default_rng(9)
+        boards = []
+        for _ in range(8):
+            a.host[...] = rng.integers(0, 2, (N, N), dtype=np.uint8)
+            loop.run(0, 2, marks=(a,), syncs=(1,), gathers=(None,))
+            boards.append(a.host.copy())
+        return np.stack(boards), node.time, loop
+
+    def test_uncapturable_scheduler_runs_eagerly(self):
+        graph = self._serves()
+        assert (graph[2].captures, graph[2].replayed) == (1, 6)
+        for kw in ({"plan_cache": False}, {"sanitize": True}):
+            eager = self._serves(**kw)
+            assert (eager[2].captures, eager[2].replayed) == (0, 0)
+            assert eager[2].slots == {}
+            np.testing.assert_array_equal(eager[0], graph[0])
+            assert eager[1] == graph[1]
+
+    @staticmethod
+    def _histograms(plan_cache: bool):
+        node = SimNode(GTX_780, GPUS, functional=True)
+        sched = Scheduler(node, plan_cache=plan_cache)
+        img = Matrix(N, N, np.uint8, "img").bind(np.zeros((N, N), np.uint8))
+        h = Vector(256, np.int32, "hist").bind(np.zeros(256, np.int32))
+        loop = histogram(sched, img, h)
+        rng = np.random.default_rng(4)
+        hists = []
+        for _ in range(3):
+            img.host[...] = rng.integers(0, 256, (N, N), dtype=np.uint8)
+            loop.run(0, 1, marks=(img,), gathers=(None,))
+            hists.append(h.host.copy())
+            np.testing.assert_array_equal(
+                hists[-1], np.bincount(img.host.ravel(), minlength=256)
+            )
+        return np.stack(hists), node.time, loop
+
+    def test_gathering_pending_partials_runs_eagerly(self):
+        """A whole gather of partials is a host combine no capture
+        records: every run of that shape stays eager, where a capture
+        used to raise on the second run."""
+        cached = self._histograms(plan_cache=True)
+        twin = self._histograms(plan_cache=False)
+        assert (cached[2].captures, cached[2].replayed) == (0, 0)
+        assert cached[2].slots == {}
+        np.testing.assert_array_equal(cached[0], twin[0])
+        assert cached[1] == twin[1]
 
 
 class TestHostOps:
@@ -986,7 +1098,7 @@ class TestHostOps:
         sched.wait_all()
         with sched.capture() as g:
             sched.invoke(kernel, *cb)
-            rec = sched._capture_rec
+            rec = sched._recorder
             before = rec.sync_mark(node.host_time)
             node.record_event(sched._compute[0], "speculated")
             rec.record_sync(before, node.host_time)

@@ -60,7 +60,7 @@ class TestOracleAgrees:
     def test_transition_ticks(self, monkeypatch):
         stats = graph_oracle.install(monkeypatch)
         *_, loop = tg.TestTransitionGraphs._ticks("graph")
-        assert stats["fast"] == sum(g.fast_launches for _, g in loop.phases)
+        assert stats["fast"] == sum(g.fast_launches for _, g in loop.slots.values())
         assert stats["fast"] == 8
 
     @staticmethod
@@ -116,7 +116,7 @@ class TestOracleAgrees:
         eng.warmup()
         for k in range(40):
             eng.serve([Request(rid=k, kind="sgemm", arrival=0.0, seed=k)])
-        g = eng.loop.serving[1]  # serve 0 eager, serve 1 captured
+        g = eng.loop.slots[0][1]  # serve 0 eager, serve 1 captured
         assert g.launches == g.fast_launches == stats["fast"] == 38
         assert g._cuts and g._marks
         assert g.full_compares == 2 * len(g._shape)
@@ -158,13 +158,13 @@ class TestOracleAgrees:
         loop = Loop(sched, kernel, (ca, cb), (b, a))
         edges = tg.TestTransitionGraphs.EDGES
         for i in range(7):
-            loop.tick(i, edges)
-        g0, g1 = (g for _, g in loop.phases)
+            loop.run(i, 1, gathers=edges)
+        g0, g1 = (loop.slots[k][1] for k in (0, 1))
         assert (g0.fast_launches, g1.fast_launches) == (2, 1)
         st = sched.monitor.states()[id(a)]
         assert st.stamp is not None and st.stamp in g1._verified
         st.pending_reads[0].append(_done())
-        loop.tick(7, edges)
+        loop.run(7, 1, gathers=edges)
         assert g1.launches == 2 and g1.fast_launches == 1
         assert stats["fast"] == 3 and stats["entries"] == 4
 

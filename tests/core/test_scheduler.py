@@ -519,6 +519,27 @@ class TestSchedulerErrors:
             sched.invoke(kernel, Window2D(a, 1, WRAP), StructuredInjective(b))
 
 
+class TestStreams:
+    def test_streams_only_on_the_schedulers_devices(self):
+        """A lease on 2 of 4 GPUs makes a compute, copy-in and copy-out
+        stream on each of its GPUs and one host stream; its release drops
+        exactly those."""
+        node = SimNode(GTX_780, 4, functional=False)
+        other = Scheduler(node, devices=(0,))
+        kept = list(node.streams)
+        sched = Scheduler(node, devices=(1, 3))
+        mine = node.streams[len(kept):]
+        assert len(mine) == 7
+        assert sorted(s.device for s in mine if s.device != HOST) == [
+            1, 1, 1, 3, 3, 3
+        ]
+        assert [s.id for s in mine] == sorted(s.id for s in mine)
+        sched.release()
+        assert node.streams == kept
+        other.release()
+        assert node.streams == []
+
+
 class TestPaperAliases:
     def test_camelcase_api(self):
         node = SimNode(GTX_780, 2, functional=True)

@@ -1,7 +1,7 @@
 """Graph serving against its eager twin, and the one-launch count gate.
 
-Every serve of both engines is one :meth:`Loop.serve
-<repro.core.graph.Loop.serve>` transition (upload mark, layer calls, a host
+Every serve of both engines is one :meth:`Loop.run
+<repro.core.graph.Loop.run>` transition (upload mark, layer calls, a host
 sync, the gather). A replica scheduler built with ``plan_cache=False``
 cannot capture, so it serves every batch eagerly: that run is the oracle
 the graph run must equal bit for bit — answers, latency records and every
@@ -85,7 +85,7 @@ def test_every_steady_serve_is_one_fast_launch(monkeypatch):
     serves: dict[int, list[tuple[int, int]]] = {}
     graphs: dict[int, IterationGraph] = {}
     counts = {"launches": 0, "submits": 0}
-    serve, launch = Loop.serve, IterationGraph.launch
+    serve, launch = Loop.run, IterationGraph.launch
     submit = Scheduler._submit
 
     def spy_serve(loop, *args, **kwargs):
@@ -105,7 +105,7 @@ def test_every_steady_serve_is_one_fast_launch(monkeypatch):
         counts["submits"] += 1
         return submit(sched, *args)
 
-    monkeypatch.setattr(Loop, "serve", spy_serve)
+    monkeypatch.setattr(Loop, "run", spy_serve)
     monkeypatch.setattr(IterationGraph, "launch", spy_launch)
     monkeypatch.setattr(Scheduler, "_submit", spy_submit)
     rep = ServingNode(CFG).run(poisson_trace(1500, rate=50000.0, seed=3))

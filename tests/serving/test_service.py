@@ -132,6 +132,13 @@ class TestComposition:
 
 
 class TestBoundedState:
+    def test_replicas_hold_streams_on_their_devices_only(self):
+        """Four one-GPU replicas hold three device streams and a host
+        stream each."""
+        sn = ServingNode(dataclasses.replace(CFG, min_replicas=4))
+        sn.run(poisson_trace(50, rate=40000.0, seed=1))
+        assert len(sn.node.streams) == 16
+
     def test_host_read_list_stays_bounded(self):
         """Every serve re-uploads its input datum; the host reads of one
         serve are finished by the next upload and must not pile up."""
@@ -163,7 +170,7 @@ class TestBoundedState:
         assert longest <= 2 * _READ_FLOOR
         # The first serve runs eagerly and the second is captured; every
         # later serve is one launch, and every launch replays the graph.
-        g = sgemm.loop.serving[1]
+        g = sgemm.loop.slots[0][1]
         assert g.fast_launches == g.launches == 2000 - 2
 
     def test_graph_replay_is_the_steady_state(self, monkeypatch):
