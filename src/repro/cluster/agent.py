@@ -97,6 +97,10 @@ class NodeAgent:
         #: The ping-pong on the current scheduler: one single-tick graph
         #: per parity (DESIGN.md §15).
         self.loop: Loop | None = None
+        #: ``(slab, ghost rect)`` host-dirty marks the last exchange left
+        #: owed, in exchange order: the next tick's launch applies them,
+        #: and any other use of the scheduler first (:meth:`_settle`).
+        self.owed: tuple[tuple[Datum, Rect], ...] = ()
         #: Generation counter: bumped on every (re)build, names the datums.
         self.generation = 0
         #: checkpoint id -> (lo, hi, interior snapshot) of *this* node's
@@ -122,6 +126,7 @@ class NodeAgent:
         in timing-only mode."""
         self.lo, self.hi = lo, hi
         self.generation += 1
+        self.owed = ()
         r, s, cols = self.radius, hi - lo, self.cols
         ext = s + 2 * r
         self.top_edge = Rect((r, 2 * r), (0, cols))
@@ -177,56 +182,49 @@ class NodeAgent:
         self.build(lo, hi, region, which)
 
     # -- tick execution -------------------------------------------------------
-    def compute(self, src_i: int, gather_edges: bool) -> float:
+    def compute(
+        self, src_i: int, gather_edges: bool, owed: tuple = ((), ())
+    ) -> float:
         """Run one stencil tick from ``slabs[src_i]`` into the other
         buffer and (when the slab has cluster neighbours) gather the
         freshly computed edge rows to the host for the exchange phase.
         Returns the node time at completion. A steady tick is one launch
         of its parity's graph (``Loop.run``); intra-node faults are
         recovered inside the eager fallback's ``wait_all``, and an
-        exhausted node raises UnrecoverableError to the master."""
+        exhausted node raises UnrecoverableError to the master.
+
+        ``owed[b]`` are the ghost marks the exchange after a tick into
+        ``slabs[b]`` leaves on it (the master's exchange plan keeps one
+        constant tuple per buffer): the marks owed now join this tick's
+        launch, and the exchange after it leaves ``owed[1 - src_i]``."""
         edges = (self.top_edge, self.bottom_edge) if gather_edges else ()
-        return self.loop.run(src_i, 1, gathers=edges)
+        marks, self.owed = self.owed, owed[1 - src_i]
+        return self.loop.run(src_i, 1, marks=marks, gathers=edges)
+
+    def _settle(self) -> None:
+        """Apply the owed ghost marks eagerly, in exchange order, before a
+        use of the scheduler other than a tick."""
+        owed, self.owed = self.owed, ()
+        for slab, rect in owed:
+            self.sched.mark_checked_region_dirty(slab, rect)
 
     # -- ghost handling -------------------------------------------------------
-    # The three ghost writes mark rects the master's exchange plan checked
-    # once against both slab buffers (check_ghost), not on every tick.
+    # The ghost marks are owed to the next tick (``owed``), on rects the
+    # master's exchange plan checked once against both slab buffers.
     def check_ghost(self, rect: Rect) -> None:
         """Validate a ghost rect against both slab buffers (the
         scheduler's region check), once per exchange plan."""
         for slab in self.slabs:
             self.sched._check_region(slab, rect)
 
-    def write_ghost(
-        self, which: int, rect: Rect, data: np.ndarray | None
-    ) -> None:
-        """Install neighbour edge rows into a ghost region: update the
-        host image (functional) and invalidate device copies so the next
-        tick re-uploads through the normal machinery."""
-        slab = self.slabs[which]
-        if self.functional and data is not None:
-            slab.host[rect.slices()] = data
-        self.sched.mark_checked_region_dirty(slab, rect)
+    def write_ghost(self, which: int, rect: Rect, data) -> None:
+        """Install rows (neighbour edge rows, or 0 to re-zero a global
+        boundary) into a ghost region of the host image (functional
+        mode). The device copies are invalidated by the owed mark."""
+        self.slabs[which].host[rect.slices()] = data
 
-    def copy_local_ghost(self, which: int, src: Rect, dst: Rect) -> None:
-        """Single wrapped node: both edges exchange with itself."""
-        slab = self.slabs[which]
-        if self.functional:
-            slab.host[dst.slices()] = slab.host[src.slices()]
-        self.sched.mark_checked_region_dirty(slab, dst)
-
-    def zero_ghost(self, which: int, rect: Rect) -> None:
-        """Re-zero a global-boundary ghost (empty space outside the
-        board, overwritten by the tick's out-of-range stencil outputs)."""
-        slab = self.slabs[which]
-        if self.functional:
-            slab.host[rect.slices()] = 0
-        self.sched.mark_checked_region_dirty(slab, rect)
-
-    def edge_data(self, which: int, rect: Rect) -> np.ndarray | None:
+    def edge_data(self, which: int, rect: Rect) -> np.ndarray:
         """Host copy of freshly gathered edge rows (functional mode)."""
-        if not self.functional:
-            return None
         return self.slabs[which].host[rect.slices()].copy()
 
     def read_rows(self, which: int, g_lo: int, g_hi: int) -> np.ndarray | None:
@@ -245,15 +243,22 @@ class NodeAgent:
         rect = Rect(
             (g_lo - self.lo + r, g_hi - self.lo + r), (0, self.cols)
         )
+        self._settle()
         self.sched.gather_region(self.slabs[which], rect)
         return self.sched.wait_all()
+
+    def gather(self, which: int) -> float:
+        """Gather slab buffer ``which`` whole to the host; returns the
+        node time at completion."""
+        self._settle()
+        return self.sched.gather(self.slabs[which])
 
     # -- checkpoints ----------------------------------------------------------
     def checkpoint_local(self, cid: int, which: int) -> float:
         """Coordinated-checkpoint phase 1: gather the full slab and keep a
         local host snapshot of the interior. Returns node time after the
         gather (the snapshot copy itself is host-side and free)."""
-        t = self.sched.gather(self.slabs[which])
+        t = self.gather(which)
         self.snapshot_from_host(cid, which)
         return t
 
@@ -349,6 +354,7 @@ class NodeAgent:
         self.calls = ()
         self.grid = None
         self.loop = None
+        self.owed = ()
         self.local_ckpts = {}
         self.peer_ckpts = {}
         self.node.host_advance(now)

@@ -4,10 +4,11 @@ fault-tolerant bulk-synchronous loop (paper §8, DESIGN.md §15).
 The global board is split into row **slabs**, one per node, each stored
 with ``radius`` ghost rows on either side. Within a node the unmodified
 MAPS-Multi scheduler partitions the slab across the node's GPUs. Between
-ticks each node gathers only its edge rows (``Scheduler.gather_region``),
-ships them over the simulated fabric into its neighbours' ghost rows, and
-invalidates the device copies of those rows (``mark_host_region_dirty``)
-so the framework re-uploads them.
+ticks each node gathers only its edge rows (``Scheduler.gather_region``)
+and ships them over the simulated fabric into its neighbours' ghost rows.
+The receiver owes the host-dirty marks of those rows to its next tick,
+whose graph launch applies them (region marks of ``Loop.run``), so the
+framework re-uploads the rows and no scheduler work runs between ticks.
 
 :class:`ClusterMaster` runs on the head node and owns everything *between*
 the nodes: the slab decomposition (via the hierarchical
@@ -174,6 +175,12 @@ class _ExchangePlan:
     #: ``(node, rect)`` of the global-edge ghosts a non-wrapping board
     #: re-zeroes every tick.
     zeros: tuple[tuple[int, Rect], ...]
+    #: node -> per slab buffer, the ``(slab, rect)`` host-dirty marks the
+    #: exchange after a tick into that buffer leaves the node owing: its
+    #: received ghosts in message order, then its re-zeroed ones. The
+    #: tuples are built once, so a node's graph slots compare them by
+    #: identity.
+    owed: dict[int, tuple[tuple, tuple]]
 
 
 class _Unreachable(Exception):
@@ -382,12 +389,21 @@ class ClusterMaster:
         )
         for n, rect in zeros:
             self.agents[n].check_ghost(rect)
+        ghosts = [(j, rect) for _, j, _, rect, _ in messages] + list(zeros)
+        owed = {}
+        for n in ring:
+            slabs = self.agents[n].slabs
+            owed[n] = tuple(
+                tuple((slabs[b], rect) for j, rect in ghosts if j == n)
+                for b in range(2)
+            )
         return _ExchangePlan(
             ring,
             multi,
             r * self.cols * self.monitor.itemsize,
             tuple(messages),
             zeros,
+            owed,
         )
 
     # -- messaging ------------------------------------------------------------
@@ -624,7 +640,7 @@ class ClusterMaster:
             ag = self.agents[n]
             ag.node.host_advance(max(0.0, starts[n] - ag.node.time))
             try:
-                t_f = ag.compute(src_i, xp.multi)
+                t_f = ag.compute(src_i, xp.multi, xp.owed[n])
             except UnrecoverableError as e:
                 err = NodeFailure(
                     f"node {n} reported intra-node recovery exhausted: {e}",
@@ -641,20 +657,22 @@ class ClusterMaster:
         if lost:
             raise _Unreachable(lost)
 
-        # Phase C: ghost exchange over the fabric.
+        # Phase C: ghost exchange over the fabric. Each receiver owes the
+        # host-dirty marks of its new ghost rows to its next tick (the
+        # exchange plan's ``owed``); the rows themselves are host data,
+        # copied in functional mode only.
         done = dict(finish)
-        for n, j, src_rect, dst_rect, _ in xp.messages:
-            ag = self.agents[n]
-            if j == n:
-                ag.copy_local_ghost(dst_i, src_rect, dst_rect)
-                continue
-            arrival = self._send(n, j, xp.nbytes, finish[n], "ghost")
-            done[j] = max(done[j], arrival)
-            self.agents[j].write_ghost(
-                dst_i, dst_rect, ag.edge_data(dst_i, src_rect)
-            )
-        for n, rect in xp.zeros:
-            self.agents[n].zero_ghost(dst_i, rect)
+        for n, j, _, _, _ in xp.messages:
+            if j != n:
+                arrival = self._send(n, j, xp.nbytes, finish[n], "ghost")
+                done[j] = max(done[j], arrival)
+        if self.functional:
+            for n, j, src_rect, dst_rect, _ in xp.messages:
+                self.agents[j].write_ghost(
+                    dst_i, dst_rect, self.agents[n].edge_data(dst_i, src_rect)
+                )
+            for n, rect in xp.zeros:
+                self.agents[n].write_ghost(dst_i, rect, 0)
 
         # Phase D: barrier + liveness sweep.
         barrier = max(done.values()) if done else self._clock
@@ -1281,7 +1299,7 @@ class ClusterMaster:
         for n in self.monitor.order():
             lo, hi = self.monitor.slabs[n]
             ag = self.agents[n]
-            ag.sched.gather(ag.slabs[which])
+            ag.gather(which)
             out[lo:hi] = ag.slabs[which].host[
                 self.radius : self.radius + (hi - lo)
             ]

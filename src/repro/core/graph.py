@@ -105,6 +105,7 @@ class GraphRecorder:
         "touches",
         "h",
         "marks",
+        "regions",
         "cuts",
         "fail",
     )
@@ -139,8 +140,11 @@ class GraphRecorder:
         self.touches: list[tuple[Any, Any]] = []
         #: The host clock the recorded advances and syncs account for.
         self.h = host_time
-        #: ``(datum id, checkpoint)`` of every host-dirty mark.
+        #: ``(datum id, checkpoint)`` of every whole-datum host-dirty mark.
         self.marks: list[tuple[int, int]] = []
+        #: Ids of the datums a region host-dirty mark touched (the exit
+        #: holds such a mark's whole effect).
+        self.regions: set[int] = set()
         #: ``(touches, events)`` recorded before each host sync.
         self.cuts: list[tuple[int, int]] = []
         #: Why the period cannot replay, once something made it so.
@@ -443,7 +447,7 @@ class IterationGraph:
         if rec.h != h_submit_end:
             return self._fail(_CLOCK)
         slot_of = {ev: i for i, ev in enumerate(events)}
-        marked = {did for did, _ in rec.marks}
+        marked = {did for did, _ in rec.marks} | rec.regions
 
         # -- entry structure and exit state of every touched datum ------------
         monitor = sched.monitor
@@ -488,7 +492,7 @@ class IterationGraph:
         shape: dict[int, tuple] = {}
         exits: dict[int, tuple] = {}
         # A period with marks or syncs replays one lap per launch.
-        fixed = not (rec.marks or rec.cuts)
+        fixed = not (rec.marks or rec.regions or rec.cuts)
         for did in captured:
             plan = self._datum_plan(
                 did, entry[did], exit_snap[did], slot_of,
@@ -1178,6 +1182,11 @@ class Loop:
         #: -> ``(shape, graph or None)``, the shape of the last run from
         #: there and its graph (None until the run that captures it).
         self.slots: dict[int, tuple] = {}
+        #: phase -> the ``(shape, graph)`` slot a run of another shape
+        #: displaced, kept for one run (see :meth:`run`).
+        self._held: dict[int, tuple] = {}
+        #: ``(datum, rect)`` of every region :meth:`run` has checked.
+        self._checked: set[tuple] = set()
         #: Diagnostics: captures performed / periods or runs launched as
         #: a graph.
         self.captures = 0
@@ -1238,52 +1247,82 @@ class Loop:
         """Run iterations ``start..start+n-1`` as one transition and drain;
         returns the node time.
 
-        The application has written the host buffers of the ``marks``
-        datums; they are marked host-dirty first (their upload joins the
-        first call that reads them). A host sync precedes the ``k``-th
-        iteration of the run for each ``k`` in ``syncs``. Then every region
-        in ``gathers`` of the last iteration's output is gathered to the
-        host; a ``None`` region gathers it whole.
+        The application has written the host buffers of the ``marks``:
+        each is a datum, written whole, or a ``(datum, rect)`` pair whose
+        ``rect`` was written (ghost rows, say). They are marked host-dirty
+        first (their upload joins the first call that reads them). A host
+        sync precedes the ``k``-th iteration of the run for each ``k`` in
+        ``syncs``. Then every region in ``gathers`` of the last
+        iteration's output is gathered to the host; a ``None`` region
+        gathers it whole. Each region is checked against its datum once
+        per loop.
 
         The run starts from wherever eager work between runs left the
-        monitor (host writes of ghost rows, say), so each phase of the
-        period a run starts at keeps one graph in :attr:`slots` whose
-        entry check covers that work. The first run of a shape is eager
-        (it still distributes the inputs), the second is captured and
-        every later one is one launch. A launch whose entry state does not
-        hold takes the eager fallback and the graph is kept; a graph that
-        has :attr:`~IterationGraph.expired`, or a run of another shape,
-        starts over like a first run. A scheduler that cannot capture runs
-        every time eagerly, and so does a shape whose whole gather finds
-        pending partials (their host combine is not captured).
+        monitor, so each phase of the period a run starts at keeps one
+        graph in :attr:`slots` whose entry check covers that work. The
+        first run of a shape is eager (it still distributes the inputs),
+        the second is captured and every later one is one launch. A launch
+        whose entry state does not hold takes the eager fallback and the
+        graph is kept; a graph that has :attr:`~IterationGraph.expired`
+        starts over like a first run, and so does a run of another shape.
+        The graph that run displaced is kept for one more run, which
+        launches it if it has that graph's shape again: one eager run of
+        another shape (a tick with no marks owed, say) costs the phase no
+        re-capture. A scheduler that cannot capture runs every time
+        eagerly, and so does a shape whose whole gather finds pending
+        partials (their host combine is not captured).
         """
         sched = self.sched
         phase = start % self.period
         shape = (n, marks, syncs, gathers)
         slot = self.slots.get(phase)
-        if slot is not None and slot[0] == shape:
-            graph = slot[1]
-            if graph is None:
-                with sched.capture() as graph:
-                    self._submit(start, *shape)
-                self.captures += 1
-                self.slots[phase] = shape, graph
-                return sched.node.time
-            if not graph.expired:
-                self.replayed += 1
-                return graph.launch(1)
+        if slot is None or slot[0] != shape:
+            held = self._held.pop(phase, None)
+            if held is None or held[0] != shape:
+                if slot is not None and slot[1] is not None:
+                    self._held[phase] = slot
+                return self._eager(start, phase, shape)
+            self.slots[phase] = slot = held
+        graph = slot[1]
+        if graph is None:
+            with sched.capture() as graph:
+                self._submit(start, *shape)
+            self.captures += 1
+            self.slots[phase] = shape, graph
+            self._held.pop(phase, None)
+            return sched.node.time
+        if graph.expired:
+            return self._eager(start, phase, shape)
+        self.replayed += 1
+        return graph.launch(1)
+
+    def _eager(self, start: int, phase: int, shape: tuple) -> float:
+        """:meth:`run` a shape eagerly, as its first run: the next run of
+        it from ``phase`` captures, unless this one cannot be recorded."""
+        sched = self.sched
         if self._submit(start, *shape) and sched.capturable:
             self.slots[phase] = shape, None
         else:
             self.slots.pop(phase, None)
         return sched.wait_all()
 
+    def _check(self, datum, rect) -> None:
+        """The scheduler's region check, once per ``(datum, rect)``."""
+        key = (datum, rect)
+        if key not in self._checked:
+            self.sched._check_region(datum, rect)
+            self._checked.add(key)
+
     def _submit(self, start, n, marks, syncs, gathers) -> bool:
         """Submit one :meth:`run`; returns whether a capture can record it
         (no whole gather found pending partials)."""
         sched = self.sched
-        for datum in marks:
-            sched.mark_host_dirty(datum)
+        for mark in marks:
+            if type(mark) is tuple:
+                self._check(*mark)
+                sched.mark_checked_region_dirty(*mark)
+            else:
+                sched.mark_host_dirty(mark)
         for k in range(n):
             if k in syncs:
                 sched.wait_all()
@@ -1292,7 +1331,8 @@ class Loop:
         capturable = True
         for region in gathers:
             if region is not None:
-                sched.gather_region(out, region)
+                self._check(out, region)
+                sched._gather_region(out, region)
                 continue
             if sched.monitor.needs_aggregation(out):
                 capturable = False

@@ -421,15 +421,22 @@ class Scheduler:
     def mark_host_region_dirty(self, datum: Datum, region: Rect) -> None:
         """The application overwrote ``region`` of the bound host buffer
         (e.g. received remote halo rows): device-resident copies of that
-        region are stale; the rest stays valid."""
+        region are stale; the rest stays valid. A capture records the
+        mark past its region check, and its launches apply it."""
         self._check_region(datum, region)
         self.mark_checked_region_dirty(datum, region)
 
     def mark_checked_region_dirty(self, datum: Datum, region: Rect) -> None:
         """:meth:`mark_host_region_dirty` of a region its caller already
-        validated against ``datum``: the cluster agents check their ghost
-        rects once per exchange plan, not on every tick's mark."""
-        self._no_capture("mark_host_region_dirty")
+        validated against ``datum`` (a :class:`~repro.core.graph.Loop`
+        checks each region once, the cluster agents once per exchange
+        plan). A launch of a graph that recorded the mark costs nothing
+        for it: the mark compacts no read list, so the graph's exit holds
+        its whole effect."""
+        rec = self._recorder
+        if rec is not None:
+            self._capture_call(self.mark_checked_region_dirty, datum, region)
+            rec.regions.add(id(datum))
         self.monitor.mark_written(datum, HOST, region, None)
 
     def _check_region(self, datum: Datum, region: Rect) -> None:
@@ -513,7 +520,7 @@ class Scheduler:
                 f"{what} is not allowed while an iteration-graph capture "
                 "is recording: a captured period may only submit invokes, "
                 "gathers of datums without pending partials, host-dirty "
-                "marks of whole datums and wait_all"
+                "marks (of whole datums or regions) and wait_all"
             )
 
     def _capture_call(self, fn, *args, **kwargs) -> None:
@@ -538,8 +545,9 @@ class Scheduler:
         Drains all outstanding work first (the capture must start from a
         quiescent node), then records every command the block's
         ``invoke``/``invoke_unmodified`` and ``gather_async``/
-        ``gather_region`` calls produce, with the ``mark_host_dirty`` marks
-        and ``wait_all`` syncs between them. Leaving the block drains the
+        ``gather_region`` calls produce, with the host-dirty marks (whole
+        ``mark_host_dirty`` and region ``mark_host_region_dirty`` ones) and
+        ``wait_all`` syncs between them. Leaving the block drains the
         period and compiles ``g`` (a period that cannot replay keeps the
         fallback path only); an exception aborts it. Requires the plan
         cache (the capture records *resolved* plans) and is unavailable in

@@ -15,8 +15,12 @@ steady tick replays as one launch of its parity's single-tick graph
   container or implied grid, whether it is a fast graph launch (as it
   is) or runs eagerly; between fault-plan events it asks the plan
   nothing (the master's calm window), checks no region (the ghost marks
-  and edge gathers are checked once per exchange plan and capture) and
-  builds no exchange plan;
+  and edge gathers are checked once per exchange plan and loop) and
+  builds no exchange plan; its ghost marks join its launch, so no
+  scheduler work runs between launches;
+* the owed ghost marks are invisible: functional runs whose launches all
+  take the eager fallback match the normal runs, and a checkpoint, a
+  ghost check or a board read applies them first;
 * the geometry follows the slab through ``build``, ``rebuild`` and
   ``revive``;
 * an agent holds at most two graphs, and never launches one of a
@@ -30,6 +34,7 @@ import re
 import weakref
 
 import numpy as np
+import pytest
 
 import repro.cluster.agent as agent_mod
 from repro.cluster import (
@@ -40,14 +45,16 @@ from repro.cluster import (
     NodeRepair,
 )
 from repro.core import Grid, Scheduler
-from repro.core.graph import IterationGraph
+from repro.core.graph import IterationGraph, Loop
 from repro.core.location_monitor import LocationMonitor
 from repro.core.plan import container_signature
 from repro.core.task import Task
-from repro.hardware import GTX_780
-from repro.kernels.game_of_life import make_gol_kernel
+from repro.hardware import GTX_780, HOST
+from repro.kernels.game_of_life import gol_reference_step, make_gol_kernel
 from repro.patterns import ZERO, StructuredInjective, Window2D
 from repro.utils.rect import Rect
+
+from . import test_calm_window as calm
 
 KERNEL = make_gol_kernel("maps")
 NODES, GPUS, TICKS = 4, 2, 60
@@ -154,10 +161,14 @@ class TestSteadyTickHostWork:
     benchmark's 8-node setup with its checkpoint interval."""
 
     @staticmethod
-    def _window(monkeypatch) -> tuple[dict, int, dict]:
+    def _window(monkeypatch) -> tuple[dict, int, dict, dict]:
         """Warm up, then count the host work of :data:`QUIET` and the
         fast launches of 100 ticks; per node, each launch's ``(fast,
-        datums its entry check compared in full)``."""
+        datums its entry check compared in full)``; and per master tick,
+        the region marks the scheduler made outside ``Loop.run``
+        (``"between"``) and the region marks the monitors applied
+        (``"applied"``: the former, and those of eager runs and
+        fallback launches)."""
         m = ClusterMaster(
             GTX_780, 8, 2, (2048, 2048), KERNEL, functional=False,
             faults=ClusterFaultPlan(checkpoint_interval=100),
@@ -206,38 +217,70 @@ class TestSteadyTickHostWork:
             return verdict
 
         monkeypatch.setattr(IterationGraph, "_fast_entry", counted_entry)
+        marks: dict = {"between": {}, "applied": {}}
+        in_run = []
+        run, mark = Loop.run, Scheduler.mark_checked_region_dirty
+        written = LocationMonitor.mark_written
+
+        def counted_run(self, *args, **kwargs):
+            in_run.append(1)
+            try:
+                return run(self, *args, **kwargs)
+            finally:
+                in_run.pop()
+
+        def counted_mark(self, *args):
+            if not in_run:
+                marks["between"][m.tick] = marks["between"].get(m.tick, 0) + 1
+            return mark(self, *args)
+
+        def counted_written(self, datum, device, rect, event):
+            if device == HOST:
+                marks["applied"][m.tick] = marks["applied"].get(m.tick, 0) + 1
+            return written(self, datum, device, rect, event)
+
+        monkeypatch.setattr(Loop, "run", counted_run)
+        monkeypatch.setattr(Scheduler, "mark_checked_region_dirty", counted_mark)
+        monkeypatch.setattr(LocationMonitor, "mark_written", counted_written)
         before = m.tick
         for _ in range(100):  # crosses the checkpoint at tick 200
             m.step()
         assert m.tick == before + 100
-        return counts, fast["fast"], launches
+        return counts, fast["fast"], launches, marks
 
     def test_steady_ticks_do_no_planning(self, monkeypatch):
-        counts, fast, launches = self._window(monkeypatch)
+        counts, fast, launches, marks = self._window(monkeypatch)
         assert counts == dict.fromkeys(QUIET, 0)
-        # Only the two ticks after the checkpoint take the fallback.
+        # Only the two ticks after the checkpoint are not fast: tick 200
+        # owes no marks (the checkpoint applied them), a one-off shape
+        # that runs eagerly, and tick 201's launch takes the fallback.
         assert fast == 784
-        # A fast launch compares only the read slab in full: the master's
-        # ghost marks cleared its stamp, while the written slab still
-        # carries the other parity's exit, which the graph has verified.
-        # After the eager fallback ticks both slabs changed eagerly, so
-        # the first fast launch compares both.
+        # A fast launch after a fast launch compares no datum in full:
+        # the ghost marks joined the launch, so both slabs still carry
+        # the other parity's exit, which the graph has verified. After
+        # the eager ticks both slabs changed eagerly, so the first fast
+        # launch compares both.
         assert len(launches) == 8
         for seq in launches.values():
             for (was_fast, _), (is_fast, full) in zip(
                 [(True, 0)] + seq, seq
             ):
                 if is_fast:
-                    assert full <= (1 if was_fast else 2)
+                    assert full == 0 if was_fast else full <= 2
+        # Between launches the scheduler marks nothing but the owed ghost
+        # rows the checkpoint at tick 200 applies first (two per node);
+        # tick 201's fallback launches apply their recorded marks again.
+        assert marks == {"between": {200: 16}, "applied": {200: 16, 201: 16}}
 
     def test_eager_ticks_do_no_planning(self, monkeypatch):
         """With every launch's fast path disabled, each tick runs its
         invoke and edge gathers eagerly: the memoized gather decisions
         and the agent's geometry still leave no planning work."""
         monkeypatch.setattr(IterationGraph, "_fast_entry", lambda g: None)
-        counts, fast, _ = self._window(monkeypatch)
+        counts, fast, _, marks = self._window(monkeypatch)
         assert counts == dict.fromkeys(QUIET, 0)
         assert fast == 0
+        assert marks["between"] == {200: 16}
 
     def test_counters_see_the_full_checks(self, monkeypatch):
         """With the calm window forced shut, the same ticks ask the fault
@@ -245,10 +288,64 @@ class TestSteadyTickHostWork:
         monkeypatch.setattr(
             ClusterFaultPlan, "calm_until", lambda self, t, m: -math.inf
         )
-        counts, _, _ = self._window(monkeypatch)
+        counts, _, _, _ = self._window(monkeypatch)
         for name in QUIET[3:8]:
             assert counts[name] > 0, name
         assert counts["_check_region"] == counts["_plan_exchange"] == 0
+
+
+#: The calm-window scenarios, plus a checkpoint after every exchange and a
+#: board read mid-run: each applies the owed ghost marks before a gather.
+OWED_SCENARIOS = {
+    **{name: (make, None) for name, (make, _) in calm.SCENARIOS.items()},
+    "checkpoint_every_tick": (
+        lambda: ClusterFaultPlan(checkpoint_interval=1), None
+    ),
+    "board_mid_run": (ClusterFaultPlan, 25),
+}
+
+
+def _owed_run(make_plan, board_at, monkeypatch, fast: bool) -> dict:
+    """Every observable of a functional 4-node run; with ``fast`` off,
+    every graph launch takes the eager fallback."""
+    with monkeypatch.context() as mp:
+        counts = _count_fast(mp)
+        if not fast:
+            mp.setattr(IterationGraph, "_fast_entry", lambda g: None)
+        plan = make_plan()
+        m = ClusterMaster(GTX_780, 4, 2, calm._board(), KERNEL, faults=plan)
+        times, boards = [], []
+        for t in range(calm.TICKS):
+            m.step()
+            times.append(m.time)
+            if t == board_at:
+                boards.append(m.board().tobytes())
+        boards.append(m.board().tobytes())
+    return {
+        "boards": boards,
+        "times": times,
+        "log": m.log,
+        "link_bytes": dict(m.network.link_bytes),
+        "link_transfers": dict(m.network.link_transfers),
+        "counters": {c: getattr(plan, c) for c in calm.COUNTERS},
+        "fast": counts["fast"],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(OWED_SCENARIOS))
+def test_owed_marks_match_the_fallback(name, monkeypatch):
+    make_plan, board_at = OWED_SCENARIOS[name]
+    fast = _owed_run(make_plan, board_at, monkeypatch, fast=True)
+    slow = _owed_run(make_plan, board_at, monkeypatch, fast=False)
+    assert fast.pop("fast") > 0 and slow.pop("fast") == 0
+    for key in fast:
+        assert fast[key] == slow[key], key
+    if name in ("checkpoint_every_tick", "board_mid_run"):
+        want = [calm._board()]
+        for _ in range(calm.TICKS):
+            want.append(gol_reference_step(want[-1], wrap=False))
+        ticks = [calm.TICKS] if board_at is None else [board_at + 1, calm.TICKS]
+        assert fast["boards"] == [want[t].tobytes() for t in ticks]
 
 
 def _check_geometry(ag: NodeAgent) -> None:

@@ -249,13 +249,12 @@ class TestCaptureGuards:
         node, sched, a, b, kernel, ca, cb = gol_setup()
         h = sched.invoke(kernel, *ca)
         sched.wait_all()
-        # wait_all and mark_host_dirty are recorded as a host sync and a
-        # host-dirty mark (TestHostOps); waiting on one task and region
-        # marks are not.
+        # wait_all and the host-dirty marks, whole or region, are recorded
+        # (TestHostOps, TestTransitionGraphs); waiting on one task and
+        # analysis are not.
         for bad in (
             lambda: sched.wait(h),
             lambda: sched.analyze_call(kernel, *ca),
-            lambda: sched.mark_host_region_dirty(a, Rect((0, 1), (0, N))),
         ):
             with pytest.raises(GraphCaptureError, match="may only submit"):
                 with sched.capture() as g:
@@ -777,33 +776,46 @@ class TestStructuralReplay:
 
 class TestTransitionGraphs:
     """Single-iteration transition graphs (``Loop.run``): each phase of a
-    ping-pong replays one tick with its edge gathers, and host writes
-    between launches (ghost rows, as the cluster master installs them)
-    are covered by the launch's entry check."""
+    ping-pong replays one tick with its edge gathers, and host writes of
+    ghost rows (as the cluster master installs them) are either marked
+    between launches, which the launch's entry check covers, or passed
+    into the next run as region marks, which its launch records."""
 
     EDGES = (Rect((1, 2), (0, N)), Rect((N - 2, N - 1), (0, N)))
     GHOSTS = (Rect((0, 1), (0, N)), Rect((N - 1, N), (0, N)))
 
     @classmethod
-    def _ticks(cls, mode, ticks=12, monkeypatch=None):
+    def _ticks(cls, mode, ticks=12, monkeypatch=None, owed=False):
         """``ticks`` ticks, each gathering the output's edge rows and then
         rewriting its ghost rows on the host. ``mode``: ``graph``,
-        ``fallback`` (every launch's fast path disabled) or ``eager``."""
+        ``fallback`` (every launch's fast path disabled) or ``eager``.
+        With ``owed``, a tick's ghost marks are not made between ticks but
+        passed to the next ``Loop.run`` as ``(datum, rect)`` marks, one
+        constant tuple per phase; the last tick's are made eagerly before
+        the final gather. Returns the node time, trace rows, command count,
+        monitor structure, host and engine clocks after every tick, the
+        buffers' LRU stamps and the loop."""
         node, sched, a, b, kernel, ca, cb = gol_setup()
         loop = Loop(sched, kernel, (ca, cb), (b, a))
         if mode == "fallback":
             monkeypatch.setattr(IterationGraph, "_fast_entry", lambda g: None)
+        ghosts = {d: tuple((d, r) for r in cls.GHOSTS) for d in (a, b)}
         rng = np.random.default_rng(5)
         want = a.host.copy()
+        marks = ()
+        clocks = []
         for i in range(ticks):
             out = loop.out(i)
             if mode == "eager":
+                for datum, r in marks:
+                    sched.mark_host_region_dirty(datum, r)
                 loop.step(i)
                 for r in cls.EDGES:
                     sched.gather_region(out, r)
                 sched.wait_all()
             else:
-                loop.run(i, 1, gathers=cls.EDGES)
+                loop.run(i, 1, marks=marks, gathers=cls.EDGES)
+            clocks.append((node.host_time, node.engine.now))
             want = gol_reference_step(want)
             for r in cls.EDGES:  # the gathered edges are current
                 np.testing.assert_array_equal(
@@ -813,13 +825,24 @@ class TestTransitionGraphs:
                 rows = rng.integers(0, 2, (1, N), dtype=np.uint8)
                 out.host[r.slices()] = rows
                 want[r.slices()] = rows
-                sched.mark_host_region_dirty(out, r)
+            if owed:
+                marks = ghosts[out]
+            else:
+                for r in cls.GHOSTS:
+                    sched.mark_host_region_dirty(out, r)
+        for datum, r in marks:
+            sched.mark_host_region_dirty(datum, r)
         last = loop.out(ticks - 1)
         sched.gather_async(last)
         t = sched.wait_all()
         np.testing.assert_array_equal(last.host, want)
+        lru = sorted(
+            (d.name, dev, sched.analyzer.buffer(d, dev).last_use)
+            for d in (a, b)
+            for dev in range(GPUS)
+        )
         return (t, norm_trace(node), node.engine.commands_executed,
-                structure(sched.monitor, times=True), loop)
+                structure(sched.monitor, times=True), clocks, lru, loop)
 
     def test_ghost_writes_between_launches(self, monkeypatch):
         eager = self._ticks("eager")
@@ -831,13 +854,146 @@ class TestTransitionGraphs:
             assert g.replayable, g.reason
             assert not g.fixed_point
             assert g.launches == g.fast_launches == 4
-        assert fast[:4] == eager[:4]
+        assert fast[:6] == eager[:6]
         slow = self._ticks("fallback", monkeypatch=monkeypatch)
         # A launch that falls back keeps its graph: no re-capture.
         assert slow[-1].captures == 2 and slow[-1].replayed == 12 - 4
         for _, g in slow[-1].slots.values():
             assert g.launches == 4 and g.fast_launches == 0
-        assert slow[:4] == eager[:4]
+        assert slow[:6] == eager[:6]
+
+    def test_ghost_marks_join_the_launch(self, monkeypatch):
+        """Ghost marks passed into the next run are recorded by its
+        capture and cost its launches nothing: host clocks, trace rows,
+        command count, monitor structure with event times and LRU stamps
+        equal the eager twin's, with the reference entry check and
+        epilogue next to every launch."""
+        eager = self._ticks("eager", owed=True)
+        assert eager[:6] == self._ticks("eager")[:6]
+        stats = graph_oracle.install(monkeypatch)
+        fast = self._ticks("graph", owed=True)
+        loop = fast[-1]
+        # Tick 0 owes no marks: phase 0's marked shape first runs at tick
+        # 2, is captured at tick 4 and launched from tick 6; phase 1 is
+        # captured at tick 3.
+        assert loop.captures == 2 and loop.replayed == 3 + 4
+        assert stats["fast"] == 7
+        for (shape, g), phase_out in zip(
+            (loop.slots[0], loop.slots[1]), (loop.outs[1], loop.outs[0])
+        ):
+            assert g.replayable, g.reason
+            assert not g.fixed_point and not g._marks
+            assert [fn.__name__ for fn, _, _ in g.calls[:2]] == [
+                "mark_checked_region_dirty"
+            ] * 2
+            assert shape[1] and all(d is phase_out for d, _ in shape[1])
+            assert g.fast_launches == g.launches
+        assert fast[:6] == eager[:6]
+        slow = self._ticks("fallback", monkeypatch=monkeypatch, owed=True)
+        for _, g in slow[-1].slots.values():
+            assert g.fast_launches == 0 and g.launches > 0
+        assert slow[:6] == eager[:6]
+
+    def test_region_mark_outside_the_datum_records_nothing(self):
+        node, sched, a, b, kernel, ca, cb = gol_setup()
+        loop = Loop(sched, kernel, (ca, cb), (b, a))
+        bad = Rect((N - 1, N + 1), (0, N))
+        before = structure(sched.monitor)
+        with pytest.raises(SchedulingError, match="out of bounds"):
+            with sched.capture() as g:
+                sched.mark_host_region_dirty(a, bad)
+        assert g.calls == [] and not g.replayable
+        for _ in range(3):  # eager, capture, launch: each raises first
+            with pytest.raises(SchedulingError, match="out of bounds"):
+                loop.run(0, 1, marks=((a, bad),))
+        assert loop.slots == {} and loop.captures == 0
+        assert structure(sched.monitor) == before
+        assert node.engine.commands_executed == 0
+
+    @staticmethod
+    def _side_marks(graph: bool, skip=()):
+        """Ticks that also mark a region of a datum ``c`` the loop never
+        reads; an eager kernel reads ``c`` again before every tick not in
+        ``skip``, so the mark invalidates device copies."""
+        node, sched, a, b, kernel, ca, cb = gol_setup()
+        rng = np.random.default_rng(2)
+        c = Matrix(N, N, np.uint8, "C").bind(
+            rng.integers(0, 2, (N, N), dtype=np.uint8)
+        )
+        d = Matrix(N, N, np.uint8, "D").bind(np.zeros((N, N), np.uint8))
+        side = gol_containers(c, d)
+        sched.analyze_call(kernel, *side)
+        loop = Loop(sched, kernel, (ca, cb), (b, a))
+        rect = Rect((4, 9), (0, N))
+        marks = ((c, rect),)
+        for i in range(10):
+            if i not in skip:
+                sched.invoke(kernel, *side)
+                sched.wait_all()
+            c.host[rect.slices()] ^= 1
+            if graph:
+                loop.run(i, 1, marks=marks)
+            else:
+                sched.mark_host_region_dirty(c, rect)
+                loop.step(i)
+                sched.wait_all()
+        sched.invoke(kernel, *side)
+        sched.gather_async(d)
+        sched.gather_async(loop.out(9))
+        t = sched.wait_all()
+        return (t, norm_trace(node), node.engine.commands_executed,
+                structure(sched.monitor, times=True), d.host.copy(),
+                loop, id(c))
+
+    def test_region_mark_of_an_unread_datum_is_captured(self, monkeypatch):
+        eager = self._side_marks(False)
+        stats = graph_oracle.install(monkeypatch)
+        fast = self._side_marks(True)
+        loop, c = fast[-2], fast[-1]
+        assert loop.captures == 2 and stats["fast"] == 6
+        for _, g in loop.slots.values():
+            assert g.replayable, g.reason
+            # A marked datum is always captured: its launch writes the
+            # mark's effect.
+            assert c in g._shape and c in g._exit
+            assert g.launches == g.fast_launches == 3
+        assert fast[:4] == eager[:4]
+        np.testing.assert_array_equal(fast[4], eager[4])
+
+    def test_captured_no_op_mark_still_applies(self, monkeypatch):
+        """Marks that changed nothing when captured (no kernel read ``c``
+        since the last mark) still bind ``c`` to the graph: a launch that
+        finds device copies again takes the fallback, which applies the
+        mark."""
+        skip = (1, 2, 3)  # the captures are at ticks 2 and 3
+        eager = self._side_marks(False, skip)
+        stats = graph_oracle.install(monkeypatch)
+        fast = self._side_marks(True, skip)
+        loop, c = fast[-2], fast[-1]
+        assert loop.captures == 2 and stats["entries"] == 6
+        assert stats["fast"] == 0
+        for _, g in loop.slots.values():
+            assert g.replayable, g.reason
+            assert c in g._shape
+        assert fast[:4] == eager[:4]
+        np.testing.assert_array_equal(fast[4], eager[4])
+
+    def test_region_mark_makes_a_transition(self):
+        """A period that is otherwise a fixed point replays one lap per
+        launch once it marks a region: every launch stands for one host
+        write."""
+        node, sched, a, b, kernel, ca, cb = gol_setup()
+        sched.invoke(kernel, *ca)
+        sched.invoke(kernel, *cb)
+        sched.wait_all()
+        with sched.capture() as g:
+            sched.mark_host_region_dirty(a, self.GHOSTS[0])
+            sched.invoke(kernel, *ca)
+            sched.invoke(kernel, *cb)
+        assert g.replayable, g.reason
+        assert not g.fixed_point
+        g.launch(2)
+        assert g.launches == 1 and g.fast_launches == 0
 
     def test_expired_graph_is_recaptured(self):
         """A graph whose steady state is gone is dropped, and its phase
