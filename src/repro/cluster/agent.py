@@ -83,8 +83,10 @@ class NodeAgent:
         self.slabs: list[Datum] | None = None
         # Per-slab tick geometry, computed once by build() and cleared by
         # revive(): a steady tick only reads these fields.
-        #: Edge rows (sent to the neighbours) and ghost rows (received
-        #: from them), in slab coordinates of the current range.
+        #: Interior rows (the slab's own, the only rows a host read
+        #: gathers), edge rows (sent to the neighbours) and ghost rows
+        #: (received from them), in slab coordinates of the current range.
+        self.interior: Rect | None = None
         self.top_edge: Rect | None = None
         self.bottom_edge: Rect | None = None
         self.top_ghost: Rect | None = None
@@ -98,8 +100,9 @@ class NodeAgent:
         #: per parity (DESIGN.md §15).
         self.loop: Loop | None = None
         #: ``(slab, ghost rect)`` host-dirty marks the last exchange left
-        #: owed, in exchange order: the next tick's launch applies them,
-        #: and any other use of the scheduler first (:meth:`_settle`).
+        #: owed, in exchange order: the next tick's launch applies them.
+        #: Nothing else needs them first, because host reads gather
+        #: interior rows only (:meth:`gather_rows`).
         self.owed: tuple[tuple[Datum, Rect], ...] = ()
         #: Generation counter: bumped on every (re)build, names the datums.
         self.generation = 0
@@ -129,6 +132,7 @@ class NodeAgent:
         self.owed = ()
         r, s, cols = self.radius, hi - lo, self.cols
         ext = s + 2 * r
+        self.interior = Rect((r, r + s), (0, cols))
         self.top_edge = Rect((r, 2 * r), (0, cols))
         self.bottom_edge = Rect((s, s + r), (0, cols))
         self.top_ghost = Rect((0, r), (0, cols))
@@ -201,22 +205,9 @@ class NodeAgent:
         marks, self.owed = self.owed, owed[1 - src_i]
         return self.loop.run(src_i, 1, marks=marks, gathers=edges)
 
-    def _settle(self) -> None:
-        """Apply the owed ghost marks eagerly, in exchange order, before a
-        use of the scheduler other than a tick."""
-        owed, self.owed = self.owed, ()
-        for slab, rect in owed:
-            self.sched.mark_checked_region_dirty(slab, rect)
-
     # -- ghost handling -------------------------------------------------------
-    # The ghost marks are owed to the next tick (``owed``), on rects the
-    # master's exchange plan checked once against both slab buffers.
-    def check_ghost(self, rect: Rect) -> None:
-        """Validate a ghost rect against both slab buffers (the
-        scheduler's region check), once per exchange plan."""
-        for slab in self.slabs:
-            self.sched._check_region(slab, rect)
-
+    # The ghost marks are owed to the next tick (``owed``); its loop checks
+    # each ghost rect once, when the mark first joins a run.
     def write_ghost(self, which: int, rect: Rect, data) -> None:
         """Install rows (neighbour edge rows, or 0 to re-zero a global
         boundary) into a ghost region of the host image (functional
@@ -229,36 +220,39 @@ class NodeAgent:
 
     def read_rows(self, which: int, g_lo: int, g_hi: int) -> np.ndarray | None:
         """Host copy of global rows ``[g_lo, g_hi)`` of the extended slab:
-        interior rows (the caller gathers first if device copies are
-        fresher) or ghost rows, which lie outside ``[lo, hi)``."""
+        interior rows (the caller gathers them first, :meth:`gather_rows`)
+        or ghost rows, which lie outside ``[lo, hi)`` and whose host copy
+        is the one the last exchange wrote."""
         if not self.functional:
             return None
         off = g_lo - self.lo + self.radius  # global -> extended slab rows
         return self.slabs[which].host[off : off + (g_hi - g_lo)].copy()
 
     def gather_rows(self, which: int, g_lo: int, g_hi: int) -> float:
-        """Gather interior global rows ``[g_lo, g_hi)`` from devices to
-        the host; returns the node time at completion."""
-        r = self.radius
-        rect = Rect(
-            (g_lo - self.lo + r, g_hi - self.lo + r), (0, self.cols)
-        )
-        self._settle()
-        self.sched.gather_region(self.slabs[which], rect)
+        """Gather global rows ``[g_lo, g_hi)``, which lie inside
+        ``[lo, hi)``, from devices to the host; returns the node time at
+        completion. Every host read an agent makes gathers interior rows
+        only, so the owed ghost marks wait for the next tick's launch:
+        checkpoints and board reads gather the whole :attr:`interior`,
+        the ghost cross-check some of its rows."""
+        slab = self.slabs[which]
+        if (g_lo, g_hi) == (self.lo, self.hi):
+            # build() made the interior inside the slab: no region check.
+            self.sched._gather_region(slab, self.interior)
+        else:
+            r = self.radius
+            self.sched.gather_region(
+                slab,
+                Rect((g_lo - self.lo + r, g_hi - self.lo + r), (0, self.cols)),
+            )
         return self.sched.wait_all()
-
-    def gather(self, which: int) -> float:
-        """Gather slab buffer ``which`` whole to the host; returns the
-        node time at completion."""
-        self._settle()
-        return self.sched.gather(self.slabs[which])
 
     # -- checkpoints ----------------------------------------------------------
     def checkpoint_local(self, cid: int, which: int) -> float:
-        """Coordinated-checkpoint phase 1: gather the full slab and keep a
-        local host snapshot of the interior. Returns node time after the
-        gather (the snapshot copy itself is host-side and free)."""
-        t = self.gather(which)
+        """Coordinated-checkpoint phase 1: gather the interior and keep a
+        local host snapshot of it. Returns node time after the gather
+        (the snapshot copy itself is host-side and free)."""
+        t = self.gather_rows(which, self.lo, self.hi)
         self.snapshot_from_host(cid, which)
         return t
 
@@ -349,7 +343,7 @@ class NodeAgent:
         self.lo = 0
         self.hi = 0
         self.slabs = None
-        self.top_edge = self.bottom_edge = None
+        self.interior = self.top_edge = self.bottom_edge = None
         self.top_ghost = self.bottom_ghost = None
         self.calls = ()
         self.grid = None

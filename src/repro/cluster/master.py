@@ -360,9 +360,8 @@ class ClusterMaster:
 
     # -- exchange plan --------------------------------------------------------
     def _plan_exchange(self) -> _ExchangePlan:
-        """The exchange plan of the current slabs. Every ghost rect it
-        writes is checked here against both of its node's slab buffers,
-        so the per-tick marks skip the check."""
+        """The exchange plan of the current slabs. Each node's loop checks
+        a ghost rect of the plan once, when its mark first joins a run."""
         ring = tuple(self.monitor.order())
         k, r = len(ring), self.radius
         multi = k > 1 or self.wrap
@@ -378,7 +377,6 @@ class ClusterMaster:
                 j = ring[dpos % k]
                 jag = self.agents[j]
                 dst_rect = jag.bottom_ghost if top else jag.top_ghost
-                jag.check_ghost(dst_rect)
                 g_lo = ag.lo if top else ag.hi - r
                 messages.append((n, j, src_rect, dst_rect, g_lo))
         # Global edges have no neighbour: their ghosts are empty space,
@@ -387,8 +385,6 @@ class ClusterMaster:
             (ring[0], self.agents[ring[0]].top_ghost),
             (ring[-1], self.agents[ring[-1]].bottom_ghost),
         )
-        for n, rect in zeros:
-            self.agents[n].check_ghost(rect)
         ghosts = [(j, rect) for _, j, _, rect, _ in messages] + list(zeros)
         owed = {}
         for n in ring:
@@ -1299,7 +1295,7 @@ class ClusterMaster:
         for n in self.monitor.order():
             lo, hi = self.monitor.slabs[n]
             ag = self.agents[n]
-            ag.gather(which)
+            ag.gather_rows(which, lo, hi)
             out[lo:hi] = ag.slabs[which].host[
                 self.radius : self.radius + (hi - lo)
             ]

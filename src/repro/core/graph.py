@@ -15,7 +15,8 @@ laps per launch.
 The replay is *bit-identical* to the eager path, not merely equivalent:
 
 * Every opcode is the engine's own lowering of its command
-  (:meth:`Engine.lower`), and :meth:`Engine.run_graph` dispatches it
+  (:meth:`Engine.lower`), made once when ``SimNode`` enqueued it
+  (``cmd.op``), and :meth:`Engine.run_graph` dispatches it
   through the same loop as :meth:`Engine.run`: the same floating-point
   arithmetic, in the same order.
 * Host-clock checkpoints re-accumulate the captured per-lap advances with
@@ -511,7 +512,6 @@ class IterationGraph:
                 for pos, ev in _positions(did, exit_snap[did], locs):
                     after[pos] = ev
 
-        engine = sched.node.engine
         slot_refs: dict[int, int] = {}
         devices: set[int] = set()
         # Host syncs cut the period into segments, dispatched one after the
@@ -588,7 +588,8 @@ class IterationGraph:
                         devices.update(
                             d for d in (cmd.src, cmd.dst) if d != HOST
                         )
-                    op = engine.lower(cmd, stream.device)
+                    # SimNode lowered the command at enqueue (cmd.op).
+                    op = cmd.op
                     ops.append((op[0], ck, *op[2:]))
                 else:
                     return self._fail(
@@ -1152,8 +1153,8 @@ class Loop:
     launches it; :meth:`run` runs a stretch of iterations between host
     marks, syncs and gathers (a cluster tick, a served request batch) as
     a transition graph. The graphs belong to this loop's scheduler, so a
-    workload resuming on a new scheduler (a new job-server lease, a
-    rebuilt cluster node) declares a new loop and captures again.
+    workload resuming on a new scheduler (a rebuilt cluster node, say)
+    declares a new loop and captures again.
     """
 
     def __init__(self, sched: "Scheduler", kernel, calls, outs, grid=None):
@@ -1182,9 +1183,6 @@ class Loop:
         #: -> ``(shape, graph or None)``, the shape of the last run from
         #: there and its graph (None until the run that captures it).
         self.slots: dict[int, tuple] = {}
-        #: phase -> the ``(shape, graph)`` slot a run of another shape
-        #: displaced, kept for one run (see :meth:`run`).
-        self._held: dict[int, tuple] = {}
         #: ``(datum, rect)`` of every region :meth:`run` has checked.
         self._checked: set[tuple] = set()
         #: Diagnostics: captures performed / periods or runs launched as
@@ -1225,8 +1223,10 @@ class Loop:
 
     def replay(self, start: int, n: int) -> None:
         """Run ``n`` periods from iteration ``start`` through the iteration
-        graph and drain them. A loop holding no graph yet captures the
-        first of them and launches the other ``n - 1``."""
+        graph and drain them: the benches' steady-state driver
+        (:func:`repro.bench.workloads.steady`), with no host work between
+        periods. A loop holding no graph yet captures the first of them
+        and launches the other ``n - 1``."""
         if n <= 0:
             return
         if self.graph is None:
@@ -1249,13 +1249,15 @@ class Loop:
 
         The application has written the host buffers of the ``marks``:
         each is a datum, written whole, or a ``(datum, rect)`` pair whose
-        ``rect`` was written (ghost rows, say). They are marked host-dirty
-        first (their upload joins the first call that reads them). A host
-        sync precedes the ``k``-th iteration of the run for each ``k`` in
-        ``syncs``. Then every region in ``gathers`` of the last
-        iteration's output is gathered to the host; a ``None`` region
-        gathers it whole. Each region is checked against its datum once
-        per loop.
+        ``rect`` was written (the ghost rows a cluster agent's exchange
+        wrote, say, which it owes to its next run and nothing else reads
+        first). They are marked host-dirty first (their upload joins the
+        first call that reads them). A host sync precedes the ``k``-th
+        iteration of the run for each ``k`` in ``syncs``. Then every
+        region in ``gathers`` of the last iteration's output is gathered
+        to the host; a ``None`` region gathers it whole. Each region is
+        checked against its datum once per loop, the first time it joins
+        a run.
 
         The run starts from wherever eager work between runs left the
         monitor, so each phase of the period a run starts at keeps one
@@ -1264,32 +1266,23 @@ class Loop:
         the second is captured and every later one is one launch. A launch
         whose entry state does not hold takes the eager fallback and the
         graph is kept; a graph that has :attr:`~IterationGraph.expired`
-        starts over like a first run, and so does a run of another shape.
-        The graph that run displaced is kept for one more run, which
-        launches it if it has that graph's shape again: one eager run of
-        another shape (a tick with no marks owed, say) costs the phase no
-        re-capture. A scheduler that cannot capture runs every time
-        eagerly, and so does a shape whose whole gather finds pending
-        partials (their host combine is not captured).
+        starts over like a first run, and so does a run of another shape,
+        which replaces the phase's graph. A scheduler that cannot capture
+        runs every time eagerly, and so does a shape whose whole gather
+        finds pending partials (their host combine is not captured).
         """
         sched = self.sched
         phase = start % self.period
         shape = (n, marks, syncs, gathers)
         slot = self.slots.get(phase)
         if slot is None or slot[0] != shape:
-            held = self._held.pop(phase, None)
-            if held is None or held[0] != shape:
-                if slot is not None and slot[1] is not None:
-                    self._held[phase] = slot
-                return self._eager(start, phase, shape)
-            self.slots[phase] = slot = held
+            return self._eager(start, phase, shape)
         graph = slot[1]
         if graph is None:
             with sched.capture() as graph:
                 self._submit(start, *shape)
             self.captures += 1
             self.slots[phase] = shape, graph
-            self._held.pop(phase, None)
             return sched.node.time
         if graph.expired:
             return self._eager(start, phase, shape)

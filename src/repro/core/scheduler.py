@@ -429,10 +429,10 @@ class Scheduler:
     def mark_checked_region_dirty(self, datum: Datum, region: Rect) -> None:
         """:meth:`mark_host_region_dirty` of a region its caller already
         validated against ``datum`` (a :class:`~repro.core.graph.Loop`
-        checks each region once, the cluster agents once per exchange
-        plan). A launch of a graph that recorded the mark costs nothing
-        for it: the mark compacts no read list, so the graph's exit holds
-        its whole effect."""
+        checks each region once, and a cluster agent's ghost marks reach
+        the scheduler only through its loop's runs). A launch of a graph
+        that recorded the mark costs nothing for it: the mark compacts no
+        read list, so the graph's exit holds its whole effect."""
         rec = self._recorder
         if rec is not None:
             self._capture_call(self.mark_checked_region_dirty, datum, region)

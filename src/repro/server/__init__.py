@@ -35,7 +35,6 @@ from repro.server.jobs import (
 from repro.server.server import JobServer, solo_run
 from repro.server.workloads import (
     WORKLOADS,
-    GoLGraphWorkload,
     GoLWorkload,
     HistogramWorkload,
     SgemmWorkload,
@@ -50,7 +49,6 @@ __all__ = [
     "solo_run",
     "Workload",
     "GoLWorkload",
-    "GoLGraphWorkload",
     "HistogramWorkload",
     "SgemmWorkload",
     "WORKLOADS",

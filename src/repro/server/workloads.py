@@ -29,9 +29,10 @@ iteration counter *are* the checkpoint". The contract:
 
 Three app families cover the paper's pattern spectrum: Game of Life
 (Window stencil), histogram (Window + ReductiveStatic), and a chained
-SGEMM over the unmodified-CUBLAS path (Block patterns). The GoL variant
-replays its loop as an iteration graph (DESIGN.md §12), re-captured each
-lease.
+SGEMM over the unmodified-CUBLAS path (Block patterns). Every lease runs
+its chunks eagerly, without an iteration graph (DESIGN.md §12): a graph
+belongs to one scheduler, so each lease, a few short chunks, would pay a
+capture of its own.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import Matrix, Scheduler, Vector
-from repro.core.graph import IterationGraph, Loop
+from repro.core.graph import Loop
 from repro.kernels.game_of_life import (
     gol_containers,
     gol_reference_step,
@@ -165,60 +166,6 @@ class GoLWorkload(Workload):
         return 2 * 8 * self.size * np.dtype(np.int32).itemsize
 
 
-class GoLGraphWorkload(GoLWorkload):
-    """GoL driven through an iteration graph (DESIGN.md §12): each lease
-    re-captures one steady-state ping-pong period and replays it.
-
-    Chunks are even-sized. The first period of every lease runs eagerly
-    (it pays the host-to-device distribution, which is not steady state),
-    the second is captured, and the remainder of the lease replays the
-    graph. A preemption releases the scheduler, which spoils the graph —
-    the next lease declares a new loop and re-captures, bit-identically.
-    """
-
-    kind = "gol-graph"
-
-    def __init__(
-        self,
-        size: int = 64,
-        iterations: int = 12,
-        checkpoint_every: int = 6,
-        seed: int = 0,
-    ):
-        if iterations % 2 or checkpoint_every % 2:
-            raise ValueError(
-                "graph workload needs even iterations/checkpoint_every "
-                "(the captured period is one two-tick ping-pong)"
-            )
-        super().__init__(size, iterations, checkpoint_every, seed)
-        #: Diagnostics over every lease: captures performed / periods
-        #: launched through a graph.
-        self.captures = 0
-        self.replayed_periods = 0
-
-    @property
-    def graph(self) -> IterationGraph | None:
-        """The current lease's captured period, if any."""
-        return None if self.loop is None else self.loop.graph
-
-    def run_chunk(self, sched: Scheduler) -> int:
-        k = min(self.checkpoint_every, self.iterations - self.completed)
-        loop, i = self.loop, self.completed
-        if loop.graph is None:
-            # First period of the lease: eager warm-up (pays the
-            # re-distribution of host state).
-            loop.warm_up(i)
-            i += 2
-        captures, replayed = loop.captures, loop.replayed
-        loop.replay(i, (self.completed + k - i) // 2)
-        self.captures += loop.captures - captures
-        self.replayed_periods += loop.replayed - replayed
-        self.completed += k
-        # One gather per chunk: the checkpoint.
-        sched.gather(loop.out(self.completed - 1))
-        return k
-
-
 class HistogramWorkload(Workload):
     """256-bin histogram of a static image, accumulated over iterations.
 
@@ -342,7 +289,6 @@ class SgemmWorkload(Workload):
 #: Name -> factory, for the CLI's ``--jobs`` JSON and the bench.
 WORKLOADS = {
     "gol": GoLWorkload,
-    "gol-graph": GoLGraphWorkload,
     "histogram": HistogramWorkload,
     "sgemm": SgemmWorkload,
 }

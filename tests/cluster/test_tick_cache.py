@@ -19,8 +19,9 @@ steady tick replays as one launch of its parity's single-tick graph
   builds no exchange plan; its ghost marks join its launch, so no
   scheduler work runs between launches;
 * the owed ghost marks are invisible: functional runs whose launches all
-  take the eager fallback match the normal runs, and a checkpoint, a
-  ghost check or a board read applies them first;
+  take the eager fallback match the normal runs, and the next tick's
+  launch is their only consumer, because a checkpoint, a ghost check or
+  a board read gathers interior rows only;
 * the geometry follows the slab through ``build``, ``rebuild`` and
   ``revive``;
 * an agent holds at most two graphs, and never launches one of a
@@ -251,9 +252,10 @@ class TestSteadyTickHostWork:
     def test_steady_ticks_do_no_planning(self, monkeypatch):
         counts, fast, launches, marks = self._window(monkeypatch)
         assert counts == dict.fromkeys(QUIET, 0)
-        # Only the two ticks after the checkpoint are not fast: tick 200
-        # owes no marks (the checkpoint applied them), a one-off shape
-        # that runs eagerly, and tick 201's launch takes the fallback.
+        # Only the two ticks after the checkpoint are not fast: its
+        # interior gathers leave a host copy of the slab tick 200 reads,
+        # which neither parity's graph starts from until tick 201
+        # overwrites that slab, so both launches take the fallback.
         assert fast == 784
         # A fast launch after a fast launch compares no datum in full:
         # the ghost marks joined the launch, so both slabs still carry
@@ -267,10 +269,11 @@ class TestSteadyTickHostWork:
             ):
                 if is_fast:
                     assert full == 0 if was_fast else full <= 2
-        # Between launches the scheduler marks nothing but the owed ghost
-        # rows the checkpoint at tick 200 applies first (two per node);
-        # tick 201's fallback launches apply their recorded marks again.
-        assert marks == {"between": {200: 16}, "applied": {200: 16, 201: 16}}
+        # Between launches the scheduler marks nothing, the checkpoint at
+        # tick 200 included: the owed ghost rows (two per node) reach the
+        # monitors only through the fallback launches of ticks 200 and
+        # 201, which apply their recorded marks.
+        assert marks == {"between": {}, "applied": {200: 16, 201: 16}}
 
     def test_eager_ticks_do_no_planning(self, monkeypatch):
         """With every launch's fast path disabled, each tick runs its
@@ -280,7 +283,7 @@ class TestSteadyTickHostWork:
         counts, fast, _, marks = self._window(monkeypatch)
         assert counts == dict.fromkeys(QUIET, 0)
         assert fast == 0
-        assert marks["between"] == {200: 16}
+        assert marks["between"] == {}
 
     def test_counters_see_the_full_checks(self, monkeypatch):
         """With the calm window forced shut, the same ticks ask the fault
@@ -295,7 +298,8 @@ class TestSteadyTickHostWork:
 
 
 #: The calm-window scenarios, plus a checkpoint after every exchange and a
-#: board read mid-run: each applies the owed ghost marks before a gather.
+#: board read mid-run: each gathers interior rows while ghost marks are
+#: owed, which the next tick's launch applies.
 OWED_SCENARIOS = {
     **{name: (make, None) for name, (make, _) in calm.SCENARIOS.items()},
     "checkpoint_every_tick": (
@@ -348,11 +352,106 @@ def test_owed_marks_match_the_fallback(name, monkeypatch):
         assert fast["boards"] == [want[t].tobytes() for t in ticks]
 
 
+def _host_gathers(make_plan, board_at, monkeypatch) -> dict:
+    """Run a functional 4-node scenario with spies on every scheduler
+    gather of a slab: returns the whole-slab gathers, the region gathers
+    outside the issuing agent's interior, and the region gathers inside
+    it, split by whether they ran inside ``Loop.run`` (the tick's edge
+    gathers and their fallbacks) or outside it (the agent's host reads:
+    whole interiors for checkpoints and board reads, part of one for the
+    ghost cross-check)."""
+    agents: list = []
+    got = {"whole": [], "outside": [], "interior": 0, "rows": 0, "tick": 0}
+    in_run = []
+
+    def owner(sched, datum):
+        for ag in agents:
+            if ag.sched is sched and ag.slabs and datum in ag.slabs:
+                return ag
+        return None
+
+    def spy_region(fn):
+        def spied(self, datum, region):
+            ag = owner(self, datum)
+            if ag is not None:
+                r = ag.radius
+                interior = Rect((r, r + ag.hi - ag.lo), (0, ag.cols))
+                if not interior.contains(region):
+                    got["outside"].append((ag.node_id, region))
+                elif in_run:
+                    got["tick"] += 1
+                else:
+                    got["interior" if region == interior else "rows"] += 1
+            return fn(self, datum, region)
+        return spied
+
+    def spied_async(self, datum):
+        if owner(self, datum) is not None:
+            got["whole"].append(datum.name)
+        return gather_async(self, datum)
+
+    def spied_run(self, *args, **kwargs):
+        in_run.append(1)
+        try:
+            return run(self, *args, **kwargs)
+        finally:
+            in_run.pop()
+
+    gather_async, run = Scheduler.gather_async, Loop.run
+    with monkeypatch.context() as mp:
+        for name in ("gather_region", "_gather_region"):
+            mp.setattr(Scheduler, name, spy_region(getattr(Scheduler, name)))
+        mp.setattr(Scheduler, "gather_async", spied_async)
+        mp.setattr(Loop, "run", spied_run)
+        plan = make_plan()
+        m = ClusterMaster(GTX_780, 4, 2, calm._board(), KERNEL, faults=plan)
+        agents.extend(m.agents.values())
+        for t in range(calm.TICKS):
+            m.step()
+            if t == board_at:
+                m.board()
+        m.board()
+    return got
+
+
+#: The scenarios whose recovery runs the ghost cross-check.
+CROSS_CHECKED = {
+    "crash_after_readmission", "crash_repair_reslab", "minority_partition",
+    "spare_crash_while_shipping",
+}
+
+
+@pytest.mark.parametrize("name", sorted(OWED_SCENARIOS))
+def test_host_reads_gather_interior_rows(name, monkeypatch):
+    """Every host gather an agent issues (checkpoints, board reads, the
+    ghost cross-check) and every edge gather of its ticks lies inside the
+    agent's interior rows: no gather reads a ghost row, so the owed ghost
+    marks have no consumer but the next tick's launch."""
+    make_plan, board_at = OWED_SCENARIOS[name]
+    got = _host_gathers(make_plan, board_at, monkeypatch)
+    assert got["whole"] == [] and got["outside"] == []
+    assert got["tick"] > 0
+    # The closing board read gathers each member's interior; checkpoints
+    # and the mid-run board read gather more.
+    reads = 4 * (1 + (board_at is not None))
+    if name == "checkpoint_every_tick":
+        reads += 4 * calm.TICKS
+    assert got["interior"] >= reads
+    # A recovery from a loss after a completed exchange cross-checks the
+    # replayed rows against the surviving ghost copies, which gathers
+    # part of an interior.
+    assert (got["rows"] > 0) == (name in CROSS_CHECKED)
+
+
 def _check_geometry(ag: NodeAgent) -> None:
     """The agent's tick geometry equals a freshly computed set for its
     current range and datums."""
     r, s, cols = ag.radius, ag.hi - ag.lo, ag.cols
-    assert (ag.top_edge, ag.bottom_edge, ag.top_ghost, ag.bottom_ghost) == (
+    assert (
+        ag.interior, ag.top_edge, ag.bottom_edge, ag.top_ghost,
+        ag.bottom_ghost,
+    ) == (
+        Rect((r, r + s), (0, cols)),
         Rect((r, 2 * r), (0, cols)),
         Rect((s, s + r), (0, cols)),
         Rect((0, r), (0, cols)),
@@ -390,6 +489,7 @@ class TestGeometryFollowsSlab:
         ag.revive(ag.node.time)
         assert ag.slabs is None and ag.grid is None and ag.calls == ()
         assert ag.top_edge is None and ag.bottom_ghost is None
+        assert ag.interior is None
         ag.build(8, 20, None, 1)
         _check_geometry(ag)
         assert ag.compute(1, True) > 0

@@ -369,6 +369,20 @@ class TestCaptureGuards:
         assert all("touch" not in vars(d.memory) for d in node.devices)
         assert node.streams == []
 
+    def test_released_schedulers_graph_refuses_to_launch(self):
+        """A loop's graph belongs to its scheduler: once that scheduler is
+        released (a job-server lease ends, a cluster node is rebuilt),
+        launching the graph raises instead of dispatching on freed
+        buffers."""
+        node, sched, a, b, kernel, ca, cb = gol_setup(n=32)
+        loop = Loop(sched, kernel, (ca, cb), (b, a))
+        loop.warm_up(0)  # eager warm-up pair, then capture a period
+        loop.replay(2, 1)
+        assert loop.captures == 1
+        sched.release()
+        with pytest.raises(GraphCaptureError, match="released"):
+            loop.graph.launch(1)
+
     def test_launch_during_capture_raises(self):
         node, sched, a, b, kernel, ca, cb = gol_setup()
         sched.invoke(kernel, *ca)

@@ -1,16 +1,13 @@
 """Preemption composed with the other robustness subsystems: straggler
-windows (§11), memory-pressure chunked replay (§10), live iteration
-graphs (§12), and per-tenant fault domains with backoff requeue."""
+windows (§11), memory-pressure chunked replay (§10), and per-tenant
+fault domains with backoff requeue."""
 
 import numpy as np
-import pytest
 
 from repro.core import Scheduler
-from repro.errors import GraphCaptureError
 from repro.hardware import GTX_780
 from repro.server import (
     DONE,
-    GoLGraphWorkload,
     GoLWorkload,
     JobServer,
     JobSpec,
@@ -129,37 +126,6 @@ class TestPreemptionUnderPressure:
         srv.run()
         assert job.state == DONE
         assert [d.memory.capacity for d in srv.node.devices] == full
-
-
-class TestPreemptionWithIterationGraphs:
-    def test_released_schedulers_graph_refuses_to_launch(self):
-        node = SimNode(GTX_780, 2, functional=True)
-        sched = Scheduler(node)
-        wl = GoLGraphWorkload(size=32, iterations=8, checkpoint_every=4)
-        wl.bind(sched)
-        wl.run_chunk(sched)  # eager warm-up pair, then captures a period
-        assert wl.captures == 1
-        graph = wl.graph
-        sched.release()
-        with pytest.raises(GraphCaptureError):
-            graph.launch(1)
-
-    def test_recaptures_after_preemption_bit_identically(self):
-        wl = GoLGraphWorkload(size=48, iterations=24, checkpoint_every=4)
-        solo = GoLGraphWorkload(size=48, iterations=24, checkpoint_every=4)
-        solo_result, _ = solo_run(solo, num_gpus=4, gpus=2)
-        assert solo.captures == 1  # one capture serves the whole solo run
-        assert solo.replayed_periods > 0
-        srv, job, _ = two_tenant_run(
-            JobSpec(wl, tenant="graphy", name="graphy", gpus=2),
-            JobSpec(gol(iters=12, seed=6), tenant="other", gpus=2),
-        )
-        assert job.state == DONE
-        assert job.preemptions >= 1
-        # Each resumed lease demoted to eager and re-captured.
-        assert wl.captures == 1 + job.preemptions
-        assert wl.replayed_periods > 0
-        assert np.array_equal(wl.result(), solo_result)
 
 
 class TestFaultRequeue:
