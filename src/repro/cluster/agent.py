@@ -106,13 +106,13 @@ class NodeAgent:
         self.owed: tuple[tuple[Datum, Rect], ...] = ()
         #: Generation counter: bumped on every (re)build, names the datums.
         self.generation = 0
-        #: checkpoint id -> (lo, hi, interior snapshot) of *this* node's
-        #: slab. Keyed by the master's monotonic checkpoint id, not the
+        #: owner -> {checkpoint id -> (lo, hi, interior snapshot)}: this
+        #: node's own snapshots under its own id, peers' replicas under
+        #: theirs. Keyed by the master's monotonic checkpoint id, not the
         #: tick: a post-recovery checkpoint re-covers the same tick with
         #: a new decomposition and must not clobber the committed one.
-        self.local_ckpts: dict[int, tuple[int, int, np.ndarray | None]] = {}
-        #: owner -> {checkpoint id -> (lo, hi, interior snapshot)}.
-        self.peer_ckpts: dict[int, dict[int, tuple[int, int, np.ndarray | None]]] = {}
+        #: The cluster monitor reads checkpoint holders from here.
+        self.ckpts: dict[int, dict[int, tuple[int, int, np.ndarray | None]]] = {}
 
     # -- build / rebuild ------------------------------------------------------
     def build(
@@ -260,11 +260,11 @@ class NodeAgent:
         """Record a local checkpoint straight from the host image —
         used right after a rebuild, when the host *is* the freshest copy
         and no device gather is needed."""
-        self.local_ckpts[cid] = (
+        self.ckpts.setdefault(self.node_id, {})[cid] = (
             self.lo, self.hi, self.read_rows(which, self.lo, self.hi)
         )
 
-    def store_peer_ckpt(
+    def store_ckpt(
         self,
         owner: int,
         cid: int,
@@ -273,27 +273,24 @@ class NodeAgent:
         data: np.ndarray | None,
     ) -> None:
         """Hold a replica of ``owner``'s checkpoint (rows ``[lo, hi)``)."""
-        self.peer_ckpts.setdefault(owner, {})[cid] = (
+        self.ckpts.setdefault(owner, {})[cid] = (
             lo,
             hi,
             None if data is None else data.copy(),
         )
 
     def prune_ckpts(self, keep_cid: int) -> None:
-        """Drop checkpoint generations older than ``keep_cid`` (called
-        once a new coordinated checkpoint commits)."""
-        for store in (self.local_ckpts, *self.peer_ckpts.values()):
-            for c in [c for c in store if c < keep_cid]:
+        """Drop every checkpoint generation but ``keep_cid``."""
+        for store in self.ckpts.values():
+            for c in [c for c in store if c != keep_cid]:
                 del store[c]
 
     def checkpoint_rows(
         self, cid: int, g_lo: int, g_hi: int
     ) -> np.ndarray | None:
         """Rows ``[g_lo, g_hi)`` of checkpoint generation ``cid``, served
-        from the local snapshot or any stored peer replica."""
-        stores = [self.local_ckpts]
-        stores.extend(self.peer_ckpts.values())
-        for store in stores:
+        from any snapshot or replica this node stores."""
+        for store in self.ckpts.values():
             rec = store.get(cid)
             if rec is None:
                 continue
@@ -319,8 +316,8 @@ class NodeAgent:
                 for d in self.slabs:
                     if d.host is not None:
                         d.host.fill(POISON)
-            for store in (self.local_ckpts, *self.peer_ckpts.values()):
-                for _, (_, _, data) in store.items():
+            for store in self.ckpts.values():
+                for _, _, data in store.values():
                     if data is not None:
                         data.fill(POISON)
 
@@ -349,6 +346,5 @@ class NodeAgent:
         self.grid = None
         self.loop = None
         self.owed = ()
-        self.local_ckpts = {}
-        self.peer_ckpts = {}
+        self.ckpts = {}
         self.node.host_advance(now)

@@ -328,8 +328,6 @@ class ClusterMaster:
         self._target = 0
         #: Master clock = the last barrier time.
         self._clock = 0.0
-        #: Monotonic checkpoint id (agents' store key; see monitor).
-        self._ckpt_seq = 0
         #: The last completed ghost exchange: (tick, its exchange plan).
         self._exchanged: tuple[int, _ExchangePlan] | None = None
         #: Pending ghost-replica integrity probes: (tick, lo, hi, data).
@@ -700,16 +698,21 @@ class ClusterMaster:
         """Coordinated slab checkpoint at ``tick``: every slab owner
         snapshots its interior (device gather unless the host image is
         already the freshest copy) and ships replicas to its ring
-        successors; the monitor records the holder map atomically at the
+        successors; the monitor records the regions atomically at the
         end, so a failure mid-checkpoint leaves the previous checkpoint
         intact and consistent."""
         fp = self.faults
         which = tick % 2
-        cid = self._ckpt_seq + 1
+        cid = max(self.monitor.checkpoint_id, 0) + 1
         ring = self.monitor.order()
         deg = fp.replicas_for(len(ring))
-        # (owner's snapshot (lo, hi, data), holders with the owner first)
-        placed: list[tuple[tuple[int, int, np.ndarray | None], list[int]]] = []
+        members = self.monitor.live_nodes()
+        # A failed attempt may have stored this id already: drop it, so
+        # the holders of the commit are exactly the nodes written below.
+        for n in members:
+            self.agents[n].prune_ckpts(cid - 1)
+        # (owner, its snapshot (lo, hi, data), how many nodes hold it)
+        placed: list[tuple[int, tuple[int, int, np.ndarray | None], int]] = []
         t_done = self._clock
         for pos, n in enumerate(ring):
             ag = self.agents[n]
@@ -718,8 +721,8 @@ class ClusterMaster:
                 t_local = max(self._clock, ag.node.time)
             else:
                 t_local = ag.checkpoint_local(cid, which)
-            snap = ag.local_ckpts[cid]
-            holders = [n]
+            snap = ag.ckpts[n][cid]
+            held = 1
             for k in range(1, deg + 1):
                 peer = ring[(pos + k) % len(ring)]
                 if peer == n:
@@ -727,38 +730,30 @@ class ClusterMaster:
                 arrival = self._ship_replica(
                     n, peer, n, cid, snap, t_local, "checkpoint"
                 )
-                holders.append(peer)
+                held += 1
                 t_done = max(t_done, arrival)
             t_done = max(t_done, t_local)
-            placed.append((snap, holders))
+            placed.append((n, snap, held))
         # Elastic membership: re-admitted spares own no slab but can
         # carry checkpoint replicas — top each region up toward deg+1
         # holders so the replication factor does not stay eroded while
         # the ring is short-handed. Without repairs there are no spares.
-        members = self.monitor.live_nodes()
         spares = [m for m in members if m not in self.monitor.slabs]
         deg_all = fp.replicas_for(len(members))
         base = t_done
-        for snap, holders in placed:
-            owner = holders[0]
-            for m in spares:
-                if len(holders) > deg_all:
-                    break
-                if m in holders:
-                    continue
+        for owner, snap, held in placed:
+            for m in spares[: max(0, deg_all + 1 - held)]:
                 arrival = self._ship_replica(
                     owner, m, owner, cid, snap, base, "checkpoint"
                 )
-                holders.append(m)
                 fp.replicas_shipped += 1
                 t_done = max(t_done, arrival)
         # Commit atomically: a failure anywhere above leaves the previous
         # checkpoint's records and stores untouched (uncommitted cid
-        # entries in agent stores are pruned at the next commit).
+        # entries in agent stores are pruned at the next attempt).
         self.monitor.record_checkpoint(
-            tick, cid, [(lo, hi, tuple(h)) for (lo, hi, _), h in placed]
+            tick, cid, [(lo, hi, owner) for owner, (lo, hi, _), _ in placed]
         )
-        self._ckpt_seq = cid
         for n in members:
             self.agents[n].prune_ckpts(cid)
         fp.checkpoints_taken += 1
@@ -781,7 +776,7 @@ class ClusterMaster:
         lo, hi, data = snap
         nbytes = (hi - lo) * self.cols * self.monitor.itemsize
         arrival = self._send(src, dst, nbytes, ready, what)
-        self.agents[dst].store_peer_ckpt(owner, cid, lo, hi, data)
+        self.agents[dst].store_ckpt(owner, cid, lo, hi, data)
         return arrival
 
     # -- the event log --------------------------------------------------------
@@ -1006,25 +1001,16 @@ class ClusterMaster:
         deg = fp.replicas_for(len(self.monitor.live_nodes()))
         t_done = t
         shipped = 0
-        for rec in list(self.monitor.checkpoints):
-            live_holders = [
-                h
-                for h in rec.holders
-                if self.monitor.status.get(h) in ("live", "idle")
-            ]
-            if (
-                node in live_holders
-                or len(live_holders) > deg
-                or not live_holders
-            ):
+        for rec in self.monitor.checkpoints:
+            holders = self.monitor.holders(rec)
+            if node in holders or len(holders) > deg or not holders:
                 continue
-            src = min(live_holders)
+            src = min(holders)
             data = self.agents[src].checkpoint_rows(rec.cid, rec.lo, rec.hi)
             arrival = self._ship_replica(
-                src, node, rec.holders[0], rec.cid,
+                src, node, rec.owner, rec.cid,
                 (rec.lo, rec.hi, data), t, "re-replicate",
             )
-            self.monitor.add_checkpoint_holder(rec.lo, rec.hi, node)
             fp.replicas_shipped += 1
             shipped += 1
             t_done = max(t_done, arrival)

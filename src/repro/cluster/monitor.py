@@ -7,8 +7,11 @@ which rows of the global board, in which role — as the live slab owner or
 as a checkpoint replica of a peer's whole slab. :class:`ClusterMonitor`
 is that map. It never touches array data; it is pure metadata, consulted
 by the master to plan recovery transfers and asserted against by tests.
-(Ghost replicas follow from the ring: the master derives who holds a
-node's edge rows from the decomposition of the last exchange.)
+It records layout, not copies: the slab decomposition and, per checkpoint
+region, its rows and owner. Who holds a replica is read from what the
+agents store (:meth:`ClusterMonitor.holders`), as ghost replicas follow
+from the ring (the master derives who holds a node's edge rows from the
+decomposition of the last exchange), so neither record can go stale.
 
 The hierarchy is explicit: :meth:`node_monitor` descends from a node-level
 row range to the owning node's intra-node ``LocationMonitor``, read from
@@ -24,17 +27,18 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class CheckpointRecord:
     """One region of the current coordinated checkpoint: rows
-    ``[lo, hi)`` of the global board at ``tick``, held by ``holders``
-    (first entry is the slab's owner at checkpoint time). ``cid`` is the
-    master's monotonic checkpoint id — the key agents store the data
-    under; distinct from the tick because a post-recovery checkpoint
-    re-covers the checkpoint tick with a new decomposition."""
+    ``[lo, hi)`` of the global board at ``tick``, the slab of ``owner``
+    at checkpoint time. ``cid`` is the master's monotonic checkpoint id;
+    agents store the region under ``(owner, cid)``, and the members that
+    do are its holders. The id is distinct from the tick because a
+    post-recovery checkpoint re-covers the checkpoint tick with a new
+    decomposition."""
 
     tick: int
     cid: int
     lo: int
     hi: int
-    holders: tuple[int, ...]
+    owner: int
 
 
 class ClusterMonitor:
@@ -45,7 +49,8 @@ class ClusterMonitor:
         radius: Stencil radius (ghost depth).
         itemsize: Bytes per element (for transfer sizing).
         agents: node -> :class:`~repro.cluster.agent.NodeAgent` (the
-            master's own map; the lower level of the hierarchy).
+            master's own map; the lower level of the hierarchy, whose
+            stores name the checkpoint holders).
     """
 
     def __init__(
@@ -139,42 +144,36 @@ class ClusterMonitor:
         self,
         tick: int,
         cid: int,
-        regions: list[tuple[int, int, tuple[int, ...]]],
+        regions: list[tuple[int, int, int]],
     ) -> None:
         """Replace the coordinated checkpoint: ``regions`` is a list of
-        ``(lo, hi, holders)`` covering the board at ``tick``, stored by
+        ``(lo, hi, owner)`` covering the board at ``tick``, stored by
         the agents under checkpoint id ``cid``."""
         self.checkpoints = [
-            CheckpointRecord(tick, cid, lo, hi, tuple(holders))
-            for lo, hi, holders in regions
+            CheckpointRecord(tick, cid, lo, hi, owner)
+            for lo, hi, owner in regions
         ]
 
-    def add_checkpoint_holder(self, lo: int, hi: int, node: int) -> None:
-        """Record that ``node`` now holds a replica of the checkpoint
-        region ``[lo, hi)`` (the master's anti-entropy re-replication
-        pass shipped it one)."""
-        for i, rec in enumerate(self.checkpoints):
-            if rec.lo == lo and rec.hi == hi and node not in rec.holders:
-                self.checkpoints[i] = CheckpointRecord(
-                    rec.tick, rec.cid, rec.lo, rec.hi, rec.holders + (node,)
-                )
+    def holders(self, rec: CheckpointRecord) -> list[int]:
+        """Members whose agent stores ``rec``: the owner's snapshot and
+        every replica shipped since, minus nodes that left the member
+        set or were rebooted empty."""
+        return [
+            n
+            for n in self.live_nodes()
+            if rec.cid in self.agents[n].ckpts.get(rec.owner, ())
+        ]
 
     def replication_deficit(self, degree: int) -> int:
-        """Total missing live replica slots across the checkpoint, for a
+        """Total missing replica slots across the checkpoint, for a
         target of ``degree + 1`` holders per region (owner + ``degree``
         peers), clamped to the member count. Zero means every region is
         back at the configured replication factor — the quantity
         anti-entropy re-replication drives down after a rejoin."""
         want = min(degree + 1, len(self.live_nodes()))
-        missing = 0
-        for rec in self.checkpoints:
-            alive = sum(
-                1
-                for h in rec.holders
-                if self.status.get(h) in ("live", "idle")
-            )
-            missing += max(0, want - alive)
-        return missing
+        return sum(
+            max(0, want - len(self.holders(rec))) for rec in self.checkpoints
+        )
 
     @property
     def checkpoint_tick(self) -> int:
@@ -188,18 +187,15 @@ class ClusterMonitor:
 
     def checkpoint_holders(self, lo: int, hi: int) -> list[tuple[int, int, list[int]]]:
         """Resolve rows ``[lo, hi)`` against the checkpoint: a list of
-        ``(seg_lo, seg_hi, live_holders)`` segments. A segment with no
-        surviving holder comes back with an empty list — the caller
+        ``(seg_lo, seg_hi, holders)`` segments. A segment with no
+        holder comes back with an empty list — the caller
         decides whether that is fatal."""
         out = []
         for rec in self.checkpoints:
             s_lo, s_hi = max(lo, rec.lo), min(hi, rec.hi)
             if s_lo >= s_hi:
                 continue
-            holders = [
-                h for h in rec.holders if self.status.get(h) in ("live", "idle")
-            ]
-            out.append((s_lo, s_hi, holders))
+            out.append((s_lo, s_hi, self.holders(rec)))
         out.sort()
         return out
 
@@ -232,7 +228,7 @@ class ClusterMonitor:
             "status": dict(self.status),
             "checkpoint_tick": self.checkpoint_tick,
             "checkpoints": [
-                (r.lo, r.hi, r.holders) for r in self.checkpoints
+                (r.lo, r.hi, tuple(self.holders(r))) for r in self.checkpoints
             ],
             "nodes_with_monitors": sorted(self.agents),
         }

@@ -2,6 +2,8 @@
 the hierarchical cluster monitor, the cluster fault plan's policy
 machinery, and the master's failure-detection math."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -56,10 +58,25 @@ class TestClusterMonitor:
         assert m.live_nodes() == []
         assert m.status == {0: "dead", 1: "fenced"}
 
+    @staticmethod
+    def record(m, tick, cid, regions):
+        """Commit ``regions`` of ``(lo, hi, holders)`` (owner first) and
+        give ``m`` stub agents whose stores hold exactly those copies."""
+        m.agents = {n: SimpleNamespace(ckpts={}) for n in m.status}
+        for lo, hi, holders in regions:
+            for h in holders:
+                m.agents[h].ckpts.setdefault(holders[0], {})[cid] = (
+                    lo, hi, None,
+                )
+        m.record_checkpoint(
+            tick, cid, [(lo, hi, holders[0]) for lo, hi, holders in regions]
+        )
+
     def test_checkpoint_holders_and_coverage(self):
         m = self.mk()
         m.assign([0, 1, 2, 3], min_rows=2)
-        m.record_checkpoint(
+        self.record(
+            m,
             4,
             1,
             [
@@ -83,9 +100,9 @@ class TestClusterMonitor:
     def test_coverage_gap_detects_uncovered_rows(self):
         m = self.mk()
         m.assign([0, 1], min_rows=2)
-        m.record_checkpoint(0, 1, [(0, 32, (0,)), (32, 64, (1,))])
+        self.record(m, 0, 1, [(0, 32, (0,)), (32, 64, (1,))])
         assert m.coverage_gap(0, 64) is None
-        m.record_checkpoint(0, 1, [(0, 32, (0,))])
+        self.record(m, 0, 1, [(0, 32, (0,))])
         assert m.coverage_gap(0, 64) == (32, 64)
 
     def test_ghost_records_filter_dead_holders(self):

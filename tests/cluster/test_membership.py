@@ -9,6 +9,7 @@ time over the equivalent repair-free plan.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from repro.cluster import (
     NodeRepair,
     Partition,
 )
+from repro.cluster.agent import POISON
 from repro.hardware import GTX_780
 from repro.kernels.game_of_life import make_gol_kernel
 
@@ -71,6 +73,49 @@ def rejoin_plan(**kw):
         node_crashes=[NodeCrash(2, CRASH_AT)],
         node_repairs=[NodeRepair(2, REPAIR_AT)],
         **kw,
+    )
+
+
+def flap_plan():
+    """Each crash lands inside the following probation window."""
+    return ClusterFaultPlan(
+        max_flaps=2,
+        node_crashes=[
+            NodeCrash(2, 0.0009),
+            NodeCrash(2, 0.005),
+            NodeCrash(2, 0.0075),
+        ],
+        node_repairs=[
+            NodeRepair(2, 0.004),
+            NodeRepair(2, 0.0055),
+            NodeRepair(2, 0.008),
+        ],
+    )
+
+
+def partition_heal_plan():
+    """Node 3 is fenced by a partition and repaired once it heals."""
+    return ClusterFaultPlan(
+        partitions=[
+            Partition(groups=((0, 1, 2), (3,)), start=0.0008, end=0.006)
+        ],
+        node_repairs=[NodeRepair(3, 0.0065)],
+    )
+
+
+def spare_recrash_plan():
+    """Node 3 rejoins as a spare, carries checkpoint replicas, crashes
+    and rejoins again before the next checkpoint commit; then node 0
+    dies and recovery fetches from whichever members hold its rows."""
+    return ClusterFaultPlan(
+        node_crashes=[
+            NodeCrash(3, 0.0015),
+            NodeCrash(3, 0.0090),
+            NodeCrash(0, 0.0175),
+        ],
+        node_repairs=[NodeRepair(3, 0.0040), NodeRepair(3, 0.0115)],
+        checkpoint_interval=1000,
+        checkpoint_replicas=3,
     )
 
 
@@ -180,7 +225,7 @@ class TestRejoin:
         assert plan.replicas_shipped > 0
         deg = plan.replicas_for(len(cs.monitor.live_nodes()))
         assert cs.monitor.replication_deficit(deg) == 0
-        assert cs.agents[2].peer_ckpts  # spare actually holds copies
+        assert any(cs.agents[2].ckpts.values())  # spare holds copies
         assert "re-replicate" in actions(cs)
 
     def test_reslab_on_rejoin_restores_capacity(self, board, clean_60):
@@ -230,6 +275,89 @@ class TestRejoin:
         assert runs[0].log == runs[1].log
 
 
+class TestCheckpointHolders:
+    """Checkpoint holders are read from what the agents store, so a node
+    that rejoins empty is never counted as a holder."""
+
+    def test_recrashed_spare_is_re_replicated(self, board):
+        """The spare's second re-admission follows its crash by less
+        than a checkpoint interval: the committed checkpoint still dates
+        from when it held replicas, but it rejoins holding nothing, so
+        anti-entropy must ship it a full set before node 0's recovery
+        can fetch from it."""
+        clean = run_cluster(board, 120).board()
+        plan = spare_recrash_plan()
+        cs = ClusterMaster(GTX_780, 4, 2, board, KERNEL, faults=plan)
+
+        def rows_or_none(rec):
+            try:
+                return cs.agents[3].checkpoint_rows(rec.cid, rec.lo, rec.hi)
+            except KeyError:
+                return None
+
+        seen = None  # the state right after node 3's second re-admission
+        for _ in range(120):
+            cs.step()
+            admits = [
+                i for i, e in enumerate(cs.log)
+                if e.action == "re-admit" and e.node == 3
+            ]
+            if len(admits) == 2 and seen is None:
+                deg = plan.replicas_for(len(cs.monitor.live_nodes()))
+                seen = (
+                    [(e.action, e.node) for e in cs.log[admits[1] + 1 :]],
+                    cs.monitor.replication_deficit(deg),
+                    [rows_or_none(rec) for rec in cs.monitor.checkpoints],
+                )
+        assert np.array_equal(cs.board(), clean)
+        after, deficit, served = seen
+        assert after[:1] == [("re-replicate", 3)]
+        assert deficit == 0
+        assert all(rows is not None for rows in served)
+        assert plan.recoveries == 2 and plan.nodes_readmitted == 2
+
+    def test_failed_attempt_leaves_no_holder(self, board):
+        """A checkpoint attempt that fails mid-way leaves replicas under
+        the id its retry reuses; the retry drops them, so only the nodes
+        it ships to are holders."""
+        cs = run_cluster(board, 4, ClusterFaultPlan(checkpoint_replicas=1))
+        (rec,) = [r for r in cs.monitor.checkpoints if r.owner == 0]
+        assert cs.monitor.holders(rec) == [0, 1]
+        stale = np.zeros((rec.hi - rec.lo, board.shape[1]), np.int32)
+        cs.agents[2].store_ckpt(0, rec.cid + 1, rec.lo, rec.hi, stale)
+        cs.run(4)  # the next checkpoint reuses id rec.cid + 1
+        (rec,) = [r for r in cs.monitor.checkpoints if r.owner == 0]
+        assert cs.monitor.holders(rec) == [0, 1]
+
+    @pytest.mark.parametrize(
+        "make_plan, ticks",
+        [
+            (rejoin_plan, 60),
+            (functools.partial(rejoin_plan, reslab_on_rejoin=True), 60),
+            (flap_plan, 60),
+            (partition_heal_plan, 60),
+            (spare_recrash_plan, 120),
+        ],
+        ids=["rejoin", "reslab", "flap-ban", "partition-heal", "spare-recrash"],
+    )
+    def test_every_named_holder_serves_its_rows(self, board, make_plan, ticks):
+        """After every step, each node the monitor names as a checkpoint
+        holder is a member and serves the rows it is named for, and none
+        of them is a crashed node's poisoned copy."""
+        cs = ClusterMaster(GTX_780, 4, 2, board, KERNEL, faults=make_plan())
+        rows = board.shape[0]
+        for _ in range(ticks):
+            cs.step()
+            members = cs.monitor.live_nodes()
+            cid = cs.monitor.checkpoint_id
+            for s_lo, s_hi, holders in cs.monitor.checkpoint_holders(0, rows):
+                assert holders  # the degree here always leaves one
+                for h in holders:
+                    assert h in members
+                    data = cs.agents[h].checkpoint_rows(cid, s_lo, s_hi)
+                    assert not (data == POISON).any()
+
+
 class TestProbationFailure:
     def test_crash_repair_crash_same_window(self, board, clean_60):
         """Flap faster than one probation window: the node announces but
@@ -253,19 +381,7 @@ class TestProbationFailure:
         every probation fails; the third announce exceeds max_flaps=2
         and the node is permanently banned with a typed error."""
         clean, _ = clean_60
-        plan = ClusterFaultPlan(
-            max_flaps=2,
-            node_crashes=[
-                NodeCrash(2, 0.0009),
-                NodeCrash(2, 0.005),
-                NodeCrash(2, 0.0075),
-            ],
-            node_repairs=[
-                NodeRepair(2, 0.004),
-                NodeRepair(2, 0.0055),
-                NodeRepair(2, 0.008),
-            ],
-        )
+        plan = flap_plan()
         cs = run_cluster(board, 60, plan)
         assert np.array_equal(cs.board(), clean)
         assert cs.monitor.status[2] == "banned"
@@ -281,12 +397,7 @@ class TestProbationFailure:
         (the membership cursor reads raw repair events, not the crash
         timeline) and the heartbeat probe passes once the fabric heals."""
         clean, _ = clean_60
-        plan = ClusterFaultPlan(
-            partitions=[
-                Partition(groups=((0, 1, 2), (3,)), start=0.0008, end=0.006)
-            ],
-            node_repairs=[NodeRepair(3, 0.0065)],
-        )
+        plan = partition_heal_plan()
         cs = run_cluster(board, 60, plan)
         assert np.array_equal(cs.board(), clean)
         assert cs.monitor.status[3] == "idle"
