@@ -52,9 +52,10 @@ verified skips the structural compare.
 
 Workloads do not capture or launch by hand: :class:`Loop` declares one
 steady period of calls and drives its graphs, whole periods through
-:meth:`Loop.replay` (the benches and the job server's workloads) and
-transitions through :meth:`Loop.run` (the serving engines and the
-cluster's node agents).
+:meth:`Loop.replay` (the benches' steady iteration loops,
+``bench/workloads.steady``) and transitions through :meth:`Loop.run`
+(the serving engines and the cluster's node agents). Job-server leases
+run their chunks eagerly.
 """
 
 from __future__ import annotations

@@ -54,6 +54,7 @@ from repro.device_api.context import KernelContext
 from repro.device_api.views import make_view
 from repro.errors import (
     AllocationError,
+    DeviceError,
     DeviceFault,
     GraphCaptureError,
     SchedulingError,
@@ -105,10 +106,12 @@ class Scheduler:
                 conformance sanitizer (DESIGN.md §9): device-level views
                 record their actual accesses, which are checked against
                 the declared patterns after each per-device kernel and
-                across devices once all of a task's kernels have run. A
-                violation raises the typed
-                :class:`~repro.sanitize.errors.SanitizerError` out of
-                ``wait``/``wait_all``. Requires a functional node.
+                across devices once all of a task's kernels have run.
+                Violations are recorded in :attr:`violations`; the drain
+                completes, then ``wait``/``wait_all`` raise the first one
+                not raised before (a typed
+                :class:`~repro.sanitize.errors.SanitizerError`). Requires a
+                functional node.
             devices: Restrict scheduling to a subset of the node's devices
                 (DESIGN.md §13: a job-server lease hands a tenant ``n`` of
                 the node's GPUs). Default: all of them. Work is segmented,
@@ -123,6 +126,10 @@ class Scheduler:
                 "sanitize mode records kernel accesses and therefore "
                 "requires a functional-mode node"
             )
+        #: Sanitize mode: every violation found, in the order the
+        #: checks ran, and how many of them a wait has raised.
+        self.violations: list = []
+        self._violations_raised = 0
         # One knob controls all cross-invocation amortization. With the
         # plan cache on, plans, analyzed requirement rects and monitor
         # transitions come from the node's shared geometry tables, so they
@@ -287,13 +294,14 @@ class Scheduler:
     ) -> Task:
         """Forward-declare a task so the memory analyzer can size
         per-device allocations (§4.2). Accepts the same parameters as
-        :meth:`invoke`."""
+        :meth:`invoke`. A device buffer that already exists grows, its
+        contents kept, when the task widens its datum's box."""
         self._check_live()
         self._no_capture("analyze_call")
         task = Task(kernel, containers, grid, constants)
         if self._mitigator is not None:
             self._mitigator.refresh()
-        self.analyzer.analyze(task, self._alive, weights=self._weights)
+        self.analyzer.ensure(task, self._alive, weights=self._weights)
         self._analyzed.append(task)
         self.node.host_advance(self.node.interconnect.scheduler_container_overhead)
         return task
@@ -470,6 +478,8 @@ class Scheduler:
             t = self._drive(self.node.run)
             rec.record_sync(before, self.node.host_time)
         recovery.prune_log(self, keep_producers=False)
+        if self.sanitize:
+            self._raise_violation()
         return t
 
     def wait(self, handle: TaskHandle) -> float:
@@ -500,7 +510,19 @@ class Scheduler:
 
         t = self._drive(lap)
         recovery.prune_log(self, keep_producers=True)
+        if self.sanitize:
+            self._raise_violation()
         return t
+
+    def _raise_violation(self) -> None:
+        """Sanitize mode: raise the first violation found since the last
+        one raised. Called once a drain has finished, so the node is
+        consistent when the error reaches the caller."""
+        found = self.violations
+        if self._violations_raised < len(found):
+            first = found[self._violations_raised]
+            self._violations_raised = len(found)
+            raise first
 
     def mark_host_dirty(self, datum: Datum) -> None:
         """Tell the framework the bound host buffer was modified by the
@@ -800,6 +822,8 @@ class Scheduler:
             handle = TaskHandle(task, submitted_at=node.host_time)
             self._log.append(handle)
         handle.events[:] = new_events
+        if race_pool is not None:
+            handle.recorders = race_pool
         return handle
 
     def _durations(self, task: Task, plan: TaskPlan) -> dict[int, float]:
@@ -962,8 +986,9 @@ class Scheduler:
         ``device``, for chunks their staging slices. Unmodified routines
         (§4.6) get raw segment arrays, kernels get pattern views. With a
         ``race_pool`` (sanitize mode) the views record their accesses and
-        the conformance checks run after the kernel; chunk kernels run
-        without one (DESIGN.md §10).
+        the conformance checks run after the kernel, adding what they find
+        to :attr:`violations`; chunk kernels run without one (DESIGN.md
+        §10).
         """
         kernel = task.kernel
         if not self.node.functional or kernel.func is None:
@@ -1024,16 +1049,15 @@ class Scheduler:
                 from repro.sanitize.checker import check_races, check_segment
 
                 race_pool[device] = recorder
-                errors = check_segment(
+                found = self.violations
+                found += check_segment(
                     task.name, task.containers, task.grid.shape, recorder
                 )
-                if not errors and len(race_pool) == num_active:
-                    errors = check_races(
+                if len(race_pool) == num_active:
+                    found += check_races(
                         task.name, task.containers, task.grid.shape,
                         list(race_pool.values()),
                     )
-                if errors:
-                    raise errors[0]
 
         return payload
     # -- device-level reduce-scatter (Algorithm 1, line 17) -------------------------
@@ -1186,8 +1210,19 @@ class Scheduler:
                 ordered = [stages[d] for d in sorted(stages)]
                 if mode is Aggregation.APPEND:
                     total = 0
+                    capacity = datum.shape[0]
                     for arr, count in ordered:
                         n = int(count or 0)
+                        if total + n > capacity:
+                            if not self.sanitize:
+                                raise DeviceError(
+                                    f"dynamic output {datum.name!r}: the "
+                                    "devices appended more than its "
+                                    f"capacity {capacity}"
+                                )
+                            # Keep what fits, as the view does; the race
+                            # check reports the combined overflow.
+                            n = capacity - total
                         datum.host[total : total + n] = arr[:n]
                         total += n
                     datum.dynamic_total = total  # type: ignore[attr-defined]

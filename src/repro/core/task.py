@@ -178,6 +178,8 @@ class TaskHandle:
     #: Per-device kernel completion events (empty for idle devices).
     events: list = field(default_factory=list)
     submitted_at: float = 0.0
+    #: Sanitize mode: device -> the access recorder of its kernel.
+    recorders: dict | None = None
 
     @property
     def name(self) -> str:

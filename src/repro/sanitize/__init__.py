@@ -9,11 +9,11 @@ multi-GPU node, where the out-of-pattern elements are stale or absent.
 This package makes such kernels fail loudly on the host, before any
 multi-GPU run:
 
-* :class:`SanitizeSession` / :func:`sanitize_task` — run a task segmented
-  like a multi-GPU node, record every element access through the device
-  views, and check conformance (DESIGN.md §9).
-* ``Scheduler(node, sanitize=True)`` — the same checks inside a full
-  simulated run.
+* ``Scheduler(node, sanitize=True)`` — the executor: record every
+  element access through the device views of a simulated run and check
+  conformance (DESIGN.md §9).
+* :class:`SanitizeSession` / :func:`sanitize_task` — run tasks on that
+  scheduler with one simulated GPU per segment, and report per task.
 * :func:`lint_invocation` — static declaration lint, no execution needed.
 * ``python -m repro.sanitize`` — run every built-in kernel and app under
   the checker.

@@ -32,7 +32,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--segments", type=int, default=3,
-        help="simulated devices per harness run (default 3)",
+        help="simulated GPUs per session, one per segment (default 3)",
     )
     parser.add_argument(
         "--list", action="store_true", help="list scenarios and exit"

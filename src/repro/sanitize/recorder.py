@@ -43,8 +43,10 @@ class AccessRecorder:
     """Collects the actual accesses of one segment's kernel execution.
 
     Attributes:
-        segment: ROI segment ordinal (device index in scheduler mode).
-        device: Device the segment ran on (``None`` in harness mode).
+        segment: ROI segment ordinal (the scheduler numbers a task's
+            kernels in the order they run).
+        device: Device the segment ran on (``None`` when recorded
+            outside a scheduler).
         work_rect: The segment's share of the work space.
     """
 

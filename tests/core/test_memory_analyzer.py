@@ -134,3 +134,32 @@ class TestAllocation:
         sched.analyzer.buffer(a, 0)
         rep = sched.analyzer.allocation_report()
         assert rep["A"][0] == 18 * 64 * 4
+
+    def test_late_analyze_call_grows_live_buffers(self):
+        """An analyze_call that widens a datum's box after its buffer
+        exists grows the buffer, contents kept, before the next invoke
+        (here B's buffers hold only the first step's output rows when the
+        reversed call adds halo rows)."""
+        from repro.core.datum import from_array
+        from repro.kernels.game_of_life import (
+            gol_containers,
+            gol_reference_step,
+            make_gol_kernel,
+        )
+
+        rng = np.random.default_rng(0)
+        board = (rng.random((32, 32)) < 0.35).astype(np.int32)
+        sched = Scheduler(SimNode(GTX_780, 3, functional=True))
+        a = from_array(board.copy(), "late.a")
+        b = from_array(np.zeros_like(board), "late.b")
+        k = make_gol_kernel()
+        for src, dst in ((a, b), (b, a)):
+            sched.analyze_call(k, *gol_containers(src, dst, boundary=WRAP))
+            sched.invoke(k, *gol_containers(src, dst, boundary=WRAP))
+            sched.wait_all()
+        assert sched.analyzer.buffer(b, 1).rect.contains(
+            sched.analyzer.box(b, 1)
+        )
+        sched.gather(a)
+        ref = gol_reference_step(gol_reference_step(board, wrap=True), wrap=True)
+        assert (a.host == ref).all()

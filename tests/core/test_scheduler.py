@@ -250,6 +250,29 @@ class TestDynamicPattern:
         assert total == expected.size
         assert (out.host[:total] == expected).all()
 
+    def test_combined_overflow_is_a_device_error(self):
+        """Every device's appends fit its private buffer but their sum
+        overflows the datum: the host aggregation raises DeviceError."""
+        from repro.errors import DeviceError
+        from repro.patterns import Block1D
+
+        node = SimNode(GTX_780, 2, functional=True)
+        sched = Scheduler(node)
+        n = 8
+        src = Vector(n, np.int32, "ovf.src").bind(np.ones(n, np.int32))
+        out = Vector(4, np.int32, "ovf.out").bind(np.zeros(4, np.int32))
+
+        def three(ctx):
+            inp, dyn = ctx.views
+            dyn.append(inp.array[:3])
+
+        k = Kernel("append-three", func=three)
+        grid = Grid((n,), block0=1)
+        sched.analyze_call(k, Block1D(src), ReductiveDynamic(out), grid=grid)
+        sched.invoke(k, Block1D(src), ReductiveDynamic(out), grid=grid)
+        with pytest.raises(DeviceError, match="capacity 4"):
+            sched.gather(out)
+
 
 class TestUnstructuredInjective:
     def test_scatter_merge(self):

@@ -154,6 +154,28 @@ class TestOutOfRegionWrite:
             )
         assert ei.value.declared == 4
 
+    def test_combined_append_overflow_keeps_what_fits(self):
+        """Each segment's appends fit, their sum does not: collect mode
+        reports it and the aggregate keeps the first ``capacity``."""
+        n = 8
+        x = from_array(np.ones(n, np.float32), "d2.x")
+        out = Vector(4, np.float32, "d2.out").bind(np.zeros(4, np.float32))
+
+        def body(ctx):
+            xin, dyn = ctx.views
+            dyn.append(xin.center()[:3])
+
+        report = sanitize_task(
+            Kernel("append-each-fits", func=body),
+            Window1D(x, 0, NO_CHECKS), ReductiveDynamic(out),
+            grid=Grid((n,), block0=1),
+            segments=2,
+            strict=False,
+        )
+        assert [type(e) for e in report.errors] == [OutOfRegionWriteError]
+        assert out.dynamic_total == 4
+        assert (out.host == 1).all()
+
 
 class TestWriteRace:
     def test_colliding_scatter_indices(self):
@@ -257,3 +279,30 @@ class TestNonStrictMode:
         # One violation per segment that ran the bad offset.
         assert report.segments == 2
         assert len(report.errors) == 2
+
+    def test_report_lists_segment_errors_and_race(self):
+        """Collect mode keeps every violation of a task: each segment's
+        out-of-pattern read and the cross-segment scatter race."""
+        n = 16
+        x = from_array(np.arange(n, dtype=np.float32), "mix.x")
+        dst = Vector(n, np.float32, "mix.dst").bind(np.zeros(n, np.float32))
+
+        def body(ctx):
+            xin, out = ctx.views
+            xin.offset(3)  # declared radius is 1
+            out.scatter(np.array([0]), xin.center()[:1])
+
+        report = sanitize_task(
+            Kernel("read-and-collide", func=body),
+            Window1D(x, 1, NO_CHECKS), UnstructuredInjective(dst),
+            grid=Grid((n,)),
+            segments=2,
+            strict=False,
+        )
+        kinds = [type(e) for e in report.errors]
+        assert kinds.count(OutOfPatternReadError) == 2
+        assert kinds.count(WriteRaceError) == 1
+        assert sorted(
+            e.segment for e in report.errors
+            if isinstance(e, OutOfPatternReadError)
+        ) == [0, 1]

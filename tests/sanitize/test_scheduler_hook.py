@@ -12,6 +12,7 @@ from repro.kernels.game_of_life import (
     make_gol_kernel,
     make_gol_oob_kernel,
 )
+from repro.patterns import WRAP
 from repro.hardware import GTX_780
 from repro.sanitize import OutOfPatternReadError
 from repro.sim import SimNode
@@ -55,6 +56,32 @@ class TestSchedulerSanitize:
         e = ei.value
         assert e.device is not None
         assert e.container_index == 0
+
+    def test_violation_raises_once_after_the_drain(self):
+        """A violating task followed by a clean one: wait_all drains both,
+        then raises the violation once; the next wait_all does not."""
+        b0, c0 = board(seed=3), board(seed=4)
+        node = SimNode(GTX_780, 2, functional=True)
+        sched = Scheduler(node, sanitize=True)
+        a = from_array(b0, "sh4.a")
+        b = from_array(np.zeros_like(b0), "sh4.b")
+        c = from_array(c0, "sh4.c")
+        d = from_array(np.zeros_like(c0), "sh4.d")
+        bad, good = make_gol_oob_kernel(), make_gol_kernel()
+        sched.analyze_call(bad, *gol_containers(a, b, variant="naive"))
+        sched.analyze_call(good, *gol_containers(c, d, boundary=WRAP))
+        sched.invoke(bad, *gol_containers(a, b, variant="naive"))
+        clean = sched.invoke(good, *gol_containers(c, d, boundary=WRAP))
+        with pytest.raises(OutOfPatternReadError):
+            sched.wait_all()
+        assert clean.complete
+        assert sched.violations  # one per device that ran the bad offset
+        assert all(
+            isinstance(e, OutOfPatternReadError) for e in sched.violations
+        )
+        sched.wait_all()  # already raised: not again
+        sched.gather(d)
+        assert (d.host == gol_reference_step(c0, wrap=True)).all()
 
     def test_default_scheduler_does_not_sanitize(self):
         """Without sanitize=True the OOB kernel still faults device-side
