@@ -1,25 +1,24 @@
-"""Fixed-shape LeNet inference engine (forward pass only, §6.1).
+"""LeNet's forward pass, declared once (§6.1, Fig. 10).
 
-The serving layer (``repro.serving``) runs LeNet as an inference
-microservice: a *replica* owns one device and answers batched requests.
-This module is the engine a replica hosts — the forward half of the Fig.
-10 network, built once over a (possibly device-restricted) scheduler at a
-fixed batch shape, then invoked per batch.
+:class:`LeNetForward` builds the forward half of the network at one batch
+shape: the activation and parameter datums, the layer kernels and the
+call list — conv, pool, conv, pool, reshape, fc1, fc2. Its two users run
+exactly those calls:
 
-The shape is fixed on purpose, exactly like a compiled fixed-shape
-inference engine (TensorRT-style): every batch is padded to ``batch``
-rows, so every invocation resolves to the *same* task signatures and —
-because every per-sample computation (conv via im2col, pooling, GEMMs)
-touches only that sample's rows at an identical total shape — a request's
-logits are **bitwise independent of which other requests shared its
-batch**. That invariant is what lets the dynamic batcher promise batched
-== sequential bit-identity.
+* :class:`~repro.apps.lenet.trainer.MapsLeNetTrainer` opens every
+  training iteration with them and runs them alone for inference
+  (``forward_batch``);
+* the serving layer's :class:`~repro.serving.models.LeNetEngine`
+  declares them, in the data-parallel form, as one
+  :class:`~repro.core.graph.Loop` at a fixed padded batch shape.
 
-The eight layer calls are declared as one :class:`~repro.core.graph.Loop`
-and every batch is one :meth:`~repro.core.graph.Loop.run` transition
-(the input upload, the forward chain and the gather of the logits): the
-first batch runs eagerly, the second is captured as an iteration graph
-(DESIGN.md §12) and every later one is a single graph launch.
+The two parallelism schemes differ only in fc1, as in the paper ("switching
+between data parallelism and the hybrid approach in MAPS-Multi requires
+only a single access pattern modification"): ``"data"`` runs the fc1 GEMM
+and its ReLU batch-striped against replicated weights; ``"hybrid"``
+transposes the activations, runs fc1 model-parallel against row-striped
+weights (``Block2D``) and full activations (``Block2DTransposed``), and
+transposes back.
 """
 
 from __future__ import annotations
@@ -35,157 +34,110 @@ from repro.apps.lenet.network import (
     FLAT,
     LeNetParams,
 )
-from repro.core import Datum, Grid, Scheduler
-from repro.core.graph import Loop
+from repro.core import Datum, Grid
 from repro.patterns import (
+    Block2D,
+    Block2DTransposed,
+    BlockColumnStriped,
     BlockStriped,
+    InjectiveColumnStriped,
     InjectiveStriped,
     Replicated,
 )
 
 
-class LeNetInference:
-    """Forward-only LeNet over a scheduler, at one fixed batch shape.
+class LeNetForward:
+    """LeNet's forward pass over ``batch`` images in one ``mode``.
 
-    Args:
-        sched: The scheduler to build on. The job-server/serving layers
-            pass a device-restricted one (``Scheduler(node, devices=(d,))``)
-            so each replica stays on its own GPU.
-        params: Host-side parameters (shared across replicas — every
-            replica of one model binds the *same* arrays, so any replica
-            answers any request identically).
-        batch: Fixed batch shape; smaller batches are zero-padded.
+    Attributes:
+        x0, a1, p1, m1, a2, p2, m2, f, h, hr, logits: The activations
+            (``fT``, ``hT``, ``hrT`` too in hybrid mode).
+        params: Parameter name -> datum, bound to ``params``' arrays.
+        calls: One ``(kernel, containers, grid)`` per layer call, in
+            dependency order.
+        outs: The datum each call writes (for a pool call, its output
+            rather than its mask).
+
+    ``bind`` binds every datum to a host buffer; timing-only callers
+    leave them unbound.
     """
 
-    def __init__(self, sched: Scheduler, params: LeNetParams, batch: int):
-        if batch < 1:
-            raise ValueError("need batch >= 1")
-        self.sched = sched
-        self.params = params
-        self.batch = int(batch)
-        b = self.batch
-        self._images = np.zeros((b, 1, 28, 28), np.float32)
-        self._build_datums()
-        self._build_kernels()
-        calls = self._forward_calls()
-        self.loop = Loop.declare(
-            sched,
-            [kernel for kernel, _ in calls],
-            [containers for _, containers in calls],
-            [self.a1, self.p1, self.a2, self.p2, self.f, self.h, self.hr,
-             self.logits],
-            Grid((b,), block0=1),
-        )
+    def __init__(
+        self, params: LeNetParams, batch: int, mode: str = "data",
+        bind: bool = True,
+    ):
+        b = batch
 
-    def _datum(self, name: str, shape, dtype=np.float32) -> Datum:
-        d = Datum(shape, dtype, name)
-        d.bind(np.zeros(shape, dtype))
-        return d
+        def datum(name: str, shape, dtype=np.float32) -> Datum:
+            d = Datum(shape, dtype, name)
+            return d.bind(np.zeros(shape, dtype)) if bind else d
 
-    def _build_datums(self) -> None:
-        b = self.batch
-        self.x0 = Datum((b, 1, 28, 28), np.float32, "infer.x0").bind(
-            self._images
-        )
-        self.a1 = self._datum("infer.a1", (b, CONV1_FILTERS, 24, 24))
-        self.p1 = self._datum("infer.p1", (b, CONV1_FILTERS, 12, 12))
-        self.m1 = self._datum("infer.m1", (b, CONV1_FILTERS, 12, 12), np.int8)
-        self.a2 = self._datum("infer.a2", (b, CONV2_FILTERS, 8, 8))
-        self.p2 = self._datum("infer.p2", (b, CONV2_FILTERS, 4, 4))
-        self.m2 = self._datum("infer.m2", (b, CONV2_FILTERS, 4, 4), np.int8)
-        self.f = self._datum("infer.f", (b, FLAT))
-        self.h = self._datum("infer.h", (b, FC1))
-        self.hr = self._datum("infer.hr", (b, FC1))
-        self.logits = self._datum("infer.logits", (b, CLASSES))
-        self.p_datums: dict[str, Datum] = {}
-        for name, arr in self.params.items():
-            self.p_datums[name] = Datum(arr.shape, np.float32, name).bind(arr)
-
-    def _build_kernels(self) -> None:
+        self.x0 = datum("x0", (b, 1, 28, 28))
+        self.a1 = datum("a1", (b, CONV1_FILTERS, 24, 24))
+        self.p1 = datum("p1", (b, CONV1_FILTERS, 12, 12))
+        self.m1 = datum("m1", (b, CONV1_FILTERS, 12, 12), np.int8)
+        self.a2 = datum("a2", (b, CONV2_FILTERS, 8, 8))
+        self.p2 = datum("p2", (b, CONV2_FILTERS, 4, 4))
+        self.m2 = datum("m2", (b, CONV2_FILTERS, 4, 4), np.int8)
+        self.f = datum("f", (b, FLAT))
+        self.h = datum("h", (b, FC1))
+        self.hr = datum("hr", (b, FC1))
+        self.logits = datum("logits", (b, CLASSES))
+        self.params: dict[str, Datum] = {}
+        for name, arr in params.items():
+            d = Datum(arr.shape, np.float32, name)
+            self.params[name] = d.bind(arr) if bind else d
         self.k_conv = T.make_conv_fwd()
         self.k_pool = T.make_pool_fwd()
         self.k_reshape = T.make_reshape()
         self.k_fc = T.make_fc_fwd()
-        self.k_relu = T.make_mp_relu_fwd()  # same body, striped dim 0
+        self.k_relu = T.make_mp_relu_fwd()  # striped dim 0 in both modes
+        P = self.params
+        bgrid = Grid((b,), block0=1)
+        self.calls: list[tuple] = []
+        self.outs: list[Datum] = []
 
-    def _forward_calls(self):
-        P = self.p_datums
-        return [
-            (
-                self.k_conv,
-                (
-                    BlockStriped(self.x0),
-                    Replicated(P["W1"]),
-                    Replicated(P["b1"]),
-                    InjectiveStriped(self.a1),
-                ),
-            ),
-            (
-                self.k_pool,
-                (
-                    BlockStriped(self.a1),
-                    InjectiveStriped(self.p1),
-                    InjectiveStriped(self.m1),
-                ),
-            ),
-            (
-                self.k_conv,
-                (
-                    BlockStriped(self.p1),
-                    Replicated(P["W2"]),
-                    Replicated(P["b2"]),
-                    InjectiveStriped(self.a2),
-                ),
-            ),
-            (
-                self.k_pool,
-                (
-                    BlockStriped(self.a2),
-                    InjectiveStriped(self.p2),
-                    InjectiveStriped(self.m2),
-                ),
-            ),
-            (
-                self.k_reshape,
-                (BlockStriped(self.p2), InjectiveStriped(self.f)),
-            ),
-            (
-                self.k_fc,
-                (
-                    BlockStriped(self.f),
-                    Replicated(P["W3"]),
-                    Replicated(P["b3"]),
-                    InjectiveStriped(self.h),
-                ),
-            ),
-            (
-                self.k_relu,
-                (BlockStriped(self.h), InjectiveStriped(self.hr)),
-            ),
-            (
-                self.k_fc,
-                (
-                    BlockStriped(self.hr),
-                    Replicated(P["W4"]),
-                    Replicated(P["b4"]),
-                    InjectiveStriped(self.logits),
-                ),
-            ),
-        ]
+        def call(kernel, out, *containers, grid=bgrid) -> None:
+            self.calls.append((kernel, containers, grid))
+            self.outs.append(out)
 
-    def infer(self, images: np.ndarray) -> np.ndarray:
-        """Run one padded batch; returns the ``(batch, 10)`` logits.
+        def conv(x, w, bias, y) -> None:
+            call(self.k_conv, y, BlockStriped(x), Replicated(P[w]),
+                 Replicated(P[bias]), InjectiveStriped(y))
 
-        ``images`` may hold fewer than ``batch`` samples; the remainder is
-        zero-padded (rows beyond ``images.shape[0]`` of the result are the
-        padding's logits and are discarded by the caller)."""
-        k = images.shape[0]
-        if k > self.batch:
-            raise ValueError(
-                f"batch of {k} exceeds the engine's fixed shape {self.batch}"
-            )
-        self._images[:k] = images
-        if k < self.batch:
-            self._images[k:] = 0.0
-        self.loop.run(0, self.loop.period, marks=(self.x0,), gathers=(None,))
-        return self.logits.host.copy()
+        def pool(x, y, mask) -> None:
+            call(self.k_pool, y, BlockStriped(x), InjectiveStriped(y),
+                 InjectiveStriped(mask))
+
+        def fc(x, w, bias, y) -> None:
+            call(self.k_fc, y, BlockStriped(x), Replicated(P[w]),
+                 Replicated(P[bias]), InjectiveStriped(y))
+
+        conv(self.x0, "W1", "b1", self.a1)
+        pool(self.a1, self.p1, self.m1)
+        conv(self.p1, "W2", "b2", self.a2)
+        pool(self.a2, self.p2, self.m2)
+        call(self.k_reshape, self.f, BlockStriped(self.p2),
+             InjectiveStriped(self.f))
+        if mode == "data":
+            fc(self.f, "W3", "b3", self.h)
+            call(self.k_relu, self.hr, BlockStriped(self.h),
+                 InjectiveStriped(self.hr))
+        else:
+            self.fT = datum("fT", (FLAT, b))
+            self.hT = datum("hT", (FC1, b))
+            self.hrT = datum("hrT", (FC1, b))
+            self.k_transpose = T.make_transpose()
+            self.k_mp_fc = T.make_mp_fc_fwd()
+            self.k_untranspose = T.make_untranspose()
+            fgrid = Grid((FC1,), block0=1)
+            call(self.k_transpose, self.fT, BlockStriped(self.f),
+                 InjectiveColumnStriped(self.fT))
+            call(self.k_mp_fc, self.hT, Block2D(P["W3"]),
+                 BlockStriped(P["b3"]), Block2DTransposed(self.fT),
+                 InjectiveStriped(self.hT), grid=fgrid)
+            call(self.k_relu, self.hrT, BlockStriped(self.hT),
+                 InjectiveStriped(self.hrT), grid=fgrid)
+            call(self.k_untranspose, self.hr, BlockColumnStriped(self.hrT),
+                 InjectiveStriped(self.hr))
+        fc(self.hr, "W4", "b4", self.logits)

@@ -16,7 +16,10 @@ Two concurrency schemes, selected by ``mode``:
 Switching schemes changes only which containers the fc1 tasks declare —
 the paper's headline usability result (§6.1: "switching between data
 parallelism and the hybrid approach in MAPS-Multi requires only a single
-access pattern modification").
+access pattern modification"). The forward half of an iteration is
+:class:`~repro.apps.lenet.inference.LeNetForward`, the one declaration of
+LeNet's forward pass, which the serving engine runs too; this module adds
+the loss, the backward pass and the SGD updates.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from typing import Optional
 import numpy as np
 
 from repro.apps.lenet import tasks as T
+from repro.apps.lenet.inference import LeNetForward
 from repro.apps.lenet.network import (
     CLASSES,
     CONV1_FILTERS,
@@ -91,19 +95,10 @@ class MapsLeNetTrainer:
 
     def _build_datums(self) -> None:
         b = self.batch
-        f = self.node.functional
-        self.x0 = self._datum("x0", (b, 1, 28, 28))
+        self.fwd = LeNetForward(
+            self.params, b, self.mode, bind=self.node.functional
+        )
         self.labels = self._datum("labels", (b,), np.int32)
-        self.a1 = self._datum("a1", (b, CONV1_FILTERS, 24, 24))
-        self.p1 = self._datum("p1", (b, CONV1_FILTERS, 12, 12))
-        self.m1 = self._datum("m1", (b, CONV1_FILTERS, 12, 12), np.int8)
-        self.a2 = self._datum("a2", (b, CONV2_FILTERS, 8, 8))
-        self.p2 = self._datum("p2", (b, CONV2_FILTERS, 4, 4))
-        self.m2 = self._datum("m2", (b, CONV2_FILTERS, 4, 4), np.int8)
-        self.f = self._datum("f", (b, FLAT))
-        self.h = self._datum("h", (b, FC1))
-        self.hr = self._datum("hr", (b, FC1))
-        self.logits = self._datum("logits", (b, CLASSES))
         self.dlogits = self._datum("dlogits", (b, CLASSES))
         self.loss = self._datum("loss", (1,))
         # Backward activations.
@@ -114,53 +109,32 @@ class MapsLeNetTrainer:
         self.da2 = self._datum("da2", (b, CONV2_FILTERS, 8, 8))
         self.dp1 = self._datum("dp1", (b, CONV1_FILTERS, 12, 12))
         self.da1 = self._datum("da1", (b, CONV1_FILTERS, 24, 24))
-        # Hybrid-mode transposed activations.
+        # Hybrid-mode transposed gradients.
         if self.mode == "hybrid":
-            self.fT = self._datum("fT", (FLAT, b))
-            self.hT = self._datum("hT", (FC1, b))
-            self.hrT = self._datum("hrT", (FC1, b))
             self.dhrT = self._datum("dhrT", (FC1, b))
             self.dhT = self._datum("dhT", (FC1, b))
             self.dfT = self._datum("dfT", (FLAT, b))
         # Parameters and gradients.
-        self.p_datums: dict[str, Datum] = {}
-        self.g_datums: dict[str, Datum] = {}
-        for name, arr in self.params.items():
-            pd = Datum(arr.shape, np.float32, name)
-            if f:
-                pd.bind(arr)
-            gd = self._datum("d" + name, arr.shape)
-            self.p_datums[name] = pd
-            self.g_datums[name] = gd
+        self.p_datums = self.fwd.params
+        self.g_datums = {
+            name: self._datum("d" + name, arr.shape)
+            for name, arr in self.params.items()
+        }
 
     def _build_kernels(self) -> None:
-        self.k_conv_fwd = T.make_conv_fwd()
         self.k_conv_bwd_data = T.make_conv_bwd_data()
         self.k_conv_bwd_filter = T.make_conv_bwd_filter()
-        self.k_pool_fwd = T.make_pool_fwd()
         self.k_pool_bwd = T.make_pool_bwd()
-        self.k_reshape = T.make_reshape()
-        self.k_fc_fwd = T.make_fc_fwd()
         self.k_fc_bwd_data = T.make_fc_bwd_data()
         self.k_fc_bwd_filter = T.make_fc_bwd_filter()
         self.k_softmax = T.make_softmax_loss()
         self.k_update = T.make_sgd_update()
         if self.mode == "hybrid":
-            self.k_transpose = T.make_transpose()
-            self.k_untranspose = T.make_untranspose()
-            self.k_mp_fc_fwd = T.make_mp_fc_fwd()
-            self.k_mp_relu = T.make_mp_relu_fwd()
             self.k_mp_relu_bwd = T.make_mp_relu_bwd()
             self.k_mp_fc_bwd_filter = T.make_mp_fc_bwd_filter()
             self.k_mp_fc_bwd_data = T.make_mp_fc_bwd_data()
         else:
-            from repro.kernels.elementwise import (
-                make_relu_grad_kernel,
-                make_relu_kernel,
-            )
-
             # Data-parallel ReLU runs batch-striped via routine wrappers.
-            self.k_relu = T.make_mp_relu_fwd()  # same body, striped dim 0
             self.k_relu_bwd = T.make_mp_relu_bwd()
 
     # -- task list --------------------------------------------------------------
@@ -169,74 +143,13 @@ class MapsLeNetTrainer:
         in dependency order."""
         b = self.batch
         bgrid = Grid((b,), block0=1)
-        P, G = self.p_datums, self.g_datums
-        calls = [
-            (
-                self.k_conv_fwd,
-                (
-                    BlockStriped(self.x0),
-                    Replicated(P["W1"]),
-                    Replicated(P["b1"]),
-                    InjectiveStriped(self.a1),
-                ),
-                bgrid,
-                {},
-            ),
-            (
-                self.k_pool_fwd,
-                (
-                    BlockStriped(self.a1),
-                    InjectiveStriped(self.p1),
-                    InjectiveStriped(self.m1),
-                ),
-                bgrid,
-                {},
-            ),
-            (
-                self.k_conv_fwd,
-                (
-                    BlockStriped(self.p1),
-                    Replicated(P["W2"]),
-                    Replicated(P["b2"]),
-                    InjectiveStriped(self.a2),
-                ),
-                bgrid,
-                {},
-            ),
-            (
-                self.k_pool_fwd,
-                (
-                    BlockStriped(self.a2),
-                    InjectiveStriped(self.p2),
-                    InjectiveStriped(self.m2),
-                ),
-                bgrid,
-                {},
-            ),
-            (
-                self.k_reshape,
-                (BlockStriped(self.p2), InjectiveStriped(self.f)),
-                bgrid,
-                {},
-            ),
-        ]
-        calls += self._fc1_forward(bgrid)
+        F, P, G = self.fwd, self.p_datums, self.g_datums
+        calls = [(*call, {}) for call in F.calls]
         calls += [
-            (
-                self.k_fc_fwd,
-                (
-                    BlockStriped(self.hr),
-                    Replicated(P["W4"]),
-                    Replicated(P["b4"]),
-                    InjectiveStriped(self.logits),
-                ),
-                bgrid,
-                {},
-            ),
             (
                 self.k_softmax,
                 (
-                    BlockStriped(self.logits),
+                    BlockStriped(F.logits),
                     BlockStriped(self.labels),
                     InjectiveStriped(self.dlogits),
                     ReductiveStatic(self.loss),
@@ -248,7 +161,7 @@ class MapsLeNetTrainer:
                 self.k_fc_bwd_filter,
                 (
                     BlockStriped(self.dlogits),
-                    BlockStriped(self.hr),
+                    BlockStriped(F.hr),
                     ReductiveStatic(G["W4"]),
                     ReductiveStatic(G["b4"]),
                 ),
@@ -269,7 +182,7 @@ class MapsLeNetTrainer:
         calls += self._fc1_backward(bgrid)
         calls += [
             (
-                self.k_reshape,
+                F.k_reshape,
                 (BlockStriped(self.df), InjectiveStriped(self.dp2)),
                 bgrid,
                 {},
@@ -278,7 +191,7 @@ class MapsLeNetTrainer:
                 self.k_pool_bwd,
                 (
                     BlockStriped(self.dp2),
-                    BlockStriped(self.m2),
+                    BlockStriped(F.m2),
                     InjectiveStriped(self.da2),
                 ),
                 bgrid,
@@ -287,7 +200,7 @@ class MapsLeNetTrainer:
             (
                 self.k_conv_bwd_filter,
                 (
-                    BlockStriped(self.p1),
+                    BlockStriped(F.p1),
                     BlockStriped(self.da2),
                     ReductiveStatic(G["W2"]),
                     ReductiveStatic(G["b2"]),
@@ -309,7 +222,7 @@ class MapsLeNetTrainer:
                 self.k_pool_bwd,
                 (
                     BlockStriped(self.dp1),
-                    BlockStriped(self.m1),
+                    BlockStriped(F.m1),
                     InjectiveStriped(self.da1),
                 ),
                 bgrid,
@@ -318,7 +231,7 @@ class MapsLeNetTrainer:
             (
                 self.k_conv_bwd_filter,
                 (
-                    BlockStriped(self.x0),
+                    BlockStriped(F.x0),
                     BlockStriped(self.da1),
                     ReductiveStatic(G["W1"]),
                     ReductiveStatic(G["b1"]),
@@ -330,69 +243,14 @@ class MapsLeNetTrainer:
         calls += self._updates()
         return calls
 
-    def _fc1_forward(self, bgrid: Grid):
-        P, G = self.p_datums, self.g_datums
-        if self.mode == "data":
-            return [
-                (
-                    self.k_fc_fwd,
-                    (
-                        BlockStriped(self.f),
-                        Replicated(P["W3"]),
-                        Replicated(P["b3"]),
-                        InjectiveStriped(self.h),
-                    ),
-                    bgrid,
-                    {},
-                ),
-                (
-                    self.k_relu,
-                    (BlockStriped(self.h), InjectiveStriped(self.hr)),
-                    bgrid,
-                    {},
-                ),
-            ]
-        fgrid = Grid((FC1,), block0=1)
-        return [
-            (
-                self.k_transpose,
-                (BlockStriped(self.f), InjectiveColumnStriped(self.fT)),
-                bgrid,
-                {},
-            ),
-            (
-                self.k_mp_fc_fwd,
-                (
-                    Block2D(P["W3"]),
-                    BlockStriped(P["b3"]),
-                    Block2DTransposed(self.fT),
-                    InjectiveStriped(self.hT),
-                ),
-                fgrid,
-                {},
-            ),
-            (
-                self.k_mp_relu,
-                (BlockStriped(self.hT), InjectiveStriped(self.hrT)),
-                fgrid,
-                {},
-            ),
-            (
-                self.k_untranspose,
-                (BlockColumnStriped(self.hrT), InjectiveStriped(self.hr)),
-                bgrid,
-                {},
-            ),
-        ]
-
     def _fc1_backward(self, bgrid: Grid):
-        P, G = self.p_datums, self.g_datums
+        F, P, G = self.fwd, self.p_datums, self.g_datums
         if self.mode == "data":
             return [
                 (
                     self.k_relu_bwd,
                     (
-                        BlockStriped(self.h),
+                        BlockStriped(F.h),
                         BlockStriped(self.dhr),
                         InjectiveStriped(self.dh),
                     ),
@@ -403,7 +261,7 @@ class MapsLeNetTrainer:
                     self.k_fc_bwd_filter,
                     (
                         BlockStriped(self.dh),
-                        BlockStriped(self.f),
+                        BlockStriped(F.f),
                         ReductiveStatic(G["W3"]),
                         ReductiveStatic(G["b3"]),
                     ),
@@ -424,7 +282,7 @@ class MapsLeNetTrainer:
         fgrid = Grid((FC1,), block0=1)
         return [
             (
-                self.k_transpose,
+                F.k_transpose,
                 (BlockStriped(self.dhr), InjectiveColumnStriped(self.dhrT)),
                 bgrid,
                 {},
@@ -432,7 +290,7 @@ class MapsLeNetTrainer:
             (
                 self.k_mp_relu_bwd,
                 (
-                    BlockStriped(self.hT),
+                    BlockStriped(F.hT),
                     BlockStriped(self.dhrT),
                     InjectiveStriped(self.dhT),
                 ),
@@ -443,7 +301,7 @@ class MapsLeNetTrainer:
                 self.k_mp_fc_bwd_filter,
                 (
                     BlockStriped(self.dhT),
-                    Block2DTransposed(self.fT),
+                    Block2DTransposed(F.fT),
                     InjectiveStriped(G["W3"]),
                     InjectiveStriped(G["b3"]),
                 ),
@@ -461,7 +319,7 @@ class MapsLeNetTrainer:
                 {},
             ),
             (
-                self.k_untranspose,
+                F.k_untranspose,
                 (BlockColumnStriped(self.dfT), InjectiveStriped(self.df)),
                 bgrid,
                 {},
@@ -503,9 +361,9 @@ class MapsLeNetTrainer:
         """Functional: load a batch, run one iteration, return the loss."""
         if not self.node.functional:
             raise RuntimeError("train_batch requires a functional node")
-        self.x0.host[...] = images
+        self.fwd.x0.host[...] = images
         self.labels.host[...] = labels
-        self.sched.mark_host_dirty(self.x0)
+        self.sched.mark_host_dirty(self.fwd.x0)
         self.sched.mark_host_dirty(self.labels)
         self.run_iteration()
         self.sched.gather(self.loss)
@@ -513,19 +371,17 @@ class MapsLeNetTrainer:
 
     def forward_batch(self, images: np.ndarray) -> np.ndarray:
         """Forward-only inference through the framework: runs the forward
-        task chain on the devices and gathers the logits. Returns the
-        ``(batch, 10)`` logits array."""
+        pass's calls (the head of every iteration) on the devices and
+        gathers the logits. Returns the ``(batch, 10)`` logits array."""
         if not self.node.functional:
             raise RuntimeError("forward_batch requires a functional node")
-        self.x0.host[...] = images
-        self.sched.mark_host_dirty(self.x0)
-        forward = self._task_list()[: 5 + (4 if self.mode == "hybrid" else 2) + 1]
-        for kernel, containers, grid, constants in forward:
-            self.sched.invoke_unmodified(
-                kernel, *containers, grid=grid, constants=constants
-            )
-        self.sched.gather(self.logits)
-        return self.logits.host.copy()
+        fwd = self.fwd
+        fwd.x0.host[...] = images
+        self.sched.mark_host_dirty(fwd.x0)
+        for kernel, containers, grid in fwd.calls:
+            self.sched.invoke_unmodified(kernel, *containers, grid=grid)
+        self.sched.gather(fwd.logits)
+        return fwd.logits.host.copy()
 
     def evaluate(self, images: np.ndarray, labels: np.ndarray) -> float:
         """Classification accuracy over one device-resident batch."""

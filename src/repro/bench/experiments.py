@@ -12,10 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.bench.workloads import drain, gol, histogram, sgemm_chain, steady
+from repro.bench.workloads import drain, steady
 from repro.core import Matrix, Scheduler, Vector
 from repro.hardware.calibration import calibration_for
 from repro.hardware.specs import GPUSpec
+from repro.kernels.game_of_life import gol_loop
+from repro.kernels.histogram import histogram_loop
+from repro.libs.cublas import sgemm_chain
 from repro.libs.cublasxt import XtGemm, make_xt_node
 from repro.sim.node import SimNode
 
@@ -61,7 +64,7 @@ def run_gol(
     variant: str = "maps_ilp",
 ) -> float:
     """Steady-state seconds per Game-of-Life tick over MAPS-Multi."""
-    return _per_iter(spec, num_gpus, iters, lambda sched: gol(
+    return _per_iter(spec, num_gpus, iters, lambda sched: gol_loop(
         sched,
         Matrix(size, size, np.int32, "A"),
         Matrix(size, size, np.int32, "B"),
@@ -99,7 +102,7 @@ def run_histogram(
     The measured loop is kernel throughput (§5.1: the histogram requires
     no inter-GPU communication); the 1 KiB partial aggregation happens
     once at the end and is amortized."""
-    return _per_iter(spec, num_gpus, iters, lambda sched: histogram(
+    return _per_iter(spec, num_gpus, iters, lambda sched: histogram_loop(
         sched,
         Matrix(size, size, np.uint8, "image"),
         Vector(bins, np.int32, "hist"),

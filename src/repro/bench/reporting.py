@@ -6,6 +6,8 @@ import json
 import pathlib
 from typing import Callable, Sequence
 
+import numpy as np
+
 
 def fmt_table(
     title: str, headers: Sequence[str], rows: Sequence[Sequence[str]]
@@ -23,6 +25,15 @@ def fmt_table(
     for r in rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)))
     return "\n".join(lines) + "\n"
+
+
+def percentiles(xs: Sequence[float], qs: Sequence[int] = (50, 95)) -> dict:
+    """``{"p<q>": the q-th percentile of xs}`` for each ``q`` in ``qs``
+    (all 0.0 when ``xs`` is empty)."""
+    if len(xs) == 0:
+        return {f"p{q}": 0.0 for q in qs}
+    arr = np.asarray(xs, dtype=float)
+    return {f"p{q}": float(np.percentile(arr, q)) for q in qs}
 
 
 def record_result(results_dir: pathlib.Path, name: str, text: str) -> None:

@@ -21,10 +21,12 @@ import time
 import numpy as np
 
 from repro.bench.reporting import best_of, fmt_table
-from repro.bench.workloads import Loop, gol, histogram, run
+from repro.bench.workloads import Loop, run
 from repro.core import Scheduler, Vector
 from repro.core.datum import from_array
 from repro.hardware.specs import GPUSpec, GTX_780
+from repro.kernels.game_of_life import gol_loop
+from repro.kernels.histogram import histogram_loop
 from repro.sim.node import SimNode
 
 #: Functional-mode scale: large enough that kernel bodies dominate noise,
@@ -39,7 +41,7 @@ def _gol(sched: Scheduler, size: int) -> Loop:
     rng = np.random.default_rng(0)
     board = (rng.random((size, size)) < 0.35).astype(np.int32)
     a = from_array(board, "san_a")
-    return gol(sched, a, from_array(np.zeros_like(board), "san_b"))
+    return gol_loop(sched, a, from_array(np.zeros_like(board), "san_b"))
 
 
 def _histogram(sched: Scheduler, size: int) -> Loop:
@@ -48,7 +50,7 @@ def _histogram(sched: Scheduler, size: int) -> Loop:
         rng.integers(0, 256, (size, size), dtype=np.int64), "san_img"
     )
     hist = Vector(256, np.int64, "san_hist").bind(np.zeros(256, np.int64))
-    return histogram(sched, image, hist)
+    return histogram_loop(sched, image, hist)
 
 
 #: Functional datums: workload name -> ``build(sched, size)``.

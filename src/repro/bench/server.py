@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bench.reporting import fmt_table
+from repro.bench.reporting import fmt_table, percentiles
 from repro.hardware.specs import GPUSpec, GTX_780
 from repro.server.jobs import JobSpec, TenantQuota
 from repro.server.server import JobServer, solo_run
@@ -50,16 +50,6 @@ DEMO = (
     ("carol", "sgemm", lambda: SgemmWorkload(size=32, iterations=4, seed=2)),
 )
 DEMO_GPUS = 2
-
-
-def _percentiles(xs: list[float]) -> dict:
-    if not xs:
-        return {"p50": 0.0, "p95": 0.0}
-    arr = np.asarray(xs, dtype=float)
-    return {
-        "p50": float(np.percentile(arr, 50)),
-        "p95": float(np.percentile(arr, 95)),
-    }
 
 
 def _run_contended(spec: GPUSpec, solos: dict) -> dict:
@@ -91,7 +81,7 @@ def _run_contended(spec: GPUSpec, solos: dict) -> dict:
             "overhead": overhead,
             "history": [list(h) for h in job.history],
         }
-    out["queue_wait"] = _percentiles(waits)
+    out["queue_wait"] = percentiles(waits)
     out["max_overhead"] = max(
         j["overhead"] for j in out["jobs"].values()
     )
@@ -130,7 +120,7 @@ def _run_load(spec: GPUSpec, load: float) -> dict:
     return {
         "load": load,
         "fairness": srv.fairness(),
-        "queue_wait": _percentiles(waits),
+        "queue_wait": percentiles(waits),
         "done": sum(1 for j in jobs if j.state == "DONE"),
         "jobs": len(jobs),
     }

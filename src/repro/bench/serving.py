@@ -31,7 +31,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.bench.reporting import fmt_table
+from repro.bench.reporting import fmt_table, percentiles
 from repro.hardware import GTX_780, GPUSpec
 from repro.serving import (
     ServingConfig,
@@ -48,16 +48,6 @@ LOAD_POINTS = (0.5, 1.0, 2.0, 4.0)
 #: Requests per trace (open-loop; thousands, per DESIGN.md §14).
 N_REQUESTS = 1000
 TRACE_SEED = 2015
-
-
-def _percentiles(lat: np.ndarray) -> dict:
-    if len(lat) == 0:
-        return {"p50": 0.0, "p95": 0.0, "p99": 0.0}
-    return {
-        "p50": float(np.percentile(lat, 50)),
-        "p95": float(np.percentile(lat, 95)),
-        "p99": float(np.percentile(lat, 99)),
-    }
 
 
 def calibrate_capacity(cfg: ServingConfig) -> dict:
@@ -110,7 +100,7 @@ def _point(report: ServingReport, load_x: float) -> dict:
         "graph_captures": report.graph_captures,
         "graph_launches": report.graph_launches,
         "results_hash": report.results_hash(),
-        **_percentiles(report.latencies),
+        **percentiles(report.latencies, (50, 95, 99)),
     }
 
 

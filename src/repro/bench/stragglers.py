@@ -31,10 +31,10 @@ from typing import Callable
 import numpy as np
 
 from repro.bench.reporting import fmt_table
-from repro.bench.workloads import TIMING, Loop, gol, run
+from repro.bench.workloads import TIMING, Loop, run
 from repro.core import Matrix, Scheduler
 from repro.hardware.specs import GPUSpec, GTX_780
-from repro.kernels.game_of_life import gol_reference_step
+from repro.kernels.game_of_life import gol_loop, gol_reference_step
 from repro.sim.faults import FaultPlan, Straggler
 from repro.sim.node import SimNode
 
@@ -114,7 +114,7 @@ def _assert_bit_identical(make_plan: Callable[[bool], FaultPlan]) -> None:
     node = SimNode(GTX_780, NUM_GPUS, functional=True, faults=make_plan(True))
     a = Matrix(n, n, np.uint8, "A").bind(board())
     b = Matrix(n, n, np.uint8, "B").bind(np.zeros((n, n), np.uint8))
-    loop = gol(Scheduler(node), a, b)
+    loop = gol_loop(Scheduler(node), a, b)
     _synced(loop, iters)
     expected = board()
     for _ in range(iters):

@@ -1,10 +1,15 @@
-"""The paper's three §5 workloads, declared once for every bench module.
+"""The bench modules' datums and drivers for the paper's three §5 workloads.
 
-Each builder takes the caller's datums (so every bench keeps its own
+The workloads are declared once, next to their kernels, by
+:func:`~repro.kernels.game_of_life.gol_loop`,
+:func:`~repro.kernels.histogram.histogram_loop` and
+:func:`~repro.libs.cublas.sgemm_chain`, which the job server's workloads
+call too. Each takes the caller's datums (so every bench keeps its own
 dtypes and names) and declares a :class:`~repro.core.graph.Loop` whose
 ``step(i)`` submits iteration ``i``. Game of Life and the SGEMM
 chain ping-pong between two buffers (period 2); every histogram
-invocation is identical (period 1).
+invocation is identical (period 1). :data:`TIMING` builds each on
+timing-only datums.
 
 Three drivers share the iteration recipes:
 
@@ -22,71 +27,22 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core import Datum, Matrix, Scheduler, Vector
+from repro.core import Matrix, Scheduler, Vector
 from repro.core.graph import IterationGraph, Loop
-from repro.kernels.game_of_life import gol_containers, make_gol_kernel
-from repro.kernels.histogram import (
-    histogram_containers,
-    histogram_grid,
-    make_histogram_kernel,
-    make_naive_histogram_routine,
-)
-from repro.libs.cub import make_cub_histogram_routine
-from repro.libs.cublas import make_sgemm_routine, sgemm_containers
-
-
-def gol(sched: Scheduler, a: Datum, b: Datum, variant: str = "maps_ilp") -> Loop:
-    """Game of Life ping-pong: even iterations step ``a`` into ``b``."""
-    return Loop.declare(
-        sched,
-        make_gol_kernel(variant),
-        (gol_containers(a, b, variant), gol_containers(b, a, variant)),
-        (b, a),
-    )
-
-
-def sgemm_chain(sched: Scheduler, x: Datum, b: Datum, y: Datum) -> Loop:
-    """Chained SGEMM X_{i+1} = X_i @ B over unmodified CUBLAS (§5.4):
-    even iterations multiply ``x`` into ``y``."""
-    return Loop.declare(
-        sched,
-        make_sgemm_routine(),
-        (sgemm_containers(x, b, y), sgemm_containers(y, b, x)),
-        (y, x),
-    )
-
-
-def histogram(
-    sched: Scheduler, image: Datum, hist: Datum, impl: str = "maps"
-) -> Loop:
-    """Histogram of ``image`` into ``hist``: the MAPS kernel, or the naive
-    or CUB routine run unmodified (§5.3)."""
-    if impl == "maps":
-        kernel = make_histogram_kernel("maps")
-    elif impl == "naive":
-        kernel = make_naive_histogram_routine()
-    elif impl == "cub":
-        kernel = make_cub_histogram_routine()
-    else:
-        raise ValueError(f"unknown histogram impl {impl!r}")
-    return Loop.declare(
-        sched,
-        kernel,
-        (histogram_containers(image, hist),),
-        (hist,),
-        grid=histogram_grid(image),
-    )
+from repro.kernels.game_of_life import gol_loop
+from repro.kernels.histogram import histogram_loop
+from repro.libs.cublas import sgemm_chain
 
 
 #: The timing-only datums shared by the faults, overhead, pressure and
 #: stragglers benches: workload name -> ``build(sched, size)``.
 TIMING: dict[str, Callable[[Scheduler, int], Loop]] = {
-    "game_of_life": lambda sched, size: gol(
+    "game_of_life": lambda sched, size: gol_loop(
         sched,
         Matrix(size, size, np.uint8, "gol_a"),
         Matrix(size, size, np.uint8, "gol_b"),
     ),
-    "histogram": lambda sched, size: histogram(
+    "histogram": lambda sched, size: histogram_loop(
         sched,
         Matrix(size, size, np.uint8, "image"),
         Vector(256, np.int32, "hist"),

@@ -105,7 +105,7 @@ class Mitigator:
             return
         sched._graph_generation += 1
         sched._weights = w
-        for t in sched._analyzed:
+        for t in sched._analyzed.values():
             sched.analyzer.ensure(
                 t, sched._alive, oom_handler=sched._pressure.recovery_oom,
                 weights=w,

@@ -225,7 +225,7 @@ def _retire_device(sched: "Scheduler", device: int, at_time: float) -> None:
     # resubmission (growth preserves surviving contents). The grown
     # boxes may no longer fit next to evictable leftovers — the OOM
     # handler frees those rather than failing the recovery.
-    for t in sched._analyzed:
+    for t in sched._analyzed.values():
         sched.analyzer.ensure(
             t, sched._alive, oom_handler=sched._pressure.recovery_oom,
             weights=sched._weights,

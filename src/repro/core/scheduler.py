@@ -182,9 +182,10 @@ class Scheduler:
         #: Set by :meth:`release`: the scheduler gave its streams and
         #: buffers back to the node and must not be driven again.
         self._released = False
-        #: Tasks registered via analyze_call — re-analyzed for the
+        #: Tasks registered via analyze_call, one per binding (its
+        #: ``plan.prekey``) in first-analysis order — re-analyzed for the
         #: surviving device set when recovery re-segments work.
-        self._analyzed: list[Task] = []
+        self._analyzed: dict[tuple, Task] = {}
         #: Submission log (TaskHandles and _GatherRecords in order) driving
         #: ordered resubmission after a permanent failure; bounded after
         #: every wait (``recovery.prune_log``).
@@ -302,7 +303,11 @@ class Scheduler:
         if self._mitigator is not None:
             self._mitigator.refresh()
         self.analyzer.ensure(task, self._alive, weights=self._weights)
-        self._analyzed.append(task)
+        try:
+            key = prekey(kernel, containers, grid)
+        except TypeError:  # an unhashable parameter: never deduplicated
+            key = (task,)
+        self._analyzed.setdefault(key, task)
         self.node.host_advance(self.node.interconnect.scheduler_container_overhead)
         return task
 

@@ -16,9 +16,12 @@ factors their containers declare.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.core.datum import Datum
+from repro.core.graph import Loop
 from repro.core.task import CostContext, Kernel
 from repro.patterns import WRAP, Boundary, StructuredInjective, Window2D
 
@@ -112,6 +115,22 @@ def gol_containers(
     """
     ilp = (ILP_ROWS, ILP_COLS) if variant == "maps_ilp" else 1
     return Window2D(src, 1, boundary), StructuredInjective(dst, ilp=ilp)
+
+
+#: One kernel per variant, handed to every :func:`gol_loop`: plans are
+#: keyed by kernel identity (DESIGN.md §7), so a kernel per loop would
+#: split a node's plans per loop.
+_loop_kernel = functools.cache(make_gol_kernel)
+
+
+def gol_loop(sched, a: Datum, b: Datum, variant: str = "maps_ilp") -> Loop:
+    """Game of Life ping-pong: even iterations step ``a`` into ``b``."""
+    return Loop.declare(
+        sched,
+        _loop_kernel(variant),
+        (gol_containers(a, b, variant), gol_containers(b, a, variant)),
+        (b, a),
+    )
 
 
 def gol_reference_step(board: np.ndarray, wrap: bool = True) -> np.ndarray:

@@ -15,12 +15,16 @@ The CUB comparator lives in :mod:`repro.libs.cub`.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.core.datum import Datum
+from repro.core.graph import Loop
 from repro.core.grid import Grid
 from repro.core.task import CostContext, Kernel
 from repro.core.unmodified import RoutineContext, make_routine
+from repro.libs.cub import make_cub_histogram_routine
 from repro.patterns import NO_CHECKS, ReductiveStatic, Window2D
 
 #: The paper's configuration: 256 bins over an 8-bit 8K^2 image.
@@ -86,3 +90,31 @@ def histogram_grid(image: Datum) -> Grid:
     since the window pattern rescales — we use one thread per pixel row
     chunk for simplicity."""
     return Grid(image.shape)
+
+
+@functools.cache
+def _loop_kernel(impl: str) -> Kernel:
+    """One kernel per implementation, handed to every
+    :func:`histogram_loop`: plans are keyed by kernel identity (DESIGN.md
+    §7), so a kernel per loop would split a node's plans per loop."""
+    if impl == "maps":
+        return make_histogram_kernel("maps")
+    if impl == "naive":
+        return make_naive_histogram_routine()
+    if impl == "cub":
+        return make_cub_histogram_routine()
+    raise ValueError(f"unknown histogram impl {impl!r}")
+
+
+def histogram_loop(
+    sched, image: Datum, hist: Datum, impl: str = "maps"
+) -> Loop:
+    """Histogram of ``image`` into ``hist``: the MAPS kernel, or the naive
+    or CUB routine run unmodified (§5.3)."""
+    return Loop.declare(
+        sched,
+        _loop_kernel(impl),
+        (histogram_containers(image, hist),),
+        (hist,),
+        grid=histogram_grid(image),
+    )

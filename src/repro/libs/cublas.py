@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-
 from repro.core.datum import Datum
+from repro.core.graph import Loop
 from repro.core.task import CostContext, Kernel
 from repro.core.unmodified import RoutineContext, make_routine
 from repro.patterns import (
@@ -100,6 +100,23 @@ def sgemm_containers(a: Datum, b: Datum, c: Datum, beta: float = 0.0):
     if beta:
         return (WindowND(c, 0, NO_CHECKS),) + base
     return base
+
+
+#: The one routine every :func:`sgemm_chain` runs: plans are keyed by
+#: kernel identity (DESIGN.md §7), so a routine per loop would split a
+#: node's plans per loop.
+_CHAIN_ROUTINE = make_sgemm_routine()
+
+
+def sgemm_chain(sched, x: Datum, b: Datum, y: Datum) -> Loop:
+    """Chained SGEMM X_{i+1} = X_i @ B over unmodified CUBLAS (§5.4):
+    even iterations multiply ``x`` into ``y``."""
+    return Loop.declare(
+        sched,
+        _CHAIN_ROUTINE,
+        (sgemm_containers(x, b, y), sgemm_containers(y, b, x)),
+        (y, x),
+    )
 
 
 def make_saxpy_routine(context: CublasContext | None = None) -> Kernel:

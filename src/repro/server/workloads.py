@@ -14,9 +14,13 @@ iteration counter *are* the checkpoint". The contract:
   residency, and one box check per new binding of datums to a plan. The
   plans, requirement rects and monitor transitions are geometry-keyed
   tables on the node (DESIGN.md §7), so every lease, job and replica
-  replays those an earlier lease built — which is why each kind's kernel
-  is built once at module level: plans are keyed by kernel identity, and
-  a kernel per job would split them per job.
+  replays those an earlier lease built. Each ``bind`` declares its loop
+  with the kind's one builder, which sits next to the kernel it wraps
+  (:func:`~repro.kernels.game_of_life.gol_loop`,
+  :func:`~repro.kernels.histogram.histogram_loop`,
+  :func:`~repro.libs.cublas.sgemm_chain`; the benches call the same
+  ones) and hands every lease the same kernel object: plans are keyed by
+  kernel identity, and a kernel per job would split them per job.
 * :meth:`run_chunk` advances up to ``checkpoint_every`` iterations and
   gathers results back, leaving host state checkpoint-complete again.
   The base method steps the loop and gathers every iteration's output.
@@ -41,22 +45,9 @@ import numpy as np
 
 from repro.core import Matrix, Scheduler, Vector
 from repro.core.graph import Loop
-from repro.kernels.game_of_life import (
-    gol_containers,
-    gol_reference_step,
-    make_gol_kernel,
-)
-from repro.kernels.histogram import (
-    histogram_containers,
-    histogram_grid,
-    make_histogram_kernel,
-)
-from repro.libs.cublas import make_sgemm_routine, sgemm_containers
-
-#: One stateless kernel per kind, shared by every job (module docstring).
-_GOL = make_gol_kernel()
-_HISTOGRAM = make_histogram_kernel("maps")
-_SGEMM = make_sgemm_routine()
+from repro.kernels.game_of_life import gol_loop, gol_reference_step
+from repro.kernels.histogram import histogram_loop
+from repro.libs.cublas import sgemm_chain
 
 
 class Workload:
@@ -147,9 +138,7 @@ class GoLWorkload(Workload):
         b = Matrix(self.size, self.size, np.int32, "gol.B").bind(
             self.boards[1]
         )
-        self.loop = Loop.declare(
-            sched, _GOL, (gol_containers(a, b), gol_containers(b, a)), (b, a)
-        )
+        self.loop = gol_loop(sched, a, b)
 
     def result(self) -> np.ndarray:
         return self.boards[self.completed % 2].copy()
@@ -201,13 +190,7 @@ class HistogramWorkload(Workload):
             self.image
         )
         hist = Vector(self.bins, np.int32, "hist.out").bind(self._hist_host)
-        self.loop = Loop.declare(
-            sched,
-            _HISTOGRAM,
-            (histogram_containers(image, hist),),
-            (hist,),
-            grid=histogram_grid(image),
-        )
+        self.loop = histogram_loop(sched, image, hist)
 
     def gathered(self, i: int) -> None:
         self.acc += self._hist_host
@@ -262,12 +245,7 @@ class SgemmWorkload(Workload):
         b = Matrix(self.size, self.size, np.float32, "gemm.B").bind(
             self.b_host
         )
-        self.loop = Loop.declare(
-            sched,
-            _SGEMM,
-            (sgemm_containers(x, b, y), sgemm_containers(y, b, x)),
-            (y, x),
-        )
+        self.loop = sgemm_chain(sched, x, b, y)
 
     def result(self) -> np.ndarray:
         return self.mats[self.completed % 2].copy()

@@ -9,7 +9,7 @@ load batches fill (amortizing the per-submission host path over up to
 ``max_wait`` extra latency.
 
 Correctness contract: because replicas execute every batch at one fixed
-padded shape (see :class:`repro.apps.lenet.inference.LeNetInference`), a
+padded shape (see :class:`repro.serving.models.LeNetEngine`), a
 request's result is bitwise independent of its batch-mates — the batcher
 changes *latency*, never *answers*.
 """

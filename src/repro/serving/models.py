@@ -3,18 +3,20 @@
 A *replica* is one device's copy of a model, hosted behind the dynamic
 batcher. Two engines are served:
 
-* :class:`LeNetEngine` — the Fig. 10 CNN, forward pass only, via
-  :class:`repro.apps.lenet.inference.LeNetInference`;
+* :class:`LeNetEngine` — the Fig. 10 CNN, forward pass only: the
+  data-parallel form of :class:`repro.apps.lenet.inference.LeNetForward`,
+  the trainer's forward pass;
 * :class:`SgemmEngine` — a chained small-SGEMM microservice (an
   ``layers``-deep stack of ``X @ B`` ping-pongs through *unmodified*
-  CUBLAS, §4.6).
+  CUBLAS, §4.6), declared by :func:`repro.libs.cublas.sgemm_chain`, the
+  benches' and the job server's SGEMM chain.
 
-Each engine serves a batch as one :meth:`Loop.run
-<repro.core.graph.Loop.run>` transition: the input upload, every
-layer and the gather of the result. The first serve of an engine runs
-eagerly, the second is captured as an iteration graph (DESIGN.md §12),
-and every later serve is one graph launch, not ``layers`` scheduler
-invocations.
+Each engine declares its calls as one :class:`~repro.core.graph.Loop`
+and serves a batch as one :meth:`Loop.run <repro.core.graph.Loop.run>`
+transition: the input upload, every layer and the gather of the result.
+The first serve of an engine runs eagerly, the second is captured as an
+iteration graph (DESIGN.md §12), and every later serve is one graph
+launch, not ``layers`` scheduler invocations.
 
 Both engines run every batch at one **fixed padded shape**. That is the
 load-bearing invariant of the serving layer: identical call shapes mean
@@ -29,11 +31,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.lenet.inference import LeNetInference
+from repro.apps.lenet.inference import LeNetForward
 from repro.apps.lenet.network import LeNetParams
 from repro.core import Datum, Scheduler
 from repro.core.graph import Loop
-from repro.libs.cublas import make_sgemm_routine, sgemm_containers
+from repro.libs.cublas import sgemm_chain
 from repro.serving.trace import Request
 
 
@@ -50,24 +52,43 @@ class LeNetEngine:
     kind = "lenet"
 
     def __init__(self, sched: Scheduler, batch: int, model_seed: int = 0):
+        if batch < 1:
+            raise ValueError("need batch >= 1")
         self.sched = sched
         self.batch = int(batch)
         self.params = LeNetParams.initialize(model_seed)
-        self._engine = LeNetInference(sched, self.params, self.batch)
         self._model_seed = model_seed
+        self.forward = fwd = LeNetForward(self.params, self.batch)
+        # The data form runs every call on the one batch grid.
+        kernels, calls, grids = zip(*fwd.calls)
+        self.loop = Loop.declare(sched, kernels, calls, fwd.outs, grids[0])
 
     def _input_for(self, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
         return rng.standard_normal((1, 28, 28)).astype(np.float32)
 
-    #: The engine's loop (its serve graph and counters).
-    loop = property(lambda self: self._engine.loop)
+    def infer(self, images: np.ndarray) -> np.ndarray:
+        """Run one padded batch; returns the ``(batch, 10)`` logits.
+
+        ``images`` may hold fewer than ``batch`` samples; the remainder is
+        zero-padded (rows beyond ``images.shape[0]`` of the result are the
+        padding's logits)."""
+        k = images.shape[0]
+        if k > self.batch:
+            raise ValueError(
+                f"batch of {k} exceeds the engine's fixed shape {self.batch}"
+            )
+        fwd = self.forward
+        fwd.x0.host[:k] = images
+        fwd.x0.host[k:] = 0.0
+        self.loop.run(0, self.loop.period, marks=(fwd.x0,), gathers=(None,))
+        return fwd.logits.host.copy()
 
     def serve(self, requests: list[Request]) -> list[np.ndarray]:
         """Answer up to ``batch`` requests in one padded invocation;
         returns one ``(10,)`` logits vector per request."""
         images = np.stack([self._input_for(r.seed) for r in requests])
-        logits = self._engine.infer(images)
+        logits = self.infer(images)
         return [logits[i].copy() for i in range(len(requests))]
 
     def warmup(self) -> None:
@@ -128,15 +149,7 @@ class SgemmEngine:
             np.zeros((self.batch, size), np.float32)
         )
         b = Datum((size, size), np.float32, "serve.B").bind(b_host)
-        self.loop = Loop.declare(
-            sched,
-            make_sgemm_routine(),
-            (
-                sgemm_containers(self._x, b, self._y),
-                sgemm_containers(self._y, b, self._x),
-            ),
-            (self._y, self._x),
-        )
+        self.loop = sgemm_chain(sched, self._x, b, self._y)
 
     def _input_for(self, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)

@@ -13,7 +13,9 @@ from repro.apps.lenet import (
     synthetic_mnist,
 )
 from repro.apps.lenet.network import FC1, FLAT, PARAM_NAMES, softmax
+from repro.core import Scheduler
 from repro.hardware import GTX_780
+from repro.serving.models import LeNetEngine
 from repro.sim import SimNode
 
 
@@ -222,6 +224,21 @@ class TestInference:
             trainer.train_batch(x[sl], y[sl])
         acc_after = trainer.evaluate(test_x[:batch], test_y[:batch])
         assert acc_after > acc_before
+
+    @pytest.mark.parametrize("gpus", [1, 2])
+    def test_trainer_and_serving_engine_agree(self, gpus):
+        """The trainer's forward pass and the serving engine run one
+        declaration of it: their logits are bit-identical."""
+        x, _ = synthetic_mnist(16, seed=5)
+        trainer = MapsLeNetTrainer(
+            SimNode(GTX_780, gpus, functional=True),
+            LeNetParams.initialize(0), 16, mode="data",
+        )
+        engine = LeNetEngine(
+            Scheduler(SimNode(GTX_780, gpus, functional=True)), 16,
+            model_seed=0,
+        )
+        assert np.array_equal(trainer.forward_batch(x), engine.infer(x))
 
     def test_forward_requires_functional(self):
         node = SimNode(GTX_780, 1, functional=False)

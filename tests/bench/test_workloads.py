@@ -1,13 +1,16 @@
-"""The shared workload builders and drivers in repro.bench.workloads."""
+"""The shared workload builders (next to their kernels) and the drivers
+in repro.bench.workloads."""
 
 import re
 
 import numpy as np
 import pytest
 
-from repro.bench.workloads import TIMING, drain, gol, histogram, run, steady
+from repro.bench.workloads import TIMING, drain, run, steady
 from repro.core import Matrix, Scheduler, Vector
 from repro.hardware import GTX_780
+from repro.kernels.game_of_life import gol_loop
+from repro.kernels.histogram import histogram_loop
 from repro.sim.node import SimNode
 
 SIZE = 128
@@ -49,9 +52,9 @@ def _declare(name, sched, hosts):
             Matrix(SIZE, SIZE, np.int32, f"board{k}").bind(h)
             for k, h in enumerate(hosts)
         )
-        return gol(sched, a, b)
+        return gol_loop(sched, a, b)
     image = Matrix(SIZE, SIZE, np.uint8, "image").bind(hosts[0])
-    return histogram(sched, image, Vector(256, np.int32, "hist").bind(hosts[1]))
+    return histogram_loop(sched, image, Vector(256, np.int32, "hist").bind(hosts[1]))
 
 
 def _replay(loop, start, n, graph, first):

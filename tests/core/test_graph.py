@@ -17,7 +17,6 @@ import re
 import numpy as np
 import pytest
 
-from repro.bench.workloads import histogram
 from repro.core import Grid, Kernel, Matrix, Scheduler, Vector
 from repro.core.graph import IterationGraph, Loop, snapshot_monitor
 from repro.errors import GraphCaptureError, SchedulingError
@@ -27,6 +26,7 @@ from repro.kernels.game_of_life import (
     gol_reference_step,
     make_gol_kernel,
 )
+from repro.kernels.histogram import histogram_loop
 from repro.libs.cublas import make_sgemm_routine, sgemm_containers
 from repro.patterns import NO_CHECKS, ReductiveStatic, Window1D
 from repro.sim import (
@@ -1111,7 +1111,7 @@ class TestRunSlots:
         sched = Scheduler(node, plan_cache=plan_cache)
         img = Matrix(N, N, np.uint8, "img").bind(np.zeros((N, N), np.uint8))
         h = Vector(256, np.int32, "hist").bind(np.zeros(256, np.int32))
-        loop = histogram(sched, img, h)
+        loop = histogram_loop(sched, img, h)
         rng = np.random.default_rng(4)
         hists = []
         for _ in range(3):

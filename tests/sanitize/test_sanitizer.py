@@ -19,6 +19,7 @@ from repro.kernels import (
 )
 from repro.kernels.game_of_life import (
     gol_containers,
+    make_gol_kernel,
     make_gol_oob_kernel,
 )
 from repro.patterns import (
@@ -306,3 +307,20 @@ class TestNonStrictMode:
             e.segment for e in report.errors
             if isinstance(e, OutOfPatternReadError)
         ) == [0, 1]
+
+
+class TestRepeatedRuns:
+    def test_one_analyzed_task_per_binding(self):
+        """Each run analyzes its task again; the scheduler keeps one
+        recovery entry per binding, in first-analysis order, so 50 runs
+        alternating a GoL step a->b and b->a leave two."""
+        session = SanitizeSession(segments=2)
+        a = from_array(board(), "rep.a")
+        b = from_array(np.zeros_like(a.host), "rep.b")
+        kernel = make_gol_kernel()
+        for i in range(50):
+            src, dst = (a, b) if i % 2 == 0 else (b, a)
+            session.run(kernel, *gol_containers(src, dst))
+        analyzed = session.sched._analyzed
+        assert len(analyzed) == 2
+        assert [t.containers[0].datum for t in analyzed.values()] == [a, b]

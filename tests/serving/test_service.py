@@ -145,7 +145,7 @@ class TestBoundedState:
         node = SimNode(CFG.spec, CFG.num_gpus, functional=True)
         rep = _Replica(node, 0, CFG)
         lenet, sgemm = rep.engines["lenet"], rep.engines["sgemm"]
-        for eng, x in ((lenet, lenet._engine.x0), (sgemm, sgemm._x)):
+        for eng, x in ((lenet, lenet.forward.x0), (sgemm, sgemm._x)):
             for i in range(200):
                 eng.serve(
                     [Request(rid=i, kind=eng.kind, arrival=0.0, seed=i)]
