@@ -126,8 +126,8 @@ class SlowLink(Window):
 
 
 class ClusterFaultPlan(LinkFaultPlan):
-    """A deterministic schedule of cluster faults plus the failure
-    detector's and checkpointer's policy knobs (see module docstring).
+    """A deterministic schedule of cluster faults plus the checkpointer's
+    and membership's options (see module docstring).
 
     Args:
         seed: Seed for the plan's private RNG (used only by
@@ -141,19 +141,6 @@ class ClusterFaultPlan(LinkFaultPlan):
         link_fault_rate: Probability that any sent message is lost
             (drawn from the seeded RNG per send; deterministic because
             send order is).
-        retry_base: First retry backoff in cluster seconds.
-        retry_cap: Upper bound on a single backoff interval.
-        max_retries: Retries per message before the master gives up and
-            hands the endpoint to the failure detector.
-        ack_timeout: How long a sender waits for an ack before counting
-            an attempt as lost.
-        heartbeat_interval: Master -> node heartbeat period in cluster
-            seconds.
-        heartbeat_timeout: Ack deadline of a single heartbeat.
-        miss_threshold: Consecutive heartbeat misses before a node is
-            declared dead. A miss is only counted when the node's uplink
-            is idle (``ClusterNetwork.busy_until``) — a node draining a
-            checkpoint is busy, not dead.
         checkpoint_interval: Coordinated slab checkpoint period in ticks,
             or ``None`` for no coordinated checkpoints at all (not even
             the tick-0 one): nothing is insured, so any node loss is
@@ -164,16 +151,6 @@ class ClusterFaultPlan(LinkFaultPlan):
             auto-sizes to ``(live_nodes - 1) // 2``, which keeps every
             region recoverable under any minority of simultaneous node
             losses.
-        probation_interval: Simulated seconds of clean heartbeats a
-            repaired node must answer before re-admission.
-        rejoin_base: First rejoin backoff in cluster seconds — a node's
-            k-th repair waits ``min(rejoin_base * 2**(k-1), rejoin_cap)``
-            after announcing before its probation window starts
-            (flap damping: repeat offenders wait longer).
-        rejoin_cap: Upper bound on a single rejoin backoff.
-        max_flaps: Crash→repair cycles a node may go through before the
-            master permanently bans it
-            (:class:`~repro.errors.NodeBannedError`).
         reslab_on_rejoin: After re-admitting a node, re-run the slab
             decomposition over the enlarged survivor set (rewind+replay,
             as in recovery) so the rejoined node carries compute again
@@ -184,7 +161,43 @@ class ClusterFaultPlan(LinkFaultPlan):
             :class:`~repro.sim.node.SimNode`; an intra-node plan that
             exhausts a node's GPUs escalates to a cluster-level
             :class:`~repro.errors.NodeFailure` (``cause="agent-error"``).
+
+    The retry, failure-detector and rejoin policy is fixed by the class
+    attributes below; a plan takes faults, not tunables.
     """
+
+    #: First retry backoff in cluster seconds.
+    retry_base = 5e-5
+    #: Upper bound on a single backoff interval.
+    retry_cap = 2e-3
+    #: Retries per message before the master gives up and hands the
+    #: endpoint to the failure detector.
+    max_retries = 6
+    #: How long a sender waits for an ack before counting an attempt as
+    #: lost.
+    ack_timeout = 2e-4
+    #: Master -> node heartbeat period in cluster seconds.
+    heartbeat_interval = 5e-4
+    #: Ack deadline of a single heartbeat.
+    heartbeat_timeout = 2e-4
+    #: Consecutive heartbeat misses before a node is declared dead. A
+    #: miss is only counted when the node's uplink is idle
+    #: (``ClusterNetwork.busy_until``) — a node draining a checkpoint is
+    #: busy, not dead.
+    miss_threshold = 3
+    #: Simulated seconds of clean heartbeats a repaired node must answer
+    #: before re-admission.
+    probation_interval = 2e-3
+    #: First rejoin backoff in cluster seconds — a node's k-th repair
+    #: waits ``min(rejoin_base * 2**(k-1), rejoin_cap)`` after announcing
+    #: before its probation window starts (flap damping: repeat offenders
+    #: wait longer).
+    rejoin_base = 5e-4
+    #: Upper bound on a single rejoin backoff.
+    rejoin_cap = 4e-3
+    #: Crash→repair cycles a node may go through before the master
+    #: permanently bans it (:class:`~repro.errors.NodeBannedError`).
+    max_flaps = 3
 
     def __init__(
         self,
@@ -195,19 +208,8 @@ class ClusterFaultPlan(LinkFaultPlan):
         partitions: list[Partition] | None = None,
         slow_links: list[SlowLink] | None = None,
         link_fault_rate: float = 0.0,
-        retry_base: float = 5e-5,
-        retry_cap: float = 2e-3,
-        max_retries: int = 6,
-        ack_timeout: float = 2e-4,
-        heartbeat_interval: float = 5e-4,
-        heartbeat_timeout: float = 2e-4,
-        miss_threshold: int = 3,
         checkpoint_interval: int | None = 4,
         checkpoint_replicas: int | None = None,
-        probation_interval: float = 2e-3,
-        rejoin_base: float = 5e-4,
-        rejoin_cap: float = 4e-3,
-        max_flaps: int = 3,
         reslab_on_rejoin: bool = False,
         node_plans: dict[int, FaultPlan] | None = None,
     ):
@@ -216,41 +218,15 @@ class ClusterFaultPlan(LinkFaultPlan):
         self.link_faults = list(link_faults or [])
         self.partitions = list(partitions or [])
         self.link_fault_rate = float(link_fault_rate)
-        self.ack_timeout = float(ack_timeout)
-        self.heartbeat_interval = float(heartbeat_interval)
-        self.heartbeat_timeout = float(heartbeat_timeout)
-        self.miss_threshold = int(miss_threshold)
         self.checkpoint_interval = (
             None if checkpoint_interval is None else int(checkpoint_interval)
         )
         self.checkpoint_replicas = checkpoint_replicas
-        self.probation_interval = float(probation_interval)
-        self.rejoin_base = float(rejoin_base)
-        self.rejoin_cap = float(rejoin_cap)
-        self.max_flaps = int(max_flaps)
         self.reslab_on_rejoin = bool(reslab_on_rejoin)
         self.node_plans = dict(node_plans or {})
-        if self.heartbeat_interval <= 0 or self.heartbeat_timeout <= 0:
-            raise ValueError("heartbeat interval/timeout must be positive")
-        if self.miss_threshold < 1:
-            raise ValueError("miss_threshold must be >= 1")
         if self.checkpoint_interval is not None and self.checkpoint_interval < 1:
             raise ValueError("checkpoint_interval must be >= 1 or None")
-        if self.probation_interval <= 0:
-            raise ValueError("probation_interval must be positive")
-        if self.rejoin_base <= 0 or self.rejoin_cap <= 0:
-            raise ValueError("rejoin backoff base/cap must be positive")
-        if self.max_flaps < 1:
-            raise ValueError("max_flaps must be >= 1")
-        super().__init__(
-            seed,
-            self.link_faults,
-            self.link_fault_rate,
-            retry_base,
-            retry_cap,
-            max_retries,
-            ack_timeout=self.ack_timeout,
-        )
+        super().__init__(seed, self.link_faults, self.link_fault_rate)
         for p in self.partitions:
             named = [n for g in p.groups for n in g]
             if len(set(named)) < len(named):

@@ -17,9 +17,9 @@ and a job server's next lease, job or replica on the same node replays the
 plans an earlier one built. Changing any component (a reshaped grid,
 another dtype or pattern parameter, another device set) yields a different
 key, so stale plans are never replayed. The cache pins the kernel so the
-``id()`` in the key cannot be recycled while the plan is cached. Binding a
-plan to datums it was not yet checked against re-runs the analyzed-box
-check (:func:`check_plan`) once per binding per scheduler.
+``id()`` in the key cannot be recycled while the plan is cached. An
+invoke with no valid bound record (:class:`BoundPlan`) re-runs the
+analyzed-box check (:func:`check_plan`) on the plan it looked up.
 
 Every caching scheduler on one ``SimNode`` shares that node's
 :class:`NodeTables`: the plans, the analyzer's requirement rects, the
@@ -300,8 +300,8 @@ def build_plan(task: "Task", devices: "int | tuple[int, ...]", analyzer=None,
 def check_plan(task: "Task", plan: TaskPlan, analyzer) -> None:
     """Validate every rect of ``plan`` against the analyzed allocation
     boxes of ``task``'s datums (``check_within``), so replays can skip
-    re-validation. A plan is geometry only, so this runs once per binding
-    of datums to it."""
+    re-validation. A plan is geometry only, so this runs for every invoke
+    that has no valid bound record (:class:`BoundPlan`)."""
     inputs = task.inputs
     outputs = task.outputs
     for d in plan.active:

@@ -216,7 +216,6 @@ def _retire_device(sched: "Scheduler", device: int, at_time: float) -> None:
     sched._pressure.free_pools()
     sched.monitor.invalidate_for_recovery((device,))
     sched.plans.invalidate_device(device)
-    sched._peer_cache.clear()
     sched.analyzer.drop_device(device)
     if sched._mitigator is not None:
         sched._mitigator.forget(device)

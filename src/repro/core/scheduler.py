@@ -40,7 +40,6 @@ from repro.core.plan import (
     NodeTables,
     PlanCache,
     TaskPlan,
-    binding,
     bounded_put,
     build_plan,
     check_plan,
@@ -146,13 +145,9 @@ class Scheduler:
         #: Host-gather copy decisions (``_copy_ops``), node-shared.
         self._gathers = tables.gathers if plan_cache else None
         self.plans = PlanCache(enabled=plan_cache, plans=tables.plans)
-        #: Bindings (``plan.binding``) whose rects were checked against this
-        #: scheduler's analyzed boxes (``check_plan``).
-        self._bound: set[tuple] = set()
         #: ``plan.prekey`` -> the submission's ``BoundPlan`` (DESIGN.md
         #: §7); empty with the plan cache off.
         self._prebound: dict[tuple, BoundPlan] = {}
-        self._peer_cache: dict[int, list[int]] = {}
         g = node.num_gpus
         #: Devices currently taking work; starts as the ``devices``
         #: restriction (default: all) and shrinks as faults retire devices.
@@ -698,16 +693,12 @@ class Scheduler:
             if not plan.active:
                 raise SchedulingError(f"task {task.name} has an empty grid")
             self.plans.store(plan)
-        # A plan is geometry only, so each new binding of datums to it is
-        # checked against their analyzed boxes (after the implicit
-        # analysis, if on) — a cached plan once per scheduler.
-        bound = binding(task, plan)
-        if bound not in self._bound:
-            if self.auto_analyze:
-                self.analyzer.ensure(task, self._alive, weights=self._weights)
-            check_plan(task, plan, self.analyzer)
-            if plan.memoize:
-                self._bound.add(bound)
+        # A plan is geometry only, so an invoke without a valid bound
+        # record checks it against its datums' analyzed boxes (after the
+        # implicit analysis, if on).
+        if self.auto_analyze:
+            self.analyzer.ensure(task, self._alive, weights=self._weights)
+        check_plan(task, plan, self.analyzer)
         return plan
 
     def _replay(
@@ -882,18 +873,11 @@ class Scheduler:
 
     # -- helpers -------------------------------------------------------------------
     def _peers(self, device: int) -> list[int]:
-        """Preferred copy sources: same-switch *alive* peers first
-        (memoized; the cache is flushed when a fault retires a device)."""
-        peers = self._peer_cache.get(device)
-        if peers is None:
-            topo = self.node.topology
-            peers = [
-                o
-                for o in self._alive
-                if o != device and topo.same_switch(o, device)
-            ]
-            self._peer_cache[device] = peers
-        return peers
+        """Preferred copy sources: same-switch *alive* peers first."""
+        topo = self.node.topology
+        return [
+            o for o in self._alive if o != device and topo.same_switch(o, device)
+        ]
 
     def _enqueue_copy(
         self, datum: Datum, op: CopyOp, stream=None, waits=(), factory=None

@@ -11,7 +11,7 @@ iteration counter *are* the checkpoint". The contract:
   *lease*; after a preemption the next lease's scheduler
   re-uploads from host and continues from ``completed`` iterations. A
   lease re-does only the per-datum work: analyzed boxes and allocations,
-  residency, and one box check per new binding of datums to a plan. The
+  residency, and one box check per distinct submission it makes. The
   plans, requirement rects and monitor transitions are geometry-keyed
   tables on the node (DESIGN.md §7), so every lease, job and replica
   replays those an earlier lease built. Each ``bind`` declares its loop

@@ -96,33 +96,44 @@ class FaultPlan(LinkFaultPlan):
         transfer_fault_rate: Probability that any dispatched transfer
             faults transiently (drawn from the seeded RNG per dispatch;
             deterministic because dispatch order is).
-        retry_base: First retry backoff in simulated seconds.
-        retry_cap: Upper bound on a single backoff interval.
-        max_retries: Retries per logical transfer before the scheduler
-            gives up with :class:`~repro.errors.UnrecoverableError`.
         mitigate_stragglers: Enable straggler mitigation (DESIGN.md §11):
             throughput-feedback rebalancing, the progress watchdog with
             speculative segment re-execution, and hedged transfers. Off
             by default — stragglers then only stretch the timeline, which
             is the baseline the mitigation is measured against.
-        watchdog_patience: Deadline factor of the progress watchdog: a
-            kernel whose projected duration exceeds ``patience`` times its
-            calibrated duration raises
-            :class:`~repro.errors.StragglerAlarm` at dispatch, with the
-            deadline ``start + patience * nominal`` as the earliest time
-            mitigation may act.
-        hedge_patience: Same deadline factor for transfers stuck behind a
-            degraded link (hedged-copy path).
-        max_speculations: Straggler budget — total speculative kernel
-            re-executions plus hedged transfers per run. A transfer alarm
-            with no alternate replica *and* an exhausted budget raises
-            :class:`~repro.errors.StragglerTimeoutError`.
-        rebalance_threshold: Minimum observed slowdown (EWMA) divergence
-            before future submissions are re-segmented proportionally to
-            observed throughput (0.25 = rebalance past 1.25x).
-        ewma_alpha: Weight of the newest observation in the scheduler's
-            per-device throughput EWMA.
+
+    The retry and mitigation policy is fixed by the class attributes
+    below; a plan takes faults, not tunables.
     """
+
+    #: First retry backoff in simulated seconds.
+    retry_base = 1e-5
+    #: Upper bound on a single backoff interval.
+    retry_cap = 1e-3
+    #: Retries per logical transfer before the scheduler gives up with
+    #: :class:`~repro.errors.UnrecoverableError`.
+    max_retries = 8
+    #: Deadline factor of the progress watchdog: a kernel whose projected
+    #: duration exceeds ``patience`` times its calibrated duration raises
+    #: :class:`~repro.errors.StragglerAlarm` at dispatch, with the
+    #: deadline ``start + patience * nominal`` as the earliest time
+    #: mitigation may act.
+    watchdog_patience = 2.0
+    #: Same deadline factor for transfers stuck behind a degraded link
+    #: (hedged-copy path).
+    hedge_patience = 2.0
+    #: Straggler budget — total speculative kernel re-executions plus
+    #: hedged transfers per run. A transfer alarm with no alternate
+    #: replica *and* an exhausted budget raises
+    #: :class:`~repro.errors.StragglerTimeoutError`.
+    max_speculations = 8
+    #: Minimum observed slowdown (EWMA) divergence before future
+    #: submissions are re-segmented proportionally to observed throughput
+    #: (0.25 = rebalance past 1.25x).
+    rebalance_threshold = 0.25
+    #: Weight of the newest observation in the scheduler's per-device
+    #: throughput EWMA.
+    ewma_alpha = 0.8
 
     def __init__(
         self,
@@ -132,15 +143,7 @@ class FaultPlan(LinkFaultPlan):
         alloc_failures: list[AllocFailure] | None = None,
         stragglers: list[Straggler] | None = None,
         transfer_fault_rate: float = 0.0,
-        retry_base: float = 1e-5,
-        retry_cap: float = 1e-3,
-        max_retries: int = 8,
         mitigate_stragglers: bool = False,
-        watchdog_patience: float = 2.0,
-        hedge_patience: float = 2.0,
-        max_speculations: int = 8,
-        rebalance_threshold: float = 0.25,
-        ewma_alpha: float = 0.8,
     ):
         self.device_failures = list(device_failures or [])
         self.transfer_faults = list(transfer_faults or [])
@@ -149,24 +152,7 @@ class FaultPlan(LinkFaultPlan):
         }
         self.transfer_fault_rate = float(transfer_fault_rate)
         self.mitigate_stragglers = bool(mitigate_stragglers)
-        self.watchdog_patience = float(watchdog_patience)
-        self.hedge_patience = float(hedge_patience)
-        self.max_speculations = int(max_speculations)
-        self.rebalance_threshold = float(rebalance_threshold)
-        self.ewma_alpha = float(ewma_alpha)
-        if self.watchdog_patience < 1.0 or self.hedge_patience < 1.0:
-            raise ValueError("straggler patience factors must be >= 1")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        super().__init__(
-            seed,
-            self.transfer_faults,
-            self.transfer_fault_rate,
-            retry_base,
-            retry_cap,
-            max_retries,
-            max_speculations=self.max_speculations,
-        )
+        super().__init__(seed, self.transfer_faults, self.transfer_fault_rate)
         #: device -> the stragglers degrading it.
         self._stragglers: dict[int, list[Straggler]] = {}
         for s in stragglers or []:
@@ -276,12 +262,8 @@ class FaultPlan(LinkFaultPlan):
     def _quiet_time(self) -> float:
         """The plan-relative time from which :meth:`armed` is False: the
         latest heal of a straggler window with a non-unit factor, or
-        infinity while a link fault is pending, a window never heals, or
-        a mitigation watchdog fires at factor 1.0."""
-        if self.link_faults_pending() or (
-            self.mitigate_stragglers
-            and (self.watchdog_patience <= 1.0 or self.hedge_patience <= 1.0)
-        ):
+        infinity while a link fault is pending or a window never heals."""
+        if self.link_faults_pending():
             return math.inf
         quiet = -math.inf
         for wins in self._stragglers.values():
@@ -296,12 +278,11 @@ class FaultPlan(LinkFaultPlan):
         """Whether a dispatch at or after simulated time ``now`` could
         still see an effect of this plan other than a permanent failure
         (those live in the engine's dead map): a fault rate or an
-        unexhausted transfer-fault spec, a straggler factor whose window
-        has not healed, or a mitigation watchdog that fires at factor
-        1.0. Constant time: the quiet time is cached (windows are
-        plan-relative, so :meth:`rebase` only re-reads it). The graph fast
-        path (DESIGN.md §12) replays only when this is False, and the
-        engine skips its dispatch checks."""
+        unexhausted transfer-fault spec, or a straggler factor whose
+        window has not healed. Constant time: the quiet time is cached
+        (windows are plan-relative, so :meth:`rebase` only re-reads it).
+        The graph fast path (DESIGN.md §12) replays only when this is
+        False, and the engine skips its dispatch checks."""
         return now - self.epoch < self._quiet
 
     # -- allocation failures -------------------------------------------------

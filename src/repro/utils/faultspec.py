@@ -4,7 +4,7 @@
 :class:`~repro.cluster.faults.ClusterFaultPlan` (§15) build on these
 pieces instead of each holding its own copy: one link-fault spec, one
 per-link fault counter with its optional seeded rate draw and the retry
-budget (:class:`LinkFaultPlan`), and one half-open onset window.
+backoff (:class:`LinkFaultPlan`), and one half-open onset window.
 """
 
 from __future__ import annotations
@@ -44,40 +44,23 @@ class LinkFault:
 
 class LinkFaultPlan:
     """What the node and cluster fault plans share: a seed and its
-    private RNG, the retry budget, and one link-fault counter.
+    private RNG, the retry policy, and one link-fault counter.
 
     The counter keeps a dispatch count per spec key ``(src, dst)``:
     exact-link and wildcard keys count independently, and each key a
     dispatch matches advances once, however many specs share it. A
-    seeded loss ``rate`` draws once per dispatch. ``budgets`` names
-    further inputs that, like ``retry_base``, ``retry_cap`` and
-    ``max_retries``, must not be negative (a negative backoff schedules a
-    retry before its fault).
+    seeded loss ``rate`` draws once per dispatch. The retry policy is
+    each subclass's class attributes, not an input.
     """
 
-    def __init__(
-        self,
-        seed: int,
-        specs: list[LinkFault],
-        rate: float,
-        retry_base: float,
-        retry_cap: float,
-        max_retries: int,
-        **budgets: float,
-    ):
+    # The retry policy, set by each subclass (see :meth:`backoff`).
+    retry_base: float
+    retry_cap: float
+    max_retries: int
+
+    def __init__(self, seed: int, specs: list[LinkFault], rate: float):
         self.seed = seed
         self.rng = random.Random(seed)
-        self.retry_base = float(retry_base)
-        self.retry_cap = float(retry_cap)
-        self.max_retries = int(max_retries)
-        budgets.update(
-            retry_base=self.retry_base,
-            retry_cap=self.retry_cap,
-            max_retries=self.max_retries,
-        )
-        bad = sorted(name for name, v in budgets.items() if v < 0)
-        if bad:
-            raise ValueError(f"{'/'.join(bad)} must be >= 0")
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"fault rate must be in [0, 1), got {rate}")
         #: key -> half-open ``[nth, nth + count)`` count ranges that fault.

@@ -174,7 +174,8 @@ class TestClusterFaultPlan:
         assert p.crashed(1, 1.0)
 
     def test_backoff_capped_exponential(self):
-        p = ClusterFaultPlan(retry_base=1e-4, retry_cap=4e-4)
+        p = ClusterFaultPlan()
+        p.retry_base, p.retry_cap = 1e-4, 4e-4
         assert p.backoff(1) == 1e-4
         assert p.backoff(2) == 2e-4
         assert p.backoff(3) == 4e-4
@@ -293,10 +294,6 @@ class TestClusterFaultPlan:
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
-            ClusterFaultPlan(heartbeat_interval=0.0)
-        with pytest.raises(ValueError):
-            ClusterFaultPlan(miss_threshold=0)
-        with pytest.raises(ValueError):
             ClusterFaultPlan(checkpoint_interval=0)
         with pytest.raises(ValueError):
             ClusterFaultPlan(link_fault_rate=1.0)
@@ -304,12 +301,7 @@ class TestClusterFaultPlan:
     @pytest.mark.parametrize("kwargs", [
         {"link_faults": [LinkFault(nth=0)]},
         {"link_faults": [LinkFault(count=0)]},
-        {"max_retries": -1},
-        {"retry_base": -1e-5},
-        {"retry_cap": -1e-3},
-        {"ack_timeout": -1e-4},
-    ], ids=["nth0", "count0", "retries-neg", "base-neg", "cap-neg",
-            "ack-neg"])
+    ], ids=["nth0", "count0"])
     def test_rejects_inputs_it_would_mishandle(self, kwargs):
         with pytest.raises(ValueError):
             ClusterFaultPlan(**kwargs)
@@ -332,10 +324,12 @@ class TestClusterFaultPlan:
 
 
 class TestFailureDetector:
-    def mk(self, **kw):
+    def mk(self, **detector):
         rng = np.random.default_rng(0)
         board = (rng.random((32, 16)) < 0.4).astype(np.int32)
-        plan = ClusterFaultPlan(**kw)
+        plan = ClusterFaultPlan()
+        for name, value in detector.items():
+            setattr(plan, name, value)
         master = ClusterMaster(
             GTX_780, 2, 2, board, make_gol_kernel("maps"), faults=plan
         )
@@ -373,11 +367,10 @@ class TestFailureDetector:
         rng = np.random.default_rng(0)
         board = (rng.random((32, 16)) < 0.4).astype(np.int32)
         crash_t = 0.0008
+        # The plan's detector: heartbeat_interval 5e-4, heartbeat_timeout
+        # 2e-4, miss_threshold 3.
         plan = ClusterFaultPlan(
             node_crashes=[NodeCrash(1, crash_t)],
-            heartbeat_interval=5e-4,
-            heartbeat_timeout=2e-4,
-            miss_threshold=3,
             # 2-node ring: the any-minority default degree is 0, so ask
             # for full replication explicitly to survive a 1-node loss.
             checkpoint_replicas=1,

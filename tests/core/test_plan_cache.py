@@ -424,6 +424,33 @@ class TestInCorePath:
         assert counts["buffer"] <= len(sched.alive_devices) * invokes
         assert counts["buffer"] == 4 * 4  # four gathers, four partials each
 
+    def test_steady_loop_invokes_check_no_plan(self, monkeypatch):
+        # The analyzed-box check runs only for an invoke with no valid
+        # bound record: once per call of a GoL ping-pong, then never.
+        import repro.core.scheduler as sched_mod
+        from repro.kernels.game_of_life import gol_loop
+
+        node = SimNode(GTX_780, 4, functional=False)
+        sched = Scheduler(node)
+        loop = gol_loop(sched, Matrix(64, 64, np.uint8, "A"),
+                        Matrix(64, 64, np.uint8, "B"))
+        checks = 0
+        check_plan = sched_mod.check_plan
+
+        def counting(*args):
+            nonlocal checks
+            checks += 1
+            return check_plan(*args)
+
+        monkeypatch.setattr(sched_mod, "check_plan", counting)
+        loop.warm_up(0)
+        assert checks == loop.period == 2
+        checks = 0
+        for i in range(2, 102):
+            loop.step(i)
+        sched.wait_all()
+        assert checks == 0
+
     def test_unarmed_scheduler_has_no_mitigator(self):
         node = SimNode(GTX_780, 4, functional=False)
         sched, invoke = self.gol(node)

@@ -226,10 +226,8 @@ class TestTransientFaults:
     def test_exhausted_retries_raise_unrecoverable(self):
         # Every host->device transfer faults forever and there is no
         # alternate replica of freshly-bound host data.
-        fp = FaultPlan(
-            transfer_faults=[TransferFault(nth=1, count=10**6)],
-            max_retries=3,
-        )
+        fp = FaultPlan(transfer_faults=[TransferFault(nth=1, count=10**6)])
+        fp.max_retries = 3
         node = SimNode(GTX_780, 1, functional=True, faults=fp)
         sched = Scheduler(node)
         n = 16

@@ -238,7 +238,8 @@ class TestSpeculation:
         assert t_on < t_off
 
     def test_budget_caps_speculations(self):
-        fp = slow_compute(mitigate_stragglers=True, max_speculations=0)
+        fp = slow_compute(mitigate_stragglers=True)
+        fp.max_speculations = 0
         out, _, _, _ = run_sgemm(fp)
         assert fp.speculations_fired == 0
         ref, _, _, _ = run_sgemm()
@@ -254,8 +255,8 @@ class TestHedgedTransfers:
         fp = FaultPlan(
             stragglers=[Straggler(device=1, bandwidth_factor=6.0)],
             mitigate_stragglers=True,
-            max_speculations=1000,
         )
+        fp.max_speculations = 1000
         out, t_on, _, _ = run_gol(fp, n=512, iters=4, checkpoint=True)
         assert fp.hedges_fired >= 1
         assert np.array_equal(out, gol_expected(n=512, iters=4))
@@ -273,8 +274,8 @@ class TestHedgedTransfers:
         fp = FaultPlan(
             stragglers=[Straggler(device=1, bandwidth_factor=6.0)],
             mitigate_stragglers=True,
-            max_speculations=0,
         )
+        fp.max_speculations = 0
         with pytest.raises(StragglerTimeoutError):
             run_gol(fp, n=64, functional=False)
 

@@ -143,6 +143,37 @@ def test_plan_misses_bounded_by_distinct_shapes(monkeypatch):
                               j.spec.workload.reference())
 
 
+def test_plans_checked_once_per_lease_and_submission(monkeypatch):
+    """A lease checks a plan against its analyzed boxes only for an
+    invoke with no bound record: once per distinct ``plan.prekey``."""
+    import repro.core.scheduler as sched_mod
+
+    keys: dict[int, set] = {}
+    schedule = Scheduler._schedule
+
+    def recording(self, task, key=None, rec=None):
+        keys.setdefault(id(self), set()).add(key)
+        return schedule(self, task, key, rec)
+
+    checks = 0
+    check_plan = sched_mod.check_plan
+
+    def counting(*args):
+        nonlocal checks
+        checks += 1
+        return check_plan(*args)
+
+    monkeypatch.setattr(Scheduler, "_schedule", recording)
+    monkeypatch.setattr(sched_mod, "check_plan", counting)
+    CountingScheduler.made = []
+    srv, submitted = run(monkeypatch, CountingScheduler,
+                         specs(5, n=120, faults=False))
+    assert all(j.state == DONE for j in submitted)
+    assert len(keys) == len(CountingScheduler.made) > 1
+    assert all(None not in ks for ks in keys.values())
+    assert checks == sum(len(ks) for ks in keys.values())
+
+
 def test_plan_table_stays_at_its_limit(monkeypatch):
     """More distinct shapes than the limit: the oldest plan is evicted,
     the tables stay at the limit, and results stay exact."""

@@ -168,14 +168,14 @@ class TestFaults:
         assert fp.transfer_faults_fired == 1
         assert not fp.armed(0.0)
 
-    def test_watchdog_and_hedge_alarms(self):
+    def test_watchdog_and_hedge_alarms(self, monkeypatch):
+        monkeypatch.setattr(FaultPlan, "max_speculations", 1000)
         rec, fp = twin(lambda: FaultPlan(
             stragglers=[
                 Straggler(device=1, compute_factor=4.0),
                 Straggler(device=2, bandwidth_factor=6.0),
             ],
             mitigate_stragglers=True,
-            max_speculations=1000,
         ), n=256, wait_every=1, gather_every=1, checkpoint=True)
         assert fp.speculations_fired >= 1
         assert fp.hedges_fired >= 1

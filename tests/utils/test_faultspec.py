@@ -1,13 +1,15 @@
 """Unit tests for the fault-spec vocabulary shared by the node and
-cluster fault plans (link-fault counter, retry budget, onset window)."""
+cluster fault plans (link-fault counter, retry backoff, onset window),
+and the retry, detector, rejoin and mitigation values the plans fix."""
 
+import inspect
 from dataclasses import dataclass
 
 import pytest
 
+from repro.cluster import ClusterFaultPlan, Partition, SlowLink
 from repro.cluster import LinkFault as ClusterLinkFault
-from repro.cluster import Partition, SlowLink
-from repro.sim import Straggler, TransferFault
+from repro.sim import FaultPlan, Straggler, TransferFault
 from repro.utils.faultspec import (
     LinkFault,
     LinkFaultPlan,
@@ -17,7 +19,7 @@ from repro.utils.faultspec import (
 
 
 def counter(*specs, rate=0.0, seed=0):
-    return LinkFaultPlan(seed, list(specs), rate, 1e-5, 1e-3, 8)
+    return LinkFaultPlan(seed, list(specs), rate)
 
 
 class TestLinkFault:
@@ -127,11 +129,52 @@ class TestWindow:
 
 
 class TestLinkFaultPlan:
-    def test_retry_budget_names_every_negative_input(self):
-        LinkFaultPlan(0, [], 0.0, 0.0, 0.0, 0, extra=0.0)
-        with pytest.raises(ValueError, match="extra/retry_base must be >= 0"):
-            LinkFaultPlan(0, [], 0.0, -1e-5, 1e-3, 1, extra=-1)
-
     def test_backoff_is_capped_exponential(self):
-        p = LinkFaultPlan(0, [], 0.0, 1e-5, 3e-5, 4)
+        p = counter()
+        p.retry_base, p.retry_cap = 1e-5, 3e-5
         assert [p.backoff(a) for a in (1, 2, 3)] == [1e-5, 2e-5, 3e-5]
+
+
+#: The retry, detector, rejoin and mitigation values each plan fixes.
+#: No bench scenario bans a node, flaps one twice or slows a link while
+#: mitigating, so the byte-identical BENCH files would not catch a
+#: changed value; this table does.
+POLICY = [
+    (FaultPlan, "retry_base", 1e-5),
+    (FaultPlan, "retry_cap", 1e-3),
+    (FaultPlan, "max_retries", 8),
+    (FaultPlan, "watchdog_patience", 2.0),
+    (FaultPlan, "hedge_patience", 2.0),
+    (FaultPlan, "max_speculations", 8),
+    (FaultPlan, "rebalance_threshold", 0.25),
+    (FaultPlan, "ewma_alpha", 0.8),
+    (ClusterFaultPlan, "retry_base", 5e-5),
+    (ClusterFaultPlan, "retry_cap", 2e-3),
+    (ClusterFaultPlan, "max_retries", 6),
+    (ClusterFaultPlan, "ack_timeout", 2e-4),
+    (ClusterFaultPlan, "heartbeat_interval", 5e-4),
+    (ClusterFaultPlan, "heartbeat_timeout", 2e-4),
+    (ClusterFaultPlan, "miss_threshold", 3),
+    (ClusterFaultPlan, "probation_interval", 2e-3),
+    (ClusterFaultPlan, "rejoin_base", 5e-4),
+    (ClusterFaultPlan, "rejoin_cap", 4e-3),
+    (ClusterFaultPlan, "max_flaps", 3),
+]
+
+
+class TestPolicyValues:
+    @pytest.mark.parametrize(
+        "cls, name, value", POLICY,
+        ids=[f"{cls.__name__}.{name}" for cls, name, _ in POLICY],
+    )
+    def test_value_is_a_class_attribute(self, cls, name, value):
+        attr = getattr(cls(), name)
+        assert attr == value and type(attr) is type(value)
+        assert name not in inspect.signature(cls).parameters
+
+    def test_plans_take_faults_not_tunables(self):
+        assert list(inspect.signature(LinkFaultPlan).parameters) == [
+            "seed", "specs", "rate",
+        ]
+        assert len(inspect.signature(FaultPlan).parameters) == 7
+        assert len(inspect.signature(ClusterFaultPlan).parameters) == 11
