@@ -26,9 +26,9 @@ from repro.apps.lenet import LeNetParams, reference_forward
 from repro.bench.serving import calibrate_capacity
 from repro.serving import (
     ServingConfig,
+    ServingNode,
     bursty_trace,
     poisson_trace,
-    serve_trace,
 )
 from repro.utils.units import fmt_time
 
@@ -57,19 +57,19 @@ def main():
           f"({cfg.num_gpus} replicas x batch {cfg.max_batch})")
 
     print(f"\nopen-loop load sweep ({N} requests per trace):")
-    half = serve_trace(poisson_trace(N, rate=0.5 * cap, seed=SEED), cfg)
+    half = ServingNode(cfg).run(poisson_trace(N, rate=0.5 * cap, seed=SEED))
     show("poisson 0.5x", half)
-    over = serve_trace(poisson_trace(N, rate=2.0 * cap, seed=SEED), cfg)
+    over = ServingNode(cfg).run(poisson_trace(N, rate=2.0 * cap, seed=SEED))
     show("poisson 2x", over)
-    burst = serve_trace(bursty_trace(N, rate=0.5 * cap, seed=SEED), cfg)
+    burst = ServingNode(cfg).run(bursty_trace(N, rate=0.5 * cap, seed=SEED))
     show("bursty 0.5x", burst)
     assert pctl(over, 99) > pctl(half, 99), "overload should stretch p99"
     assert over.peak_replicas >= half.peak_replicas
 
     # Batched == sequential, bit for bit.
     trace = poisson_trace(80, rate=0.5 * cap, seed=SEED)
-    batched = serve_trace(trace, cfg)
-    solo = serve_trace(trace, dataclasses.replace(cfg, batch_limit=1))
+    batched = ServingNode(cfg).run(trace)
+    solo = ServingNode(dataclasses.replace(cfg, batch_limit=1)).run(trace)
     assert batched.mean_batch > 1.0
     for r in trace.requests:
         np.testing.assert_array_equal(
@@ -79,7 +79,7 @@ def main():
           f"(mean batch {batched.mean_batch:.2f} vs 1.00)")
 
     # Replay determinism, latencies included.
-    again = serve_trace(trace, cfg)
+    again = ServingNode(cfg).run(trace)
     assert again.results_hash() == batched.results_hash()
     assert np.array_equal(again.latencies, batched.latencies)
     print("replayed trace: results and latencies bit-identical")

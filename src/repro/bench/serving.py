@@ -5,9 +5,9 @@ Method:
 
 1. **Calibrate** — warm one replica and measure the full-batch service
    time of each model; node capacity is then
-   ``max_replicas * max_batch / service_time`` requests/second (the
-   throughput ceiling with every replica running full batches
-   back-to-back).
+   ``num_gpus * max_batch / service_time`` requests/second (the
+   throughput ceiling with one replica per device, each running full
+   batches back-to-back).
 2. **Load sweep** — replay seeded Poisson traces at 0.5x / 1x / 2x / 4x
    of that capacity and report p50/p95/p99 latency, goodput (within-SLO
    completions per second), SLO attainment, mean batch size, and the
@@ -71,13 +71,12 @@ def calibrate_capacity(cfg: ServingConfig) -> dict:
         t0 = node.time
         rep.engines[kind].serve(reqs)
         times[kind] = node.time - t0
-    maxr = cfg.max_replicas if cfg.max_replicas is not None else cfg.num_gpus
     mean_service = sum(times.values()) / len(times)
-    capacity = maxr * cfg.max_batch / mean_service
+    capacity = cfg.num_gpus * cfg.max_batch / mean_service
     return {
         "service_times": times,
         "mean_service": mean_service,
-        "max_replicas": maxr,
+        "max_replicas": cfg.num_gpus,
         "capacity_rps": capacity,
     }
 

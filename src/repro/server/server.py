@@ -10,7 +10,9 @@ clamp, per-tenant fault domain), and runs checkpoint-sized chunks until
 the job finishes, its time slice expires (cooperative preemption at a
 checkpoint boundary, recorded as a :class:`~repro.errors.PreemptedError`),
 its deadline or simulated-time quota trips, or an unrecoverable fault
-tears the lease down (capped-exponential backoff requeue).
+tears the lease down (capped-exponential backoff requeue). The server
+takes the node, the time slice and the tenant quotas; the default quota,
+the aging rate and the requeue backoff are class attributes.
 
 Scheduling is **serial**: at most one job runs at a time, which keeps
 fault attribution exact and makes every schedule a deterministic function
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Optional
 
 from repro.core import Scheduler
@@ -85,16 +88,22 @@ class JobServer:
             boundary. ``None`` disables preemption.
         quotas: tenant name -> :class:`TenantQuota`. Unknown tenants get
             ``default_quota``.
-        default_quota: Allowance for tenants not in ``quotas``.
-        aging_rate: Fair-share priority aging (DESIGN.md §13): a waiting
-            job's effective usage is discounted by ``aging_rate`` *
-            wait-seconds, so even a heavy tenant's job eventually runs
-            (no starvation).
-        requeue_base: First fault-requeue backoff in simulated seconds
-            (doubles per requeue).
-        requeue_cap: Upper bound on a single backoff interval.
-        max_requeues: Fault requeues before the job fails for good.
     """
+
+    #: Allowance for tenants not in ``quotas``.
+    default_quota = TenantQuota()
+    #: Fair-share priority aging (DESIGN.md §13): a waiting job's
+    #: effective usage is discounted by ``aging_rate`` * wait-seconds, so
+    #: even a heavy tenant's job eventually runs (no starvation). The
+    #: ready groups' order needs it >= 0 (see ``_promote``).
+    aging_rate = 0.1
+    #: First fault-requeue backoff in simulated seconds (doubles per
+    #: requeue).
+    requeue_base = 1e-4
+    #: Upper bound on a single backoff interval.
+    requeue_cap = 1e-2
+    #: Fault requeues before the job fails for good.
+    max_requeues = 4
 
     def __init__(
         self,
@@ -103,22 +112,10 @@ class JobServer:
         functional: bool = True,
         time_slice: Optional[float] = None,
         quotas: Optional[dict[str, TenantQuota]] = None,
-        default_quota: TenantQuota = TenantQuota(),
-        aging_rate: float = 0.1,
-        requeue_base: float = 1e-4,
-        requeue_cap: float = 1e-2,
-        max_requeues: int = 4,
     ):
-        if not float(aging_rate) >= 0.0:
-            raise ValueError(f"aging_rate must be >= 0, got {aging_rate!r}")
         self.node = SimNode(spec, num_gpus, functional=functional)
         self.time_slice = time_slice
         self.quotas = dict(quotas or {})
-        self.default_quota = default_quota
-        self.aging_rate = float(aging_rate)
-        self.requeue_base = float(requeue_base)
-        self.requeue_cap = float(requeue_cap)
-        self.max_requeues = int(max_requeues)
         self.jobs: dict[str, Job] = {}
         self._order: dict[str, int] = {}  # submission sequence (tie-break)
         self._ids = itertools.count(1)
@@ -379,13 +376,14 @@ class JobServer:
         if to > self.node.host_time:
             self.node.host_advance(to - self.node.host_time)
 
-    def step(self) -> Optional[Job]:
+    def _step(self, horizon: float) -> Optional[Job]:
         """One scheduling decision: run the best eligible job for one
         lease (to completion, preemption, or failure). Returns the job, or
-        None when nothing is eligible (idle-advances the clock to the next
-        arrival/backoff expiry if one exists). The idle advance is an
-        iterative loop: recursing once per future arrival overflows the
-        interpreter stack on serving-scale traces."""
+        None when nothing is eligible by ``horizon`` (idle-advancing the
+        clock to each arrival/backoff expiry up to it on the way). The
+        idle advance is an iterative loop: recursing once per future
+        arrival overflows the interpreter stack on serving-scale
+        traces."""
         while True:
             self._expire_dead_jobs()
             job = self._pick()
@@ -393,9 +391,15 @@ class JobServer:
                 self._run_lease(job)
                 return job
             nxt = self._next_eligibility()
-            if nxt is None or nxt <= self.node.time:
+            if nxt is None or nxt <= self.node.time or nxt > horizon:
                 return None
             self._idle_advance(nxt)
+
+    def step(self) -> Optional[Job]:
+        """One lease of the best eligible job, idle-advancing as far as
+        the next arrival or backoff expiry needs; None when the queue is
+        drained."""
+        return self._step(math.inf)
 
     def run(self) -> None:
         """Drain the queue: step until no job is pending or preempted."""
@@ -413,19 +417,8 @@ class JobServer:
         ahead of the part of the trace it has seen. Returns the jobs run,
         in execution order."""
         ran: list[Job] = []
-        while True:
-            self._expire_dead_jobs()
-            job = self._pick()
-            if job is not None:
-                self._run_lease(job)
-                ran.append(job)
-                continue
-            nxt = self._next_eligibility()
-            if nxt is None or nxt > horizon:
-                break
-            if nxt <= self.node.time:
-                break
-            self._idle_advance(nxt)
+        while (job := self._step(horizon)) is not None:
+            ran.append(job)
         if horizon > self.node.time:
             self._idle_advance(horizon)
             self._expire_dead_jobs()

@@ -9,7 +9,6 @@ from repro.serving.service import (
     ServingConfig,
     ServingNode,
     ServingReport,
-    serve_trace,
 )
 from repro.serving.trace import (
     DEFAULT_MIX,
@@ -35,5 +34,4 @@ __all__ = [
     "SgemmEngine",
     "bursty_trace",
     "poisson_trace",
-    "serve_trace",
 ]

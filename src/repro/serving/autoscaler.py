@@ -1,12 +1,14 @@
 """Replica autoscaling with hysteresis (DESIGN.md §14).
 
 Watches queue backlog per replica and decides when to add or remove a
-per-device model replica. The two thresholds are deliberately far apart
-(hysteresis): scaling up is triggered by sustained backlog, scaling down
-only by near-idleness after a cooldown, so a load level that sits between
-them holds the replica count steady instead of flapping — every scale-up
-costs a provisioning warm-up (weight distribution to the new device) that
-a flapping policy would pay over and over.
+per-device model replica. The only input is the replica ceiling; the
+floor, the two backlog thresholds and the cooldown are class attributes.
+The two thresholds are deliberately far apart (hysteresis): scaling up
+is triggered by sustained backlog, scaling down only by near-idleness
+after a cooldown, so a load level that sits between them holds the
+replica count steady instead of flapping — every scale-up costs a
+provisioning warm-up (weight distribution to the new device) that a
+flapping policy would pay over and over.
 """
 
 from __future__ import annotations
@@ -28,41 +30,21 @@ class ReplicaAutoscaler:
     """Queue-depth-driven replica count controller.
 
     Args:
-        min_replicas: Floor (the service never cold-starts from zero).
-        max_replicas: Ceiling (the node's device count, typically).
-        up_backlog: Scale up when queued requests per replica exceed
-            this.
-        down_backlog: Scale down when queued requests per replica fall
-            below this. Must be strictly below ``up_backlog`` — the gap
-            is the hysteresis band.
-        cooldown: Minimum simulated seconds between scaling actions.
+        max_replicas: Ceiling (the node's device count).
     """
 
-    def __init__(
-        self,
-        min_replicas: int = 1,
-        max_replicas: int = 4,
-        up_backlog: float = 8.0,
-        down_backlog: float = 1.0,
-        cooldown: float = 2e-3,
-    ):
-        if min_replicas < 1 or max_replicas < min_replicas:
-            raise ValueError(
-                f"need 1 <= min_replicas <= max_replicas; got "
-                f"{min_replicas}..{max_replicas}"
-            )
-        if down_backlog >= up_backlog:
-            raise ValueError(
-                "down_backlog must be strictly below up_backlog "
-                "(the gap is the hysteresis band)"
-            )
-        if cooldown < 0.0:
-            raise ValueError("cooldown must be >= 0")
-        self.min_replicas = int(min_replicas)
+    #: Floor (the service never cold-starts from zero).
+    min_replicas = 1
+    #: Scale up when queued requests per replica exceed this.
+    up_backlog = 8.0
+    #: Scale down when queued requests per replica fall below this;
+    #: strictly below ``up_backlog`` — the gap is the hysteresis band.
+    down_backlog = 1.0
+    #: Minimum simulated seconds between scaling actions.
+    cooldown = 2e-3
+
+    def __init__(self, max_replicas: int):
         self.max_replicas = int(max_replicas)
-        self.up_backlog = float(up_backlog)
-        self.down_backlog = float(down_backlog)
-        self.cooldown = float(cooldown)
         self.events: list[ScalingEvent] = []
         self._last_action: float | None = None
 

@@ -1,12 +1,12 @@
 """Dynamic request batching (DESIGN.md §14).
 
 Queued requests of the same kind are coalesced into one padded
-fixed-shape submission. The policy is the standard two-knob dynamic
-batcher: a batch closes when it reaches ``max_batch`` requests, or when
-its oldest member has waited ``max_wait`` simulated seconds — so under
-load batches fill (amortizing the per-submission host path over up to
-``max_batch`` requests), while a lone late-night request pays at most
-``max_wait`` extra latency.
+fixed-shape submission. The policy is the standard dynamic batcher: a
+batch closes when it reaches ``max_batch`` requests (an input), or when
+its oldest member has waited ``max_wait`` simulated seconds (a class
+attribute) — so under load batches fill (amortizing the per-submission
+host path over up to ``max_batch`` requests), while a lone late-night
+request pays at most ``max_wait`` extra latency.
 
 Correctness contract: because replicas execute every batch at one fixed
 padded shape (see :class:`repro.serving.models.LeNetEngine`), a
@@ -41,8 +41,6 @@ class DynamicBatcher:
     Args:
         max_batch: Most requests per batch (the replicas' fixed engine
             shape is at least this).
-        max_wait: Longest a queued request may wait for batch-mates
-            before its batch is closed partially filled.
         slo: Optional latency SLO in simulated seconds. When set, a
             queued request whose deadline (``arrival + slo``) has already
             passed is **shed** at batch-close time instead of being
@@ -54,20 +52,16 @@ class DynamicBatcher:
             Default None preserves the shed-nothing behavior.
     """
 
-    def __init__(
-        self,
-        max_batch: int = 8,
-        max_wait: float = 5e-4,
-        slo: float | None = None,
-    ):
+    #: Longest a queued request may wait for batch-mates before its
+    #: batch is closed partially filled.
+    max_wait = 5e-4
+
+    def __init__(self, max_batch: int = 8, slo: float | None = None):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if max_wait < 0.0:
-            raise ValueError("max_wait must be >= 0")
         if slo is not None and slo <= 0.0:
             raise ValueError("slo must be positive")
         self.max_batch = int(max_batch)
-        self.max_wait = float(max_wait)
         self.slo = None if slo is None else float(slo)
         self._queues: dict[str, deque[Request]] = {}
         #: Diagnostics: requests enqueued / batches closed / total batched
@@ -96,9 +90,11 @@ class DynamicBatcher:
                 out.append(kind)
         return out
 
-    def _shed_expired(self, now: float) -> None:
+    def shed_expired(self, now: float) -> None:
         """Drop queued requests already past their SLO deadline. Queues
-        are FIFO by arrival, so expired requests sit at the head."""
+        are FIFO by arrival, so expired requests sit at the head. The
+        serving loop calls this before it reads :meth:`depth`, so the
+        autoscaler never counts a request that is about to be shed."""
         if self.slo is None:
             return
         for q in self._queues.values():
@@ -112,7 +108,7 @@ class DynamicBatcher:
         arrived first wins (kind name breaks exact ties, so the order is
         a pure function of the queue state). With an SLO configured,
         dead-on-arrival requests are shed before the batch forms."""
-        self._shed_expired(now)
+        self.shed_expired(now)
         ready = self._closable(now)
         if not ready:
             return None

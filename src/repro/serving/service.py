@@ -25,7 +25,7 @@ device — exactly the concurrency one-replica-per-GPU would have.
 
 Everything is a pure function of the trace and the config: run the same
 trace twice and arrivals, batch compositions, scaling decisions,
-latencies, and result bytes are identical. Composition knobs reuse
+latencies, and result bytes are identical. Two config fields compose
 earlier subsystems: ``capacity_frac`` shrinks device memory (the §10
 pressure path), ``faults`` installs a :class:`~repro.sim.faults.
 FaultPlan` (the §11 straggler path).
@@ -60,26 +60,24 @@ CLEAR_EVERY = 64
 
 @dataclass(frozen=True)
 class ServingConfig:
-    """Knobs of one serving run.
+    """What one serving run varies: the node, the batch limit, SLO
+    shedding and the pressure and straggler compositions.
 
     ``max_batch`` is the replicas' fixed padded engine shape;
     ``batch_limit`` (default: ``max_batch``) caps how many requests the
     batcher may coalesce — setting it to 1 serves every request alone at
     the *same* engine shape, which is the sequential baseline the
-    bit-identity tests compare against.
+    bit-identity tests compare against. The replica ceiling is
+    ``num_gpus`` (one replica per device); the batcher's wait and the
+    autoscaler's thresholds are class attributes of
+    :class:`~repro.serving.batcher.DynamicBatcher` and
+    :class:`~repro.serving.autoscaler.ReplicaAutoscaler`.
     """
 
     spec: GPUSpec = GTX_780
     num_gpus: int = 4
     functional: bool = True
-    max_batch: int = 8
     batch_limit: int | None = None
-    max_wait: float = 5e-4
-    min_replicas: int = 1
-    max_replicas: int | None = None  # default: num_gpus
-    up_backlog: float = 8.0
-    down_backlog: float = 1.0
-    cooldown: float = 2e-3
     #: Latency SLO in simulated seconds: a request completing within
     #: ``slo`` of its arrival counts toward goodput.
     slo: float = 1e-2
@@ -87,12 +85,15 @@ class ServingConfig:
     #: batching them (see :class:`~repro.serving.batcher.DynamicBatcher`).
     #: Opt-in: the default preserves serve-everything behavior.
     shed_expired: bool = False
-    sgemm_size: int = 96
     #: Memory-pressure composition: device memory is scaled by this.
     capacity_frac: float = 1.0
     #: Straggler composition: installed on the node when not None.
     faults: FaultPlan | None = None
-    #: The module constants, readable through a config (not fields).
+    #: Constants, readable through a config (not fields): the replicas'
+    #: engine batch shape, the SGEMM model's matrix size, and the module
+    #: constants.
+    max_batch: ClassVar[int] = 8
+    sgemm_size: ClassVar[int] = 96
     sgemm_layers: ClassVar[int] = SGEMM_LAYERS
     model_seed: ClassVar[int] = MODEL_SEED
     clear_every: ClassVar[int] = CLEAR_EVERY
@@ -254,21 +255,7 @@ class ServingNode:
                 f"batch_limit must be in [1, max_batch]; got {limit}"
             )
         self._limit = limit
-        maxr = cfg.max_replicas if cfg.max_replicas is not None else (
-            cfg.num_gpus
-        )
-        if maxr > cfg.num_gpus:
-            raise ValueError(
-                f"max_replicas {maxr} exceeds the node's {cfg.num_gpus} "
-                "devices (one replica per device)"
-            )
-        self.autoscaler = ReplicaAutoscaler(
-            min_replicas=cfg.min_replicas,
-            max_replicas=maxr,
-            up_backlog=cfg.up_backlog,
-            down_backlog=cfg.down_backlog,
-            cooldown=cfg.cooldown,
-        )
+        self.autoscaler = ReplicaAutoscaler(max_replicas=cfg.num_gpus)
 
     # -- replica lifecycle ----------------------------------------------------
     def _provision(self, st: _State, now: float) -> None:
@@ -297,9 +284,7 @@ class ServingNode:
         """Replay ``trace`` to completion; returns the full report."""
         cfg = self.cfg
         batcher = DynamicBatcher(
-            max_batch=self._limit,
-            max_wait=cfg.max_wait,
-            slo=cfg.slo if cfg.shed_expired else None,
+            self._limit, slo=cfg.slo if cfg.shed_expired else None
         )
         st = _State()
         served: list[ServedRequest] = []
@@ -307,7 +292,7 @@ class ServingNode:
         arrivals: tuple[Request, ...] = trace.requests
         n, ai = len(arrivals), 0
         now = 0.0
-        for _ in range(cfg.min_replicas):
+        for _ in range(self.autoscaler.min_replicas):
             self._provision(st, now)
         while len(served) + batcher.shed < n:
             while ai < n and arrivals[ai].arrival <= now:
@@ -318,6 +303,10 @@ class ServingNode:
                 for r in st.replicas.values()
                 if r.ready_at <= now and r.busy_until <= now
             ]
+            if cfg.shed_expired:
+                # Shed before the depth is read: a request past its
+                # deadline must not count toward a scale-up.
+                batcher.shed_expired(now)
             delta = self.autoscaler.decide(
                 now, batcher.depth(), len(st.replicas), len(idle)
             )
@@ -397,10 +386,3 @@ class ServingNode:
             graph_launches=launches,
             shed=list(batcher.shed_requests),
         )
-
-
-def serve_trace(
-    trace: ArrivalTrace, cfg: ServingConfig = ServingConfig()
-) -> ServingReport:
-    """Convenience one-shot: build a :class:`ServingNode` and run."""
-    return ServingNode(cfg).run(trace)

@@ -137,7 +137,7 @@ class TestFaultRequeue:
         doomed = FaultPlan(
             device_failures=[DeviceFailure(0, 1e-6), DeviceFailure(1, 1e-6)]
         )
-        srv = JobServer(num_gpus=4, requeue_base=1e-4)
+        srv = JobServer(num_gpus=4)
         job = srv.submit(
             JobSpec(gol(), tenant="unlucky", gpus=2, faults=doomed)
         )
@@ -154,7 +154,8 @@ class TestFaultRequeue:
         doomed = FaultPlan(
             device_failures=[DeviceFailure(0, 1e-6), DeviceFailure(1, 1e-6)]
         )
-        srv = JobServer(num_gpus=4, max_requeues=0)
+        srv = JobServer(num_gpus=4)
+        srv.max_requeues = 0
         job = srv.submit(
             JobSpec(gol(iters=4), tenant="cursed", gpus=2, faults=doomed)
         )
@@ -170,7 +171,7 @@ class TestFaultRequeue:
         doomed = FaultPlan(
             device_failures=[DeviceFailure(0, 1e-6), DeviceFailure(1, 1e-6)]
         )
-        srv = JobServer(num_gpus=4, requeue_base=1e-4)
+        srv = JobServer(num_gpus=4)
         unlucky = srv.submit(
             JobSpec(gol(), tenant="unlucky", gpus=2, faults=doomed)
         )

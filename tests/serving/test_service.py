@@ -10,11 +10,11 @@ from repro.core.graph import IterationGraph
 from repro.core.location_monitor import _READ_FLOOR
 from repro.hardware import HOST
 from repro.serving import (
+    ReplicaAutoscaler,
     ServingConfig,
     ServingNode,
     bursty_trace,
     poisson_trace,
-    serve_trace,
 )
 from repro.serving.service import _Replica
 from repro.serving.trace import Request
@@ -30,8 +30,8 @@ class TestBitIdentity:
         # answers. Sequential = batch_limit 1 at the same fixed engine
         # shape.
         tr = poisson_trace(60, rate=3000.0, seed=3)
-        batched = serve_trace(tr, CFG)
-        seq = serve_trace(tr, dataclasses.replace(CFG, batch_limit=1))
+        batched = ServingNode(CFG).run(tr)
+        seq = ServingNode(dataclasses.replace(CFG, batch_limit=1)).run(tr)
         assert batched.mean_batch > 1.0  # coalescing actually happened
         assert seq.mean_batch == 1.0
         for r in tr.requests:
@@ -42,7 +42,7 @@ class TestBitIdentity:
 
     def test_every_request_is_answered_once(self):
         tr = poisson_trace(80, rate=5000.0, seed=4)
-        rep = serve_trace(tr, CFG)
+        rep = ServingNode(CFG).run(tr)
         assert sorted(rep.results) == [r.rid for r in tr.requests]
         assert len(rep.served) == len(tr)
         assert all(s.latency > 0.0 for s in rep.served)
@@ -51,7 +51,7 @@ class TestBitIdentity:
 class TestDeterminism:
     def test_run_twice_is_bit_identical(self):
         tr = poisson_trace(100, rate=8000.0, seed=9)
-        a, b = serve_trace(tr, CFG), serve_trace(tr, CFG)
+        a, b = ServingNode(CFG).run(tr), ServingNode(CFG).run(tr)
         assert a.results_hash() == b.results_hash()
         np.testing.assert_array_equal(a.latencies, b.latencies)
         assert [
@@ -68,25 +68,24 @@ class TestDeterminism:
 class TestAutoscaling:
     def test_overload_grows_the_replica_set(self):
         tr = poisson_trace(300, rate=40000.0, seed=11)
-        rep = serve_trace(tr, CFG)
+        rep = ServingNode(CFG).run(tr)
         assert rep.peak_replicas > 1
         assert any(e.action == "up" for e in rep.scaling_events)
 
     def test_light_load_stays_at_the_floor(self):
         tr = poisson_trace(40, rate=200.0, seed=2)
-        rep = serve_trace(tr, CFG)
-        assert rep.peak_replicas == CFG.min_replicas
+        rep = ServingNode(CFG).run(tr)
+        assert rep.peak_replicas == ReplicaAutoscaler.min_replicas
         assert rep.scaling_events == []
 
     def test_scaling_does_not_change_results(self):
         tr = poisson_trace(150, rate=30000.0, seed=6)
-        scaled = serve_trace(tr, CFG)
-        pinned = serve_trace(
-            tr,
-            dataclasses.replace(
-                CFG, min_replicas=4, up_backlog=1e9, cooldown=1e9
-            ),
-        )
+        scaled = ServingNode(CFG).run(tr)
+        sn = ServingNode(CFG)
+        sn.autoscaler.min_replicas = 4
+        sn.autoscaler.up_backlog = 1e9
+        sn.autoscaler.cooldown = 1e9
+        pinned = sn.run(tr)
         assert scaled.results_hash() == pinned.results_hash()
 
 
@@ -97,7 +96,7 @@ class TestOpenLoopScale:
         # (trace/handle logs cleared periodically) and every request
         # answered.
         tr = poisson_trace(5000, rate=20000.0, seed=1)
-        rep = serve_trace(tr, CFG)
+        rep = ServingNode(CFG).run(tr)
         assert rep.n_requests == 5000
         assert sorted(rep.results) == list(range(5000))
         assert rep.makespan >= tr.duration
@@ -105,8 +104,8 @@ class TestOpenLoopScale:
 
     def test_bursty_tail_is_heavier_at_equal_load(self):
         rate = 20000.0
-        p = serve_trace(poisson_trace(400, rate=rate, seed=5), CFG)
-        b = serve_trace(bursty_trace(400, rate=rate, seed=5), CFG)
+        p = ServingNode(CFG).run(poisson_trace(400, rate=rate, seed=5))
+        b = ServingNode(CFG).run(bursty_trace(400, rate=rate, seed=5))
         p99 = lambda r: float(np.percentile(r.latencies, 99))  # noqa: E731
         assert p99(b) > p99(p)
 
@@ -114,19 +113,19 @@ class TestOpenLoopScale:
 class TestComposition:
     def test_memory_pressure_moves_latency_not_bits(self):
         tr = poisson_trace(60, rate=5000.0, seed=8)
-        plain = serve_trace(tr, CFG)
-        squeezed = serve_trace(
-            tr, dataclasses.replace(CFG, capacity_frac=0.4)
-        )
+        plain = ServingNode(CFG).run(tr)
+        squeezed = ServingNode(
+            dataclasses.replace(CFG, capacity_frac=0.4)
+        ).run(tr)
         assert squeezed.results_hash() == plain.results_hash()
 
     def test_straggler_moves_latency_not_bits(self):
         tr = poisson_trace(120, rate=30000.0, seed=8)
-        plain = serve_trace(tr, CFG)
+        plain = ServingNode(CFG).run(tr)
         fp = FaultPlan(
             stragglers=(Straggler(device=1, compute_factor=4.0),)
         )
-        slow = serve_trace(tr, dataclasses.replace(CFG, faults=fp))
+        slow = ServingNode(dataclasses.replace(CFG, faults=fp)).run(tr)
         assert slow.results_hash() == plain.results_hash()
         assert slow.makespan > plain.makespan  # the slowdown is real
 
@@ -135,7 +134,8 @@ class TestBoundedState:
     def test_replicas_hold_streams_on_their_devices_only(self):
         """Four one-GPU replicas hold three device streams and a host
         stream each."""
-        sn = ServingNode(dataclasses.replace(CFG, min_replicas=4))
+        sn = ServingNode(CFG)
+        sn.autoscaler.min_replicas = 4
         sn.run(poisson_trace(50, rate=40000.0, seed=1))
         assert len(sn.node.streams) == 16
 
@@ -199,10 +199,6 @@ class TestConfigValidation:
             ServingNode(
                 dataclasses.replace(CFG, batch_limit=CFG.max_batch + 1)
             )
-
-    def test_rejects_more_replicas_than_devices(self):
-        with pytest.raises(ValueError):
-            ServingNode(dataclasses.replace(CFG, max_replicas=99))
 
     def test_rejects_bad_capacity_frac(self):
         with pytest.raises(ValueError):
