@@ -18,6 +18,7 @@ from repro.apps.lenet import (
     synthetic_mnist,
 )
 from repro.baselines import CaffeLikeLeNet, TorchLikeLeNet
+from repro.core import Scheduler
 from repro.hardware import GTX_780
 from repro.sim import SimNode
 
@@ -26,9 +27,9 @@ def training_demo() -> None:
     batch, steps = 64, 12
     images, labels = synthetic_mnist(batch * steps, seed=0)
 
-    node = SimNode(GTX_780, 4, functional=True)
+    sched = Scheduler(SimNode(GTX_780, 4, functional=True))
     trainer = MapsLeNetTrainer(
-        node, LeNetParams.initialize(0), batch, mode="data", lr=0.1
+        sched, LeNetParams.initialize(0), batch, mode="data", lr=0.1
     )
     print(f"training LeNet, batch {batch}, 4 GPUs (data parallel):")
     first = last = None
@@ -55,9 +56,9 @@ def equivalence_demo() -> None:
     images, labels = synthetic_mnist(batch, seed=5)
     results = {}
     for mode in ("data", "hybrid"):
-        node = SimNode(GTX_780, 4, functional=True)
+        sched = Scheduler(SimNode(GTX_780, 4, functional=True))
         params = LeNetParams.initialize(0)
-        trainer = MapsLeNetTrainer(node, params, batch, mode=mode, lr=0.05)
+        trainer = MapsLeNetTrainer(sched, params, batch, mode=mode, lr=0.05)
         trainer.train_batch(images, labels)
         trainer.gather_params()
         results[mode] = params
@@ -81,10 +82,10 @@ def throughput_demo() -> None:
         maps = []
         torch = []
         for g in (1, 2, 3, 4):
-            node = SimNode(GTX_780, g, functional=False)
+            sched = Scheduler(SimNode(GTX_780, g, functional=False))
             maps.append(
                 MapsLeNetTrainer(
-                    node, LeNetParams.initialize(0), batch, mode=mode
+                    sched, LeNetParams.initialize(0), batch, mode=mode
                 ).throughput()
             )
             torch.append(TorchLikeLeNet(GTX_780, g, batch, mode).throughput())

@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.apps.nmf import MapsNMF, frobenius_error, nmf_init
 from repro.baselines import NmfMgpu
+from repro.core import Scheduler
 from repro.hardware import GTX_980
 from repro.sim import SimNode
 
@@ -21,8 +22,7 @@ def functional_demo() -> None:
     n, m, k = 256, 128, 16
     v, _, _ = nmf_init(n, m, k, seed=11)
 
-    node = SimNode(GTX_980, 4, functional=True)
-    nmf = MapsNMF(node, v, k=k, seed=11)
+    nmf = MapsNMF(Scheduler(SimNode(GTX_980, 4, functional=True)), v, k=k, seed=11)
     print(f"factorizing V ({n}x{m}) with k={k} on 4 GPUs:")
     err = frobenius_error(v, nmf.W.host, nmf.H.host)
     print(f"  initial ||V - WH|| = {err:.3f}")
@@ -42,8 +42,8 @@ def performance_demo() -> None:
     print(f"{'GPUs':>5s} {'MAPS-Multi':>12s} {'NMF-mGPU':>10s}")
     base_maps = base_mgpu = None
     for g in (1, 2, 3, 4):
-        node = SimNode(GTX_980, g, functional=False)
-        maps = MapsNMF(node, (16384, 4096), k=128).throughput()
+        sched = Scheduler(SimNode(GTX_980, g, functional=False))
+        maps = MapsNMF(sched, (16384, 4096), k=128).throughput()
         mgpu = NmfMgpu(GTX_980, g).throughput()
         base_maps = base_maps or maps
         base_mgpu = base_mgpu or mgpu

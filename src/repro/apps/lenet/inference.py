@@ -2,15 +2,18 @@
 
 :class:`LeNetForward` builds the forward half of the network at one batch
 shape: the activation and parameter datums, the layer kernels and the
-call list — conv, pool, conv, pool, reshape, fc1, fc2. Its two users run
-exactly those calls:
+call list — conv, pool, conv, pool, reshape, fc1, fc2 — with one
+:class:`~repro.core.graph.Call` (kernel, containers and grid) per layer.
+A loop reads the datum each call writes off its output containers. Its
+two users run exactly those calls:
 
-* :class:`~repro.apps.lenet.trainer.MapsLeNetTrainer` opens every
-  training iteration with them and runs them alone for inference
-  (``forward_batch``);
+* :class:`~repro.apps.lenet.trainer.MapsLeNetTrainer` declares them as
+  the head of its training iteration's :class:`~repro.core.graph.Loop`
+  and runs them alone for inference (``forward_batch``, one
+  ``Loop.run``);
 * the serving layer's :class:`~repro.serving.models.LeNetEngine`
-  declares them, in the data-parallel form, as one
-  :class:`~repro.core.graph.Loop` at a fixed padded batch shape.
+  declares them, in the data-parallel form, as one loop at a fixed
+  padded batch shape and serves a batch with the same ``Loop.run``.
 
 The two parallelism schemes differ only in fc1, as in the paper ("switching
 between data parallelism and the hybrid approach in MAPS-Multi requires
@@ -35,6 +38,7 @@ from repro.apps.lenet.network import (
     LeNetParams,
 )
 from repro.core import Datum, Grid
+from repro.core.graph import Call
 from repro.patterns import (
     Block2D,
     Block2DTransposed,
@@ -53,10 +57,8 @@ class LeNetForward:
         x0, a1, p1, m1, a2, p2, m2, f, h, hr, logits: The activations
             (``fT``, ``hT``, ``hrT`` too in hybrid mode).
         params: Parameter name -> datum, bound to ``params``' arrays.
-        calls: One ``(kernel, containers, grid)`` per layer call, in
+        calls: One :class:`~repro.core.graph.Call` per layer, in
             dependency order.
-        outs: The datum each call writes (for a pool call, its output
-            rather than its mask).
 
     ``bind`` binds every datum to a host buffer; timing-only callers
     leave them unbound.
@@ -94,35 +96,31 @@ class LeNetForward:
         self.k_relu = T.make_mp_relu_fwd()  # striped dim 0 in both modes
         P = self.params
         bgrid = Grid((b,), block0=1)
-        self.calls: list[tuple] = []
-        self.outs: list[Datum] = []
+        self.calls: list[Call] = []
 
-        def call(kernel, out, *containers, grid=bgrid) -> None:
-            self.calls.append((kernel, containers, grid))
-            self.outs.append(out)
+        def call(kernel, *containers, grid=bgrid) -> None:
+            self.calls.append(Call(kernel, containers, grid))
 
         def conv(x, w, bias, y) -> None:
-            call(self.k_conv, y, BlockStriped(x), Replicated(P[w]),
+            call(self.k_conv, BlockStriped(x), Replicated(P[w]),
                  Replicated(P[bias]), InjectiveStriped(y))
 
         def pool(x, y, mask) -> None:
-            call(self.k_pool, y, BlockStriped(x), InjectiveStriped(y),
+            call(self.k_pool, BlockStriped(x), InjectiveStriped(y),
                  InjectiveStriped(mask))
 
         def fc(x, w, bias, y) -> None:
-            call(self.k_fc, y, BlockStriped(x), Replicated(P[w]),
+            call(self.k_fc, BlockStriped(x), Replicated(P[w]),
                  Replicated(P[bias]), InjectiveStriped(y))
 
         conv(self.x0, "W1", "b1", self.a1)
         pool(self.a1, self.p1, self.m1)
         conv(self.p1, "W2", "b2", self.a2)
         pool(self.a2, self.p2, self.m2)
-        call(self.k_reshape, self.f, BlockStriped(self.p2),
-             InjectiveStriped(self.f))
+        call(self.k_reshape, BlockStriped(self.p2), InjectiveStriped(self.f))
         if mode == "data":
             fc(self.f, "W3", "b3", self.h)
-            call(self.k_relu, self.hr, BlockStriped(self.h),
-                 InjectiveStriped(self.hr))
+            call(self.k_relu, BlockStriped(self.h), InjectiveStriped(self.hr))
         else:
             self.fT = datum("fT", (FLAT, b))
             self.hT = datum("hT", (FC1, b))
@@ -131,13 +129,13 @@ class LeNetForward:
             self.k_mp_fc = T.make_mp_fc_fwd()
             self.k_untranspose = T.make_untranspose()
             fgrid = Grid((FC1,), block0=1)
-            call(self.k_transpose, self.fT, BlockStriped(self.f),
+            call(self.k_transpose, BlockStriped(self.f),
                  InjectiveColumnStriped(self.fT))
-            call(self.k_mp_fc, self.hT, Block2D(P["W3"]),
-                 BlockStriped(P["b3"]), Block2DTransposed(self.fT),
-                 InjectiveStriped(self.hT), grid=fgrid)
-            call(self.k_relu, self.hrT, BlockStriped(self.hT),
+            call(self.k_mp_fc, Block2D(P["W3"]), BlockStriped(P["b3"]),
+                 Block2DTransposed(self.fT), InjectiveStriped(self.hT),
+                 grid=fgrid)
+            call(self.k_relu, BlockStriped(self.hT),
                  InjectiveStriped(self.hrT), grid=fgrid)
-            call(self.k_untranspose, self.hr, BlockColumnStriped(self.hrT),
+            call(self.k_untranspose, BlockColumnStriped(self.hrT),
                  InjectiveStriped(self.hr))
         fc(self.hr, "W4", "b4", self.logits)

@@ -20,6 +20,15 @@ access pattern modification"). The forward half of an iteration is
 :class:`~repro.apps.lenet.inference.LeNetForward`, the one declaration of
 LeNet's forward pass, which the serving engine runs too; this module adds
 the loss, the backward pass and the SGD updates.
+
+The trainer runs on the scheduler it is given and declares one iteration
+(28 calls in data mode, 32 in hybrid) once, as a
+:class:`~repro.core.graph.Loop`: ``run_iteration`` submits its period,
+``measure_iteration`` times steady periods (:meth:`Loop.measure
+<repro.core.graph.Loop.measure>`), and ``forward_batch`` runs the
+forward calls alone as one :meth:`Loop.run <repro.core.graph.Loop.run>`
+transition, as the serving engine does. No iteration builds a container
+or a grid.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ from repro.apps.lenet.network import (
     PARAM_NAMES,
 )
 from repro.core import Datum, Grid, Scheduler
+from repro.core.graph import Call, Loop
 from repro.patterns import (
     Block2D,
     Block2DTransposed,
@@ -50,15 +60,14 @@ from repro.patterns import (
     ReductiveStatic,
     Replicated,
 )
-from repro.sim.node import SimNode
 
 
 class MapsLeNetTrainer:
     """LeNet trainer on a simulated multi-GPU node.
 
     Args:
-        node: The simulated node (functional for correctness runs,
-            timing-only for throughput measurements).
+        sched: The node's scheduler (on a functional node for correctness
+            runs, a timing-only one for throughput measurements).
         params: Initial host-side parameters (bound in functional mode).
         batch: Global batch size (the paper uses 2048).
         mode: ``"data"`` or ``"hybrid"``.
@@ -67,24 +76,24 @@ class MapsLeNetTrainer:
 
     def __init__(
         self,
-        node: SimNode,
+        sched: Scheduler,
         params: LeNetParams,
         batch: int,
         mode: str = "data",
         lr: float = 0.05,
-        sanitize: bool = False,
     ):
         if mode not in ("data", "hybrid"):
             raise ValueError(f"unknown parallelism mode {mode!r}")
-        self.node = node
-        self.sched = Scheduler(node, sanitize=sanitize)
+        self.sched = sched
+        self.node = sched.node
         self.params = params
         self.batch = batch
         self.mode = mode
         self.lr = lr
         self._build_datums()
-        self._build_kernels()
-        self._analyze_all()
+        #: One training iteration, declared once: the forward pass, the
+        #: loss, the backward pass and the SGD updates.
+        self.loop = Loop.declare(sched, self._calls())
 
     # -- datum construction ------------------------------------------------------
     def _datum(self, name: str, shape, dtype=np.float32) -> Datum:
@@ -121,239 +130,75 @@ class MapsLeNetTrainer:
             for name, arr in self.params.items()
         }
 
-    def _build_kernels(self) -> None:
-        self.k_conv_bwd_data = T.make_conv_bwd_data()
-        self.k_conv_bwd_filter = T.make_conv_bwd_filter()
-        self.k_pool_bwd = T.make_pool_bwd()
-        self.k_fc_bwd_data = T.make_fc_bwd_data()
-        self.k_fc_bwd_filter = T.make_fc_bwd_filter()
-        self.k_softmax = T.make_softmax_loss()
-        self.k_update = T.make_sgd_update()
-        if self.mode == "hybrid":
-            self.k_mp_relu_bwd = T.make_mp_relu_bwd()
-            self.k_mp_fc_bwd_filter = T.make_mp_fc_bwd_filter()
-            self.k_mp_fc_bwd_data = T.make_mp_fc_bwd_data()
-        else:
-            # Data-parallel ReLU runs batch-striped via routine wrappers.
-            self.k_relu_bwd = T.make_mp_relu_bwd()
-
-    # -- task list --------------------------------------------------------------
-    def _task_list(self):
-        """The per-iteration (kernel, containers, grid, constants) tuples,
-        in dependency order."""
+    # -- the iteration -----------------------------------------------------------
+    def _calls(self) -> list[Call]:
+        """One iteration's calls, in dependency order."""
+        conv_bwd_data = T.make_conv_bwd_data()
+        conv_bwd_filter = T.make_conv_bwd_filter()
+        pool_bwd = T.make_pool_bwd()
+        fc_bwd_data = T.make_fc_bwd_data()
+        fc_bwd_filter = T.make_fc_bwd_filter()
+        softmax = T.make_softmax_loss()
+        update = T.make_sgd_update()
+        # Both modes run the ReLU backward as the striped-dim-0 routine.
+        relu_bwd = T.make_mp_relu_bwd()
         b = self.batch
         bgrid = Grid((b,), block0=1)
         F, P, G = self.fwd, self.p_datums, self.g_datums
-        calls = [(*call, {}) for call in F.calls]
-        calls += [
-            (
-                self.k_softmax,
-                (
-                    BlockStriped(F.logits),
-                    BlockStriped(self.labels),
-                    InjectiveStriped(self.dlogits),
-                    ReductiveStatic(self.loss),
-                ),
-                bgrid,
-                {"batch_total": b},
-            ),
-            (
-                self.k_fc_bwd_filter,
-                (
-                    BlockStriped(self.dlogits),
-                    BlockStriped(F.hr),
-                    ReductiveStatic(G["W4"]),
-                    ReductiveStatic(G["b4"]),
-                ),
-                bgrid,
-                {},
-            ),
-            (
-                self.k_fc_bwd_data,
-                (
-                    BlockStriped(self.dlogits),
-                    Replicated(P["W4"]),
-                    InjectiveStriped(self.dhr),
-                ),
-                bgrid,
-                {},
-            ),
-        ]
-        calls += self._fc1_backward(bgrid)
-        calls += [
-            (
-                F.k_reshape,
-                (BlockStriped(self.df), InjectiveStriped(self.dp2)),
-                bgrid,
-                {},
-            ),
-            (
-                self.k_pool_bwd,
-                (
-                    BlockStriped(self.dp2),
-                    BlockStriped(F.m2),
-                    InjectiveStriped(self.da2),
-                ),
-                bgrid,
-                {},
-            ),
-            (
-                self.k_conv_bwd_filter,
-                (
-                    BlockStriped(F.p1),
-                    BlockStriped(self.da2),
-                    ReductiveStatic(G["W2"]),
-                    ReductiveStatic(G["b2"]),
-                ),
-                bgrid,
-                {},
-            ),
-            (
-                self.k_conv_bwd_data,
-                (
-                    BlockStriped(self.da2),
-                    Replicated(P["W2"]),
-                    InjectiveStriped(self.dp1),
-                ),
-                bgrid,
-                {},
-            ),
-            (
-                self.k_pool_bwd,
-                (
-                    BlockStriped(self.dp1),
-                    BlockStriped(F.m1),
-                    InjectiveStriped(self.da1),
-                ),
-                bgrid,
-                {},
-            ),
-            (
-                self.k_conv_bwd_filter,
-                (
-                    BlockStriped(F.x0),
-                    BlockStriped(self.da1),
-                    ReductiveStatic(G["W1"]),
-                    ReductiveStatic(G["b1"]),
-                ),
-                bgrid,
-                {},
-            ),
-        ]
-        calls += self._updates()
-        return calls
+        calls = list(F.calls)
 
-    def _fc1_backward(self, bgrid: Grid):
-        F, P, G = self.fwd, self.p_datums, self.g_datums
+        def call(kernel, *containers, grid=bgrid, constants=None) -> None:
+            calls.append(Call(kernel, containers, grid, constants))
+
+        call(softmax, BlockStriped(F.logits), BlockStriped(self.labels),
+             InjectiveStriped(self.dlogits), ReductiveStatic(self.loss),
+             constants={"batch_total": b})
+        call(fc_bwd_filter, BlockStriped(self.dlogits), BlockStriped(F.hr),
+             ReductiveStatic(G["W4"]), ReductiveStatic(G["b4"]))
+        call(fc_bwd_data, BlockStriped(self.dlogits), Replicated(P["W4"]),
+             InjectiveStriped(self.dhr))
         if self.mode == "data":
-            return [
-                (
-                    self.k_relu_bwd,
-                    (
-                        BlockStriped(F.h),
-                        BlockStriped(self.dhr),
-                        InjectiveStriped(self.dh),
-                    ),
-                    bgrid,
-                    {},
-                ),
-                (
-                    self.k_fc_bwd_filter,
-                    (
-                        BlockStriped(self.dh),
-                        BlockStriped(F.f),
-                        ReductiveStatic(G["W3"]),
-                        ReductiveStatic(G["b3"]),
-                    ),
-                    bgrid,
-                    {},
-                ),
-                (
-                    self.k_fc_bwd_data,
-                    (
-                        BlockStriped(self.dh),
-                        Replicated(P["W3"]),
-                        InjectiveStriped(self.df),
-                    ),
-                    bgrid,
-                    {},
-                ),
-            ]
-        fgrid = Grid((FC1,), block0=1)
-        return [
-            (
-                F.k_transpose,
-                (BlockStriped(self.dhr), InjectiveColumnStriped(self.dhrT)),
-                bgrid,
-                {},
-            ),
-            (
-                self.k_mp_relu_bwd,
-                (
-                    BlockStriped(F.hT),
-                    BlockStriped(self.dhrT),
-                    InjectiveStriped(self.dhT),
-                ),
-                fgrid,
-                {},
-            ),
-            (
-                self.k_mp_fc_bwd_filter,
-                (
-                    BlockStriped(self.dhT),
-                    Block2DTransposed(F.fT),
-                    InjectiveStriped(G["W3"]),
-                    InjectiveStriped(G["b3"]),
-                ),
-                fgrid,
-                {},
-            ),
-            (
-                self.k_mp_fc_bwd_data,
-                (
-                    Block2D(P["W3"]),
-                    BlockStriped(self.dhT),
-                    ReductiveStatic(self.dfT),
-                ),
-                fgrid,
-                {},
-            ),
-            (
-                F.k_untranspose,
-                (BlockColumnStriped(self.dfT), InjectiveStriped(self.df)),
-                bgrid,
-                {},
-            ),
-        ]
-
-    def _updates(self):
-        calls = []
+            call(relu_bwd, BlockStriped(F.h), BlockStriped(self.dhr),
+                 InjectiveStriped(self.dh))
+            call(fc_bwd_filter, BlockStriped(self.dh), BlockStriped(F.f),
+                 ReductiveStatic(G["W3"]), ReductiveStatic(G["b3"]))
+            call(fc_bwd_data, BlockStriped(self.dh), Replicated(P["W3"]),
+                 InjectiveStriped(self.df))
+        else:
+            fgrid = Grid((FC1,), block0=1)
+            call(F.k_transpose, BlockStriped(self.dhr),
+                 InjectiveColumnStriped(self.dhrT))
+            call(relu_bwd, BlockStriped(F.hT), BlockStriped(self.dhrT),
+                 InjectiveStriped(self.dhT), grid=fgrid)
+            call(T.make_mp_fc_bwd_filter(), BlockStriped(self.dhT),
+                 Block2DTransposed(F.fT), InjectiveStriped(G["W3"]),
+                 InjectiveStriped(G["b3"]), grid=fgrid)
+            call(T.make_mp_fc_bwd_data(), Block2D(P["W3"]),
+                 BlockStriped(self.dhT), ReductiveStatic(self.dfT),
+                 grid=fgrid)
+            call(F.k_untranspose, BlockColumnStriped(self.dfT),
+                 InjectiveStriped(self.df))
+        call(F.k_reshape, BlockStriped(self.df), InjectiveStriped(self.dp2))
+        call(pool_bwd, BlockStriped(self.dp2), BlockStriped(F.m2),
+             InjectiveStriped(self.da2))
+        call(conv_bwd_filter, BlockStriped(F.p1), BlockStriped(self.da2),
+             ReductiveStatic(G["W2"]), ReductiveStatic(G["b2"]))
+        call(conv_bwd_data, BlockStriped(self.da2), Replicated(P["W2"]),
+             InjectiveStriped(self.dp1))
+        call(pool_bwd, BlockStriped(self.dp1), BlockStriped(F.m1),
+             InjectiveStriped(self.da1))
+        call(conv_bwd_filter, BlockStriped(F.x0), BlockStriped(self.da1),
+             ReductiveStatic(G["W1"]), ReductiveStatic(G["b1"]))
         for name in PARAM_NAMES:
-            p, g = self.p_datums[name], self.g_datums[name]
-            grid = Grid((p.shape[0],), block0=1)
-            calls.append(
-                (
-                    self.k_update,
-                    (BlockStriped(p), BlockStriped(g), InjectiveStriped(p)),
-                    grid,
-                    {"lr": self.lr},
-                )
-            )
+            p, g = P[name], G[name]
+            call(update, BlockStriped(p), BlockStriped(g),
+                 InjectiveStriped(p), grid=Grid((p.shape[0],), block0=1),
+                 constants={"lr": self.lr})
         return calls
-
-    # -- framework interaction ------------------------------------------------------
-    def _analyze_all(self) -> None:
-        for kernel, containers, grid, constants in self._task_list():
-            self.sched.analyze_call(
-                kernel, *containers, grid=grid, constants=constants
-            )
 
     def run_iteration(self) -> None:
         """Queue one training iteration (does not wait)."""
-        for kernel, containers, grid, constants in self._task_list():
-            self.sched.invoke_unmodified(
-                kernel, *containers, grid=grid, constants=constants
-            )
+        self.loop.submit()
 
     def train_batch(
         self, images: np.ndarray, labels: np.ndarray
@@ -370,17 +215,15 @@ class MapsLeNetTrainer:
         return float(self.loss.host[0])
 
     def forward_batch(self, images: np.ndarray) -> np.ndarray:
-        """Forward-only inference through the framework: runs the forward
-        pass's calls (the head of every iteration) on the devices and
-        gathers the logits. Returns the ``(batch, 10)`` logits array."""
+        """Forward-only inference through the framework: the forward pass
+        (the head of every iteration) as one :meth:`Loop.run
+        <repro.core.graph.Loop.run>`, as the serving engine runs it, with
+        the logits gathered. Returns the ``(batch, 10)`` logits array."""
         if not self.node.functional:
             raise RuntimeError("forward_batch requires a functional node")
         fwd = self.fwd
         fwd.x0.host[...] = images
-        self.sched.mark_host_dirty(fwd.x0)
-        for kernel, containers, grid in fwd.calls:
-            self.sched.invoke_unmodified(kernel, *containers, grid=grid)
-        self.sched.gather(fwd.logits)
+        self.loop.run(0, len(fwd.calls), marks=(fwd.x0,), gathers=(None,))
         return fwd.logits.host.copy()
 
     def evaluate(self, images: np.ndarray, labels: np.ndarray) -> float:
@@ -397,14 +240,7 @@ class MapsLeNetTrainer:
 
     def measure_iteration(self, warmup: int = 1, iters: int = 3) -> float:
         """Timing mode: steady-state simulated seconds per iteration."""
-        for _ in range(warmup):
-            self.run_iteration()
-        self.sched.wait_all()
-        t0 = self.node.time
-        for _ in range(iters):
-            self.run_iteration()
-        self.sched.wait_all()
-        return (self.node.time - t0) / iters
+        return self.loop.measure(warmup, iters)
 
     def throughput(self, warmup: int = 1, iters: int = 3) -> float:
         """Training throughput in images/second (the Fig. 11 metric)."""

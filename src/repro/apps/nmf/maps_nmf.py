@@ -7,6 +7,13 @@ large V — while the small H (k x m, k << n) is the only replicated datum.
 The framework infers exactly two inter-GPU exchange points per iteration
 (§6.2): the reduce-scatter of the Acc accumulator before the H update,
 and the all-gather of the freshly updated H stripes before the W phase.
+
+:class:`MapsNMF` runs on the scheduler it is given and declares its eight
+update calls once, as a :class:`~repro.core.graph.Loop`, and the
+squared-error reduction as a loop of one call: ``run_iteration`` and
+``factorize`` submit whole periods, ``measure_iteration`` times steady
+ones (:meth:`Loop.measure <repro.core.graph.Loop.measure>`) and
+``error`` re-invokes the iteration's WH call, then the reduction.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import numpy as np
 
 from repro.apps.nmf.algorithm import EPS
 from repro.core import Grid, Matrix, Scheduler, Vector
+from repro.core.graph import Call, Loop
 from repro.core.task import CostContext, Kernel
 from repro.core.unmodified import RoutineContext, make_routine
 from repro.libs.cublas import gemm_time
@@ -25,7 +33,6 @@ from repro.patterns import (
     InjectiveStriped,
     ReductiveStatic,
 )
-from repro.sim.node import SimNode
 
 
 def _stream(ctx: CostContext, nbytes: float) -> float:
@@ -155,24 +162,24 @@ def _make_sqerr() -> Kernel:
 
 
 class MapsNMF:
-    """Multi-GPU NMF of a bound V into W @ H over MAPS-Multi."""
+    """Multi-GPU NMF of a bound V into W @ H over MAPS-Multi, on the
+    scheduler ``sched`` (a functional node factorizes ``v``; a timing-only
+    one takes its ``(n, m)`` shape)."""
 
     def __init__(
         self,
-        node: SimNode,
+        sched: Scheduler,
         v: np.ndarray | tuple[int, int],
         k: int = 128,
         seed: int = 0,
-        sanitize: bool = False,
     ):
-        self.node = node
-        self.sched = Scheduler(node, sanitize=sanitize)
+        self.sched = sched
+        self.node = sched.node
         if isinstance(v, np.ndarray):
             n, m = v.shape
         else:
             n, m = v
         self.n, self.m, self.k = n, m, k
-        f = node.functional
 
         self.V = Matrix(n, m, np.float32, "V")
         self.W = Matrix(n, k, np.float32, "W")
@@ -183,7 +190,7 @@ class MapsNMF:
         self.col = Vector(k, np.float32, "col")
         self.Num = Matrix(n, k, np.float32, "Num")
         self.err = Vector(1, np.float64, "err")
-        if f:
+        if self.node.functional:
             rng = np.random.default_rng(seed)
             self.V.bind(np.ascontiguousarray(v, dtype=np.float32))
             self.W.bind(rng.random((n, k), dtype=np.float32) + 0.1)
@@ -193,128 +200,67 @@ class MapsNMF:
             self.col.bind(np.zeros(k, np.float32))
             self.err.bind(np.zeros(1, np.float64))
 
-        self.k_wh = _make_wh()
-        self.k_vdiv = _make_vdiv()
-        self.k_acc = _make_acc()
-        self.k_hup = _make_h_update()
-        self.k_num = _make_num()
-        self.k_wup = _make_w_update()
-        self.k_err = _make_sqerr()
-        self._ngrid = Grid((n,))
-        self._kgrid = Grid((k,), block0=1)
-        for kern, containers, grid in self._task_list(with_error=True):
-            self.sched.analyze_call(kern, *containers, grid=grid)
-
-    def _task_list(self, with_error: bool = False):
-        wh_args = (
-            Block2D(self.W),
-            Block2DTransposed(self.H),
-            InjectiveStriped(self.WH),
+        ngrid, kgrid = Grid((n,)), Grid((k,), block0=1)
+        k_wh, k_vdiv = _make_wh(), _make_vdiv()
+        k_acc, k_hup = _make_acc(), _make_h_update()
+        k_num, k_wup = _make_num(), _make_w_update()
+        k_err = _make_sqerr()
+        wh = Call(
+            k_wh,
+            (Block2D(self.W), Block2DTransposed(self.H),
+             InjectiveStriped(self.WH)),
+            ngrid,
         )
-        calls = [
+        vdiv = Call(
+            k_vdiv,
+            (BlockStriped(self.V), BlockStriped(self.WH),
+             InjectiveStriped(self.Vt)),
+            ngrid,
+        )
+        #: One H-then-W update, declared once (Fig. 12). Its first call,
+        #: WH, is the one :meth:`error` re-invokes.
+        self.loop = Loop.declare(sched, (
             # H phase.
-            (self.k_wh, wh_args, self._ngrid),
-            (
-                self.k_vdiv,
-                (
-                    BlockStriped(self.V),
-                    BlockStriped(self.WH),
-                    InjectiveStriped(self.Vt),
-                ),
-                self._ngrid,
-            ),
-            (
-                self.k_acc,
-                (
-                    BlockStriped(self.W),
-                    BlockStriped(self.Vt),
-                    ReductiveStatic(self.Acc),
-                    ReductiveStatic(self.col),
-                ),
-                self._ngrid,
-            ),
-            (
-                self.k_hup,
-                (
-                    BlockStriped(self.H),
-                    BlockStriped(self.Acc),
-                    BlockStriped(self.col),
-                    InjectiveStriped(self.H),
-                ),
-                self._kgrid,
-            ),
+            wh,
+            vdiv,
+            Call(k_acc, (BlockStriped(self.W), BlockStriped(self.Vt),
+                         ReductiveStatic(self.Acc), ReductiveStatic(self.col)),
+                 ngrid),
+            Call(k_hup, (BlockStriped(self.H), BlockStriped(self.Acc),
+                         BlockStriped(self.col), InjectiveStriped(self.H)),
+                 kgrid),
             # W phase (the fresh H stripes all-gather here).
-            (self.k_wh, wh_args, self._ngrid),
-            (
-                self.k_vdiv,
-                (
-                    BlockStriped(self.V),
-                    BlockStriped(self.WH),
-                    InjectiveStriped(self.Vt),
-                ),
-                self._ngrid,
-            ),
-            (
-                self.k_num,
-                (
-                    BlockStriped(self.Vt),
-                    Block2DTransposed(self.H),
-                    InjectiveStriped(self.Num),
-                ),
-                self._ngrid,
-            ),
-            (
-                self.k_wup,
-                (
-                    BlockStriped(self.W),
-                    BlockStriped(self.Num),
-                    Block2DTransposed(self.H),
-                    InjectiveStriped(self.W),
-                ),
-                self._ngrid,
-            ),
-        ]
-        if with_error:
-            calls.append(
-                (
-                    self.k_err,
-                    (
-                        BlockStriped(self.V),
-                        BlockStriped(self.WH),
-                        ReductiveStatic(self.err),
-                    ),
-                    self._ngrid,
-                )
-            )
-        return calls
+            wh,
+            vdiv,
+            Call(k_num, (BlockStriped(self.Vt), Block2DTransposed(self.H),
+                         InjectiveStriped(self.Num)),
+                 ngrid),
+            Call(k_wup, (BlockStriped(self.W), BlockStriped(self.Num),
+                         Block2DTransposed(self.H), InjectiveStriped(self.W)),
+                 ngrid),
+        ))
+        #: The squared-error reduction over the current WH.
+        self._sqerr = Loop.declare(sched, (Call(
+            k_err,
+            (BlockStriped(self.V), BlockStriped(self.WH),
+             ReductiveStatic(self.err)),
+            ngrid,
+        ),))
 
     def run_iteration(self) -> None:
         """Queue one full (H then W) update."""
-        for kern, containers, grid in self._task_list():
-            self.sched.invoke_unmodified(kern, *containers, grid=grid)
+        self.loop.submit()
 
     def error(self) -> float:
         """Queue WH + squared-error tasks and return ||V - WH||_F."""
-        wh_args = (
-            Block2D(self.W),
-            Block2DTransposed(self.H),
-            InjectiveStriped(self.WH),
-        )
-        self.sched.invoke_unmodified(self.k_wh, *wh_args, grid=self._ngrid)
-        self.sched.invoke_unmodified(
-            self.k_err,
-            BlockStriped(self.V),
-            BlockStriped(self.WH),
-            ReductiveStatic(self.err),
-            grid=self._ngrid,
-        )
+        self.loop.step(0)
+        self._sqerr.step(0)
         self.sched.gather(self.err)
         return float(np.sqrt(self.err.host[0]))
 
     def factorize(self, iterations: int) -> tuple[np.ndarray, np.ndarray]:
         """Run ``iterations`` updates and gather W, H to the host."""
-        for _ in range(iterations):
-            self.run_iteration()
+        self.loop.submit(iterations)
         self.sched.gather_async(self.W)
         self.sched.gather_async(self.H)
         self.sched.wait_all()
@@ -322,14 +268,7 @@ class MapsNMF:
 
     def measure_iteration(self, warmup: int = 1, iters: int = 3) -> float:
         """Timing mode: steady-state simulated seconds per iteration."""
-        for _ in range(warmup):
-            self.run_iteration()
-        self.sched.wait_all()
-        t0 = self.node.time
-        for _ in range(iters):
-            self.run_iteration()
-        self.sched.wait_all()
-        return (self.node.time - t0) / iters
+        return self.loop.measure(warmup, iters)
 
     def throughput(self) -> float:
         """Iterations per second (the Fig. 13 metric)."""

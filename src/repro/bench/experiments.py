@@ -140,20 +140,24 @@ def gemm_scaling(spec: GPUSpec, gpu_counts=(1, 2, 3, 4)) -> ScalingResult:
     return ScalingResult("SGEMM (CUBLAS over MAPS)", list(gpu_counts), times)
 
 
+def run_xt_gemm(spec: GPUSpec, num_gpus: int, size: int, calls: int) -> float:
+    """Seconds per CUBLAS-XT multiplication: ``calls`` timed calls after
+    a warm-up call."""
+    node = make_xt_node(spec, num_gpus)
+    xt = XtGemm(node)
+    xt.gemm(size)
+    t0 = node.time
+    for _ in range(calls):
+        xt.gemm(size)
+    return (node.time - t0) / calls
+
+
 def xt_gemm_scaling(
     spec: GPUSpec, gpu_counts=(1, 2, 3, 4), size: int = PAPER_SIZE,
     calls: int = 2,
 ) -> ScalingResult:
     """CUBLAS-XT chain: every call pays host round trips (Fig. 9)."""
-    times = []
-    for g in gpu_counts:
-        node = make_xt_node(spec, g)
-        xt = XtGemm(node)
-        xt.gemm(size)  # warm-up call
-        t0 = node.time
-        for _ in range(calls):
-            xt.gemm(size)
-        times.append((node.time - t0) / calls)
+    times = [run_xt_gemm(spec, g, size, calls) for g in gpu_counts]
     return ScalingResult("SGEMM (CUBLAS-XT)", list(gpu_counts), times)
 
 
@@ -172,9 +176,9 @@ def deep_learning_throughput(
         maps = []
         torch = []
         for g in gpu_counts:
-            node = SimNode(spec, g, functional=False)
             trainer = MapsLeNetTrainer(
-                node, LeNetParams.initialize(0), batch, mode=mode
+                Scheduler(SimNode(spec, g, functional=False)),
+                LeNetParams.initialize(0), batch, mode=mode,
             )
             maps.append(trainer.throughput())
             torch.append(TorchLikeLeNet(spec, g, batch, mode).throughput())
@@ -199,8 +203,8 @@ def nmf_throughput(
     maps = []
     mgpu = []
     for g in gpu_counts:
-        node = SimNode(spec, g, functional=False)
-        maps.append(MapsNMF(node, (n, m), k=k).throughput())
+        sched = Scheduler(SimNode(spec, g, functional=False))
+        maps.append(MapsNMF(sched, (n, m), k=k).throughput())
         mgpu.append(NmfMgpu(spec, g, n, m, k).throughput())
     return {"maps": maps, "nmf_mgpu": mgpu}
 
@@ -211,10 +215,5 @@ def table4_single_gpu(spec: GPUSpec, size: int = PAPER_SIZE) -> dict[str, float]
     MAPS-Multi, CUBLAS-XT."""
     native = 2.0 * size**3 / calibration_for(spec).sgemm_flops
     over_maps = run_gemm_chain(spec, 1, size, chain=6)
-    node = make_xt_node(spec, 1)
-    xt = XtGemm(node)
-    xt.gemm(size)
-    t0 = node.time
-    xt.gemm(size)
-    xt_time = node.time - t0
+    xt_time = run_xt_gemm(spec, 1, size, calls=1)
     return {"cublas": native, "cublas_over_maps": over_maps, "cublas_xt": xt_time}

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core import Grid, Kernel, Matrix, Scheduler
 from repro.core.datum import Datum
-from repro.core.graph import Loop
+from repro.core.graph import Call, Loop
 from repro.hardware.specs import GPUSpec
 from repro.patterns import ZERO, StructuredInjective, Window2D
 from repro.sim.faults import FaultPlan
@@ -91,13 +91,10 @@ class NodeAgent:
         self.bottom_edge: Rect | None = None
         self.top_ghost: Rect | None = None
         self.bottom_ghost: Rect | None = None
-        #: ``calls[i]`` are the containers of the tick reading
-        #: ``slabs[i]`` and writing the other buffer.
-        self.calls: tuple[tuple[Window2D, StructuredInjective], ...] = ()
-        #: The tick's work grid (one thread per extended-slab cell).
-        self.grid: Grid | None = None
-        #: The ping-pong on the current scheduler: one single-tick graph
-        #: per parity (DESIGN.md §15).
+        #: The ping-pong on the current scheduler: ``loop.calls[i]`` is
+        #: the tick reading ``slabs[i]`` and writing the other buffer, on
+        #: one thread per extended-slab cell. One single-tick graph per
+        #: parity (DESIGN.md §15).
         self.loop: Loop | None = None
         #: ``(slab, ghost rect)`` host-dirty marks the last exchange left
         #: owed, in exchange order: the next tick's launch applies them.
@@ -152,15 +149,15 @@ class NodeAgent:
                 d.bind(backing)
             pair.append(d)
         self.slabs = pair
-        self.calls = tuple(
-            (Window2D(pair[a], r, ZERO), StructuredInjective(pair[b]))
+        grid = Grid((ext, self.cols))
+        self.loop = Loop.declare(self.sched, (
+            Call(
+                self.kernel,
+                (Window2D(pair[a], r, ZERO), StructuredInjective(pair[b])),
+                grid,
+            )
             for a, b in ((0, 1), (1, 0))
-        )
-        self.grid = Grid(self.calls[0][1].work_shape_from_datum())
-        self.loop = Loop.declare(
-            self.sched, self.kernel, self.calls, (pair[1], pair[0]),
-            grid=self.grid,
-        )
+        ))
 
     def rebuild(
         self,
@@ -342,8 +339,6 @@ class NodeAgent:
         self.slabs = None
         self.interior = self.top_edge = self.bottom_edge = None
         self.top_ghost = self.bottom_ghost = None
-        self.calls = ()
-        self.grid = None
         self.loop = None
         self.owed = ()
         self.ckpts = {}

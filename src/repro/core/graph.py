@@ -55,18 +55,20 @@ steady period of calls and drives its graphs, whole periods through
 :meth:`Loop.replay` (the benches' steady iteration loops,
 ``bench/workloads.steady``) and transitions through :meth:`Loop.run`
 (the serving engines and the cluster's node agents). Job-server leases
-run their chunks eagerly.
+run their chunks eagerly, and so do the two applications' iterations
+(:meth:`Loop.submit`).
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple
 
 from repro.core.location_monitor import _Instance
 from repro.errors import GraphCaptureError
 from repro.hardware.topology import HOST
+from repro.patterns.base import OutputContainer
 from repro.sim.commands import (
     Event,
     EventRecord,
@@ -77,7 +79,9 @@ from repro.sim.commands import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.grid import Grid
     from repro.core.scheduler import Scheduler
+    from repro.core.task import Kernel
     from repro.sim.stream import Stream
 
 
@@ -1141,15 +1145,26 @@ class IterationGraph:
         )
 
 
+class Call(NamedTuple):
+    """One call of a :class:`Loop`'s period: the arguments of its
+    ``AnalyzeCall`` and of every ``Invoke`` of it (paper Table 2)."""
+
+    kernel: Kernel
+    containers: tuple
+    grid: Grid | None = None
+    constants: Mapping[str, Any] | None = None
+
+
 class Loop:
     """One steady period of calls on one scheduler, and its graph driver.
 
     An iterative workload re-submits the same ``period`` calls, one per
     iteration: a ping-pong between two buffers has period 2, a call whose
     containers never change has period 1, and a chain of layers (LeNet's
-    forward pass) runs each of its calls once. :meth:`declare` runs each
-    call's ``AnalyzeCall`` once and keeps its container tuple, so
-    iteration ``i`` re-invokes ``calls[i % period]`` with its kernel.
+    forward pass, a training step) runs each of its calls once. Each
+    :class:`Call` carries its own kernel, containers, grid and constants;
+    :meth:`declare` runs each call's ``AnalyzeCall`` once, so iteration
+    ``i`` re-invokes ``calls[i % period]`` and builds nothing.
     :meth:`replay` captures one period as an :class:`IterationGraph` and
     launches it; :meth:`run` runs a stretch of iterations between host
     marks, syncs and gathers (a cluster tick, a served request batch) as
@@ -1158,26 +1173,25 @@ class Loop:
     declares a new loop and captures again.
     """
 
-    def __init__(self, sched: "Scheduler", kernel, calls, outs, grid=None):
-        if len(calls) != len(outs):
-            raise ValueError("need one output per call of the period")
+    def __init__(self, sched: "Scheduler", calls):
         self.sched = sched
-        #: One kernel per call of the period.
-        self.kernels = (
-            tuple(kernel) if isinstance(kernel, (tuple, list))
-            else (kernel,) * len(calls)
-        )
-        if len(self.kernels) != len(calls):
-            raise ValueError("need one kernel per call of the period")
-        self.calls = calls
-        self.outs = outs
-        self.grid = grid
+        self.calls = tuple(calls)
         #: Iterations before the submitted calls repeat.
-        self.period = len(calls)
-        self._invokes = tuple(
-            sched.invoke_unmodified if k.raw else sched.invoke
-            for k in self.kernels
-        )
+        self.period = len(self.calls)
+        #: Each call's submission, bound once: ``invoke`` or, for an
+        #: unmodified routine, ``invoke_unmodified``.
+        self._steps = [
+            functools.partial(
+                sched.invoke_unmodified if kernel.raw else sched.invoke,
+                kernel, *containers, grid=grid, constants=constants,
+            )
+            for kernel, containers, grid, constants in self.calls
+        ]
+        #: The datum each call writes: its first output container's.
+        self._outs = [
+            [x.datum for x in c.containers if isinstance(x, OutputContainer)][0]
+            for c in self.calls
+        ]
         #: The captured period, once :meth:`replay` has run.
         self.graph: IterationGraph | None = None
         #: :meth:`run`'s slot table: phase of the period a run starts at
@@ -1192,24 +1206,35 @@ class Loop:
         self.replayed = 0
 
     @classmethod
-    def declare(cls, sched, kernel, calls, outs, grid=None) -> "Loop":
-        """Analyze each call of the period once and return its loop;
-        ``calls`` holds one container tuple and ``outs`` one output datum
-        per phase of the period, and ``kernel`` is the kernel of every
-        call or a sequence of one kernel per call."""
-        loop = cls(sched, kernel, tuple(calls), tuple(outs), grid)
-        for k, call in zip(loop.kernels, loop.calls):
-            sched.analyze_call(k, *call, grid=grid)
+    def declare(cls, sched, calls) -> "Loop":
+        """Analyze each call of the period once and return its loop."""
+        loop = cls(sched, calls)
+        for kernel, containers, grid, constants in loop.calls:
+            sched.analyze_call(kernel, *containers, grid=grid, constants=constants)
         return loop
 
     def step(self, i: int):
         """Submit iteration ``i``; returns its task handle."""
-        k = i % self.period
-        return self._invokes[k](self.kernels[k], *self.calls[k], grid=self.grid)
+        return self._steps[i % self.period]()
 
     def out(self, i: int):
         """The datum iteration ``i`` writes."""
-        return self.outs[i % self.period]
+        return self._outs[i % self.period]
+
+    def submit(self, n: int = 1) -> None:
+        """Submit ``n`` whole periods from iteration 0, eagerly and without
+        waiting (an application's training or update iterations)."""
+        for _ in range(n):
+            for step in self._steps:
+                step()
+
+    def measure(self, warmup: int, iters: int) -> float:
+        """Steady-state simulated seconds per period: :meth:`submit`
+        ``warmup`` periods and drain, then time ``iters`` more."""
+        self.submit(warmup)
+        t0 = self.sched.wait_all()
+        self.submit(iters)
+        return (self.sched.wait_all() - t0) / iters
 
     def warm_up(self, start: int | None = None) -> None:
         """Submit the period from iteration ``start`` and drain it: pays

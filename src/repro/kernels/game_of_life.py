@@ -21,7 +21,7 @@ import functools
 import numpy as np
 
 from repro.core.datum import Datum
-from repro.core.graph import Loop
+from repro.core.graph import Call, Loop
 from repro.core.task import CostContext, Kernel
 from repro.patterns import WRAP, Boundary, StructuredInjective, Window2D
 
@@ -125,12 +125,11 @@ _loop_kernel = functools.cache(make_gol_kernel)
 
 def gol_loop(sched, a: Datum, b: Datum, variant: str = "maps_ilp") -> Loop:
     """Game of Life ping-pong: even iterations step ``a`` into ``b``."""
-    return Loop.declare(
-        sched,
-        _loop_kernel(variant),
-        (gol_containers(a, b, variant), gol_containers(b, a, variant)),
-        (b, a),
-    )
+    kernel = _loop_kernel(variant)
+    return Loop.declare(sched, (
+        Call(kernel, gol_containers(a, b, variant)),
+        Call(kernel, gol_containers(b, a, variant)),
+    ))
 
 
 def gol_reference_step(board: np.ndarray, wrap: bool = True) -> np.ndarray:

@@ -20,7 +20,7 @@ import functools
 import numpy as np
 
 from repro.core.datum import Datum
-from repro.core.graph import Loop
+from repro.core.graph import Call, Loop
 from repro.core.grid import Grid
 from repro.core.task import CostContext, Kernel
 from repro.core.unmodified import RoutineContext, make_routine
@@ -111,10 +111,8 @@ def histogram_loop(
 ) -> Loop:
     """Histogram of ``image`` into ``hist``: the MAPS kernel, or the naive
     or CUB routine run unmodified (§5.3)."""
-    return Loop.declare(
-        sched,
+    return Loop.declare(sched, (Call(
         _loop_kernel(impl),
-        (histogram_containers(image, hist),),
-        (hist,),
-        grid=histogram_grid(image),
-    )
+        histogram_containers(image, hist),
+        histogram_grid(image),
+    ),))

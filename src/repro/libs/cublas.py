@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.datum import Datum
-from repro.core.graph import Loop
+from repro.core.graph import Call, Loop
 from repro.core.task import CostContext, Kernel
 from repro.core.unmodified import RoutineContext, make_routine
 from repro.patterns import (
@@ -111,12 +111,10 @@ _CHAIN_ROUTINE = make_sgemm_routine()
 def sgemm_chain(sched, x: Datum, b: Datum, y: Datum) -> Loop:
     """Chained SGEMM X_{i+1} = X_i @ B over unmodified CUBLAS (§5.4):
     even iterations multiply ``x`` into ``y``."""
-    return Loop.declare(
-        sched,
-        _CHAIN_ROUTINE,
-        (sgemm_containers(x, b, y), sgemm_containers(y, b, x)),
-        (y, x),
-    )
+    return Loop.declare(sched, (
+        Call(_CHAIN_ROUTINE, sgemm_containers(x, b, y)),
+        Call(_CHAIN_ROUTINE, sgemm_containers(y, b, x)),
+    ))
 
 
 def make_saxpy_routine(context: CublasContext | None = None) -> Kernel:

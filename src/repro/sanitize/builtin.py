@@ -44,7 +44,7 @@ from repro.kernels import (
     spmv_grid,
     CsrDatums,
 )
-from repro.kernels.game_of_life import make_gol_oob_kernel
+from repro.kernels.game_of_life import gol_loop, make_gol_oob_kernel
 from repro.patterns import (
     CLAMP,
     NO_CHECKS,
@@ -304,28 +304,24 @@ def scheduler_gol(segments: int) -> None:
 
     board = _board(seed=9)
     ref = gol_reference_step(gol_reference_step(board))
-    node = SimNode(GTX_780, 2, functional=True)
-    sched = Scheduler(node, sanitize=True)
+    sched = Scheduler(SimNode(GTX_780, 2, functional=True), sanitize=True)
     a = from_array(board, "sgol.a")
     b = from_array(np.zeros_like(board), "sgol.b")
-    k = make_gol_kernel()
-    sched.analyze_call(k, *gol_containers(a, b))
-    sched.analyze_call(k, *gol_containers(b, a))
-    sched.invoke(k, *gol_containers(a, b))
-    sched.invoke(k, *gol_containers(b, a))
+    gol_loop(sched, a, b).submit()
     sched.gather(a)
     _check((a.host == ref).all(), "scheduler gol mismatch")
 
 
 def nmf_app(segments: int) -> None:
     from repro.apps.nmf import MapsNMF
+    from repro.core.scheduler import Scheduler
     from repro.hardware import GTX_780
     from repro.sim import SimNode
 
     rng = np.random.default_rng(10)
     v = rng.random((32, 16), dtype=np.float32)
-    node = SimNode(GTX_780, 2, functional=True)
-    nmf = MapsNMF(node, v, k=4, seed=3, sanitize=True)
+    sched = Scheduler(SimNode(GTX_780, 2, functional=True), sanitize=True)
+    nmf = MapsNMF(sched, v, k=4, seed=3)
     e0 = nmf.error()
     nmf.run_iteration()
     nmf.sched.wait_all()
@@ -338,13 +334,13 @@ def lenet_app(segments: int) -> None:
         MapsLeNetTrainer,
         synthetic_mnist,
     )
+    from repro.core.scheduler import Scheduler
     from repro.hardware import GTX_780
     from repro.sim import SimNode
 
-    node = SimNode(GTX_780, 2, functional=True)
+    sched = Scheduler(SimNode(GTX_780, 2, functional=True), sanitize=True)
     trainer = MapsLeNetTrainer(
-        node, LeNetParams.initialize(0), batch=16, mode="data",
-        sanitize=True,
+        sched, LeNetParams.initialize(0), batch=16, mode="data"
     )
     x, y = synthetic_mnist(16, seed=0)
     trainer.train_batch(x, y)

@@ -5,7 +5,8 @@ batcher. Two engines are served:
 
 * :class:`LeNetEngine` — the Fig. 10 CNN, forward pass only: the
   data-parallel form of :class:`repro.apps.lenet.inference.LeNetForward`,
-  the trainer's forward pass;
+  declared as a loop of its calls, each on its own grid; ``infer`` is
+  the same ``Loop.run`` as the trainer's ``forward_batch``;
 * :class:`SgemmEngine` — a chained small-SGEMM microservice (an
   ``layers``-deep stack of ``X @ B`` ping-pongs through *unmodified*
   CUBLAS, §4.6), declared by :func:`repro.libs.cublas.sgemm_chain`, the
@@ -58,10 +59,8 @@ class LeNetEngine:
         self.batch = int(batch)
         self.params = LeNetParams.initialize(model_seed)
         self._model_seed = model_seed
-        self.forward = fwd = LeNetForward(self.params, self.batch)
-        # The data form runs every call on the one batch grid.
-        kernels, calls, grids = zip(*fwd.calls)
-        self.loop = Loop.declare(sched, kernels, calls, fwd.outs, grids[0])
+        self.forward = LeNetForward(self.params, self.batch)
+        self.loop = Loop.declare(sched, self.forward.calls)
 
     def _input_for(self, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)

@@ -105,7 +105,7 @@ class TestMapsTrainer:
         x, y = synthetic_mnist(batch, seed=2)
         node = SimNode(GTX_780, num_gpus, functional=True)
         params = LeNetParams.initialize(0)
-        trainer = MapsLeNetTrainer(node, params, batch, mode=mode, lr=0.05)
+        trainer = MapsLeNetTrainer(Scheduler(node), params, batch, mode=mode, lr=0.05)
         loss = trainer.train_batch(x, y)
         trainer.gather_params()
         ref = LeNetParams.initialize(0)
@@ -121,7 +121,7 @@ class TestMapsTrainer:
         x, y = synthetic_mnist(batch * steps, seed=4)
         node = SimNode(GTX_780, 2, functional=True)
         params = LeNetParams.initialize(1)
-        trainer = MapsLeNetTrainer(node, params, batch, mode="data", lr=0.1)
+        trainer = MapsLeNetTrainer(Scheduler(node), params, batch, mode="data", lr=0.1)
         ref = LeNetParams.initialize(1)
         for s in range(steps):
             sl = slice(s * batch, (s + 1) * batch)
@@ -137,7 +137,7 @@ class TestMapsTrainer:
         large networks that do not fit in a single GPU')."""
         node = SimNode(GTX_780, 4, functional=False)
         trainer = MapsLeNetTrainer(
-            node, LeNetParams.initialize(0), 64, mode="hybrid"
+            Scheduler(node), LeNetParams.initialize(0), 64, mode="hybrid"
         )
         trainer.run_iteration()
         trainer.sched.wait_all()
@@ -149,7 +149,7 @@ class TestMapsTrainer:
     def test_data_mode_weights_replicated(self):
         node = SimNode(GTX_780, 4, functional=False)
         trainer = MapsLeNetTrainer(
-            node, LeNetParams.initialize(0), 64, mode="data"
+            Scheduler(node), LeNetParams.initialize(0), 64, mode="data"
         )
         trainer.run_iteration()
         trainer.sched.wait_all()
@@ -159,7 +159,7 @@ class TestMapsTrainer:
     def test_hybrid_mode_exchanges_activations_not_fc1_grads(self):
         node = SimNode(GTX_780, 4, functional=False)
         trainer = MapsLeNetTrainer(
-            node, LeNetParams.initialize(0), 256, mode="hybrid"
+            Scheduler(node), LeNetParams.initialize(0), 256, mode="hybrid"
         )
         trainer.run_iteration()
         trainer.sched.wait_all()
@@ -175,11 +175,11 @@ class TestMapsTrainer:
     def test_invalid_mode(self):
         node = SimNode(GTX_780, 1, functional=False)
         with pytest.raises(ValueError):
-            MapsLeNetTrainer(node, LeNetParams.initialize(0), 16, mode="model")
+            MapsLeNetTrainer(Scheduler(node), LeNetParams.initialize(0), 16, mode="model")
 
     def test_train_batch_requires_functional(self):
         node = SimNode(GTX_780, 1, functional=False)
-        trainer = MapsLeNetTrainer(node, LeNetParams.initialize(0), 16)
+        trainer = MapsLeNetTrainer(Scheduler(node), LeNetParams.initialize(0), 16)
         with pytest.raises(RuntimeError):
             trainer.train_batch(*synthetic_mnist(16))
 
@@ -188,7 +188,7 @@ class TestMapsTrainer:
         x, y = synthetic_mnist(batch * 6, seed=9)
         node = SimNode(GTX_780, 2, functional=True)
         trainer = MapsLeNetTrainer(
-            node, LeNetParams.initialize(3), batch, mode="data", lr=0.1
+            Scheduler(node), LeNetParams.initialize(3), batch, mode="data", lr=0.1
         )
         losses = []
         for s in range(6):
@@ -204,7 +204,7 @@ class TestInference:
         x, y = synthetic_mnist(batch, seed=6)
         node = SimNode(GTX_780, 4, functional=True)
         p = LeNetParams.initialize(0)
-        trainer = MapsLeNetTrainer(node, p, batch, mode=mode)
+        trainer = MapsLeNetTrainer(Scheduler(node), p, batch, mode=mode)
         logits = trainer.forward_batch(x)
         ref = reference_forward(p, x).logits
         assert np.allclose(logits, ref, atol=1e-4)
@@ -215,7 +215,7 @@ class TestInference:
         test_x, test_y = synthetic_mnist(128, seed=42)
         node = SimNode(GTX_780, 2, functional=True)
         trainer = MapsLeNetTrainer(
-            node, LeNetParams.initialize(2), batch, mode="data", lr=0.1
+            Scheduler(node), LeNetParams.initialize(2), batch, mode="data", lr=0.1
         )
         # Pad/trim test batch to the trainer's batch size for inference.
         acc_before = trainer.evaluate(test_x[:batch], test_y[:batch])
@@ -231,7 +231,7 @@ class TestInference:
         declaration of it: their logits are bit-identical."""
         x, _ = synthetic_mnist(16, seed=5)
         trainer = MapsLeNetTrainer(
-            SimNode(GTX_780, gpus, functional=True),
+            Scheduler(SimNode(GTX_780, gpus, functional=True)),
             LeNetParams.initialize(0), 16, mode="data",
         )
         engine = LeNetEngine(
@@ -242,6 +242,6 @@ class TestInference:
 
     def test_forward_requires_functional(self):
         node = SimNode(GTX_780, 1, functional=False)
-        trainer = MapsLeNetTrainer(node, LeNetParams.initialize(0), 16)
+        trainer = MapsLeNetTrainer(Scheduler(node), LeNetParams.initialize(0), 16)
         with pytest.raises(RuntimeError):
             trainer.forward_batch(np.zeros((16, 1, 28, 28), np.float32))

@@ -9,6 +9,7 @@ from repro.apps.nmf import (
     nmf_init,
     reference_iteration,
 )
+from repro.core import Scheduler
 from repro.hardware import GTX_780, HOST
 from repro.sim import SimNode
 
@@ -50,7 +51,7 @@ class TestMapsNMF:
     def test_matches_reference(self, num_gpus):
         v, _, _ = nmf_init(64, 32, 8, seed=5)
         node = SimNode(GTX_780, num_gpus, functional=True)
-        nmf = MapsNMF(node, v, k=8, seed=5)
+        nmf = MapsNMF(Scheduler(node), v, k=8, seed=5)
         w0, h0 = nmf.W.host.copy(), nmf.H.host.copy()
         w, h = nmf.factorize(3)
         wr, hr = w0, h0
@@ -62,7 +63,7 @@ class TestMapsNMF:
     def test_error_method(self):
         v, _, _ = nmf_init(48, 24, 4, seed=6)
         node = SimNode(GTX_780, 2, functional=True)
-        nmf = MapsNMF(node, v, k=4, seed=6)
+        nmf = MapsNMF(Scheduler(node), v, k=4, seed=6)
         nmf.factorize(2)
         err = nmf.error()
         expected = frobenius_error(v, nmf.W.host, nmf.H.host)
@@ -72,7 +73,7 @@ class TestMapsNMF:
         """Fig. 12's property: no device holds a complete copy of V."""
         v, _, _ = nmf_init(64, 32, 8, seed=7)
         node = SimNode(GTX_780, 4, functional=True)
-        nmf = MapsNMF(node, v, k=8)
+        nmf = MapsNMF(Scheduler(node), v, k=8)
         nmf.run_iteration()
         nmf.sched.wait_all()
         report = nmf.sched.analyzer.allocation_report()
@@ -84,7 +85,7 @@ class TestMapsNMF:
         """§6.2: inter-GPU exchanges happen twice per iteration — the Acc
         reduce-scatter before the H update and the H all-gather after."""
         node = SimNode(GTX_780, 4, functional=False)
-        nmf = MapsNMF(node, (512, 256), k=16)
+        nmf = MapsNMF(Scheduler(node), (512, 256), k=16)
         nmf.run_iteration()
         nmf.sched.wait_all()
         node.trace.clear()
@@ -103,7 +104,7 @@ class TestMapsNMF:
 
     def test_acc_uses_reduce_scatter_not_host(self):
         node = SimNode(GTX_780, 4, functional=False)
-        nmf = MapsNMF(node, (512, 256), k=16)
+        nmf = MapsNMF(Scheduler(node), (512, 256), k=16)
         nmf.run_iteration()
         nmf.sched.wait_all()
         assert any(
@@ -115,6 +116,6 @@ class TestMapsNMF:
 
     def test_timing_positive(self):
         node = SimNode(GTX_780, 2, functional=False)
-        nmf = MapsNMF(node, (1024, 512), k=32)
+        nmf = MapsNMF(Scheduler(node), (1024, 512), k=32)
         t = nmf.measure_iteration(warmup=1, iters=2)
         assert 0 < t < 1.0

@@ -6,6 +6,7 @@ from repro.apps.lenet import LeNetParams, MapsLeNetTrainer
 from repro.apps.nmf import MapsNMF
 from repro.baselines import CaffeLikeLeNet, NmfMgpu, TorchLikeLeNet
 from repro.baselines.torch_like import PARAM_BYTES, lenet_compute_time
+from repro.core import Scheduler
 from repro.hardware import GTX_780, GTX_980, PAPER_GPUS, calibration_for
 from repro.sim import SimNode
 
@@ -25,7 +26,7 @@ class TestTorchLike:
         torch_tp = TorchLikeLeNet(GTX_780, 1, BATCH, "data").throughput()
         node = SimNode(GTX_780, 1, functional=False)
         maps_tp = MapsLeNetTrainer(
-            node, LeNetParams.initialize(0), BATCH, mode="data"
+            Scheduler(node), LeNetParams.initialize(0), BATCH, mode="data"
         ).throughput()
         assert torch_tp == pytest.approx(maps_tp, rel=0.15)
 
@@ -36,10 +37,10 @@ class TestTorchLike:
         node1 = SimNode(GTX_780, 1, functional=False)
         node4 = SimNode(GTX_780, 4, functional=False)
         maps1 = MapsLeNetTrainer(
-            node1, LeNetParams.initialize(0), BATCH, mode=mode
+            Scheduler(node1), LeNetParams.initialize(0), BATCH, mode=mode
         ).throughput()
         maps4 = MapsLeNetTrainer(
-            node4, LeNetParams.initialize(0), BATCH, mode=mode
+            Scheduler(node4), LeNetParams.initialize(0), BATCH, mode=mode
         ).throughput()
         assert maps4 / maps1 > torch4 / torch1
         assert maps4 > torch4
@@ -77,7 +78,7 @@ class TestCaffeLike:
         caffe = CaffeLikeLeNet(GTX_780, BATCH).throughput()
         node = SimNode(GTX_780, 1, functional=False)
         maps = MapsLeNetTrainer(
-            node, LeNetParams.initialize(0), BATCH, mode="data"
+            Scheduler(node), LeNetParams.initialize(0), BATCH, mode="data"
         ).throughput()
         assert caffe == pytest.approx(maps, rel=0.15)
 
@@ -94,7 +95,7 @@ class TestNmfMgpu:
         paper's problem size."""
         mgpu = NmfMgpu(GTX_780, 1).throughput()
         node = SimNode(GTX_780, 1, functional=False)
-        maps = MapsNMF(node, (16384, 4096), k=128).throughput()
+        maps = MapsNMF(Scheduler(node), (16384, 4096), k=128).throughput()
         assert mgpu == pytest.approx(maps, rel=0.1)
 
     def test_single_gpu_maxwell_trails(self):
@@ -102,7 +103,7 @@ class TestNmfMgpu:
         at the paper's problem size where kernel time dominates)."""
         mgpu = NmfMgpu(GTX_980, 1).throughput()
         node = SimNode(GTX_980, 1, functional=False)
-        maps = MapsNMF(node, (16384, 4096), k=128).throughput()
+        maps = MapsNMF(Scheduler(node), (16384, 4096), k=128).throughput()
         assert mgpu < 0.9 * maps
 
     @pytest.mark.parametrize("spec", PAPER_GPUS, ids=lambda s: s.name)
@@ -114,8 +115,8 @@ class TestNmfMgpu:
         mgpu4 = NmfMgpu(spec, 4).throughput()
         n1 = SimNode(spec, 1, functional=False)
         n4 = SimNode(spec, 4, functional=False)
-        maps1 = MapsNMF(n1, (16384, 4096), k=128).throughput()
-        maps4 = MapsNMF(n4, (16384, 4096), k=128).throughput()
+        maps1 = MapsNMF(Scheduler(n1), (16384, 4096), k=128).throughput()
+        maps4 = MapsNMF(Scheduler(n4), (16384, 4096), k=128).throughput()
         assert maps4 / maps1 > mgpu4 / mgpu1
         assert maps4 > mgpu4
 

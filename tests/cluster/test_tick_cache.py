@@ -457,9 +457,10 @@ def _check_geometry(ag: NodeAgent) -> None:
         Rect((0, r), (0, cols)),
         Rect((s + r, s + 2 * r), (0, cols)),
     )
-    assert ag.grid == Grid((s + 2 * r, cols))
-    assert len(ag.calls) == 2
-    for i, (window, out) in enumerate(ag.calls):
+    assert len(ag.loop.calls) == 2
+    for i, call in enumerate(ag.loop.calls):
+        assert call.grid == Grid((s + 2 * r, cols))
+        window, out = call.containers
         src, dst = ag.slabs[i], ag.slabs[1 - i]
         assert window.datum is src and out.datum is dst
         assert container_signature(window) == container_signature(
@@ -487,7 +488,7 @@ class TestGeometryFollowsSlab:
         _check_geometry(ag)
         ag.compute(0, True)
         ag.revive(ag.node.time)
-        assert ag.slabs is None and ag.grid is None and ag.calls == ()
+        assert ag.slabs is None and ag.loop is None
         assert ag.top_edge is None and ag.bottom_ghost is None
         assert ag.interior is None
         ag.build(8, 20, None, 1)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core import Grid, Kernel, Matrix, Scheduler, Vector
-from repro.core.graph import IterationGraph, Loop, snapshot_monitor
+from repro.core.graph import Call, IterationGraph, Loop, snapshot_monitor
 from repro.errors import GraphCaptureError, SchedulingError
 from repro.hardware import GTX_780
 from repro.kernels.game_of_life import (
@@ -375,7 +375,7 @@ class TestCaptureGuards:
         launching the graph raises instead of dispatching on freed
         buffers."""
         node, sched, a, b, kernel, ca, cb = gol_setup(n=32)
-        loop = Loop(sched, kernel, (ca, cb), (b, a))
+        loop = Loop(sched, (Call(kernel, ca), Call(kernel, cb)))
         loop.warm_up(0)  # eager warm-up pair, then capture a period
         loop.replay(2, 1)
         assert loop.captures == 1
@@ -810,7 +810,7 @@ class TestTransitionGraphs:
         monitor structure, host and engine clocks after every tick, the
         buffers' LRU stamps and the loop."""
         node, sched, a, b, kernel, ca, cb = gol_setup()
-        loop = Loop(sched, kernel, (ca, cb), (b, a))
+        loop = Loop(sched, (Call(kernel, ca), Call(kernel, cb)))
         if mode == "fallback":
             monkeypatch.setattr(IterationGraph, "_fast_entry", lambda g: None)
         ghosts = {d: tuple((d, r) for r in cls.GHOSTS) for d in (a, b)}
@@ -893,7 +893,7 @@ class TestTransitionGraphs:
         assert loop.captures == 2 and loop.replayed == 3 + 4
         assert stats["fast"] == 7
         for (shape, g), phase_out in zip(
-            (loop.slots[0], loop.slots[1]), (loop.outs[1], loop.outs[0])
+            (loop.slots[0], loop.slots[1]), (loop.out(1), loop.out(0))
         ):
             assert g.replayable, g.reason
             assert not g.fixed_point and not g._marks
@@ -910,7 +910,7 @@ class TestTransitionGraphs:
 
     def test_region_mark_outside_the_datum_records_nothing(self):
         node, sched, a, b, kernel, ca, cb = gol_setup()
-        loop = Loop(sched, kernel, (ca, cb), (b, a))
+        loop = Loop(sched, (Call(kernel, ca), Call(kernel, cb)))
         bad = Rect((N - 1, N + 1), (0, N))
         before = structure(sched.monitor)
         with pytest.raises(SchedulingError, match="out of bounds"):
@@ -937,7 +937,7 @@ class TestTransitionGraphs:
         d = Matrix(N, N, np.uint8, "D").bind(np.zeros((N, N), np.uint8))
         side = gol_containers(c, d)
         sched.analyze_call(kernel, *side)
-        loop = Loop(sched, kernel, (ca, cb), (b, a))
+        loop = Loop(sched, (Call(kernel, ca), Call(kernel, cb)))
         rect = Rect((4, 9), (0, N))
         marks = ((c, rect),)
         for i in range(10):
@@ -1013,7 +1013,7 @@ class TestTransitionGraphs:
         """A graph whose steady state is gone is dropped, and its phase
         starts over: one eager tick, a capture, then fast launches."""
         node, sched, a, b, kernel, ca, cb = gol_setup()
-        loop = Loop(sched, kernel, (ca, cb), (b, a))
+        loop = Loop(sched, (Call(kernel, ca), Call(kernel, cb)))
         for i in range(6):
             loop.run(i, 1, gathers=self.EDGES)
         old = [g for _, g in loop.slots.values()]
@@ -1031,7 +1031,7 @@ class TestTransitionGraphs:
     def test_transition_launch_n_falls_back(self):
         """A transition replays one lap; more laps take the fallback."""
         node, sched, a, b, kernel, ca, cb = gol_setup()
-        loop = Loop(sched, kernel, (ca, cb), (b, a))
+        loop = Loop(sched, (Call(kernel, ca), Call(kernel, cb)))
         for i in range(4):
             loop.run(i, 1, gathers=self.EDGES)
             sched.mark_host_region_dirty(loop.out(i), self.GHOSTS[0])
@@ -1051,7 +1051,7 @@ class TestRunSlots:
 
     def test_new_shape_starts_over(self):
         node, sched, a, b, kernel, ca, cb = gol_setup()
-        loop = Loop(sched, kernel, (ca, cb), (b, a))
+        loop = Loop(sched, (Call(kernel, ca), Call(kernel, cb)))
         want = a.host.copy()
 
         def run(gathers):
@@ -1086,7 +1086,7 @@ class TestRunSlots:
         sync before the second call and a whole gather; returns the
         gathered boards, the node time and the loop."""
         node, sched, a, b, kernel, ca, cb = gol_setup(**sched_kw)
-        loop = Loop(sched, kernel, (ca, cb), (b, a))
+        loop = Loop(sched, (Call(kernel, ca), Call(kernel, cb)))
         rng = np.random.default_rng(9)
         boards = []
         for _ in range(8):
@@ -1160,10 +1160,11 @@ class TestHostOps:
         xh = np.zeros((n, n), np.float32)
         x = Matrix(n, n, np.float32, "X").bind(xh)
         y = Matrix(n, n, np.float32, "Y").bind(np.zeros((n, n), np.float32))
-        loop = Loop.declare(
-            sched, make_sgemm_routine(),
-            (sgemm_containers(x, w, y), sgemm_containers(y, w, x)), (y, x),
-        )
+        routine = make_sgemm_routine()
+        loop = Loop.declare(sched, (
+            Call(routine, sgemm_containers(x, w, y)),
+            Call(routine, sgemm_containers(y, w, x)),
+        ))
 
         def pair():
             loop.step(0)

@@ -19,7 +19,7 @@ import pytest
 import repro.core.graph as graph_mod
 from repro.cluster import ClusterFaultPlan, ClusterMaster, NodeCrash
 from repro.core import Scheduler
-from repro.core.graph import Loop
+from repro.core.graph import Call, Loop
 from repro.core.location_monitor import LocationMonitor, _DatumState
 from repro.hardware import GTX_780, HOST
 from repro.kernels.game_of_life import make_gol_kernel
@@ -155,7 +155,7 @@ class TestOracleAgrees:
         down the fallback."""
         stats = graph_oracle.install(monkeypatch)
         node, sched, a, b, kernel, ca, cb = tg.gol_setup()
-        loop = Loop(sched, kernel, (ca, cb), (b, a))
+        loop = Loop(sched, (Call(kernel, ca), Call(kernel, cb)))
         edges = tg.TestTransitionGraphs.EDGES
         for i in range(7):
             loop.run(i, 1, gathers=edges)
