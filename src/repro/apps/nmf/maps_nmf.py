@@ -177,6 +177,12 @@ class MapsNMF:
         self.node = sched.node
         if isinstance(v, np.ndarray):
             n, m = v.shape
+        elif self.node.functional:
+            raise ValueError(
+                f"MapsNMF on a functional node factorizes an array, not "
+                f"the shape {tuple(v)}: pass the matrix V, or use a "
+                f"timing-only node (SimNode(..., functional=False))"
+            )
         else:
             n, m = v
         self.n, self.m, self.k = n, m, k

@@ -18,7 +18,10 @@ The replay is *bit-identical* to the eager path, not merely equivalent:
   (:meth:`Engine.lower`), made once when ``SimNode`` enqueued it
   (``cmd.op``), and :meth:`Engine.run_graph` dispatches it
   through the same loop as :meth:`Engine.run`: the same floating-point
-  arithmetic, in the same order.
+  arithmetic, in the same order. A one-lap launch runs each segment
+  through code compiled from the order the loop took on its first one
+  (:mod:`repro.sim.segment`): the same arithmetic again, with every heap
+  decision guarded and the loop taking over when a guard fails.
 * Host-clock checkpoints re-accumulate the captured per-lap advances with
   the same sequential additions the eager submission loop performs.
 * Cross-lap event dependencies are resolved by position: a steady-state
@@ -77,6 +80,7 @@ from repro.sim.commands import (
     KernelLaunch,
     Memcpy,
 )
+from repro.sim.segment import GraphSegment
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.grid import Grid
@@ -366,10 +370,11 @@ class IterationGraph:
         self.fast_launches = 0
         self.replayed_laps = 0
         # Compiled state (set by _finalize when replayable):
-        #: Per segment of the period (one more than its host syncs): the
-        #: per-stream opcode programs, the host-clock advances and the
+        #: Per segment of the period (one more than its host syncs): its
+        #: per-stream opcode programs (and, once launched for one lap,
+        #: their compiled dispatch), the host-clock advances and the
         #: submission-time device-LRU touches ``(touch, buffer)``.
-        self._segments: list[tuple[list, list[float], list]] = []
+        self._segments: list[tuple[GraphSegment, list[float], list]] = []
         #: ``(datum id, checkpoint)`` of the period's host-dirty marks.
         self._marks: list[tuple[int, int]] = []
         #: The first event slot of every segment after the first.
@@ -606,7 +611,7 @@ class IterationGraph:
         bounds = [0, *(t for t, _ in rec.cuts), len(rec.touches)]
         self._segments = [
             (
-                programs[g],
+                GraphSegment(programs[g]),
                 deltas[g],
                 [(m.touch, b) for m, b in rec.touches[bounds[g]:bounds[g + 1]]],
             )
@@ -1097,7 +1102,7 @@ class IterationGraph:
         ck_vals: list[float] = []
         h = node.host_time
         ev_time = None
-        for programs, deltas, touches in self._segments:
+        for segment, deltas, touches in self._segments:
             if ev_time is not None:
                 h = max(h, engine.now)
             for _ in range(n):
@@ -1113,7 +1118,7 @@ class IterationGraph:
                     for touch, buf in touches:
                         touch(buf)
             ev_time = engine.run_graph(
-                programs, n, ck_vals, K, E, boundary, ref_times, ev_time
+                segment, n, ck_vals, K, E, boundary, ref_times, ev_time
             )
         node.host_time = max(h, engine.now)
         # A host-dirty mark's effect the exit does not write: the host read

@@ -22,7 +22,10 @@ blocked streams are parked per event and re-inserted when the matching
 ``EventRecord`` executes — so heap entries are never stale and each
 dispatch costs O(log streams) instead of O(streams × heads). Commands
 are lowered once, at enqueue (:meth:`Engine.lower`), and eager runs and
-iteration-graph replays share one dispatch loop.
+iteration-graph replays share one dispatch loop. A one-lap replay of a
+graph segment runs straight-line code compiled from the order that loop
+took on the segment's first one-lap launch, behind guards that fall back
+to the loop (:mod:`repro.sim.segment`, :meth:`Engine.run_graph`).
 
 Fault injection (DESIGN.md §8): while the node's
 :class:`~repro.sim.faults.FaultPlan` is armed or a device is dead, every
@@ -56,6 +59,7 @@ from repro.sim.commands import (
     Memcpy,
 )
 from repro.sim.device import Device, EngineState
+from repro.sim.segment import GraphSegment, compile_segment
 from repro.sim.stream import Stream
 from repro.sim.trace import Trace
 
@@ -192,7 +196,7 @@ class Engine:
 
     def run_graph(
         self,
-        programs: list[tuple[Stream, list[tuple]]],
+        segment: GraphSegment,
         n: int,
         ck_vals: list[float],
         K: int,
@@ -201,10 +205,11 @@ class Engine:
         const_times: list[float],
         ev_time: list[float | None] | None = None,
     ) -> list[float | None]:
-        """Replay a compiled iteration graph for ``n`` laps (DESIGN.md §12).
+        """Replay one segment of a compiled iteration graph for ``n`` laps
+        (DESIGN.md §12).
 
-        ``programs`` pairs each captured stream with its opcode list: the
-        opcodes :meth:`lower` gave its commands, with the host-time
+        ``segment`` holds each captured stream and its opcode program:
+        the opcodes :meth:`lower` gave its commands, with the host-time
         checkpoint ``ck`` in the second field, plus event waits and
         records by slot. A replay dispatch touches no command objects and
         goes through the same loop as an eager one, so replayed times are
@@ -225,14 +230,32 @@ class Engine:
         (one per host sync it captured) passes the array the earlier
         segments filled as ``ev_time``, so a wait on an event of an
         earlier segment reads its time.
+
+        A one-lap launch runs the segment's compiled dispatch
+        (:mod:`repro.sim.segment`), which the first one-lap launch
+        compiles from the order it dispatched in; a launch whose guards
+        fail goes through the heap interpreter and is counted.
         """
         if ev_time is None:
             ev_time = [None] * (n * E)
+        order = None
+        if n == 1:
+            run = segment.run
+            if run is not None:
+                if run(self, ck_vals, boundary_times, const_times, ev_time):
+                    segment.compiled_runs += 1
+                    return ev_time
+                segment.guard_misses += 1
+            elif not segment.recorded:
+                segment.recorded = True
+                order = []
         self._dispatch(
-            [p[0] for p in programs], None,
-            ([p[1] for p in programs], n, ck_vals, K, E, boundary_times,
-             const_times, ev_time),
+            segment.streams, None,
+            (segment.programs, n, ck_vals, K, E, boundary_times,
+             const_times, ev_time, order),
         )
+        if order is not None:
+            segment.run = compile_segment(self, segment, order)
         return ev_time
 
     def _dispatch(
@@ -240,7 +263,9 @@ class Engine:
     ) -> None:
         """The one dispatch loop: eager commands (``replay`` None; the
         streams' queues, each command's ``op``) or an iteration graph's
-        programs (``replay``, see :meth:`run_graph`) for ``n`` laps.
+        programs (``replay``, see :meth:`run_graph`) for ``n`` laps. A
+        replay given an ``order`` list appends the ``(lane, pc)`` of each
+        pop to it, which is what :func:`compile_segment` compiles.
 
         Streams are lanes of a min-heap keyed ``(ready, stream id)``; a
         lane waiting on an unrecorded event is parked on it. After each
@@ -267,7 +292,7 @@ class Engine:
         blocked = 0
         graph = replay is not None
         if graph:
-            progs, n, ck_vals, K, E, boundary, consts, ev_time = replay
+            progs, n, ck_vals, K, E, boundary, consts, ev_time, order = replay
             lens = [len(p) for p in progs]
             laps = [0 if m else n for m in lens]
             pcs = [0] * len(progs)
@@ -352,6 +377,8 @@ class Engine:
                 if graph:
                     prog = progs[si]
                     op = prog[pcs[si]]
+                    if order is not None:
+                        order.append((si, pcs[si]))
                 else:
                     q = stream.commands
                 while True:

@@ -119,3 +119,11 @@ class TestMapsNMF:
         nmf = MapsNMF(Scheduler(node), (1024, 512), k=32)
         t = nmf.measure_iteration(warmup=1, iters=2)
         assert 0 < t < 1.0
+
+    def test_shape_on_a_functional_node_names_the_fix(self):
+        """A functional node factorizes data: given only a shape, the
+        constructor says to pass the array or use a timing-only node
+        instead of failing inside ``bind``."""
+        node = SimNode(GTX_780, 2)
+        with pytest.raises(ValueError, match="pass the matrix V.*timing-only"):
+            MapsNMF(Scheduler(node), (64, 32), k=4)

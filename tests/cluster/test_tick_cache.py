@@ -38,6 +38,8 @@ import numpy as np
 import pytest
 
 import repro.cluster.agent as agent_mod
+import repro.sim.engine as engine_mod
+import repro.sim.segment as segment_mod
 from repro.cluster import (
     ClusterFaultPlan,
     ClusterMaster,
@@ -162,14 +164,26 @@ class TestSteadyTickHostWork:
     benchmark's 8-node setup with its checkpoint interval."""
 
     @staticmethod
-    def _window(monkeypatch) -> tuple[dict, int, dict, dict]:
+    def _window(monkeypatch) -> tuple[dict, int, dict, dict, dict]:
         """Warm up, then count the host work of :data:`QUIET` and the
         fast launches of 100 ticks; per node, each launch's ``(fast,
-        datums its entry check compared in full)``; and per master tick,
+        datums its entry check compared in full)``; per master tick,
         the region marks the scheduler made outside ``Loop.run``
         (``"between"``) and the region marks the monitors applied
         (``"applied"``: the former, and those of eager runs and
-        fallback launches)."""
+        fallback launches); and the compiled dispatch of the graphs'
+        segments: the window's compiled runs and guard misses, the
+        distinct code objects and the compiles since the master was
+        built."""
+        segments = []
+        compile_segment = engine_mod.compile_segment
+
+        def collected(engine, segment, order):
+            segments.append(segment)
+            return compile_segment(engine, segment, order)
+
+        monkeypatch.setattr(engine_mod, "compile_segment", collected)
+        compiles = segment_mod._recipe.cache_info().misses
         m = ClusterMaster(
             GTX_780, 8, 2, (2048, 2048), KERNEL, functional=False,
             faults=ClusterFaultPlan(checkpoint_interval=100),
@@ -243,14 +257,27 @@ class TestSteadyTickHostWork:
         monkeypatch.setattr(Loop, "run", counted_run)
         monkeypatch.setattr(Scheduler, "mark_checked_region_dirty", counted_mark)
         monkeypatch.setattr(LocationMonitor, "mark_written", counted_written)
+
+        def compiled_counts() -> tuple[int, int]:
+            return (sum(s.compiled_runs for s in segments),
+                    sum(s.guard_misses for s in segments))
+
+        runs, misses = compiled_counts()
         before = m.tick
         for _ in range(100):  # crosses the checkpoint at tick 200
             m.step()
         assert m.tick == before + 100
-        return counts, fast["fast"], launches, marks
+        now_runs, now_misses = compiled_counts()
+        compiled = {
+            "runs": now_runs - runs,
+            "misses": now_misses - misses,
+            "structures": len({s.run.__code__ for s in segments if s.run}),
+            "compiles": segment_mod._recipe.cache_info().misses - compiles,
+        }
+        return counts, fast["fast"], launches, marks, compiled
 
     def test_steady_ticks_do_no_planning(self, monkeypatch):
-        counts, fast, launches, marks = self._window(monkeypatch)
+        counts, fast, launches, marks, _ = self._window(monkeypatch)
         assert counts == dict.fromkeys(QUIET, 0)
         # Only the two ticks after the checkpoint are not fast: its
         # interior gathers leave a host copy of the slab tick 200 reads,
@@ -275,12 +302,23 @@ class TestSteadyTickHostWork:
         # 201, which apply their recorded marks.
         assert marks == {"between": {}, "applied": {200: 16, 201: 16}}
 
+    def test_steady_ticks_run_compiled(self, monkeypatch):
+        """Every fast launch of the window runs its one segment's compiled
+        dispatch and misses no guard; the sixteen graphs (two parities on
+        eight nodes) share one structure, compiled at most once in the
+        process."""
+        _, fast, _, _, compiled = self._window(monkeypatch)
+        assert compiled["runs"] == fast == 784
+        assert compiled["misses"] == 0
+        assert compiled["structures"] == 1
+        assert compiled["compiles"] <= compiled["structures"]
+
     def test_eager_ticks_do_no_planning(self, monkeypatch):
         """With every launch's fast path disabled, each tick runs its
         invoke and edge gathers eagerly: the memoized gather decisions
         and the agent's geometry still leave no planning work."""
         monkeypatch.setattr(IterationGraph, "_fast_entry", lambda g: None)
-        counts, fast, _, marks = self._window(monkeypatch)
+        counts, fast, _, marks, _ = self._window(monkeypatch)
         assert counts == dict.fromkeys(QUIET, 0)
         assert fast == 0
         assert marks["between"] == {}
@@ -291,7 +329,7 @@ class TestSteadyTickHostWork:
         monkeypatch.setattr(
             ClusterFaultPlan, "calm_until", lambda self, t, m: -math.inf
         )
-        counts, _, _, _ = self._window(monkeypatch)
+        counts, *_ = self._window(monkeypatch)
         for name in QUIET[3:8]:
             assert counts[name] > 0, name
         assert counts["_check_region"] == counts["_plan_exchange"] == 0

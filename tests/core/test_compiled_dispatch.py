@@ -1,0 +1,393 @@
+"""Compiled graph segments against the heap interpreter (DESIGN.md §12).
+
+A one-lap launch runs each segment of its graph through straight-line
+code compiled from the order ``Engine._dispatch`` took on the segment's
+first one-lap launch (``repro.sim.segment``). Here the same scenarios run
+twice: as they are, and with ``compile_segment`` patched to compile
+nothing, so every launch goes through the interpreter. After every
+``run_graph`` the two runs must leave identical event times, engine
+clock, command count, stream cursors, channel occupancy and engine busy
+state, and the scenarios' own observables (trace rows, boards, answers,
+monitor state, host clocks) must be equal too:
+
+* the transition graphs of ``tests/core/test_graph.py``: owed region
+  marks, and whole marks with host syncs (segments that read event times
+  an earlier segment recorded);
+* cluster ticks with a crash, its recovery and a re-slab on rejoin;
+* functional serving, whose layers run numpy payloads.
+
+Two engine-level segments pin the two rules the compiled code must keep:
+a record runs in-line at an exact ready-time tie, as the interpreter's
+replay does (not as the eager heap, which makes it wait its turn), and a
+launch whose heap decisions differ from the compiled order fails a guard,
+writes nothing and is dispatched by the interpreter.
+"""
+
+import random
+
+import numpy as np
+
+import repro.sim.engine as engine_mod
+from repro.cluster import ClusterMaster
+from repro.hardware import GTX_780, HOST
+from repro.sim import SimNode
+from repro.sim.commands import HostOp, KernelLaunch, Memcpy
+from repro.sim.engine import Engine
+from repro.sim.segment import GraphSegment
+from tests.cluster import test_tick_cache as tick_cache
+from tests.serving import test_graph_serving as graph_serving
+
+from . import test_graph as graph_tests
+
+
+def _engine_state(eng: Engine, segment: GraphSegment, ev_time) -> tuple:
+    return (
+        list(ev_time),
+        eng.now,
+        eng.commands_executed,
+        [s.cursor for s in segment.streams],
+        list(eng._channel_busy.values()),
+        [(e.busy_until, e.busy_time)
+         for d in eng.devices for e in d.engines()],
+        (eng.host_engine.busy_until, eng.host_engine.busy_time),
+    )
+
+
+def _instrument(monkeypatch, compiled: bool) -> tuple[list, list]:
+    """Log the engine state after every ``run_graph``, and collect every
+    segment a one-lap launch recorded; with ``compiled`` off none of them
+    gets code. Returns ``(log, segments)``."""
+    log: list = []
+    segments: list = []
+    run_graph = Engine.run_graph
+    compile_segment = engine_mod.compile_segment
+
+    def logged(self, segment, *args):
+        ev_time = run_graph(self, segment, *args)
+        log.append(_engine_state(self, segment, ev_time))
+        return ev_time
+
+    def collected(engine, segment, order):
+        segments.append(segment)
+        return compile_segment(engine, segment, order) if compiled else None
+
+    monkeypatch.setattr(Engine, "run_graph", logged)
+    monkeypatch.setattr(engine_mod, "compile_segment", collected)
+    return log, segments
+
+
+def _twins(monkeypatch, scenario):
+    """``scenario(monkeypatch)`` compiled and interpreted, each with its
+    launch log; returns the two results. The compiled run must have run
+    compiled code and missed no guard, and both logs must be equal."""
+    sides = []
+    for compiled in (True, False):
+        with monkeypatch.context() as mp:
+            log, segments = _instrument(mp, compiled)
+            out = scenario(mp)
+        runs = sum(s.compiled_runs for s in segments)
+        misses = sum(s.guard_misses for s in segments)
+        sides.append((out, log, runs, misses))
+    (fast, fast_log, runs, misses), (slow, slow_log, slow_runs, _) = sides
+    assert runs > 0 and misses == 0
+    assert slow_runs == 0
+    assert len(fast_log) == len(slow_log) > runs
+    assert fast_log == slow_log
+    return fast, slow
+
+
+class TestScenarios:
+    def test_transition_ticks_with_owed_marks(self, monkeypatch):
+        fast, slow = _twins(
+            monkeypatch,
+            lambda mp: graph_tests.TestTransitionGraphs._ticks(
+                "graph", owed=True
+            ),
+        )
+        # Time, trace rows, command count, monitor state with event
+        # times, host and engine clocks after every tick, LRU stamps.
+        assert fast[:6] == slow[:6]
+
+    def test_marks_and_syncs(self, monkeypatch):
+        ops = graph_tests.TestHostOps
+        for period in (ops._serve, ops._late_mark):
+            fast, slow = _twins(
+                monkeypatch, lambda mp: ops._rounds("graph", period)
+            )
+            g = fast[-1]
+            assert len(g._segments) > 1
+            assert np.array_equal(fast[0], slow[0])
+            assert fast[1:6] == slow[1:6]
+
+    def test_cluster_crash_recovery_reslab(self, monkeypatch):
+        board = tick_cache._board()
+        span = ClusterMaster(
+            GTX_780, tick_cache.NODES, tick_cache.GPUS, board, tick_cache.KERNEL
+        ).run(tick_cache.TICKS)
+        args = (board, 2, 0.40 * span, 0.55 * span)
+        fast, slow = _twins(
+            monkeypatch, lambda mp: tick_cache._elastic_run(*args)[0]
+        )
+        assert fast["counters"][:2] == (1, 1)
+        assert np.array_equal(fast.pop("board"), slow.pop("board"))
+        assert fast == slow
+
+    def test_functional_serving(self, monkeypatch):
+        cfg = graph_serving.CFG
+        assert cfg.functional
+        fast, slow = _twins(
+            monkeypatch,
+            lambda mp: graph_serving._serve(cfg, mp, eager=False),
+        )
+        (fast_rep, fast_rows), (slow_rep, slow_rows) = fast, slow
+        assert fast_rep.graph_launches > 0
+        assert fast_rep.results_hash() == slow_rep.results_hash()
+        assert fast_rep.served == slow_rep.served
+        assert fast_rep.makespan == slow_rep.makespan
+        assert fast_rows == slow_rows
+
+
+def _op(eng: Engine, cmd, device: int, ck: int) -> tuple:
+    """A graph opcode: the engine's lowering with checkpoint ``ck``."""
+    low = eng.lower(cmd, device)
+    return (low[0], ck, *low[2:])
+
+
+def _kernel(eng: Engine, label: str, device: int, ck: int) -> tuple:
+    return _op(eng, KernelLaunch(label=label, duration=1e-3), device, ck)
+
+
+def _tie_lanes(node):
+    """Lane a waits on lane c's record, and lane b's kernel is ready at
+    the record's time on a's device: two sibling kernels of equal
+    duration, and stream ids a < b < c."""
+    eng = node.engine
+    a, b, c = (node.new_stream(d) for d in (0, 0, 1))
+    assert a.id < b.id < c.id
+    return [
+        (a, [(0, 0, 0, 0), _kernel(eng, "kw", 0, 0)]),
+        (b, [_kernel(eng, "ke", 0, 1)]),
+        (c, [_kernel(eng, "k0", 1, 0), (1, 0, 0)]),
+    ]
+
+
+def _copy_lanes(node):
+    """Lane x copies device 0 to the host and records; lane y waits on
+    the record and runs a kernel on device 1, where lane z's kernel is
+    ready at checkpoint 1."""
+    eng = node.engine
+    x, y, z = (node.new_stream(d) for d in (0, 1, 1))
+    copy = Memcpy(label="d2h", src=0, dst=HOST, nbytes=4096)
+    return [
+        (x, [_op(eng, copy, 0, 0), (1, 0, 0)]),
+        (y, [(0, 0, 0, 0), _kernel(eng, "ky", 1, 0)]),
+        (z, [_kernel(eng, "kz", 1, 1)]),
+    ]
+
+
+def _pop_lanes(node):
+    """Two one-kernel lanes on device 0: the first pop decides."""
+    eng = node.engine
+    p, q = node.new_stream(0), node.new_stream(0)
+    return [(p, [_kernel(eng, "kp", 0, 0)]), (q, [_kernel(eng, "kq", 0, 1)])]
+
+
+def _inline_lanes(node):
+    """Lane r's second kernel (checkpoint 2) follows its first in-line
+    while lane s's kernel (checkpoint 1) is ready later."""
+    eng = node.engine
+    r, s = node.new_stream(1), node.new_stream(1)
+    return [
+        (r, [_kernel(eng, "kr1", 1, 0), _kernel(eng, "kr2", 1, 2)]),
+        (s, [_kernel(eng, "ks", 1, 1)]),
+    ]
+
+
+def _random_lanes(rng: random.Random):
+    """Lanes of a random segment: kernels, copies, host ops, records and
+    waits over two streams per GPU and a host stream, with durations and
+    sizes from small sets so that ready times tie often, and checkpoints
+    0 to 3. A wait names a slot recorded earlier in generation order or
+    the constant 0, so nothing deadlocks."""
+    cmds = []
+    ck, slots = 0, 0
+    for _ in range(rng.randint(4, 16)):
+        lane = rng.randrange(5)
+        ck = min(3, ck + (rng.random() < 0.3))
+        k = rng.random()
+        if k < 0.3 and lane < 4:
+            cmds.append((lane, "kernel", ck, rng.choice([1e-6, 2e-6])))
+        elif k < 0.5:
+            src, dst = rng.choice([(0, HOST), (HOST, 1), (0, 1), (1, 0)])
+            cmds.append((lane, "copy", ck, (src, dst, rng.choice([4096, 65536]))))
+        elif k < 0.6 and lane == 4:
+            cmds.append((lane, "host", ck, rng.choice([1e-6, 3e-6])))
+        elif k < 0.8 or not slots:
+            cmds.append((lane, (1, ck, slots), None, None))
+            slots += 1
+        else:
+            wait = (0, ck, 2, 0) if rng.random() < 0.2 else (
+                0, ck, 0, rng.randrange(slots))
+            cmds.append((lane, wait, None, None))
+
+    def lanes(node):
+        eng = node.engine
+        streams = [node.new_stream(d) for d in (0, 0, 1, 1, HOST)]
+        progs: list[list] = [[] for _ in streams]
+        for i, (lane, kind, ck, arg) in enumerate(cmds):
+            device = streams[lane].device
+            if kind == "kernel":
+                op = _op(eng, KernelLaunch(label=f"k{i}", duration=arg),
+                         device, ck)
+            elif kind == "copy":
+                src, dst, nbytes = arg
+                op = _op(eng, Memcpy(label=f"c{i}", src=src, dst=dst,
+                                     nbytes=nbytes), device, ck)
+            elif kind == "host":
+                op = _op(eng, HostOp(label=f"h{i}", duration=arg), device, ck)
+            else:
+                op = kind
+            progs[lane].append(op)
+        return [(s, p) for s, p in zip(streams, progs) if p]
+
+    return lanes
+
+
+def _launches(compiled: bool, monkeypatch, lanes, plans) -> list:
+    """One-lap launches of the segment ``lanes(node)`` on a fresh node,
+    one per ``(offsets, perturb)`` of ``plans``: with checkpoints at the
+    engine clock ``t`` plus ``offsets``, and the constant event time
+    ``t`` plus the last offset, after ``perturb(engine, t)`` unless it is
+    None. Returns per launch its trace labels, the engine state it left
+    (with the observer calls so far), and the segment's compiled runs and
+    guard misses after it."""
+    with monkeypatch.context() as mp:
+        _instrument(mp, compiled)
+        node = SimNode(GTX_780, 2, functional=False)
+        eng = node.engine
+        observed: list = []
+        eng.observer = lambda *args: observed.append(args)
+        segment = GraphSegment(lanes(node))
+        slots = 1 + max((op[2] for prog in segment.programs for op in prog
+                         if op[0] == 1), default=0)
+        out = []
+        for offsets, perturb in plans:
+            t = eng.now
+            if perturb is not None:
+                perturb(eng, t)
+            before = len(eng.trace)
+            ev_time = eng.run_graph(
+                segment, 1, [t + o for o in offsets], len(offsets), slots,
+                [0.0] * slots, [t + offsets[-1]],
+            )
+            out.append((
+                [r.label for r in eng.trace.records[before:]],
+                (_engine_state(eng, segment, ev_time), list(observed)),
+                (segment.compiled_runs, segment.guard_misses),
+            ))
+        return out
+
+
+def _twin_launches(monkeypatch, lanes, plans) -> list:
+    """:func:`_launches` compiled; the interpreted twin left the same
+    engine state after every launch."""
+    fast = _launches(True, monkeypatch, lanes, plans)
+    slow = _launches(False, monkeypatch, lanes, plans)
+    assert [state for _, state, _ in fast] == [state for _, state, _ in slow]
+    assert [labels for labels, _, _ in fast] == [
+        labels for labels, _, _ in slow
+    ]
+    return [(labels, counts) for labels, _, counts in fast]
+
+
+class TestRules:
+    def test_random_segments(self, monkeypatch):
+        """Random segments, each launched six times with checkpoints that
+        tie or spread and now and then a busy copy engine, so that later
+        launches take other orders than the first: every launch leaves
+        the interpreter's state, whether it ran compiled or missed a
+        guard."""
+        rng = random.Random(41)
+        runs = misses = 0
+        for _ in range(60):
+            lanes = _random_lanes(rng)
+            plans = []
+            for _ in range(6):
+                steps = [rng.choice([0.0, 1e-6, 2e-6]) for _ in range(3)]
+                offsets = [0.0]
+                for step in steps:
+                    offsets.append(offsets[-1] + step)
+                perturb = None
+                if rng.random() < 0.3:
+                    d, x = rng.randrange(2), rng.choice([1e-6, 3e-6])
+
+                    def perturb(eng, t, d=d, x=x):
+                        eng.devices[d].copy_out.busy_until = t + x
+                plans.append((offsets, perturb))
+            counts = _twin_launches(monkeypatch, lanes, plans)[-1][1]
+            runs += counts[0]
+            misses += counts[1]
+        assert runs > 100 and misses > 10
+
+
+    def test_record_runs_in_line_at_a_tie(self, monkeypatch):
+        """The replay takes c's record in-line and wakes a, whose key ties
+        b's and wins on its id, so ``kw`` runs before ``ke``; the eager
+        heap pops ``ke`` before the record
+        (``test_engine_oracle.test_record_waits_its_turn_at_a_tie``). The
+        compiled launches keep the replay's order."""
+        runs = _twin_launches(
+            monkeypatch, _tie_lanes, [((0.0, 1e-3), None)] * 3
+        )
+        assert runs == [
+            (["k0", "kw", "ke"], (0, 0)),
+            (["k0", "kw", "ke"], (1, 0)),
+            (["k0", "kw", "ke"], (2, 0)),
+        ]
+
+    def test_moved_copy_engine_falls_back(self, monkeypatch):
+        """The copy takes microseconds, so ``ky`` runs before ``kz``; the
+        second launch starts with device 0's copy-out engine busy for two
+        milliseconds, so the record wakes y after z's key and ``kz`` runs
+        first. That launch misses a guard, writes nothing and is
+        interpreted; the launches after it run compiled again."""
+
+        def busy(eng, t):
+            eng.devices[0].copy_out.busy_until = t + 2e-3
+
+        plan = ((0.0, 1e-3), None)
+        runs = _twin_launches(
+            monkeypatch, _copy_lanes,
+            [plan, ((0.0, 1e-3), busy), plan, plan],
+        )
+        assert runs == [
+            (["d2h", "ky", "kz"], (0, 0)),
+            (["d2h", "kz", "ky"], (0, 1)),
+            (["d2h", "ky", "kz"], (1, 1)),
+            (["d2h", "ky", "kz"], (2, 1)),
+        ]
+
+    def test_each_guard_kind_falls_back(self, monkeypatch):
+        """Moved host checkpoints flip a pop (q's kernel becomes ready
+        first) and an in-line run (r's second kernel becomes ready after
+        s's): each is caught by its own guard."""
+        early, late = (0.0, 1e-6), (1e-6, 0.0)
+        runs = _twin_launches(
+            monkeypatch, _pop_lanes,
+            [(early, None), (late, None), (early, None)],
+        )
+        assert runs == [
+            (["kp", "kq"], (0, 0)),
+            (["kq", "kp"], (0, 1)),
+            (["kp", "kq"], (1, 1)),
+        ]
+        near, far = (0.0, 5e-3, 0.0), (0.0, 5e-3, 9e-3)
+        runs = _twin_launches(
+            monkeypatch, _inline_lanes,
+            [(near, None), (far, None), (near, None)],
+        )
+        assert runs == [
+            (["kr1", "kr2", "ks"], (0, 0)),
+            (["kr1", "ks", "kr2"], (0, 1)),
+            (["kr1", "kr2", "ks"], (1, 1)),
+        ]

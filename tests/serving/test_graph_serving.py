@@ -81,7 +81,9 @@ def test_graph_serving_equals_eager_twin(name, monkeypatch):
 def test_every_steady_serve_is_one_fast_launch(monkeypatch):
     """After each engine's first two serves on a replica (an eager one and
     the capture), every serve is exactly one graph launch and submits no
-    task; at least 99% of the launches take the fast path."""
+    task; at least 99% of the launches take the fast path, and each
+    segment of a fast launch after a graph's first runs compiled, with no
+    guard miss."""
     serves: dict[int, list[tuple[int, int]]] = {}
     graphs: dict[int, IterationGraph] = {}
     counts = {"launches": 0, "submits": 0}
@@ -119,3 +121,7 @@ def test_every_steady_serve_is_one_fast_launch(monkeypatch):
     fast = sum(g.fast_launches for g in graphs.values())
     assert launches == len(steady) == rep.graph_launches
     assert fast >= 0.99 * launches
+    for g in graphs.values():
+        for segment, _, _ in g._segments:
+            assert segment.guard_misses == 0
+            assert segment.compiled_runs == g.fast_launches - 1
