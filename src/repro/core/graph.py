@@ -799,8 +799,11 @@ class IterationGraph:
 
         src = self._refs_source(const) + self._exit_source(const, entry)
         exec(_compiled(src), ns)
-        self._read_refs = ns["read_refs"]
-        self._write_exit = ns["write_exit"]
+        # Popped, not read: ``ns`` is the functions' globals, so keeping
+        # them in it would make a cycle that holds this graph's constants
+        # until a cyclic collection.
+        self._read_refs = ns.pop("read_refs")
+        self._write_exit = ns.pop("write_exit")
 
     def _refs_source(self, const) -> str:
         """``read_refs(states)``: the event each ref group holds at all of

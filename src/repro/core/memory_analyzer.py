@@ -53,40 +53,49 @@ class MemoryAnalyzer:
         task: Task,
         devices: tuple[int, ...] | None = None,
         weights: tuple[int, ...] | None = None,
+        rects: tuple | None = None,
     ) -> None:
         """Fold one task's per-device requirements into the boxes.
 
         ``devices`` is the alive device set the task is segmented across
         (default: all of the node's devices); ``weights`` selects the
         ratio-aware split of the straggler feedback loop (DESIGN.md §11)
-        and must match the segmentation the plan will use. Must be called
-        (via ``Scheduler.AnalyzeCall``) before any dependent invocation;
-        invoking an unanalyzed task raises
+        and must match the segmentation the plan will use. ``rects`` are
+        the task's :meth:`requirements` when the caller has them (a call
+        template's). Must be called (via ``Scheduler.AnalyzeCall``) before
+        any dependent invocation; invoking an unanalyzed task raises
         :class:`~repro.errors.AnalysisError`.
         """
         if devices is None:
             devices = tuple(range(self.node.num_gpus))
+        if rects is None:
+            rects = self.requirements(task, devices, weights)
         containers = task.containers
-        for i, device, rect in self._requirements(task, devices, weights):
+        for i, device, rect in rects:
             self._merge(containers[i].datum, device, rect)
 
-    def _requirements(
+    def requirements(
         self,
         task: Task,
         devices: tuple[int, ...],
         weights: tuple[int, ...] | None,
+        signature: tuple | None = None,
     ) -> tuple[tuple[int, int, Rect], ...]:
         """Per active device, each container's required (inputs) or owned
-        (outputs) virtual rect, memoized by geometry in ``_rects``."""
+        (outputs) virtual rect, as ``(container index, device, rect)``,
+        memoized by geometry in ``_rects``. ``signature`` is the task's
+        plan signature under ``devices`` and ``weights``, if known."""
         memo = self._rects
         key = None
         if memo is not None:
             try:
-                # The plan key minus its kernel id: rects are kernel-free.
-                key = task_signature(task, devices, weights)[1:]
+                if signature is None:
+                    signature = task_signature(task, devices, weights)
             except Uncacheable:
                 pass
             else:
+                # The plan key minus its kernel id: rects are kernel-free.
+                key = signature[1:]
                 hit = memo.get(key)
                 if hit is not None:
                     return hit
@@ -171,6 +180,7 @@ class MemoryAnalyzer:
         devices: tuple[int, ...] | None = None,
         oom_handler=None,
         weights: tuple[int, ...] | None = None,
+        rects: tuple | None = None,
     ) -> None:
         """Analyze a task at invocation time, growing any live allocation
         whose bounding box expanded (the §8 "automated memory analysis"
@@ -183,9 +193,10 @@ class MemoryAnalyzer:
         out-of-memory failure while growing (DESIGN.md §10): return True to
         retry the grow after the handler freed memory, False to skip the
         grow (the handler evicted this very buffer; it will be re-staged
-        lazily), anything else must raise.
+        lazily), anything else must raise. ``rects`` are as for
+        :meth:`analyze`.
         """
-        self.analyze(task, devices, weights=weights)
+        self.analyze(task, devices, weights=weights, rects=rects)
         self._grow_buffers(oom_handler)
 
     def _grow_buffers(self, oom_handler=None) -> None:

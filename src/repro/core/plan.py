@@ -23,8 +23,14 @@ analyzed-box check (:func:`check_plan`) on the plan it looked up.
 
 Every caching scheduler on one ``SimNode`` shares that node's
 :class:`NodeTables`: the plans, the analyzer's requirement rects, the
-location monitor's geometry ids and transitions, and the copy decisions
-of host gathers, all geometry-keyed. Plan and rect tables are bounded by
+call templates, the location monitor's geometry ids and transitions, and
+the copy decisions of host gathers, all geometry-keyed. A
+:class:`CallTemplate` is what ``AnalyzeCall`` learns about one call shape
+(:func:`geometry_key`): its kernel, grid, plan signature and requirement
+rects. A later ``AnalyzeCall`` of that shape over other datums (the job
+server's next lease) rebinds it instead of building and validating a
+:class:`~repro.core.task.Task`, and its first invoke takes the plan by
+the stored signature. Plan, rect and template tables are bounded by
 :data:`PLAN_LIMIT` (oldest evicted first).
 ``Scheduler(plan_cache=False)`` shares and memoizes nothing.
 
@@ -195,10 +201,10 @@ class TaskPlan:
 COPY_MEMO_LIMIT = 512
 
 #: Upper bound on the plans (and on the analyzer's requirement-rect
-#: entries) one node keeps; above it the oldest entry is evicted. Steady
-#: workloads need one plan per task shape; a caller that builds a kernel
-#: per call mints a new key every time, and would otherwise pin every
-#: kernel it ever built.
+#: entries and the call templates) one node keeps; above it the oldest
+#: entry is evicted. Steady workloads need one plan per task shape; a
+#: caller that builds a kernel per call mints a new key every time, and
+#: would otherwise pin every kernel it ever built.
 PLAN_LIMIT = 512
 
 
@@ -221,6 +227,9 @@ class NodeTables:
         self.plans: dict[tuple, TaskPlan] = {}
         #: geometry signature -> requirement rects (``MemoryAnalyzer``).
         self.rects: dict[tuple, tuple] = {}
+        #: :func:`geometry_key` -> :class:`CallTemplate`
+        #: (``Scheduler.analyze_call``).
+        self.templates: dict[tuple, CallTemplate] = {}
         #: residency geometry -> state id (``LocationMonitor``).
         self.geom_ids: dict[tuple, int] = {}
         #: (state id, op) -> (post state id, template) (``LocationMonitor``).
@@ -239,7 +248,7 @@ class NodeTables:
 
 
 def build_plan(task: "Task", devices: "int | tuple[int, ...]", analyzer=None,
-               peers_of=None, weights=None) -> TaskPlan:
+               peers_of=None, weights=None, signature=None) -> TaskPlan:
     """Compute a task's invocation plan (the slow path, run once per
     signature).
 
@@ -250,14 +259,16 @@ def build_plan(task: "Task", devices: "int | tuple[int, ...]", analyzer=None,
     vector, aligned with ``devices``), the grid is split proportionally
     instead of evenly — the ratio-aware segmenter of the straggler
     feedback loop (DESIGN.md §11). When ``analyzer`` is given, the plan is
-    validated against the task's analyzed boxes (:func:`check_plan`). No
-    commands are enqueued and no monitor state is touched.
+    validated against the task's analyzed boxes (:func:`check_plan`).
+    ``signature`` is the task's, when the caller has it. No commands are
+    enqueued and no monitor state is touched.
     """
     devices = _device_tuple(devices)
-    try:
-        signature = task_signature(task, devices, weights)
-    except Uncacheable:
-        signature = ()  # plan still usable once; callers won't store it
+    if signature is None:
+        try:
+            signature = task_signature(task, devices, weights)
+        except Uncacheable:
+            signature = ()  # plan still usable once; callers won't store it
     if weights is None:
         partition = task.grid.partition(len(devices))
     else:
@@ -330,13 +341,78 @@ def prekey(kernel: Any, containers: tuple, grid: Any) -> tuple:
     return key
 
 
+def geometry_key(
+    kernel: Any, containers: tuple, grid: Any,
+    devices: tuple[int, ...], weights: "tuple[int, ...] | None",
+) -> tuple:
+    """The key of one call shape in :attr:`NodeTables.templates`: built
+    like :func:`prekey`, but with each container's datum replaced by its
+    shape and dtype, and with the alive ``devices`` and straggler
+    ``weights`` the call is analyzed under. It holds no datum, so it
+    matches a later call over other datums of the same geometry. Raises
+    ``TypeError`` when a parameter is unhashable."""
+    key = (
+        id(kernel),
+        None if grid is None else (grid.shape, grid.block0),
+        devices,
+        weights,
+        *[
+            (type(c), *[
+                (k, (v.shape, v.dtype.str)) if k == "datum" else (k, v)
+                for k, v in vars(c).items()
+            ])
+            for c in containers
+        ],
+    )
+    hash(key)
+    return key
+
+
+@dataclass(frozen=True, slots=True)
+class CallTemplate:
+    """What ``AnalyzeCall`` derives from one call shape
+    (:func:`geometry_key`), kept per node without any datum: the kernel
+    and grid a :meth:`~repro.core.task.Task.rebind` needs, the plan
+    ``signature`` under ``devices`` and ``weights``, and the requirement
+    ``rects`` the memory analyzer folds into the new datums' boxes.
+
+    A task over containers of the same types, parameters, datum shapes
+    and dtypes passes the same checks and implies the same grid as the
+    task the template was made from, so rebinding skips them. The
+    template pins the kernel, so the ``id()`` in its key stays unique."""
+
+    kernel: Any
+    grid: Any
+    devices: tuple[int, ...]
+    weights: tuple[int, ...] | None
+    signature: tuple
+    rects: tuple
+
+
+def store_template(
+    templates: dict, key: tuple, task: "Task", devices: tuple[int, ...],
+    weights: "tuple[int, ...] | None", requirements,
+) -> CallTemplate:
+    """Make the template of ``task`` analyzed under ``devices`` and
+    ``weights`` and store it under its :func:`geometry_key` ``key``;
+    ``requirements(task, devices, weights, signature)`` gives its rects.
+    The key hashed every parameter, so the signature is cacheable."""
+    signature = task_signature(task, devices, weights)
+    template = CallTemplate(
+        task.kernel, task.grid, devices, weights, signature,
+        requirements(task, devices, weights, signature),
+    )
+    bounded_put(templates, key, template)
+    return template
+
+
 @dataclass(eq=False, slots=True)
 class BoundPlan:
     """A plan bound to one submission's datums (DESIGN.md §7): what a
     steady invoke under the same :func:`prekey` would otherwise recompute.
 
-    ``task`` is the first :class:`Task` built under the key (later ones
-    are its :meth:`Task.rebind`); ``buffers`` are each active device's
+    ``task`` is the task of the submission that made the record (later
+    ones are its :meth:`Task.rebind`); ``buffers`` are each active device's
     buffers in allocation-pass order, valid while every device's
     allocator ``epoch`` equals ``epochs``; ``devices``/``weights`` are the
     alive set and straggler weights the plan was looked up under.
@@ -569,16 +645,22 @@ class PlanCache:
         task: "Task",
         devices: "int | tuple[int, ...]",
         weights: "tuple[int, ...] | None" = None,
+        signature: tuple | None = None,
     ) -> TaskPlan | None:
-        """The cached plan for ``task``'s signature, or None."""
+        """The cached plan for ``task``'s signature, or None. A caller
+        that holds the signature already (a :class:`CallTemplate`'s, for
+        the same ``devices`` and ``weights``) passes it as ``signature``,
+        and none is computed."""
         if not self.enabled:
             self.misses += 1
             return None
-        try:
-            key = task_signature(task, devices, weights)
-        except Uncacheable:
-            self.bypasses += 1
-            return None
+        key = signature
+        if key is None:
+            try:
+                key = task_signature(task, devices, weights)
+            except Uncacheable:
+                self.bypasses += 1
+                return None
         plan = self._plans.get(key)
         if plan is None:
             self.misses += 1

@@ -37,6 +37,7 @@ from repro.core.mitigation import Mitigator, _KernelOrigin
 from repro.core.plan import (
     COPY_MEMO_LIMIT,
     BoundPlan,
+    CallTemplate,
     NodeTables,
     PlanCache,
     TaskPlan,
@@ -44,7 +45,9 @@ from repro.core.plan import (
     build_plan,
     check_plan,
     freeze_constants,
+    geometry_key,
     prekey,
+    store_template,
 )
 from repro.core.pressure import MemoryPressure
 from repro.core.recovery import _GatherRecord, _RescheduleError, _TransferContext
@@ -145,6 +148,9 @@ class Scheduler:
         #: Host-gather copy decisions (``_copy_ops``), node-shared.
         self._gathers = tables.gathers if plan_cache else None
         self.plans = PlanCache(enabled=plan_cache, plans=tables.plans)
+        #: The node's call templates (``analyze_call``); None with the
+        #: plan cache off.
+        self._templates = tables.templates if plan_cache else None
         #: ``plan.prekey`` -> the submission's ``BoundPlan`` (DESIGN.md
         #: §7); empty with the plan cache off.
         self._prebound: dict[tuple, BoundPlan] = {}
@@ -181,6 +187,10 @@ class Scheduler:
         #: ``plan.prekey``) in first-analysis order — re-analyzed for the
         #: surviving device set when recovery re-segments work.
         self._analyzed: dict[tuple, Task] = {}
+        #: ``plan.prekey`` -> the call template its latest analysis used
+        #: or made: an invoke without a bound record takes its plan by the
+        #: template's signature.
+        self._declared: dict[tuple, CallTemplate] = {}
         #: Submission log (TaskHandles and _GatherRecords in order) driving
         #: ordered resubmission after a permanent failure; bounded after
         #: every wait (``recovery.prune_log``).
@@ -291,17 +301,46 @@ class Scheduler:
         """Forward-declare a task so the memory analyzer can size
         per-device allocations (§4.2). Accepts the same parameters as
         :meth:`invoke`. A device buffer that already exists grows, its
-        contents kept, when the task widens its datum's box."""
+        contents kept, when the task widens its datum's box.
+
+        With the plan cache on, a call shape analyzed before on this node
+        (``plan.geometry_key``: the same kernel, grid argument, container
+        types and parameters, datum shapes and dtypes, alive set and
+        weights) is bound from its node-level template: the task is a
+        :meth:`Task.rebind` and the template's rects are folded into the
+        new datums' boxes. Otherwise the task is built and checked, and
+        becomes the shape's template."""
         self._check_live()
         self._no_capture("analyze_call")
-        task = Task(kernel, containers, grid, constants)
         if self._mitigator is not None:
             self._mitigator.refresh()
-        self.analyzer.ensure(task, self._alive, weights=self._weights)
+        alive, weights = self._alive, self._weights
+        templates = self._templates
         try:
             key = prekey(kernel, containers, grid)
+            gkey = None if templates is None else geometry_key(
+                kernel, containers, grid, alive, weights
+            )
         except TypeError:  # an unhashable parameter: never deduplicated
+            key = gkey = None
+        template = None if gkey is None else templates.get(gkey)
+        if template is None:
+            task = Task(kernel, containers, grid, constants)
+            if gkey is not None:
+                template = store_template(
+                    templates, gkey, task, alive, weights,
+                    self.analyzer.requirements,
+                )
+        else:
+            task = Task.rebind(template, containers, constants)
+        self.analyzer.ensure(
+            task, alive, weights=weights,
+            rects=None if template is None else template.rects,
+        )
+        if key is None:
             key = (task,)
+        elif template is not None:
+            self._declared[key] = template
         self._analyzed.setdefault(key, task)
         self.node.host_advance(self.node.interconnect.scheduler_container_overhead)
         return task
@@ -627,8 +666,10 @@ class Scheduler:
     def _submit(self, kernel, containers, grid, constants) -> TaskHandle:
         """Build a submission's task and schedule it. With the plan cache
         on, a submission whose ``plan.prekey`` has a bound record reuses
-        the record's task shape (``Task.rebind``), plan and buffers."""
-        key = rec = None
+        the record's task shape (``Task.rebind``), plan and buffers; one
+        without a record but analyzed by ``analyze_call`` rebinds the
+        analyzed task."""
+        key = shape = rec = None
         if self.plans.enabled:
             try:
                 key = prekey(kernel, containers, grid)
@@ -636,10 +677,11 @@ class Scheduler:
                 pass
             else:
                 rec = self._prebound.get(key)
-        if rec is None:
+                shape = self._analyzed.get(key) if rec is None else rec.task
+        if shape is None:
             task = Task(kernel, containers, grid, constants)
         else:
-            task = rec.task.rebind(containers, constants)
+            task = Task.rebind(shape, containers, constants)
         return self._schedule(task, key, rec)
 
     def _schedule(
@@ -659,7 +701,7 @@ class Scheduler:
         self._check_live()
         while True:
             try:
-                plan = self._lookup_or_build(task, rec)
+                plan = self._lookup_or_build(task, rec, key)
                 return self._replay(task, plan, key=key, rec=rec)
             except _RescheduleError:
                 continue  # a drain-time recovery changed the alive set
@@ -669,26 +711,39 @@ class Scheduler:
                 recovery.recover(self, e.device, self.node.time)
 
     def _lookup_or_build(
-        self, task: Task, rec: BoundPlan | None = None
+        self, task: Task, rec: BoundPlan | None = None,
+        key: tuple | None = None,
     ) -> TaskPlan:
         if self._mitigator is not None:
             self._mitigator.refresh()
+        alive, weights = self._alive, self._weights
         if (
             rec is not None
             and rec.plan.cached
-            and rec.devices == self._alive
-            and rec.weights == self._weights
+            and rec.devices == alive
+            and rec.weights == weights
         ):
             # The plan the record's submission was looked up under, with
             # its binding already checked.
             return self.plans.hit(rec.plan)
-        plan = self.plans.lookup(task, self._alive, weights=self._weights)
+        # A call analyzed under the current alive set and weights has its
+        # plan signature in its template.
+        template = None if key is None else self._declared.get(key)
+        signature = None
+        if (
+            template is not None
+            and template.devices == alive
+            and template.weights == weights
+        ):
+            signature = template.signature
+        plan = self.plans.lookup(task, alive, weights=weights,
+                                 signature=signature)
         if plan is None:
             # Slow path: runs once per task signature on the node (or
             # every time with the cache disabled).
             plan = build_plan(
-                task, self._alive, peers_of=self._peers,
-                weights=self._weights,
+                task, alive, peers_of=self._peers, weights=weights,
+                signature=signature,
             )
             if not plan.active:
                 raise SchedulingError(f"task {task.name} has an empty grid")
@@ -697,7 +752,7 @@ class Scheduler:
         # record checks it against its datums' analyzed boxes (after the
         # implicit analysis, if on).
         if self.auto_analyze:
-            self.analyzer.ensure(task, self._alive, weights=self._weights)
+            self.analyzer.ensure(task, alive, weights=weights)
         check_plan(task, plan, self.analyzer)
         return plan
 

@@ -131,26 +131,30 @@ class Task:
         for c in self.containers:
             c.validate(self.grid.shape)
 
+    @staticmethod
     def rebind(
-        self,
+        shape: Any,
         containers: tuple[Container, ...],
         constants: Mapping[str, Any] | None = None,
     ) -> "Task":
-        """A new task over ``containers`` with this task's kernel and grid.
+        """A new task over ``containers`` with the kernel and grid of
+        ``shape``: a task, or a :class:`~repro.core.plan.CallTemplate`.
 
-        For a submission with this task's ``plan.prekey``: the containers
-        have the same types, parameters and datums, so the checks and the
-        implied grid of construction would come out the same."""
+        For containers of the same types and parameters as ``shape``'s,
+        over datums of the same shapes and dtypes (the same datums, under
+        one ``plan.prekey``; other datums, under one
+        ``plan.geometry_key``): construction's checks read nothing else,
+        so they would pass again and imply the same grid."""
         task = object.__new__(Task)
         task.id = next(_task_ids)
-        task.kernel = self.kernel
+        task.kernel = shape.kernel
         task.containers = containers
         task.constants = dict(constants or {})
         task.inputs = [c for c in containers if isinstance(c, InputContainer)]
         task.outputs = [
             c for c in containers if isinstance(c, OutputContainer)
         ]
-        task.grid = self.grid
+        task.grid = shape.grid
         return task
 
     @property

@@ -9,12 +9,15 @@ iteration counter *are* the checkpoint". The contract:
   arrays) to a scheduler and declares their :class:`~repro.core.graph.Loop`
   (one steady period of calls, analyzed once). It is called once per
   *lease*; after a preemption the next lease's scheduler
-  re-uploads from host and continues from ``completed`` iterations. A
-  lease re-does only the per-datum work: analyzed boxes and allocations,
-  residency, and one box check per distinct submission it makes. The
-  plans, requirement rects and monitor transitions are geometry-keyed
-  tables on the node (DESIGN.md §7), so every lease, job and replica
-  replays those an earlier lease built. Each ``bind`` declares its loop
+  re-uploads from host and continues from ``completed`` iterations. The
+  plans, call templates, requirement rects and monitor transitions are
+  geometry-keyed tables on the node (DESIGN.md §7), so every lease, job
+  and replica replays those an earlier lease built: after the first
+  lease of a call shape, a lease's ``AnalyzeCall``s and first invokes
+  build no ``Task`` and compute no plan signature. A lease re-does only
+  the per-datum work: its datums and streams, analyzed boxes and
+  allocations, residency, and one box check per distinct submission it
+  makes. Each ``bind`` declares its loop
   with the kind's one builder, which sits next to the kernel it wraps
   (:func:`~repro.kernels.game_of_life.gol_loop`,
   :func:`~repro.kernels.histogram.histogram_loop`,

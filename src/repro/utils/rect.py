@@ -231,13 +231,18 @@ class Rect:
         return Rect._new(tuple(out))
 
     def hull(self, other: "Rect") -> "Rect":
-        """N-d bounding box of both rects (Memory Analyzer, §4.2)."""
+        """N-d bounding box of both rects (Memory Analyzer, §4.2); an
+        operand that holds the other is the result itself."""
         self._check_ndim(other)
         if self.empty:
             return other
-        if other.empty:
+        if other.empty or self.contains(other):
             return self
-        return Rect(*[a.hull(b) for a, b in zip(self._ivals, other._ivals)])
+        if other.contains(self):
+            return other
+        return Rect._new(tuple(
+            [a.hull(b) for a, b in zip(self._ivals, other._ivals)]
+        ))
 
     def contains(self, other: "Rect") -> bool:
         a = self._ivals

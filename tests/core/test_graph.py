@@ -191,6 +191,30 @@ class TestCaptureReplay:
         sched.wait_all()
         assert np.array_equal(a.host, gol_expected(2 * 7))
 
+    def test_dropped_loop_frees_its_compiled_code_without_the_collector(
+        self,
+    ):
+        # The generated functions' globals hold the graph's epilogue
+        # constants; no cycle through them may outlive the loop.
+        import gc
+        import weakref
+
+        node, sched, a, b, kernel, ca, cb = gol_setup(functional=False)
+        loop = Loop.declare(sched, [Call(kernel, ca), Call(kernel, cb)])
+        loop.submit(1)
+        sched.wait_all()
+        loop.replay(2, 3)
+        assert loop.graph.fast_launches == 1
+        refs = [weakref.ref(loop.graph._write_exit),
+                weakref.ref(loop.graph._read_refs)]
+        gc.collect()
+        gc.disable()
+        try:
+            del loop
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
+
     def test_eager_interleave_falls_back_bit_identical(self):
         # Eager invokes on the captured datums between launches demote
         # subsequent launches to the (bit-identical) fallback path.

@@ -591,9 +591,92 @@ def run_mix(plan_cache, faults=None, capacity=None, auto=False, n=64,
     return outs, node, sched
 
 
+class Counts:
+    """Counts ``Task.__init__`` and ``task_signature`` runs."""
+
+    def __init__(self, monkeypatch):
+        import repro.core.memory_analyzer as analyzer_mod
+        import repro.core.plan as plan_mod
+
+        self.tasks = self.signatures = 0
+        init, signature = Task.__init__, plan_mod.task_signature
+
+        def counting_init(task, *args, **kwargs):
+            self.tasks += 1
+            init(task, *args, **kwargs)
+
+        def counting_signature(*args, **kwargs):
+            self.signatures += 1
+            return signature(*args, **kwargs)
+
+        monkeypatch.setattr(Task, "__init__", counting_init)
+        monkeypatch.setattr(plan_mod, "task_signature", counting_signature)
+        monkeypatch.setattr(analyzer_mod, "task_signature",
+                            counting_signature)
+
+    def take(self) -> tuple[int, int]:
+        out = (self.tasks, self.signatures)
+        self.tasks = self.signatures = 0
+        return out
+
+
+def run_leases(plan_cache, counts=None, faults=None, retire=None, n=64,
+               iters=6, leases=2):
+    """``leases`` leases on one node, as the job server runs them: each
+    binds fresh datums to the host arrays, declares a GoL ping-pong and a
+    histogram on a fresh scheduler, runs ``iters`` iterations (draining
+    after every other one), gathers and releases. Each lease continues
+    from the last one's boards; ``retire`` retires that device in the
+    second lease, after its analysis. Returns
+    the outputs, the node, each lease's datum ids and, with ``counts``,
+    each lease's ``(tasks, signatures)``."""
+    from repro.core import recovery
+    from repro.core.graph import Call, Loop
+    from repro.kernels.histogram import histogram_grid
+
+    node = SimNode(GTX_780, 4, functional=True, faults=faults)
+    rng = np.random.default_rng(5)
+    hosts = [(rng.random((n, n)) < 0.35).astype(np.uint8),
+             np.zeros((n, n), np.uint8)]
+    pixels = rng.integers(0, 256, (n, n)).astype(np.uint8)
+    gol, hk = make_gol_kernel(), make_histogram_kernel("maps")
+    outs, ids, per_lease = [], [], []
+    for lease in range(leases):
+        a = Matrix(n, n, np.uint8, "A").bind(hosts[0])
+        b = Matrix(n, n, np.uint8, "B").bind(hosts[1])
+        image = Matrix(n, n, np.uint8, "image").bind(pixels)
+        hist = Vector(256, np.int32, "hist").bind(np.zeros(256, np.int32))
+        ids.append({id(d) for d in (a, b, image, hist)})
+        sched = Scheduler(node, plan_cache=plan_cache)
+        loop = Loop.declare(sched, [
+            Call(gol, gol_containers(a, b)),
+            Call(gol, gol_containers(b, a)),
+        ])
+        hargs = histogram_containers(image, hist)
+        grid = histogram_grid(image)
+        sched.analyze_call(hk, *hargs, grid=grid)
+        if lease == 1 and retire is not None:
+            recovery.recover(sched, retire, node.time)
+        for i in range(iters):
+            loop.step(i)
+            sched.invoke(hk, *hargs, grid=grid)
+            if i % 2:
+                sched.wait_all()
+        sched.gather(loop.out(iters - 1))
+        sched.gather(hist)
+        outs += [hosts[iters % 2].copy(), hist.host.copy()]
+        if counts is not None:
+            per_lease.append(counts.take())
+        sched.release()
+        del a, b, image, hist, sched, loop, hargs
+    return outs, node, ids, per_lease
+
 class TestPreBinding:
     """Every way a bound record goes stale forces the rebind path, and
-    the run stays bit-identical to ``plan_cache=False``."""
+    the run stays bit-identical to ``plan_cache=False``. So do a lease's
+    calls bound from the node's call templates (DESIGN.md §7); a template
+    answers only for the alive set and weights it was made under, and
+    otherwise ``plans.lookup`` runs."""
 
     @staticmethod
     def check(monkeypatch, **kw):
@@ -720,3 +803,52 @@ class TestPreBinding:
         misses = sched.plans.misses
         sched.invoke(k, *pong)
         assert sched.plans.misses == misses + 1
+
+    @staticmethod
+    def check_leases(monkeypatch, **kw):
+        ref, ref_node, _, _ = run_leases(False, **kw)
+        counts = Counts(monkeypatch)
+        out, node, ids, per_lease = run_leases(True, counts, **kw)
+        for x, y in zip(out, ref):
+            assert x.tobytes() == y.tobytes()
+        assert node.time == ref_node.time
+        assert normalized_trace(node) == normalized_trace(ref_node)
+        assert node.engine.commands_executed == \
+            ref_node.engine.commands_executed
+        return node, ids, per_lease
+
+    def test_released_leases_share_a_call_template(self, monkeypatch):
+        node, ids, per_lease = self.check_leases(monkeypatch, leases=6)
+        # Two call shapes (the ping and the pong share one): the first
+        # lease builds a task and a signature for each, later leases
+        # neither, though freed datums' ids are taken by their own.
+        assert len(node.plan_tables.templates) == 2
+        assert per_lease == [(2, 2)] + [(0, 0)] * 5
+        assert any(ids[i] & set().union(*ids[:i]) for i in range(1, 6))
+
+    def test_template_under_reweighting_falls_back_to_lookup(
+        self, monkeypatch
+    ):
+        from repro.sim import FaultPlan, Straggler
+
+        faults = FaultPlan(
+            stragglers=[Straggler(device=1, compute_factor=4.0)],
+            mitigate_stragglers=True,
+        )
+        node, _, per_lease = self.check_leases(monkeypatch, n=256,
+                                               faults=faults)
+        # The second lease re-weights: its invokes look their plans up,
+        # and the plans under the new weights carry them in their key.
+        assert per_lease[1][0] == 0 and per_lease[1][1] > 0
+        assert any(len(sig) == 6 for sig in node.plan_tables.plans)
+
+    def test_template_of_a_retired_device_falls_back_to_lookup(
+        self, monkeypatch
+    ):
+        # Retiring a device after the second lease's analysis: its
+        # templates were made for all four devices, so its invokes look
+        # their plans up.
+        node, _, per_lease = self.check_leases(monkeypatch, retire=3)
+        assert per_lease[1][0] == 0 and per_lease[1][1] > 0
+        assert {t.devices for t in node.plan_tables.templates.values()} \
+            == {(0, 1, 2, 3)}

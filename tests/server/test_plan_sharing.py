@@ -6,19 +6,24 @@ tables, so a lease replays what earlier leases built. That must change host
 wall-clock only: a seeded mixed trace (preemptions, device failures,
 stragglers, transient transfer faults) runs through the server once with
 the uncached oracle, ``Scheduler(plan_cache=False)``, and once as-is, and
-every observable must match. A count gate pins the sharing itself: one
-plan per distinct (kind, size, GPU count), however many leases run.
+every observable must match. Count gates pin the sharing itself: one
+plan per distinct (kind, size, GPU count), however many leases run, and
+after a shape's first lease every lease binds its calls from the node's
+call templates, building no ``Task`` and computing no signature. The
+tables hold no datum, so a finished lease's datums are freed.
 """
 
+import gc
 import random
 import re
+import weakref
 
 import numpy as np
 import pytest
 
 import repro.core.plan as plan_mod
 import repro.server.server as server_mod
-from repro.core import Scheduler
+from repro.core import Datum, Scheduler
 from repro.server import (
     DONE,
     GoLWorkload,
@@ -174,6 +179,95 @@ def test_plans_checked_once_per_lease_and_submission(monkeypatch):
     assert checks == sum(len(ks) for ks in keys.values())
 
 
+def test_leases_after_a_shapes_first_build_no_task(monkeypatch):
+    """After the first lease of each (kind, size, GPU count), a lease runs
+    ``Task.__init__`` 0 times and ``task_signature`` 0 times: its
+    ``analyze_call``s rebind the node's call templates, and its first
+    invokes rebind the analyzed tasks and take the plan by the template's
+    signature."""
+    from tests.core.test_plan_cache import Counts
+
+    counts = Counts(monkeypatch)
+    leases = []
+    run_lease = server_mod.JobServer._run_lease
+
+    def spying(self, job):
+        run_lease(self, job)
+        wl = job.spec.workload
+        leases.append(((wl.kind, wl.size, job.spec.gpus), counts.take()))
+
+    monkeypatch.setattr(server_mod.JobServer, "_run_lease", spying)
+    srv, submitted = run(monkeypatch, Scheduler,
+                         specs(5, n=120, faults=False))
+    assert all(j.state == DONE for j in submitted)
+    first: dict[tuple, tuple] = {}
+    later = []
+    for shape, built in leases:
+        if shape in first:
+            later.append(built)
+        else:
+            first[shape] = built
+    assert len(later) > 2 * len(first)
+    assert set(later) == {(0, 0)}
+    # A first lease builds one task and one signature per call shape.
+    templates = srv.node.plan_tables.templates
+    totals = [sum(col) for col in zip(*first.values())]
+    assert totals == [len(templates)] * 2
+    assert all(tasks > 0 for tasks, _ in first.values())
+    for j in submitted:
+        assert np.array_equal(j.spec.workload.result(),
+                              j.spec.workload.reference())
+
+
+def datums_in(obj, seen: set) -> list:
+    """Every :class:`Datum` reachable from ``obj`` through containers and
+    the attributes of repro objects."""
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, Datum):
+        return [obj]
+    if isinstance(obj, dict):
+        items = [*obj.keys(), *obj.values()]
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        items = list(obj)
+    elif type(obj).__module__.startswith("repro."):
+        items = list(getattr(obj, "__dict__", {}).values()) + [
+            getattr(obj, name) for name in getattr(obj, "__slots__", ())
+            if hasattr(obj, name)
+        ]
+    else:
+        return []
+    return [d for item in items for d in datums_in(item, seen)]
+
+
+def test_node_tables_hold_no_datum(monkeypatch):
+    """The node's tables (plans, rects, templates, monitor transitions,
+    gathers) are geometry only: they reach no datum, and with the
+    collector off every datum a finished lease bound is freed."""
+    made = []
+    init = Datum.__init__
+
+    def spying(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(Datum, "__init__", spying)
+    gc.collect()
+    gc.disable()
+    try:
+        srv, submitted = run(monkeypatch, Scheduler,
+                             specs(5, n=60, faults=False))
+        assert all(j.state == DONE for j in submitted)
+        tables = srv.node.plan_tables
+        assert tables.templates and tables.plans
+        assert datums_in(tables, set()) == []
+        assert len(made) > 60
+        assert [r for r in made if r() is not None] == []
+    finally:
+        gc.enable()
+
+
 def test_plan_table_stays_at_its_limit(monkeypatch):
     """More distinct shapes than the limit: the oldest plan is evicted,
     the tables stay at the limit, and results stay exact."""
@@ -187,6 +281,7 @@ def test_plan_table_stays_at_its_limit(monkeypatch):
     tables = srv.node.plan_tables
     assert len(tables.plans) == 2
     assert len(tables.rects) <= 2
+    assert len(tables.templates) == 2
     assert observables(srv, submitted) == observables(oracle_srv, oracle)
     for j in submitted:
         assert j.state == DONE
