@@ -46,12 +46,15 @@ state and consumed read-list shapes. Events are not compared by identity,
 so eager work between launches that rebuilds the same structure (a new
 producer of the same residency) keeps the fast path.
 
-A launch's bookkeeping costs what changed since the last one. Finalization
-compiles the graph's entry-event reads and its epilogue (the exit state it
-writes back to the monitor) into straight-line Python, shared by graphs of
-one structure. The epilogue stamps each datum with its exit; every monitor
-mutation clears the stamp, and a datum still carrying one the graph has
-verified skips the structural compare.
+A launch costs what changed since the last one. Finalization generates
+the whole fast launch as one straight-line Python function, shared by
+graphs of one structure: the pre-checks, the entry check and entry-event
+reads, the host checkpoints, each segment's compiled dispatch and the
+exit state it writes back to the monitor. The checks only a node event
+can fail (dead devices, the fault plan) run once per ``SimNode.epoch``.
+The exit stamps each datum; every monitor mutation clears the stamp, and
+a datum still carrying one the graph has verified skips the structural
+compare.
 
 Workloads do not capture or launch by hand: :class:`Loop` declares one
 steady period of calls and drives its graphs, whole periods through
@@ -68,7 +71,7 @@ import bisect
 import functools
 from typing import TYPE_CHECKING, Any, Mapping, NamedTuple
 
-from repro.core.location_monitor import _Instance
+from repro.core.location_monitor import _READ_FLOOR, _Instance
 from repro.errors import GraphCaptureError
 from repro.hardware.topology import HOST
 from repro.patterns.base import OutputContainer
@@ -266,62 +269,31 @@ def _positions(did: int, snap: tuple, consumed: set[int]):
                 yield (did, _READ, loc, i), ev
 
 
-def _lists_match(st, shapes: tuple, nones: tuple) -> bool:
-    """Whether the datum's consumed read lists have the captured lengths
-    and marks, and every ``(kind, loc, idx)`` of ``nones`` holds no
-    event."""
+def _matches(st, shape: tuple) -> bool:
+    """Whether one datum's monitor state has a graph's entry structure
+    (``IterationGraph._shape``): its geometry id and aggregation state,
+    consumed read lists of the captured lengths and marks, and no event at
+    any ``(kind, loc, idx)`` of its nones."""
+    sid, mode, lost, agg, shapes, nones = shape
+    if (
+        st.sid != sid
+        or st.agg_mode is not mode
+        or st.agg_lost != lost
+        or tuple(st.agg_sources) != agg
+    ):
+        return False
     reads, marks = st.pending_reads, st.read_marks
     for loc, length, mark in shapes:
         if len(reads.get(loc, ())) != length or marks.get(loc) != mark:
             return False
-    for kind, loc, idx in nones:
-        if _event_at(st, kind, loc, idx) is not None:
-            return False
-    return True
-
-
-def _matches(st, shape: tuple) -> bool:
-    """Whether one datum's monitor state has a graph's entry structure
-    (``IterationGraph._shape``)."""
-    sid, mode, lost, agg, shapes, nones = shape
-    return (
-        st.sid == sid
-        and st.agg_mode is mode
-        and st.agg_lost == lost
-        and tuple(st.agg_sources) == agg
-        and _lists_match(st, shapes, nones)
-    )
+    return all(_event_at(st, *pos) is None for pos in nones)
 
 
 class _Exit:
-    """One datum's exit in one graph: the stamp that graph's epilogue
-    leaves on the datum, which the next monitor mutation clears.
-    ``replaced`` are the locations whose read lists the exit replaces."""
+    """One datum's exit in one graph: the stamp that graph's launch
+    leaves on the datum, which the next monitor mutation clears."""
 
-    __slots__ = ("replaced",)
-
-    def __init__(self, replaced: frozenset):
-        self.replaced = replaced
-
-
-def _residual(stamp: _Exit, shape: tuple) -> tuple:
-    """What a datum still stamped with ``stamp`` must show to match
-    ``shape``, once one full compare passed on it: the exit fixes the
-    geometry, aggregation state, events' presence and the read lists it
-    replaced, but not the lists it appends to or leaves alone. Empty when
-    nothing is left to check, else ``(read shapes, nones)``."""
-    kept = stamp.replaced
-    shapes, nones = shape[4], shape[5]
-    shapes = tuple(x for x in shapes if x[0] not in kept)
-    nones = tuple(p for p in nones if p[0] == _READ and p[1] not in kept)
-    return (shapes, nones) if shapes or nones else ()
-
-
-@functools.lru_cache(maxsize=256)
-def _compiled(src: str):
-    """The code object of a graph's generated launch steps
-    (``IterationGraph._compile``); graphs of one structure share it."""
-    return compile(src, "<graph launch>", "exec")
+    __slots__ = ()
 
 
 #: Stamps a graph remembers as verified, at least, and per captured datum;
@@ -331,6 +303,258 @@ _VERIFIED_LIMIT = 16
 _VERIFIED_PER_DATUM = 2
 
 
+def _compare(graph: "IterationGraph", st, shape: tuple) -> bool:
+    """A launch's full compare of one datum's state against its entry
+    structure; the stamp of a state that passes is remembered."""
+    graph.full_compares += 1
+    graph._sched.monitor._sid(st)
+    if not _matches(st, shape):
+        return False
+    stamp = st.stamp
+    if stamp is not None:
+        verified = graph._verified
+        if len(verified) >= max(
+            _VERIFIED_LIMIT, _VERIFIED_PER_DATUM * len(graph._shape)
+        ):
+            verified.clear()
+        verified.add(stamp)
+    return True
+
+
+@functools.lru_cache(maxsize=256)
+def _launch_code(key: tuple):
+    """The code object of one structure's launch (``IterationGraph._lower``
+    makes the key; ``cache_info().misses`` counts compiles):
+    ``launch(g, n)``, which returns the node time, or None before writing
+    anything when the steady state does not hold. In order:
+
+    * the pre-checks no node event can change: the generation, the queued
+      commands of every stream on the node and the mitigator's weights;
+    * per captured datum, a full compare (``_compare``) unless it carries
+      a stamp the graph has verified, which fixes all but the consumed
+      read lists the exit appended to or left alone: the lengths, marks
+      and no-event places of all consumed read lists are read again;
+    * the entry events' reads, each group's positions holding one
+      recorded event;
+    * the host checkpoints, accumulated in locals with the eager
+      submission loop's sequential additions (a host sync rejoins the
+      clock to the engine's, as ``SimNode.run`` does), the submission
+      touches, and each segment's compiled dispatch, or
+      ``Engine.run_graph`` for a segment not compiled yet, a guard miss
+      and a fixed point's ``n > 1`` laps;
+    * the marks' compaction of the host read list at their checkpoints;
+    * the exit (``_exit_lines``).
+    """
+    (fixed, E, K, mitigated, datums, refs, slot_refs, segments, marks,
+     exits, tail, tail_labels, done, appends) = key
+    lines = [
+        "if sched._graph_generation != gen: return None",
+        "for s in node.streams:",
+        "    if s.commands: return None",
+    ]
+    if mitigated:
+        lines.append("if mitigator.weights() != sched._weights: return None")
+    for j, (did, shape, lists, nones) in enumerate(datums):
+        lines += [f"s{j} = state.get(c{did})", f"if s{j} is None: return None"]
+        fails = [
+            f"len(s{j}.pending_reads.get(c{loc}, ())) != {length}"
+            + (f" or c{loc} in s{j}.read_marks" if mark is None
+               else f" or s{j}.read_marks.get(c{loc}) != c{mark}")
+            for loc, length, mark in lists
+        ] + [f"s{j}.pending_reads[c{loc}][{idx}] is not None"
+             for loc, idx in nones]
+        if fails:
+            lines += [
+                f"if s{j}.stamp in verified:",
+                f"    if {' or '.join(fails)}: return None",
+                f"elif not compare(g, s{j}, c{shape}): return None",
+            ]
+        else:
+            lines.append(
+                f"if s{j}.stamp not in verified and not compare(g, s{j}, "
+                f"c{shape}): return None"
+            )
+
+    def at(j, kind, loc, idx) -> str:
+        if kind == _INST:
+            return f"s{j}.up_to_date[c{loc}][{idx}].event"
+        if kind == _AGG:
+            return f"s{j}.agg_sources[c{loc}]"
+        return f"s{j}.pending_reads[c{loc}][{idx}]"
+
+    for r, (first, *others) in enumerate(refs):
+        lines += [
+            f"e{r} = {at(*first)}",
+            f"if e{r} is None or (t{r} := e{r}.recorded_at) is None"
+            + "".join(f" or {at(*p)} is not e{r}" for p in others)
+            + ": return None",
+        ]
+    lines += [
+        "g.fast_launches += 1",
+        "cs = [%s]" % ", ".join(f"t{r}" for r in range(len(refs))),
+    ]
+    if slot_refs:  # lap 0's previous-lap slots read entry events
+        bd = ["0.0"] * E
+        for slot, r in slot_refs:
+            bd[slot] = f"t{r}"
+        lines.append(f"bd = [{', '.join(bd)}]")
+    else:
+        lines.append("bd = boundary")
+    one = ["k0 = node.host_time"]
+    k = 0
+    for i, (segment, deltas, touches) in enumerate(segments):
+        if i:  # a host sync drained the segment before
+            one += ["x = eng.now", f"k{k + 1} = x if x > k{k} else k{k}"]
+            k += 1
+        cks = [f"k{k}"]
+        for d in deltas:
+            one.append(f"k{k + 1} = k{k} + c{d}")
+            k += 1
+            cks.append(f"k{k}")
+        one.append(("ck += [%s]" if i else "ck = [%s]") % ", ".join(cks))
+        one += [f"c{touch}(c{buf})" for touch, buf in touches]
+        if not i:
+            one.append(f"ev = [None] * {E}")
+        one += [
+            f"r = c{segment}.run",
+            "if r is not None and r(eng, ck, bd, cs, ev): "
+            f"c{segment}.compiled_runs += 1",
+            f"else: eng.run_graph(c{segment}, 1, ck, {K}, {E}, bd, cs, ev)",
+        ]
+    one += ["x = eng.now", f"hh = x if x > k{k} else k{k}"]
+    # A host-dirty mark's effect the exit does not write: the host read
+    # list compacted at the mark's checkpoint.
+    one += [f"s{j}.compact_reads({HOST!r}, k{ck})" for j, ck in marks]
+    if fixed:  # one segment, no marks, no syncs
+        segment, deltas, touches = segments[0]
+        many = ["ck = []", "h = node.host_time", "for _ in range(n):",
+                "    ck.append(h)"]
+        for d in deltas:
+            many += [f"    h += c{d}", "    ck.append(h)"]
+        if touches:
+            many.append("for _ in range(n):")
+            many += [f"    c{touch}(c{buf})" for touch, buf in touches]
+        many += [
+            f"ev = eng.run_graph(c{segment}, n, ck, {K}, {E}, bd, cs, None)",
+            "x = eng.now",
+            "hh = x if x > h else h",
+        ]
+        lines.append("if n == 1:")
+        lines += [f"    {line}" for line in one]
+        lines.append("else:")
+        lines += [f"    {line}" for line in many]
+    else:
+        lines += one
+    lines += _exit_lines(
+        fixed, E, exits, tail, tail_labels, done, appends
+    )
+    # The node time: the engine's is at most the host clock's now.
+    lines += ["plans.graph_hits += n * invokes", "return hh"]
+    src = "def launch(g, n):\n" + "".join(f"    {line}\n" for line in lines)
+    return compile(src, "<graph launch>", "exec")
+
+
+def _exit_lines(fixed, E, exits, tail, tail_labels, done, appends) -> list:
+    """The exit: it makes the launch's events and writes every captured
+    datum's exit state in one pass of assignments, as the last lap would
+    have left it.
+
+    The exit holds a fresh :class:`Event` for every slot the last lap
+    leaves in the monitor, the launch's entry events for its refs, and
+    None. An exit instance the entry check guarantees unchanged — a None
+    event at a required-none position, or an entry ref at one of its
+    group's positions — is carried over, and a location whose instances
+    all are, in order, keeps its list. Read tails are appended lap by lap
+    (a fixed point's ``n`` laps; one otherwise), each append followed by
+    the monitor's floor and mark test for compaction
+    (``_DatumState.add_read``), with the events of their segment still
+    unrecorded — as in the eager submission, where no event of that
+    segment has run yet — and get their replayed times only afterwards;
+    no compaction reads the other events, which are made with theirs.
+    Each datum is then stamped with its exit."""
+    lines = ["node.host_time = hh"]
+    if fixed:
+        lines.append(f"b = (n - 1) * {E}")
+    base = "b + " if fixed else ""
+    lines += [f"v{s} = Event(c{label}, ev[{base}{s}])" for s, label in done]
+    if tail:
+        made = "[%s]" % ", ".join(f"Event(c{label})" for label in tail_labels)
+        if fixed:
+            lines += [f"laps = [{made} for _ in range(n)]", "last = laps[-1]"]
+        else:
+            lines.append(f"last = {made}")
+    for j, utd, sid, mode, lost, aggs, shadow, replace, _ in exits:
+        st = f"s{j}"
+        if any(row is None or any(type(x) is int for x in row)
+               for _, row in utd):
+            lines.append(f"old = {st}.up_to_date")
+        locs = []
+        for loc, row in utd:
+            if row is None:
+                locs.append(f"c{loc}: old[c{loc}]")
+                continue
+            items = [
+                f"old[c{loc}][{x}]" if type(x) is int else f"I(c{x[0]}, {x[1]})"
+                for x in row
+            ]
+            locs.append(f"c{loc}: [{', '.join(items)}]")
+        lines += [
+            f"{st}.up_to_date = {{{', '.join(locs)}}}",
+            f"{st}.sid = c{sid}",
+            f"{st}.agg_mode = c{mode}",
+            f"{st}.agg_lost = c{lost}",
+            f"{st}.agg_sources = {_mapping(aggs)}",
+        ]
+        if shadow is None:
+            lines.append(f"{st}.agg_shadow = None")
+        elif shadow != "keep":
+            smode, sources, hev = shadow
+            lines.append(
+                f"{st}.agg_shadow = (c{smode}, {_mapping(sources)}, {hev})"
+            )
+        for loc, srcs, mark in replace:
+            lines.append(
+                f"{st}.pending_reads[c{loc}] = [{', '.join(srcs)}]" if srcs
+                else f"{st}.pending_reads.pop(c{loc}, None)"
+            )
+            lines.append(
+                f"{st}.read_marks.pop(c{loc}, None)" if mark is None
+                else f"{st}.read_marks[c{loc}] = c{mark}"
+            )
+    # A fixed point's laps, or the one lap's events.
+    pad, evs = ("    ", "evs") if fixed else ("", "last")
+    for group in appends:
+        if not group:
+            continue
+        for j, loc, slots in group:
+            lines += [
+                f"rl = s{j}.pending_reads.get(c{loc})",
+                f"if rl is None: rl = s{j}.pending_reads[c{loc}] = []",
+            ]
+            if fixed:
+                lines.append("for evs in laps:")
+            for s in slots:
+                lines += [
+                    f"{pad}rl.append({evs}[{tail.index(s)}])",
+                    f"{pad}if (ln := len(rl)) >= {_READ_FLOOR} and "
+                    f"ln >= s{j}.read_marks.get(c{loc}, ln): "
+                    f"s{j}.compact_reads(c{loc}, hh)",
+                ]
+        if fixed:
+            lines += ["for lap, evs in enumerate(laps):", f"    b = lap * {E}"]
+        recorded = sorted({s for _, _, slots in group for s in slots})
+        lines += [
+            f"{pad}{evs}[{tail.index(s)}].recorded_at = ev[{base}{s}]"
+            for s in recorded
+        ]
+    lines += [f"s{x[0]}.stamp = c{x[-1]}" for x in exits]
+    return lines
+
+
+def _mapping(pairs) -> str:
+    return "{%s}" % ", ".join(f"c{d}: {s}" for d, s in pairs)
+
+
 class IterationGraph:
     """A captured steady-state period, replayable as one macro-command.
 
@@ -338,7 +562,8 @@ class IterationGraph:
     re-dispatches the
     period ``n`` times; when the frozen steady state no longer holds it
     transparently falls back to re-invoking the recorded calls through
-    the normal scheduler path.
+    the normal scheduler path; the fallback is also the oracle the fast
+    path is held to.
 
     The graph binds to the monitor by *structure*, not by the identity of
     the last producer: per captured datum it keeps the geometry state id,
@@ -396,7 +621,7 @@ class IterationGraph:
         #: that must hold no event)`` — the entry structure a launch
         #: requires.
         self._shape: dict[int, tuple] = {}
-        #: did -> the exit state the epilogue leaves, as the last lap
+        #: did -> the exit state a launch leaves, as the last lap
         #: would: ``(sid, agg mode, agg lost, instances, agg sources,
         #: shadow, replaced reads, read tails)``; each event is None, a
         #: slot ``s >= 0`` or the entry ref ``r`` stored as ``-1 - r``.
@@ -404,16 +629,12 @@ class IterationGraph:
         #: Invokes per lap, counted as the capture records them
         #: (``plans.graph_hits`` counts replayed invokes).
         self.invokes = 0
-        #: Generated by ``_compile``: the entry events' reads and the
-        #: epilogue's writes.
-        self._read_refs = None
-        self._write_exit = None
-        #: Lap 0's previous-lap event times when no slot reads an entry
-        #: ref (all zero).
-        self._boundary: list[float] = []
-        #: Stamp -> the checks that remain for a datum carrying it
-        #: (``_residual``), for every stamp a full compare has passed on.
-        self._verified: dict[_Exit, tuple] = {}
+        #: The generated launch (``_compile``), once the capture compiled.
+        self._run = None
+        #: ``node.epoch`` when the launch checks behind it last passed.
+        self._epoch = -1
+        #: Every stamp a full compare has passed on.
+        self._verified: set[_Exit] = set()
         #: Datums compared in full by entry checks (diagnostics).
         self.full_compares = 0
 
@@ -625,11 +846,10 @@ class IterationGraph:
         self._devices = devices
         self._refs = refs
         self._slot_refs = sorted(slot_refs.items())
-        self._boundary = [0.0] * E
         self._shape = shape
         self._exit = exits
-        self._compile(entry)
         self.fixed_point = fixed
+        self._compile(entry)
         self.replayable = True
         self.reason = ""
 
@@ -646,7 +866,7 @@ class IterationGraph:
         is a fixed point for it.
 
         Every event the period leaves must be re-materializable: none, a
-        window event (the epilogue creates a fresh one per slot) or an
+        window event (the launch creates a fresh one per slot) or an
         entry event (``ref`` binds it to the positions that held it, which
         a launch re-reads). A read list a writer consumes must end the
         period holding only window events; any other list may only grow by
@@ -783,59 +1003,140 @@ class IterationGraph:
         )
 
     def _compile(self, entry: dict[int, tuple]) -> None:
-        """Lower the refs and exits into the Python code a launch runs:
-        ``read_refs`` for the entry check and ``write_exit`` for the
-        epilogue. The source spells out the structure (list indices and
-        slots) and binds every value (datum ids, locations, geometry ids,
-        rects, labels, stamps) by name, so graphs of one structure share
-        the compiled code — serving's replicas, one per GPU, among them."""
-        ns: dict[str, Any] = {"Event": Event, "I": _Instance}
-
-        def const(value) -> str:
-            """A name bound to ``value`` in the generated code."""
-            name = f"c{len(ns) - 2}"
-            ns[name] = value
-            return name
-
-        src = self._refs_source(const) + self._exit_source(const, entry)
-        exec(_compiled(src), ns)
-        # Popped, not read: ``ns`` is the functions' globals, so keeping
-        # them in it would make a cycle that holds this graph's constants
+        """Generate the fast launch ``_run(graph, n)``: the whole launch
+        as one function (:func:`_launch_code`), bound to this graph's
+        values by position. It returns the node time, or None when the
+        steady state does not hold (nothing written)."""
+        key, values = self._lower(entry)
+        sched = self._sched
+        ns: dict[str, Any] = {
+            "Event": Event, "I": _Instance, "compare": _compare,
+            "sched": sched, "node": sched.node,
+            "eng": sched.node.engine, "state": sched.monitor._state,
+            "plans": sched.plans, "mitigator": sched._mitigator,
+            "verified": self._verified, "gen": self.generation,
+            "invokes": self.invokes, "boundary": [0.0] * self._E,
+        }
+        ns.update((f"c{i}", v) for i, v in enumerate(values))
+        exec(_launch_code(key), ns)
+        # Popped, not read: ``ns`` is the function's globals, so keeping
+        # it in them would make a cycle that holds this graph's values
         # until a cyclic collection.
-        self._read_refs = ns.pop("read_refs")
-        self._write_exit = ns.pop("write_exit")
+        self._run = ns.pop("launch")
 
-    def _refs_source(self, const) -> str:
-        """``read_refs(states)``: the event each ref group holds at all of
-        its positions, or None when a group does not hold one recorded
-        event."""
-        lines = []
-        names: dict[int, str] = {}
+    def _lower(self, entry: dict[int, tuple]) -> tuple[tuple, list]:
+        """This graph's launch as a structure key and the values it binds:
+        the key spells out the checks, host work and exit with every value
+        (datum ids, locations, shapes, segments, advances, touches, rects,
+        geometry ids, labels, stamps) replaced by its index ``i`` in the
+        values, bound as ``c{i}``. Graphs of one structure have one key."""
+        values: list = []
 
-        def at(did, kind, loc, idx) -> str:
-            st = names.get(did)
-            if st is None:
-                st = names[did] = f"s{len(names)}"
-                lines.append(f"{st} = states[{const(did)}]")
-            if kind == _INST:
-                return f"{st}.up_to_date[{const(loc)}][{idx}].event"
-            if kind == _AGG:
-                return f"{st}.agg_sources[{const(loc)}]"
-            return f"{st}.pending_reads[{const(loc)}][{idx}]"
+        def val(x) -> int:
+            values.append(x)
+            return len(values) - 1
 
-        for r, (first, *rest) in enumerate(self._refs):
-            lines.append(f"e{r} = {at(*first)}")
-            lines.append(
-                f"if e{r} is None or e{r}.recorded_at is None"
-                + "".join(f" or {at(*pos)} is not e{r}" for pos in rest)
-                + ": return None"
+        # The entry check compares datums in capture order: which stamps a
+        # refused launch verifies before it stops depends on it.
+        dids = list(self._shape)
+        index = {did: j for j, did in enumerate(dids)}
+        datums = []
+        for did in dids:
+            shape = self._shape[did]
+            datums.append((
+                val(did), val(shape),
+                tuple(
+                    (val(loc), length, None if mark is None else val(mark))
+                    for loc, length, mark in shape[4]
+                ),
+                tuple(
+                    (val(loc), idx) for kind, loc, idx in shape[5]
+                    if kind == _READ
+                ),
+            ))
+        refs = tuple(
+            tuple((index[d], kind, val(loc), idx) for d, kind, loc, idx in g)
+            for g in self._refs
+        )
+        segments = tuple(
+            (
+                val(segment),
+                tuple(val(d) for d in deltas),
+                tuple((val(touch), val(buf)) for touch, buf in touches),
             )
-        lines.append(
-            "return [%s]" % ", ".join(f"e{r}" for r in range(len(self._refs)))
+            for segment, deltas, touches in self._segments
         )
-        return "def read_refs(states):\n" + "".join(
-            f"    {line}\n" for line in lines
+        marks = tuple((index[did], ck) for did, ck in self._marks)
+
+        tail = tuple(
+            sorted({s for x in self._exit.values() for _, t in x[7] for s in t})
         )
+        done: set[int] = set()  # last-lap slots outside read tails
+
+        def src(s) -> str:
+            """One exit event (``_datum_plan``'s encoding) as code."""
+            if s is None:
+                return "None"
+            if s < 0:
+                return f"e{-1 - s}"
+            if s in tail:
+                return f"last[{tail.index(s)}]"
+            done.add(s)
+            return f"v{s}"
+
+        def mapping(pairs) -> tuple:
+            return tuple((val(d), src(s)) for d, s in pairs)
+
+        exits = []
+        #: Per segment: ``(datum, loc) -> slots`` appended to that read
+        #: list, in list order.
+        appends: list[dict] = [{} for _ in range(len(self._cuts) + 1)]
+        for j, did in enumerate(dids):
+            sid, mode, lost, insts, aggs, shadow, replace, tails = (
+                self._exit[did]
+            )
+            carries = self._carries(did, entry[did])
+            e_len = {loc: len(row) for loc, row in entry[did][1]}
+            utd = []
+            for loc, row in insts:
+                items = []
+                for rect, s in row:
+                    i = carries.pop((loc, rect, s), None)
+                    items.append((val(rect), src(s)) if i is None else i)
+                if loc in e_len and items == list(range(e_len[loc])):
+                    items = None  # the entry's list, kept
+                utd.append((val(loc), None if items is None else tuple(items)))
+            if shadow is not None and shadow != "keep":
+                smode, sources, hev = shadow
+                shadow = (val(smode), mapping(sources), src(hev))
+            exits.append((
+                j, tuple(utd), val(sid), val(mode), val(lost), mapping(aggs),
+                shadow,
+                tuple(
+                    (val(loc), tuple(map(src, slots)),
+                     None if mark is None else val(mark))
+                    for loc, slots, mark in replace
+                ),
+                val(_Exit()),
+            ))
+            for loc, slots in tails:
+                for s in slots:
+                    g = bisect.bisect_right(self._cuts, s)
+                    appends[g].setdefault((j, loc), []).append(s)
+        labels = self._slot_labels
+        key = (
+            self.fixed_point, self._E, self._K, self._sched._mitigator is not None,
+            tuple(datums), refs, tuple(self._slot_refs), segments, marks,
+            tuple(exits), tail,
+            tuple(val(labels[s]) for s in tail),
+            tuple((s, val(labels[s])) for s in sorted(done)),
+            tuple(
+                tuple((j, val(loc), tuple(slots))
+                      for (j, loc), slots in group.items())
+                for group in appends
+            ),
+        )
+        return key, values
 
     def _carries(self, did: int, en: tuple) -> dict[tuple, int]:
         """``(loc, rect, source) -> idx``: the entry instances of one datum
@@ -853,128 +1154,6 @@ class IterationGraph:
                     out.setdefault((loc, utd[loc][idx][0], -1 - r), idx)
         return out
 
-    def _exit_source(self, const, entry: dict[int, tuple]) -> str:
-        """``write_exit(states, refs, ev_time, n, host_time)``, the
-        epilogue: it makes the launch's events and writes every captured
-        datum's exit in one pass of assignments.
-
-        An exit instance whose entry instance the launch finds unchanged —
-        a None event at a required-none position, or an entry ref at one
-        of its group's positions — is carried over, and a location whose
-        instances all are, in order, keeps its list."""
-        E = self._E
-        labels = self._slot_labels
-        tail = sorted({s for x in self._exit.values() for _, t in x[7] for s in t})
-        tail_at = {s: j for j, s in enumerate(tail)}
-        done: set[int] = set()  # last-lap slots outside read tails
-
-        def val(src) -> str:
-            """One exit event (``_datum_plan``'s encoding) as code."""
-            if src is None:
-                return "None"
-            if src < 0:
-                return f"refs[{-1 - src}]"
-            if src in tail_at:
-                return f"last[{tail_at[src]}]"
-            done.add(src)
-            return f"v{src}"
-
-        def mapping(pairs) -> str:
-            return "{%s}" % ", ".join(
-                f"{const(d)}: {val(src)}" for d, src in pairs
-            )
-
-        body: list[str] = []
-        #: Per segment: ``(state, loc, stamp) -> slots`` appended to that
-        #: read list, in list order.
-        segments: list[dict] = [{} for _ in range(len(self._cuts) + 1)]
-        for did, exit_state in self._exit.items():
-            sid, mode, lost, insts, aggs, shadow, replace, tails = exit_state
-            carries = self._carries(did, entry[did])
-            e_len = {loc: len(row) for loc, row in entry[did][1]}
-            locs = []
-            for loc, row in insts:
-                at = const(loc)
-                items = []
-                for rect, src in row:
-                    i = carries.pop((loc, rect, src), None)
-                    items.append(
-                        f"I({const(rect)}, {val(src)})"
-                        if i is None else f"old[{at}][{i}]"
-                    )
-                carried = [f"old[{at}][{i}]" for i in range(e_len.get(loc, 0))]
-                if loc in e_len and items == carried:
-                    locs.append(f"{at}: old[{at}]")
-                else:
-                    locs.append(f"{at}: [{', '.join(items)}]")
-            st = f"states[{const(did)}]"
-            body += [
-                f"st = {st}",
-                "old = st.up_to_date",
-                "st.up_to_date = {%s}" % ", ".join(locs),
-                f"st.sid = {const(sid)}",
-                f"st.agg_mode = {const(mode)}",
-                f"st.agg_lost = {const(lost)}",
-                f"st.agg_sources = {mapping(aggs)}",
-            ]
-            if shadow is None:
-                body.append("st.agg_shadow = None")
-            elif shadow != "keep":
-                smode, sources, hev = shadow
-                body.append(
-                    f"st.agg_shadow = ({const(smode)}, {mapping(sources)}, "
-                    f"{val(hev)})"
-                )
-            for loc, slots, mark in replace:
-                at = const(loc)
-                body.append(
-                    f"st.pending_reads[{at}] = [{', '.join(map(val, slots))}]"
-                    if slots else f"st.pending_reads.pop({at}, None)"
-                )
-                body.append(
-                    f"st.read_marks.pop({at}, None)" if mark is None
-                    else f"st.read_marks[{at}] = {const(mark)}"
-                )
-            stamp = const(_Exit(frozenset(loc for loc, _, _ in replace)))
-            body.append(f"st.stamp = {stamp}")
-            for loc, slots in tails:
-                for s in slots:
-                    g = bisect.bisect_right(self._cuts, s)
-                    segments[g].setdefault((st, loc, stamp), []).append(s)
-        head = [f"b = (n - 1) * {E}"] + [
-            f"v{s} = Event({const(labels[s])}, ev_time[b + {s}])"
-            for s in sorted(done)
-        ]
-        if tail:
-            head += [
-                "laps = [[Event(label) for label in %s] for _ in range(n)]"
-                % const(tuple(labels[s] for s in tail)),
-                "last = laps[-1]",
-            ]
-        # Read tails are appended lap by lap, as eager submission does, with
-        # the events of their segment unrecorded and those of the segments
-        # before it (drained by a host sync) recorded.
-        for appends in segments:
-            if not appends:
-                continue
-            for (st, loc, _), slots in appends.items():
-                body.append("for evs in laps:")
-                body += [
-                    f"    {st}.add_read({const(loc)}, evs[{tail_at[s]}], "
-                    "host_time)"
-                    for s in slots
-                ]
-            body += ["for lap, evs in enumerate(laps):", f"    b = lap * {E}"]
-            body += [
-                f"    evs[{tail_at[s]}].recorded_at = ev_time[b + {s}]"
-                for s in sorted({s for v in appends.values() for s in v})
-            ]
-            # An append clears the stamp the datum's exit left.
-            body += [f"{st}.stamp = {stamp}" for st, _, stamp in appends]
-        return "def write_exit(states, refs, ev_time, n, host_time):\n" + "".join(
-            f"    {line}\n" for line in head + body
-        )
-
     @property
     def expired(self) -> bool:
         """Whether no launch can take the fast path any more: the capture
@@ -991,13 +1170,16 @@ class IterationGraph:
         drained, like ``wait_all``). A transition graph replays one lap
         only: ``n > 1`` takes the fallback.
 
-        Uses the pre-lowered macro-command when the frozen steady state
+        Runs the generated launch (``_run``) when the frozen steady state
         still holds; otherwise falls back to re-invoking the recorded
         calls through the normal scheduler path (bit-identical results
         either way — the fast path only skips host-side work).
         """
         sched = self._sched
-        if sched._released:
+        node = sched.node
+        clear = self._epoch == node.epoch
+        # Releasing a scheduler drops its streams, which moves the epoch.
+        if not clear and sched._released:
             # The scheduler's lease ended (job-server preemption,
             # DESIGN.md §13): its streams are gone from the node and its
             # buffers are freed, so neither the macro-command nor the
@@ -1007,150 +1189,46 @@ class IterationGraph:
                 "iteration graph belongs to a released scheduler; "
                 "re-capture after resuming on a live scheduler"
             )
-        if sched.node.graph_recorder is not None:
+        if node.graph_recorder is not None:
             raise GraphCaptureError(
                 "cannot launch an iteration graph while a capture is "
                 "recording"
             )
         if n <= 0:
-            return sched.node.time
+            return node.time
         self.launches += 1
         self.replayed_laps += n
-        entry = (
-            self._fast_entry() if n == 1 or self.fixed_point else None
-        )
-        if entry is not None:
-            self.fast_launches += 1
-            return self._fast(n, *entry)
+        run = self._run
+        if (
+            run is not None
+            and (n == 1 or self.fixed_point)
+            and (clear or self._node_clear())
+        ):
+            t = run(self, n)
+            if t is not None:
+                return t
         for _ in range(n):
             for fn, args, kwargs in self.calls:
                 fn(*args, **kwargs)
         return sched.wait_all()
 
-    # -- fast-path validation -------------------------------------------------
-    def _fast_entry(self) -> tuple[dict, list[Event]] | None:
-        """The captured datums' monitor states and the events at every
-        recorded position when the fast path applies, else None."""
-        if self.expired:
-            return None
-        sched = self._sched
-        node = sched.node
-        # Anything still queued means un-drained foreign work; the replay
-        # assumes quiescent streams.
-        for s in node.streams:
-            if s.commands:
-                return None
-        # The replay skips per-dispatch fault checks, so every permanent
-        # failure must already have happened, on no device the graph
-        # uses, and nothing else in the plan may be armed. Fault counters
-        # are not replayed: every spec is exhausted by now and counts only
-        # grow, so no later dispatch's outcome depends on them.
+    def _node_clear(self) -> bool:
+        """The launch checks only a node event can fail (``node.epoch``):
+        the replay skips per-dispatch fault checks, so every permanent
+        failure must already have happened, on no device the graph uses,
+        and nothing else in the fault plan may be armed. Fault counters
+        are not replayed: every spec is exhausted by now and counts only
+        grow, so no later dispatch's outcome depends on them. A pass holds
+        until the epoch moves."""
+        node = self._sched.node
         now = node.time
         for d, ft in node.engine.dead.items():
             if ft > now or d in self._devices:
-                return None
+                return False
         if node.faults.armed(now):
-            return None
-        # An EWMA drift that would flip weights on the next eager invoke
-        # must take the slow path (which then bumps the generation).
-        m = sched._mitigator
-        if m is not None and m.weights() != sched._weights:
-            return None
-        # Structure: the same geometry, aggregation state and consumed
-        # read-list shapes give the same copy decisions and waits. A datum
-        # still stamped with an exit this graph verified holds that exit's
-        # structure; only the consumed read lists the exit did not replace
-        # are read again.
-        states = sched.monitor.states(self._shape)
-        verified = self._verified
-        for did, shape in self._shape.items():
-            st = states.get(did)
-            if st is None:
-                return None
-            stamp = st.stamp
-            rest = None if stamp is None else verified.get(stamp)
-            if rest is None:
-                self.full_compares += 1
-                if not _matches(st, shape):
-                    return None
-                if stamp is not None:
-                    if len(verified) >= max(
-                        _VERIFIED_LIMIT, _VERIFIED_PER_DATUM * len(self._shape)
-                    ):
-                        verified.clear()
-                    verified[stamp] = _residual(stamp, shape)
-            elif rest and not _lists_match(st, rest[0], rest[1]):
-                return None
-        # Every position group must again hold one recorded event.
-        events = self._read_refs(states)
-        return None if events is None else (states, events)
-
-    # -- fast path ------------------------------------------------------------
-    def _fast(self, n: int, states: dict, refs: list[Event]) -> float:
-        sched = self._sched
-        node = sched.node
-        engine = node.engine
-        K, E = self._K, self._E
-        ref_times = [ev.recorded_at for ev in refs]
-        boundary = self._boundary  # lap 0's previous-lap slots, by position
-        if self._slot_refs:
-            boundary = boundary[:]
-            for slot, r in self._slot_refs:
-                boundary[slot] = ref_times[r]
-        # Host checkpoints: the eager submission loop's host_time after
-        # each advance, re-accumulated with the same sequential additions;
-        # a host sync drains the segment before it and rejoins the clock
-        # to the engine's, as ``SimNode.run`` does (a period with syncs
-        # replays one lap).
-        ck_vals: list[float] = []
-        h = node.host_time
-        ev_time = None
-        for segment, deltas, touches in self._segments:
-            if ev_time is not None:
-                h = max(h, engine.now)
-            for _ in range(n):
-                ck_vals.append(h)
-                for d in deltas:
-                    h += d
-                    ck_vals.append(h)
-            # Submission-time LRU touches (a segment's submissions precede
-            # its drain in the eager order; dispatch-time touches replay
-            # through the re-executed payload closures).
-            if touches:
-                for _ in range(n):
-                    for touch, buf in touches:
-                        touch(buf)
-            ev_time = engine.run_graph(
-                segment, n, ck_vals, K, E, boundary, ref_times, ev_time
-            )
-        node.host_time = max(h, engine.now)
-        # A host-dirty mark's effect the exit does not write: the host read
-        # list compacted at the mark's checkpoint (the period's own reads
-        # join it in the epilogue).
-        for did, ck in self._marks:
-            states[did].compact_reads(HOST, ck_vals[ck])
-        self._epilogue(ev_time, n, states, refs)
-        sched.plans.graph_hits += n * self.invokes
-        return node.time
-
-    def _epilogue(
-        self, ev_time: list, n: int, states: dict, refs: list[Event]
-    ) -> None:
-        """Leave the captured datums' monitor states as the final replay
-        lap would have, through the code ``_exit_source`` generated, and
-        stamp each datum with its exit.
-
-        The exit holds a fresh :class:`Event` for every slot the last lap
-        leaves in the monitor, the launch's entry events for its refs, and
-        None. Read tails are appended lap by lap through the monitor's own
-        compaction, with the events of their segment still unrecorded — as
-        in the eager submission, where no event of that segment has run yet
-        — and get their replayed times only afterwards; no compaction reads
-        the other events, which are made with theirs.
-        """
-        self._write_exit(
-            states, refs, ev_time, n, self._sched.node.host_time
-        )
+            return False
+        self._epoch = node.epoch
+        return True
 
 
 class Call(NamedTuple):

@@ -85,7 +85,7 @@ class _DatumState:
     #: location -> length its pending-read list must reach before the
     #: next compaction; absent means :data:`_READ_FLOOR`.
     read_marks: dict[int, int] = field(default_factory=dict)
-    #: The compiled graph exit whose epilogue left this state (DESIGN.md
+    #: The compiled graph exit whose launch left this state (DESIGN.md
     #: §12); every mutation clears it, so a stamped state is exactly what
     #: that exit wrote, read tails aside.
     stamp: object = None

@@ -285,10 +285,7 @@ class Scheduler:
             own.update(id(s) for s in group.values())
         if mitigator is not None:
             own.update(id(s) for s in mitigator.spec_streams.values())
-        for s in node.streams:
-            if id(s) in own:
-                s.commands.clear()
-        node.streams = [s for s in node.streams if id(s) not in own]
+        node.drop_streams(own)
 
     # -- public API (paper Table 2) -------------------------------------------
     def analyze_call(

@@ -71,6 +71,12 @@ class SimNode:
         for d in self.devices:
             d.memory.fault_check = faults.check_alloc
         self.streams: list[Stream] = []
+        #: Bumped by every change to the node's streams, dead devices or
+        #: fault plan: an iteration graph's launch asks its node-level
+        #: checks again only when this moved since they last passed
+        #: (DESIGN.md §12). Nothing else can fail them once passed: the
+        #: clock only advances, and an unarmed plan cannot re-arm.
+        self.epoch = 0
         #: Host thread clock — the scheduler advances it to model host-side
         #: overhead; commands submitted after time t carry earliest_start=t.
         self.host_time = 0.0
@@ -106,7 +112,17 @@ class SimNode:
             raise IndexError(f"node has no GPU {device}")
         s = Stream(device, role, label)
         self.streams.append(s)
+        self.epoch += 1
         return s
+
+    def drop_streams(self, ids: set[int]) -> None:
+        """Unregister the streams whose ``id`` is in ``ids``, dropping the
+        commands they still queue."""
+        for s in self.streams:
+            if id(s) in ids:
+                s.commands.clear()
+        self.streams = [s for s in self.streams if id(s) not in ids]
+        self.epoch += 1
 
     # -- tenant leases (DESIGN.md §13) ----------------------------------------
     def begin_lease(
@@ -157,6 +173,7 @@ class SimNode:
         faults.rebase(epoch)
         self.faults = faults
         self.engine.set_fault_plan(faults)
+        self.epoch += 1
         for d in targets:
             mem = d.memory
             if capacity is not None:
@@ -190,6 +207,7 @@ class SimNode:
                 d.memory.fault_check = lease["checks"][d.index]
         self.faults = lease["faults"]
         self.engine.set_fault_plan(self.faults, lease["dead"])
+        self.epoch += 1
         self._lease = None
 
     # -- fault handling --------------------------------------------------------
@@ -201,6 +219,7 @@ class SimNode:
         refuses to dispatch any command touching it.
         """
         self.engine.dead.setdefault(device, at_time)
+        self.epoch += 1
 
     def crash(self, at_time: float) -> None:
         """Fail-stop the *whole node* at ``at_time`` (DESIGN.md §15).

@@ -49,7 +49,7 @@ from repro.cluster import (
 )
 from repro.core import Grid, Scheduler
 from repro.core.graph import IterationGraph, Loop
-from repro.core.location_monitor import LocationMonitor
+from repro.core.location_monitor import LocationMonitor, _DatumState
 from repro.core.plan import container_signature
 from repro.core.task import Task
 from repro.hardware import GTX_780, HOST
@@ -66,13 +66,16 @@ NODES, GPUS, TICKS = 4, 2, 60
 def _count_fast(monkeypatch) -> dict:
     """Count the graph launches that take the fast path."""
     counts = {"fast": 0}
-    fast = IterationGraph._fast
+    launch = IterationGraph.launch
 
-    def counted(self, *args):
-        counts["fast"] += 1
-        return fast(self, *args)
+    def counted(self, n=1):
+        before = self.fast_launches
+        try:
+            return launch(self, n)
+        finally:
+            counts["fast"] += self.fast_launches - before
 
-    monkeypatch.setattr(IterationGraph, "_fast", counted)
+    monkeypatch.setattr(IterationGraph, "launch", counted)
     return counts
 
 
@@ -194,10 +197,10 @@ class TestSteadyTickHostWork:
             m.step()
         counts = dict.fromkeys(QUIET, 0)
 
-        def counted(name, fn):
+        def counted(name, fn, into=counts):
             @functools.wraps(fn)
             def wrapper(*args, **kwargs):
-                counts[name] += 1
+                into[name] += 1
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -221,17 +224,32 @@ class TestSteadyTickHostWork:
             monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
         fast = _count_fast(monkeypatch)
         launches: dict = {}
-        entry = IterationGraph._fast_entry
-
-        def counted_entry(g):
-            before = g.full_compares
-            verdict = entry(g)
-            launches.setdefault(id(g._sched), []).append(
-                (verdict is not None, g.full_compares - before)
+        #: Read-list appends and engine segment replays in the launch
+        #: running, and in all fast launches.
+        running = {"add_read": 0, "run_graph": 0}
+        in_fast = dict.fromkeys(running, 0)
+        for cls, name in (
+            (_DatumState, "add_read"), (engine_mod.Engine, "run_graph"),
+        ):
+            monkeypatch.setattr(
+                cls, name, counted(name, getattr(cls, name), running)
             )
-            return verdict
+        launch = IterationGraph.launch
 
-        monkeypatch.setattr(IterationGraph, "_fast_entry", counted_entry)
+        def counted_launch(g, n=1):
+            was, compared = g.fast_launches, g.full_compares
+            running.update(dict.fromkeys(running, 0))
+            out = launch(g, n)
+            is_fast = g.fast_launches > was
+            launches.setdefault(id(g._sched), []).append(
+                (is_fast, g.full_compares - compared)
+            )
+            if is_fast:
+                for name, k in running.items():
+                    in_fast[name] += k
+            return out
+
+        monkeypatch.setattr(IterationGraph, "launch", counted_launch)
         marks: dict = {"between": {}, "applied": {}}
         in_run = []
         run, mark = Loop.run, Scheduler.mark_checked_region_dirty
@@ -273,6 +291,7 @@ class TestSteadyTickHostWork:
             "misses": now_misses - misses,
             "structures": len({s.run.__code__ for s in segments if s.run}),
             "compiles": segment_mod._recipe.cache_info().misses - compiles,
+            **in_fast,
         }
         return counts, fast["fast"], launches, marks, compiled
 
@@ -306,10 +325,13 @@ class TestSteadyTickHostWork:
         """Every fast launch of the window runs its one segment's compiled
         dispatch and misses no guard; the sixteen graphs (two parities on
         eight nodes) share one structure, compiled at most once in the
-        process."""
+        process. A fast launch is one generated function: it calls the
+        compiled dispatch itself (no ``Engine.run_graph``) and appends its
+        read tails inline (no ``add_read``)."""
         _, fast, _, _, compiled = self._window(monkeypatch)
         assert compiled["runs"] == fast == 784
         assert compiled["misses"] == 0
+        assert compiled["run_graph"] == compiled["add_read"] == 0
         assert compiled["structures"] == 1
         assert compiled["compiles"] <= compiled["structures"]
 
@@ -317,7 +339,7 @@ class TestSteadyTickHostWork:
         """With every launch's fast path disabled, each tick runs its
         invoke and edge gathers eagerly: the memoized gather decisions
         and the agent's geometry still leave no planning work."""
-        monkeypatch.setattr(IterationGraph, "_fast_entry", lambda g: None)
+        monkeypatch.setattr(IterationGraph, "_compile", lambda g, entry: None)
         counts, fast, _, marks, _ = self._window(monkeypatch)
         assert counts == dict.fromkeys(QUIET, 0)
         assert fast == 0
@@ -353,7 +375,7 @@ def _owed_run(make_plan, board_at, monkeypatch, fast: bool) -> dict:
     with monkeypatch.context() as mp:
         counts = _count_fast(mp)
         if not fast:
-            mp.setattr(IterationGraph, "_fast_entry", lambda g: None)
+            mp.setattr(IterationGraph, "_compile", lambda g, entry: None)
         plan = make_plan()
         m = ClusterMaster(GTX_780, 4, 2, calm._board(), KERNEL, faults=plan)
         times, boards = [], []

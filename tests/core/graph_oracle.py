@@ -1,31 +1,39 @@
 """Differential oracle for an iteration graph's launch bookkeeping
 (DESIGN.md §12).
 
-A fast launch checks its entry against stamps (a datum an epilogue left
-in a state the graph has verified is not compared again) and writes its
-exit through a compiled patch. This module keeps the implementations they
-replaced, which compare every captured datum in full on every launch and
-rebuild the exit state from the declarative ``IterationGraph._exit``:
+A fast launch is one generated function: it checks its entry against
+stamps (a datum an exit left in a state the graph has verified is not
+compared again), reads the entry events inline and writes its exit
+through straight-line assignments. This module keeps the
+implementations they replaced, which compare every captured datum in
+full on every launch and rebuild the exit state from the declarative
+``IterationGraph._exit``:
 
 * :func:`entry` — the fast-path verdict and the events at every recorded
   position, or None;
-* :func:`refresh` — the epilogue, applied to whatever states it is given.
+* :func:`refresh` — the exit, applied to whatever states it is given.
 
-:func:`install` runs both next to the graph's own on every launch: the
-verdicts and entry events must agree, and after each epilogue the monitor
-states must equal what :func:`refresh` leaves on a copy of the pre-launch
-states, with new events matched by first occurrence, label and recorded
-time, and every pre-launch event (the entry refs among them) by identity.
+:func:`install` runs both next to every launch of every graph that may
+take the fast path: the verdicts must agree (the node-level checks behind
+the node's epoch included), and after a fast launch the monitor states must
+equal what the host-dirty marks' compaction and :func:`refresh` leave on
+a copy of the pre-launch states, with new events matched by first
+occurrence, label and recorded time, and every pre-launch event (the
+entry refs among them) by identity. Each captured datum must carry its
+exit's stamp, the same object on every launch of the graph.
 """
 
 from __future__ import annotations
 
 import bisect
 import dataclasses
+import weakref
 
-from repro.core.graph import IterationGraph, _event_at, _snapshot_state
+from repro.core.graph import IterationGraph, _event_at, _Exit, _snapshot_state
 from repro.core.location_monitor import _DatumState, _Instance
+from repro.hardware.topology import HOST
 from repro.sim.commands import Event
+from repro.sim.engine import Engine
 
 
 def entry(graph: IterationGraph):
@@ -207,42 +215,96 @@ def _normalized(snap: tuple, old: dict[int, Event], seen: dict) -> tuple:
 
 
 def install(monkeypatch) -> dict:
-    """Run the oracle next to every launch's entry check and epilogue of
-    every graph; returns counters of the checked launches."""
-    stats = {"entries": 0, "fast": 0, "epilogues": 0}
-    fast_entry, epilogue = IterationGraph._fast_entry, IterationGraph._epilogue
+    """Run the oracle next to every generated launch of every graph
+    compiled from now on; returns counters of the checked launches."""
+    stats = {"entries": 0, "fast": 0, "exits": 0}
+    #: The reference verdict of the launch running, and its last replayed
+    #: segment's host checkpoints and event times.
+    seen: dict = {}
+    #: graph -> captured datum id -> the stamp its first fast launch left.
+    stamps: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+    compile_, launch = IterationGraph._compile, IterationGraph.launch
+    run_graph = Engine.run_graph
 
-    def checked_entry(self):
-        want = entry(self)
-        got = fast_entry(self)
+    def spied_run_graph(self, segment, n, ck_vals, *args):
+        ev_time = run_graph(self, segment, n, ck_vals, *args)
+        seen["ck"], seen["ev"] = ck_vals, ev_time
+        return ev_time
+
+    def spied(run):
+        def segment_run(eng, ck, bd, cs, ev):
+            seen["ck"], seen["ev"] = ck, ev
+            return run(eng, ck, bd, cs, ev)
+
+        return segment_run
+
+    def checked_launch(graph, n=1):
+        sched = graph._sched
+        if (
+            n <= 0 or graph._run is None
+            or not (n == 1 or graph.fixed_point)
+            or sched.released or sched.node.graph_recorder is not None
+        ):
+            return launch(graph, n)
+        seen["want"] = want = entry(graph)
         stats["entries"] += 1
-        assert (got is None) == (want is None), (got, want)
-        if got is not None:
-            stats["fast"] += 1
-            assert all(a is b for a, b in zip(got[1], want[1]))
-            assert len(got[1]) == len(want[1])
-        return got
+        fast = graph.fast_launches
+        out = launch(graph, n)
+        assert (graph.fast_launches > fast) == (want is not None)
+        return out
 
-    def checked_epilogue(self, ev_time, n, states, refs):
-        copies = {did: _clone(states[did]) for did in self._exit}
+    def checked(graph, n, run):
+        want = seen.pop("want")
+        if want is None:
+            assert run(graph, n) is None
+            return None
+        states, refs = want
+        copies = {did: _clone(states[did]) for did in graph._exit}
         # Keeps every pre-launch event alive, so no new event reuses an id.
         old = {
             id(e): e
-            for did in self._exit
+            for did in graph._exit
             for e in _events(_snapshot_state(states[did]))
             if e is not None
         }
         old.update((id(e), e) for e in refs)
-        epilogue(self, ev_time, n, states, refs)
-        refresh(self, ev_time, n, copies, refs)
-        stats["epilogues"] += 1
+        segments = [s for s, _, _ in graph._segments]
+        runs = [s.run for s in segments]
+        for s in segments:
+            if s.run is not None:
+                s.run = spied(s.run)
+        try:
+            got = run(graph, n)
+        finally:
+            for s, r in zip(segments, runs):
+                if r is not None:
+                    s.run = r
+        assert got is not None
+        stats["fast"] += 1
+        for did, ck in graph._marks:
+            copies[did].compact_reads(HOST, seen["ck"][ck])
+        refresh(graph, seen["ev"], n, copies, refs)
+        stats["exits"] += 1
         seen_got: dict[int, int] = {}
         seen_want: dict[int, int] = {}
-        for did in self._exit:
-            got = _normalized(_snapshot_state(states[did]), old, seen_got)
-            want = _normalized(_snapshot_state(copies[did]), old, seen_want)
-            assert got == want, did
+        left = stamps.setdefault(graph, {})
+        for did in graph._exit:
+            st = states[did]
+            got_snap = _normalized(_snapshot_state(st), old, seen_got)
+            want_snap = _normalized(_snapshot_state(copies[did]), old, seen_want)
+            assert got_snap == want_snap, did
+            assert type(st.stamp) is _Exit
+            assert left.setdefault(did, st.stamp) is st.stamp
+        assert len({id(x) for x in left.values()}) == len(left)
+        return got
 
-    monkeypatch.setattr(IterationGraph, "_fast_entry", checked_entry)
-    monkeypatch.setattr(IterationGraph, "_epilogue", checked_epilogue)
+    def checked_compile(self, entry_state):
+        compile_(self, entry_state)
+        run = self._run
+        if run is not None:
+            self._run = lambda graph, n: checked(graph, n, run)
+
+    monkeypatch.setattr(IterationGraph, "_compile", checked_compile)
+    monkeypatch.setattr(IterationGraph, "launch", checked_launch)
+    monkeypatch.setattr(Engine, "run_graph", spied_run_graph)
     return stats

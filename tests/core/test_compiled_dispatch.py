@@ -54,9 +54,10 @@ def _engine_state(eng: Engine, segment: GraphSegment, ev_time) -> tuple:
 
 
 def _instrument(monkeypatch, compiled: bool) -> tuple[list, list]:
-    """Log the engine state after every ``run_graph``, and collect every
-    segment a one-lap launch recorded; with ``compiled`` off none of them
-    gets code. Returns ``(log, segments)``."""
+    """Log the engine state after every segment dispatch (a
+    ``run_graph``, or a compiled run the launch called directly), and
+    collect every segment a one-lap launch recorded; with ``compiled`` off
+    none of them gets code. Returns ``(log, segments)``."""
     log: list = []
     segments: list = []
     run_graph = Engine.run_graph
@@ -69,7 +70,17 @@ def _instrument(monkeypatch, compiled: bool) -> tuple[list, list]:
 
     def collected(engine, segment, order):
         segments.append(segment)
-        return compile_segment(engine, segment, order) if compiled else None
+        run = compile_segment(engine, segment, order) if compiled else None
+        if run is None:
+            return None
+
+        def logged_run(eng, ck, bd, cs, ev):
+            ok = run(eng, ck, bd, cs, ev)
+            if ok:
+                log.append(_engine_state(eng, segment, ev))
+            return ok
+
+        return logged_run
 
     monkeypatch.setattr(Engine, "run_graph", logged)
     monkeypatch.setattr(engine_mod, "compile_segment", collected)

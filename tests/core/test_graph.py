@@ -194,8 +194,9 @@ class TestCaptureReplay:
     def test_dropped_loop_frees_its_compiled_code_without_the_collector(
         self,
     ):
-        # The generated functions' globals hold the graph's epilogue
-        # constants; no cycle through them may outlive the loop.
+        # The generated functions' globals hold the graph's values (its
+        # segments, stamps and verified stamps among them); no cycle
+        # through them may outlive the loop.
         import gc
         import weakref
 
@@ -204,14 +205,18 @@ class TestCaptureReplay:
         loop.submit(1)
         sched.wait_all()
         loop.replay(2, 3)
-        assert loop.graph.fast_launches == 1
-        refs = [weakref.ref(loop.graph._write_exit),
-                weakref.ref(loop.graph._read_refs)]
+        loop.graph.launch(1)  # compiles the segment's dispatch
+        g = loop.graph
+        assert g.fast_launches == 2
+        segment = g._segments[0][0]
+        assert segment.run is not None
+        refs = [weakref.ref(x) for x in (g._run, segment.run, g)]
+        del g, segment
         gc.collect()
         gc.disable()
         try:
             del loop
-            assert [r() for r in refs] == [None, None]
+            assert [r() for r in refs] == [None] * 3
         finally:
             gc.enable()
 
@@ -703,7 +708,7 @@ class TestStructuralReplay:
             with sched.capture() as g:
                 period()
             if mode == "fallback":
-                g._fast_entry = lambda: None
+                g._run = None
         for r in range(rounds):
             if r:
                 # The oracle: events differ by identity, structure does
@@ -782,7 +787,7 @@ class TestStructuralReplay:
                     with sched.capture() as g:
                         pair()
                     if mode == "fallback":
-                        g._fast_entry = lambda: None
+                        g._run = None
                 g.launch(2)
             sched.gather(x)
             outs.append(x.host.copy())
@@ -836,7 +841,7 @@ class TestTransitionGraphs:
         node, sched, a, b, kernel, ca, cb = gol_setup()
         loop = Loop(sched, (Call(kernel, ca), Call(kernel, cb)))
         if mode == "fallback":
-            monkeypatch.setattr(IterationGraph, "_fast_entry", lambda g: None)
+            monkeypatch.setattr(IterationGraph, "_compile", lambda g, entry: None)
         ghosts = {d: tuple((d, r) for r in cls.GHOSTS) for d in (a, b)}
         rng = np.random.default_rng(5)
         want = a.host.copy()
@@ -905,7 +910,7 @@ class TestTransitionGraphs:
         capture and cost its launches nothing: host clocks, trace rows,
         command count, monitor structure with event times and LRU stamps
         equal the eager twin's, with the reference entry check and
-        epilogue next to every launch."""
+        exit next to every launch."""
         eager = self._ticks("eager", owed=True)
         assert eager[:6] == self._ticks("eager")[:6]
         stats = graph_oracle.install(monkeypatch)
@@ -1205,7 +1210,7 @@ class TestHostOps:
                 with sched.capture() as g:
                     period(sched, x, w, pair)
                 if mode == "fallback":
-                    g._fast_entry = lambda: None
+                    g._run = None
             else:
                 g.launch(1)
             outs.append(x.host.copy())

@@ -1,14 +1,16 @@
 """A fast launch's bookkeeping against its oracle (DESIGN.md §12).
 
-An entry check compares in full only the datums whose stamp it has not
-verified, and the epilogue writes the exit through generated code.
-``graph_oracle`` keeps the implementations they replaced; here both run
-on every launch of a cluster run with ghost marks, a fixed-point replay
-whose read tails compact within one launch, serving's SGEMM loop and
-eager work that must force the fallback, and they must agree on the
-verdict and on the whole monitor state left behind. Every monitor
-mutation clears the stamp, so the next launch compares the datum in
-full.
+A fast launch is one generated function: its entry check compares in
+full only the datums whose stamp it has not verified, and its exit is
+written through straight-line assignments. ``graph_oracle`` keeps the
+implementations they replaced; here both run on every launch of a
+cluster run with ghost marks, a fixed-point replay whose read tails
+compact within one launch, serving's SGEMM loop and eager work that must
+force the fallback, and they must agree on the verdict and on the whole
+monitor state left behind, stamps included. Each of the launch's
+pre-checks, made to fail once, sends it to the fallback (or raises), and
+the run matches its eager twin. Every monitor mutation clears the stamp,
+so the next launch compares the datum in full.
 """
 
 import inspect
@@ -18,15 +20,16 @@ import pytest
 
 import repro.core.graph as graph_mod
 from repro.cluster import ClusterFaultPlan, ClusterMaster, NodeCrash
-from repro.core import Scheduler
+from repro.core import Matrix, Scheduler
 from repro.core.graph import Call, Loop
 from repro.core.location_monitor import LocationMonitor, _DatumState
 from repro.hardware import GTX_780, HOST
-from repro.kernels.game_of_life import make_gol_kernel
+from repro.errors import GraphCaptureError
+from repro.kernels.game_of_life import gol_containers, make_gol_kernel
 from repro.patterns.base import Aggregation
 from repro.serving.models import SgemmEngine
 from repro.serving.trace import Request
-from repro.sim import SimNode
+from repro.sim import FaultPlan, SimNode, Straggler
 from repro.sim.commands import Event
 from repro.utils.rect import Rect
 
@@ -54,7 +57,7 @@ class TestOracleAgrees:
             want = tg.gol_reference_step(want, wrap=False)
         np.testing.assert_array_equal(m.board(), want)
         assert plan.recoveries == 1
-        assert stats["fast"] == stats["epilogues"] > 4 * 40 // 2
+        assert stats["fast"] == stats["exits"] > 4 * 40 // 2
         assert stats["entries"] > stats["fast"]  # fallbacks were checked
 
     def test_transition_ticks(self, monkeypatch):
@@ -169,10 +172,140 @@ class TestOracleAgrees:
         assert stats["fast"] == 3 and stats["entries"] == 4
 
 
+#: Each cause a launch's pre-checks refuse, made between a ping-pong
+#: graph's first launch and its second, and which launches it lets through
+#: (a swapped plan is swapped back before a third).
+CAUSES = {
+    "second scheduler": [True, False],  # an undrained invoke on the node
+    "future failure": [True, False],  # of a device the graph does not use
+    "plan swap": [True, False, True],  # an armed plan's lease
+    "mitigator drift": [True, False],
+    "recorder": [True, True],  # the launch raises while a capture records
+}
+
+
+class TestRefusals:
+    """A launch runs its generated function only when every pre-check
+    holds. Each cause sends it down the eager fallback (or, for a capture
+    recording, raises before it counts), and the run matches its eager
+    twin: board, clock and every trace row."""
+
+    @staticmethod
+    def _run(cause: str, graph: bool):
+        """Warm-up, capture (or its eager twin), a two-lap launch, the
+        cause, another, then the gather; returns the board, the time, the
+        trace rows and the graph."""
+        node, sched, a, b, kernel, ca, cb = tg.gol_setup(
+            faults=FaultPlan(mitigate_stragglers=True)
+            if cause == "mitigator drift" else None,
+            devices=(0, 1, 2) if cause == "future failure" else None,
+        )
+        if cause == "second scheduler":
+            other = Scheduler(node)
+            c = Matrix(tg.N, tg.N, np.uint8, "C")
+            d = Matrix(tg.N, tg.N, np.uint8, "D")
+            c.bind(a.host.copy())
+            d.bind(np.zeros_like(a.host))
+            cc = gol_containers(c, d)
+            other.analyze_call(kernel, *cc)
+        sched.invoke(kernel, *ca)
+        sched.invoke(kernel, *cb)
+        sched.wait_all()
+        g = None
+        if graph:
+            with sched.capture() as g:
+                sched.invoke(kernel, *ca)
+                sched.invoke(kernel, *cb)
+        else:
+            sched.wait_all()  # the capture's opening drain
+            sched.invoke(kernel, *ca)
+            sched.invoke(kernel, *cb)
+            sched.wait_all()  # the capture's closing drain
+
+        def launch():
+            if g is not None:
+                return g.launch(2)
+            for _ in range(2):
+                sched.invoke(kernel, *ca)
+                sched.invoke(kernel, *cb)
+            return sched.wait_all()
+
+        launch()
+        cut = len(node.trace)
+        if cause == "second scheduler":
+            other.invoke(kernel, *cc)
+        elif cause == "future failure":
+            node.retire_device(3, node.time + 1.0)
+        elif cause == "plan swap":
+            node.begin_lease(FaultPlan(
+                stragglers=[Straggler(device=1, compute_factor=2.0)]
+            ))
+        elif cause == "mitigator drift":
+            sched._mitigator.ewma_c[1] = 4.0
+        elif g is not None:  # recorder
+            with sched.capture():
+                with pytest.raises(GraphCaptureError, match="recording"):
+                    g.launch(2)
+        else:
+            sched.wait_all()
+            sched.wait_all()
+        launch()
+        if cause == "second scheduler":
+            other.wait_all()
+        elif cause == "plan swap":
+            node.end_lease()
+            launch()
+        sched.gather_async(a)
+        t = sched.wait_all()
+        rows = tg.norm_trace(node)
+        return a.host.copy(), t, (rows[:cut], rows[cut:]), g
+
+    @pytest.mark.parametrize("cause", sorted(CAUSES))
+    def test_cause_takes_the_fallback(self, monkeypatch, cause):
+        stats = graph_oracle.install(monkeypatch)
+        be, te, (first_e, rows_e), _ = self._run(cause, graph=False)
+        bg, tg_, (first_g, rows_g), g = self._run(cause, graph=True)
+        assert np.array_equal(be, bg)
+        assert te == tg_
+        assert rows_e == rows_g
+        if cause == "future failure":
+            # On three of the four GPUs, the first launch's replay records
+            # two kernels that start at the same time in the other order
+            # than the eager twin, with the same rows and times (ROADMAP
+            # item 2).
+            assert sorted(first_e) == sorted(first_g)
+        else:
+            assert first_e == first_g
+        fast = CAUSES[cause]
+        assert (g.launches, g.fast_launches) == (len(fast), sum(fast))
+        assert stats["entries"] == len(fast) and stats["fast"] == sum(fast)
+
+    def test_released_scheduler_raises(self):
+        """A released scheduler's graph raises before it counts or
+        dispatches anything: the release dropped the scheduler's streams,
+        which moved the node's epoch."""
+        node, sched, a, b, kernel, ca, cb = tg.gol_setup(functional=False)
+        sched.invoke(kernel, *ca)
+        sched.invoke(kernel, *cb)
+        sched.wait_all()
+        with sched.capture() as g:
+            sched.invoke(kernel, *ca)
+            sched.invoke(kernel, *cb)
+        g.launch(2)
+        assert g.fast_launches == 1
+        epoch = node.epoch
+        sched.release()
+        assert node.epoch > epoch
+        t, rows = node.time, len(node.trace)
+        with pytest.raises(GraphCaptureError, match="released"):
+            g.launch(2)
+        assert (g.launches, node.time, len(node.trace)) == (1, t, rows)
+
+
 def _compared(monkeypatch, g, sched):
     """A function that launches ``g`` for two laps (or, with ``launch``
-    False, runs only the entry check of that launch) and returns the
-    names of the datums the entry check compared in full."""
+    False, with a fallback that submits nothing) and returns the names of
+    the datums the entry check compared in full."""
     names = {id(d): d.name for d in sched.monitor._datums.values()}
     seen = []
     matches = graph_mod._matches
@@ -188,7 +321,9 @@ def _compared(monkeypatch, g, sched):
         if launch:
             g.launch(2)
         else:
-            g._fast_entry()
+            calls, g.calls = g.calls, []
+            g.launch(2)
+            g.calls = calls
         states = sched.monitor.states()
         return {names[did] for did, st in states.items()
                 if any(st is s for s in seen)}
@@ -284,7 +419,7 @@ class TestMutatorsClearTheStamp:
         if name == "mark_written_memoized":
             assert monitor.transition_hits + monitor.transition_misses > memo
         assert monitor.states()[id(a)].stamp is None
-        # Only the entry check runs: some of these mutations (a dropped
-        # sole copy, partials out of nowhere) leave a state no eager
-        # fallback could run on.
+        # The fallback submits nothing: some of these mutations (a
+        # dropped sole copy, partials out of nowhere) leave a state no
+        # eager period could run on.
         assert "A" in compared(launch=False)

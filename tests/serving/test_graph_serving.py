@@ -17,7 +17,9 @@ import pytest
 import repro.serving.service as service_mod
 from repro.core import Scheduler
 from repro.core.graph import IterationGraph, Loop
+from repro.core.location_monitor import _DatumState
 from repro.serving import ServingConfig, ServingNode, poisson_trace
+from repro.sim.engine import Engine
 from repro.sim.faults import FaultPlan, Straggler
 
 CFG = ServingConfig()
@@ -83,12 +85,32 @@ def test_every_steady_serve_is_one_fast_launch(monkeypatch):
     the capture), every serve is exactly one graph launch and submits no
     task; at least 99% of the launches take the fast path, and each
     segment of a fast launch after a graph's first runs compiled, with no
-    guard miss."""
+    guard miss. A fast launch is one generated function: after a graph's
+    first, it calls each segment's compiled dispatch itself (no
+    ``Engine.run_graph``), and none appends its read tails through
+    ``add_read``."""
     serves: dict[int, list[tuple[int, int]]] = {}
     graphs: dict[int, IterationGraph] = {}
     counts = {"launches": 0, "submits": 0}
+    #: Read-list appends and engine segment replays in the launch
+    #: running, and in the fast launches after each graph's first.
+    running = {"add_read": 0, "run_graph": 0}
+    in_fast = dict.fromkeys(running, 0)
+    first_fast = {"add_read": 0}
     serve, launch = Loop.run, IterationGraph.launch
     submit = Scheduler._submit
+
+    def spied(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            running[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        _DatumState, "add_read", spied("add_read", _DatumState.add_read)
+    )
+    monkeypatch.setattr(Engine, "run_graph", spied("run_graph", Engine.run_graph))
 
     def spy_serve(loop, *args, **kwargs):
         before = dict(counts)
@@ -101,7 +123,14 @@ def test_every_steady_serve_is_one_fast_launch(monkeypatch):
     def spy_launch(g, n=1):
         graphs[id(g)] = g
         counts["launches"] += 1
-        return launch(g, n)
+        was = g.fast_launches
+        running.update(dict.fromkeys(running, 0))
+        out = launch(g, n)
+        if g.fast_launches > was:
+            into = in_fast if was else first_fast
+            for name in into:
+                into[name] += running[name]
+        return out
 
     def spy_submit(sched, *args):
         counts["submits"] += 1
@@ -125,3 +154,5 @@ def test_every_steady_serve_is_one_fast_launch(monkeypatch):
         for segment, _, _ in g._segments:
             assert segment.guard_misses == 0
             assert segment.compiled_runs == g.fast_launches - 1
+    assert in_fast == {"add_read": 0, "run_graph": 0}
+    assert first_fast == {"add_read": 0}
