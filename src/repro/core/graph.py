@@ -18,7 +18,8 @@ The replay is *bit-identical* to the eager path, not merely equivalent:
   (:meth:`Engine.lower`), made once when ``SimNode`` enqueued it
   (``cmd.op``), and :meth:`Engine.run_graph` dispatches it
   through the same loop as :meth:`Engine.run`: the same floating-point
-  arithmetic, in the same order. A one-lap launch runs each segment
+  arithmetic in the same order, by the same rule for which command runs
+  next. A one-lap launch runs each segment
   through code compiled from the order the loop took on its first one
   (:mod:`repro.sim.segment`): the same arithmetic again, with every heap
   decision guarded and the loop taking over when a guard fails.
@@ -339,9 +340,9 @@ def _launch_code(key: tuple):
     * the host checkpoints, accumulated in locals with the eager
       submission loop's sequential additions (a host sync rejoins the
       clock to the engine's, as ``SimNode.run`` does), the submission
-      touches, and each segment's compiled dispatch, or
-      ``Engine.run_graph`` for a segment not compiled yet, a guard miss
-      and a fixed point's ``n > 1`` laps;
+      touches, and each segment's compiled dispatch, counted here, its
+      one caller, or the interpreter ``Engine.run_graph`` for a segment
+      not compiled yet, a guard miss and a fixed point's ``n > 1`` laps;
     * the marks' compaction of the host read list at their checkpoints;
     * the exit (``_exit_lines``).
     """
@@ -415,11 +416,14 @@ def _launch_code(key: tuple):
         one += [f"c{touch}(c{buf})" for touch, buf in touches]
         if not i:
             one.append(f"ev = [None] * {E}")
+        interpret = f"eng.run_graph(c{segment}, 1, ck, {K}, {E}, bd, cs, ev)"
         one += [
             f"r = c{segment}.run",
-            "if r is not None and r(eng, ck, bd, cs, ev): "
-            f"c{segment}.compiled_runs += 1",
-            f"else: eng.run_graph(c{segment}, 1, ck, {K}, {E}, bd, cs, ev)",
+            f"if r is None: {interpret}",
+            f"elif r(eng, ck, bd, cs, ev): c{segment}.compiled_runs += 1",
+            "else:",
+            f"    c{segment}.guard_misses += 1",
+            f"    {interpret}",
         ]
     one += ["x = eng.now", f"hh = x if x > k{k} else k{k}"]
     # A host-dirty mark's effect the exit does not write: the host read

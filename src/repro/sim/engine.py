@@ -22,10 +22,10 @@ blocked streams are parked per event and re-inserted when the matching
 ``EventRecord`` executes — so heap entries are never stale and each
 dispatch costs O(log streams) instead of O(streams × heads). Commands
 are lowered once, at enqueue (:meth:`Engine.lower`), and eager runs and
-iteration-graph replays share one dispatch loop. A one-lap replay of a
-graph segment runs straight-line code compiled from the order that loop
-took on the segment's first one-lap launch, behind guards that fall back
-to the loop (:mod:`repro.sim.segment`, :meth:`Engine.run_graph`).
+iteration-graph replays share one dispatch loop and its rule for which
+head runs next. A graph's one-lap launch runs code compiled from the
+order that loop took, behind guards that fall back to the loop
+(:mod:`repro.sim.segment`, :meth:`Engine.run_graph`).
 
 Fault injection (DESIGN.md §8): while the node's
 :class:`~repro.sim.faults.FaultPlan` is armed or a device is dead, every
@@ -212,8 +212,8 @@ class Engine:
         the opcodes :meth:`lower` gave its commands, with the host-time
         checkpoint ``ck`` in the second field, plus event waits and
         records by slot. A replay dispatch touches no command objects and
-        goes through the same loop as an eager one, so replayed times are
-        bit-identical to an uncaptured run.
+        goes through the same loop as an eager one, so replayed times and
+        dispatch order are bit-identical to an uncaptured run.
 
         Event opcodes:
 
@@ -231,24 +231,16 @@ class Engine:
         segments filled as ``ev_time``, so a wait on an event of an
         earlier segment reads its time.
 
-        A one-lap launch runs the segment's compiled dispatch
-        (:mod:`repro.sim.segment`), which the first one-lap launch
-        compiles from the order it dispatched in; a launch whose guards
-        fail goes through the heap interpreter and is counted.
+        The interpreter only; a segment's first one-lap replay also
+        compiles the order it took (:mod:`repro.sim.segment`), which the
+        graph's generated launch runs from then on, falling back here.
         """
         if ev_time is None:
             ev_time = [None] * (n * E)
         order = None
-        if n == 1:
-            run = segment.run
-            if run is not None:
-                if run(self, ck_vals, boundary_times, const_times, ev_time):
-                    segment.compiled_runs += 1
-                    return ev_time
-                segment.guard_misses += 1
-            elif not segment.recorded:
-                segment.recorded = True
-                order = []
+        if n == 1 and not segment.recorded:
+            segment.recorded = True
+            order = []
         self._dispatch(
             segment.streams, None,
             (segment.programs, n, ck_vals, K, E, boundary_times,
@@ -276,11 +268,10 @@ class Engine:
         neither stop early nor fault runs in-line whatever its key: it
         moves only its own lane's cursor, to its own ready time, and every
         command the heap would pop before it is keyed below everything the
-        lane submits after it, so no dispatch changes order. An eager
-        record wakes other lanes, so it waits its turn; a replay consumes
-        records in-line too, as it always has (the graph tests hold it to
-        its eager twin). The fault checks run only for eager
-        commands, and only when a device is dead or the fault plan is
+        lane submits after it, so no dispatch changes order. A record
+        wakes other lanes, so it waits its turn, eager or replayed. The
+        fault checks run only for eager commands, and only when a device
+        is dead or the fault plan is
         armed at the earliest time anything can start: an unarmed plan
         cannot re-arm, and its straggler factor is 1.0.
         """
@@ -502,8 +493,6 @@ class Engine:
                         ready = ck_vals[laps[si] * K + op[1]]
                         if end > ready:
                             ready = end
-                        if op[0] == 1:
-                            continue  # a record, in-line
                     else:
                         if not q:
                             break

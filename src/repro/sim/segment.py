@@ -4,10 +4,12 @@ An iteration graph replays as one or more *segments*: the per-stream
 opcode programs it dispatches between two captured host syncs
 (:meth:`~repro.sim.engine.Engine.run_graph`). The heap interpreter,
 :meth:`~repro.sim.engine.Engine._dispatch`, decides at every step which
-lane runs next. A one-lap launch of a steady graph decides the same way
-every time, so the first one-lap launch of a segment reports the order
-it popped lanes in, and :func:`compile_segment` turns that dispatch
-order into straight-line Python:
+lane runs next, by one rule for eager and replayed commands alike. The
+first one-lap replay of a segment reports the order it popped lanes in,
+and :func:`compile_segment` turns it into straight-line Python for the
+graph's later one-lap launches. Float roundings of their absolute times
+can flip a tie (none of 47 one-lap launches of the 8K GoL fixed point
+kept the first one's order), so the code checks the order as it goes:
 
 * every time is computed in locals with the interpreter's float ``max``
   and ``+`` operations, in its order;
@@ -18,7 +20,7 @@ order into straight-line Python:
   order: engine and channel occupancy, stream cursors, event times,
   observer and payload calls, one batch of trace rows, the command count
   and the engine clock. A failed guard has written nothing, and the
-  engine dispatches the segment through the interpreter instead.
+  launch dispatches the segment through the interpreter instead.
 
 The source is generated from the segment's *structure* alone: its
 opcodes, which ops share an engine or a channel, the order of its stream
@@ -139,8 +141,8 @@ def _recipe(structure: tuple) -> tuple | None:
 
     The walk follows ``Engine._dispatch`` for one lap: lanes whose head
     waits on an event of this segment that has not recorded are parked
-    until the record, a ready wait and a record run in-line, and any
-    other head runs in-line while its key is below the heap's top. A
+    until the record, a ready wait runs in-line, and any other head, a
+    record too, runs in-line while its key is below the heap's top. A
     pop's ops end where the same lane's next pop starts. A value's place
     is ``("lane", lane)``, ``("host",)`` (the engine's host engine),
     ``("route", lane, pc)`` (a memcpy's ``(src, dst)``) or ``(lane, pc,
@@ -349,14 +351,13 @@ def _recipe(structure: tuple) -> tuple | None:
                         return None
                     continue  # a ready wait, in-line
                 ready = vmax(read(f"ck[{op[1]}]"), end)
-                if op[0] != 1 and pc == stop:
+                if pc == stop:
                     heap[si] = ready
                     break
-                if pc >= stop:
+                if pc > stop:
                     return None
-                if op[0] != 1:
-                    guard(si, ready)
-                continue  # a record always, anything else below the top
+                guard(si, ready)
+                continue  # below the heap's top, in-line
             if pc != stop:
                 return None
             break

@@ -16,11 +16,14 @@ monitor state, host clocks) must be equal too:
 * cluster ticks with a crash, its recovery and a re-slab on rejoin;
 * functional serving, whose layers run numpy payloads.
 
-Two engine-level segments pin the two rules the compiled code must keep:
-a record runs in-line at an exact ready-time tie, as the interpreter's
-replay does (not as the eager heap, which makes it wait its turn), and a
-launch whose heap decisions differ from the compiled order fails a guard,
-writes nothing and is dispatched by the interpreter.
+Engine-level segments are launched the way the graph's generated launch
+does it (:func:`_launch`), compiled, interpreted and as the same commands
+dispatched eagerly on the same streams; all three must leave the same
+trace rows and engine state. They pin the rules the compiled code must
+keep: a record waits its turn at an exact ready-time tie, as every other
+head does, and a launch whose heap decisions differ from the compiled
+order fails a guard, writes nothing and is dispatched by the interpreter,
+with one call of the compiled code.
 """
 
 import random
@@ -31,7 +34,14 @@ import repro.sim.engine as engine_mod
 from repro.cluster import ClusterMaster
 from repro.hardware import GTX_780, HOST
 from repro.sim import SimNode
-from repro.sim.commands import HostOp, KernelLaunch, Memcpy
+from repro.sim.commands import (
+    Event,
+    EventRecord,
+    EventWait,
+    HostOp,
+    KernelLaunch,
+    Memcpy,
+)
 from repro.sim.engine import Engine
 from repro.sim.segment import GraphSegment
 from tests.cluster import test_tick_cache as tick_cache
@@ -158,6 +168,85 @@ class TestScenarios:
         assert fast_rows == slow_rows
 
 
+class TestLaunchCalls:
+    """The generated launch is the one caller of a compiled segment:
+    ``Engine.run_graph`` only interprets."""
+
+    @staticmethod
+    def _laps(monkeypatch, graph: bool, miss: int | None = None):
+        """A GoL ping-pong's warm-up and capture (or their eager twin),
+        then four one-lap launches. With ``graph``, launch ``miss`` finds a
+        compiled segment that fails a guard: its ``run`` is wrapped to
+        return False, as a failed guard does before writing anything.
+        Returns the board, the time, the trace rows and, per launch, the
+        calls of the compiled code and of ``run_graph``, and the
+        segment's compiled runs and guard misses."""
+        calls = {"run": 0, "run_graph": 0}
+        run_graph = Engine.run_graph
+
+        def counted(self, *args):
+            calls["run_graph"] += 1
+            return run_graph(self, *args)
+
+        monkeypatch.setattr(Engine, "run_graph", counted)
+        node, sched, a, b, kernel, ca, cb = graph_tests.gol_setup()
+
+        def period():
+            sched.invoke(kernel, *ca)
+            sched.invoke(kernel, *cb)
+
+        period()
+        sched.wait_all()
+        if graph:
+            with sched.capture() as g:
+                period()
+            (segment, _, _), = g._segments
+        else:
+            sched.wait_all()
+            period()
+            sched.wait_all()
+        counts = []
+        for i in range(4):
+            calls.update(run=0, run_graph=0)
+            if not graph:
+                period()
+                sched.wait_all()
+                continue
+            compiled = segment.run
+            if compiled is not None:
+
+                def wrapped(*args, compiled=compiled, fail=i == miss):
+                    calls["run"] += 1
+                    return False if fail else compiled(*args)
+
+                segment.run = wrapped
+            g.launch(1)
+            if compiled is not None:
+                segment.run = compiled
+            counts.append((calls["run"], calls["run_graph"],
+                           segment.compiled_runs, segment.guard_misses))
+        sched.gather_async(a)
+        t = sched.wait_all()
+        return a.host.copy(), t, graph_tests.norm_trace(node), counts
+
+    def test_a_guard_miss_calls_compiled_code_once(self, monkeypatch):
+        """The first one-lap launch records and compiles; a launch that
+        runs compiled calls the code once and ``run_graph`` never; a
+        guard miss calls the code once, is counted once and is
+        interpreted by one ``run_graph``, and the run matches its eager
+        twin row for row."""
+        with monkeypatch.context() as mp:
+            board_e, t_e, rows_e, _ = self._laps(mp, graph=False)
+        board_g, t_g, rows_g, counts = self._laps(
+            monkeypatch, graph=True, miss=2
+        )
+        assert counts == [(0, 1, 0, 0), (1, 0, 1, 0), (1, 1, 1, 1),
+                          (1, 0, 2, 1)]
+        assert np.array_equal(board_e, board_g)
+        assert t_e == t_g
+        assert rows_e == rows_g
+
+
 def _op(eng: Engine, cmd, device: int, ck: int) -> tuple:
     """A graph opcode: the engine's lowering with checkpoint ``ck``."""
     low = eng.lower(cmd, device)
@@ -264,16 +353,67 @@ def _random_lanes(rng: random.Random):
     return lanes
 
 
-def _launches(compiled: bool, monkeypatch, lanes, plans) -> list:
+def _launch(eng: Engine, segment: GraphSegment, ck, K: int, E: int, bd,
+            cs) -> list:
+    """A one-lap launch of ``segment`` as the graph's generated launch
+    makes it: the compiled dispatch, counted, or the interpreter for a
+    segment not compiled yet and after a guard miss. Returns the event
+    times."""
+    ev_time = [None] * E
+    run = segment.run
+    if run is None:
+        eng.run_graph(segment, 1, ck, K, E, bd, cs, ev_time)
+    elif run(eng, ck, bd, cs, ev_time):
+        segment.compiled_runs += 1
+    else:
+        segment.guard_misses += 1
+        eng.run_graph(segment, 1, ck, K, E, bd, cs, ev_time)
+    return ev_time
+
+
+#: Opcode -> the eager command class it is the lowering of.
+_COMMANDS = {2: KernelLaunch, 3: Memcpy, 4: HostOp}
+
+
+def _eager(eng: Engine, segment: GraphSegment, ck, E: int, bd, cs) -> list:
+    """The eager twin of :func:`_launch`: each opcode of ``segment`` as a
+    command on its lane's stream, with its checkpoint as the command's
+    earliest start, drained by ``Engine.run``. A wait on a previous-lap
+    slot or a constant waits on an event recorded at that time. Returns
+    the slots' event times."""
+    events = [Event() for _ in range(E)]
+    for stream, prog in zip(segment.streams, segment.programs):
+        for op in prog:
+            at = ck[op[1]]
+            if op[0] == 0:
+                mode, a = op[2], op[3]
+                if mode == 0:
+                    event = events[a]
+                else:
+                    event = Event()
+                    event.recorded_at = bd[a] if mode == 1 else cs[a]
+                cmd = EventWait(earliest_start=at, event=event)
+            elif op[0] == 1:
+                cmd = EventRecord(earliest_start=at, event=events[op[2]])
+            else:
+                cmd = _COMMANDS[op[0]](earliest_start=at)
+                cmd.op = (op[0], None, *op[2:])  # the enqueue's lowering
+            stream.commands.append(cmd)
+    eng.run(segment.streams)
+    return [e.recorded_at for e in events]
+
+
+def _launches(mode: str, monkeypatch, lanes, plans) -> list:
     """One-lap launches of the segment ``lanes(node)`` on a fresh node,
     one per ``(offsets, perturb)`` of ``plans``: with checkpoints at the
     engine clock ``t`` plus ``offsets``, and the constant event time
     ``t`` plus the last offset, after ``perturb(engine, t)`` unless it is
-    None. Returns per launch its trace labels, the engine state it left
-    (with the observer calls so far), and the segment's compiled runs and
-    guard misses after it."""
+    None. ``mode`` is ``"compiled"``, ``"interpreted"`` (nothing
+    compiles) or ``"eager"`` (:func:`_eager`). Returns per launch its
+    trace rows, the engine state it left (with the observer calls so
+    far), and the segment's compiled runs and guard misses after it."""
     with monkeypatch.context() as mp:
-        _instrument(mp, compiled)
+        _instrument(mp, mode == "compiled")
         node = SimNode(GTX_780, 2, functional=False)
         eng = node.engine
         observed: list = []
@@ -287,12 +427,14 @@ def _launches(compiled: bool, monkeypatch, lanes, plans) -> list:
             if perturb is not None:
                 perturb(eng, t)
             before = len(eng.trace)
-            ev_time = eng.run_graph(
-                segment, 1, [t + o for o in offsets], len(offsets), slots,
-                [0.0] * slots, [t + offsets[-1]],
-            )
+            ck, bd, cs = [t + o for o in offsets], [0.0] * slots, [t + offsets[-1]]
+            if mode == "eager":
+                ev_time = _eager(eng, segment, ck, slots, bd, cs)
+            else:
+                ev_time = _launch(eng, segment, ck, len(offsets), slots, bd, cs)
             out.append((
-                [r.label for r in eng.trace.records[before:]],
+                [(r.kind, r.label, r.device, r.start, r.end, r.nbytes, r.src)
+                 for r in eng.trace.records[before:]],
                 (_engine_state(eng, segment, ev_time), list(observed)),
                 (segment.compiled_runs, segment.guard_misses),
             ))
@@ -300,15 +442,17 @@ def _launches(compiled: bool, monkeypatch, lanes, plans) -> list:
 
 
 def _twin_launches(monkeypatch, lanes, plans) -> list:
-    """:func:`_launches` compiled; the interpreted twin left the same
-    engine state after every launch."""
-    fast = _launches(True, monkeypatch, lanes, plans)
-    slow = _launches(False, monkeypatch, lanes, plans)
-    assert [state for _, state, _ in fast] == [state for _, state, _ in slow]
-    assert [labels for labels, _, _ in fast] == [
-        labels for labels, _, _ in slow
-    ]
-    return [(labels, counts) for labels, _, counts in fast]
+    """:func:`_launches` compiled; the interpreted and the eager twin
+    left the same trace rows and engine state after every launch. Returns
+    per launch the trace labels and the compiled runs and guard misses."""
+    fast = _launches("compiled", monkeypatch, lanes, plans)
+    for mode in ("interpreted", "eager"):
+        twin = _launches(mode, monkeypatch, lanes, plans)
+        assert [rows for rows, _, _ in fast] == [rows for rows, _, _ in twin]
+        assert [state for _, state, _ in fast] == [
+            state for _, state, _ in twin
+        ]
+    return [([r[1] for r in rows], counts) for rows, _, counts in fast]
 
 
 class TestRules:
@@ -316,8 +460,8 @@ class TestRules:
         """Random segments, each launched six times with checkpoints that
         tie or spread and now and then a busy copy engine, so that later
         launches take other orders than the first: every launch leaves
-        the interpreter's state, whether it ran compiled or missed a
-        guard."""
+        the interpreter's and the eager twin's rows and state, whether it
+        ran compiled or missed a guard."""
         rng = random.Random(41)
         runs = misses = 0
         for _ in range(60):
@@ -340,20 +484,18 @@ class TestRules:
             misses += counts[1]
         assert runs > 100 and misses > 10
 
-
-    def test_record_runs_in_line_at_a_tie(self, monkeypatch):
-        """The replay takes c's record in-line and wakes a, whose key ties
-        b's and wins on its id, so ``kw`` runs before ``ke``; the eager
-        heap pops ``ke`` before the record
-        (``test_engine_oracle.test_record_waits_its_turn_at_a_tie``). The
-        compiled launches keep the replay's order."""
+    def test_record_waits_its_turn_at_a_tie(self, monkeypatch):
+        """c's record is ready when b's kernel is, and b's stream id is
+        lower, so the heap pops ``ke`` before the record wakes a and
+        ``kw`` runs last: interpreted, compiled and eager alike
+        (``test_engine_oracle.test_record_waits_its_turn_at_a_tie``)."""
         runs = _twin_launches(
             monkeypatch, _tie_lanes, [((0.0, 1e-3), None)] * 3
         )
         assert runs == [
-            (["k0", "kw", "ke"], (0, 0)),
-            (["k0", "kw", "ke"], (1, 0)),
-            (["k0", "kw", "ke"], (2, 0)),
+            (["k0", "ke", "kw"], (0, 0)),
+            (["k0", "ke", "kw"], (1, 0)),
+            (["k0", "ke", "kw"], (2, 0)),
         ]
 
     def test_moved_copy_engine_falls_back(self, monkeypatch):

@@ -83,15 +83,17 @@ def gol_expected(ticks, n=N, seed=7):
     return board
 
 
-def run_gol_pairs(pairs, graph, faults=None, capacity=None, laps_between=0):
-    """``pairs`` ping-pong periods after a one-period warm-up.
+def run_gol_pairs(pairs, graph, faults=None, capacity=None, laps_between=0,
+                  devices=None):
+    """``pairs`` ping-pong periods after a one-period warm-up, on the
+    scheduler's ``devices`` (all GPUs by default).
 
     graph=True: capture period 2, launch the rest. graph=False: the eager
     twin — identical wait_all placement, every lap eager. Returns
     (board, sim_time, trace_rows, graph_or_None, sched).
     """
     node, sched, a, b, kernel, ca, cb = gol_setup(
-        faults=faults, capacity=capacity
+        faults=faults, capacity=capacity, devices=devices
     )
     sched.invoke(kernel, *ca)
     sched.invoke(kernel, *cb)  # warm-up period: distribution settles
@@ -127,6 +129,21 @@ class TestCaptureReplay:
         ref = gol_expected(2 * pairs)
         assert np.array_equal(bg, ref)
         assert np.array_equal(be, ref)
+        assert te == tg
+        assert rowse == rowsg
+
+    @pytest.mark.parametrize(
+        "devices", [(0, 1), (0, 2), (0, 1, 2), (1, 2, 3), None]
+    )
+    def test_gol_replay_keeps_the_eager_order(self, devices):
+        """A two-lap replay on any set of the node's GPUs records every
+        trace row in the eager twin's order: where two kernels become
+        ready at one time, a replayed record waits its turn as an eager
+        one does."""
+        be, te, rowse, _, _ = run_gol_pairs(4, graph=False, devices=devices)
+        bg, tg, rowsg, g, _ = run_gol_pairs(4, graph=True, devices=devices)
+        assert g.fast_launches == 1 and g.replayed_laps == 2
+        assert np.array_equal(be, bg)
         assert te == tg
         assert rowse == rowsg
 

@@ -268,14 +268,7 @@ class TestRefusals:
         assert np.array_equal(be, bg)
         assert te == tg_
         assert rows_e == rows_g
-        if cause == "future failure":
-            # On three of the four GPUs, the first launch's replay records
-            # two kernels that start at the same time in the other order
-            # than the eager twin, with the same rows and times (ROADMAP
-            # item 2).
-            assert sorted(first_e) == sorted(first_g)
-        else:
-            assert first_e == first_g
+        assert first_e == first_g
         fast = CAUSES[cause]
         assert (g.launches, g.fast_launches) == (len(fast), sum(fast))
         assert stats["entries"] == len(fast) and stats["fast"] == sum(fast)
