@@ -3,10 +3,13 @@
 Buffers must be allocated on each device separately. Of the three possible
 strategies the paper discusses (full preallocation; on-demand runtime
 allocation; requirement-based preallocation), MAPS-Multi implements the
-third: ``AnalyzeCall`` is invoked once per distinct task signature before
-any invocation; the analyzer tracks, per datum per device, the
-*N-dimensional bounding box* of the currently-stored and predicted
-requirements, then allocates once, contiguously, exactly that box.
+third: ``AnalyzeCall`` declares each call before any invocation; the
+analyzer tracks, per datum per device, the *N-dimensional bounding box*
+of the currently-stored and predicted requirements, then allocates once,
+contiguously, exactly that box. A call's per-device requirements are the
+rects of its plan (:func:`~repro.core.plan.build_plan`), the same ones
+every later invoke of the call runs: the analyzer folds a plan, it
+computes no geometry of its own.
 
 The Game of Life's double buffering (Fig. 3) demonstrates the asymmetry
 this produces: after ``AnalyzeCall(Win2D(A), SMat(B))`` matrix A's
@@ -19,9 +22,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.errors import AllocationError, AnalysisError
-from repro.core.plan import Uncacheable, bounded_put, task_signature
+from repro.core.plan import TaskPlan, build_plan
 from repro.core.task import Task
-from repro.patterns.base import InputContainer, OutputContainer
 from repro.sim.memory import DeviceBuffer
 from repro.utils.rect import Rect
 
@@ -34,13 +36,8 @@ class MemoryAnalyzer:
     """Tracks per-(datum, device) requirement bounding boxes and owns the
     resulting one-shot allocations."""
 
-    def __init__(self, node: "SimNode", rects: dict | None = None):
+    def __init__(self, node: "SimNode"):
         self.node = node
-        #: Geometry signature -> the ``(container index, device, rect)``
-        #: requirements :meth:`analyze` folds in — pure geometry, so a
-        #: caching scheduler passes its node's shared table; None
-        #: recomputes them every time (the uncached baseline).
-        self._rects = rects
         #: (datum, device) -> bounding box in virtual datum coordinates.
         self._boxes: dict[tuple[int, int], Rect] = {}
         self._datums: dict[int, "Datum"] = {}
@@ -53,72 +50,31 @@ class MemoryAnalyzer:
         task: Task,
         devices: tuple[int, ...] | None = None,
         weights: tuple[int, ...] | None = None,
-        rects: tuple | None = None,
+        plan: TaskPlan | None = None,
     ) -> None:
-        """Fold one task's per-device requirements into the boxes.
+        """Fold the rects of ``task``'s plan into the boxes: each active
+        device's input requirements and owned output rects.
 
-        ``devices`` is the alive device set the task is segmented across
-        (default: all of the node's devices); ``weights`` selects the
-        ratio-aware split of the straggler feedback loop (DESIGN.md §11)
-        and must match the segmentation the plan will use. ``rects`` are
-        the task's :meth:`requirements` when the caller has them (a call
-        template's). Must be called (via ``Scheduler.AnalyzeCall``) before
-        any dependent invocation; invoking an unanalyzed task raises
-        :class:`~repro.errors.AnalysisError`.
+        ``plan`` is the task's plan under the alive set and weights it is
+        analyzed for (a call template's); without one, an unstored plan
+        is built from ``devices`` (default: all of the node's devices)
+        and ``weights``, the ratio-aware split of the straggler feedback
+        loop (DESIGN.md §11), which must match the segmentation the
+        invoke will use. Must be called (via ``Scheduler.AnalyzeCall``)
+        before any dependent invocation; invoking an unanalyzed task
+        raises :class:`~repro.errors.AnalysisError`.
         """
-        if devices is None:
-            devices = tuple(range(self.node.num_gpus))
-        if rects is None:
-            rects = self.requirements(task, devices, weights)
-        containers = task.containers
-        for i, device, rect in rects:
-            self._merge(containers[i].datum, device, rect)
-
-    def requirements(
-        self,
-        task: Task,
-        devices: tuple[int, ...],
-        weights: tuple[int, ...] | None,
-        signature: tuple | None = None,
-    ) -> tuple[tuple[int, int, Rect], ...]:
-        """Per active device, each container's required (inputs) or owned
-        (outputs) virtual rect, as ``(container index, device, rect)``,
-        memoized by geometry in ``_rects``. ``signature`` is the task's
-        plan signature under ``devices`` and ``weights``, if known."""
-        memo = self._rects
-        key = None
-        if memo is not None:
-            try:
-                if signature is None:
-                    signature = task_signature(task, devices, weights)
-            except Uncacheable:
-                pass
-            else:
-                # The plan key minus its kernel id: rects are kernel-free.
-                key = signature[1:]
-                hit = memo.get(key)
-                if hit is not None:
-                    return hit
-        if weights is None:
-            partition = task.grid.partition(len(devices))
-        else:
-            partition = task.grid.partition_weighted(weights)
-        out = []
-        for device, work_rect in zip(devices, partition):
-            if work_rect.empty:
-                continue
-            for i, c in enumerate(task.containers):
-                if isinstance(c, InputContainer):
-                    rect = c.required(task.grid.shape, work_rect).virtual
-                elif isinstance(c, OutputContainer):
-                    rect = c.owned(task.grid.shape, work_rect)
-                else:  # pragma: no cover - Container is abstract
-                    continue
-                out.append((i, device, rect))
-        out = tuple(out)
-        if key is not None:
-            bounded_put(memo, key, out)
-        return out
+        if plan is None:
+            if devices is None:
+                devices = tuple(range(self.node.num_gpus))
+            plan = build_plan(task, devices, weights=weights, signature=())
+        inputs, outputs = task.inputs, task.outputs
+        for device in plan.active:
+            dp = plan.device_plans[device]
+            for c, req in zip(inputs, dp.input_reqs):
+                self._merge(c.datum, device, req.virtual)
+            for c, rect in zip(outputs, dp.output_rects):
+                self._merge(c.datum, device, rect)
 
     def _merge(self, datum: "Datum", device: int, rect: Rect) -> None:
         key = (id(datum), device)
@@ -180,7 +136,7 @@ class MemoryAnalyzer:
         devices: tuple[int, ...] | None = None,
         oom_handler=None,
         weights: tuple[int, ...] | None = None,
-        rects: tuple | None = None,
+        plan: TaskPlan | None = None,
     ) -> None:
         """Analyze a task at invocation time, growing any live allocation
         whose bounding box expanded (the §8 "automated memory analysis"
@@ -193,10 +149,10 @@ class MemoryAnalyzer:
         out-of-memory failure while growing (DESIGN.md §10): return True to
         retry the grow after the handler freed memory, False to skip the
         grow (the handler evicted this very buffer; it will be re-staged
-        lazily), anything else must raise. ``rects`` are as for
+        lazily), anything else must raise. ``plan`` is as for
         :meth:`analyze`.
         """
-        self.analyze(task, devices, weights=weights, rects=rects)
+        self.analyze(task, devices, weights=weights, plan=plan)
         self._grow_buffers(oom_handler)
 
     def _grow_buffers(self, oom_handler=None) -> None:

@@ -105,11 +105,7 @@ class Mitigator:
             return
         sched._graph_generation += 1
         sched._weights = w
-        for t in sched._analyzed.values():
-            sched.analyzer.ensure(
-                t, sched._alive, oom_handler=sched._pressure.recovery_oom,
-                weights=w,
-            )
+        sched._reanalyze()
 
     def forget(self, device: int) -> None:
         """Device retirement: feedback mentioning the dead device is

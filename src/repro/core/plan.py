@@ -22,16 +22,19 @@ invoke with no valid bound record (:class:`BoundPlan`) re-runs the
 analyzed-box check (:func:`check_plan`) on the plan it looked up.
 
 Every caching scheduler on one ``SimNode`` shares that node's
-:class:`NodeTables`: the plans, the analyzer's requirement rects, the
-call templates, the location monitor's geometry ids and transitions, and
-the copy decisions of host gathers, all geometry-keyed. A
-:class:`CallTemplate` is what ``AnalyzeCall`` learns about one call shape
-(:func:`geometry_key`): its kernel, grid, plan signature and requirement
-rects. A later ``AnalyzeCall`` of that shape over other datums (the job
+:class:`NodeTables`: the plans, the call templates, the location
+monitor's geometry ids and transitions, and the copy decisions of host
+gathers, all geometry-keyed. The plan is the one source of a call's
+per-device rects: ``AnalyzeCall`` builds one (:func:`build_plan`, before
+any box holds its rects) and the memory analyzer folds its rects into
+the boxes. A :class:`CallTemplate` is what ``AnalyzeCall`` learns about
+one call shape (:func:`geometry_key`): its kernel, grid and that plan.
+A later ``AnalyzeCall`` of that shape over other datums (the job
 server's next lease) rebinds it instead of building and validating a
-:class:`~repro.core.task.Task`, and its first invoke takes the plan by
-the stored signature. Plan, rect and template tables are bounded by
-:data:`PLAN_LIMIT` (oldest evicted first).
+:class:`~repro.core.task.Task`, and its first invoke looks the plan up
+by the template plan's signature, storing the template's plan on a
+miss. Plan and template tables are bounded by :data:`PLAN_LIMIT`
+(oldest evicted first).
 ``Scheduler(plan_cache=False)`` shares and memoizes nothing.
 
 Plan caching changes *wall-clock* host cost only. Simulated time is
@@ -55,30 +58,17 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.patterns.base import Container
 
 
-class Uncacheable(Exception):
-    """A task signature component is unhashable; the plan cannot be keyed."""
-
-
-def _freeze(value: Any) -> Hashable:
-    """A hashable stand-in for a pattern parameter or constant."""
-    try:
-        hash(value)
-    except TypeError:
-        raise Uncacheable(f"unhashable signature component {value!r}") from None
-    return value
-
-
 def container_signature(c: "Container") -> tuple:
     """Stable signature of one container: pattern type + parameters +
     datum shape and dtype (no datum identity: plans are geometry only).
 
     Pattern parameters are taken from the instance dict (``radius``,
     ``boundary``, ``ilp``, ``op``, ...), so new pattern classes participate
-    without registration; an unhashable parameter raises
-    :class:`Uncacheable` and the invocation bypasses the cache.
+    without registration; an unhashable parameter makes
+    :func:`task_signature` raise ``TypeError``.
     """
     params = tuple(
-        (k, _freeze(v)) for k, v in sorted(vars(c).items()) if k != "datum"
+        (k, v) for k, v in sorted(vars(c).items()) if k != "datum"
     )
     return (
         type(c).__qualname__,
@@ -104,9 +94,8 @@ def task_signature(
     weights: "tuple[int, ...] | None" = None,
 ) -> tuple:
     """The plan-cache key for one task submission (see module docstring).
-    Everything after the leading kernel id is what the grid partition and
-    the containers' ``required``/``owned`` rects depend on — the key of
-    the analyzer's requirement-rect table.
+    Raises ``TypeError`` when a pattern parameter is unhashable: the
+    invocation then bypasses the cache.
 
     ``weights`` is the quantized per-device throughput-ratio vector the
     straggler-feedback loop segments by (DESIGN.md §11); it is part of the
@@ -123,6 +112,7 @@ def task_signature(
     )
     if weights is not None:
         sig += (tuple(weights),)
+    hash(sig)
     return sig
 
 
@@ -130,10 +120,12 @@ def freeze_constants(constants: Mapping[str, Any]) -> tuple | None:
     """Hashable form of a task's constants, or ``None`` if any value is
     unhashable (per-device durations are then recomputed each invocation,
     since cost models may inspect constants)."""
+    key = tuple(sorted(constants.items()))
     try:
-        return tuple(sorted((k, _freeze(v)) for k, v in constants.items()))
-    except Uncacheable:
+        hash(key)
+    except TypeError:
         return None
+    return key
 
 
 @dataclass(frozen=True)
@@ -161,6 +153,9 @@ class TaskPlan:
     signature: tuple
     kernel: Any
     grid_shape: tuple[int, ...]
+    #: The alive device set and straggler weights the grid was split by.
+    devices: tuple[int, ...]
+    weights: tuple[int, ...] | None
     partition: list[Rect]
     active: tuple[int, ...]
     device_plans: dict[int, DevicePlan]
@@ -200,11 +195,10 @@ class TaskPlan:
 #: the dict unboundedly.
 COPY_MEMO_LIMIT = 512
 
-#: Upper bound on the plans (and on the analyzer's requirement-rect
-#: entries and the call templates) one node keeps; above it the oldest
-#: entry is evicted. Steady workloads need one plan per task shape; a
-#: caller that builds a kernel per call mints a new key every time, and
-#: would otherwise pin every kernel it ever built.
+#: Upper bound on the plans (and on the call templates) one node keeps;
+#: above it the oldest entry is evicted. Steady workloads need one plan
+#: per task shape; a caller that builds a kernel per call mints a new key
+#: every time, and would otherwise pin every kernel it ever built.
 PLAN_LIMIT = 512
 
 
@@ -225,8 +219,6 @@ class NodeTables:
     def __init__(self) -> None:
         #: task signature -> plan (:class:`PlanCache`).
         self.plans: dict[tuple, TaskPlan] = {}
-        #: geometry signature -> requirement rects (``MemoryAnalyzer``).
-        self.rects: dict[tuple, tuple] = {}
         #: :func:`geometry_key` -> :class:`CallTemplate`
         #: (``Scheduler.analyze_call``).
         self.templates: dict[tuple, CallTemplate] = {}
@@ -250,7 +242,7 @@ class NodeTables:
 def build_plan(task: "Task", devices: "int | tuple[int, ...]", analyzer=None,
                peers_of=None, weights=None, signature=None) -> TaskPlan:
     """Compute a task's invocation plan (the slow path, run once per
-    signature).
+    signature, and the source of the rects ``AnalyzeCall`` folds).
 
     ``devices`` is the alive device set the work is segmented across (an
     int means the first N devices). Pure geometry: partitions the grid and
@@ -260,14 +252,15 @@ def build_plan(task: "Task", devices: "int | tuple[int, ...]", analyzer=None,
     instead of evenly — the ratio-aware segmenter of the straggler
     feedback loop (DESIGN.md §11). When ``analyzer`` is given, the plan is
     validated against the task's analyzed boxes (:func:`check_plan`).
-    ``signature`` is the task's, when the caller has it. No commands are
-    enqueued and no monitor state is touched.
+    ``signature`` is the task's, when the caller has it; ``()`` for a plan
+    no table will store. No commands are enqueued and no monitor state is
+    touched.
     """
     devices = _device_tuple(devices)
     if signature is None:
         try:
             signature = task_signature(task, devices, weights)
-        except Uncacheable:
+        except TypeError:
             signature = ()  # plan still usable once; callers won't store it
     if weights is None:
         partition = task.grid.partition(len(devices))
@@ -298,6 +291,8 @@ def build_plan(task: "Task", devices: "int | tuple[int, ...]", analyzer=None,
         signature=signature,
         kernel=task.kernel,
         grid_shape=work_shape,
+        devices=devices,
+        weights=weights,
         partition=partition,
         active=active,
         device_plans=device_plans,
@@ -372,9 +367,10 @@ def geometry_key(
 class CallTemplate:
     """What ``AnalyzeCall`` derives from one call shape
     (:func:`geometry_key`), kept per node without any datum: the kernel
-    and grid a :meth:`~repro.core.task.Task.rebind` needs, the plan
-    ``signature`` under ``devices`` and ``weights``, and the requirement
-    ``rects`` the memory analyzer folds into the new datums' boxes.
+    and grid a :meth:`~repro.core.task.Task.rebind` needs, and the
+    ``plan`` built at analysis, whose rects the memory analyzer folds
+    into the new datums' boxes and whose signature, alive set and
+    weights an invoke looks its plan up by.
 
     A task over containers of the same types, parameters, datum shapes
     and dtypes passes the same checks and implies the same grid as the
@@ -383,24 +379,19 @@ class CallTemplate:
 
     kernel: Any
     grid: Any
-    devices: tuple[int, ...]
-    weights: tuple[int, ...] | None
-    signature: tuple
-    rects: tuple
+    plan: TaskPlan
 
 
 def store_template(
     templates: dict, key: tuple, task: "Task", devices: tuple[int, ...],
-    weights: "tuple[int, ...] | None", requirements,
+    weights: "tuple[int, ...] | None", peers_of,
 ) -> CallTemplate:
     """Make the template of ``task`` analyzed under ``devices`` and
-    ``weights`` and store it under its :func:`geometry_key` ``key``;
-    ``requirements(task, devices, weights, signature)`` gives its rects.
-    The key hashed every parameter, so the signature is cacheable."""
-    signature = task_signature(task, devices, weights)
+    ``weights`` and store it under its :func:`geometry_key` ``key``. The
+    key hashed every parameter, so the plan's signature is cacheable."""
     template = CallTemplate(
-        task.kernel, task.grid, devices, weights, signature,
-        requirements(task, devices, weights, signature),
+        task.kernel, task.grid,
+        build_plan(task, devices, peers_of=peers_of, weights=weights),
     )
     bounded_put(templates, key, template)
     return template
@@ -648,9 +639,9 @@ class PlanCache:
         signature: tuple | None = None,
     ) -> TaskPlan | None:
         """The cached plan for ``task``'s signature, or None. A caller
-        that holds the signature already (a :class:`CallTemplate`'s, for
-        the same ``devices`` and ``weights``) passes it as ``signature``,
-        and none is computed."""
+        that holds the signature already (a :class:`CallTemplate` plan's,
+        for the same ``devices`` and ``weights``) passes it as
+        ``signature``, and none is computed."""
         if not self.enabled:
             self.misses += 1
             return None
@@ -658,7 +649,7 @@ class PlanCache:
         if key is None:
             try:
                 key = task_signature(task, devices, weights)
-            except Uncacheable:
+            except TypeError:
                 self.bypasses += 1
                 return None
         plan = self._plans.get(key)

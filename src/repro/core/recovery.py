@@ -221,14 +221,8 @@ def _retire_device(sched: "Scheduler", device: int, at_time: float) -> None:
         sched._mitigator.forget(device)
     # Re-segmenting over the survivors grows their requirement boxes;
     # re-analyze every declared task so allocations are resized before
-    # resubmission (growth preserves surviving contents). The grown
-    # boxes may no longer fit next to evictable leftovers — the OOM
-    # handler frees those rather than failing the recovery.
-    for t in sched._analyzed.values():
-        sched.analyzer.ensure(
-            t, sched._alive, oom_handler=sched._pressure.recovery_oom,
-            weights=sched._weights,
-        )
+    # resubmission.
+    sched._reanalyze()
 
 
 def _resubmit(sched: "Scheduler") -> None:

@@ -37,7 +37,6 @@ from repro.core.mitigation import Mitigator, _KernelOrigin
 from repro.core.plan import (
     COPY_MEMO_LIMIT,
     BoundPlan,
-    CallTemplate,
     NodeTables,
     PlanCache,
     TaskPlan,
@@ -133,16 +132,14 @@ class Scheduler:
         self.violations: list = []
         self._violations_raised = 0
         # One knob controls all cross-invocation amortization. With the
-        # plan cache on, plans, analyzed requirement rects and monitor
-        # transitions come from the node's shared geometry tables, so they
+        # plan cache on, plans, call templates and monitor transitions
+        # come from the node's shared geometry tables, so they
         # outlive this scheduler (the job server's next lease replays
         # them). With it off, nothing is memoized or shared: every
         # invocation recomputes from scratch (the honest uncached baseline
         # for `repro.bench --overhead`, and the differential oracle).
         tables = NodeTables.of(node) if plan_cache else NodeTables()
-        self.analyzer = MemoryAnalyzer(
-            node, tables.rects if plan_cache else None
-        )
+        self.analyzer = MemoryAnalyzer(node)
         self.monitor = LocationMonitor(tables.geom_ids, tables.transitions)
         self.monitor.amortize = plan_cache
         #: Host-gather copy decisions (``_copy_ops``), node-shared.
@@ -183,14 +180,13 @@ class Scheduler:
         #: Set by :meth:`release`: the scheduler gave its streams and
         #: buffers back to the node and must not be driven again.
         self._released = False
-        #: Tasks registered via analyze_call, one per binding (its
-        #: ``plan.prekey``) in first-analysis order — re-analyzed for the
-        #: surviving device set when recovery re-segments work.
-        self._analyzed: dict[tuple, Task] = {}
-        #: ``plan.prekey`` -> the call template its latest analysis used
-        #: or made: an invoke without a bound record takes its plan by the
-        #: template's signature.
-        self._declared: dict[tuple, CallTemplate] = {}
+        #: One record per call registered via analyze_call, keyed by its
+        #: binding (``plan.prekey``) in first-analysis order: the first
+        #: analyzed task (re-analyzed when recovery or rebalancing
+        #: re-segments work, and rebound by invokes) and the template
+        #: plan of the latest analysis (None without a template), which
+        #: an invoke without a bound record looks its plan up by.
+        self._analyzed: dict[tuple, tuple[Task, TaskPlan | None]] = {}
         #: Submission log (TaskHandles and _GatherRecords in order) driving
         #: ordered resubmission after a permanent failure; bounded after
         #: every wait (``recovery.prune_log``).
@@ -304,9 +300,9 @@ class Scheduler:
         (``plan.geometry_key``: the same kernel, grid argument, container
         types and parameters, datum shapes and dtypes, alive set and
         weights) is bound from its node-level template: the task is a
-        :meth:`Task.rebind` and the template's rects are folded into the
-        new datums' boxes. Otherwise the task is built and checked, and
-        becomes the shape's template."""
+        :meth:`Task.rebind` and the rects of the template's plan are
+        folded into the new datums' boxes. Otherwise the task is built and
+        checked, and it and its plan become the shape's template."""
         self._check_live()
         self._no_capture("analyze_call")
         if self._mitigator is not None:
@@ -325,22 +321,30 @@ class Scheduler:
             task = Task(kernel, containers, grid, constants)
             if gkey is not None:
                 template = store_template(
-                    templates, gkey, task, alive, weights,
-                    self.analyzer.requirements,
+                    templates, gkey, task, alive, weights, self._peers
                 )
         else:
             task = Task.rebind(template, containers, constants)
-        self.analyzer.ensure(
-            task, alive, weights=weights,
-            rects=None if template is None else template.rects,
-        )
+        plan = None if template is None else template.plan
+        self.analyzer.ensure(task, alive, weights=weights, plan=plan)
         if key is None:
             key = (task,)
-        elif template is not None:
-            self._declared[key] = template
-        self._analyzed.setdefault(key, task)
+        first = self._analyzed.get(key)
+        self._analyzed[key] = (task if first is None else first[0], plan)
         self.node.host_advance(self.node.interconnect.scheduler_container_overhead)
         return task
+
+    def _reanalyze(self) -> None:
+        """Fold every analyzed call again under the current alive set and
+        weights (recovery and rebalancing re-segment work), so buffers
+        grow, contents kept, before the next plan build. A grown box that
+        no longer fits next to evictable leftovers frees those rather
+        than failing."""
+        for task, _ in self._analyzed.values():
+            self.analyzer.ensure(
+                task, self._alive, oom_handler=self._pressure.recovery_oom,
+                weights=self._weights,
+            )
 
     def invoke(
         self,
@@ -674,7 +678,10 @@ class Scheduler:
                 pass
             else:
                 rec = self._prebound.get(key)
-                shape = self._analyzed.get(key) if rec is None else rec.task
+                if rec is not None:
+                    shape = rec.task
+                elif key in self._analyzed:
+                    shape = self._analyzed[key][0]
         if shape is None:
             task = Task(kernel, containers, grid, constants)
         else:
@@ -723,24 +730,24 @@ class Scheduler:
             # The plan the record's submission was looked up under, with
             # its binding already checked.
             return self.plans.hit(rec.plan)
-        # A call analyzed under the current alive set and weights has its
-        # plan signature in its template.
-        template = None if key is None else self._declared.get(key)
-        signature = None
-        if (
-            template is not None
-            and template.devices == alive
-            and template.weights == weights
+        # A call analyzed under the current alive set and weights has the
+        # plan its template was built with: the lookup takes its signature,
+        # and a miss stores it.
+        analyzed = None if key is None else self._analyzed.get(key)
+        declared = None if analyzed is None else analyzed[1]
+        if declared is not None and (
+            declared.devices != alive or declared.weights != weights
         ):
-            signature = template.signature
-        plan = self.plans.lookup(task, alive, weights=weights,
-                                 signature=signature)
+            declared = None
+        plan = self.plans.lookup(
+            task, alive, weights=weights,
+            signature=None if declared is None else declared.signature,
+        )
         if plan is None:
             # Slow path: runs once per task signature on the node (or
             # every time with the cache disabled).
-            plan = build_plan(
-                task, alive, peers_of=self._peers, weights=weights,
-                signature=signature,
+            plan = declared if declared is not None else build_plan(
+                task, alive, peers_of=self._peers, weights=weights
             )
             if not plan.active:
                 raise SchedulingError(f"task {task.name} has an empty grid")
@@ -749,7 +756,7 @@ class Scheduler:
         # record checks it against its datums' analyzed boxes (after the
         # implicit analysis, if on).
         if self.auto_analyze:
-            self.analyzer.ensure(task, alive, weights=weights)
+            self.analyzer.ensure(task, alive, weights=weights, plan=plan)
         check_plan(task, plan, self.analyzer)
         return plan
 

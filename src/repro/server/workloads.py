@@ -10,8 +10,8 @@ iteration counter *are* the checkpoint". The contract:
   (one steady period of calls, analyzed once). It is called once per
   *lease*; after a preemption the next lease's scheduler
   re-uploads from host and continues from ``completed`` iterations. The
-  plans, call templates, requirement rects and monitor transitions are
-  geometry-keyed tables on the node (DESIGN.md §7), so every lease, job
+  plans, call templates and monitor transitions are geometry-keyed
+  tables on the node (DESIGN.md §7), so every lease, job
   and replica replays those an earlier lease built: after the first
   lease of a call shape, a lease's ``AnalyzeCall``s and first invokes
   build no ``Task`` and compute no plan signature. A lease re-does only

@@ -308,9 +308,22 @@ def _random_lanes(rng: random.Random):
     waits over two streams per GPU and a host stream, with durations and
     sizes from small sets so that ready times tie often, and checkpoints
     0 to 3. A wait names a slot recorded earlier in generation order or
-    the constant 0, so nothing deadlocks."""
+    the constant 0, so nothing deadlocks. About half the segments open with
+    a record tie, the shape of :func:`_tie_lanes`: lane 2 records after a
+    kernel as long as lane 1's first one, both at checkpoint 0, so the
+    record is ready when lane 1's second kernel is, and lane 0, a
+    sibling of lane 1 with a lower stream id, waits on the record before
+    a kernel of the same duration as that one."""
     cmds = []
     ck, slots = 0, 0
+    if rng.random() < 0.5:
+        d, e = rng.choice([1e-6, 2e-6]), rng.choice([1e-6, 2e-6])
+        cmds += [
+            (2, "kernel", 0, d), (2, (1, 0, 0), None, None),
+            (1, "kernel", 0, d), (1, "kernel", 0, e),
+            (0, (0, 0, 0, 0), None, None), (0, "kernel", 0, e),
+        ]
+        slots = 1
     for _ in range(rng.randint(4, 16)):
         lane = rng.randrange(5)
         ck = min(3, ck + (rng.random() < 0.3))
@@ -461,7 +474,9 @@ class TestRules:
         tie or spread and now and then a busy copy engine, so that later
         launches take other orders than the first: every launch leaves
         the interpreter's and the eager twin's rows and state, whether it
-        ran compiled or missed a guard."""
+        ran compiled or missed a guard. About half open with a record
+        tie, which a replay that ran records in-line would take in
+        another order than its eager twin."""
         rng = random.Random(41)
         runs = misses = 0
         for _ in range(60):

@@ -172,7 +172,7 @@ class TestCacheBehavior:
         _, node, sched = run_gol(plan_cache=False)
         assert node.plan_tables is None
         assert not sched.monitor._geom_ids and not sched.monitor._transitions
-        assert sched.analyzer._rects is None
+        assert sched._templates is None
 
 
 class TestBindingCheck:
@@ -369,7 +369,6 @@ class TestInCorePath:
         # The node_eager mix, timing-only: a steady invoke builds no task
         # signature, and asks the analyzer for at most one buffer per
         # active device (the histogram gathers' partials, here).
-        import repro.core.memory_analyzer as analyzer_mod
         import repro.core.plan as plan_mod
         from repro.kernels.histogram import histogram_grid
         from repro.libs.cublas import make_sgemm_routine, sgemm_containers
@@ -413,9 +412,8 @@ class TestInCorePath:
 
         monkeypatch.setattr(MemoryAnalyzer, "buffer",
                             counting("buffer", MemoryAnalyzer.buffer))
-        for mod in (plan_mod, analyzer_mod):
-            monkeypatch.setattr(mod, "task_signature", counting(
-                "signature", plan_mod.task_signature))
+        monkeypatch.setattr(plan_mod, "task_signature", counting(
+            "signature", plan_mod.task_signature))
         invokes = 3 * 40
         for i in range(3, 43):
             step(i)
@@ -595,7 +593,6 @@ class Counts:
     """Counts ``Task.__init__`` and ``task_signature`` runs."""
 
     def __init__(self, monkeypatch):
-        import repro.core.memory_analyzer as analyzer_mod
         import repro.core.plan as plan_mod
 
         self.tasks = self.signatures = 0
@@ -611,8 +608,6 @@ class Counts:
 
         monkeypatch.setattr(Task, "__init__", counting_init)
         monkeypatch.setattr(plan_mod, "task_signature", counting_signature)
-        monkeypatch.setattr(analyzer_mod, "task_signature",
-                            counting_signature)
 
     def take(self) -> tuple[int, int]:
         out = (self.tasks, self.signatures)
@@ -850,5 +845,5 @@ class TestPreBinding:
         # their plans up.
         node, _, per_lease = self.check_leases(monkeypatch, retire=3)
         assert per_lease[1][0] == 0 and per_lease[1][1] > 0
-        assert {t.devices for t in node.plan_tables.templates.values()} \
+        assert {t.plan.devices for t in node.plan_tables.templates.values()} \
             == {(0, 1, 2, 3)}

@@ -145,7 +145,7 @@ def test_rebind_matches_a_fresh_task(name, monkeypatch):
     assert task.inputs == fresh.inputs and task.outputs == fresh.outputs
     alive = sched.alive_devices
     assert task_signature(task, alive) == task_signature(fresh, alive) \
-        == template.signature
+        == template.plan.signature
     reference = MemoryAnalyzer(node)
     reference.analyze(fresh, alive)
     for c in second:

@@ -323,4 +323,4 @@ class TestRepeatedRuns:
             session.run(kernel, *gol_containers(src, dst))
         analyzed = session.sched._analyzed
         assert len(analyzed) == 2
-        assert [t.containers[0].datum for t in analyzed.values()] == [a, b]
+        assert [t.containers[0].datum for t, _ in analyzed.values()] == [a, b]

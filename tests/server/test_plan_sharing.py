@@ -1,8 +1,8 @@
 """The job server replays one node's plans across leases, jobs and tenants.
 
-Every lease builds a fresh :class:`Scheduler`, but plans, analyzed
-requirement rects and monitor transitions live in the node's geometry-keyed
-tables, so a lease replays what earlier leases built. That must change host
+Every lease builds a fresh :class:`Scheduler`, but plans, call templates
+and monitor transitions live in the node's geometry-keyed tables, so a
+lease replays what earlier leases built. That must change host
 wall-clock only: a seeded mixed trace (preemptions, device failures,
 stragglers, transient transfer faults) runs through the server once with
 the uncached oracle, ``Scheduler(plan_cache=False)``, and once as-is, and
@@ -280,7 +280,6 @@ def test_plan_table_stays_at_its_limit(monkeypatch):
     srv, submitted = run(monkeypatch, Scheduler, jobs)
     tables = srv.node.plan_tables
     assert len(tables.plans) == 2
-    assert len(tables.rects) <= 2
     assert len(tables.templates) == 2
     assert observables(srv, submitted) == observables(oracle_srv, oracle)
     for j in submitted:
