@@ -28,7 +28,7 @@ g < 10 devices).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from repro.errors import SchedulingError, UnrecoverableError
 from repro.hardware.topology import HOST
@@ -40,8 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.datum import Datum
 
 
-@dataclass(frozen=True)
-class CopyOp:
+class CopyOp(NamedTuple):
     """One planned segment copy (produces one peer-to-peer/host transfer)."""
 
     src: int  # location: device index or HOST

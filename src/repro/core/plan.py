@@ -229,6 +229,9 @@ class NodeTables:
         #: (state id, target rect) -> host-gather copy decisions
         #: (``Scheduler._copy_ops``), bounded by :data:`COPY_MEMO_LIMIT`.
         self.gathers: dict[tuple, tuple] = {}
+        #: compiled-call source -> its ``make`` (``core/compiled_call.py``),
+        #: bounded by :data:`PLAN_LIMIT`.
+        self.calls: dict[str, Any] = {}
 
     @classmethod
     def of(cls, node) -> "NodeTables":
@@ -407,6 +410,9 @@ class BoundPlan:
     buffers in allocation-pass order, valid while every device's
     allocator ``epoch`` equals ``epochs``; ``devices``/``weights`` are the
     alive set and straggler weights the plan was looked up under.
+    ``calls`` holds the record's compiled calls (DESIGN.md §7) per
+    constants key and geometry state tuple, and ``states`` its datums'
+    monitor states, once a call looked them up.
     """
 
     task: Any
@@ -415,6 +421,8 @@ class BoundPlan:
     weights: tuple[int, ...] | None
     buffers: dict[int, list]
     epochs: tuple[tuple[int, int], ...]
+    calls: dict = field(default_factory=dict)
+    states: list | None = None
 
 
 def binding(task: "Task", plan: TaskPlan) -> tuple:

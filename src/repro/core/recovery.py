@@ -46,7 +46,7 @@ class _RescheduleError(Exception):
     escapes the scheduler."""
 
 
-@dataclass
+@dataclass(slots=True)
 class _TransferContext:
     """Provenance attached to a segment-copy Memcpy (``cmd.origin``) so a
     transient fault on it can be retried from an alternate replica.

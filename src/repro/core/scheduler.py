@@ -26,7 +26,8 @@ from __future__ import annotations
 import contextlib
 from typing import TYPE_CHECKING, Any, Hashable, Iterable, Iterator, Mapping, Optional
 
-from repro.core import recovery
+from repro.core import compiled_call, recovery
+from repro.core import plan as plan_mod
 from repro.core.buffers import locate_virtual, locate_virtual_all
 from repro.core.datum import Datum
 from repro.core.graph import GraphRecorder, IterationGraph, snapshot_monitor
@@ -208,6 +209,9 @@ class Scheduler:
         self._graph_generation = 0
         #: The recorder of the capture in progress (:meth:`capture`).
         self._recorder: GraphRecorder | None = None
+        #: ``node.epoch`` when the node checks of compiled calls last
+        #: passed (:meth:`_calm`).
+        self._calm_epoch = -1
 
     @property
     def alive_devices(self) -> tuple[int, ...]:
@@ -337,14 +341,33 @@ class Scheduler:
     def _reanalyze(self) -> None:
         """Fold every analyzed call again under the current alive set and
         weights (recovery and rebalancing re-segment work), so buffers
-        grow, contents kept, before the next plan build. A grown box that
-        no longer fits next to evictable leftovers frees those rather
-        than failing."""
-        for task, _ in self._analyzed.values():
+        grow, contents kept, before the next invoke. Each call's plan
+        comes from the node's call templates, as in :meth:`analyze_call`,
+        so calls of one geometry share one, and the next invoke of any of
+        them, or a resubmission, looks it up by signature and stores it
+        instead of building it. A grown box that no longer fits next to
+        evictable leftovers frees those rather than failing."""
+        alive, weights = self._alive, self._weights
+        templates = self._templates
+        for key, (task, _) in self._analyzed.items():
+            plan = None
+            if templates is not None and len(key) > 1:
+                # A hashable call: its prekey kept its grid argument.
+                grid = None if key[1] is None else task.grid
+                gkey = geometry_key(
+                    task.kernel, task.containers, grid, alive, weights
+                )
+                template = templates.get(gkey)
+                if template is None:
+                    template = store_template(
+                        templates, gkey, task, alive, weights, self._peers
+                    )
+                plan = template.plan
             self.analyzer.ensure(
-                task, self._alive, oom_handler=self._pressure.recovery_oom,
-                weights=self._weights,
+                task, alive, oom_handler=self._pressure.recovery_oom,
+                weights=weights, plan=plan,
             )
+            self._analyzed[key] = (task, plan)
 
     def invoke(
         self,
@@ -686,7 +709,80 @@ class Scheduler:
             task = Task(kernel, containers, grid, constants)
         else:
             task = Task.rebind(shape, containers, constants)
+        if rec is not None:
+            handle = self._compiled(task, rec)
+            if handle is not None:
+                return handle
         return self._schedule(task, key, rec)
+
+    def _compiled(self, task: Task, rec: BoundPlan) -> TaskHandle | None:
+        """Run a bound submission as the record's compiled call for its
+        datums' geometry states (DESIGN.md §7 "Compiled calls"), or
+        return None, having changed nothing, for :meth:`_schedule` to
+        replay it. A record's first hit under a state tuple replays, and
+        its second compiles (``compiled_call.lower``). The replay also
+        keeps every call of a capture, a sanitizing or mitigating
+        scheduler, an armed fault plan or a dead device still in use,
+        and every call after a device allocator moved."""
+        node = self.node
+        if (
+            self._recorder is not None
+            or node.graph_recorder is not None
+            or self.sanitize
+            or self._mitigator is not None
+            or not rec.plan.cached
+            or rec.devices != self._alive
+            or rec.weights != self._weights
+            or (self._calm_epoch != node.epoch and not self._calm())
+        ):
+            return None
+        constants = task.constants
+        key = [freeze_constants(constants) if constants else ()]
+        if key[0] is None:
+            return None
+        states = rec.states
+        if states is None:
+            st = self.monitor._st
+            states = rec.states = [st(c.datum) for c in rec.task.containers]
+        sid = self.monitor._sid
+        for st in states:
+            key.append(st.sid if st.sid >= 0 else sid(st))
+            key.append(st.agg_mode)
+        key = tuple(key)
+        calls = rec.calls
+        call = calls.get(key)
+        if call is None:
+            if len(calls) < compiled_call.CALLS_PER_RECORD:
+                calls[key] = compiled_call.SEEN
+            return None
+        if call is compiled_call.SEEN:
+            lowered = compiled_call.lower(self, task, rec)
+            call = calls[key] = (
+                compiled_call.NEVER if lowered is None
+                else compiled_call.bind(node.plan_tables, *lowered)
+            )
+        if call is compiled_call.NEVER:
+            return None
+        handle = call(task)
+        if handle is not None:
+            self.plans.hits += 1
+            self._log.append(handle)
+        return handle
+
+    def _calm(self) -> bool:
+        """The checks of compiled calls only a node event can fail
+        (``node.epoch``): no permanent failure pending or on a device in
+        use, and nothing else armed in the fault plan. A pass holds until
+        the epoch moves, as for a graph launch (DESIGN.md §12)."""
+        node = self.node
+        now = node.time
+        for d, ft in node.engine.dead.items():
+            if ft > now or d in self._alive:
+                return False
+        if node.faults.armed(now):
+            return False
+        self._calm_epoch = node.epoch
+        return True
 
     def _schedule(
         self, task: Task, key: tuple | None = None,
@@ -744,6 +840,8 @@ class Scheduler:
             signature=None if declared is None else declared.signature,
         )
         if plan is None:
+            if declared is None and key is None:
+                declared = self._declared(task)
             # Slow path: runs once per task signature on the node (or
             # every time with the cache disabled).
             plan = declared if declared is not None else build_plan(
@@ -759,6 +857,22 @@ class Scheduler:
             self.analyzer.ensure(task, alive, weights=weights, plan=plan)
         check_plan(task, plan, self.analyzer)
         return plan
+
+    def _declared(self, task: Task) -> TaskPlan | None:
+        """The analyzed plan of ``task``'s signature under the current
+        alive set and weights, for a lookup without a submission key (a
+        resubmission after recovery): the plan re-analysis took from the
+        call templates."""
+        if self._templates is None:
+            return None
+        try:
+            sig = plan_mod.task_signature(task, self._alive, self._weights)
+        except TypeError:
+            return None
+        for _, plan in self._analyzed.values():
+            if plan is not None and plan.signature == sig:
+                return plan
+        return None
 
     def _replay(
         self, task: Task, plan: TaskPlan, handle: TaskHandle | None = None,

@@ -421,6 +421,42 @@ class TestInCorePath:
         assert counts["signature"] == 0
         assert counts["buffer"] <= len(sched.alive_devices) * invokes
         assert counts["buffer"] == 4 * 4  # four gathers, four partials each
+        # Every record has compiled its calls by now (DESIGN.md §7
+        # "Compiled calls"): a steady invoke neither replays nor plans or
+        # enqueues a copy through the replay's methods. A gather keeps its
+        # own path, counted apart.
+        from repro.core.scheduler import Scheduler as S
+
+        calls = dict.fromkeys(("replay", "copy_ops", "enqueue_copy"), 0)
+        gathers = dict.fromkeys(("copy_ops", "enqueue_copy"), 0)
+        gathering = [False]
+
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                (gathers if gathering[0] else calls)[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def in_gather(fn):
+            def wrapper(*args, **kwargs):
+                gathering[0] = True
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    gathering[0] = False
+            return wrapper
+
+        monkeypatch.setattr(S, "_replay", spy("replay", S._replay))
+        monkeypatch.setattr(S, "_copy_ops", spy("copy_ops", S._copy_ops))
+        monkeypatch.setattr(S, "_enqueue_copy",
+                            spy("enqueue_copy", S._enqueue_copy))
+        monkeypatch.setattr(S, "_gather_events", in_gather(S._gather_events))
+        for i in range(43, 83):
+            step(i)
+        sched.wait_all()
+        assert calls == {"replay": 0, "copy_ops": 0, "enqueue_copy": 0}
+        # The histogram's gathers aggregate its partials: no segment copy.
+        assert gathers == {"copy_ops": 0, "enqueue_copy": 0}
 
     def test_steady_loop_invokes_check_no_plan(self, monkeypatch):
         # The analyzed-box check runs only for an invoke with no valid
@@ -832,18 +868,22 @@ class TestPreBinding:
         )
         node, _, per_lease = self.check_leases(monkeypatch, n=256,
                                                faults=faults)
-        # The second lease re-weights: its invokes look their plans up,
-        # and the plans under the new weights carry them in their key.
-        assert per_lease[1][0] == 0 and per_lease[1][1] > 0
+        # The second lease re-weights: its re-analysis takes the plans
+        # under the new weights from the call templates the first lease's
+        # re-weighting made, so its invokes look them up by the template
+        # plans' signatures, building no task and computing no signature.
+        # The plans under the new weights carry them in their key.
+        assert per_lease[1] == (0, 0)
         assert any(len(sig) == 6 for sig in node.plan_tables.plans)
 
     def test_template_of_a_retired_device_falls_back_to_lookup(
         self, monkeypatch
     ):
         # Retiring a device after the second lease's analysis: its
-        # templates were made for all four devices, so its invokes look
-        # their plans up.
+        # templates were made for all four devices, so the recovery's
+        # re-analysis makes the survivors' templates (computing their
+        # signatures), whose plans its invokes look up.
         node, _, per_lease = self.check_leases(monkeypatch, retire=3)
         assert per_lease[1][0] == 0 and per_lease[1][1] > 0
         assert {t.plan.devices for t in node.plan_tables.templates.values()} \
-            == {(0, 1, 2, 3)}
+            == {(0, 1, 2, 3), (0, 1, 2)}

@@ -81,6 +81,43 @@ class TestPermanentFailure:
         assert sched.alive_devices == (0, 1, 3)
         assert t1 > t0  # recovery costs simulated time, never correctness
 
+    def test_survivors_plan_built_once(self, gol_baseline, monkeypatch):
+        # Recovery re-analyzes every call through the node's call
+        # templates: the ping and the pong share the survivors' one, and
+        # the resubmission and the invokes after it look its plan up.
+        import re
+
+        import repro.core.memory_analyzer as analyzer_mod
+        import repro.core.plan as plan_mod
+        import repro.core.scheduler as sched_mod
+
+        built = []
+        build_plan = plan_mod.build_plan
+
+        def counting(task, devices, *args, **kwargs):
+            built.append(tuple(devices))
+            return build_plan(task, devices, *args, **kwargs)
+
+        for mod in (plan_mod, sched_mod, analyzer_mod):
+            monkeypatch.setattr(mod, "build_plan", counting)
+        _, t0 = gol_baseline
+
+        def plan():
+            return FaultPlan(device_failures=[DeviceFailure(2, t0 * 0.4)])
+
+        ref, t_ref, _, ref_node = run_gol(faults=plan(), plan_cache=False)
+        built.clear()
+        out, t1, sched, node = run_gol(faults=plan())
+        assert sched.alive_devices == (0, 1, 3)
+        assert built.count((0, 1, 3)) == 1
+        assert np.array_equal(out, ref) and t1 == t_ref
+
+        def rows(n):
+            return [(r.kind, re.sub(r"#\d+", "#", r.label), r.device,
+                     r.start, r.end) for r in n.trace]
+
+        assert rows(node) == rows(ref_node)
+
     def test_gol_degrades_to_single_device(self, gol_baseline):
         ref, t0 = gol_baseline
         fp = FaultPlan(device_failures=[

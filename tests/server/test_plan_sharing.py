@@ -286,3 +286,68 @@ def test_plan_table_stays_at_its_limit(monkeypatch):
         assert j.state == DONE
         assert np.array_equal(j.spec.workload.result(),
                               j.spec.workload.reference())
+
+
+def test_compiled_calls_bounded_by_call_structures(monkeypatch):
+    """Compiled calls (DESIGN.md §7) are code objects kept per node and
+    keyed by their source: a call structure compiles once, however many
+    leases bind it, and a 2-iteration job's lease compiles nothing after
+    the first job of its shape."""
+    import repro.core.compiled_call as compiled_call
+
+    compiles = []
+    real = compile
+
+    def counting(source, *args, **kwargs):
+        compiles.append(source)
+        return real(source, *args, **kwargs)
+
+    monkeypatch.setattr(compiled_call, "compile", counting, raising=False)
+    ran = [0]
+    compiled_call_of = Scheduler._compiled
+
+    def running(self, task, rec):
+        handle = compiled_call_of(self, task, rec)
+        ran[0] += handle is not None
+        return handle
+
+    monkeypatch.setattr(Scheduler, "_compiled", running)
+    leases = []
+    run_lease = server_mod.JobServer._run_lease
+
+    def spying(self, job):
+        before, calls = len(compiles), ran[0]
+        run_lease(self, job)
+        wl = job.spec.workload
+        leases.append(((wl.kind, wl.size, job.spec.gpus), wl.iterations,
+                       len(compiles) - before, ran[0] - calls))
+
+    monkeypatch.setattr(server_mod.JobServer, "_run_lease", spying)
+    rng = random.Random(11)
+    jobs = [
+        JobSpec(KINDS[i % 3](size=16, iterations=rng.choice((2, 16)),
+                             seed=i),
+                tenant=f"t{i % 3}", name=f"j{i}", gpus=rng.choice((1, 2, 4)),
+                arrival=i * 3e-4)
+        for i in range(90)
+    ]
+    # Slices long enough for a 16-iteration job to compile its calls.
+    srv = JobServer(num_gpus=4, time_slice=1e-2, quotas=QUOTAS)
+    submitted = [srv.submit(spec) for spec in jobs]
+    srv.run()
+    assert all(j.state == DONE for j in submitted)
+    for j in submitted:
+        assert np.array_equal(j.spec.workload.result(),
+                              j.spec.workload.reference())
+    binding = [lease for lease in leases if lease[3]]
+    assert len(binding) > 4 * len(compiles) > 0
+    assert len(compiles) == len(set(compiles)) \
+        == len(srv.node.plan_tables.calls)
+    seen = set()
+    short = 0
+    for shape, iterations, compiled, _ in leases:
+        if shape in seen and iterations == 2:
+            short += 1
+            assert compiled == 0
+        seen.add(shape)
+    assert short > 10
